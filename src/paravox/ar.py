@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Rng, Tensor, bce_with_logits, concat, cross_entropy, no_grad
-from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, causal_mask, padding_mask
+from .nn import (Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask,
+                 padding_mask)
 
 
 @dataclass
@@ -85,7 +86,7 @@ class Assembly:
 class GenerationResult:
     tokens: np.ndarray          # (T, n_streams, layers_per_stream) int64
     terminated: bool            # stop head fired
-    truncated: bool             # hit max_speech_len instead
+    truncated: bool             # hit max_frames or max_speech_len instead
 
     @property
     def n_frames(self) -> int:
@@ -171,15 +172,29 @@ class DualStreamAR(Module):
 
     # ---- trunk ------------------------------------------------------------
 
-    def forward_states(self, emb: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Run the causal trunk; emb is (L, D) or (B, L, D)."""
+    def forward_states(self, emb: Tensor, mask: np.ndarray | None = None,
+                       cache: list[KVCache] | None = None) -> Tensor:
+        """Run the causal trunk; emb is (L, D) or (B, L, D).
+
+        With `cache` (one `KVCache` per block, see `new_cache`), `emb`
+        holds only the positions after those already cached: the
+        prompt at prefill, one frame per decode step. Their states come
+        back; earlier keys and values are read from the cache.
+        """
         t = emb.shape[-2]
-        if mask is None:
-            mask = causal_mask(t, dtype=emb.dtype)
+        if mask is None and t > 1:
+            # Causal rows [n - t, n) over the n positions the queries see;
+            # a single new row sees every filled position, so it needs none.
+            n = t if cache is None else cache[0].n + t
+            mask = causal_mask(n, dtype=emb.dtype)[n - t:]
         h = emb
-        for block in self.blocks:
-            h = block(h, mask=mask)
+        for i, block in enumerate(self.blocks):
+            h = block(h, mask=mask, cache=None if cache is None else cache[i])
         return self.ln_f(h)
+
+    def new_cache(self, capacity: int, dtype) -> list[KVCache]:
+        """Empty key/value buffers for `capacity` positions, one per block."""
+        return [KVCache(b.attn.n_heads, b.attn.head_dim, capacity, dtype) for b in self.blocks]
 
     def _head_logits(self, states: Tensor, s: int, l: int) -> Tensor:
         cfg = self.cfg
@@ -326,10 +341,19 @@ class DualStreamAR(Module):
                  max_frames: int | None = None) -> GenerationResult:
         """Sample token frames until the stop head fires or length runs out.
 
-        Each iteration re-runs the trunk on the assembly so far, checks
-        P(stop) at the last state (so a saturated stop head yields an
-        empty, terminated result), then draws one token per stream and
-        head from the renormalized top-k distribution.
+        The trunk runs once over the prompt (text, then reference) and
+        keeps every block's keys and values in buffers sized for the
+        prompt plus the frame limit. Each sampled frame is then embedded
+        alone at its speech position and run through the trunk as one
+        position against those cached keys and values. After the prompt
+        and after every frame, P(stop) is checked at the last state
+        first (so a saturated stop head yields an empty, terminated
+        result), then the frame limit; otherwise one token per stream
+        and head is drawn from the renormalized top-k distribution.
+
+        The limit is `max_frames`, clamped to the speech positions the
+        reference leaves free (`max_speech_len - n_ref`); reaching it
+        sets `truncated`.
         """
         cfg = self.cfg
         rng = rng or Rng(seed)
@@ -339,30 +363,34 @@ class DualStreamAR(Module):
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
-        ref = np.asarray(ref_tokens) if np.asarray(ref_tokens).size \
-            else np.zeros((0, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64)
-        limit = max_frames if max_frames is not None else cfg.max_speech_len - ref.shape[0]
-        frames = np.zeros((0, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64)
-        terminated = truncated = False
+        if max_frames is not None and max_frames < 0:
+            raise ValueError(f"max_frames must be >= 0, got {max_frames}")
         with no_grad():
+            asm = self.assemble(text_ids, ref_tokens)
+            free = cfg.max_speech_len - asm.n_ref
+            limit = free if max_frames is None else min(max_frames, free)
+            cache = self.new_cache(asm.total + limit, asm.emb.dtype)
+            states = self.forward_states(asm.emb, cache=cache)
+            frames = np.empty((limit, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64)
+            n = 0
+            terminated = truncated = False
             while True:
-                asm = self.assemble(text_ids, ref, frames if frames.shape[0] else None)
-                states = self.forward_states(asm.emb)
-                last = states[asm.total - 1:asm.total]
+                last = states[-1:]
                 stop_p = float(self.stop_head(last).sigmoid().data.reshape(()))
                 if stop_p > 0.5:
                     terminated = True
                     break
-                if frames.shape[0] >= limit:
+                if n >= limit:
                     truncated = True
                     break
-                step = np.empty((1, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64)
                 for s in range(cfg.n_streams):
                     for l in range(cfg.layers_per_stream):
                         logits = self._head_logits(last, s, l).data.reshape(-1)
-                        step[0, s, l] = self._sample_head(logits, top_k, temperature, rng)
-                frames = np.concatenate([frames, step], axis=0)
-        return GenerationResult(tokens=frames, terminated=terminated, truncated=truncated)
+                        frames[n, s, l] = self._sample_head(logits, top_k, temperature, rng)
+                emb = self._frame_embeddings(frames[n:n + 1], pos_offset=asm.n_ref + n)
+                states = self.forward_states(emb, cache=cache)
+                n += 1
+        return GenerationResult(tokens=frames[:n], terminated=terminated, truncated=truncated)
 
 
 def tokens_from_parallel(parallel_tokens, layers: int = 1) -> np.ndarray:

@@ -696,7 +696,36 @@ class Rng:
         self.generator.bit_generator.state = state
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation), built from primitives."""
-    c = math.sqrt(2.0 / math.pi)
-    return x * 0.5 * ((c * (x + 0.044715 * x ** 3)).tanh() + 1.0)
+    """Gaussian error linear unit, tanh form (Hendrycks & Gimpel), one tape node.
+
+    y = 0.5 x (1 + tanh(u)) with u = c (x + a x^3), c = sqrt(2/pi),
+    a = 0.044715; the backward is the analytic derivative
+    0.5 (1 + tanh u) + 0.5 x (1 - tanh^2 u) c (1 + 3 a x^2).
+    """
+    xd = x.data
+    x2 = xd * xd
+    u = x2 * _GELU_A
+    u += 1.0
+    u *= xd
+    u *= _GELU_C
+    th = np.tanh(u, out=u)
+    data = th + 1.0
+    data *= xd
+    data *= 0.5
+
+    def grad_fn(g):
+        du = x2 * (3.0 * _GELU_A)
+        du += 1.0
+        du *= _GELU_C
+        du *= 1.0 - th * th
+        du *= xd
+        du += 1.0 + th
+        du *= 0.5
+        x._accumulate(g * du)
+
+    return Tensor._make(data, (x,), grad_fn)

@@ -91,8 +91,39 @@ class LayerNorm(Module):
         return layer_norm(x) * self.gamma + self.beta
 
 
+class KVCache:
+    """Keys and values of one attention layer for incremental decoding.
+
+    Buffers of shape (H, capacity, head_dim) are allocated once; each
+    call of the layer writes its new positions in place after the `n`
+    already filled and attends over the filled prefix. The cache holds
+    one sequence (rank-2 input) and carries no gradient.
+    """
+
+    def __init__(self, n_heads: int, head_dim: int, capacity: int, dtype):
+        self.k = np.empty((n_heads, capacity, head_dim), dtype=dtype)
+        self.v = np.empty((n_heads, capacity, head_dim), dtype=dtype)
+        self.n = 0
+
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Append (H, t, hd) keys and values; return the filled prefix of each."""
+        lo, hi = self.n, self.n + k.shape[-2]
+        if hi > self.k.shape[1]:
+            raise ValueError(f"KV cache of capacity {self.k.shape[1]} cannot hold {hi} positions")
+        self.k[:, lo:hi] = k
+        self.v[:, lo:hi] = v
+        self.n = hi
+        return Tensor(self.k[:, :hi]), Tensor(self.v[:, :hi])
+
+
 class MultiHeadAttention(Module):
-    """Standard scaled dot-product attention with an additive mask."""
+    """Standard scaled dot-product attention with an additive mask.
+
+    With a `KVCache`, only the new rows of `x` are projected; their keys
+    and values are appended to the cache and the queries attend over
+    every cached position. `mask` then covers (new rows, cached
+    positions).
+    """
 
     def __init__(self, dim: int, n_heads: int, rng: Rng, dtype=None):
         if dim % n_heads:
@@ -104,7 +135,8 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng.spawn("wv"), dtype=dtype)
         self.wo = Linear(dim, dim, rng.spawn("wo"), dtype=dtype)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
+                 cache: KVCache | None = None) -> Tensor:
         shape = x.shape  # (..., T, D)
         t, d = shape[-2], shape[-1]
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
@@ -113,6 +145,8 @@ class MultiHeadAttention(Module):
             return h.reshape(shape[:-1] + (self.n_heads, self.head_dim)).swapaxes(-3, -2)
 
         q, k, v = split(q), split(k), split(v)  # (..., H, T, hd)
+        if cache is not None:
+            k, v = cache.extend(k.data, v.data)  # (H, n, hd), n >= T
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
         if mask is not None:
             scores = scores + Tensor(np.asarray(mask, dtype=scores.dtype))
@@ -131,8 +165,9 @@ class TransformerBlock(Module):
         self.fc1 = Linear(dim, mlp_ratio * dim, rng.spawn("fc1"), dtype=dtype)
         self.fc2 = Linear(mlp_ratio * dim, dim, rng.spawn("fc2"), dtype=dtype)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), mask=mask)
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
+                 cache: KVCache | None = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), mask=mask, cache=cache)
         x = x + self.fc2(gelu(self.fc1(self.ln2(x))))
         return x
 

@@ -108,9 +108,17 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
     `text_ids` must already be framed with the sequence marks (use
     `encode_text` for raw strings). The reference bundle supplies both
     the prompt tokens and the speaker condition. All sampling descends
-    from `seed`.
+    from `seed`. A reference longer than the generator (leaving room for
+    one frame) or the refiner can hold is rejected before any encoding.
     """
     cfg = pipe.config
+    n_ref, max_speech = ref_bundle.n_frames, pipe.ar.cfg.max_speech_len
+    if n_ref > max_speech - 1:
+        raise ValueError(f"reference of {n_ref} frames exceeds the generator's limit of "
+                         f"{max_speech - 1} (max_speech_len={max_speech} less one frame to generate)")
+    if pipe.nar is not None and n_ref > pipe.nar.cfg.max_ref_len:
+        raise ValueError(f"reference of {n_ref} frames exceeds the refiner's "
+                         f"max_ref_len={pipe.nar.cfg.max_ref_len}")
     rng = Rng(seed)
     if not cfg.ablation.parallel_streams:
         streams = pipe.tokenizer.encode_streams(ref_bundle)

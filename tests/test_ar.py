@@ -255,6 +255,109 @@ def test_suppressed_stop_truncates():
     assert full.truncated
 
 
+# ---- cached decoding against full recompute ------------------------------------
+
+
+def _recompute_generate(model, text, ref, seed, top_k, max_frames):
+    """Reference sampler: re-run the uncached trunk on the whole prefix per frame."""
+    cfg = model.cfg
+    rng = Rng(seed)
+    frames = np.zeros((0, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64)
+    terminated = truncated = False
+    with no_grad():
+        while True:
+            asm = model.assemble(text, ref, frames if frames.shape[0] else None)
+            last = model.forward_states(asm.emb)[asm.total - 1:asm.total]
+            if float(model.stop_head(last).sigmoid().data.reshape(())) > 0.5:
+                terminated = True
+                break
+            if frames.shape[0] >= max_frames:
+                truncated = True
+                break
+            step = np.empty((1, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64)
+            for s in range(cfg.n_streams):
+                for l in range(cfg.layers_per_stream):
+                    logits = model._head_logits(last, s, l).data.reshape(-1)
+                    step[0, s, l] = model._sample_head(logits, top_k, cfg.temperature, rng)
+            frames = np.concatenate([frames, step], axis=0)
+    return frames, terminated, truncated
+
+
+CACHE_VARIANTS = {
+    "dual_stream": (dict(), 3),
+    "merged_stream": (dict(streams=(("merged", 10),)), 3),
+    "three_layer_heads": (dict(layers_per_stream=3), 3),
+    "empty_reference": (dict(), 0),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CACHE_VARIANTS))
+def test_cached_states_match_full_recompute(variant):
+    """f64: prefill plus one cached position per frame equals the uncached trunk."""
+    overrides, n_ref = CACHE_VARIANTS[variant]
+    cfg = tiny_config(**overrides)
+    model = DualStreamAR(cfg, Rng(40), dtype=np.float64)
+    text, ref, tgt = random_example(Rng(41), cfg, n_ref=n_ref, n_tgt=7)
+
+    def outputs(states):
+        heads = [model._head_logits(states, s, l).data
+                 for s in range(cfg.n_streams) for l in range(cfg.layers_per_stream)]
+        return [states.data, model.stop_head(states).data] + heads
+
+    with no_grad():
+        asm = model.assemble(text, ref)
+        cache = model.new_cache(asm.total + tgt.shape[0], np.float64)
+        got = outputs(model.forward_states(asm.emb, cache=cache))
+        want = outputs(model.forward_states(asm.emb))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+        for i in range(tgt.shape[0]):
+            emb = model._frame_embeddings(tgt[i:i + 1], pos_offset=n_ref + i)
+            got = outputs(model.forward_states(emb, cache=cache))
+            full = model.forward_states(model.assemble(text, ref, tgt[:i + 1]).emb)
+            want = outputs(full[-1:])
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+    assert all(c.n == asm.total + tgt.shape[0] for c in cache)
+
+
+def test_sampled_generation_matches_recompute_loop():
+    """top_k=4 sampling on an f64 model replays the uncached reference loop."""
+    cfg = tiny_config()
+    model = DualStreamAR(cfg, Rng(42), dtype=np.float64)
+    model.stop_head.bias.data[:] = -1.0  # some runs stop, others hit the limit
+    text, ref, _ = random_example(Rng(43), cfg)
+    flags = set()
+    for seed in range(6):
+        got = model.generate(text, ref, seed=seed, top_k=4, max_frames=12)
+        frames, terminated, truncated = _recompute_generate(model, text, ref, seed, 4, 12)
+        assert np.array_equal(got.tokens, frames)
+        assert (got.terminated, got.truncated) == (terminated, truncated)
+        flags.add(terminated)
+    assert flags == {True, False}
+
+
+def test_max_frames_beyond_capacity_is_clamped():
+    """max_frames past max_speech_len - n_ref truncates at capacity, without extra trunk work."""
+    cfg = tiny_config(max_speech_len=10)
+    model = DualStreamAR(cfg, Rng(44))
+    model.stop_head.bias.data[:] = -1e4
+    text, ref, _ = random_example(Rng(45), cfg, n_ref=4)
+    positions = []
+    trunk = model.forward_states
+
+    def counting(emb, *args, **kwargs):
+        positions.append(emb.shape[0])
+        return trunk(emb, *args, **kwargs)
+
+    model.forward_states = counting
+    out = model.generate(text, ref, seed=0, max_frames=20)
+    assert out.n_frames == 6 and out.truncated and not out.terminated
+    assert positions == [4 + 4] + [1] * 6
+    with pytest.raises(ValueError, match="max_frames"):
+        model.generate(text, ref, seed=0, max_frames=-1)
+
+
 def test_merged_single_stream_variant():
     cfg = tiny_config(streams=(("merged", 10),))
     model = DualStreamAR(cfg, Rng(15))

@@ -152,6 +152,40 @@ def test_composite_ops_grad_check():
     assert report.passed, str(report)
 
 
+def _gelu_composed(x: Tensor) -> Tensor:
+    """The GELU as it was built from eight primitive tape nodes."""
+    c = np.sqrt(2.0 / np.pi)
+    return x * 0.5 * ((c * (x + 0.044715 * x ** 3)).tanh() + 1.0)
+
+
+def test_gelu_grad_check_f64():
+    x = Tensor(np.linspace(-6.0, 6.0, 241), requires_grad=True)
+    w = Tensor(Rng(30).normal((241,), dtype=np.float64))
+    report = grad_check(lambda: (gelu(x) * w).sum(), {"x": x}, tolerance=1e-7)
+    assert report.passed, str(report)
+
+
+def test_gelu_is_one_tape_node():
+    x = Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)
+    y = gelu(x)
+    assert y._parents == (x,)
+
+
+def test_gelu_matches_composed_formula():
+    """Same forward and gradient as the composed form: f64 to 1e-12, f32 to 1e-6."""
+    grid = np.linspace(-6.0, 6.0, 4001)
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+        a = Tensor(grid.astype(dtype), requires_grad=True)
+        b = Tensor(grid.astype(dtype), requires_grad=True)
+        ya, yb = gelu(a), _gelu_composed(b)
+        assert ya.dtype == dtype
+        np.testing.assert_allclose(ya.data, yb.data, rtol=tol, atol=tol)
+        ya.sum().backward()
+        yb.sum().backward()
+        assert a.grad.dtype == dtype
+        np.testing.assert_allclose(a.grad, b.grad, rtol=tol, atol=tol)
+
+
 def test_cross_entropy_uniform_is_ln_k():
     for k in (2, 7, 64):
         logits = Tensor(np.zeros((5, k)))

@@ -7,6 +7,7 @@ from paravox.engine import Rng, Tensor, grad_check
 from paravox.nn import (
     Conv1dSame,
     Embedding,
+    KVCache,
     LayerNorm,
     Linear,
     Module,
@@ -46,6 +47,23 @@ def test_causal_mask_blocks_future():
     out2 = attn(Tensor(x2), mask=mask).data
     assert np.array_equal(base[:4], out2[:4])
     assert not np.allclose(base[4], out2[4])
+
+
+def test_attention_cache_matches_full_pass():
+    """Rows fed in chunks through a KVCache equal one causal pass over all rows."""
+    rng = Rng(3)
+    attn = MultiHeadAttention(8, 2, rng, dtype=np.float64)
+    x = rng.normal((6, 8), dtype=np.float64)
+    full = attn(Tensor(x), mask=causal_mask(6, dtype=np.float64)).data
+    cache = KVCache(2, 4, 6, np.float64)
+    for lo, hi in ((0, 3), (3, 4), (4, 6)):
+        rows = hi - lo
+        mask = causal_mask(hi, dtype=np.float64)[lo:] if rows > 1 else None
+        out = attn(Tensor(x[lo:hi]), mask=mask, cache=cache).data
+        np.testing.assert_allclose(out, full[lo:hi], rtol=0, atol=1e-12)
+    assert cache.n == 6
+    with pytest.raises(ValueError, match="capacity 6"):
+        attn(Tensor(x[:1]), cache=cache)
 
 
 def test_padding_mask_zeroes_attention_to_pads():

@@ -1,0 +1,30 @@
+"""Smoke test of the benchmark's traced mode on both synthesis workloads.
+
+It runs `perfbench/run.py` briefly and checks that the run is correct
+(no failed output check or span self-check, such as the trunk no longer
+being reached through `DualStreamAR.forward_states`) and that it prints
+exactly the per-layer metrics `BENCHMARK.json` declares. Wall-clock
+figures are not asserted.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["synth_long", "synth_short"])
+def test_traced_synthesis_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr[-2000:]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}

@@ -362,6 +362,34 @@ def test_load_pipeline_and_infer_deterministic(mini_run):
         assert r1.metadata["n_frames"] == r1.tokens.n_frames
 
 
+def test_infer_rejects_overlong_reference_before_encoding(mini_run):
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    encoded = []
+    encode = pipe.tokenizer.encode_speech
+    pipe.tokenizer.encode_speech = lambda bundle: encoded.append(bundle) or encode(bundle)
+    short = mini_run.items[0].bundle
+    ids = encode_text(pipe, "ab")
+
+    def stretched(n_frames):
+        reps = -(-n_frames // short.n_frames)
+        return dataclasses.replace(short, **{
+            name: np.concatenate([getattr(short, name)] * reps)[:n_frames]
+            for name in ("semantic", "acoustic", "speaker_frames", "mel")})
+
+    # The generator needs room for one frame after the reference.
+    ar_limit = pipe.ar.cfg.max_speech_len - 1
+    with pytest.raises(ValueError, match=f"limit of {ar_limit}"):
+        infer(pipe, ids, stretched(ar_limit + 1), seed=1)
+    # The refiner's own reference limit applies too.
+    pipe.nar.cfg.max_ref_len = short.n_frames - 1
+    with pytest.raises(ValueError, match=f"max_ref_len={short.n_frames - 1}"):
+        infer(pipe, ids, short, seed=1)
+    assert encoded == []
+    pipe.nar.cfg.max_ref_len = short.n_frames
+    result = infer(pipe, ids, short, seed=1, max_frames=2)
+    assert len(encoded) == 1 and result.metadata["n_frames"] <= 2
+
+
 def test_load_pipeline_missing_checkpoint(tmp_path):
     with pytest.raises(FileNotFoundError, match="tokenizer"):
         load_pipeline(tmp_path)
