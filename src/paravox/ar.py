@@ -308,10 +308,15 @@ class DualStreamAR(Module):
         out["total"] = total
         return out
 
-    def teacher_forced_accuracy(self, batch: list[tuple]) -> dict[str, float]:
-        """Fraction of argmax-correct predictions per stream (all heads)."""
+    def teacher_forced_counts(self, batch: list[tuple]) -> dict[str, tuple[int, int]]:
+        """(hits, total) from one teacher-forced pass over `batch`.
+
+        Per stream name: argmax-correct predictions over all heads.
+        `stop`: stop states where P(stop) > 0.5 agrees with the label.
+        `stop_final`: utterances whose final state fires the stop head.
+        """
         with no_grad():
-            stream_logits, stream_targets, _, _ = self.teacher_forced_batch(batch)
+            stream_logits, stream_targets, stop_logits, stop_labels = self.teacher_forced_batch(batch)
         out = {}
         for s, (name, _) in enumerate(self.cfg.streams):
             correct = total = 0
@@ -319,8 +324,16 @@ class DualStreamAR(Module):
                 pred = stream_logits[s][l].data.argmax(axis=-1)
                 correct += int((pred == stream_targets[s][l]).sum())
                 total += pred.shape[0]
-            out[name] = correct / total
+            out[name] = (correct, total)
+        fires = stop_logits.sigmoid().data > 0.5  # generate()'s stop test
+        final = stop_labels > 0.5
+        out["stop"] = (int((fires == final).sum()), fires.size)
+        out["stop_final"] = (int(fires[final].sum()), len(batch))
         return out
+
+    def teacher_forced_accuracy(self, batch: list[tuple]) -> dict[str, float]:
+        """The fractions of `teacher_forced_counts`."""
+        return {k: hits / total for k, (hits, total) in self.teacher_forced_counts(batch).items()}
 
     # ---- sampling --------------------------------------------------------
 

@@ -24,12 +24,15 @@ __all__ = [
     "Rng",
     "no_grad",
     "is_grad_enabled",
-    "set_default_dtype",
     "get_default_dtype",
     "concat",
     "embedding",
+    "linear",
     "softmax",
     "layer_norm",
+    "split_heads",
+    "merge_heads",
+    "gelu",
     "cross_entropy",
     "bce_with_logits",
     "gradients",
@@ -45,14 +48,6 @@ class ShapeError(ValueError):
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
-
-
-def set_default_dtype(dtype):
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype).type
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"default dtype must be float32 or float64, got {dtype}")
-    _DEFAULT_DTYPE = dtype
 
 
 def get_default_dtype():
@@ -181,7 +176,16 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, grad_fn) -> "Tensor":
-        out = Tensor(data)
+        if type(data) is np.ndarray and data.dtype.type in (np.float32, np.float64):
+            # Already what __init__ would produce: skip its conversion.
+            out = Tensor.__new__(Tensor)
+            out.data = data
+            out.grad = None
+            out.requires_grad = False
+            out._parents = ()
+            out._grad_fn = None
+        else:
+            out = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -435,34 +439,120 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._make(data, (table,), grad_fn)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    data = e / e.sum(axis=axis, keepdims=True)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """`x @ w + b` over the last axis of x, one tape node.
+
+    Leading axes are flattened so the forward pass, dx and dW are one
+    2-D GEMM each; the bias gradient is one column sum.
+    """
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
+        raise ShapeError(f"linear input {xd.shape} does not match weight {wd.shape}")
+    x2 = xd.reshape(-1, wd.shape[0])
+    y = x2 @ wd
+    if b is not None:
+        y += b.data
+    data = y.reshape(xd.shape[:-1] + (wd.shape[1],))
 
     def grad_fn(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate(data * (g - inner))
+        g2 = g.reshape(-1, wd.shape[1])
+        if x.requires_grad:
+            dx = np.empty(xd.shape, dtype=np.result_type(g2, wd))
+            np.matmul(g2, wd.T, out=dx.reshape(x2.shape))
+            x._accumulate(dx)
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    return Tensor._make(data, (x, w) if b is None else (x, w, b), grad_fn)
+
+
+def softmax(x: Tensor, axis: int = -1, scale: float | None = None,
+            mask: np.ndarray | None = None) -> Tensor:
+    """softmax(x * scale + mask) along `axis`, one tape node.
+
+    `scale` is applied in x's dtype and `mask` is an additive numpy
+    constant cast to it (attention's scaled, masked scores).
+    """
+    xd = x.data
+    z = xd * xd.dtype.type(scale) if scale is not None else xd.copy()
+    if mask is not None:
+        try:
+            z += np.asarray(mask, dtype=xd.dtype)
+        except ValueError:
+            raise ShapeError(f"softmax mask shape {np.shape(mask)} does not broadcast to {z.shape}") from None
+    z -= z.max(axis=axis, keepdims=True)
+    data = np.exp(z, out=z)
+    data /= data.sum(axis=axis, keepdims=True)
+
+    def grad_fn(g):
+        d = g * data
+        inner = d.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=d)
+        d *= data
+        if scale is not None:
+            d *= xd.dtype.type(scale)
+        x._accumulate(d)
 
     return Tensor._make(data, (x,), grad_fn)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance.
+def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance, then scale by
+    `gamma` and shift by `beta` when given; one tape node.
 
     A constant row has zero variance and normalizes to exact zeros
     (the centered numerator vanishes before the eps-guarded divide).
     """
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+    xd = x.data
+    mu = xd.mean(axis=-1, keepdims=True)
+    xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    data = xc * inv
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
+    xhat = xc * inv
+    data = xhat if gamma is None else xhat * gamma.data
+    if beta is not None:
+        data = data + beta.data
 
     def grad_fn(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * data).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (g - gm - data * gy))
+        if beta is not None and beta.requires_grad:
+            beta._accumulate(g)
+        if gamma is not None:
+            if gamma.requires_grad:
+                gamma._accumulate(g * xhat)
+            g = g * gamma.data
+        if x.requires_grad:
+            gm = g.mean(axis=-1, keepdims=True)
+            gy = (g * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(inv * (g - gm - xhat * gy))
+
+    parents = (x,) + tuple(p for p in (gamma, beta) if p is not None)
+    return Tensor._make(data, parents, grad_fn)
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(..., T, H * hd) -> (..., H, T, hd), one tape node."""
+    shape = x.data.shape
+    if shape[-1] % n_heads:
+        raise ShapeError(f"last axis of {shape} does not split into {n_heads} heads")
+    data = x.data.reshape(shape[:-1] + (n_heads, shape[-1] // n_heads)).swapaxes(-3, -2)
+
+    def grad_fn(g):
+        x._accumulate(g.swapaxes(-3, -2).reshape(shape))
+
+    return Tensor._make(data, (x,), grad_fn)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(..., H, T, hd) -> (..., T, H * hd), the inverse of `split_heads`; one tape node."""
+    shape = x.data.shape
+    swapped = shape[:-3] + (shape[-2], shape[-3], shape[-1])
+    data = x.data.swapaxes(-3, -2).reshape(swapped[:-2] + (shape[-3] * shape[-1],))
+
+    def grad_fn(g):
+        x._accumulate(g.reshape(swapped).swapaxes(-3, -2))
 
     return Tensor._make(data, (x,), grad_fn)
 

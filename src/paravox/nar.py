@@ -241,13 +241,22 @@ class CoupledNAR(Module):
 
     def stage_accuracy(self, batch: list[tuple]) -> dict[str, float]:
         """Per-stage fraction of exactly right argmax predictions."""
-        out = {}
+        return self.stage_scores(batch)[0]
+
+    def stage_scores(self, batch: list[tuple]) -> tuple[dict[str, float], dict[str, float]]:
+        """Per-stage token accuracy and frame exact match (every stream of
+        a frame right), from one `predict` per stage and pair."""
+        tokens, frames = {}, {}
         for stage in self.stages:
-            correct = total = 0
+            token_hits = frame_hits = n_tokens = n_frames = 0
             for ref_tokens, tgt_tokens in batch:
                 tgt = np.asarray(tgt_tokens, dtype=np.int64)
-                pred = stage.predict(ref_tokens, tgt)
-                correct += int((pred == tgt[:, :, stage.layer_index]).sum())
-                total += pred.size
-            out[f"layer{stage.layer_index + 1}"] = correct / total
-        return out
+                right = stage.predict(ref_tokens, tgt) == tgt[:, :, stage.layer_index]
+                token_hits += int(right.sum())
+                frame_hits += int(right.all(axis=1).sum())
+                n_tokens += right.size
+                n_frames += right.shape[0]
+            key = f"layer{stage.layer_index + 1}"
+            tokens[key] = token_hits / n_tokens
+            frames[key] = frame_hits / n_frames
+        return tokens, frames

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Rng, Tensor, concat, embedding, gelu, layer_norm, softmax
+from .engine import (Rng, Tensor, concat, embedding, gelu, layer_norm, linear, merge_heads, softmax,
+                     split_heads)
 
 NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
 
@@ -67,10 +68,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out, dtype=self.weight.dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -88,7 +86,7 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x) * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class KVCache:
@@ -137,22 +135,11 @@ class MultiHeadAttention(Module):
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  cache: KVCache | None = None) -> Tensor:
-        shape = x.shape  # (..., T, D)
-        t, d = shape[-2], shape[-1]
-        q, k, v = self.wq(x), self.wk(x), self.wv(x)
-
-        def split(h: Tensor) -> Tensor:
-            return h.reshape(shape[:-1] + (self.n_heads, self.head_dim)).swapaxes(-3, -2)
-
-        q, k, v = split(q), split(k), split(v)  # (..., H, T, hd)
+        q, k, v = (split_heads(f(x), self.n_heads) for f in (self.wq, self.wk, self.wv))
         if cache is not None:
             k, v = cache.extend(k.data, v.data)  # (H, n, hd), n >= T
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = scores + Tensor(np.asarray(mask, dtype=scores.dtype))
-        att = softmax(scores, axis=-1)
-        out = (att @ v).swapaxes(-3, -2).reshape(shape[:-1] + (d,))
-        return self.wo(out)
+        att = softmax(q @ k.swapaxes(-1, -2), axis=-1, scale=1.0 / np.sqrt(self.head_dim), mask=mask)
+        return self.wo(merge_heads(att @ v))
 
 
 class TransformerBlock(Module):
@@ -202,15 +189,6 @@ def padding_mask(lengths: np.ndarray, t: int, dtype=np.float32) -> np.ndarray:
     lengths = np.asarray(lengths)
     cols = np.arange(t)[None, :] >= lengths[:, None]
     return np.where(cols, NEG_MASK, 0.0).astype(dtype)[:, None, None, :]
-
-
-def sinusoid_table(n_positions: int, dim: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sine/cosine position table (n_positions, dim)."""
-    pos = np.arange(n_positions, dtype=np.float64)[:, None]
-    i = np.arange(dim, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(dtype)
 
 
 def mse(a: Tensor, b) -> Tensor:

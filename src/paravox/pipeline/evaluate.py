@@ -14,7 +14,7 @@ import numpy as np
 from ..flow import SolverConfig, sample_mel
 from .data import CorpusItem, reference_pairing, text_ids_for
 from .infer import LoadedPipeline
-from .train import ar_accuracy, token_grids, tokenizer_metrics
+from .train import ar_metrics, token_grids, tokenizer_metrics
 
 
 def evaluate(pipe: LoadedPipeline, items: list[CorpusItem], mel_items: int = 8) -> dict:
@@ -34,20 +34,11 @@ def evaluate(pipe: LoadedPipeline, items: list[CorpusItem], mel_items: int = 8) 
              grids[refs[i]][:, :, :layers],
              grids[i][:, :, :layers])
             for i, it in enumerate(items)]
-    report["ar"] = {"teacher_forced_accuracy": ar_accuracy(pipe.ar, rows)}
+    report["ar"] = ar_metrics(pipe.ar, rows)
 
     if pipe.nar is not None:
         pairs = [(grids[refs[i]], grids[i]) for i in range(len(items))]
-        acc = pipe.nar.stage_accuracy(pairs)
-        exact = {}
-        for stage in pipe.nar.stages:
-            total = hits = 0
-            for ref_g, tgt_g in pairs:
-                pred = stage.predict(ref_g, tgt_g)
-                want = tgt_g[:, :, stage.layer_index]
-                hits += int(np.all(pred == want, axis=1).sum())
-                total += pred.shape[0]
-            exact[f"layer{stage.layer_index + 1}"] = hits / total
+        acc, exact = pipe.nar.stage_scores(pairs)
         report["nar"] = {"stage_accuracy": acc, "frame_exact_match": exact}
 
     mse = []
@@ -72,6 +63,8 @@ def format_report(report: dict) -> str:
                      f"utilization [{util}]; perplexity [{perp}]")
     for name, acc in sorted(report["ar"]["teacher_forced_accuracy"].items()):
         lines.append(f"ar[{name}]: teacher-forced accuracy {acc:.4f}")
+    lines.append(f"ar[stop]: teacher-forced accuracy {report['ar']['stop_accuracy']:.4f}; "
+                 f"final state fires on {report['ar']['stop_final_fired']:.4f} of utterances")
     if "nar" in report:
         for layer, acc in sorted(report["nar"]["stage_accuracy"].items()):
             exact = report["nar"]["frame_exact_match"][layer]

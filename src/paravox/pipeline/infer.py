@@ -16,8 +16,7 @@ import numpy as np
 from ..ar import DualStreamAR
 from ..engine import Rng
 from ..flow import SolverConfig, VelocityField, sample_mel
-from ..frontend import (BOS_ID, EOS_ID, FeatureBundle, Vocabulary,
-                        default_alphabet, save_arrays)
+from ..frontend import FeatureBundle, Vocabulary, default_alphabet, save_arrays
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokens, ParallelTokenizer
 from .checkpoint import load_checkpoint
@@ -93,11 +92,6 @@ def load_pipeline(ckpt_dir) -> LoadedPipeline:
 
 def encode_text(pipe: LoadedPipeline, text: str) -> np.ndarray:
     return pipe.vocabulary.encode(text)
-
-
-def symbols_to_text_ids(symbols: np.ndarray) -> np.ndarray:
-    core = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    return np.concatenate([[BOS_ID], core, [EOS_ID]]).astype(np.int64)
 
 
 def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,

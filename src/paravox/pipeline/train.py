@@ -86,7 +86,13 @@ class TrainSchedule:
 
 
 class Adam:
-    """Adam with decoupled global-norm gradient clipping."""
+    """Adam with decoupled global-norm gradient clipping.
+
+    Moments are float64. Each step works in two preallocated float64
+    buffers per parameter and writes `p.data` in place, so nothing is
+    allocated per step; every array op is the one the textbook formula
+    spells out, in its order, so the result is bitwise that formula's.
+    """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.95,
                  eps: float = 1e-8, clip_norm: float | None = 2.0):
@@ -94,13 +100,16 @@ class Adam:
         self.beta1, self.beta2, self.eps, self.clip_norm = beta1, beta2, eps, clip_norm
         self.m = {k: np.zeros(p.shape, dtype=np.float64) for k, p in self.params.items()}
         self.v = {k: np.zeros(p.shape, dtype=np.float64) for k, p in self.params.items()}
+        self._work = {k: (np.empty(p.shape, dtype=np.float64), np.empty(p.shape, dtype=np.float64))
+                      for k, p in self.params.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> float:
         """Apply one update; returns the pre-clip global gradient norm."""
         sq = 0.0
-        for g in grads.values():
-            sq += float((g.astype(np.float64) ** 2).sum())
+        for k, (g, sq_buf) in self._work.items():
+            g[...] = grads[k]
+            sq += float(np.square(g, out=sq_buf).sum())
         norm = math.sqrt(sq)
         scale = 1.0
         if self.clip_norm is not None and norm > self.clip_norm > 0:
@@ -109,11 +118,29 @@ class Adam:
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for k, p in self.params.items():
-            g = grads[k].astype(np.float64) * scale
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            update = lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
-            p.data = (p.data.astype(np.float64) - update).astype(p.data.dtype)
+            g, tmp = self._work[k]
+            m, v = self.m[k], self.v[k]
+            if scale != 1.0:
+                g *= scale
+            # m = beta1 m + (1 - beta1) g
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=tmp)
+            # v = beta2 v + (1 - beta2) g^2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - self.beta2
+            v *= self.beta2
+            v += tmp
+            # update = lr (m / b1c) / (sqrt(v / b2c) + eps), reusing g
+            np.divide(m, b1c, out=g)
+            g *= lr
+            np.divide(v, b2c, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            g /= tmp
+            # p = p - update, rounded once to p's dtype
+            tmp[...] = p.data
+            tmp -= g
+            p.data[...] = tmp
         return norm
 
 
@@ -256,22 +283,24 @@ def train_ar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool 
         _record(losses, terms)
         _progress("ar", step, sched.total_steps, terms, quiet)
     report = StageReport("ar", sched.total_steps, time.perf_counter() - t0, losses)
-    report.final = {"teacher_forced_accuracy": ar_accuracy(model, rows)}
+    report.final = ar_metrics(model, rows)
     return model, report
 
 
-def ar_accuracy(model: DualStreamAR, rows: list[tuple], chunk: int = 8) -> dict[str, float]:
-    """Corpus-wide teacher-forced argmax accuracy per stream."""
-    hits: dict[str, int] = {}
-    counts: dict[str, int] = {}
+def ar_metrics(model: DualStreamAR, rows: list[tuple], chunk: int = 8) -> dict:
+    """Corpus-wide teacher-forced figures: argmax accuracy per stream, the
+    fraction of stop states whose P(stop) > 0.5 matches the label, and the
+    fraction of utterances whose final state fires the stop head."""
+    counts: dict[str, list] = {}
     for lo in range(0, len(rows), chunk):
-        part = rows[lo:lo + chunk]
-        acc = model.teacher_forced_accuracy(part)
-        n = sum(r[2].shape[0] for r in part) * model.cfg.layers_per_stream
-        for name, frac in acc.items():
-            hits[name] = hits.get(name, 0) + int(round(frac * n))
-            counts[name] = counts.get(name, 0) + n
-    return {name: hits[name] / counts[name] for name in hits}
+        for key, (hits, total) in model.teacher_forced_counts(rows[lo:lo + chunk]).items():
+            acc = counts.setdefault(key, [0, 0])
+            acc[0] += hits
+            acc[1] += total
+    frac = {key: hits / total for key, (hits, total) in counts.items()}
+    return {"teacher_forced_accuracy": {name: frac[name] for name, _ in model.cfg.streams},
+            "stop_accuracy": frac["stop"],
+            "stop_final_fired": frac["stop_final"]}
 
 
 def train_nar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):

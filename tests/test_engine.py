@@ -16,9 +16,13 @@ from paravox.engine import (
     grad_check,
     gradients,
     layer_norm,
+    linear,
+    merge_heads,
     no_grad,
     softmax,
+    split_heads,
 )
+from paravox.nn import NEG_MASK, causal_mask, padding_mask
 
 
 def f64(rng, shape, scale=1.0):
@@ -184,6 +188,192 @@ def test_gelu_matches_composed_formula():
         yb.sum().backward()
         assert a.grad.dtype == dtype
         np.testing.assert_allclose(a.grad, b.grad, rtol=tol, atol=tol)
+
+
+# ---- fused transformer primitives -----------------------------------------------
+#
+# Each composed form below is the chain of tape nodes the fused primitive
+# replaced. Linear's 2-D GEMMs may round differently from the batched
+# matmul on rank-3 input; the other primitives do the same array ops in
+# the same order, so they must agree bit for bit.
+
+
+def _linear_composed(x, w, b):
+    y = x @ w
+    return y if b is None else y + b
+
+
+def _layer_norm_composed(x, gamma, beta):
+    return layer_norm(x) * gamma + beta
+
+
+def _softmax_composed(x, scale, mask):
+    return softmax(x * scale + Tensor(np.asarray(mask, dtype=x.dtype)))
+
+
+def _split_composed(x, n_heads):
+    return x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-3, -2)
+
+
+def _merge_composed(x):
+    h, t, hd = x.shape[-3:]
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (t, h * hd))
+
+
+def _attention_mask(lengths, t, dtype):
+    """Causal plus padding: (B, 1, T, T)."""
+    return causal_mask(t, dtype=dtype)[None, None] + padding_mask(lengths, t, dtype=dtype)
+
+
+def _assert_same_forward_and_grads(fused, composed, inputs, rtol=0.0, atol=0.0):
+    """Run both forms on fresh leaf copies with one random cotangent; compare."""
+    rng = Rng(40)
+    a = [Tensor(v.copy(), requires_grad=True) for v in inputs]
+    b = [Tensor(v.copy(), requires_grad=True) for v in inputs]
+    ya, yb = fused(*a), composed(*b)
+    assert ya.dtype == yb.dtype == inputs[0].dtype
+    cot = Tensor(rng.normal(ya.shape, dtype=ya.dtype))
+    if rtol == atol == 0.0:
+        np.testing.assert_array_equal(ya.data, yb.data)
+    else:
+        np.testing.assert_allclose(ya.data, yb.data, rtol=rtol, atol=atol)
+    (ya * cot).sum().backward()
+    (yb * cot).sum().backward()
+    for ta, tb in zip(a, b):
+        assert ta.grad.dtype == tb.grad.dtype
+        if rtol == atol == 0.0:
+            np.testing.assert_array_equal(ta.grad, tb.grad)
+        else:
+            np.testing.assert_allclose(ta.grad, tb.grad, rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("lead", [(5,), (3, 4)], ids=["rank2", "rank3"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+def test_linear_grad_check_f64(lead, bias):
+    rng = Rng(31)
+    x = f64(rng, lead + (6,))
+    w = f64(rng, (6, 4), 0.5)
+    b = f64(rng, (4,), 0.3) if bias else None
+    target = rng.normal(lead + (4,), dtype=np.float64)
+    params = {"x": x, "w": w} if b is None else {"x": x, "w": w, "b": b}
+    report = grad_check(lambda: ((linear(x, w, b) - Tensor(target)) ** 2).sum(), params,
+                        tolerance=1e-8)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 5)], ids=["rank2", "rank3"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+def test_linear_matches_composed_form(lead, bias):
+    """f64 to 1e-12, f32 to 1e-5 (2-D GEMMs may round differently)."""
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        rng = Rng(32)
+        x = rng.normal(lead + (16,), dtype=dtype)
+        w = rng.normal((16, 8), scale=0.25, dtype=dtype)
+        b = rng.normal((8,), dtype=dtype)
+        if bias:
+            _assert_same_forward_and_grads(linear, _linear_composed, [x, w, b], tol, tol)
+        else:
+            _assert_same_forward_and_grads(lambda x, w: linear(x, w), lambda x, w: _linear_composed(x, w, None),
+                                           [x, w], tol, tol)
+
+
+def test_linear_rejects_mismatched_weight():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+
+def test_layer_norm_affine_grad_check_f64():
+    rng = Rng(33)
+    x = f64(rng, (2, 3, 8), 2.0)
+    gamma = f64(rng, (8,))
+    beta = f64(rng, (8,))
+    w = Tensor(rng.normal((2, 3, 8), dtype=np.float64))
+    report = grad_check(lambda: (layer_norm(x, gamma, beta) * w).sum(),
+                        {"x": x, "gamma": gamma, "beta": beta}, tolerance=1e-8)
+    assert report.passed, str(report)
+
+
+def test_layer_norm_affine_matches_composed_form():
+    for dtype in (np.float64, np.float32):
+        rng = Rng(34)
+        inputs = [rng.normal((2, 5, 12), scale=3.0, dtype=dtype),
+                  rng.normal((12,), dtype=dtype), rng.normal((12,), dtype=dtype)]
+        _assert_same_forward_and_grads(layer_norm, _layer_norm_composed, inputs)
+
+
+def test_softmax_scale_and_mask_grad_check_f64():
+    rng = Rng(35)
+    x = f64(rng, (2, 2, 5, 5), 2.0)
+    mask = _attention_mask(np.array([5, 3]), 5, np.float64)
+    w = Tensor(rng.normal((2, 2, 5, 5), dtype=np.float64))
+    report = grad_check(lambda: (softmax(x, scale=0.35, mask=mask) * w).sum(), {"x": x},
+                        tolerance=1e-8)
+    assert report.passed, str(report)
+    out = softmax(x, scale=0.35, mask=mask).data
+    assert np.all(out[1, :, :, 3:] == 0.0)  # padded columns get no weight
+    assert np.all(np.triu(out[0, 0], k=1) == 0.0)  # nor do future ones
+
+
+def test_softmax_scale_and_mask_matches_composed_form():
+    for dtype in (np.float64, np.float32):
+        rng = Rng(36)
+        x = rng.normal((2, 3, 6, 6), scale=4.0, dtype=dtype)
+        mask = _attention_mask(np.array([6, 4]), 6, np.float32)
+        scale = 1.0 / np.sqrt(8)
+        fused = softmax(Tensor(x), scale=scale, mask=mask)
+        assert fused.dtype == dtype  # the f64 scale must not promote f32 scores
+        _assert_same_forward_and_grads(lambda t: softmax(t, scale=scale, mask=mask),
+                                       lambda t: _softmax_composed(t, scale, mask), [x])
+
+
+def test_softmax_rejects_mask_that_grows_the_scores():
+    with pytest.raises(ShapeError, match="mask"):
+        softmax(Tensor(np.zeros((3, 3))), mask=np.full((2, 3, 3), NEG_MASK))
+
+
+def test_split_and_merge_heads_grad_check_f64():
+    rng = Rng(37)
+    x = f64(rng, (2, 3, 8))
+    w = Tensor(rng.normal((2, 3, 8), dtype=np.float64))
+    heads = Tensor(rng.normal((2, 4, 3, 2), dtype=np.float64))
+
+    def loss():
+        h = split_heads(x, 4)
+        return (merge_heads(h * heads) * w).sum()
+
+    report = grad_check(loss, {"x": x}, tolerance=1e-8)
+    assert report.passed, str(report)
+    assert np.array_equal(merge_heads(split_heads(x, 4)).data, x.data)
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (2, 5, 8)], ids=["rank2", "rank3"])
+def test_split_and_merge_heads_match_composed_forms(shape):
+    for dtype in (np.float64, np.float32):
+        x = Rng(38).normal(shape, dtype=dtype)
+        _assert_same_forward_and_grads(lambda t: split_heads(t, 2), lambda t: _split_composed(t, 2), [x])
+        h = Rng(39).normal(shape[:-2] + (2, shape[-2], 4), dtype=dtype)
+        _assert_same_forward_and_grads(merge_heads, _merge_composed, [h])
+
+
+def test_fused_primitives_are_one_tape_node():
+    rng = Rng(41)
+    x = f64(rng, (2, 3, 8))
+    w, b = f64(rng, (8, 4)), f64(rng, (4,))
+    gamma, beta = f64(rng, (8,)), f64(rng, (8,))
+    scores = f64(rng, (2, 2, 3, 3))
+    heads = f64(rng, (2, 2, 3, 4))
+    mask = _attention_mask(np.array([3, 2]), 3, np.float64)
+    cases = [
+        (linear(x, w, b), (x, w, b)),
+        (linear(x, w), (x, w)),
+        (layer_norm(x, gamma, beta), (x, gamma, beta)),
+        (softmax(scores, scale=0.5, mask=mask), (scores,)),
+        (split_heads(x, 2), (x,)),
+        (merge_heads(heads), (heads,)),
+    ]
+    for out, inputs in cases:
+        assert out._parents == inputs
+        assert all(p._grad_fn is None for p in out._parents)
 
 
 def test_cross_entropy_uniform_is_ln_k():

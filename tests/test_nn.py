@@ -16,7 +16,6 @@ from paravox.nn import (
     causal_mask,
     mse,
     padding_mask,
-    sinusoid_table,
 )
 
 
@@ -89,6 +88,30 @@ def test_transformer_block_grad_check():
     assert report.passed, str(report)
 
 
+def _tape_nodes(out: Tensor) -> int:
+    """Op nodes recorded behind `out` (leaves not counted)."""
+    seen, stack, n = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            n += t._grad_fn is not None
+            stack.extend(t._parents)
+    return n
+
+
+def test_transformer_block_tape_nodes():
+    """19 nodes per block: ln1; q, k, v linears and head splits (6); the key
+    transpose; q k^T; the scaled, masked softmax; att v; head merge; wo;
+    residual add; ln2; fc1; gelu; fc2; residual add."""
+    rng = Rng(10)
+    block = TransformerBlock(8, 2, rng)
+    x = Tensor(rng.normal((2, 5, 8)), requires_grad=True)
+    mask = causal_mask(5)[None, None] + padding_mask(np.array([5, 3]), 5)
+    assert _tape_nodes(block(x, mask=mask)) == 19
+    assert _tape_nodes(block(Tensor(rng.normal((5, 8)), requires_grad=True))) == 19
+
+
 def test_conv1d_same_matches_explicit_window_sum():
     rng = Rng(4)
     conv = Conv1dSame(3, 2, 3, rng, dtype=np.float64)
@@ -147,13 +170,6 @@ def test_layer_norm_affine_params_train():
     target = rng.normal((4, 6), dtype=np.float64)
     report = grad_check(lambda: mse(ln(x), target), ln.named_parameters(), tolerance=1e-6)
     assert report.passed, str(report)
-
-
-def test_sinusoid_table_shape_and_range():
-    t = sinusoid_table(16, 10)
-    assert t.shape == (16, 10)
-    assert np.all(np.abs(t) <= 1.0)
-    assert not np.array_equal(t[0], t[1])
 
 
 def test_batched_equals_unbatched_block():

@@ -1,10 +1,12 @@
-"""Smoke test of the benchmark's traced mode on both synthesis workloads.
+"""Smoke test of the benchmark's traced mode on every workload.
 
 It runs `perfbench/run.py` briefly and checks that the run is correct
 (no failed output check or span self-check, such as the trunk no longer
-being reached through `DualStreamAR.forward_states`) and that it prints
-exactly the per-layer metrics `BENCHMARK.json` declares. Wall-clock
-figures are not asserted.
+being reached through `DualStreamAR.forward_states`, or a traced span
+such as `engine.softmax`, `nn.layer_norm`, `train.adam` or
+`engine.gradients` seeing no call in a training stage) and that it
+prints exactly the per-layer metrics `BENCHMARK.json` declares.
+Wall-clock figures are not asserted.
 """
 
 import json
@@ -17,8 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["synth_long", "synth_short"])
-def test_traced_synthesis_run_is_correct(workload):
+def _traced_run(workload: str) -> None:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
@@ -28,3 +29,12 @@ def test_traced_synthesis_run_is_correct(workload):
     assert result["correct"] is True, proc.stderr[-2000:]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
+@pytest.mark.parametrize("workload", ["synth_long", "synth_short"])
+def test_traced_synthesis_run_is_correct(workload):
+    _traced_run(workload)
+
+
+def test_traced_train_run_is_correct():
+    _traced_run("train")

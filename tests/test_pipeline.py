@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import shutil
 
 import numpy as np
@@ -19,7 +20,7 @@ from paravox.pipeline.cli import main as cli_main
 from paravox.pipeline.config import config_with_overrides, paper_profile, profile_by_name
 from paravox.pipeline.data import (CorpusDirError, corpus_items, load_corpus_dir,
                                    reference_pairing, spec_to_doc, write_corpus_dir)
-from paravox.pipeline.evaluate import evaluate, report_to_json
+from paravox.pipeline.evaluate import evaluate, format_report, report_to_json
 from paravox.pipeline.infer import (IncompatibleCheckpoints, encode_text, infer,
                                     load_pipeline, write_mel_file)
 from paravox.pipeline.train import (Adam, MissingPrerequisite, train_tokenizer)
@@ -82,6 +83,68 @@ def test_adam_reports_preclip_norm_and_clips():
     # First-step Adam update has magnitude ~lr per coordinate regardless
     # of gradient scale, so the parameter moved but stayed bounded.
     assert np.all(np.abs(p.data) <= 1.0 + 1e-6)
+
+
+class _ReferenceAdam:
+    """Adam.step as the textbook formula, allocating per step; the in-place
+    optimiser must reproduce it bit for bit."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.95, eps=1e-8, clip_norm=2.0):
+        self.params = dict(params)
+        self.beta1, self.beta2, self.eps, self.clip_norm = beta1, beta2, eps, clip_norm
+        self.m = {k: np.zeros(p.shape, dtype=np.float64) for k, p in self.params.items()}
+        self.v = {k: np.zeros(p.shape, dtype=np.float64) for k, p in self.params.items()}
+        self.t = 0
+
+    def step(self, grads, lr):
+        sq = 0.0
+        for g in grads.values():
+            sq += float((g.astype(np.float64) ** 2).sum())
+        norm = math.sqrt(sq)
+        scale = 1.0
+        if self.clip_norm is not None and norm > self.clip_norm > 0:
+            scale = self.clip_norm / norm
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for k, p in self.params.items():
+            g = grads[k].astype(np.float64) * scale
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
+            update = lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+            p.data = (p.data.astype(np.float64) - update).astype(p.data.dtype)
+        return norm
+
+
+def test_adam_in_place_is_bitwise_the_reference_formula():
+    rng = Rng(12)
+    shapes = {"w": ((6, 5), np.float32), "b": ((5,), np.float32), "g64": ((7,), np.float64)}
+    init = {k: rng.normal(shape, dtype=dtype) for k, (shape, dtype) in shapes.items()}
+    ours = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    theirs = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    opt, ref = Adam(ours), _ReferenceAdam(theirs)
+    clipped = []
+    for step in range(8):
+        # Gradient scale alternates between far above and far below the
+        # clip norm, so both branches run.
+        scale = 10.0 if step % 2 else 0.01
+        grads = {k: rng.normal(shape, scale=scale, dtype=dtype) for k, (shape, dtype) in shapes.items()}
+        lr = 1e-2 / (1 + step)
+        norm = opt.step(grads, lr)
+        assert norm == ref.step(grads, lr)
+        clipped.append(norm > opt.clip_norm)
+        for k in shapes:
+            assert ours[k].data.dtype == theirs[k].data.dtype
+            assert np.array_equal(ours[k].data, theirs[k].data), (step, k)
+            assert np.array_equal(opt.m[k], ref.m[k]) and np.array_equal(opt.v[k], ref.v[k]), (step, k)
+    assert any(clipped) and not all(clipped)
+
+
+def test_adam_updates_parameter_arrays_in_place():
+    p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    data = p.data
+    Adam({"p": p}).step({"p": np.ones(3, dtype=np.float32)}, lr=0.1)
+    assert p.data is data and np.all(data < 0)
 
 
 # ---- config round trips and validation --------------------------------------
@@ -425,6 +488,15 @@ def test_evaluate_report_shape(mini_run):
                                         "utilization", "perplexity"}
     assert set(report["ar"]["teacher_forced_accuracy"]) == {"semantic", "acoustic"}
     assert set(report["nar"]["stage_accuracy"]) == {"layer2", "layer3"}
+    assert set(report["nar"]["frame_exact_match"]) == {"layer2", "layer3"}
+    for layer, acc in report["nar"]["stage_accuracy"].items():
+        # every stream right implies each stream right
+        assert 0.0 <= report["nar"]["frame_exact_match"][layer] <= acc <= 1.0
+    assert 0.0 <= report["ar"]["stop_accuracy"] <= 1.0
+    assert 0.0 <= report["ar"]["stop_final_fired"] <= 1.0
+    text = format_report(report)
+    assert "ar[stop]: teacher-forced accuracy" in text
+    assert "final state fires on" in text
     assert len(report["flow"]["mel_mse_per_item"]) == 2
     back = json.loads(report_to_json(report))
     assert back["n_items"] == report["n_items"]
