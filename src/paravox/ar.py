@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Rng, Tensor, bce_with_logits, concat, cross_entropy, no_grad
-from .nn import (Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask,
-                 padding_mask)
+from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_batch
 
 
 @dataclass
@@ -226,27 +225,15 @@ class DualStreamAR(Module):
 
     # ---- batched training path ---------------------------------------------
 
-    def batch_states(self, assemblies: list[Assembly]):
+    def batch_states(self, assemblies: list[Assembly]) -> Tensor:
         """Pad a batch of assemblies and run the trunk once.
 
-        Returns (states (B, Lmax, D), lengths). Padded positions are
-        blocked as attention targets and must be excluded from losses.
+        Returns states (B, Lmax, D). Padded positions are blocked as
+        attention targets and must be excluded from losses.
         """
-        lengths = np.array([a.total for a in assemblies])
-        l_max = int(lengths.max())
-        dtype = assemblies[0].emb.dtype
-        rows = []
-        for a in assemblies:
-            pad = l_max - a.total
-            e = a.emb.reshape(1, a.total, -1)
-            if pad:
-                zeros = Tensor(np.zeros((1, pad, e.shape[-1]), dtype=dtype))
-                e = concat([e, zeros], axis=1)
-            rows.append(e)
-        emb = concat(rows, axis=0)
-        mask = causal_mask(l_max, dtype=np.float64 if dtype == np.float64 else np.float32)
-        mask = mask[None, None] + padding_mask(lengths, l_max, dtype=mask.dtype)
-        return self.forward_states(emb, mask=mask), lengths
+        emb, _, pad = pad_batch([a.emb for a in assemblies])
+        mask = causal_mask(emb.shape[1], dtype=pad.dtype)[None, None] + pad
+        return self.forward_states(emb, mask=mask)
 
     def teacher_forced_batch(self, batch: list[tuple]):
         """Flatten teacher-forced logits over a batch.
@@ -264,7 +251,7 @@ class DualStreamAR(Module):
                 raise ValueError("teacher forcing needs at least one target frame")
             assemblies.append(self.assemble(text_ids, ref_tokens, tgt))
             targets.append(tgt)
-        states, _ = self.batch_states(assemblies)
+        states = self.batch_states(assemblies)
         pred_rows, stop_rows, stop_labels = [], [], []
         for i, (asm, tgt) in enumerate(zip(assemblies, targets)):
             b, t = asm.boundary, asm.n_target
@@ -302,10 +289,7 @@ class DualStreamAR(Module):
         stop = bce_with_logits(stop_logits, np.asarray(stop_labels, dtype=stop_logits.dtype))
         out["L_stop"] = stop
         parts.append(stop)
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        out["total"] = total
+        out["total"] = sum(parts[1:], parts[0])
         return out
 
     def teacher_forced_counts(self, batch: list[tuple]) -> dict[str, tuple[int, int]]:

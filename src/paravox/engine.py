@@ -121,9 +121,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
@@ -343,14 +340,6 @@ class Tensor:
 
         def grad_fn(g):
             self._accumulate(g * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), grad_fn)
-
-    def relu(self):
-        data = np.maximum(self.data, 0)
-
-        def grad_fn(g):
-            self._accumulate(g * (self.data > 0))
 
         return Tensor._make(data, (self,), grad_fn)
 
@@ -778,12 +767,6 @@ class Rng:
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
         return self.generator.choice(n, size=size, replace=replace)
-
-    def get_state(self) -> dict:
-        return self.generator.bit_generator.state
-
-    def set_state(self, state: dict) -> None:
-        self.generator.bit_generator.state = state
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Rng, Tensor, concat, cross_entropy, no_grad
-from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, padding_mask
+from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_batch
 
 
 @dataclass
@@ -131,26 +131,13 @@ class CoupledStage(Module):
             lo += k
         return out
 
-    def batch_logits(self, batch: list[tuple]) -> tuple[Tensor, int]:
+    def batch_logits(self, batch: list[tuple]) -> Tensor:
         """Flattened target-position logits over a padded batch.
 
         `batch` rows are (ref_tokens, tgt_tokens). Padded positions are
         masked out of attention and dropped from the output.
         """
-        embs = [self._assemble(r, t) for r, t in batch]
-        lengths = np.array([e.shape[0] for e in embs])
-        l_max = int(lengths.max())
-        dtype = embs[0].dtype
-        rows = []
-        for e in embs:
-            pad = l_max - e.shape[0]
-            e = e.reshape(1, e.shape[0], -1)
-            if pad:
-                e = concat([e, Tensor(np.zeros((1, pad, e.shape[-1]), dtype=dtype))], axis=1)
-            rows.append(e)
-        stacked = concat(rows, axis=0)
-        mask = padding_mask(lengths, l_max, dtype=np.float64 if dtype == np.float64 else np.float32)
-        h = stacked
+        h, lengths, mask = pad_batch([self._assemble(r, t) for r, t in batch])
         for block in self.blocks:
             h = block(h, mask=mask)
         states = self.ln_f(h)
@@ -158,7 +145,7 @@ class CoupledStage(Module):
         for i, (ref_tokens, tgt_tokens) in enumerate(batch):
             n_ref = np.asarray(ref_tokens).shape[0]
             pieces.append(states[i, n_ref:lengths[i]])
-        return self.classifier(concat(pieces, axis=0)), l_max
+        return self.classifier(concat(pieces, axis=0))
 
     def stage_loss(self, batch: list[tuple]) -> Tensor:
         """Mean per-decision cross-entropy for this stage's layer.
@@ -167,7 +154,7 @@ class CoupledStage(Module):
         labels come from layer `layer_index` of the target tokens, which
         the input embeddings never see.
         """
-        logits, _ = self.batch_logits(batch)
+        logits = self.batch_logits(batch)
         labels = []
         for _, tgt_tokens in batch:
             tgt = np.asarray(tgt_tokens, dtype=np.int64)
@@ -177,10 +164,7 @@ class CoupledStage(Module):
         lab = np.concatenate(labels, axis=0)      # (N, n_streams)
         slices = self.stream_slices(logits)
         ces = [cross_entropy(slices[s], lab[:, s]) for s in range(self.cfg.n_streams)]
-        total = ces[0]
-        for c in ces[1:]:
-            total = total + c
-        return total * (1.0 / len(ces))
+        return sum(ces[1:], ces[0]) * (1.0 / len(ces))
 
     def predict(self, ref_tokens, tgt_tokens) -> np.ndarray:
         """(T, n_streams) argmax tokens for the predicted layer."""
@@ -233,10 +217,7 @@ class CoupledNAR(Module):
             term = stage.stage_loss(batch)
             out[key] = term
             parts.append(term)
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        out["total"] = total
+        out["total"] = sum(parts[1:], parts[0])
         return out
 
     def stage_accuracy(self, batch: list[tuple]) -> dict[str, float]:

@@ -57,9 +57,6 @@ class Module:
             p.data = p.data.astype(dtype)
         return self
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: Rng, bias: bool = True, scale: float | None = None, dtype=None):
@@ -189,6 +186,25 @@ def padding_mask(lengths: np.ndarray, t: int, dtype=np.float32) -> np.ndarray:
     lengths = np.asarray(lengths)
     cols = np.arange(t)[None, :] >= lengths[:, None]
     return np.where(cols, NEG_MASK, 0.0).astype(dtype)[:, None, None, :]
+
+
+def pad_batch(rows: list[Tensor]) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Stack (T_i, D) rows into one zero-padded (B, T_max, D) batch.
+
+    Returns the batch, the row lengths, and their (B, 1, 1, T_max)
+    `padding_mask` in the rows' dtype (float64 stays float64, anything
+    else gets float32). Padded positions carry no gradient back.
+    """
+    lengths = np.array([r.shape[0] for r in rows])
+    l_max = int(lengths.max())
+    padded = []
+    for r in rows:
+        e = r.reshape(1, r.shape[0], -1)
+        if r.shape[0] < l_max:
+            e = concat([e, Tensor(np.zeros((1, l_max - r.shape[0], e.shape[-1]), dtype=r.dtype))], axis=1)
+        padded.append(e)
+    dtype = np.float64 if rows[0].dtype == np.float64 else np.float32
+    return concat(padded, axis=0), lengths, padding_mask(lengths, l_max, dtype=dtype)
 
 
 def mse(a: Tensor, b) -> Tensor:

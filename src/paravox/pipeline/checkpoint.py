@@ -1,10 +1,10 @@
 """Binary checkpoint container for trained stages.
 
 Layout (little-endian): magic "PVOXCKPT", u32 format version, then a
-length-prefixed stage tag, canonical-JSON config snapshot, and
-canonical-JSON RNG state, followed by u32 parameter count and the
-parameter blobs sorted by name: u16 name length, name bytes, u8 dtype
-code (0=f32, 1=f64, 2=i64), u8 rank, u64 dims, raw array data.
+length-prefixed stage tag and canonical-JSON config snapshot, followed
+by u32 parameter count and the parameter blobs sorted by name: u16
+name length, name bytes, u8 dtype code (0=f32, 1=f64, 2=i64), u8 rank,
+u64 dims, raw array data.
 
 Canonical JSON (sorted keys, fixed separators) plus name-sorted blobs
 makes save -> load -> save reproduce the file byte for byte, which is
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MAGIC = b"PVOXCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
 _CODES_BY_KIND = {("f", 4): 0, ("f", 8): 1, ("i", 8): 2}
@@ -35,7 +35,6 @@ class Checkpoint:
     stage: str
     config: dict
     params: dict[str, np.ndarray]
-    rng_state: dict = field(default_factory=dict)
 
     def describe(self) -> str:
         lines = [f"stage: {self.stage}",
@@ -54,19 +53,6 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
 
 
-def rng_state_to_doc(state: dict) -> dict:
-    """JSON-able copy of a numpy bit-generator state dict."""
-    def conv(v):
-        if isinstance(v, np.ndarray):
-            return [int(x) for x in v.tolist()]
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        return v
-    return conv(state)
-
-
 def _dtype_code(arr: np.ndarray) -> int:
     key = (arr.dtype.kind, arr.dtype.itemsize)
     if key not in _CODES_BY_KIND:
@@ -82,8 +68,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     out += struct.pack("<H", len(stage)) + stage
     cfg = _canonical_json(ckpt.config)
     out += struct.pack("<Q", len(cfg)) + cfg
-    rng = _canonical_json(rng_state_to_doc(ckpt.rng_state)) if ckpt.rng_state else b""
-    out += struct.pack("<Q", len(rng)) + rng
     out += struct.pack("<I", len(ckpt.params))
     for name in sorted(ckpt.params):
         # asarray, not ascontiguousarray: the latter promotes rank-0 to
@@ -130,8 +114,6 @@ def load_checkpoint(path) -> Checkpoint:
     stage = r.take(stage_len).decode()
     (cfg_len,) = r.unpack("<Q")
     config = json.loads(r.take(cfg_len).decode())
-    (rng_len,) = r.unpack("<Q")
-    rng_state = json.loads(r.take(rng_len).decode()) if rng_len else {}
     (n_params,) = r.unpack("<I")
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
@@ -147,4 +129,4 @@ def load_checkpoint(path) -> Checkpoint:
         params[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
     if r.off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.off} trailing bytes after parameters")
-    return Checkpoint(stage=stage, config=config, params=params, rng_state=rng_state)
+    return Checkpoint(stage=stage, config=config, params=params)

@@ -12,9 +12,9 @@ import json
 import numpy as np
 
 from ..flow import SolverConfig, sample_mel
-from .data import CorpusItem, reference_pairing, text_ids_for
+from .data import CorpusItem
 from .infer import LoadedPipeline
-from .train import ar_metrics, token_grids, tokenizer_metrics
+from .train import ar_metrics, ar_rows, paired_grids, tokenizer_metrics
 
 
 def evaluate(pipe: LoadedPipeline, items: list[CorpusItem], mel_items: int = 8) -> dict:
@@ -27,17 +27,10 @@ def evaluate(pipe: LoadedPipeline, items: list[CorpusItem], mel_items: int = 8) 
     report: dict = {"n_items": len(items)}
     report["tokenizer"] = tokenizer_metrics(tok, items)
 
-    grids = token_grids(tok, items)
-    refs = reference_pairing(items)
-    layers = pipe.ar.cfg.layers_per_stream
-    rows = [(text_ids_for(it.bundle),
-             grids[refs[i]][:, :, :layers],
-             grids[i][:, :, :layers])
-            for i, it in enumerate(items)]
-    report["ar"] = ar_metrics(pipe.ar, rows)
+    pairs = paired_grids(tok, items)
+    report["ar"] = ar_metrics(pipe.ar, ar_rows(items, pairs, pipe.ar.cfg.layers_per_stream))
 
     if pipe.nar is not None:
-        pairs = [(grids[refs[i]], grids[i]) for i in range(len(items))]
         acc, exact = pipe.nar.stage_scores(pairs)
         report["nar"] = {"stage_accuracy": acc, "frame_exact_match": exact}
 

@@ -19,7 +19,7 @@ from ..flow import SolverConfig, VelocityField, sample_mel
 from ..frontend import FeatureBundle, Vocabulary, default_alphabet, save_arrays
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokens, ParallelTokenizer
-from .checkpoint import load_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint
 from .config import PipelineConfig
 from .train import CHECKPOINT_NAMES, config_mismatches
 
@@ -52,41 +52,36 @@ class InferenceResult:
 
 def load_pipeline(ckpt_dir) -> LoadedPipeline:
     root = Path(ckpt_dir)
-    stages = ["tokenizer", "ar", "flow"]
-    ckpts = {}
-    for stage in stages:
+
+    def load(stage: str, base: dict | None = None) -> Checkpoint:
+        """The stage's checkpoint, once its stage tag and, given `base`
+        (the tokenizer's config), its config check out."""
         path = root / CHECKPOINT_NAMES[stage]
         if not path.is_file():
             raise FileNotFoundError(f"missing {stage} checkpoint: {path}")
-        ckpts[stage] = load_checkpoint(path)
-        if ckpts[stage].stage != stage:
-            raise IncompatibleCheckpoints(f"{path} holds a {ckpts[stage].stage!r} "
+        ckpt = load_checkpoint(path)
+        if ckpt.stage != stage:
+            raise IncompatibleCheckpoints(f"{path} holds a {ckpt.stage!r} "
                                           f"checkpoint, expected {stage!r}")
-    base = ckpts["tokenizer"].config
-    for stage in stages[1:]:
-        diffs = config_mismatches(base, ckpts[stage].config, _COMPAT_SECTIONS)
+        diffs = config_mismatches(base, ckpt.config, _COMPAT_SECTIONS) if base else []
         if diffs:
             raise IncompatibleCheckpoints(
                 f"tokenizer and {stage} checkpoints disagree on: " + ", ".join(diffs))
+        return ckpt
+
+    tok_ckpt = load("tokenizer")
+    base = tok_ckpt.config
     pcfg = PipelineConfig.from_dict(base)
     tok = ParallelTokenizer(pcfg.build_tokenizer_config())
-    tok.load_full_state(ckpts["tokenizer"].params)
+    tok.load_full_state(tok_ckpt.params)
     ar = DualStreamAR(pcfg.build_ar_config())
-    ar.load_state(ckpts["ar"].params)
+    ar.load_state(load("ar", base).params)
     field = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed))
-    field.load_state(ckpts["flow"].params)
+    field.load_state(load("flow", base).params)
     nar = None
     if pcfg.ablation.use_refiner:
-        path = root / CHECKPOINT_NAMES["nar"]
-        if not path.is_file():
-            raise FileNotFoundError(f"missing nar checkpoint: {path}")
-        ckpt = load_checkpoint(path)
-        diffs = config_mismatches(base, ckpt.config, _COMPAT_SECTIONS)
-        if diffs:
-            raise IncompatibleCheckpoints(
-                "tokenizer and nar checkpoints disagree on: " + ", ".join(diffs))
         nar = CoupledNAR(pcfg.build_nar_config())
-        nar.load_state(ckpt.params)
+        nar.load_state(load("nar", base).params)
     return LoadedPipeline(config=pcfg, tokenizer=tok, ar=ar, nar=nar, flow=field)
 
 

@@ -1,5 +1,5 @@
 """Stage-wise training: Adam with clipping, warmup/cosine schedules,
-and one deterministic training loop per pipeline stage.
+and one deterministic training loop that every pipeline stage runs.
 
 Stages run separately and in order. The tokenizer stage trains the
 quantizers (EMA), the speaker pathway, and a throwaway mel decoder
@@ -177,10 +177,7 @@ def _check_finite(stage: str, step: int, terms: dict) -> None:
 
 
 def _mean_loss(parts: list[Tensor]) -> Tensor:
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total * (1.0 / len(parts))
+    return sum(parts[1:], parts[0]) * (1.0 / len(parts))
 
 
 def _progress(stage: str, step: int, total: int, terms: dict, quiet: bool) -> None:
@@ -190,7 +187,42 @@ def _progress(stage: str, step: int, total: int, terms: dict, quiet: bool) -> No
     print(f"[{stage}] step {step + 1}/{total}  {shown}", flush=True)
 
 
-# ---- stage loops ---------------------------------------------------------------
+def _fit(stage: str, pcfg, params: dict[str, Tensor], step_loss, quiet: bool) -> StageReport:
+    """The training loop every stage runs, under `pcfg.schedules[stage]`.
+
+    `step_loss(srng, batch_size)` draws a batch from `srng`, the step's
+    own stream keyed by (schedule seed, step), and returns (loss to
+    differentiate, float loss terms to record). The report's `final`
+    is left for the stage to fill.
+    """
+    sched = pcfg.schedules[stage]
+    sched.validate()
+    opt = Adam(params)
+    names, tensors = list(params), list(params.values())
+    rng = Rng(sched.seed)
+    losses: dict[str, list] = {}
+    t0 = time.perf_counter()
+    for step in range(sched.total_steps):
+        loss, terms = step_loss(rng.spawn(("step", step)), sched.batch_size)
+        _check_finite(stage, step, terms)
+        grads = dict(zip(names, gradients(loss, tensors)))
+        opt.step(grads, sched.learning_rate(step))
+        _record(losses, terms)
+        _progress(stage, step, sched.total_steps, terms, quiet)
+    return StageReport(stage, sched.total_steps, time.perf_counter() - t0, losses)
+
+
+def _batch_loss(loss_terms, rows: list):
+    """`step_loss` for a stage whose `loss_terms(batch)` gives a dict of
+    loss tensors, with the one to differentiate under "total"."""
+    def step_loss(srng: Rng, batch_size: int):
+        idx = srng.integers(0, len(rows), (batch_size,))
+        out = loss_terms([rows[i] for i in idx])
+        return out["total"], {k: float(v.data) for k, v in out.items()}
+    return step_loss
+
+
+# ---- stages ---------------------------------------------------------------------
 
 
 def train_tokenizer(items: list[CorpusItem], pcfg, quiet: bool = True):
@@ -200,36 +232,23 @@ def train_tokenizer(items: list[CorpusItem], pcfg, quiet: bool = True):
     decoder exists to give the condition encoder a mel-grounded
     gradient; it is not the checkpointed one.
     """
-    sched = TrainSchedule(**vars(pcfg.schedules["tokenizer"]))
-    sched.validate()
     tok = ParallelTokenizer(pcfg.build_tokenizer_config())
     scratch = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed).spawn("scratch"))
     params = dict(tok.named_parameters())
     params.update({f"scratch.{k}": v for k, v in scratch.named_parameters().items()})
-    opt = Adam(params)
-    rng = Rng(sched.seed)
-    names = list(params)
-    tensors = list(params.values())
-    losses: dict[str, list] = {}
-    t0 = time.perf_counter()
-    for step in range(sched.total_steps):
-        srng = rng.spawn(("step", step))
-        idx = srng.integers(0, len(items), (sched.batch_size,))
-        batch = [items[i] for i in idx]
+
+    def step_loss(srng: Rng, batch_size: int):
+        batch = [items[i] for i in srng.integers(0, len(items), (batch_size,))]
         for name, stack in tok.stacks.items():
             frames = np.concatenate([tok.stream_frames(it.bundle)[name] for it in batch])
             stack.train_step(frames, srng.spawn(("reseed", name)))
         outs = [tok.tokenizer_loss(it.bundle, scratch, srng.spawn(("cfm", j)))
                 for j, it in enumerate(batch)]
-        grad_loss = _mean_loss([o["grad_loss"] for o in outs])
         terms = {k: float(np.mean([o[k] for o in outs]))
                  for k in ("L_Sem", "L_Acous", "L_Speaker", "L_Mel", "total")}
-        _check_finite("tokenizer", step, terms)
-        grads = dict(zip(names, gradients(grad_loss, tensors)))
-        opt.step(grads, sched.learning_rate(step))
-        _record(losses, terms)
-        _progress("tokenizer", step, sched.total_steps, terms, quiet)
-    report = StageReport("tokenizer", sched.total_steps, time.perf_counter() - t0, losses)
+        return _mean_loss([o["grad_loss"] for o in outs]), terms
+
+    report = _fit("tokenizer", pcfg, params, step_loss, quiet)
     report.final = tokenizer_metrics(tok, items)
     return tok, scratch, report
 
@@ -246,43 +265,28 @@ def tokenizer_metrics(tok: ParallelTokenizer, items: list[CorpusItem]) -> dict:
     return out
 
 
-def token_grids(tok: ParallelTokenizer, items: list[CorpusItem]) -> list[np.ndarray]:
-    """(T, n_streams, L) integer grids for every item, in stack order."""
+def paired_grids(tok: ParallelTokenizer, items: list[CorpusItem]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(reference grid, target grid) per item, the reference chosen by
+    `reference_pairing`; grids are (T, n_streams, L) tokens in stack order."""
     grids = []
     for it in items:
         streams = tok.encode_streams(it.bundle)
         grids.append(np.stack([streams[name] for name in tok.stacks], axis=1))
-    return grids
+    return [(grids[r], grids[i]) for i, r in enumerate(reference_pairing(items))]
+
+
+def ar_rows(items: list[CorpusItem], pairs: list[tuple], layers: int) -> list[tuple]:
+    """(text ids, reference tokens, target tokens) per item, cut to the
+    first `layers` quantizer layers the AR model predicts."""
+    return [(text_ids_for(it.bundle), ref[:, :, :layers], tgt[:, :, :layers])
+            for it, (ref, tgt) in zip(items, pairs)]
 
 
 def train_ar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
-    sched = TrainSchedule(**vars(pcfg.schedules["ar"]))
-    sched.validate()
-    cfg = pcfg.build_ar_config()
-    model = DualStreamAR(cfg)
-    grids = token_grids(tok, items)
-    refs = reference_pairing(items)
-    rows = [(text_ids_for(it.bundle),
-             grids[refs[i]][:, :, :cfg.layers_per_stream],
-             grids[i][:, :, :cfg.layers_per_stream])
-            for i, it in enumerate(items)]
-    params = dict(model.named_parameters())
-    opt = Adam(params)
-    names, tensors = list(params), list(params.values())
-    rng = Rng(sched.seed)
-    losses: dict[str, list] = {}
-    t0 = time.perf_counter()
-    for step in range(sched.total_steps):
-        srng = rng.spawn(("step", step))
-        idx = srng.integers(0, len(rows), (sched.batch_size,))
-        out = model.ar_loss(*model.teacher_forced_batch([rows[i] for i in idx]))
-        terms = {k: float(v.data) for k, v in out.items()}
-        _check_finite("ar", step, terms)
-        grads = dict(zip(names, gradients(out["total"], tensors)))
-        opt.step(grads, sched.learning_rate(step))
-        _record(losses, terms)
-        _progress("ar", step, sched.total_steps, terms, quiet)
-    report = StageReport("ar", sched.total_steps, time.perf_counter() - t0, losses)
+    model = DualStreamAR(pcfg.build_ar_config())
+    rows = ar_rows(items, paired_grids(tok, items), model.cfg.layers_per_stream)
+    step_loss = _batch_loss(lambda batch: model.ar_loss(*model.teacher_forced_batch(batch)), rows)
+    report = _fit("ar", pcfg, model.named_parameters(), step_loss, quiet)
     report.final = ar_metrics(model, rows)
     return model, report
 
@@ -304,60 +308,27 @@ def ar_metrics(model: DualStreamAR, rows: list[tuple], chunk: int = 8) -> dict:
 
 
 def train_nar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
-    sched = TrainSchedule(**vars(pcfg.schedules["nar"]))
-    sched.validate()
     model = CoupledNAR(pcfg.build_nar_config())
-    grids = token_grids(tok, items)
-    refs = reference_pairing(items)
-    pairs = [(grids[refs[i]], grids[i]) for i in range(len(items))]
-    params = dict(model.named_parameters())
-    opt = Adam(params)
-    names, tensors = list(params), list(params.values())
-    rng = Rng(sched.seed)
-    losses: dict[str, list] = {}
-    t0 = time.perf_counter()
-    for step in range(sched.total_steps):
-        srng = rng.spawn(("step", step))
-        idx = srng.integers(0, len(pairs), (sched.batch_size,))
-        out = model.nar_loss([pairs[i] for i in idx])
-        terms = {k: float(v.data) for k, v in out.items()}
-        _check_finite("nar", step, terms)
-        grads = dict(zip(names, gradients(out["total"], tensors)))
-        opt.step(grads, sched.learning_rate(step))
-        _record(losses, terms)
-        _progress("nar", step, sched.total_steps, terms, quiet)
-    report = StageReport("nar", sched.total_steps, time.perf_counter() - t0, losses)
+    pairs = paired_grids(tok, items)
+    report = _fit("nar", pcfg, model.named_parameters(), _batch_loss(model.nar_loss, pairs), quiet)
     report.final = {"stage_accuracy": model.stage_accuracy(pairs)}
     return model, report
 
 
 def train_flow(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
     """Train the checkpointed mel decoder against the frozen tokenizer."""
-    sched = TrainSchedule(**vars(pcfg.schedules["flow"]))
-    sched.validate()
     field_model = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed))
     feats = [tok.decode_tokens(tok.encode_streams(it.bundle)) for it in items]
     conds = [tok.speaker_condition(it.bundle.speaker_frames) for it in items]
-    params = dict(field_model.named_parameters())
-    opt = Adam(params)
-    names, tensors = list(params), list(params.values())
-    rng = Rng(sched.seed)
-    losses: dict[str, list] = {}
-    t0 = time.perf_counter()
-    for step in range(sched.total_steps):
-        srng = rng.spawn(("step", step))
-        idx = srng.integers(0, len(items), (sched.batch_size,))
-        parts = [cfm_train_loss(field_model, items[i].bundle.mel, feats[i], conds[i],
-                                srng.spawn(("noise", j)))
-                 for j, i in enumerate(idx)]
-        loss = _mean_loss(parts)
-        terms = {"L_Flow": float(loss.data), "total": float(loss.data)}
-        _check_finite("flow", step, terms)
-        grads = dict(zip(names, gradients(loss, tensors)))
-        opt.step(grads, sched.learning_rate(step))
-        _record(losses, terms)
-        _progress("flow", step, sched.total_steps, terms, quiet)
-    report = StageReport("flow", sched.total_steps, time.perf_counter() - t0, losses)
+
+    def step_loss(srng: Rng, batch_size: int):
+        idx = srng.integers(0, len(items), (batch_size,))
+        loss = _mean_loss([cfm_train_loss(field_model, items[i].bundle.mel, feats[i], conds[i],
+                                          srng.spawn(("noise", j)))
+                           for j, i in enumerate(idx)])
+        return loss, {"L_Flow": float(loss.data), "total": float(loss.data)}
+
+    report = _fit("flow", pcfg, field_model.named_parameters(), step_loss, quiet)
     return field_model, report
 
 
@@ -412,20 +383,13 @@ def train_stage(stage: str, items: list[CorpusItem], pcfg, out_ckpt, quiet: bool
                          "every layer); there is no refiner stage to train")
     out_path = Path(out_ckpt)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    rng_tail = Rng(pcfg.schedules[stage].seed)
     if stage == "tokenizer":
         tok, _, report = train_tokenizer(items, pcfg, quiet=quiet)
         params = tok.full_state()
     else:
         tok = _load_frozen_tokenizer(out_path.parent, pcfg)
-        if stage == "ar":
-            model, report = train_ar(items, pcfg, tok, quiet=quiet)
-        elif stage == "nar":
-            model, report = train_nar(items, pcfg, tok, quiet=quiet)
-        else:
-            model, report = train_flow(items, pcfg, tok, quiet=quiet)
+        train = {"ar": train_ar, "nar": train_nar, "flow": train_flow}[stage]
+        model, report = train(items, pcfg, tok, quiet=quiet)
         params = model.state()
-    ckpt = Checkpoint(stage=stage, config=pcfg.to_dict(), params=params,
-                      rng_state=rng_tail.get_state())
-    save_checkpoint(out_path, ckpt)
+    save_checkpoint(out_path, Checkpoint(stage=stage, config=pcfg.to_dict(), params=params))
     return report

@@ -489,8 +489,7 @@ def test_criterion_10_serialization_fuzz(tmp_path):
             ckpt = Checkpoint(
                 stage=("tokenizer", "ar", "nar", "flow")[int(crng.integers(0, 4))],
                 config={f"k{i}": _random_config_doc(crng) for i in range(int(crng.integers(0, 4)))},
-                params=params,
-                rng_state=Rng(case).get_state() if case % 3 == 0 else {})
+                params=params)
             save_checkpoint(p1, ckpt)
             back = load_checkpoint(p1)
             if back.stage != ckpt.stage or back.config != ckpt.config:

@@ -448,16 +448,6 @@ def test_rng_spawn_tags_independent():
     assert np.array_equal(r1.spawn("a").normal((8,)), Rng(7).spawn("a").normal((8,)))
 
 
-def test_rng_state_roundtrip():
-    r = Rng(9)
-    r.normal((5,))
-    state = r.get_state()
-    a = r.normal((5,))
-    r.set_state(state)
-    b = r.normal((5,))
-    assert np.array_equal(a, b)
-
-
 def test_finite_ops_stay_finite():
     rng = Rng(10)
     for trial in range(10):

@@ -166,7 +166,7 @@ def test_batch_matches_single():
     long = (random_grid(rng, cfg, 4), random_grid(rng, cfg, 7))
     with no_grad():
         alone = stage.forward_logits(*short).data
-        both, _ = stage.batch_logits([short, long])
+        both = stage.batch_logits([short, long])
     np.testing.assert_allclose(both.data[:3], alone, rtol=0, atol=1e-5)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from paravox.engine import Rng, Tensor, grad_check
+from paravox.engine import Rng, Tensor, grad_check, gradients
 from paravox.nn import (
     Conv1dSame,
     Embedding,
@@ -15,6 +15,7 @@ from paravox.nn import (
     TransformerBlock,
     causal_mask,
     mse,
+    pad_batch,
     padding_mask,
 )
 
@@ -77,6 +78,26 @@ def test_padding_mask_zeroes_attention_to_pads():
     out2 = attn(Tensor(x2), mask=mask).data
     assert np.array_equal(base[0, :4], out2[0, :4])
     assert np.array_equal(base[1], out2[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pad_batch_shapes_zeros_mask_and_gradient(dtype):
+    rng = Rng(6)
+    lengths = [3, 5, 1]
+    rows = [Tensor(rng.normal((n, 4), dtype=dtype), requires_grad=True) for n in lengths]
+    batch, got_lengths, mask = pad_batch(rows)
+    assert batch.shape == (3, 5, 4) and batch.dtype == dtype
+    assert got_lengths.tolist() == lengths
+    for i, (row, n) in enumerate(zip(rows, lengths)):
+        assert np.array_equal(batch.data[i, :n], row.data)
+        assert np.all(batch.data[i, n:] == 0.0)
+    expected = padding_mask(np.array(lengths), 5, dtype=dtype)
+    assert mask.dtype == dtype and np.array_equal(mask, expected)
+
+    upstream = rng.normal((3, 5, 4), dtype=dtype)
+    grads = gradients((batch * Tensor(upstream)).sum(), rows)
+    for i, (g, n) in enumerate(zip(grads, lengths)):
+        assert np.array_equal(g, upstream[i, :n])
 
 
 def test_transformer_block_grad_check():

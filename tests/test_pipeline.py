@@ -15,7 +15,7 @@ from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays
 from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSchedule,
                               TrainingDiverged, load_checkpoint, save_checkpoint,
                               toy_profile, train_stage)
-from paravox.pipeline.checkpoint import CheckpointError, rng_state_to_doc
+from paravox.pipeline.checkpoint import CheckpointError
 from paravox.pipeline.cli import main as cli_main
 from paravox.pipeline.config import config_with_overrides, paper_profile, profile_by_name
 from paravox.pipeline.data import (CorpusDirError, corpus_items, load_corpus_dir,
@@ -222,8 +222,7 @@ def _toy_checkpoint():
         "table": rng.integers(0, 100, (2, 5)).astype(np.int64),
         "scalar": np.float32(3.5).reshape(()),
     }
-    return Checkpoint(stage="ar", config={"name": "t", "x": [1, 2]},
-                      params=params, rng_state=rng.get_state())
+    return Checkpoint(stage="ar", config={"name": "t", "x": [1, 2]}, params=params)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -242,17 +241,6 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_rng_state_survives_json(tmp_path):
-    ckpt = _toy_checkpoint()
-    path = tmp_path / "c.ckpt"
-    save_checkpoint(path, ckpt)
-    doc = load_checkpoint(path).rng_state
-    a, b = Rng(0), Rng(1)
-    a.set_state(copy.deepcopy(doc))
-    b.set_state(rng_state_to_doc(ckpt.rng_state))
-    assert np.array_equal(a.normal((4,)), b.normal((4,)))
-
-
 def test_checkpoint_error_cases(tmp_path):
     ckpt = _toy_checkpoint()
     path = tmp_path / "d.ckpt"
@@ -265,6 +253,11 @@ def test_checkpoint_error_cases(tmp_path):
         load_checkpoint(bad)
 
     bad.write_bytes(blob[:8] + b"\x63\x00\x00\x00" + blob[12:])
+    with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(bad)
+
+    # Version 1 files carried an RNG-state block that version 2 dropped.
+    bad.write_bytes(blob[:8] + b"\x01\x00\x00\x00" + blob[12:])
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad)
 
@@ -344,22 +337,43 @@ def _quick_pcfg(steps=25):
     return pcfg
 
 
-def test_tokenizer_training_is_deterministic():
+@pytest.mark.parametrize("stage", ["tokenizer", "ar", "nar", "flow"])
+def test_training_is_deterministic(tmp_path, mini_run, stage):
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
     pcfg = _quick_pcfg()
-    items = corpus_items(generate_corpus(pcfg.data))
-    _, _, rep1 = train_tokenizer(items, pcfg)
-    _, _, rep2 = train_tokenizer(items, pcfg)
+    out = tmp_path / f"{stage}.ckpt"
+    rep1 = train_stage(stage, mini_run.items, pcfg, out)
+    first = out.read_bytes()
+    rep2 = train_stage(stage, mini_run.items, pcfg, out)
+    assert set(rep1.losses) == set(rep2.losses) and "total" in rep1.losses
     for key, curve in rep1.losses.items():
+        assert len(curve) == 25
         assert curve == rep2.losses[key], f"loss curve {key} diverged between runs"
+    assert out.read_bytes() == first
 
 
-def test_training_diverges_on_nan_input():
+def test_training_diverges_on_nan_input(tmp_path, mini_run):
     pcfg = _quick_pcfg()
     items = corpus_items(generate_corpus(pcfg.data))
     items = copy.deepcopy(items)
     items[0].bundle.semantic[:] = np.nan
-    with pytest.raises(TrainingDiverged, match="non-finite"):
+    with pytest.raises(TrainingDiverged, match="tokenizer stage: non-finite"):
         train_tokenizer(items, pcfg)
+
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    items = copy.deepcopy(mini_run.items)
+    items[0].bundle.mel[:] = np.nan
+    with pytest.raises(TrainingDiverged, match="flow stage: non-finite"):
+        train_stage("flow", items, pcfg, tmp_path / "flow.ckpt")
+    assert not (tmp_path / "flow.ckpt").exists()
+
+
+def test_progress_prints_every_tenth_step_and_the_last(tmp_path, mini_run, capsys):
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    train_stage("flow", mini_run.items, _quick_pcfg(25), tmp_path / "flow.ckpt", quiet=False)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[0] for line in lines] == [f"[flow] step {n}/25" for n in range(1, 26, 2)]
+    assert all("L_Flow=" in line and "total=" in line for line in lines)
 
 
 def test_train_stage_requires_tokenizer_first(tmp_path):
