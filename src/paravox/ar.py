@@ -324,9 +324,10 @@ class DualStreamAR(Module):
     def _sample_head(self, logits: np.ndarray, top_k: int, temperature: float, rng: Rng) -> int:
         k = min(top_k, logits.shape[-1])
         # Descending by logit, ties to the lowest index, so k=1 is argmax.
-        order = np.lexsort((np.arange(logits.shape[-1]), -logits))
+        order = np.argsort(-logits, kind="stable")
         keep = order[:k]
-        z = (logits[keep] - logits[keep].max()) / temperature
+        top = logits[keep]
+        z = (top - top.max()) / temperature
         p = np.exp(z)
         p /= p.sum()
         u = rng.uniform()

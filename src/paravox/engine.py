@@ -30,8 +30,7 @@ __all__ = [
     "linear",
     "softmax",
     "layer_norm",
-    "split_heads",
-    "merge_heads",
+    "attention",
     "gelu",
     "cross_entropy",
     "bce_with_logits",
@@ -476,15 +475,20 @@ def softmax(x: Tensor, axis: int = -1, scale: float | None = None,
     data /= data.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
-        d = g * data
-        inner = d.sum(axis=axis, keepdims=True)
-        np.subtract(g, inner, out=d)
-        d *= data
-        if scale is not None:
-            d *= xd.dtype.type(scale)
-        x._accumulate(d)
+        x._accumulate(_softmax_backward(g, data, axis, scale))
 
     return Tensor._make(data, (x,), grad_fn)
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int, scale: float | None) -> np.ndarray:
+    """Gradient wrt the scores of y = softmax(scores * scale + mask), given dL/dy."""
+    d = g * y
+    inner = d.sum(axis=axis, keepdims=True)
+    np.subtract(g, inner, out=d)
+    d *= y
+    if scale is not None:
+        d *= y.dtype.type(scale)
+    return d
 
 
 def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
@@ -496,9 +500,11 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
     (the centered numerator vanishes before the eps-guarded divide).
     """
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
+    n = xd.shape[-1]
+    # np.add.reduce(...) / n is bitwise `.mean` without its per-call wrapper cost.
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / n
     xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
     xhat = xc * inv
     data = xhat if gamma is None else xhat * gamma.data
@@ -513,37 +519,60 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
                 gamma._accumulate(g * xhat)
             g = g * gamma.data
         if x.requires_grad:
-            gm = g.mean(axis=-1, keepdims=True)
-            gy = (g * xhat).mean(axis=-1, keepdims=True)
+            gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+            gy = np.add.reduce(g * xhat, axis=-1, keepdims=True) / n
             x._accumulate(inv * (g - gm - xhat * gy))
 
     parents = (x,) + tuple(p for p in (gamma, beta) if p is not None)
     return Tensor._make(data, parents, grad_fn)
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., T, H * hd) -> (..., H, T, hd), one tape node."""
-    shape = x.data.shape
-    if shape[-1] % n_heads:
-        raise ShapeError(f"last axis of {shape} does not split into {n_heads} heads")
-    data = x.data.reshape(shape[:-1] + (n_heads, shape[-1] // n_heads)).swapaxes(-3, -2)
+def attention(qkv: Tensor, n_heads: int, mask: np.ndarray | None = None,
+              kv: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """Multi-head scaled, masked dot-product attention; one tape node.
+
+    `qkv` is (..., T, 3 * dim): the packed query, key and value
+    projections, each `n_heads` heads of `dim // n_heads` channels. The
+    weights are `softmax(q k^T, scale=1/sqrt(head_dim), mask=mask)` per
+    head, and the heads of `weights @ v` are merged back into a
+    (..., T, dim) output.
+
+    With `kv`, the (n, dim) keys and values of every position the T
+    queries attend to (a key/value cache's filled prefix, rank-2 `qkv`)
+    replace the key and value thirds of `qkv`; they carry no gradient,
+    so only the query third of `qkv` gets one.
+    """
+    shape = qkv.data.shape
+    dim = shape[-1] // 3
+    if shape[-1] != 3 * dim or dim % n_heads:
+        raise ShapeError(f"last axis of {shape} is not 3 x {n_heads} heads")
+    hd = dim // n_heads
+    heads = qkv.data.reshape(shape[:-1] + (3, n_heads, hd))
+    q = heads[..., 0, :, :].swapaxes(-3, -2)  # (..., H, T, hd) views
+    if kv is None:
+        k = heads[..., 1, :, :].swapaxes(-3, -2)
+        v = heads[..., 2, :, :].swapaxes(-3, -2)
+    else:
+        k = kv[0].reshape(-1, n_heads, hd).swapaxes(0, 1)
+        v = kv[1].reshape(-1, n_heads, hd).swapaxes(0, 1)
+    scale = 1.0 / math.sqrt(hd)
+    att = softmax(Tensor(np.matmul(q, k.swapaxes(-1, -2))), axis=-1, scale=scale, mask=mask).data
+    out = np.matmul(att, v)  # (..., H, T, hd)
+    data = out.swapaxes(-3, -2).reshape(shape[:-1] + (dim,))
 
     def grad_fn(g):
-        x._accumulate(g.swapaxes(-3, -2).reshape(shape))
+        gh = g.reshape(shape[:-1] + (n_heads, hd)).swapaxes(-3, -2)
+        d = np.empty(shape[:-1] + (3, n_heads, hd), dtype=np.result_type(g, att))
+        ds = _softmax_backward(np.matmul(gh, v.swapaxes(-1, -2)), att, -1, scale)
+        d[..., 0, :, :] = np.matmul(ds, k).swapaxes(-3, -2)
+        if kv is None:
+            d[..., 1, :, :] = np.matmul(ds.swapaxes(-1, -2), q).swapaxes(-3, -2)
+            d[..., 2, :, :] = np.matmul(att.swapaxes(-1, -2), gh).swapaxes(-3, -2)
+        else:
+            d[..., 1:, :, :] = 0.0
+        qkv._accumulate(d.reshape(shape))
 
-    return Tensor._make(data, (x,), grad_fn)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., H, T, hd) -> (..., T, H * hd), the inverse of `split_heads`; one tape node."""
-    shape = x.data.shape
-    swapped = shape[:-3] + (shape[-2], shape[-3], shape[-1])
-    data = x.data.swapaxes(-3, -2).reshape(swapped[:-2] + (shape[-3] * shape[-1],))
-
-    def grad_fn(g):
-        x._accumulate(g.reshape(swapped).swapaxes(-3, -2))
-
-    return Tensor._make(data, (x,), grad_fn)
+    return Tensor._make(data, (qkv,), grad_fn)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:

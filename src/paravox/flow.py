@@ -130,7 +130,8 @@ def sample_mel(field: VelocityField, features: np.ndarray, speaker: np.ndarray,
     dt = 1.0 / solver.n_steps
     with no_grad():
         feats = Tensor(features.astype(np.float32, copy=False))
-        spk = Tensor(np.asarray(speaker, dtype=np.float32))
+        # Tiled to one row per frame once, not on every step.
+        spk = Tensor(np.repeat(np.asarray(speaker, dtype=np.float32).reshape(1, -1), t_frames, axis=0))
         for i in range(solver.n_steps):
             t = i * dt
             v = field(Tensor(x), feats, spk, t)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import (Rng, Tensor, concat, embedding, gelu, layer_norm, linear, merge_heads, softmax,
-                     split_heads)
+from .engine import Rng, Tensor, attention, concat, embedding, gelu, layer_norm, linear
 
 NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
 
@@ -64,6 +63,14 @@ class Linear(Module):
         self.weight = Tensor(rng.normal((d_in, d_out), scale=scale, dtype=dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out, dtype=self.weight.dtype), requires_grad=True) if bias else None
 
+    @classmethod
+    def from_weight(cls, weight: np.ndarray) -> "Linear":
+        """A Linear over a given (d_in, d_out) weight array, with a zero bias."""
+        out = cls.__new__(cls)
+        out.weight = Tensor(weight, requires_grad=True)
+        out.bias = Tensor(np.zeros(weight.shape[1], dtype=out.weight.dtype), requires_grad=True)
+        return out
+
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
@@ -89,35 +96,35 @@ class LayerNorm(Module):
 class KVCache:
     """Keys and values of one attention layer for incremental decoding.
 
-    Buffers of shape (H, capacity, head_dim) are allocated once; each
-    call of the layer writes its new positions in place after the `n`
-    already filled and attends over the filled prefix. The cache holds
-    one sequence (rank-2 input) and carries no gradient.
+    Buffers of (capacity, n_heads * head_dim) rows are allocated once;
+    each call of the layer writes its new positions in place after the
+    `n` already filled and attends over the filled prefix. The cache
+    holds one sequence (rank-2 input) and carries no gradient.
     """
 
     def __init__(self, n_heads: int, head_dim: int, capacity: int, dtype):
-        self.k = np.empty((n_heads, capacity, head_dim), dtype=dtype)
-        self.v = np.empty((n_heads, capacity, head_dim), dtype=dtype)
+        self.k = np.empty((capacity, n_heads * head_dim), dtype=dtype)
+        self.v = np.empty((capacity, n_heads * head_dim), dtype=dtype)
         self.n = 0
 
-    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Append (H, t, hd) keys and values; return the filled prefix of each."""
-        lo, hi = self.n, self.n + k.shape[-2]
-        if hi > self.k.shape[1]:
-            raise ValueError(f"KV cache of capacity {self.k.shape[1]} cannot hold {hi} positions")
-        self.k[:, lo:hi] = k
-        self.v[:, lo:hi] = v
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append (t, dim) key and value rows; return the filled prefix of each."""
+        lo, hi = self.n, self.n + k.shape[0]
+        if hi > self.k.shape[0]:
+            raise ValueError(f"KV cache of capacity {self.k.shape[0]} cannot hold {hi} positions")
+        self.k[lo:hi] = k
+        self.v[lo:hi] = v
         self.n = hi
-        return Tensor(self.k[:, :hi]), Tensor(self.v[:, :hi])
+        return self.k[:hi], self.v[:hi]
 
 
 class MultiHeadAttention(Module):
     """Standard scaled dot-product attention with an additive mask.
 
-    With a `KVCache`, only the new rows of `x` are projected; their keys
-    and values are appended to the cache and the queries attend over
-    every cached position. `mask` then covers (new rows, cached
-    positions).
+    One packed `wqkv` projection feeds `engine.attention`. With a
+    `KVCache`, only the new rows of `x` are projected; their keys and
+    values are appended to the cache and the queries attend over every
+    cached position. `mask` then covers (new rows, cached positions).
     """
 
     def __init__(self, dim: int, n_heads: int, rng: Rng, dtype=None):
@@ -125,18 +132,21 @@ class MultiHeadAttention(Module):
             raise ValueError(f"dim {dim} not divisible by n_heads {n_heads}")
         self.n_heads = n_heads
         self.head_dim = dim // n_heads
-        self.wq = Linear(dim, dim, rng.spawn("wq"), dtype=dtype)
-        self.wk = Linear(dim, dim, rng.spawn("wk"), dtype=dtype)
-        self.wv = Linear(dim, dim, rng.spawn("wv"), dtype=dtype)
+        # Query, key and value columns each come from their own substream,
+        # so the packed weight is the three separate projections' draws.
+        self.wqkv = Linear.from_weight(np.concatenate(
+            [rng.spawn(tag).normal((dim, dim), scale=1.0 / np.sqrt(dim), dtype=dtype)
+             for tag in ("wq", "wk", "wv")], axis=1))
         self.wo = Linear(dim, dim, rng.spawn("wo"), dtype=dtype)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  cache: KVCache | None = None) -> Tensor:
-        q, k, v = (split_heads(f(x), self.n_heads) for f in (self.wq, self.wk, self.wv))
+        qkv = self.wqkv(x)
+        kv = None
         if cache is not None:
-            k, v = cache.extend(k.data, v.data)  # (H, n, hd), n >= T
-        att = softmax(q @ k.swapaxes(-1, -2), axis=-1, scale=1.0 / np.sqrt(self.head_dim), mask=mask)
-        return self.wo(merge_heads(att @ v))
+            dim = self.n_heads * self.head_dim
+            kv = cache.extend(qkv.data[:, dim:2 * dim], qkv.data[:, 2 * dim:])  # (n, dim), n >= T
+        return self.wo(attention(qkv, self.n_heads, mask=mask, kv=kv))
 
 
 class TransformerBlock(Module):

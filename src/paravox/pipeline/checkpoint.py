@@ -9,6 +9,11 @@ u64 dims, raw array data.
 Canonical JSON (sorted keys, fixed separators) plus name-sorted blobs
 makes save -> load -> save reproduce the file byte for byte, which is
 what the stage-freezing guarantee is checked against.
+
+Version 3 stores each attention layer's packed query/key/value
+projection as one `attn.wqkv` parameter pair; files of an older
+version (separate `attn.wq`, `attn.wk`, `attn.wv`) fail the version
+check.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAGIC = b"PVOXCKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
 _CODES_BY_KIND = {("f", 4): 0, ("f", 8): 1, ("i", 8): 2}
@@ -28,6 +33,11 @@ _CODES_BY_KIND = {("f", 4): 0, ("f", 8): 1, ("i", 8): 2}
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed or does not match expectations."""
+
+
+class IncompatibleCheckpoints(ValueError):
+    """A checkpoint belongs to another stage, or stage checkpoints disagree
+    on the config; the message names the stage tags or the fields."""
 
 
 @dataclass
@@ -130,3 +140,11 @@ def load_checkpoint(path) -> Checkpoint:
     if r.off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.off} trailing bytes after parameters")
     return Checkpoint(stage=stage, config=config, params=params)
+
+
+def load_stage_checkpoint(path, stage: str) -> Checkpoint:
+    """`load_checkpoint(path)`, once its stage tag is `stage`."""
+    ckpt = load_checkpoint(path)
+    if ckpt.stage != stage:
+        raise IncompatibleCheckpoints(f"{path} holds a {ckpt.stage!r} checkpoint, expected {stage!r}")
+    return ckpt

@@ -19,15 +19,11 @@ from ..flow import SolverConfig, VelocityField, sample_mel
 from ..frontend import FeatureBundle, Vocabulary, default_alphabet, save_arrays
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokens, ParallelTokenizer
-from .checkpoint import Checkpoint, load_checkpoint
+from .checkpoint import Checkpoint, IncompatibleCheckpoints, load_stage_checkpoint
 from .config import PipelineConfig
 from .train import CHECKPOINT_NAMES, config_mismatches
 
 _COMPAT_SECTIONS = ("data", "tokenizer", "ar", "nar", "flow", "ablation")
-
-
-class IncompatibleCheckpoints(ValueError):
-    """Stage checkpoints disagree on the config; message names the fields."""
 
 
 @dataclass
@@ -59,10 +55,7 @@ def load_pipeline(ckpt_dir) -> LoadedPipeline:
         path = root / CHECKPOINT_NAMES[stage]
         if not path.is_file():
             raise FileNotFoundError(f"missing {stage} checkpoint: {path}")
-        ckpt = load_checkpoint(path)
-        if ckpt.stage != stage:
-            raise IncompatibleCheckpoints(f"{path} holds a {ckpt.stage!r} "
-                                          f"checkpoint, expected {stage!r}")
+        ckpt = load_stage_checkpoint(path, stage)
         diffs = config_mismatches(base, ckpt.config, _COMPAT_SECTIONS) if base else []
         if diffs:
             raise IncompatibleCheckpoints(

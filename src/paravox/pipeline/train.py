@@ -28,7 +28,7 @@ from ..engine import Rng, Tensor, gradients
 from ..flow import VelocityField, cfm_train_loss
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_stage_checkpoint, save_checkpoint
 from .data import CorpusItem, reference_pairing, text_ids_for
 
 STAGES = ("tokenizer", "ar", "nar", "flow")
@@ -340,7 +340,7 @@ def _load_frozen_tokenizer(ckpt_dir: Path, pcfg) -> ParallelTokenizer:
     if not path.is_file():
         raise MissingPrerequisite(f"stage needs the frozen tokenizer at {path}; "
                                   "run `train --stage tokenizer` first")
-    ckpt = load_checkpoint(path)
+    ckpt = load_stage_checkpoint(path, "tokenizer")
     mismatches = config_mismatches(ckpt.config, pcfg.to_dict(),
                                    sections=("data", "tokenizer", "ablation"))
     if mismatches:

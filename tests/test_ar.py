@@ -255,6 +255,34 @@ def test_suppressed_stop_truncates():
     assert full.truncated
 
 
+def _sample_head_lexsort(logits, top_k, temperature, rng):
+    """`_sample_head` as it ordered the logits with `np.lexsort`."""
+    k = min(top_k, logits.shape[-1])
+    order = np.lexsort((np.arange(logits.shape[-1]), -logits))
+    keep = order[:k]
+    z = (logits[keep] - logits[keep].max()) / temperature
+    p = np.exp(z)
+    p /= p.sum()
+    u = rng.uniform()
+    j = int(np.searchsorted(np.cumsum(p), u, side="right"))
+    return int(keep[min(j, k - 1)])
+
+
+@pytest.mark.parametrize("top_k", [1, 8, 16])
+def test_sample_head_matches_lexsort_order(top_k):
+    """Same token as the lexsort form for every draw; logits on a coarse
+    grid tie often, and ties go to the lowest index."""
+    model = DualStreamAR(tiny_config(), Rng(0))
+    rng = Rng(44)
+    for case in range(300):
+        logits = np.round(rng.normal((16,), scale=1.5), 0 if case % 2 else 1).astype(np.float32)
+        got = model._sample_head(logits, top_k, 0.8, Rng(case))
+        assert got == _sample_head_lexsort(logits, top_k, 0.8, Rng(case))
+    ties = np.array([2.0, 5.0, 5.0, 1.0, 5.0, 2.0] + [0.0] * 10, dtype=np.float32)
+    if top_k == 1:
+        assert model._sample_head(ties, 1, 0.8, Rng(0)) == 1
+
+
 # ---- cached decoding against full recompute ------------------------------------
 
 

@@ -8,6 +8,7 @@ from paravox.engine import (
     Rng,
     ShapeError,
     Tensor,
+    attention,
     bce_with_logits,
     concat,
     cross_entropy,
@@ -17,10 +18,8 @@ from paravox.engine import (
     gradients,
     layer_norm,
     linear,
-    merge_heads,
     no_grad,
     softmax,
-    split_heads,
 )
 from paravox.nn import NEG_MASK, causal_mask, padding_mask
 
@@ -220,6 +219,15 @@ def _merge_composed(x):
     return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (t, h * hd))
 
 
+def _attention_composed(qkv, n_heads, mask):
+    """The attention chain `attention` replaced: head splits, q k^T, the
+    scaled and masked softmax, att v, head merge."""
+    dim = qkv.shape[-1] // 3
+    q, k, v = (_split_composed(qkv[..., i * dim:(i + 1) * dim], n_heads) for i in range(3))
+    att = softmax(q @ k.swapaxes(-1, -2), axis=-1, scale=1.0 / np.sqrt(dim // n_heads), mask=mask)
+    return _merge_composed(att @ v)
+
+
 def _attention_mask(lengths, t, dtype):
     """Causal plus padding: (B, 1, T, T)."""
     return causal_mask(t, dtype=dtype)[None, None] + padding_mask(lengths, t, dtype=dtype)
@@ -301,6 +309,35 @@ def test_layer_norm_affine_matches_composed_form():
         _assert_same_forward_and_grads(layer_norm, _layer_norm_composed, inputs)
 
 
+def _layer_norm_with_mean(x, gamma, beta, g, eps=1e-5):
+    """layer_norm's forward and x-gradient as they were written with `.mean`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = xc * inv
+    y = xhat * gamma + beta
+    g = g * gamma
+    gm = g.mean(axis=-1, keepdims=True)
+    gy = (g * xhat).mean(axis=-1, keepdims=True)
+    return y, inv * (g - gm - xhat * gy)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 64, 96, 100, 128, 192, 200, 384, 512])
+def test_layer_norm_reductions_match_mean(dim):
+    for dtype in (np.float32, np.float64):
+        rng = Rng(dim)
+        x = rng.normal((4, dim), scale=3.0, dtype=dtype) + dtype(0.5)
+        gamma, beta = rng.normal((dim,), dtype=dtype), rng.normal((dim,), dtype=dtype)
+        g = rng.normal((4, dim), dtype=dtype)
+        xt = Tensor(x, requires_grad=True)
+        y = layer_norm(xt, Tensor(gamma), Tensor(beta))
+        (y * Tensor(g)).sum().backward()
+        want_y, want_dx = _layer_norm_with_mean(x, gamma, beta, g)
+        np.testing.assert_array_equal(y.data, want_y)
+        np.testing.assert_array_equal(xt.grad, want_dx)
+
+
 def test_softmax_scale_and_mask_grad_check_f64():
     rng = Rng(35)
     x = f64(rng, (2, 2, 5, 5), 2.0)
@@ -331,28 +368,64 @@ def test_softmax_rejects_mask_that_grows_the_scores():
         softmax(Tensor(np.zeros((3, 3))), mask=np.full((2, 3, 3), NEG_MASK))
 
 
-def test_split_and_merge_heads_grad_check_f64():
+def _mask_for(kind, lead, t, dtype):
+    """None, a causal mask, or causal plus padding (lengths t and t - 2)."""
+    if kind == "none":
+        return None
+    if kind == "causal":
+        return causal_mask(t, dtype=dtype)
+    if lead:
+        return _attention_mask(np.array([t, t - 2][:lead[0]]), t, dtype)
+    return causal_mask(t, dtype=dtype) + padding_mask(np.array([t - 2]), t, dtype=dtype)[0, 0]
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "causal", "causal_padding"])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
+def test_attention_grad_check_f64(lead, mask_kind):
     rng = Rng(37)
-    x = f64(rng, (2, 3, 8))
-    w = Tensor(rng.normal((2, 3, 8), dtype=np.float64))
-    heads = Tensor(rng.normal((2, 4, 3, 2), dtype=np.float64))
-
-    def loss():
-        h = split_heads(x, 4)
-        return (merge_heads(h * heads) * w).sum()
-
-    report = grad_check(loss, {"x": x}, tolerance=1e-8)
+    qkv = f64(rng, lead + (5, 24))
+    mask = _mask_for(mask_kind, lead, 5, np.float64)
+    w = Tensor(rng.normal(lead + (5, 8), dtype=np.float64))
+    report = grad_check(lambda: (attention(qkv, 2, mask=mask) * w).sum(), {"qkv": qkv},
+                        tolerance=1e-8)
     assert report.passed, str(report)
-    assert np.array_equal(merge_heads(split_heads(x, 4)).data, x.data)
 
 
-@pytest.mark.parametrize("shape", [(5, 8), (2, 5, 8)], ids=["rank2", "rank3"])
-def test_split_and_merge_heads_match_composed_forms(shape):
+def test_attention_with_kv_grad_check_f64():
+    """Cached keys and values are constants: only the query third moves the loss."""
+    rng = Rng(38)
+    qkv = f64(rng, (2, 24))
+    kv = (rng.normal((4, 8), dtype=np.float64), rng.normal((4, 8), dtype=np.float64))
+    mask = causal_mask(4, dtype=np.float64)[2:]
+    w = Tensor(rng.normal((2, 8), dtype=np.float64))
+    report = grad_check(lambda: (attention(qkv, 2, mask=mask, kv=kv) * w).sum(), {"qkv": qkv},
+                        tolerance=1e-8)
+    assert report.passed, str(report)
+    assert np.all(qkv.grad[:, 8:] == 0.0)
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "causal_padding"])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
+def test_attention_matches_composed_chain(lead, mask_kind):
+    """Forward bit-equal to the chain in f32 and f64; gradients to 1e-12 in f64."""
     for dtype in (np.float64, np.float32):
-        x = Rng(38).normal(shape, dtype=dtype)
-        _assert_same_forward_and_grads(lambda t: split_heads(t, 2), lambda t: _split_composed(t, 2), [x])
-        h = Rng(39).normal(shape[:-2] + (2, shape[-2], 4), dtype=dtype)
-        _assert_same_forward_and_grads(merge_heads, _merge_composed, [h])
+        rng = Rng(39)
+        x = rng.normal(lead + (6, 48), scale=2.0, dtype=dtype)
+        mask = _mask_for(mask_kind, lead, 6, np.float32)
+        a, b = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        ya, yb = attention(a, 4, mask=mask), _attention_composed(b, 4, mask)
+        assert ya.dtype == yb.dtype == dtype
+        np.testing.assert_array_equal(ya.data, yb.data)
+        if dtype == np.float64:
+            cot = Tensor(rng.normal(ya.shape, dtype=dtype))
+            (ya * cot).sum().backward()
+            (yb * cot).sum().backward()
+            np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
+
+
+def test_attention_rejects_unpacked_input():
+    with pytest.raises(ShapeError, match="3 x 2 heads"):
+        attention(Tensor(np.zeros((3, 8))), 2)
 
 
 def test_fused_primitives_are_one_tape_node():
@@ -361,15 +434,14 @@ def test_fused_primitives_are_one_tape_node():
     w, b = f64(rng, (8, 4)), f64(rng, (4,))
     gamma, beta = f64(rng, (8,)), f64(rng, (8,))
     scores = f64(rng, (2, 2, 3, 3))
-    heads = f64(rng, (2, 2, 3, 4))
+    qkv = f64(rng, (2, 3, 24))
     mask = _attention_mask(np.array([3, 2]), 3, np.float64)
     cases = [
         (linear(x, w, b), (x, w, b)),
         (linear(x, w), (x, w)),
         (layer_norm(x, gamma, beta), (x, gamma, beta)),
         (softmax(scores, scale=0.5, mask=mask), (scores,)),
-        (split_heads(x, 2), (x,)),
-        (merge_heads(heads), (heads,)),
+        (attention(qkv, 2, mask=mask), (qkv,)),
     ]
     for out, inputs in cases:
         assert out._parents == inputs

@@ -46,6 +46,23 @@ def test_one_step_sampler_is_x0_plus_v():
     assert np.allclose(out, x0 + v, atol=1e-6)
 
 
+def test_sampler_matches_per_step_speaker_tiling():
+    """The once-tiled speaker gives bitwise the mel of an Euler loop that
+    hands the field the (1, speaker_dim) vector on every step."""
+    from paravox.engine import no_grad
+    rng = Rng(5)
+    field = VelocityField(tiny_cfg(), rng)
+    feats = rng.normal((7, 8))
+    spk = rng.normal((4,))
+    got = sample_mel(field, feats, spk, SolverConfig(n_steps=6, seed=2))
+    x = Rng(2).normal((7, 6), dtype=np.float32)
+    with no_grad():
+        for i in range(6):
+            v = field(Tensor(x), Tensor(feats.astype(np.float32)), Tensor(spk.astype(np.float32)), i * (1.0 / 6))
+            x = x + (1.0 / 6) * v.data
+    assert np.array_equal(got, x)
+
+
 def test_sampler_deterministic_given_seed():
     rng = Rng(2)
     field = VelocityField(tiny_cfg(), rng)

@@ -26,9 +26,10 @@ def test_single_head_attention_matches_manual():
     x = rng.normal((4, 6), dtype=np.float64)
     out = attn(Tensor(x)).data
 
-    q = x @ attn.wq.weight.data + attn.wq.bias.data
-    k = x @ attn.wk.weight.data + attn.wk.bias.data
-    v = x @ attn.wv.weight.data + attn.wv.bias.data
+    wqkv, bqkv = attn.wqkv.weight.data, attn.wqkv.bias.data
+    q = x @ wqkv[:, :6] + bqkv[:6]
+    k = x @ wqkv[:, 6:12] + bqkv[6:12]
+    v = x @ wqkv[:, 12:] + bqkv[12:]
     scores = q @ k.T / np.sqrt(6)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
@@ -64,6 +65,41 @@ def test_attention_cache_matches_full_pass():
     assert cache.n == 6
     with pytest.raises(ValueError, match="capacity 6"):
         attn(Tensor(x[:1]), cache=cache)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wqkv_initial_weights_are_the_three_spawned_draws(dtype):
+    """The packed projection starts from the draws of separate q, k, v Linears."""
+    rng = Rng(11)
+    attn = MultiHeadAttention(8, 2, rng, dtype=dtype)
+    separate = [Linear(8, 8, rng.spawn(tag), dtype=dtype) for tag in ("wq", "wk", "wv")]
+    want = np.concatenate([lin.weight.data for lin in separate], axis=1)
+    assert attn.wqkv.weight.dtype == dtype and attn.wqkv.bias.dtype == dtype
+    assert np.array_equal(attn.wqkv.weight.data, want)
+    assert np.array_equal(attn.wqkv.bias.data, np.zeros(24, dtype=dtype))
+    assert np.array_equal(attn.wo.weight.data, Linear(8, 8, rng.spawn("wo"), dtype=dtype).weight.data)
+
+
+def test_attention_cache_gives_queries_the_full_pass_gradient_and_keys_none():
+    """Through a KVCache, the new rows' query columns of `wqkv` get the
+    full causal pass's gradient; the key and value columns get none."""
+    rng = Rng(12)
+    attn = MultiHeadAttention(8, 2, rng, dtype=np.float64)
+    x = rng.normal((6, 8), dtype=np.float64)
+    cot = rng.normal((6, 8), dtype=np.float64)
+    cot[:4] = 0.0  # the full pass's loss sees only the rows the cached call computes
+    w, b = attn.wqkv.weight, attn.wqkv.bias
+    out = attn(Tensor(x), mask=causal_mask(6, dtype=np.float64))
+    want_w, want_b = gradients((out * Tensor(cot)).sum(), [w, b])
+
+    cache = KVCache(2, 4, 6, np.float64)
+    attn(Tensor(x[:4]), mask=causal_mask(4, dtype=np.float64), cache=cache)
+    out = attn(Tensor(x[4:]), mask=causal_mask(6, dtype=np.float64)[4:], cache=cache)
+    got_w, got_b = gradients((out * Tensor(cot[4:])).sum(), [w, b])
+    np.testing.assert_allclose(got_w[:, :8], want_w[:, :8], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_b[:8], want_b[:8], rtol=0, atol=1e-12)
+    assert np.all(got_w[:, 8:] == 0.0) and np.all(got_b[8:] == 0.0)
+    assert np.any(want_w[:, 8:] != 0.0)
 
 
 def test_padding_mask_zeroes_attention_to_pads():
@@ -122,15 +158,14 @@ def _tape_nodes(out: Tensor) -> int:
 
 
 def test_transformer_block_tape_nodes():
-    """19 nodes per block: ln1; q, k, v linears and head splits (6); the key
-    transpose; q k^T; the scaled, masked softmax; att v; head merge; wo;
+    """10 nodes per block: ln1; the packed wqkv linear; attention; wo;
     residual add; ln2; fc1; gelu; fc2; residual add."""
     rng = Rng(10)
     block = TransformerBlock(8, 2, rng)
     x = Tensor(rng.normal((2, 5, 8)), requires_grad=True)
     mask = causal_mask(5)[None, None] + padding_mask(np.array([5, 3]), 5)
-    assert _tape_nodes(block(x, mask=mask)) == 19
-    assert _tape_nodes(block(Tensor(rng.normal((5, 8)), requires_grad=True))) == 19
+    assert _tape_nodes(block(x, mask=mask)) == 10
+    assert _tape_nodes(block(Tensor(rng.normal((5, 8)), requires_grad=True))) == 10
 
 
 def test_conv1d_same_matches_explicit_window_sum():
@@ -166,7 +201,7 @@ def test_module_collects_nested_names():
     net = Net()
     names = set(net.named_parameters())
     assert "emb.weight" in names
-    assert "blocks.0.attn.wq.weight" in names
+    assert "blocks.0.attn.wqkv.weight" in names
     assert "blocks.1.fc2.bias" in names
     assert "out.weight" in names
 

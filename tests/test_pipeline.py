@@ -24,6 +24,7 @@ from paravox.pipeline.evaluate import evaluate, format_report, report_to_json
 from paravox.pipeline.infer import (IncompatibleCheckpoints, encode_text, infer,
                                     load_pipeline, write_mel_file)
 from paravox.pipeline.train import (Adam, MissingPrerequisite, train_tokenizer)
+from paravox.tokenizer import ParallelTokenizer
 
 
 # ---- schedules and the optimizer -------------------------------------------
@@ -256,10 +257,12 @@ def test_checkpoint_error_cases(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad)
 
-    # Version 1 files carried an RNG-state block that version 2 dropped.
-    bad.write_bytes(blob[:8] + b"\x01\x00\x00\x00" + blob[12:])
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(bad)
+    # Version 1 files carried an RNG-state block that version 2 dropped;
+    # version 2 files stored attention as separate wq/wk/wv projections.
+    for old_version in (b"\x01\x00\x00\x00", b"\x02\x00\x00\x00"):
+        bad.write_bytes(blob[:8] + old_version + blob[12:])
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(bad)
 
     bad.write_bytes(blob[:-3])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -332,7 +335,7 @@ def test_reference_pairing_singleton_is_self():
 def _quick_pcfg(steps=25):
     pcfg = mini_pipeline_config()
     for name, sched in pcfg.schedules.items():
-        pcfg.schedules[name] = dataclasses.replace(sched, total_steps=steps, warmup_steps=5)
+        pcfg.schedules[name] = dataclasses.replace(sched, total_steps=steps, warmup_steps=min(5, steps))
     pcfg.validate()
     return pcfg
 
@@ -407,6 +410,20 @@ def test_mismatched_tokenizer_config_is_rejected(tmp_path, mini_run):
     pcfg.tokenizer = dataclasses.replace(pcfg.tokenizer, codebook_size=16)
     with pytest.raises(ValueError, match="tokenizer.codebook_size"):
         train_stage("ar", mini_run.items, pcfg, tmp_path / "ar.ckpt")
+
+
+def test_frozen_tokenizer_checkpoint_of_another_stage_is_rejected(tmp_path, mini_run, monkeypatch):
+    """`flow.ckpt` copied over `tokenizer.ckpt` fails on its stage tag,
+    before any parameter reaches the tokenizer."""
+    shutil.copy(mini_run.ckpt_dir / "flow.ckpt", tmp_path / "tokenizer.ckpt")
+
+    def no_load(self, state):
+        raise AssertionError("parameters loaded before the stage-tag check")
+
+    monkeypatch.setattr(ParallelTokenizer, "load_full_state", no_load)
+    with pytest.raises(IncompatibleCheckpoints, match=r"holds a 'flow' checkpoint, expected 'tokenizer'"):
+        train_stage("ar", mini_run.items, _quick_pcfg(3), tmp_path / "ar.ckpt")
+    assert not (tmp_path / "ar.ckpt").exists()
 
 
 def test_stage_reports_record_losses(mini_run):
