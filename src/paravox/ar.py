@@ -201,28 +201,6 @@ class DualStreamAR(Module):
         sl = states[..., lo:lo + cfg.slice_dim] if cfg.n_streams > 1 else states
         return self.heads[s * cfg.layers_per_stream + l](sl)
 
-    def forward_teacher_forced(self, text_ids, ref_tokens, tgt_tokens):
-        """Logits for every target step of one utterance.
-
-        Returns (stream_logits, stop_logits): `stream_logits[s][l]` is
-        (T, K_s) where row t is predicted from the state just before
-        target frame t; `stop_logits` is (T + 1,), one entry per state
-        from the prompt boundary through the last target frame, whose
-        label is 1 only at the final frame.
-        """
-        tgt = self._check_tokens(tgt_tokens, "target")
-        if tgt.shape[0] == 0:
-            raise ValueError("teacher forcing needs at least one target frame")
-        asm = self.assemble(text_ids, ref_tokens, tgt)
-        states = self.forward_states(asm.emb)
-        b, t = asm.boundary, asm.n_target
-        pred_states = states[b:b + t]
-        stop_states = states[b:b + t + 1]
-        stream_logits = [[self._head_logits(pred_states, s, l) for l in range(self.cfg.layers_per_stream)]
-                         for s in range(self.cfg.n_streams)]
-        stop_logits = self.stop_head(stop_states).reshape(-1)
-        return stream_logits, stop_logits
-
     # ---- batched training path ---------------------------------------------
 
     def batch_states(self, assemblies: list[Assembly]) -> Tensor:
@@ -239,9 +217,12 @@ class DualStreamAR(Module):
         """Flatten teacher-forced logits over a batch.
 
         `batch` rows are (text_ids, ref_tokens, tgt_tokens). Returns
-        (stream_logits, stream_targets, stop_logits, stop_labels) with
-        per-(stream, layer) logits stacked over all real target steps,
-        ready for `ar_loss`.
+        (stream_logits, stream_targets, stop_logits, stop_labels), ready
+        for `ar_loss`. `stream_logits[s][l]` stacks every row's (T, K_s)
+        logits, where row t is predicted from the state just before
+        target frame t. An utterance of T target frames contributes
+        T + 1 stop logits, one per state from the prompt boundary
+        through its last frame, labelled 1 only at that last state.
         """
         cfg = self.cfg
         assemblies, targets = [], []
@@ -315,10 +296,6 @@ class DualStreamAR(Module):
         out["stop_final"] = (int(fires[final].sum()), len(batch))
         return out
 
-    def teacher_forced_accuracy(self, batch: list[tuple]) -> dict[str, float]:
-        """The fractions of `teacher_forced_counts`."""
-        return {k: hits / total for k, (hits, total) in self.teacher_forced_counts(batch).items()}
-
     # ---- sampling --------------------------------------------------------
 
     def _sample_head(self, logits: np.ndarray, top_k: int, temperature: float, rng: Rng) -> int:
@@ -389,10 +366,3 @@ class DualStreamAR(Module):
                 states = self.forward_states(emb, cache=cache)
                 n += 1
         return GenerationResult(tokens=frames[:n], terminated=terminated, truncated=truncated)
-
-
-def tokens_from_parallel(parallel_tokens, layers: int = 1) -> np.ndarray:
-    """(T, 2, layers) AR input from a ParallelTokens pair (top layers first)."""
-    sem = parallel_tokens.semantic[:, :layers]
-    ac = parallel_tokens.acoustic[:, :layers]
-    return np.stack([sem, ac], axis=1).astype(np.int64)

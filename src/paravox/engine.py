@@ -23,7 +23,6 @@ __all__ = [
     "ShapeError",
     "Rng",
     "no_grad",
-    "is_grad_enabled",
     "get_default_dtype",
     "concat",
     "embedding",
@@ -51,10 +50,6 @@ _GRAD_ENABLED = True
 
 def get_default_dtype():
     return _DEFAULT_DTYPE
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 @contextmanager
@@ -110,18 +105,11 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
@@ -207,12 +195,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def grad_fn(g):
-            self._accumulate(-g)
-
-        return Tensor._make(-self.data, (self,), grad_fn)
-
     def __sub__(self, other):
         other = Tensor._lift(other, self.data.dtype)
         try:
@@ -263,19 +245,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other), grad_fn)
 
-    def __rtruediv__(self, other):
-        return Tensor._lift(other, self.data.dtype) / self
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data ** p
-
-        def grad_fn(g):
-            self._accumulate(g * p * self.data ** (p - 1))
-
-        return Tensor._make(data, (self,), grad_fn)
-
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
             other = Tensor._lift(other, self.data.dtype)
@@ -299,33 +268,11 @@ class Tensor:
 
     # ---- elementwise nonlinearities -----------------------------------
 
-    def exp(self):
-        data = np.exp(self.data)
-
-        def grad_fn(g):
-            self._accumulate(g * data)
-
-        return Tensor._make(data, (self,), grad_fn)
-
-    def log(self):
-        def grad_fn(g):
-            self._accumulate(g / self.data)
-
-        return Tensor._make(np.log(self.data), (self,), grad_fn)
-
     def sqrt(self):
         data = np.sqrt(self.data)
 
         def grad_fn(g):
             self._accumulate(g * 0.5 / data)
-
-        return Tensor._make(data, (self,), grad_fn)
-
-    def tanh(self):
-        data = np.tanh(self.data)
-
-        def grad_fn(g):
-            self._accumulate(g * (1.0 - data * data))
 
         return Tensor._make(data, (self,), grad_fn)
 

@@ -86,6 +86,7 @@ class Vocabulary:
         return len(self.alphabet)
 
     def encode(self, text: str) -> np.ndarray:
+        """BOS-framed integer symbol sequence; empty text gives [BOS, EOS]."""
         ids = [BOS_ID]
         for ch in text:
             if ch not in self._to_id:
@@ -103,11 +104,6 @@ class Vocabulary:
                 raise UnknownSymbolError(f"id {i} not in vocabulary of size {self.size}")
             chars.append(self._to_char[i])
         return "".join(chars)
-
-
-def text_to_symbols(text: str, vocabulary: Vocabulary) -> np.ndarray:
-    """BOS-framed integer symbol sequence; empty text gives [BOS, EOS]."""
-    return vocabulary.encode(text)
 
 
 def default_alphabet(vocab_size: int) -> str:

@@ -113,17 +113,6 @@ class CoupledStage(Module):
 
     # ---- forward ------------------------------------------------------------
 
-    def forward_logits(self, ref_tokens, tgt_tokens) -> Tensor:
-        """(T, sum K) joint logits for the predicted layer; attention is
-        bidirectional, so every target position sees the whole sequence."""
-        n_ref = np.asarray(ref_tokens).shape[0]
-        emb = self._assemble(ref_tokens, tgt_tokens)
-        h = emb
-        for block in self.blocks:
-            h = block(h)
-        states = self.ln_f(h)
-        return self.classifier(states[n_ref:])
-
     def stream_slices(self, logits: Tensor) -> list[Tensor]:
         out, lo = [], 0
         for _, k in self.cfg.streams:
@@ -132,10 +121,12 @@ class CoupledStage(Module):
         return out
 
     def batch_logits(self, batch: list[tuple]) -> Tensor:
-        """Flattened target-position logits over a padded batch.
+        """Flattened (N, sum K) joint target-position logits over a padded batch.
 
-        `batch` rows are (ref_tokens, tgt_tokens). Padded positions are
-        masked out of attention and dropped from the output.
+        `batch` rows are (ref_tokens, tgt_tokens). Attention is
+        bidirectional, so every target position sees its whole
+        [reference || target] row; padded positions are masked out of
+        attention and dropped from the output.
         """
         h, lengths, mask = pad_batch([self._assemble(r, t) for r, t in batch])
         for block in self.blocks:
@@ -169,7 +160,7 @@ class CoupledStage(Module):
     def predict(self, ref_tokens, tgt_tokens) -> np.ndarray:
         """(T, n_streams) argmax tokens for the predicted layer."""
         with no_grad():
-            logits = self.forward_logits(ref_tokens, tgt_tokens)
+            logits = self.batch_logits([(ref_tokens, tgt_tokens)])
             slices = self.stream_slices(logits)
             return np.stack([s.data.argmax(axis=-1) for s in slices], axis=1).astype(np.int64)
 
@@ -219,10 +210,6 @@ class CoupledNAR(Module):
             parts.append(term)
         out["total"] = sum(parts[1:], parts[0])
         return out
-
-    def stage_accuracy(self, batch: list[tuple]) -> dict[str, float]:
-        """Per-stage fraction of exactly right argmax predictions."""
-        return self.stage_scores(batch)[0]
 
     def stage_scores(self, batch: list[tuple]) -> tuple[dict[str, float], dict[str, float]]:
         """Per-stage token accuracy and frame exact match (every stream of

@@ -16,7 +16,7 @@ NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
 
 
 class Module:
-    """Base class: parameter discovery, state (de)serialization, dtype cast."""
+    """Base class: parameter discovery and state (de)serialization."""
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -33,9 +33,6 @@ class Module:
                         out.update(item.named_parameters(f"{key}.{i}."))
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
-
     def state(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.named_parameters().items()}
 
@@ -50,11 +47,6 @@ class Module:
             if arr.shape != p.data.shape:
                 raise ValueError(f"parameter {k!r}: shape {arr.shape} != expected {p.data.shape}")
             p.data = arr.astype(p.data.dtype, copy=True)
-
-    def astype(self, dtype) -> "Module":
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
-        return self
 
 
 class Linear(Module):
@@ -215,8 +207,3 @@ def pad_batch(rows: list[Tensor]) -> tuple[Tensor, np.ndarray, np.ndarray]:
         padded.append(e)
     dtype = np.float64 if rows[0].dtype == np.float64 else np.float32
     return concat(padded, axis=0), lengths, padding_mask(lengths, l_max, dtype=dtype)
-
-
-def mse(a: Tensor, b) -> Tensor:
-    diff = a - (b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype)))
-    return (diff * diff).mean()

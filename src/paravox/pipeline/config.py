@@ -321,15 +321,6 @@ def paper_profile() -> PipelineConfig:
     )
 
 
-PROFILES = {"toy": toy_profile, "paper": paper_profile}
-
-
-def profile_by_name(name: str) -> PipelineConfig:
-    if name not in PROFILES:
-        raise ConfigError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
-    return PROFILES[name]()
-
-
 def config_with_overrides(base: PipelineConfig, overrides: dict) -> PipelineConfig:
     """New config from `base` with dotted-path overrides applied."""
     doc = copy.deepcopy(base.to_dict())

@@ -1,8 +1,10 @@
 """Corpus-level metrics for a trained pipeline.
 
 Everything is teacher-forced or ground-truth-conditioned: the point is
-to measure each stage against the corpus it was fitted to, not to score
-free-running synthesis quality (which has no reference here).
+to measure each stage against the corpus it was fitted to. Free-running
+synthesis is not scored here, although it has a reference:
+`frontend.make_utterance` renders any text in any corpus voice, so an
+oracle exists for every cross-voice request.
 """
 
 from __future__ import annotations

@@ -91,16 +91,24 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
     `encode_text` for raw strings). The reference bundle supplies both
     the prompt tokens and the speaker condition. All sampling descends
     from `seed`. A reference longer than the generator (leaving room for
-    one frame) or the refiner can hold is rejected before any encoding.
+    one frame), the refiner or the tokenizer can hold is rejected before
+    any encoding. Generation stops at the refiner's `max_target_len`,
+    which sets `truncated` like the generator's own limits.
     """
     cfg = pipe.config
     n_ref, max_speech = ref_bundle.n_frames, pipe.ar.cfg.max_speech_len
     if n_ref > max_speech - 1:
         raise ValueError(f"reference of {n_ref} frames exceeds the generator's limit of "
                          f"{max_speech - 1} (max_speech_len={max_speech} less one frame to generate)")
-    if pipe.nar is not None and n_ref > pipe.nar.cfg.max_ref_len:
-        raise ValueError(f"reference of {n_ref} frames exceeds the refiner's "
-                         f"max_ref_len={pipe.nar.cfg.max_ref_len}")
+    if pipe.nar is not None:
+        if n_ref > pipe.nar.cfg.max_ref_len:
+            raise ValueError(f"reference of {n_ref} frames exceeds the refiner's "
+                             f"max_ref_len={pipe.nar.cfg.max_ref_len}")
+        cap = pipe.nar.cfg.max_target_len
+        max_frames = cap if max_frames is None else min(max_frames, cap)
+    if n_ref > pipe.tokenizer.cfg.max_frames:
+        raise ValueError(f"reference of {n_ref} frames exceeds the tokenizer's "
+                         f"max_frames={pipe.tokenizer.cfg.max_frames}")
     rng = Rng(seed)
     if not cfg.ablation.parallel_streams:
         streams = pipe.tokenizer.encode_streams(ref_bundle)

@@ -311,7 +311,7 @@ def train_nar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool
     model = CoupledNAR(pcfg.build_nar_config())
     pairs = paired_grids(tok, items)
     report = _fit("nar", pcfg, model.named_parameters(), _batch_loss(model.nar_loss, pairs), quiet)
-    report.final = {"stage_accuracy": model.stage_accuracy(pairs)}
+    report.final = {"stage_accuracy": model.stage_scores(pairs)[0]}
     return model, report
 
 

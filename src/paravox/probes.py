@@ -1,38 +1,13 @@
-"""Small diagnostic probes: linear classification accuracy, silhouette.
+"""Cluster separation of a representation: the silhouette score.
 
-These quantify what information a representation carries (do semantic
-frames reveal the symbol? the speaker?) without training anything
-heavier than a least-squares readout.
+It quantifies what a representation carries (do the speaker condition
+vectors of one voice cluster apart from other voices?) without training
+anything.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .engine import Rng
-
-
-def linear_probe_accuracy(features: np.ndarray, labels: np.ndarray, rng: Rng,
-                          train_frac: float = 0.5) -> float:
-    """Held-out accuracy of a least-squares probe onto one-hot labels.
-
-    Rows are split into train/eval halves with a seeded shuffle; the
-    probe is ridge-free lstsq, evaluated by argmax on the eval half.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = features.shape[0]
-    if n < 4:
-        raise ValueError("probe needs at least 4 rows")
-    classes, y = np.unique(labels, return_inverse=True)
-    perm = rng.permutation(n)
-    cut = max(1, int(n * train_frac))
-    tr, ev = perm[:cut], perm[cut:]
-    x = np.hstack([features, np.ones((n, 1))])  # bias column
-    onehot = np.eye(len(classes))[y]
-    w, *_ = np.linalg.lstsq(x[tr], onehot[tr], rcond=None)
-    pred = np.argmax(x[ev] @ w, axis=1)
-    return float((pred == y[ev]).mean())
 
 
 def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:

@@ -4,8 +4,7 @@ Each layer greedily picks the nearest codeword (squared euclidean,
 ties to the lowest index) for the running residual and subtracts it;
 tokens are the per-layer indices. Codebooks learn by exponential
 moving averages of assigned residuals; a commitment term is reported
-for any upstream encoder, whose gradients pass through the quantizer
-unchanged (straight-through).
+for an upstream encoder.
 
 By default index 0 of every layer is pinned to the zero vector and
 never updated or re-seeded. A zero codeword is the "add nothing"
@@ -15,11 +14,11 @@ chosen codeword is at least as close as zero is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor
+from .engine import Rng
 
 _CHUNK = 512  # frames per distance block, bounds T*K*D scratch memory
 
@@ -140,17 +139,6 @@ class RVQStack:
                                  f"min={idx.min()}, max={idx.max()}")
             out += cb.entries[idx]
         return out
-
-    def quantize_st(self, x: Tensor):
-        """Quantize a Tensor with a straight-through gradient.
-
-        The output's value is decode(encode(x)) but gradients flow to x
-        as identity. Finite differences on this path measure the true
-        (piecewise-constant) quantizer and will disagree with the
-        straight-through gradient; that mismatch is by design.
-        """
-        tokens, quantized, _ = self.encode(x.data)
-        return x + Tensor(quantized - x.data), tokens
 
     # ---- training -------------------------------------------------------
 

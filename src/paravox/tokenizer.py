@@ -23,8 +23,6 @@ from .rvq import RVQStack
 
 log = logging.getLogger(__name__)
 
-PARALLEL_STREAMS = ("semantic", "acoustic")
-
 
 @dataclass
 class ParallelTokens:
@@ -40,11 +38,6 @@ class ParallelTokens:
     @property
     def n_frames(self) -> int:
         return self.semantic.shape[0]
-
-    @property
-    def top(self) -> np.ndarray:
-        """(T, 2) top-layer pair per frame: [semantic, acoustic]."""
-        return np.stack([self.semantic[:, 0], self.acoustic[:, 0]], axis=1)
 
 
 @dataclass

@@ -187,8 +187,8 @@ def test_criterion_04_ar_causality():
         s = int(rng.integers(0, 2))
         mutated[pos, s, 0] = (mutated[pos, s, 0] + 1) % 8
         with no_grad():
-            base_stream, base_stop = model.forward_teacher_forced(text, ref, tgt)
-            new_stream, new_stop = model.forward_teacher_forced(text, ref, mutated)
+            base_stream, _, base_stop, _ = model.teacher_forced_batch([(text, ref, tgt)])
+            new_stream, _, new_stop, _ = model.teacher_forced_batch([(text, ref, mutated)])
         for si in range(2):
             # ...then logits for predictions at frames <= pos must be
             # bitwise unchanged (they only see frames < pos+1).

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from paravox.ar import ARConfig, DualStreamAR, tokens_from_parallel
+from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import Rng, Tensor, grad_check, gradients, no_grad
-from paravox.tokenizer import ParallelTokens
 
 
 def tiny_config(**kw):
@@ -75,7 +74,7 @@ def test_teacher_forced_shapes():
     cfg = tiny_config()
     model = DualStreamAR(cfg, Rng(0))
     text, ref, tgt = random_example(Rng(2), cfg, n_tgt=6)
-    stream_logits, stop_logits = model.forward_teacher_forced(text, ref, tgt)
+    stream_logits, _, stop_logits, _ = model.teacher_forced_batch([(text, ref, tgt)])
     assert len(stream_logits) == 2 and len(stream_logits[0]) == 1
     for s in range(2):
         assert stream_logits[s][0].shape == (6, 8)
@@ -152,19 +151,6 @@ def test_stop_labels_shape():
     assert stop_logits.shape == (4 + 6,)
     expect = np.array([0, 0, 0, 1, 0, 0, 0, 0, 0, 1], dtype=np.float64)
     assert np.array_equal(stop_labels, expect)
-
-
-def test_batched_matches_single():
-    cfg = tiny_config()
-    model = DualStreamAR(cfg, Rng(1))
-    text, ref, tgt = random_example(Rng(6), cfg, n_tgt=4)
-    with no_grad():
-        single_logits, single_stop = model.forward_teacher_forced(text, ref, tgt)
-        batch_logits, _, batch_stop, _ = model.teacher_forced_batch([(text, ref, tgt)])
-    for s in range(2):
-        np.testing.assert_allclose(batch_logits[s][0].data, single_logits[s][0].data,
-                                   rtol=0, atol=1e-5)
-    np.testing.assert_allclose(batch_stop.data, single_stop.data, rtol=0, atol=1e-5)
 
 
 def test_padding_does_not_leak():
@@ -394,7 +380,7 @@ def test_merged_single_stream_variant():
     text = np.array([1, 2, 3])
     ref = Rng(16).integers(0, 10, (3, 1, 1))
     tgt = Rng(17).integers(0, 10, (4, 1, 1))
-    sl, stop = model.forward_teacher_forced(text, ref, tgt)
+    sl, _, stop, _ = model.teacher_forced_batch([(text, ref, tgt)])
     assert sl[0][0].shape == (4, 10)
     out = model.generate(text, ref, seed=1, max_frames=5)
     assert out.tokens.shape[1:] == (1, 1)
@@ -410,7 +396,7 @@ def test_multi_layer_heads_variant():
     rng = Rng(19)
     text, ref, tgt = random_example(rng, cfg, n_tgt=4)
     assert tgt.shape == (4, 2, 3)
-    sl, stop = model.forward_teacher_forced(text, ref, tgt)
+    sl, _, stop, _ = model.teacher_forced_batch([(text, ref, tgt)])
     assert len(sl[0]) == 3 and sl[1][2].shape == (4, 8)
     out = model.generate(text, ref, seed=2, max_frames=5)
     assert out.tokens.shape[1:] == (2, 3)
@@ -457,16 +443,3 @@ def test_short_training_reduces_loss():
     for _ in range(40):
         last = step()
     assert last < 0.5 * first
-
-
-def test_tokens_from_parallel():
-    sem = np.arange(12).reshape(4, 3) % 8
-    ac = (np.arange(12).reshape(4, 3) + 1) % 8
-    pair = ParallelTokens(semantic=sem, acoustic=ac)
-    top = tokens_from_parallel(pair, layers=1)
-    assert top.shape == (4, 2, 1)
-    assert np.array_equal(top[:, 0, 0], sem[:, 0])
-    assert np.array_equal(top[:, 1, 0], ac[:, 0])
-    full = tokens_from_parallel(pair, layers=3)
-    assert full.shape == (4, 2, 3)
-    assert np.array_equal(full[:, 1], ac)

@@ -57,7 +57,7 @@ def test_two_layer_mlp_grad_check_under_1e5():
     t = Tensor(rng.normal((4, 3), dtype=np.float64))
 
     def loss():
-        h = (x @ w1 + b1).tanh()
+        h = (x @ w1 + b1).sigmoid()
         d = h @ w2 + b2 - t
         return (d * d).mean()
 
@@ -155,10 +155,16 @@ def test_composite_ops_grad_check():
     assert report.passed, str(report)
 
 
+def _tanh(x: Tensor) -> Tensor:
+    """A tanh tape node, the one primitive `_gelu_composed` needs beyond the engine's."""
+    data = np.tanh(x.data)
+    return Tensor._make(data, (x,), lambda g: x._accumulate(g * (1.0 - data * data)))
+
+
 def _gelu_composed(x: Tensor) -> Tensor:
-    """The GELU as it was built from eight primitive tape nodes."""
+    """The GELU as it was built from primitive tape nodes."""
     c = np.sqrt(2.0 / np.pi)
-    return x * 0.5 * ((c * (x + 0.044715 * x ** 3)).tanh() + 1.0)
+    return x * 0.5 * (_tanh(c * (x + 0.044715 * (x * x * x))) + 1.0)
 
 
 def test_gelu_grad_check_f64():
@@ -264,8 +270,12 @@ def test_linear_grad_check_f64(lead, bias):
     b = f64(rng, (4,), 0.3) if bias else None
     target = rng.normal(lead + (4,), dtype=np.float64)
     params = {"x": x, "w": w} if b is None else {"x": x, "w": w, "b": b}
-    report = grad_check(lambda: ((linear(x, w, b) - Tensor(target)) ** 2).sum(), params,
-                        tolerance=1e-8)
+
+    def loss():
+        d = linear(x, w, b) - Tensor(target)
+        return (d * d).sum()
+
+    report = grad_check(loss, params, tolerance=1e-8)
     assert report.passed, str(report)
 
 
@@ -524,7 +534,7 @@ def test_finite_ops_stay_finite():
     rng = Rng(10)
     for trial in range(10):
         x = Tensor(rng.normal((4, 16), scale=50.0))
-        for out in (softmax(x), layer_norm(x), x.tanh(), x.sigmoid(), gelu(x)):
+        for out in (softmax(x), layer_norm(x), x.sigmoid(), gelu(x)):
             assert np.all(np.isfinite(out.data))
         loss = cross_entropy(x, rng.generator.integers(0, 16, size=4))
         assert np.isfinite(loss.item())

@@ -24,9 +24,29 @@ from paravox.frontend import (
     make_utterance,
     save_arrays,
     save_features,
-    text_to_symbols,
 )
-from paravox.probes import linear_probe_accuracy, silhouette_score
+from paravox.probes import silhouette_score
+
+
+def linear_probe_accuracy(features: np.ndarray, labels: np.ndarray, rng: Rng,
+                          train_frac: float = 0.5) -> float:
+    """Held-out accuracy of a least-squares probe onto one-hot labels.
+
+    Rows are split into train/eval halves with a seeded shuffle; the
+    probe is ridge-free lstsq, evaluated by argmax on the eval half.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = features.shape[0]
+    classes, y = np.unique(labels, return_inverse=True)
+    perm = rng.permutation(n)
+    cut = max(1, int(n * train_frac))
+    tr, ev = perm[:cut], perm[cut:]
+    x = np.hstack([features, np.ones((n, 1))])  # bias column
+    onehot = np.eye(len(classes))[y]
+    w, *_ = np.linalg.lstsq(x[tr], onehot[tr], rcond=None)
+    pred = np.argmax(x[ev] @ w, axis=1)
+    return float((pred == y[ev]).mean())
 
 
 def small_spec(**kw):
@@ -42,12 +62,12 @@ def small_spec(**kw):
 
 def test_vocab_single_char():
     v = Vocabulary("a")
-    assert text_to_symbols("aa", v).tolist() == [BOS_ID, 3, 3, EOS_ID]
+    assert v.encode("aa").tolist() == [BOS_ID, 3, 3, EOS_ID]
 
 
 def test_vocab_empty_text():
     v = Vocabulary("ab")
-    assert text_to_symbols("", v).tolist() == [BOS_ID, EOS_ID]
+    assert v.encode("").tolist() == [BOS_ID, EOS_ID]
 
 
 def test_vocab_roundtrip():

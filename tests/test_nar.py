@@ -40,22 +40,22 @@ def test_stage_input_visibility():
     rng = Rng(1)
     ref, tgt = random_grid(rng, cfg, 5), random_grid(rng, cfg, 6)
     with no_grad():
-        base = stage.forward_logits(ref, tgt).data
+        base = stage.batch_logits([(ref, tgt)]).data
 
     deeper_ref = ref.copy()
     deeper_ref[:, :, 2] = (deeper_ref[:, :, 2] + 1) % 7
     with no_grad():
-        assert np.array_equal(stage.forward_logits(deeper_ref, tgt).data, base)
+        assert np.array_equal(stage.batch_logits([(deeper_ref, tgt)]).data, base)
 
     label_tgt = tgt.copy()
     label_tgt[:, :, 1:] = (label_tgt[:, :, 1:] + 1) % 7
     with no_grad():
-        assert np.array_equal(stage.forward_logits(ref, label_tgt).data, base)
+        assert np.array_equal(stage.batch_logits([(ref, label_tgt)]).data, base)
 
     seen_ref = ref.copy()
     seen_ref[2, 0, 1] = (seen_ref[2, 0, 1] + 1) % 7
     with no_grad():
-        assert not np.array_equal(stage.forward_logits(seen_ref, tgt).data, base)
+        assert not np.array_equal(stage.batch_logits([(seen_ref, tgt)]).data, base)
 
 
 def test_stage2_sees_deeper_context():
@@ -65,15 +65,15 @@ def test_stage2_sees_deeper_context():
     rng = Rng(3)
     ref, tgt = random_grid(rng, cfg, 4), random_grid(rng, cfg, 4)
     with no_grad():
-        base = stage.forward_logits(ref, tgt).data
+        base = stage.batch_logits([(ref, tgt)]).data
     ref2 = ref.copy()
     ref2[1, 1, 2] = (ref2[1, 1, 2] + 1) % 9
     with no_grad():
-        assert not np.array_equal(stage.forward_logits(ref2, tgt).data, base)
+        assert not np.array_equal(stage.batch_logits([(ref2, tgt)]).data, base)
     tgt2 = tgt.copy()
     tgt2[3, 0, 1] = (tgt2[3, 0, 1] + 1) % 7
     with no_grad():
-        assert not np.array_equal(stage.forward_logits(ref, tgt2).data, base)
+        assert not np.array_equal(stage.batch_logits([(ref, tgt2)]).data, base)
 
 
 def test_refinement_is_not_causal():
@@ -83,11 +83,11 @@ def test_refinement_is_not_causal():
     rng = Rng(5)
     ref, tgt = random_grid(rng, cfg, 4), random_grid(rng, cfg, 8)
     with no_grad():
-        base = stage.forward_logits(ref, tgt).data
+        base = stage.batch_logits([(ref, tgt)]).data
     tgt2 = tgt.copy()
     tgt2[7, 0, 0] = (tgt2[7, 0, 0] + 1) % 7
     with no_grad():
-        after = stage.forward_logits(ref, tgt2).data
+        after = stage.batch_logits([(ref, tgt2)]).data
     assert not np.array_equal(after[0], base[0])
 
 
@@ -98,11 +98,11 @@ def test_streams_are_coupled():
     rng = Rng(7)
     ref, tgt = random_grid(rng, cfg, 4), random_grid(rng, cfg, 6)
     with no_grad():
-        sem_base = stage.stream_slices(stage.forward_logits(ref, tgt))[0].data
+        sem_base = stage.stream_slices(stage.batch_logits([(ref, tgt)]))[0].data
     tgt2 = tgt.copy()
     tgt2[3, 1, 0] = (tgt2[3, 1, 0] + 1) % 9   # acoustic top token only
     with no_grad():
-        sem_after = stage.stream_slices(stage.forward_logits(ref, tgt2))[0].data
+        sem_after = stage.stream_slices(stage.batch_logits([(ref, tgt2)]))[0].data
     assert not np.array_equal(sem_after[3], sem_base[3])
 
 
@@ -112,7 +112,7 @@ def test_logit_shapes_and_slices():
     rng = Rng(9)
     ref, tgt = random_grid(rng, cfg, 3), random_grid(rng, cfg, 5)
     with no_grad():
-        logits = stage.forward_logits(ref, tgt)
+        logits = stage.batch_logits([(ref, tgt)])
     assert logits.shape == (5, 7 + 9)
     sem, ac = stage.stream_slices(logits)
     assert sem.shape == (5, 7) and ac.shape == (5, 9)
@@ -127,15 +127,15 @@ def test_input_validation():
     rng = Rng(11)
     ref, tgt = random_grid(rng, cfg, 3), random_grid(rng, cfg, 5)
     with pytest.raises(ValueError, match="reference"):
-        stage.forward_logits(ref[:, :, :1], tgt)
+        stage.batch_logits([(ref[:, :, :1], tgt)])
     with pytest.raises(ValueError, match="at least one frame"):
-        stage.forward_logits(ref[:0], tgt)
+        stage.batch_logits([(ref[:0], tgt)])
     with pytest.raises(ValueError, match="exceeds limit"):
-        stage.forward_logits(ref, np.zeros((25, 2, 3), dtype=np.int64))
+        stage.batch_logits([(ref, np.zeros((25, 2, 3), dtype=np.int64))])
     bad = tgt.copy()
     bad[0, 0, 0] = 7
     with pytest.raises(ValueError, match="out of range"):
-        stage.forward_logits(ref, bad)
+        stage.batch_logits([(ref, bad)])
     with pytest.raises(ValueError, match="layer_index"):
         CoupledStage(cfg, 0, Rng(0))
 
@@ -165,7 +165,7 @@ def test_batch_matches_single():
     short = (random_grid(rng, cfg, 2), random_grid(rng, cfg, 3))
     long = (random_grid(rng, cfg, 4), random_grid(rng, cfg, 7))
     with no_grad():
-        alone = stage.forward_logits(*short).data
+        alone = stage.batch_logits([short]).data
         both = stage.batch_logits([short, long])
     np.testing.assert_allclose(both.data[:3], alone, rtol=0, atol=1e-5)
 
@@ -208,8 +208,8 @@ def test_state_roundtrip():
     rng = Rng(22)
     ref, tgt = random_grid(rng, cfg, 3), random_grid(rng, cfg, 4)
     with no_grad():
-        a = model.stages[0].forward_logits(ref, tgt).data
-        b = rebuilt.stages[0].forward_logits(ref, tgt).data
+        a = model.stages[0].batch_logits([(ref, tgt)]).data
+        b = rebuilt.stages[0].batch_logits([(ref, tgt)]).data
     assert np.array_equal(a, b)
 
 
@@ -278,7 +278,7 @@ def test_stage_accuracy_reporting():
     model = CoupledNAR(cfg, Rng(27))
     rng = Rng(28)
     batch = [(random_grid(rng, cfg, 3), random_grid(rng, cfg, 4))]
-    acc = model.stage_accuracy(batch)
+    acc = model.stage_scores(batch)[0]
     assert set(acc) == {"layer2", "layer3"}
     for v in acc.values():
         assert 0.0 <= v <= 1.0

@@ -14,10 +14,14 @@ from paravox.nn import (
     MultiHeadAttention,
     TransformerBlock,
     causal_mask,
-    mse,
     pad_batch,
     padding_mask,
 )
+
+
+def mse(a: Tensor, b: np.ndarray) -> Tensor:
+    diff = a - Tensor(np.asarray(b, dtype=a.dtype))
+    return (diff * diff).mean()
 
 
 def test_single_head_attention_matches_manual():

@@ -17,7 +17,7 @@ from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSche
                               toy_profile, train_stage)
 from paravox.pipeline.checkpoint import CheckpointError
 from paravox.pipeline.cli import main as cli_main
-from paravox.pipeline.config import config_with_overrides, paper_profile, profile_by_name
+from paravox.pipeline.config import config_with_overrides, paper_profile
 from paravox.pipeline.data import (CorpusDirError, corpus_items, load_corpus_dir,
                                    reference_pairing, spec_to_doc, write_corpus_dir)
 from paravox.pipeline.evaluate import evaluate, format_report, report_to_json
@@ -70,7 +70,8 @@ def test_adam_minimizes_quadratic():
     p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
     opt = Adam({"p": p})
     for step in range(400):
-        loss = ((p - Tensor(target)) ** 2).sum()
+        d = p - Tensor(target)
+        loss = (d * d).sum()
         (g,) = gradients(loss, [p])
         opt.step({"p": g}, lr=5e-2 / (1 + step / 100))
     np.testing.assert_allclose(p.data, target, atol=1e-3)
@@ -192,10 +193,8 @@ def test_config_capacity_validation():
 
 
 def test_profiles_by_name():
-    assert profile_by_name("toy").name == "toy"
-    assert profile_by_name("paper").name == "paper"
-    with pytest.raises(ConfigError, match="nope"):
-        profile_by_name("nope")
+    assert toy_profile().name == "toy"
+    assert paper_profile().name == "paper"
     # The paper-scale profile is structurally valid even if never run here.
     paper_profile().validate()
 
@@ -482,6 +481,24 @@ def test_infer_rejects_overlong_reference_before_encoding(mini_run):
     pipe.nar.cfg.max_ref_len = short.n_frames
     result = infer(pipe, ids, short, seed=1, max_frames=2)
     assert len(encoded) == 1 and result.metadata["n_frames"] <= 2
+    # Without a refiner, the tokenizer's own frame limit still applies.
+    encoded.clear()
+    pipe.nar = None
+    pipe.tokenizer.cfg.max_frames = short.n_frames - 1
+    with pytest.raises(ValueError, match=f"max_frames={short.n_frames - 1}"):
+        infer(pipe, ids, short, seed=1)
+    assert encoded == []
+
+
+def test_infer_caps_generation_at_refiner_target_limit(mini_run):
+    """The refiner cannot take more frames than its max_target_len, so
+    generation stops there instead of failing in the refiner."""
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    pipe.ar.stop_head.bias.data[:] = -1e4
+    pipe.nar.cfg.max_target_len = 3
+    result = infer(pipe, encode_text(pipe, "ab"), mini_run.items[0].bundle, seed=1)
+    assert result.metadata["n_frames"] == 3 and result.mel.shape[0] == 3
+    assert result.metadata["truncated"] and not result.metadata["terminated"]
 
 
 def test_load_pipeline_missing_checkpoint(tmp_path):

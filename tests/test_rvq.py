@@ -178,34 +178,6 @@ def test_commitment_scales_with_weight():
     assert out["commitment"] == pytest.approx(0.25 * out["recon_mse"])
 
 
-def test_straight_through_identity_gradient():
-    rng = Rng(12)
-    stack = RVQStack.init_random(rng, n_layers=2, codebook_size=8, dim=4)
-    x = Tensor(rng.normal((5, 4), dtype=np.float64), requires_grad=True)
-    q, tokens = stack.quantize_st(x)
-    assert np.allclose(q.data, stack.decode(tokens), atol=1e-6)
-    (q * 2.0).sum().backward()
-    assert np.allclose(x.grad, np.full((5, 4), 2.0))
-
-
-def test_straight_through_fd_mismatch_is_expected():
-    # The quantized value is locally constant in x, so central differences see
-    # zero gradient while the straight-through estimator reports the smooth
-    # surrogate. grad_check must fail here, and that is documented behavior.
-    rng = Rng(13)
-    stack = RVQStack.init_random(rng, n_layers=1, codebook_size=8, dim=4)
-    x = Tensor(rng.normal((3, 4), dtype=np.float64), requires_grad=True)
-    target = rng.normal((3, 4), dtype=np.float64)
-
-    def loss():
-        q, _ = stack.quantize_st(x)
-        d = q - Tensor(target)
-        return (d * d).mean()
-
-    report = grad_check(loss, {"x": x}, tolerance=1e-4)
-    assert not report.passed
-
-
 def test_commitment_path_gradient_passes_fd():
     # Away from Voronoi boundaries the assignment is locally constant, so the
     # gradient of ||x - sg(q(x))||^2 in x is exactly 2(x - q(x)) and finite

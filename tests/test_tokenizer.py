@@ -38,7 +38,6 @@ def test_encode_shapes_and_alignment():
     assert tokens.semantic.shape == (t, 3)
     assert tokens.acoustic.shape == (t, 3)
     assert tokens.n_frames == t
-    assert tokens.top.shape == (t, 2)
     assert cond.shape == (16,)
 
 
