@@ -14,8 +14,6 @@ Run: python3 demos/full_pipeline_roundtrip.py   (~60 s)
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from paravox.frontend import SyntheticSpec, generate_corpus
 from paravox.pipeline.config import (AblationSection, ARSection, FlowSection, ModelSection,
                                      PipelineConfig, TokenizerSection, TrainSchedule)

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, bce_with_logits, concat, cross_entropy, no_grad
-from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_batch
+from .engine import Rng, Tensor, bce_with_logits, cross_entropy, embedding, no_grad
+from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_ids, take_spans
+
+_TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
 
 
 @dataclass
@@ -63,25 +65,6 @@ class ARConfig:
 
 
 @dataclass
-class Assembly:
-    """One assembled input sequence: text, then reference, then target."""
-
-    emb: Tensor
-    n_text: int
-    n_ref: int
-    n_target: int
-
-    @property
-    def total(self) -> int:
-        return self.n_text + self.n_ref + self.n_target
-
-    @property
-    def boundary(self) -> int:
-        """Index of the state that predicts the first target frame."""
-        return self.n_text + self.n_ref - 1
-
-
-@dataclass
 class GenerationResult:
     tokens: np.ndarray          # (T, n_streams, layers_per_stream) int64
     terminated: bool            # stop head fired
@@ -115,7 +98,7 @@ class DualStreamAR(Module):
                       for l in range(cfg.layers_per_stream)]
         self.stop_head = Linear(d, 1, rng.spawn("stop"), dtype=dtype)
 
-    # ---- assembly -------------------------------------------------------
+    # ---- input ids ----------------------------------------------------------
 
     def _check_tokens(self, tokens: np.ndarray, what: str) -> np.ndarray:
         cfg = self.cfg
@@ -129,24 +112,23 @@ class DualStreamAR(Module):
                 raise ValueError(f"{what} {name} tokens out of range [0, {k})")
         return tokens
 
-    def _frame_embeddings(self, tokens: np.ndarray, pos_offset: int = 0) -> Tensor:
-        cfg = self.cfg
+    def _frame_ids(self, tokens: np.ndarray, pos_offset: int = 0) -> np.ndarray:
+        """Id rows of (T, n_streams, layers) frames: speech position from
+        `pos_offset` on, then one token per stream and layer."""
         t = tokens.shape[0]
-        if pos_offset + t > cfg.max_speech_len:
-            raise ValueError(f"speech length {pos_offset + t} exceeds max_speech_len={cfg.max_speech_len}")
-        out = self.speech_pos(np.arange(pos_offset, pos_offset + t))
-        for s in range(cfg.n_streams):
-            for l in range(cfg.layers_per_stream):
-                out = out + self.token_embs[s * cfg.layers_per_stream + l](tokens[:, s, l])
-        return out
+        if pos_offset + t > self.cfg.max_speech_len:
+            raise ValueError(f"speech length {pos_offset + t} exceeds max_speech_len={self.cfg.max_speech_len}")
+        ids = np.full((t, _TOKEN_COL + len(self.token_embs)), -1, dtype=np.int64)
+        ids[:, _TOKEN_COL - 1] = np.arange(pos_offset, pos_offset + t)
+        ids[:, _TOKEN_COL:] = tokens.reshape(t, len(self.token_embs))
+        return ids
 
-    def assemble(self, text_ids: np.ndarray, ref_tokens: np.ndarray,
-                 tgt_tokens: np.ndarray | None = None) -> Assembly:
-        """Text embeddings, then reference frames, then target frames.
-
-        Reference and target use one continuous run of speech positions;
-        an empty reference (zero frames) is allowed for unconditional
-        generation.
+    def input_ids(self, text_ids: np.ndarray, ref_tokens: np.ndarray,
+                  tgt_tokens: np.ndarray | None = None) -> np.ndarray:
+        """(n_text + n_ref + n_target, n_tables) id grid for `forward_states`:
+        text rows (id, text position), then reference and target frames
+        on one continuous run of speech positions; -1 marks every other
+        table. An empty reference is allowed for unconditional generation.
         """
         cfg = self.cfg
         text_ids = np.asarray(text_ids, dtype=np.int64)
@@ -156,30 +138,29 @@ class DualStreamAR(Module):
             raise ValueError(f"text length {text_ids.size} exceeds max_text_len={cfg.max_text_len}")
         if text_ids.min() < 0 or text_ids.max() >= cfg.text_vocab:
             raise ValueError(f"text ids out of range [0, {cfg.text_vocab})")
-        ref = self._check_tokens(ref_tokens, "reference") if np.asarray(ref_tokens).size \
+        frames = self._check_tokens(ref_tokens, "reference") if np.asarray(ref_tokens).size \
             else np.zeros((0, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64)
-        parts = [self.text_emb(text_ids) + self.text_pos(np.arange(text_ids.size))]
-        if ref.shape[0]:
-            parts.append(self._frame_embeddings(ref))
-        n_target = 0
         if tgt_tokens is not None and np.asarray(tgt_tokens).size:
-            tgt = self._check_tokens(tgt_tokens, "target")
-            n_target = tgt.shape[0]
-            parts.append(self._frame_embeddings(tgt, pos_offset=ref.shape[0]))
-        emb = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-        return Assembly(emb=emb, n_text=text_ids.size, n_ref=ref.shape[0], n_target=n_target)
+            frames = np.concatenate([frames, self._check_tokens(tgt_tokens, "target")])
+        text = np.full((text_ids.size, _TOKEN_COL + len(self.token_embs)), -1, dtype=np.int64)
+        text[:, 0] = text_ids
+        text[:, 1] = np.arange(text_ids.size)
+        return np.concatenate([text, self._frame_ids(frames)])
 
     # ---- trunk ------------------------------------------------------------
 
-    def forward_states(self, emb: Tensor, mask: np.ndarray | None = None,
+    def forward_states(self, ids: np.ndarray, mask: np.ndarray | None = None,
                        cache: list[KVCache] | None = None) -> Tensor:
-        """Run the causal trunk; emb is (L, D) or (B, L, D).
+        """Embed an (L, n_tables) or (B, L, n_tables) id grid (see
+        `input_ids`) and run the causal trunk over it.
 
-        With `cache` (one `KVCache` per block, see `new_cache`), `emb`
+        With `cache` (one `KVCache` per block, see `new_cache`), `ids`
         holds only the positions after those already cached: the
         prompt at prefill, one frame per decode step. Their states come
         back; earlier keys and values are read from the cache.
         """
+        tables = [self.text_emb.weight, self.text_pos.weight, self.speech_pos.weight]
+        emb = embedding(tables + [e.weight for e in self.token_embs], ids)
         t = emb.shape[-2]
         if mask is None and t > 1:
             # Causal rows [n - t, n) over the n positions the queries see;
@@ -191,9 +172,9 @@ class DualStreamAR(Module):
             h = block(h, mask=mask, cache=None if cache is None else cache[i])
         return self.ln_f(h)
 
-    def new_cache(self, capacity: int, dtype) -> list[KVCache]:
+    def new_cache(self, capacity: int) -> list[KVCache]:
         """Empty key/value buffers for `capacity` positions, one per block."""
-        return [KVCache(b.attn.n_heads, b.attn.head_dim, capacity, dtype) for b in self.blocks]
+        return [KVCache(b.attn.n_heads, b.attn.head_dim, capacity, self.text_emb.weight.dtype) for b in self.blocks]
 
     def _head_logits(self, states: Tensor, s: int, l: int) -> Tensor:
         cfg = self.cfg
@@ -202,16 +183,6 @@ class DualStreamAR(Module):
         return self.heads[s * cfg.layers_per_stream + l](sl)
 
     # ---- batched training path ---------------------------------------------
-
-    def batch_states(self, assemblies: list[Assembly]) -> Tensor:
-        """Pad a batch of assemblies and run the trunk once.
-
-        Returns states (B, Lmax, D). Padded positions are blocked as
-        attention targets and must be excluded from losses.
-        """
-        emb, _, pad = pad_batch([a.emb for a in assemblies])
-        mask = causal_mask(emb.shape[1], dtype=pad.dtype)[None, None] + pad
-        return self.forward_states(emb, mask=mask)
 
     def teacher_forced_batch(self, batch: list[tuple]):
         """Flatten teacher-forced logits over a batch.
@@ -223,33 +194,32 @@ class DualStreamAR(Module):
         target frame t. An utterance of T target frames contributes
         T + 1 stop logits, one per state from the prompt boundary
         through its last frame, labelled 1 only at that last state.
+        The rows' id grids are padded with -1 and run through the trunk
+        once; padded positions are blocked as attention targets.
         """
         cfg = self.cfg
-        assemblies, targets = [], []
+        rows, targets = [], []
         for text_ids, ref_tokens, tgt_tokens in batch:
             tgt = self._check_tokens(tgt_tokens, "target")
             if tgt.shape[0] == 0:
                 raise ValueError("teacher forcing needs at least one target frame")
-            assemblies.append(self.assemble(text_ids, ref_tokens, tgt))
+            rows.append(self.input_ids(text_ids, ref_tokens, tgt))
             targets.append(tgt)
-        states = self.batch_states(assemblies)
-        pred_rows, stop_rows, stop_labels = [], [], []
-        for i, (asm, tgt) in enumerate(zip(assemblies, targets)):
-            b, t = asm.boundary, asm.n_target
-            pred_rows.append(states[i, b:b + t])
-            stop_rows.append(states[i, b:b + t + 1])
-            lab = np.zeros(t + 1, dtype=np.float64)
-            lab[-1] = 1.0
-            stop_labels.append(lab)
-        pred = concat(pred_rows, axis=0)
-        stops = concat(stop_rows, axis=0)
+        ids, lengths, pad = pad_ids(rows, self.text_emb.weight.dtype)
+        states = self.forward_states(ids, mask=causal_mask(ids.shape[1], dtype=pad.dtype)[None, None] + pad)
+        n_target = np.array([tgt.shape[0] for tgt in targets])
+        starts = lengths - n_target - 1   # the state that predicts each first target frame
+        pred = take_spans(states, starts, n_target)
+        stops = take_spans(states, starts, n_target + 1)
+        stop_labels = np.zeros(stops.shape[0], dtype=np.float64)
+        stop_labels[np.cumsum(n_target + 1) - 1] = 1.0
         stream_logits = [[self._head_logits(pred, s, l) for l in range(cfg.layers_per_stream)]
                          for s in range(cfg.n_streams)]
         stream_targets = [[np.concatenate([tgt[:, s, l] for tgt in targets])
                            for l in range(cfg.layers_per_stream)]
                           for s in range(cfg.n_streams)]
         stop_logits = self.stop_head(stops).reshape(-1)
-        return stream_logits, stream_targets, stop_logits, np.concatenate(stop_labels)
+        return stream_logits, stream_targets, stop_logits, stop_labels
 
     def ar_loss(self, stream_logits, stream_targets, stop_logits, stop_labels) -> dict:
         """Per-stream cross-entropies plus the stop BCE.
@@ -311,6 +281,19 @@ class DualStreamAR(Module):
         j = int(np.searchsorted(np.cumsum(p), u, side="right"))
         return int(keep[min(j, k - 1)])
 
+    def _sampling(self, top_k: int | None, temperature: float | None,
+                  max_frames: int | None) -> tuple[int, float]:
+        """Check `generate`'s sampling arguments; return top_k and temperature, defaulted."""
+        top_k = self.cfg.top_k if top_k is None else top_k
+        temperature = self.cfg.temperature if temperature is None else temperature
+        if top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
+        if temperature <= 0:
+            raise ValueError(f"temperature must be > 0, got {temperature}")
+        if max_frames is not None and max_frames < 0:
+            raise ValueError(f"max_frames must be >= 0, got {max_frames}")
+        return top_k, temperature
+
     def generate(self, text_ids, ref_tokens, rng: Rng | None = None, seed: int = 0,
                  top_k: int | None = None, temperature: float | None = None,
                  max_frames: int | None = None) -> GenerationResult:
@@ -318,8 +301,8 @@ class DualStreamAR(Module):
 
         The trunk runs once over the prompt (text, then reference) and
         keeps every block's keys and values in buffers sized for the
-        prompt plus the frame limit. Each sampled frame is then embedded
-        alone at its speech position and run through the trunk as one
+        prompt plus the frame limit. Each sampled frame's tokens go into
+        its preallocated id row, which runs through the trunk as one
         position against those cached keys and values. After the prompt
         and after every frame, P(stop) is checked at the last state
         first (so a saturated stop head yields an empty, terminated
@@ -332,21 +315,16 @@ class DualStreamAR(Module):
         """
         cfg = self.cfg
         rng = rng or Rng(seed)
-        top_k = cfg.top_k if top_k is None else top_k
-        temperature = cfg.temperature if temperature is None else temperature
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
-        if temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {temperature}")
-        if max_frames is not None and max_frames < 0:
-            raise ValueError(f"max_frames must be >= 0, got {max_frames}")
+        top_k, temperature = self._sampling(top_k, temperature, max_frames)
         with no_grad():
-            asm = self.assemble(text_ids, ref_tokens)
-            free = cfg.max_speech_len - asm.n_ref
+            prompt = self.input_ids(text_ids, ref_tokens)
+            n_ref = prompt.shape[0] - np.size(text_ids)
+            free = cfg.max_speech_len - n_ref
             limit = free if max_frames is None else min(max_frames, free)
-            cache = self.new_cache(asm.total + limit, asm.emb.dtype)
-            states = self.forward_states(asm.emb, cache=cache)
-            frames = np.empty((limit, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64)
+            cache = self.new_cache(prompt.shape[0] + limit)
+            steps = self._frame_ids(np.zeros((limit, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64),
+                                    pos_offset=n_ref)
+            states = self.forward_states(prompt, cache=cache)
             n = 0
             terminated = truncated = False
             while True:
@@ -361,8 +339,9 @@ class DualStreamAR(Module):
                 for s in range(cfg.n_streams):
                     for l in range(cfg.layers_per_stream):
                         logits = self._head_logits(last, s, l).data.reshape(-1)
-                        frames[n, s, l] = self._sample_head(logits, top_k, temperature, rng)
-                emb = self._frame_embeddings(frames[n:n + 1], pos_offset=asm.n_ref + n)
-                states = self.forward_states(emb, cache=cache)
+                        steps[n, _TOKEN_COL + s * cfg.layers_per_stream + l] = \
+                            self._sample_head(logits, top_k, temperature, rng)
+                states = self.forward_states(steps[n:n + 1], cache=cache)
                 n += 1
-        return GenerationResult(tokens=frames[:n], terminated=terminated, truncated=truncated)
+        tokens = steps[:n, _TOKEN_COL:].reshape(n, cfg.n_streams, cfg.layers_per_stream)
+        return GenerationResult(tokens=tokens, terminated=terminated, truncated=truncated)

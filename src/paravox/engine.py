@@ -359,19 +359,39 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor._make(data, tuple(tensors), grad_fn)
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather `table[ids]`; backward scatter-adds into the table."""
+def embedding(tables: list[Tensor], ids: np.ndarray) -> Tensor:
+    """Summed row lookups from several (n_k, D) tables, one tape node.
+
+    `ids` (..., K) holds one column per table; output row [...] is the
+    sum of `tables[k][ids[..., k]]` in k order. An id of -1 adds nothing,
+    so a row of -1s is a zero (padding) row.
+    """
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(f"embedding ids out of range [0, {table.data.shape[0]}): min={ids.min()}, max={ids.max()}")
-    data = table.data[ids]
+    if ids.ndim == 0 or ids.shape[-1] != len(tables):
+        raise ShapeError(f"embedding ids {ids.shape} need one last-axis column per table ({len(tables)})")
+    flat = ids.reshape(-1, len(tables))
+    if flat.size and flat.min() < -1:
+        raise IndexError(f"embedding ids must be >= -1, got {flat.min()}")
+    valid = flat >= 0
+    # The rows each table adds to: all of them, a boolean mask, or none.
+    # Row gathers raise IndexError for an id past the table's end.
+    picks = [slice(None) if c == flat.shape[0] else valid[:, k] if c else None
+             for k, c in enumerate(valid.sum(axis=0).tolist())]
+    dim = tables[0].data.shape[1]
+    out = np.zeros((flat.shape[0], dim), dtype=tables[0].data.dtype)
+    for k, (t, rows) in enumerate(zip(tables, picks)):
+        if rows is not None:
+            out[rows] += t.data.take(flat[rows, k], axis=0)
 
     def grad_fn(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        table._accumulate(full)
+        g2 = g.reshape(-1, dim)
+        for k, (t, rows) in enumerate(zip(tables, picks)):
+            if t.requires_grad and rows is not None:
+                full = np.zeros_like(t.data)
+                np.add.at(full, flat[rows, k], g2[rows])
+                t._accumulate(full)
 
-    return Tensor._make(data, (table,), grad_fn)
+    return Tensor._make(out.reshape(ids.shape[:-1] + (dim,)), tuple(tables), grad_fn)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -50,6 +50,10 @@ class SolverConfig:
     n_steps: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+
 
 class VelocityField(Module):
     """Frame-local MLP over [x_t, features, speaker, time] -> velocity.
@@ -121,8 +125,6 @@ def sample_mel(field: VelocityField, features: np.ndarray, speaker: np.ndarray,
     seed always yields the same output for fixed inputs.
     """
     solver = solver or SolverConfig()
-    if solver.n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {solver.n_steps}")
     rng = rng or Rng(solver.seed)
     features = np.asarray(features)
     t_frames = features.shape[0]

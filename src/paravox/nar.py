@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, concat, cross_entropy, no_grad
-from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_batch
+from .engine import Rng, Tensor, cross_entropy, embedding, no_grad
+from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_ids, take_spans
+
+_TOKEN_COL = 3  # input-id column of the first token table, after both positions and the segment
 
 
 @dataclass
@@ -96,20 +98,19 @@ class CoupledStage(Module):
                 raise ValueError(f"{what} {name} tokens out of range [0, {k})")
         return tokens
 
-    def _segment_embedding(self, tokens, embs, n_layers, seg_id, pos_table) -> Tensor:
-        t = tokens.shape[0]
-        out = pos_table(np.arange(t)) + self.segment_emb(np.full(t, seg_id))
-        for s in range(self.cfg.n_streams):
-            for l in range(n_layers):
-                out = out + embs[s * n_layers + l](tokens[:, s, l])
-        return out
-
-    def _assemble(self, ref_tokens, tgt_tokens) -> Tensor:
+    def _input_ids(self, ref_tokens, tgt_tokens) -> np.ndarray:
+        """(R + T, n_tables) id grid of one [reference || target] row: a
+        reference row reads its position, segment 0 and layers 1..s+1, a
+        target row its position, segment 1 and layers 1..s; -1 elsewhere."""
         ref = self._check(ref_tokens, "reference", self.n_ref_in, self.cfg.max_ref_len)
         tgt = self._check(tgt_tokens, "target", self.n_tgt_in, self.cfg.max_target_len)
-        ref_e = self._segment_embedding(ref, self.ref_embs, self.n_ref_in, 0, self.ref_pos)
-        tgt_e = self._segment_embedding(tgt, self.tgt_embs, self.n_tgt_in, 1, self.tgt_pos)
-        return concat([ref_e, tgt_e], axis=0)
+        r, t = ref.shape[0], tgt.shape[0]
+        tgt_col = _TOKEN_COL + len(self.ref_embs)
+        ids = np.full((r + t, tgt_col + len(self.tgt_embs)), -1, dtype=np.int64)
+        # Per segment: position, segment id, tokens.
+        ids[:r, 0], ids[:r, 2], ids[:r, _TOKEN_COL:tgt_col] = np.arange(r), 0, ref[:, :, :self.n_ref_in].reshape(r, -1)
+        ids[r:, 1], ids[r:, 2], ids[r:, tgt_col:] = np.arange(t), 1, tgt[:, :, :self.n_tgt_in].reshape(t, -1)
+        return ids
 
     # ---- forward ------------------------------------------------------------
 
@@ -128,15 +129,14 @@ class CoupledStage(Module):
         [reference || target] row; padded positions are masked out of
         attention and dropped from the output.
         """
-        h, lengths, mask = pad_batch([self._assemble(r, t) for r, t in batch])
+        tables = [self.ref_pos.weight, self.tgt_pos.weight, self.segment_emb.weight]
+        tables += [e.weight for e in self.ref_embs + self.tgt_embs]
+        ids, lengths, mask = pad_ids([self._input_ids(r, t) for r, t in batch], tables[0].dtype)
+        h = embedding(tables, ids)
         for block in self.blocks:
             h = block(h, mask=mask)
-        states = self.ln_f(h)
-        pieces = []
-        for i, (ref_tokens, tgt_tokens) in enumerate(batch):
-            n_ref = np.asarray(ref_tokens).shape[0]
-            pieces.append(states[i, n_ref:lengths[i]])
-        return self.classifier(concat(pieces, axis=0))
+        n_ref = np.array([np.asarray(r).shape[0] for r, _ in batch])
+        return self.classifier(take_spans(self.ln_f(h), n_ref, lengths - n_ref))
 
     def stage_loss(self, batch: list[tuple]) -> Tensor:
         """Mean per-decision cross-entropy for this stage's layer.
@@ -146,23 +146,27 @@ class CoupledStage(Module):
         the input embeddings never see.
         """
         logits = self.batch_logits(batch)
+        lab = self._labels(batch)      # (N, n_streams)
+        slices = self.stream_slices(logits)
+        ces = [cross_entropy(slices[s], lab[:, s]) for s in range(self.cfg.n_streams)]
+        return sum(ces[1:], ces[0]) * (1.0 / len(ces))
+
+    def _labels(self, batch: list[tuple]) -> np.ndarray:
+        """(N, n_streams) layer `layer_index` tokens of every target position."""
         labels = []
         for _, tgt_tokens in batch:
             tgt = np.asarray(tgt_tokens, dtype=np.int64)
             if tgt.shape[2] <= self.layer_index:
                 raise ValueError(f"targets need layer {self.layer_index} labels, got {tgt.shape}")
             labels.append(tgt[:, :, self.layer_index])
-        lab = np.concatenate(labels, axis=0)      # (N, n_streams)
-        slices = self.stream_slices(logits)
-        ces = [cross_entropy(slices[s], lab[:, s]) for s in range(self.cfg.n_streams)]
-        return sum(ces[1:], ces[0]) * (1.0 / len(ces))
+        return np.concatenate(labels, axis=0)
 
-    def predict(self, ref_tokens, tgt_tokens) -> np.ndarray:
-        """(T, n_streams) argmax tokens for the predicted layer."""
+    def predict(self, batch: list[tuple]) -> np.ndarray:
+        """(N, n_streams) argmax tokens for the predicted layer, one row
+        per `batch_logits` row."""
         with no_grad():
-            logits = self.batch_logits([(ref_tokens, tgt_tokens)])
-            slices = self.stream_slices(logits)
-            return np.stack([s.data.argmax(axis=-1) for s in slices], axis=1).astype(np.int64)
+            slices = self.stream_slices(self.batch_logits(batch))
+        return np.stack([s.data.argmax(axis=-1) for s in slices], axis=1).astype(np.int64)
 
 
 class CoupledNAR(Module):
@@ -189,7 +193,7 @@ class CoupledNAR(Module):
             raise ValueError(f"top tokens must be (T, {self.cfg.n_streams}), got {top.shape}")
         grid = top[:, :, None]
         for stage in self.stages:
-            nxt = stage.predict(ref_tokens, grid)
+            nxt = stage.predict([(ref_tokens, grid)])
             grid = np.concatenate([grid, nxt[:, :, None]], axis=2)
         return grid
 
@@ -213,18 +217,12 @@ class CoupledNAR(Module):
 
     def stage_scores(self, batch: list[tuple]) -> tuple[dict[str, float], dict[str, float]]:
         """Per-stage token accuracy and frame exact match (every stream of
-        a frame right), from one `predict` per stage and pair."""
+        a frame right), from one `predict` per stage and eight pairs."""
         tokens, frames = {}, {}
         for stage in self.stages:
-            token_hits = frame_hits = n_tokens = n_frames = 0
-            for ref_tokens, tgt_tokens in batch:
-                tgt = np.asarray(tgt_tokens, dtype=np.int64)
-                right = stage.predict(ref_tokens, tgt) == tgt[:, :, stage.layer_index]
-                token_hits += int(right.sum())
-                frame_hits += int(right.all(axis=1).sum())
-                n_tokens += right.size
-                n_frames += right.shape[0]
+            right = np.concatenate([stage.predict(batch[lo:lo + 8]) == stage._labels(batch[lo:lo + 8])
+                                    for lo in range(0, len(batch), 8)])
             key = f"layer{stage.layer_index + 1}"
-            tokens[key] = token_hits / n_tokens
-            frames[key] = frame_hits / n_frames
+            tokens[key] = int(right.sum()) / right.size
+            frames[key] = int(right.all(axis=1).sum()) / right.shape[0]
         return tokens, frames

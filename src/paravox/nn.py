@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Rng, Tensor, attention, concat, embedding, gelu, layer_norm, linear
+from .engine import Rng, Tensor, attention, concat, gelu, layer_norm, linear
 
 NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
 
@@ -70,9 +70,6 @@ class Linear(Module):
 class Embedding(Module):
     def __init__(self, n_rows: int, dim: int, rng: Rng, scale: float = 0.05, dtype=None):
         self.weight = Tensor(rng.normal((n_rows, dim), scale=scale, dtype=dtype), requires_grad=True)
-
-    def __call__(self, ids: np.ndarray) -> Tensor:
-        return embedding(self.weight, ids)
 
 
 class LayerNorm(Module):
@@ -190,20 +187,21 @@ def padding_mask(lengths: np.ndarray, t: int, dtype=np.float32) -> np.ndarray:
     return np.where(cols, NEG_MASK, 0.0).astype(dtype)[:, None, None, :]
 
 
-def pad_batch(rows: list[Tensor]) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Stack (T_i, D) rows into one zero-padded (B, T_max, D) batch.
-
-    Returns the batch, the row lengths, and their (B, 1, 1, T_max)
-    `padding_mask` in the rows' dtype (float64 stays float64, anything
-    else gets float32). Padded positions carry no gradient back.
+def pad_ids(rows: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack (T_i, K) id grids into one (B, T_max, K) batch padded with -1
+    (zero rows under `engine.embedding`). Returns the batch, the row
+    lengths, and their (B, 1, 1, T_max) `padding_mask` in `dtype`.
     """
     lengths = np.array([r.shape[0] for r in rows])
-    l_max = int(lengths.max())
-    padded = []
-    for r in rows:
-        e = r.reshape(1, r.shape[0], -1)
-        if r.shape[0] < l_max:
-            e = concat([e, Tensor(np.zeros((1, l_max - r.shape[0], e.shape[-1]), dtype=r.dtype))], axis=1)
-        padded.append(e)
-    dtype = np.float64 if rows[0].dtype == np.float64 else np.float32
-    return concat(padded, axis=0), lengths, padding_mask(lengths, l_max, dtype=dtype)
+    out = np.full((len(rows), int(lengths.max()), rows[0].shape[1]), -1, dtype=np.int64)
+    for i, r in enumerate(rows):
+        out[i, :r.shape[0]] = r
+    return out, lengths, padding_mask(lengths, out.shape[1], dtype=dtype)
+
+
+def take_spans(x: Tensor, starts: np.ndarray, lengths: np.ndarray) -> Tensor:
+    """Rows x[i, starts[i]:starts[i] + lengths[i]] of a (B, T, D) batch,
+    concatenated in batch order into one (sum(lengths), D) gather node."""
+    rows = np.repeat(np.arange(len(starts)), lengths)
+    cols = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
+    return x[rows, cols]

@@ -90,12 +90,15 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
     `text_ids` must already be framed with the sequence marks (use
     `encode_text` for raw strings). The reference bundle supplies both
     the prompt tokens and the speaker condition. All sampling descends
-    from `seed`. A reference longer than the generator (leaving room for
-    one frame), the refiner or the tokenizer can hold is rejected before
-    any encoding. Generation stops at the refiner's `max_target_len`,
-    which sets `truncated` like the generator's own limits.
+    from `seed`. Text, sampling settings, flow steps and the reference
+    length (against the generator's, refiner's and tokenizer's limits)
+    are checked before any encoding. Generation stops at the refiner's
+    `max_target_len`, which sets `truncated` like the generator's own.
     """
     cfg = pipe.config
+    pipe.ar.input_ids(text_ids, [])
+    top_k, temperature = pipe.ar._sampling(top_k, temperature, max_frames)
+    solver = SolverConfig(n_steps=cfg.flow.default_steps if flow_steps is None else flow_steps, seed=0)
     n_ref, max_speech = ref_bundle.n_frames, pipe.ar.cfg.max_speech_len
     if n_ref > max_speech - 1:
         raise ValueError(f"reference of {n_ref} frames exceeds the generator's limit of "
@@ -106,8 +109,8 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
                              f"max_ref_len={pipe.nar.cfg.max_ref_len}")
         cap = pipe.nar.cfg.max_target_len
         max_frames = cap if max_frames is None else min(max_frames, cap)
-    if n_ref > pipe.tokenizer.cfg.max_frames:
-        raise ValueError(f"reference of {n_ref} frames exceeds the tokenizer's "
+    if not 1 <= n_ref <= pipe.tokenizer.cfg.max_frames:
+        raise ValueError(f"reference of {n_ref} frames is outside the tokenizer's range of 1 to "
                          f"max_frames={pipe.tokenizer.cfg.max_frames}")
     rng = Rng(seed)
     if not cfg.ablation.parallel_streams:
@@ -128,9 +131,9 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
         "n_frames": int(n_frames),
         "terminated": bool(gen.terminated),
         "truncated": bool(gen.truncated),
-        "top_k": int(top_k if top_k is not None else pipe.ar.cfg.top_k),
-        "temperature": float(temperature if temperature is not None else pipe.ar.cfg.temperature),
-        "flow_steps": int(flow_steps if flow_steps is not None else cfg.flow.default_steps),
+        "top_k": int(top_k),
+        "temperature": float(temperature),
+        "flow_steps": int(solver.n_steps),
     }
     if n_frames == 0:
         mel = np.zeros((0, cfg.data.mel_bins), dtype=np.float32)
@@ -145,7 +148,6 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
     else:
         tokens = None
         features = pipe.tokenizer.decode_tokens({"merged": grid[:, 0, :]})
-    solver = SolverConfig(n_steps=metadata["flow_steps"], seed=0)
     mel = sample_mel(pipe.flow, features, cond, solver, rng.spawn("flow"))
     return InferenceResult(tokens=tokens, mel=mel, metadata=metadata)
 

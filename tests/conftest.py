@@ -40,7 +40,7 @@ def pytest_terminal_summary(terminalreporter):
 from paravox.pipeline.config import (ARSection, FlowSection, ModelSection,
                                      PipelineConfig, TokenizerSection, TrainSchedule)
 from paravox.pipeline.config import AblationSection
-from paravox.pipeline.data import corpus_items, spec_to_doc, write_corpus_dir
+from paravox.pipeline.data import corpus_items, spec_to_doc
 from paravox.pipeline.train import CHECKPOINT_NAMES, STAGES
 
 

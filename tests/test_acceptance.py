@@ -5,7 +5,6 @@ form `[criterion NN] PASS/FAIL <details>`. Thresholds and budgets are
 part of the contract; nothing here is tuned per-run.
 """
 
-import json
 import math
 import time
 
@@ -236,9 +235,8 @@ def test_criterion_05_dual_stream_alignment():
         terminated = False
         with no_grad():
             for _ in range(11):
-                asm = model.assemble(text, ref, frames if frames.shape[0] else None)
-                states = model.forward_states(asm.emb)
-                last = states[asm.total - 1:asm.total]
+                states = model.forward_states(model.input_ids(text, ref, frames if frames.shape[0] else None))
+                last = states[-1:]
                 if float(model.stop_head(last).sigmoid().data.reshape(())) > 0.5:
                     terminated = True
                     break

@@ -44,13 +44,18 @@ def test_assembly_layout():
     cfg = tiny_config()
     model = DualStreamAR(cfg, Rng(0))
     text, ref, tgt = random_example(Rng(1), cfg)
-    asm = model.assemble(text, ref, tgt)
-    assert asm.total == 4 + 3 + 5
-    assert asm.boundary == 4 + 3 - 1
-    assert asm.emb.shape == (12, cfg.model_dim)
-    # Empty reference is allowed; boundary falls on the last text state.
-    asm0 = model.assemble(text, np.zeros((0, 2, 1), dtype=np.int64), tgt)
-    assert asm0.n_ref == 0 and asm0.boundary == 3
+    ids = model.input_ids(text, ref, tgt)
+    # Columns: text id, text position, speech position, one per token table.
+    assert ids.shape == (4 + 3 + 5, 3 + 2)
+    assert np.array_equal(ids[:4, 0], text) and np.array_equal(ids[:4, 1], np.arange(4))
+    assert np.all(ids[:4, 2:] == -1) and np.all(ids[4:, :2] == -1)
+    # Reference and target share one continuous run of speech positions.
+    assert np.array_equal(ids[4:, 2], np.arange(3 + 5))
+    assert np.array_equal(ids[4:, 3:], np.concatenate([ref, tgt]).reshape(8, 2))
+    assert model.forward_states(ids).shape == (12, cfg.model_dim)
+    # Empty reference is allowed; the target then starts at speech position 0.
+    ids0 = model.input_ids(text, np.zeros((0, 2, 1), dtype=np.int64), tgt)
+    assert ids0.shape[0] == 4 + 5 and np.array_equal(ids0[4:, 2], np.arange(5))
 
 
 def test_assembly_validation():
@@ -58,16 +63,16 @@ def test_assembly_validation():
     model = DualStreamAR(cfg, Rng(0))
     text, ref, tgt = random_example(Rng(1), cfg)
     with pytest.raises(ValueError, match="text ids"):
-        model.assemble(np.array([0, cfg.text_vocab]), ref, tgt)
+        model.input_ids(np.array([0, cfg.text_vocab]), ref, tgt)
     with pytest.raises(ValueError, match="max_text_len"):
-        model.assemble(np.zeros(17, dtype=np.int64), ref, tgt)
+        model.input_ids(np.zeros(17, dtype=np.int64), ref, tgt)
     with pytest.raises(ValueError, match="out of range"):
         bad = tgt.copy()
         bad[0, 0, 0] = 8
-        model.assemble(text, ref, bad)
+        model.input_ids(text, ref, bad)
     with pytest.raises(ValueError, match="max_speech_len"):
         long = np.zeros((49, 2, 1), dtype=np.int64)
-        model.assemble(text, ref, long)
+        model.input_ids(text, ref, long)
 
 
 def test_teacher_forced_shapes():
@@ -89,7 +94,7 @@ def test_causality_is_exact():
     for _ in range(10):
         text, ref, tgt = random_example(rng, cfg, n_tgt=6)
         with no_grad():
-            base = model.forward_states(model.assemble(text, ref, tgt).emb).data
+            base = model.forward_states(model.input_ids(text, ref, tgt)).data
         t_len = tgt.shape[0]
         pos = int(rng.integers(1, t_len))      # frame index to corrupt
         mutated = tgt.copy()
@@ -97,7 +102,7 @@ def test_causality_is_exact():
         mutated[pos, s, 0] = (mutated[pos, s, 0] + 1) % cfg.streams[s][1]
         assert not np.array_equal(mutated, tgt)
         with no_grad():
-            after = model.forward_states(model.assemble(text, ref, mutated).emb).data
+            after = model.forward_states(model.input_ids(text, ref, mutated)).data
         cut = 4 + 3 + pos  # absolute position of the corrupted frame
         assert np.array_equal(base[:cut], after[:cut])
         assert not np.array_equal(base[cut:], after[cut:])
@@ -203,9 +208,8 @@ def test_greedy_matches_stepwise_oracle():
     terminated = False
     with no_grad():
         for _ in range(10 + 1):
-            asm = model.assemble(text, ref, frames if frames.shape[0] else None)
-            states = model.forward_states(asm.emb)
-            last = states[asm.total - 1:asm.total]
+            states = model.forward_states(model.input_ids(text, ref, frames if frames.shape[0] else None))
+            last = states[-1:]
             if float(model.stop_head(last).sigmoid().data.reshape(())) > 0.5:
                 terminated = True
                 break
@@ -280,8 +284,8 @@ def _recompute_generate(model, text, ref, seed, top_k, max_frames):
     terminated = truncated = False
     with no_grad():
         while True:
-            asm = model.assemble(text, ref, frames if frames.shape[0] else None)
-            last = model.forward_states(asm.emb)[asm.total - 1:asm.total]
+            ids = model.input_ids(text, ref, frames if frames.shape[0] else None)
+            last = model.forward_states(ids)[-1:]
             if float(model.stop_head(last).sigmoid().data.reshape(())) > 0.5:
                 terminated = True
                 break
@@ -319,20 +323,20 @@ def test_cached_states_match_full_recompute(variant):
         return [states.data, model.stop_head(states).data] + heads
 
     with no_grad():
-        asm = model.assemble(text, ref)
-        cache = model.new_cache(asm.total + tgt.shape[0], np.float64)
-        got = outputs(model.forward_states(asm.emb, cache=cache))
-        want = outputs(model.forward_states(asm.emb))
+        prompt = model.input_ids(text, ref)
+        cache = model.new_cache(prompt.shape[0] + tgt.shape[0])
+        assert all(c.k.dtype == np.float64 for c in cache)
+        got = outputs(model.forward_states(prompt, cache=cache))
+        want = outputs(model.forward_states(prompt))
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
         for i in range(tgt.shape[0]):
-            emb = model._frame_embeddings(tgt[i:i + 1], pos_offset=n_ref + i)
-            got = outputs(model.forward_states(emb, cache=cache))
-            full = model.forward_states(model.assemble(text, ref, tgt[:i + 1]).emb)
-            want = outputs(full[-1:])
+            ids = model.input_ids(text, ref, tgt[:i + 1])
+            got = outputs(model.forward_states(ids[-1:], cache=cache))
+            want = outputs(model.forward_states(ids)[-1:])
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
-    assert all(c.n == asm.total + tgt.shape[0] for c in cache)
+    assert all(c.n == prompt.shape[0] + tgt.shape[0] for c in cache)
 
 
 def test_sampled_generation_matches_recompute_loop():
@@ -360,9 +364,9 @@ def test_max_frames_beyond_capacity_is_clamped():
     positions = []
     trunk = model.forward_states
 
-    def counting(emb, *args, **kwargs):
-        positions.append(emb.shape[0])
-        return trunk(emb, *args, **kwargs)
+    def counting(ids, *args, **kwargs):
+        positions.append(ids.shape[0])
+        return trunk(ids, *args, **kwargs)
 
     model.forward_states = counting
     out = model.generate(text, ref, seed=0, max_frames=20)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from paravox.engine import (
-    GradCheckReport,
     Rng,
     ShapeError,
     Tensor,
@@ -146,7 +145,7 @@ def test_composite_ops_grad_check():
 
     def loss():
         x = layer_norm(a) * g
-        e = embedding(table, ids)
+        e = embedding([table], ids[:, None])
         merged = concat([x, e], axis=0)
         s = softmax(merged * 1.5)
         return (s * s).sum() + merged.sigmoid().mean() + gelu(merged).sum() * 0.1
@@ -438,6 +437,60 @@ def test_attention_rejects_unpacked_input():
         attention(Tensor(np.zeros((3, 8))), 2)
 
 
+def _embedding_case(rng):
+    """Four f64 tables and a (2, 5, 4) id grid whose columns cover an
+    all-valid column with repeats, mixed -1s, and an all -1 column."""
+    tables = [f64(rng, (n, 3), 0.5) for n in (4, 3, 5, 2)]
+    ids = np.array([
+        [[0, -1, -1, 1], [2, 1, -1, -1], [2, -1, -1, 1], [3, 2, -1, 0], [0, 1, -1, -1]],
+        [[1, -1, -1, -1], [1, 0, -1, 1], [2, 0, -1, 1], [0, -1, -1, 0], [3, 2, -1, 1]],
+    ])
+    return tables, ids
+
+
+def test_embedding_sums_tables_in_column_order():
+    rng = Rng(42)
+    tables, ids = _embedding_case(rng)
+    got = embedding(tables, ids).data
+    assert got.shape == (2, 5, 3)
+    for i, j in np.ndindex(2, 5):
+        want = np.zeros(3)
+        for k, t in enumerate(tables):
+            if ids[i, j, k] >= 0:
+                want = want + t.data[ids[i, j, k]]
+        assert np.array_equal(got[i, j], want)
+    assert np.all(embedding(tables, np.full((2, 4), -1)).data == 0.0)
+
+
+def test_embedding_grad_check_f64():
+    rng = Rng(43)
+    tables, ids = _embedding_case(rng)
+    w = rng.normal((2, 5, 3), dtype=np.float64)
+
+    def loss():
+        e = embedding(tables, ids)
+        return (e * Tensor(w)).sum() + (e * e).sum() * 0.5
+
+    report = grad_check(loss, {f"t{k}": t for k, t in enumerate(tables)}, tolerance=1e-6)
+    assert report.passed, str(report)
+    # The all -1 column reads no row, so its table gets an exact zero gradient.
+    assert np.all(gradients(loss(), tables)[2] == 0.0)
+
+
+def test_embedding_rejects_bad_ids():
+    tables, ids = _embedding_case(Rng(44))
+    # Below -1, and the second table's row count.
+    for bad, match in ((-2, "must be >= -1"), (3, "out of bounds for axis 0 with size 3")):
+        wrong = ids.copy()
+        wrong[1, 2, 1] = bad
+        with pytest.raises(IndexError, match=match):
+            embedding(tables, wrong)
+    with pytest.raises(ShapeError, match="one last-axis column per table"):
+        embedding(tables, ids[..., :3])
+    with pytest.raises(ShapeError, match="one last-axis column per table"):
+        embedding(tables, np.array(0))
+
+
 def test_fused_primitives_are_one_tape_node():
     rng = Rng(41)
     x = f64(rng, (2, 3, 8))
@@ -445,6 +498,7 @@ def test_fused_primitives_are_one_tape_node():
     gamma, beta = f64(rng, (8,)), f64(rng, (8,))
     scores = f64(rng, (2, 2, 3, 3))
     qkv = f64(rng, (2, 3, 24))
+    table = f64(rng, (5, 4))
     mask = _attention_mask(np.array([3, 2]), 3, np.float64)
     cases = [
         (linear(x, w, b), (x, w, b)),
@@ -452,6 +506,7 @@ def test_fused_primitives_are_one_tape_node():
         (layer_norm(x, gamma, beta), (x, gamma, beta)),
         (softmax(scores, scale=0.5, mask=mask), (scores,)),
         (attention(qkv, 2, mask=mask), (qkv,)),
+        (embedding([w, table], np.array([[1, -1], [-1, 2]])), (w, table)),
     ]
     for out, inputs in cases:
         assert out._parents == inputs

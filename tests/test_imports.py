@@ -1,0 +1,44 @@
+"""Every import in src/, tests/ and demos/ is used.
+
+Package `__init__.py` files are exempt: their imports are re-exports.
+A name counts as used when it appears as a name anywhere in the module
+(attribute bases such as `np` in `np.zeros` included) or in `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every imported name the module never uses."""
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    files = [p for top in ("src", "tests", "demos") for p in sorted((ROOT / top).rglob("*.py"))
+             if p.name != "__init__.py"]
+    assert len(files) > 20
+    unused = [f"{p.relative_to(ROOT)}:{line} {name}"
+              for p in files for line, name in _unused_imports(p.read_text())]
+    assert unused == []
+
+
+def test_unused_import_is_found():
+    source = ("from __future__ import annotations\nimport os.path\nimport json\n"
+              "from math import pi, tau as turn\n__all__ = ['pi']\nprint(os.sep)\n")
+    assert _unused_imports(source) == [(3, "json"), (4, "turn")]

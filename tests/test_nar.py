@@ -116,7 +116,7 @@ def test_logit_shapes_and_slices():
     assert logits.shape == (5, 7 + 9)
     sem, ac = stage.stream_slices(logits)
     assert sem.shape == (5, 7) and ac.shape == (5, 9)
-    pred = stage.predict(ref, tgt)
+    pred = stage.predict([(ref, tgt)])
     assert pred.shape == (5, 2)
     assert pred[:, 0].max() < 7 and pred[:, 1].max() < 9
 
@@ -241,14 +241,14 @@ def test_reference_resolves_ambiguity():
             p.data -= (0.5 * g).astype(p.data.dtype)
     hits = total = 0
     for ref, tgt in batch:
-        pred = stage.predict(ref, tgt)
+        pred = stage.predict([(ref, tgt)])
         hits += int((pred == tgt[:, :, 1]).sum())
         total += pred.size
     assert hits / total >= 0.95
     # Swapping in the other style's reference flips the prediction.
     ref1, tgt1 = batch[0]
     ref3, _ = batch[1]
-    swapped = stage.predict(ref3, tgt1)
+    swapped = stage.predict([(ref3, tgt1)])
     assert (swapped == 3).mean() >= 0.75
 
 
@@ -282,3 +282,26 @@ def test_stage_accuracy_reporting():
     assert set(acc) == {"layer2", "layer3"}
     for v in acc.values():
         assert 0.0 <= v <= 1.0
+
+
+def test_stage_scores_match_per_pair_predict_in_chunks_of_eight():
+    """Scores equal one single-pair `predict` per pair, from padded passes
+    of eight pairs."""
+    cfg = tiny_config()
+    model = CoupledNAR(cfg, Rng(29))
+    rng = Rng(30)
+    batch = [(random_grid(rng, cfg, int(rng.integers(1, 6))), random_grid(rng, cfg, int(rng.integers(1, 9))))
+             for _ in range(19)]
+    tokens, frames = {}, {}
+    for stage in model.stages:
+        right = np.concatenate([stage.predict([(r, t)]) == t[:, :, stage.layer_index] for r, t in batch])
+        key = f"layer{stage.layer_index + 1}"
+        tokens[key] = int(right.sum()) / right.size
+        frames[key] = int(right.all(axis=1).sum()) / right.shape[0]
+    rows_per_pass = []
+    for stage in model.stages:
+        predict = stage.predict
+        stage.predict = lambda rows, predict=predict: rows_per_pass.append(len(rows)) or predict(rows)
+    assert model.stage_scores(batch) == (tokens, frames)
+    assert rows_per_pass == [8, 8, 3] * 2
+    assert 0.0 < tokens["layer2"] < 1.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from paravox.engine import Rng, Tensor, grad_check, gradients
+from paravox.engine import Rng, Tensor, concat, embedding, grad_check, gradients
 from paravox.nn import (
     Conv1dSame,
     Embedding,
@@ -14,8 +14,9 @@ from paravox.nn import (
     MultiHeadAttention,
     TransformerBlock,
     causal_mask,
-    pad_batch,
+    pad_ids,
     padding_mask,
+    take_spans,
 )
 
 
@@ -121,23 +122,46 @@ def test_padding_mask_zeroes_attention_to_pads():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pad_batch_shapes_zeros_mask_and_gradient(dtype):
+def test_pad_ids_shapes_fill_mask_and_gradient(dtype):
     rng = Rng(6)
     lengths = [3, 5, 1]
-    rows = [Tensor(rng.normal((n, 4), dtype=dtype), requires_grad=True) for n in lengths]
-    batch, got_lengths, mask = pad_batch(rows)
-    assert batch.shape == (3, 5, 4) and batch.dtype == dtype
+    rows = [rng.integers(0, 7, (n, 2)) for n in lengths]
+    batch, got_lengths, mask = pad_ids(rows, dtype)
+    assert batch.shape == (3, 5, 2) and batch.dtype == np.int64
     assert got_lengths.tolist() == lengths
     for i, (row, n) in enumerate(zip(rows, lengths)):
-        assert np.array_equal(batch.data[i, :n], row.data)
-        assert np.all(batch.data[i, n:] == 0.0)
+        assert np.array_equal(batch[i, :n], row)
+        assert np.all(batch[i, n:] == -1)
     expected = padding_mask(np.array(lengths), 5, dtype=dtype)
     assert mask.dtype == dtype and np.array_equal(mask, expected)
 
+    # Padded positions embed to zero rows and carry no gradient back.
+    tables = [Tensor(rng.normal((7, 4), dtype=dtype), requires_grad=True) for _ in range(2)]
+    emb = embedding(tables, batch)
+    assert emb.shape == (3, 5, 4) and emb.dtype == dtype
     upstream = rng.normal((3, 5, 4), dtype=dtype)
-    grads = gradients((batch * Tensor(upstream)).sum(), rows)
-    for i, (g, n) in enumerate(zip(grads, lengths)):
-        assert np.array_equal(g, upstream[i, :n])
+    live = upstream.copy()
+    for i, n in enumerate(lengths):
+        assert np.all(emb.data[i, n:] == 0.0)
+        live[i, n:] = 0.0
+    got = gradients((emb * Tensor(upstream)).sum(), tables)
+    want = gradients((embedding(tables, batch) * Tensor(live)).sum(), tables)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_take_spans_matches_slice_concat():
+    """One gather node equal to the per-row slices it replaces, gradient too."""
+    rng = Rng(10)
+    x = Tensor(rng.normal((3, 6, 4), dtype=np.float64), requires_grad=True)
+    starts, lengths = np.array([2, 0, 5]), np.array([3, 6, 0])
+    got = take_spans(x, starts, lengths)
+    want = concat([x[i, s:s + n] for i, (s, n) in enumerate(zip(starts, lengths))], axis=0)
+    assert got.shape == (9, 4) and np.array_equal(got.data, want.data)
+    assert _tape_nodes(got) == 1
+    upstream = Tensor(rng.normal((9, 4), dtype=np.float64))
+    assert np.array_equal(gradients((got * upstream).sum(), [x])[0],
+                          gradients((want * upstream).sum(), [x])[0])
 
 
 def test_transformer_block_grad_check():

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import mini_pipeline_config, run_cli
 from paravox.engine import Rng, Tensor, gradients
-from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays
+from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays, load_features, save_features
 from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSchedule,
                               TrainingDiverged, load_checkpoint, save_checkpoint,
                               toy_profile, train_stage)
@@ -488,6 +488,36 @@ def test_infer_rejects_overlong_reference_before_encoding(mini_run):
     with pytest.raises(ValueError, match=f"max_frames={short.n_frames - 1}"):
         infer(pipe, ids, short, seed=1)
     assert encoded == []
+
+
+def test_infer_rejects_bad_arguments_before_encoding(mini_run, tmp_path):
+    """Text, sampling settings, flow steps and an empty reference fail the
+    generator's, the solver's and the reference checks before any encoding."""
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    encoded = []
+    encode = pipe.tokenizer.encode_speech
+    pipe.tokenizer.encode_speech = lambda bundle: encoded.append(bundle) or encode(bundle)
+    short = mini_run.items[0].bundle
+    ids = encode_text(pipe, "ab")
+    # A zero-frame reference survives the feature container round trip.
+    save_features(tmp_path / "empty.npz", dataclasses.replace(short, **{
+        name: getattr(short, name)[:0] for name in ("semantic", "acoustic", "speaker_frames", "mel")}))
+    empty = load_features(tmp_path / "empty.npz")
+    assert empty.n_frames == 0
+    cfg = pipe.ar.cfg
+    cases = [
+        (ids, empty, {}, "reference of 0 frames"),
+        (ids, short, {"flow_steps": 0}, "n_steps must be >= 1"),
+        (np.zeros(cfg.max_text_len + 1, dtype=np.int64), short, {}, "max_text_len"),
+        (np.array([0, cfg.text_vocab]), short, {}, "text ids out of range"),
+        (ids, short, {"top_k": 0}, "top_k must be >= 1"),
+        (ids, short, {"temperature": 0.0}, "temperature must be > 0"),
+        (ids, short, {"max_frames": -1}, "max_frames must be >= 0"),
+    ]
+    for text_ids, ref, kwargs, match in cases:
+        with pytest.raises(ValueError, match=match):
+            infer(pipe, text_ids, ref, seed=1, **kwargs)
+        assert encoded == [], match
 
 
 def test_infer_caps_generation_at_refiner_target_limit(mini_run):
