@@ -33,12 +33,8 @@ def main():
     print(f"overfitting the field to one (features, speaker) -> mel pair, {steps} steps")
     for step in range(steps):
         srng = rng.spawn(("step", step))
-        batch = [cfm_train_loss(field, mel, feats, cond, srng.spawn(("draw", j)))
-                 for j in range(4)]
-        loss = batch[0]
-        for part in batch[1:]:
-            loss = loss + part
-        loss = loss * (1.0 / len(batch))
+        loss = cfm_train_loss(field, [mel] * 4, [feats] * 4, np.stack([cond] * 4),
+                              [srng.spawn(("draw", j)) for j in range(4)])
         opt.step(dict(zip(names, gradients(loss, tensors))),
                  3e-3 * 0.5 * (1 + math.cos(math.pi * step / steps)) + 1e-5)
         if step % 200 == 0 or step == steps - 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Rng, Tensor, bce_with_logits, cross_entropy, embedding, no_grad
-from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_ids, take_spans
+from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_rows, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
 
@@ -205,7 +205,7 @@ class DualStreamAR(Module):
                 raise ValueError("teacher forcing needs at least one target frame")
             rows.append(self.input_ids(text_ids, ref_tokens, tgt))
             targets.append(tgt)
-        ids, lengths, pad = pad_ids(rows, self.text_emb.weight.dtype)
+        ids, lengths, pad = pad_rows(rows, -1, self.text_emb.weight.dtype)
         states = self.forward_states(ids, mask=causal_mask(ids.shape[1], dtype=pad.dtype)[None, None] + pad)
         n_target = np.array([tgt.shape[0] for tgt in targets])
         starts = lengths - n_target - 1   # the state that predicts each first target frame

@@ -101,10 +101,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -331,13 +327,31 @@ class Tensor:
 
     def __getitem__(self, idx):
         data = self.data[idx]
+        twice = _picks_twice(idx, self.data.shape)
 
         def grad_fn(g):
             full = np.zeros_like(self.data)
-            full[idx] += g
+            if twice:
+                np.add.at(full, idx, g)  # every pick of a position adds its gradient
+            else:
+                full[idx] += g
             self._accumulate(full)
 
         return Tensor._make(data, (self,), grad_fn)
+
+
+def _picks_twice(idx, shape) -> bool:
+    """Whether `idx` can pick an element of `shape` twice: only integer arrays
+    can, and beside an Ellipsis, a new axis or a boolean mask they are assumed to."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    arrays = [np.asarray(p) for p in parts if isinstance(p, (list, np.ndarray))]
+    if not arrays:
+        return False
+    if any(p is None or p is Ellipsis for p in parts) or any(a.dtype.kind not in "iu" for a in arrays):
+        return True
+    dims = [n for p, n in zip(parts, shape) if isinstance(p, (list, np.ndarray))]
+    flat = np.ravel_multi_index(np.broadcast_arrays(*arrays), dims, mode="wrap")
+    return np.unique(flat).size < flat.size
 
 
 # ---- free functions -----------------------------------------------------

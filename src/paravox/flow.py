@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, concat, gelu, no_grad
+from .engine import Rng, Tensor, concat, embedding, gelu, no_grad
 from .nn import Linear, Module
 
 
@@ -38,11 +38,11 @@ class FlowConfig:
             raise ValueError("FlowConfig.time_feat_dim must be even (sin/cos pairs)")
 
 
-def time_features(t: float, dim: int, dtype=np.float32) -> np.ndarray:
-    """Fourier features of scalar time: [sin(2^k pi t), cos(2^k pi t)]."""
+def time_features(t, dim: int, dtype=np.float32) -> np.ndarray:
+    """Fourier features [sin(2^k pi t), cos(2^k pi t)] of a time, or one row per time of an array."""
     k = np.arange(dim // 2, dtype=np.float64)
-    angles = (2.0 ** k) * np.pi * float(t)
-    return np.concatenate([np.sin(angles), np.cos(angles)]).astype(dtype)
+    angles = (2.0 ** k) * np.pi * np.asarray(t, dtype=np.float64)[..., None]
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1).astype(dtype)
 
 
 @dataclass
@@ -80,41 +80,42 @@ class VelocityField(Module):
         self.layers = [Linear(dims[i], dims[i + 1], rng.spawn(("fc", i)), dtype=dtype)
                        for i in range(len(dims) - 1)]
 
-    def __call__(self, x_t: Tensor, features: Tensor, speaker: Tensor, t: float) -> Tensor:
-        n_frames = x_t.shape[0]
-        dtype = x_t.dtype
-        tf = np.broadcast_to(time_features(t, self.cfg.time_feat_dim, dtype), (n_frames, self.cfg.time_feat_dim))
-        spk = speaker if speaker.ndim == 2 else speaker.reshape(1, -1)
-        if spk.shape[0] == 1 and n_frames > 1:
-            spk = concat([spk] * n_frames, axis=0)
-        h = concat([x_t, features, spk, Tensor(tf.copy())], axis=1)
+    def __call__(self, x_t: Tensor, features: Tensor, speaker: Tensor, t: np.ndarray) -> Tensor:
+        """Velocity at each of the rows of `x_t`. `features` and `speaker`
+        hold one row per frame; the times `t`, (1,) or one per row,
+        broadcast to the rows."""
+        tf = np.broadcast_to(time_features(t, self.cfg.time_feat_dim, x_t.dtype), (x_t.shape[0], self.cfg.time_feat_dim))
+        h = concat([x_t, features, speaker, Tensor(tf)], axis=1)
         for layer in self.layers[:-1]:
             h = gelu(layer(h))
         endpoint = self.layers[-1](h)
-        return (endpoint - x_t) * (1.0 / max(1.0 - float(t), self.TIME_EPS))
+        return (endpoint - x_t) * (1.0 / np.maximum(1.0 - t, self.TIME_EPS))[:, None]
 
 
-def cfm_train_loss(field: VelocityField, mel: np.ndarray, features, speaker, rng: Rng,
-                   t: float | None = None, x0: np.ndarray | None = None) -> Tensor:
-    """Flow-matching regression loss for one utterance.
+def cfm_train_loss(field: VelocityField, mels: list, features, speakers, rngs: list,
+                   t=None, x0: list | None = None) -> Tensor:
+    """Flow-matching regression loss over a batch of utterances, in one pass.
 
-    `features` and `speaker` may be Tensors (to train an upstream
-    conditioning encoder jointly) or plain arrays. `t`/`x0` can be
-    pinned for deterministic loss evaluation; by default they are drawn
-    from `rng`. Loss is the mean squared velocity error over all T*M
-    entries, so a field that always predicts (mel - x0) scores zero.
+    Utterance i brings `mels[i]` (T_i, M), `features[i]` (T_i, F) and the
+    speaker row `speakers[i]`; `features` (all rows) and `speakers` may be
+    Tensors, to train an upstream conditioning encoder jointly. Its `t`
+    and then `x0` are drawn from `rngs[i]` unless pinned by `t[i]`/`x0[i]`.
+    The loss is the mean over utterances of each one's mean squared
+    velocity error, so a field that always predicts (mel - x0) scores zero.
     """
-    mel = np.asarray(mel)
-    if t is None:
-        t = float(rng.uniform())
-    if x0 is None:
-        x0 = rng.normal(mel.shape, dtype=mel.dtype)
-    x_t = (1.0 - t) * x0 + t * mel
-    feats = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=mel.dtype))
-    spk = speaker if isinstance(speaker, Tensor) else Tensor(np.asarray(speaker, dtype=mel.dtype))
-    v = field(Tensor(x_t), feats, spk, t)
-    diff = v - Tensor(mel - x0)
-    return (diff * diff).mean()
+    mels = [np.asarray(m) for m in mels]
+    t = [float(r.uniform()) for r in rngs] if t is None else [float(v) for v in t]
+    x0 = [r.normal(m.shape, dtype=m.dtype) for r, m in zip(rngs, mels)] if x0 is None else x0
+    lengths = np.array([m.shape[0] for m in mels])
+    x_t = np.concatenate([(1.0 - ti) * x0i + ti * m for ti, x0i, m in zip(t, x0, mels)])
+    feats = features if isinstance(features, Tensor) else Tensor(np.concatenate(features).astype(x_t.dtype, copy=False))
+    spk = speakers if isinstance(speakers, Tensor) else Tensor(np.asarray(speakers, dtype=x_t.dtype))
+    # One speaker row per frame; the lookup's backward adds each utterance's rows together.
+    spk_rows = embedding([spk], np.repeat(np.arange(len(mels)), lengths)[:, None])
+    diff = field(Tensor(x_t), feats, spk_rows, np.repeat(t, lengths)) - Tensor(
+        np.concatenate([m - x0i for m, x0i in zip(mels, x0)]))
+    weights = np.repeat(1.0 / (len(mels) * lengths * diff.shape[1]), lengths)
+    return (diff * diff * weights[:, None]).sum()
 
 
 def sample_mel(field: VelocityField, features: np.ndarray, speaker: np.ndarray,
@@ -132,10 +133,8 @@ def sample_mel(field: VelocityField, features: np.ndarray, speaker: np.ndarray,
     dt = 1.0 / solver.n_steps
     with no_grad():
         feats = Tensor(features.astype(np.float32, copy=False))
-        # Tiled to one row per frame once, not on every step.
         spk = Tensor(np.repeat(np.asarray(speaker, dtype=np.float32).reshape(1, -1), t_frames, axis=0))
         for i in range(solver.n_steps):
-            t = i * dt
-            v = field(Tensor(x), feats, spk, t)
+            v = field(Tensor(x), feats, spk, np.array([i * dt]))
             x = x + dt * v.data
     return x

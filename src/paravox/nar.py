@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Rng, Tensor, cross_entropy, embedding, no_grad
-from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_ids, take_spans
+from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_rows, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after both positions and the segment
 
@@ -131,7 +131,7 @@ class CoupledStage(Module):
         """
         tables = [self.ref_pos.weight, self.tgt_pos.weight, self.segment_emb.weight]
         tables += [e.weight for e in self.ref_embs + self.tgt_embs]
-        ids, lengths, mask = pad_ids([self._input_ids(r, t) for r, t in batch], tables[0].dtype)
+        ids, lengths, mask = pad_rows([self._input_ids(r, t) for r, t in batch], -1, tables[0].dtype)
         h = embedding(tables, ids)
         for block in self.blocks:
             h = block(h, mask=mask)

@@ -187,13 +187,14 @@ def padding_mask(lengths: np.ndarray, t: int, dtype=np.float32) -> np.ndarray:
     return np.where(cols, NEG_MASK, 0.0).astype(dtype)[:, None, None, :]
 
 
-def pad_ids(rows: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack (T_i, K) id grids into one (B, T_max, K) batch padded with -1
-    (zero rows under `engine.embedding`). Returns the batch, the row
-    lengths, and their (B, 1, 1, T_max) `padding_mask` in `dtype`.
+def pad_rows(rows: list[np.ndarray], fill, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack (T_i, ...) arrays into one (B, T_max, ...) batch padded with
+    `fill`: -1 for id grids (zero rows under `engine.embedding`), 0.0 for
+    frames. Returns the batch, the row lengths, and their
+    (B, 1, 1, T_max) `padding_mask` in `dtype`.
     """
     lengths = np.array([r.shape[0] for r in rows])
-    out = np.full((len(rows), int(lengths.max()), rows[0].shape[1]), -1, dtype=np.int64)
+    out = np.full((len(rows), int(lengths.max())) + rows[0].shape[1:], fill, dtype=rows[0].dtype)
     for i, r in enumerate(rows):
         out[i, :r.shape[0]] = r
     return out, lengths, padding_mask(lengths, out.shape[1], dtype=dtype)

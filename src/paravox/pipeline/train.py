@@ -176,10 +176,6 @@ def _check_finite(stage: str, step: int, terms: dict) -> None:
         raise TrainingDiverged(f"{stage} stage: non-finite loss at step {step}: {bad}")
 
 
-def _mean_loss(parts: list[Tensor]) -> Tensor:
-    return sum(parts[1:], parts[0]) * (1.0 / len(parts))
-
-
 def _progress(stage: str, step: int, total: int, terms: dict, quiet: bool) -> None:
     if quiet or (step % max(1, total // 10) and step != total - 1):
         return
@@ -242,11 +238,8 @@ def train_tokenizer(items: list[CorpusItem], pcfg, quiet: bool = True):
         for name, stack in tok.stacks.items():
             frames = np.concatenate([tok.stream_frames(it.bundle)[name] for it in batch])
             stack.train_step(frames, srng.spawn(("reseed", name)))
-        outs = [tok.tokenizer_loss(it.bundle, scratch, srng.spawn(("cfm", j)))
-                for j, it in enumerate(batch)]
-        terms = {k: float(np.mean([o[k] for o in outs]))
-                 for k in ("L_Sem", "L_Acous", "L_Speaker", "L_Mel", "total")}
-        return _mean_loss([o["grad_loss"] for o in outs]), terms
+        return tok.tokenizer_loss([it.bundle for it in batch], scratch,
+                                  [srng.spawn(("cfm", j)) for j in range(batch_size)])
 
     report = _fit("tokenizer", pcfg, params, step_loss, quiet)
     report.final = tokenizer_metrics(tok, items)
@@ -319,13 +312,12 @@ def train_flow(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: boo
     """Train the checkpointed mel decoder against the frozen tokenizer."""
     field_model = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed))
     feats = [tok.decode_tokens(tok.encode_streams(it.bundle)) for it in items]
-    conds = [tok.speaker_condition(it.bundle.speaker_frames) for it in items]
+    conds = np.stack([tok.speaker_condition(it.bundle.speaker_frames) for it in items])
 
     def step_loss(srng: Rng, batch_size: int):
         idx = srng.integers(0, len(items), (batch_size,))
-        loss = _mean_loss([cfm_train_loss(field_model, items[i].bundle.mel, feats[i], conds[i],
-                                          srng.spawn(("noise", j)))
-                           for j, i in enumerate(idx)])
+        loss = cfm_train_loss(field_model, [items[i].bundle.mel for i in idx], [feats[i] for i in idx],
+                              conds[idx], [srng.spawn(("noise", j)) for j in range(batch_size)])
         return loss, {"L_Flow": float(loss.data), "total": float(loss.data)}
 
     report = _fit("flow", pcfg, field_model.named_parameters(), step_loss, quiet)

@@ -61,7 +61,6 @@ class RVQStack:
     commitment_weight: float = 0.25
     reseed_after: int = 100
     laplace_eps: float = 1e-5
-    step_count: int = 0
 
     @property
     def n_layers(self) -> int:
@@ -184,7 +183,6 @@ class RVQStack:
                 cb.unused_steps[dead] = 0
                 n_reseeded += int(dead.size)
             resid = resid - chosen
-        self.step_count += 1
         recon_mse = float((resid ** 2).mean())
         commitment = self.commitment_weight * recon_mse
         return {"recon_mse": recon_mse, "commitment": commitment, "n_reseeded": n_reseeded}

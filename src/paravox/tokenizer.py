@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import Rng, Tensor, no_grad
 from .frontend import FeatureBundle
-from .nn import Conv1dSame, Linear, Module, TransformerBlock
+from .nn import Conv1dSame, Linear, Module, TransformerBlock, pad_rows
 from .rvq import RVQStack
 
 log = logging.getLogger(__name__)
@@ -85,11 +85,18 @@ class ConditionEncoder(Module):
         self.blocks = [TransformerBlock(cfg.cond_dim, cfg.n_heads, rng.spawn(("blk", i)), dtype=dtype)
                        for i in range(cfg.attn_blocks)]
 
-    def __call__(self, frames: Tensor) -> Tensor:
+    def __call__(self, frames: Tensor, lengths: np.ndarray, mask: np.ndarray) -> Tensor:
+        """(B, cond_dim) of a zero-padded batch; padding is kept out of attention and pooling."""
         h = self.conv(frames)
         for block in self.blocks:
-            h = block(h)
-        return h.mean(axis=-2)
+            h = block(h, mask=mask)
+        return _mean_rows(h, lengths)
+
+
+def _mean_rows(h: Tensor, lengths: np.ndarray) -> Tensor:
+    """Mean of each (T, D) row of a (B, T, D) batch over its first lengths[i] positions."""
+    keep = np.arange(h.shape[1]) < lengths[:, None]
+    return (h * keep[..., None]).sum(axis=1) * (1.0 / lengths)[:, None]
 
 
 class ParallelTokenizer(Module):
@@ -145,43 +152,40 @@ class ParallelTokenizer(Module):
 
     # ---- speaker pathway --------------------------------------------------
 
-    def projected_speaker_frames(self, speaker_frames: np.ndarray) -> Tensor:
+    def projected_speaker_frames(self, speaker_frames: list[np.ndarray]):
+        """(B, T_max, D) projections of padded speaker frames, the lengths and
+        padding mask. Padded rows are zeroed after the bias, so `Conv1dSame`
+        sees the zeros its same-padding gives each utterance alone."""
         # Deliberately no positional encoding here: the condition vector
         # should describe *who* is speaking, invariant to utterance
         # length, so the pooled pathway stays permutation-equivariant.
-        frames = np.asarray(speaker_frames)
-        t = frames.shape[0]
-        if t > self.cfg.max_frames:
-            raise ValueError(f"{t} frames exceeds tokenizer max_frames={self.cfg.max_frames}")
         dtype = self.projector.weight.dtype
-        x = Tensor(frames.astype(dtype, copy=False))
-        return self.projector(x)
-
-    def speaker_condition_t(self, speaker_frames: np.ndarray) -> Tensor:
-        """Differentiable condition vector (cond_dim,)."""
-        return self.cond_encoder(self.projected_speaker_frames(speaker_frames))
+        frames, lengths, mask = pad_rows([np.asarray(f, dtype=dtype) for f in speaker_frames], 0.0, dtype)
+        if lengths.max() > self.cfg.max_frames:
+            raise ValueError(f"{lengths.max()} frames exceeds tokenizer max_frames={self.cfg.max_frames}")
+        keep = np.arange(frames.shape[1]) < lengths[:, None]
+        return self.projector(Tensor(frames)) * keep[..., None], lengths, mask
 
     def speaker_condition(self, speaker_frames: np.ndarray) -> np.ndarray:
+        """Condition vector (cond_dim,) of one utterance, a batch of one."""
         with no_grad():
-            return self.speaker_condition_t(speaker_frames).data
+            return self.cond_encoder(*self.projected_speaker_frames([speaker_frames])).data[0]
 
-    def speaker_distill_loss(self, speaker_frames: np.ndarray, speaker_global: np.ndarray) -> Tensor:
-        """Cosine distance between the pooled projection and the target.
-
-        1 - cos(pooled_projection, target); a zero-norm operand is
-        defined as distance 1 and logged, never a division blowup.
-        """
-        pooled = self.projected_speaker_frames(speaker_frames).mean(axis=0)
-        pred = self.distill_head(pooled.reshape(1, -1)).reshape(-1)
+    def speaker_distill_loss(self, frames: Tensor, lengths: np.ndarray, speaker_global: np.ndarray) -> Tensor:
+        """1 - cos(pooled projection, target) per row of a
+        `projected_speaker_frames` batch; a row with a zero-norm operand is
+        distance 1 with zero gradient and logged, never a division blowup."""
+        pred = self.distill_head(_mean_rows(frames, lengths))
         target = np.asarray(speaker_global, dtype=pred.dtype)
-        t_norm = float(np.linalg.norm(target))
-        p_norm_sq = (pred * pred).sum()
-        p_norm = float(np.sqrt(p_norm_sq.data))
-        if t_norm == 0.0 or p_norm == 0.0:
-            log.warning("speaker distillation: zero-norm vector (pred %.3g, target %.3g); loss pinned to 1",
-                        p_norm, t_norm)
-            return Tensor(np.asarray(1.0, dtype=pred.dtype))
-        cos = (pred * target).sum() / (p_norm_sq.sqrt() * t_norm)
+        t_norm = np.linalg.norm(target, axis=1)
+        p_norm_sq = (pred * pred).sum(axis=1)
+        pinned = (t_norm == 0.0) | (p_norm_sq.data == 0.0)
+        if pinned.any():
+            log.warning("speaker distillation: zero-norm vector in rows %s; their loss pinned to 1",
+                        np.flatnonzero(pinned).tolist())
+        # A pinned row gets a zero target over a unit denominator: cosine exactly 0.
+        cos = ((pred * np.where(pinned[:, None], 0.0, target)).sum(axis=1)
+               / ((p_norm_sq + pinned).sqrt() * np.where(pinned, 1.0, t_norm)))
         return 1.0 - cos
 
     # ---- state ---------------------------------------------------------------
@@ -203,40 +207,32 @@ class ParallelTokenizer(Module):
 
     # ---- combined loss -----------------------------------------------------
 
-    def tokenizer_loss(self, bundle: FeatureBundle, field, rng: Rng) -> dict:
-        """All four training terms for one utterance, no parameter updates.
+    def tokenizer_loss(self, bundles: list[FeatureBundle], field, rngs: list[Rng]):
+        """(loss, float terms) of a batch in one pass, no parameter updates.
 
-        semantic/acoustic reconstruction MSEs come from the quantizers
-        (floats; codebooks learn by EMA elsewhere), the speaker term is
-        the cosine distillation, and the mel term delegates to the flow
-        decoder's matching loss with this utterance's decoded tokens and
-        condition vector. `total` is their plain sum; only the speaker
-        and mel terms carry gradients.
+        The semantic/acoustic terms average each utterance's quantizer MSE
+        (codebooks learn by EMA elsewhere). The loss is the mean over
+        utterances of the speaker distillation plus the flow decoder's
+        matching loss, utterance i's draws from `rngs[i]`; `total` adds all four.
         """
         from .flow import cfm_train_loss
 
-        stream_frames = self.stream_frames(bundle)
-        recon = {}
-        decoded_parts = []
-        for name, frames in stream_frames.items():
-            tokens, quantized, _ = self.stacks[name].encode(frames)
-            recon[name] = float(((frames - quantized) ** 2).mean())
+        streams = [self.stream_frames(b) for b in bundles]
+        splits = np.cumsum([b.n_frames for b in bundles])[:-1]
+        recon, decoded_parts = {}, []
+        for name, stack in self.stacks.items():
+            frames = np.concatenate([s[name] for s in streams])
+            _, quantized, _ = stack.encode(frames)
+            recon[name] = float(np.mean([float(((f - q) ** 2).mean()) for f, q in
+                                         zip(np.split(frames, splits), np.split(quantized, splits))]))
             decoded_parts.append(quantized)
-        features = np.concatenate(decoded_parts, axis=1)
-        l_speaker = self.speaker_distill_loss(bundle.speaker_frames, bundle.speaker_global)
-        cond = self.speaker_condition_t(bundle.speaker_frames).reshape(1, -1)
-        l_mel = cfm_train_loss(field, bundle.mel, features, cond, rng)
-        if self.cfg.merged:
-            l_sem = l_acous = 0.5 * recon["merged"]
-        else:
-            l_sem, l_acous = recon["semantic"], recon["acoustic"]
-        grad_part = l_speaker + l_mel
-        total = float(l_sem) + float(l_acous) + float(l_speaker.data) + float(l_mel.data)
-        return {
-            "L_Sem": float(l_sem),
-            "L_Acous": float(l_acous),
-            "L_Speaker": float(l_speaker.data),
-            "L_Mel": float(l_mel.data),
-            "total": total,
-            "grad_loss": grad_part,
-        }
+        features = np.split(np.concatenate(decoded_parts, axis=1), splits)
+        proj, lengths, mask = self.projected_speaker_frames([b.speaker_frames for b in bundles])
+        l_speaker = self.speaker_distill_loss(proj, lengths, np.stack([b.speaker_global for b in bundles])).mean()
+        l_mel = cfm_train_loss(field, [b.mel for b in bundles], features,
+                               self.cond_encoder(proj, lengths, mask), rngs)
+        l_sem, l_acous = [0.5 * recon["merged"]] * 2 if self.cfg.merged else [recon["semantic"], recon["acoustic"]]
+        terms = {"L_Sem": l_sem, "L_Acous": l_acous,
+                 "L_Speaker": float(l_speaker.data), "L_Mel": float(l_mel.data)}
+        terms["total"] = sum(terms.values())
+        return l_speaker + l_mel, terms

@@ -132,7 +132,7 @@ def test_criterion_03_gradient_suite():
     spk = rng.normal((4,), dtype=np.float64)
     x0 = rng.normal((3, 6), dtype=np.float64)
     reports["cfm vector field"] = grad_check(
-        lambda: cfm_train_loss(field, mel, feats, spk, rng, t=0.42, x0=x0),
+        lambda: cfm_train_loss(field, [mel], [feats], spk.reshape(1, -1), [rng], t=[0.42], x0=[x0]),
         field.named_parameters(), tolerance=1e-4)
 
     # Speaker condition encoder (projector + attention pool path).
@@ -145,7 +145,7 @@ def test_criterion_03_gradient_suite():
     target = rng.normal((8,), dtype=np.float64)
 
     def cond_loss():
-        d = tok.speaker_condition_t(frames) - target
+        d = tok.cond_encoder(*tok.projected_speaker_frames([frames]))[0] - target
         return (d * d).sum()
 
     reports["condition encoder"] = grad_check(
@@ -332,11 +332,8 @@ def test_criterion_08_cfm_point_mass_convergence():
     n_steps = 1000
     for step in range(n_steps):
         srng = rng.spawn(("step", step))
-        parts = [cfm_train_loss(field, mel, feats, cond, srng.spawn(("s", j))) for j in range(4)]
-        loss = parts[0]
-        for p in parts[1:]:
-            loss = loss + p
-        loss = loss * 0.25
+        loss = cfm_train_loss(field, [mel] * 4, [feats] * 4, np.stack([cond] * 4),
+                              [srng.spawn(("s", j)) for j in range(4)])
         grads = dict(zip(names, gradients(loss, tensors)))
         opt.step(grads, 3e-3 * 0.5 * (1 + math.cos(math.pi * step / n_steps)) + 1e-5)
 

@@ -1,0 +1,158 @@
+"""Batched tokenizer and flow losses: equal to the per-utterance loop they
+replace, one tape whatever the batch size, and no leak through padding."""
+
+import logging
+
+import numpy as np
+import pytest
+
+from paravox.engine import Rng, Tensor, gradients, no_grad
+from paravox.flow import FlowConfig, VelocityField, cfm_train_loss
+from paravox.frontend import SyntheticSpec, generate_corpus
+from paravox.tokenizer import ParallelTokenizer, TokenizerConfig
+
+
+def tape_nodes(loss):
+    """Op nodes on the tape behind `loss`, leaves not counted."""
+    seen, stack, n = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        n += t._grad_fn is not None
+        stack.extend(t._parents)
+    return n
+
+
+def toy_models(merged=False, dtype=np.float64, n_utterances=8):
+    """A small tokenizer, scratch mel decoder and corpus of varied lengths."""
+    spec = SyntheticSpec(vocab_size=8, n_speakers=4, n_utterances=n_utterances, seed=5,
+                         semantic_dim=16, acoustic_dim=16, speaker_frame_dim=16,
+                         speaker_global_dim=8, mel_bins=12)
+    bundles = [u.bundle for u in generate_corpus(spec).utterances]
+    cfg = TokenizerConfig(semantic_dim=16, acoustic_dim=16, speaker_frame_dim=16,
+                          speaker_global_dim=8, cond_dim=16, codebook_size=16, n_heads=2,
+                          merged=merged)
+    tok = ParallelTokenizer(cfg, Rng(7), dtype=dtype)
+    field = VelocityField(FlowConfig(mel_bins=12, feature_dim=32, speaker_dim=16, hidden_dim=16,
+                                     n_hidden=1, time_feat_dim=4), Rng(15), dtype=dtype)
+    return tok, field, bundles
+
+
+def assert_close(got, want, rel):
+    scale = max(np.max(np.abs(want)), 1e-300)
+    assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= rel * scale
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["parallel", "merged"])
+def test_tokenizer_loss_matches_per_utterance_loop(merged):
+    tok, field, bundles = toy_models(merged)
+    assert len({b.n_frames for b in bundles}) > 1
+    params = [*tok.named_parameters().values(), *field.named_parameters().values()]
+    rngs = lambda: [Rng(100 + j) for j in range(len(bundles))]
+
+    loss, terms = tok.tokenizer_loss(bundles, field, rngs())
+    got = gradients(loss, params)
+    parts = [tok.tokenizer_loss([b], field, [r]) for b, r in zip(bundles, rngs())]
+    ref = sum((p for p, _ in parts[1:]), parts[0][0]) * (1.0 / len(parts))
+    want = gradients(ref, params)
+
+    assert_close(loss.item(), ref.item(), 1e-10)
+    for g, w in zip(got, want):
+        assert_close(g, w, 1e-10)
+    # The quantizer terms average the per-utterance MSEs as floats: bitwise.
+    for key in ("L_Sem", "L_Acous"):
+        assert terms[key] == float(np.mean([t[key] for _, t in parts]))
+    # One encode over the concatenated batch is each utterance's encode.
+    for name, stack in tok.stacks.items():
+        frames = [tok.stream_frames(b)[name] for b in bundles]
+        tokens, quantized, _ = stack.encode(np.concatenate(frames))
+        alone = [stack.encode(f) for f in frames]
+        assert np.array_equal(tokens, np.concatenate([a[0] for a in alone]))
+        assert np.array_equal(quantized, np.concatenate([a[1] for a in alone]))
+
+
+def test_cfm_loss_is_mean_of_per_utterance_means():
+    """Utterance i draws t, then x0, from rngs[i]; its mean squared error
+    counts 1/B whatever its length; shared speaker rows add their gradients."""
+    _, field, bundles = toy_models()
+    rng = Rng(30)
+    mels = [b.mel.astype(np.float64) for b in bundles]
+    feats = [rng.normal((b.n_frames, 32), dtype=np.float64) for b in bundles]
+    spk = Tensor(rng.normal((len(bundles), 16), dtype=np.float64), requires_grad=True)
+    params = [spk, *field.named_parameters().values()]
+    rngs = lambda: [Rng(200 + j) for j in range(len(bundles))]
+
+    loss = cfm_train_loss(field, mels, feats, spk, rngs())
+    got = gradients(loss, params)
+    parts = []
+    for i, (mel, f, r) in enumerate(zip(mels, feats, rngs())):
+        t = r.uniform()
+        x0 = r.normal(mel.shape, dtype=mel.dtype)
+        rows = spk[i:i + 1] * np.ones((mel.shape[0], 1))  # broadcast, not a gather
+        v = field(Tensor((1.0 - t) * x0 + t * mel), Tensor(f), rows, np.array([t]))
+        diff = v - Tensor(mel - x0)
+        parts.append((diff * diff).mean())
+    ref = sum(parts[1:], parts[0]) * (1.0 / len(parts))
+    want = gradients(ref, params)
+
+    assert_close(loss.item(), ref.item(), 1e-10)
+    for g, w in zip(got, want):
+        assert_close(g, w, 1e-10)
+
+
+def test_tape_does_not_grow_with_batch():
+    tok, field, bundles = toy_models(dtype=np.float32)
+    conds = np.stack([tok.speaker_condition(b.speaker_frames) for b in bundles])
+    feats = [tok.decode_tokens(tok.encode_streams(b)) for b in bundles]
+    counts = {}
+    for n in (2, 8):
+        rngs = [Rng(j) for j in range(n)]
+        tok_loss, _ = tok.tokenizer_loss(bundles[:n], field, rngs)
+        flow_loss = cfm_train_loss(field, [b.mel for b in bundles[:n]], feats[:n], conds[:n], rngs)
+        counts[n] = (tape_nodes(tok_loss), tape_nodes(flow_loss))
+    assert counts[2] == counts[8]
+
+
+def speaker_tokenizer():
+    cfg = TokenizerConfig(semantic_dim=8, acoustic_dim=8, speaker_frame_dim=8, speaker_global_dim=4,
+                          cond_dim=8, codebook_size=8, n_heads=2, attn_blocks=2, conv_kernel=5)
+    return ParallelTokenizer(cfg, Rng(40), dtype=np.float64)
+
+
+def test_speaker_condition_ignores_padding():
+    """Each utterance's condition alone equals its row of a padded batch,
+    down to rows within conv_kernel // 2 of the longest and a lone frame."""
+    tok = speaker_tokenizer()
+    rng = Rng(41)
+    lengths = [9, 8, 7, 1, 4]
+    frames = [rng.normal((n, 8), dtype=np.float64) for n in lengths]
+    with no_grad():
+        batch = tok.cond_encoder(*tok.projected_speaker_frames(frames)).data
+    assert batch.shape == (len(lengths), 8)
+    for i, f in enumerate(frames):
+        np.testing.assert_allclose(batch[i], tok.speaker_condition(f), rtol=0, atol=1e-12)
+
+
+def test_distill_zero_target_row_is_pinned(caplog):
+    tok = speaker_tokenizer()
+    rng = Rng(42)
+    frames = [rng.normal((n, 8), dtype=np.float64) for n in (6, 4, 5)]
+    targets = rng.normal((3, 4), dtype=np.float64)
+    zeroed = targets.copy()
+    zeroed[1] = 0.0
+    params = list(tok.named_parameters().values())
+
+    def distances(target):
+        proj, lengths, _ = tok.projected_speaker_frames(frames)
+        return tok.speaker_distill_loss(proj, lengths, target)
+
+    base = distances(targets).data
+    with caplog.at_level(logging.WARNING, logger="paravox.tokenizer"):
+        pinned = distances(zeroed)
+    assert pinned.data[1] == 1.0
+    assert np.array_equal(pinned.data[[0, 2]], base[[0, 2]])
+    assert len(caplog.records) == 1 and "zero-norm" in caplog.records[0].message
+    assert all(np.all(g == 0.0) for g in gradients(distances(zeroed)[1], params))
+    assert any(np.any(g != 0.0) for g in gradients(distances(zeroed)[0], params))

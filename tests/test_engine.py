@@ -555,6 +555,29 @@ def test_getitem_and_concat_backward():
     assert np.array_equal(x.grad, expected)
 
 
+@pytest.mark.parametrize("idx", [
+    np.array([0, 0, 2]),
+    (np.array([1, 3, 1]), slice(None), np.array([0, 1, 0])),
+    (np.array([[0], [2]]), np.array([1, 1, 0])),
+    (np.array([2, 0]), np.array([1, 1])),
+    (Ellipsis, np.array([1, 1])),
+    (slice(1, 3), slice(None, None, 2)),
+], ids=["repeated", "mixed_slice", "broadcast", "unique", "ellipsis", "slices"])
+def test_getitem_grad_check_f64(idx):
+    """Every pick of a position adds its gradient, repeats included."""
+    rng = Rng(21)
+    x = f64(rng, (4, 3, 2))
+    w = rng.normal(x.data[idx].shape, dtype=np.float64)
+    report = grad_check(lambda: (x[idx] * Tensor(w)).sum(), {"x": x}, tolerance=1e-8)
+    assert report.passed, str(report)
+
+
+def test_getitem_repeated_rows_accumulate():
+    x = Tensor(np.zeros((3, 2)), requires_grad=True)
+    x[np.array([0, 0, 2])].sum().backward()
+    assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
 def test_reused_node_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True)
     y = x * x + x * 3.0

@@ -23,11 +23,11 @@ def test_loss_zero_for_perfect_field():
     feats = rng.normal((5, 8))
     spk = rng.normal((4,))
     t, x0 = 0.37, rng.normal((5, 6))
-    loss = cfm_train_loss(field, mel, feats, spk, rng, t=t, x0=x0)
+    loss = cfm_train_loss(field, [mel], [feats], spk.reshape(1, -1), [rng], t=[t], x0=[x0])
     x_t = (1 - t) * x0 + t * mel
     from paravox.engine import no_grad
     with no_grad():
-        v = field(Tensor(x_t), Tensor(feats), Tensor(spk.reshape(1, -1)), t).data
+        v = field(Tensor(x_t), Tensor(feats), Tensor(np.tile(spk, (5, 1))), np.array([t])).data
     manual = ((v - (mel - x0)) ** 2).mean()
     assert loss.item() == pytest.approx(manual, rel=1e-6)
 
@@ -42,25 +42,9 @@ def test_one_step_sampler_is_x0_plus_v():
     x0 = Rng(7).normal((4, 6), dtype=np.float32)
     from paravox.engine import no_grad
     with no_grad():
-        v = field(Tensor(x0), Tensor(feats.astype(np.float32)), Tensor(spk.astype(np.float32).reshape(1, -1)), 0.0).data
+        v = field(Tensor(x0), Tensor(feats.astype(np.float32)), Tensor(np.tile(spk.astype(np.float32), (4, 1))),
+                  np.array([0.0])).data
     assert np.allclose(out, x0 + v, atol=1e-6)
-
-
-def test_sampler_matches_per_step_speaker_tiling():
-    """The once-tiled speaker gives bitwise the mel of an Euler loop that
-    hands the field the (1, speaker_dim) vector on every step."""
-    from paravox.engine import no_grad
-    rng = Rng(5)
-    field = VelocityField(tiny_cfg(), rng)
-    feats = rng.normal((7, 8))
-    spk = rng.normal((4,))
-    got = sample_mel(field, feats, spk, SolverConfig(n_steps=6, seed=2))
-    x = Rng(2).normal((7, 6), dtype=np.float32)
-    with no_grad():
-        for i in range(6):
-            v = field(Tensor(x), Tensor(feats.astype(np.float32)), Tensor(spk.astype(np.float32)), i * (1.0 / 6))
-            x = x + (1.0 / 6) * v.data
-    assert np.array_equal(got, x)
 
 
 def test_sampler_deterministic_given_seed():
@@ -84,7 +68,7 @@ def test_vector_field_grad_check():
     x0 = rng.normal((3, 6), dtype=np.float64)
 
     def loss():
-        return cfm_train_loss(field, mel, feats, spk, rng, t=0.42, x0=x0)
+        return cfm_train_loss(field, [mel], [feats], spk.reshape(1, -1), [rng], t=[0.42], x0=[x0])
 
     report = grad_check(loss, field.named_parameters(), tolerance=1e-6)
     assert report.passed, str(report)
@@ -96,7 +80,7 @@ def test_conditioning_tensor_receives_gradient():
     mel = rng.normal((3, 6))
     feats = Tensor(rng.normal((3, 8)), requires_grad=True)
     spk = Tensor(rng.normal((1, 4)), requires_grad=True)
-    loss = cfm_train_loss(field, mel, feats, spk, rng, t=0.5, x0=np.zeros((3, 6), dtype=np.float32))
+    loss = cfm_train_loss(field, [mel], feats, spk, [rng], t=[0.5], x0=[np.zeros((3, 6), dtype=np.float32)])
     loss.backward()
     assert feats.grad is not None and np.any(feats.grad != 0)
     assert spk.grad is not None and np.any(spk.grad != 0)

@@ -14,7 +14,7 @@ from paravox.nn import (
     MultiHeadAttention,
     TransformerBlock,
     causal_mask,
-    pad_ids,
+    pad_rows,
     padding_mask,
     take_spans,
 )
@@ -122,11 +122,11 @@ def test_padding_mask_zeroes_attention_to_pads():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pad_ids_shapes_fill_mask_and_gradient(dtype):
+def test_pad_rows_shapes_fill_mask_and_gradient(dtype):
     rng = Rng(6)
     lengths = [3, 5, 1]
     rows = [rng.integers(0, 7, (n, 2)) for n in lengths]
-    batch, got_lengths, mask = pad_ids(rows, dtype)
+    batch, got_lengths, mask = pad_rows(rows, -1, dtype)
     assert batch.shape == (3, 5, 2) and batch.dtype == np.int64
     assert got_lengths.tolist() == lengths
     for i, (row, n) in enumerate(zip(rows, lengths)):
@@ -134,6 +134,15 @@ def test_pad_ids_shapes_fill_mask_and_gradient(dtype):
         assert np.all(batch[i, n:] == -1)
     expected = padding_mask(np.array(lengths), 5, dtype=dtype)
     assert mask.dtype == dtype and np.array_equal(mask, expected)
+
+    # Frames pad with zeros and keep their dtype; the mask is the same.
+    frames = [rng.normal((n, 4), dtype=dtype) for n in lengths]
+    padded, frame_lengths, frame_mask = pad_rows(frames, 0.0, dtype)
+    assert padded.shape == (3, 5, 4) and padded.dtype == dtype
+    assert frame_lengths.tolist() == lengths and np.array_equal(frame_mask, expected)
+    for i, (row, n) in enumerate(zip(frames, lengths)):
+        assert np.array_equal(padded[i, :n], row)
+        assert np.all(padded[i, n:] == 0.0)
 
     # Padded positions embed to zero rows and carry no gradient back.
     tables = [Tensor(rng.normal((7, 4), dtype=dtype), requires_grad=True) for _ in range(2)]

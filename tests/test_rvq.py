@@ -1,5 +1,7 @@
 """RVQ: brute-force oracle equivalence, residual behavior, EMA training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,23 @@ def test_state_roundtrip():
     assert np.array_equal(t1, t2)
     with pytest.raises(KeyError, match="missing"):
         stack2.load_state({}, "s.")
+
+
+def test_reloaded_stack_equals_trained_in_every_field():
+    """`state()` holds everything a trained stack carries: a stack loaded
+    from it matches the original field by field, codebooks included."""
+    rng = Rng(17)
+    stack = RVQStack.init_random(rng, n_layers=2, codebook_size=8, dim=4)
+    for step in range(3):
+        stack.train_step(rng.normal((32, 4), dtype=np.float32), rng.spawn(("r", step)))
+    loaded = RVQStack.init_random(Rng(99), n_layers=2, codebook_size=8, dim=4)
+    loaded.load_state(stack.state())
+    for f in dataclasses.fields(RVQStack):
+        if f.name != "layers":
+            assert getattr(loaded, f.name) == getattr(stack, f.name), f.name
+    for cb, cb2 in zip(stack.layers, loaded.layers):
+        for f in dataclasses.fields(cb):
+            assert np.array_equal(getattr(cb, f.name), getattr(cb2, f.name)), f.name
 
 
 def test_frame_shape_validation():

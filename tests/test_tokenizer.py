@@ -82,24 +82,27 @@ def test_distill_loss_range_and_perfect_alignment():
     rng = Rng(11)
     frames = rng.normal((10, 16))
     target = rng.normal((8,))
-    loss = tok.speaker_distill_loss(frames, target)
-    assert 0.0 <= loss.item() <= 2.0
+    proj, lengths, _ = tok.projected_speaker_frames([frames])
+    loss = tok.speaker_distill_loss(proj, lengths, target.reshape(1, -1))
+    assert loss.shape == (1,)
+    assert 0.0 <= loss.data[0] <= 2.0
     # aligning the target with the actual pooled prediction gives ~0
     from paravox.engine import no_grad
     with no_grad():
-        pooled = tok.projected_speaker_frames(frames).mean(axis=0)
-        pred = tok.distill_head(pooled.reshape(1, -1)).data.reshape(-1)
-    aligned = tok.speaker_distill_loss(frames, 3.0 * pred)
-    assert aligned.item() == pytest.approx(0.0, abs=1e-6)
+        pooled = tok.projected_speaker_frames([frames])[0].mean(axis=1)
+        pred = tok.distill_head(pooled).data
+    aligned = tok.speaker_distill_loss(proj, lengths, 3.0 * pred)
+    assert aligned.data[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_distill_zero_norm_target_logs_and_returns_one(caplog):
     spec = toy_spec()
     tok = toy_tokenizer(spec)
     frames = Rng(12).normal((6, 16))
+    proj, lengths, _ = tok.projected_speaker_frames([frames])
     with caplog.at_level(logging.WARNING):
-        loss = tok.speaker_distill_loss(frames, np.zeros(8, dtype=np.float32))
-    assert loss.item() == 1.0
+        loss = tok.speaker_distill_loss(proj, lengths, np.zeros((1, 8), dtype=np.float32))
+    assert loss.data[0] == 1.0
     assert any("zero-norm" in r.message for r in caplog.records)
 
 
@@ -114,7 +117,7 @@ def test_condition_encoder_grad_check():
     target = rng.normal((8,), dtype=np.float64)
 
     def loss():
-        cond = tok.speaker_condition_t(frames)
+        cond = tok.cond_encoder(*tok.projected_speaker_frames([frames]))[0]
         d = cond - target
         return (d * d).sum()
 
@@ -130,7 +133,8 @@ def test_tokenizer_loss_terms_and_sum():
     tok = toy_tokenizer(spec)
     field = VelocityField(FlowConfig(mel_bins=12, feature_dim=32, speaker_dim=16,
                                      hidden_dim=16, n_hidden=1, time_feat_dim=4), Rng(15))
-    out = tok.tokenizer_loss(corpus.utterances[0].bundle, field, Rng(16))
+    loss, out = tok.tokenizer_loss([corpus.utterances[0].bundle], field, [Rng(16)])
+    assert loss.shape == () and loss.requires_grad
     for key in ("L_Sem", "L_Acous", "L_Speaker", "L_Mel", "total"):
         assert key in out
         assert np.isfinite(out[key])
