@@ -64,17 +64,16 @@ def main():
     # Same text, four different voices.
     base = corpus.utterances[0]
     print(f"\nrendering symbols {base.core_symbols.tolist()} with every speaker:")
-    grids = []
-    for speaker in range(pcfg.data.n_speakers):
-        utt = make_utterance(corpus.spec, corpus.factors, base.core_symbols,
-                             base.durations, speaker, Rng(123).spawn(("voice", speaker)))
-        grids.append(tok.encode_streams(utt.bundle)["semantic"])
+    voices = [make_utterance(corpus.spec, corpus.factors, base.core_symbols, base.durations,
+                             speaker, Rng(123).spawn(("voice", speaker))).bundle
+              for speaker in range(pcfg.data.n_speakers)]
+    grids = [grid[:, 0] for grid in tok.encode_grids(voices)]
     for s, grid in enumerate(grids):
         match = float((grid == grids[0]).mean())
         print(f"  speaker {s}: semantic tokens (layer 1) {grid[:6, 0].tolist()}... "
               f"agreement with speaker 0: {match * 100:.0f}%")
 
-    conds = np.stack([tok.speaker_condition(it.bundle.speaker_frames) for it in items])
+    conds = tok.speaker_conditions([it.bundle.speaker_frames for it in items])
     labels = np.array([it.speaker_id for it in items])
     sil = silhouette_score(conds, labels)
     print(f"\nspeaker-condition silhouette over the corpus: {sil:.3f} "

@@ -50,7 +50,7 @@ def main():
         mse = float(((frames - partial) ** 2).mean())
         print(f"  layers 1..{k}: mse={mse:.5f}")
 
-    print("\ncodebook utilization per layer:", [round(u, 2) for u in stack.utilization(frames)])
+    print("\ncodebook utilization per layer:", [round(u, 2) for u in stack.utilization(tokens)])
     print("token matrix shape:", tokens.shape, "dtype:", tokens.dtype)
 
 

@@ -17,7 +17,7 @@ from ..frontend import FeatureFileError, generate_corpus, load_features
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, PipelineConfig
 from .data import CorpusDirError, load_corpus_dir, spec_from_doc, write_corpus_dir
-from .evaluate import evaluate, format_report, report_to_json
+from .evaluate import evaluate, format_report
 from .infer import (IncompatibleCheckpoints, encode_text, infer, load_pipeline,
                     write_mel_file)
 from .train import STAGES, MissingPrerequisite, TrainingDiverged, train_stage
@@ -105,7 +105,7 @@ def _cmd_eval(args) -> int:
     pipe = load_pipeline(args.ckpt_dir)
     _, items = load_corpus_dir(args.data)
     report = evaluate(pipe, items)
-    Path(args.report).write_text(report_to_json(report))
+    Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
     print(format_report(report))
     print(f"wrote report {args.report}")
     return 0

@@ -111,9 +111,6 @@ class PipelineConfig:
             out[section] = d
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
         if not isinstance(doc, dict):

@@ -9,8 +9,6 @@ oracle exists for every cross-voice request.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ..flow import SolverConfig, sample_mel
@@ -36,13 +34,13 @@ def evaluate(pipe: LoadedPipeline, items: list[CorpusItem], mel_items: int = 8) 
         acc, exact = pipe.nar.stage_scores(pairs)
         report["nar"] = {"stage_accuracy": acc, "frame_exact_match": exact}
 
+    bundles = [it.bundle for it in items[:mel_items]]
+    conds = tok.speaker_conditions([b.speaker_frames for b in bundles])
     mse = []
-    for it in items[:mel_items]:
-        features = tok.decode_tokens(tok.encode_streams(it.bundle))
-        cond = tok.speaker_condition(it.bundle.speaker_frames)
-        mel = sample_mel(pipe.flow, features, cond,
+    for bundle, (_, grid), cond in zip(bundles, pairs, conds):
+        mel = sample_mel(pipe.flow, tok.decode_tokens(grid), cond,
                          SolverConfig(n_steps=pipe.config.flow.default_steps, seed=0))
-        mse.append(float(((mel - it.bundle.mel) ** 2).mean()))
+        mse.append(float(((mel - bundle.mel) ** 2).mean()))
     report["flow"] = {"mel_mse_mean": float(np.mean(mse)), "mel_mse_per_item": mse}
     return report
 
@@ -67,7 +65,3 @@ def format_report(report: dict) -> str:
     lines.append(f"flow: mel MSE {report['flow']['mel_mse_mean']:.6f} "
                  f"over {len(report['flow']['mel_mse_per_item'])} items")
     return "\n".join(lines)
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

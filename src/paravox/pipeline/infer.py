@@ -18,7 +18,7 @@ from ..engine import Rng
 from ..flow import SolverConfig, VelocityField, sample_mel
 from ..frontend import FeatureBundle, Vocabulary, default_alphabet, save_arrays
 from ..nar import CoupledNAR
-from ..tokenizer import ParallelTokens, ParallelTokenizer
+from ..tokenizer import ParallelTokenizer
 from .checkpoint import Checkpoint, IncompatibleCheckpoints, load_stage_checkpoint
 from .config import PipelineConfig
 from .train import CHECKPOINT_NAMES, config_mismatches
@@ -40,8 +40,24 @@ class LoadedPipeline:
 
 
 @dataclass
+class ParallelTokens:
+    """The parallel-mode view of a (T, 2, L) token grid: each stream's (T, L) tokens."""
+
+    semantic: np.ndarray
+    acoustic: np.ndarray
+
+    def __post_init__(self):
+        if self.semantic.shape[0] != self.acoustic.shape[0]:
+            raise ValueError(f"stream lengths differ: semantic {self.semantic.shape[0]} vs acoustic {self.acoustic.shape[0]}")
+
+    @property
+    def n_frames(self) -> int:
+        return self.semantic.shape[0]
+
+
+@dataclass
 class InferenceResult:
-    tokens: ParallelTokens | None
+    tokens: ParallelTokens | None   # None for merged streams or an empty generation
     mel: np.ndarray
     metadata: dict
 
@@ -113,13 +129,7 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
         raise ValueError(f"reference of {n_ref} frames is outside the tokenizer's range of 1 to "
                          f"max_frames={pipe.tokenizer.cfg.max_frames}")
     rng = Rng(seed)
-    if not cfg.ablation.parallel_streams:
-        streams = pipe.tokenizer.encode_streams(ref_bundle)
-        ref_grid = np.stack([streams[name] for name in pipe.tokenizer.stacks], axis=1)
-        cond = pipe.tokenizer.speaker_condition(ref_bundle.speaker_frames)
-    else:
-        ref_pair, cond = pipe.tokenizer.encode_speech(ref_bundle)
-        ref_grid = np.stack([ref_pair.semantic, ref_pair.acoustic], axis=1)
+    ref_grid, cond = pipe.tokenizer.encode_speech(ref_bundle)
     layers = pipe.ar.cfg.layers_per_stream
     gen = pipe.ar.generate(text_ids, ref_grid[:, :, :layers], rng=rng.spawn("ar"),
                            top_k=top_k, temperature=temperature, max_frames=max_frames)
@@ -142,13 +152,9 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
         grid = pipe.nar.complete_tokens(gen.tokens[:, :, 0], ref_grid)
     else:
         grid = gen.tokens    # the AR heads already emitted every layer
-    if cfg.ablation.parallel_streams:
-        tokens = ParallelTokens(semantic=grid[:, 0, :], acoustic=grid[:, 1, :])
-        features = pipe.tokenizer.decode_tokens(tokens)
-    else:
-        tokens = None
-        features = pipe.tokenizer.decode_tokens({"merged": grid[:, 0, :]})
-    mel = sample_mel(pipe.flow, features, cond, solver, rng.spawn("flow"))
+    tokens = (ParallelTokens(semantic=grid[:, 0], acoustic=grid[:, 1])
+              if cfg.ablation.parallel_streams else None)
+    mel = sample_mel(pipe.flow, pipe.tokenizer.decode_tokens(grid), cond, solver, rng.spawn("flow"))
     return InferenceResult(tokens=tokens, mel=mel, metadata=metadata)
 
 

@@ -234,12 +234,10 @@ def train_tokenizer(items: list[CorpusItem], pcfg, quiet: bool = True):
     params.update({f"scratch.{k}": v for k, v in scratch.named_parameters().items()})
 
     def step_loss(srng: Rng, batch_size: int):
-        batch = [items[i] for i in srng.integers(0, len(items), (batch_size,))]
-        for name, stack in tok.stacks.items():
-            frames = np.concatenate([tok.stream_frames(it.bundle)[name] for it in batch])
-            stack.train_step(frames, srng.spawn(("reseed", name)))
-        return tok.tokenizer_loss([it.bundle for it in batch], scratch,
-                                  [srng.spawn(("cfm", j)) for j in range(batch_size)])
+        batch = [items[i].bundle for i in srng.integers(0, len(items), (batch_size,))]
+        for name, frames in tok.stream_frames(batch).items():
+            tok.stacks[name].train_step(frames, srng.spawn(("reseed", name)))
+        return tok.tokenizer_loss(batch, scratch, [srng.spawn(("cfm", j)) for j in range(batch_size)])
 
     report = _fit("tokenizer", pcfg, params, step_loss, quiet)
     report.final = tokenizer_metrics(tok, items)
@@ -248,23 +246,20 @@ def train_tokenizer(items: list[CorpusItem], pcfg, quiet: bool = True):
 
 def tokenizer_metrics(tok: ParallelTokenizer, items: list[CorpusItem]) -> dict:
     out: dict = {"recon_mse": {}, "input_variance": {}, "utilization": {}, "perplexity": {}}
-    for name, stack in tok.stacks.items():
-        frames = np.concatenate([tok.stream_frames(it.bundle)[name] for it in items])
-        _, quantized, _ = stack.encode(frames)
+    for name, frames in tok.stream_frames([it.bundle for it in items]).items():
+        stack = tok.stacks[name]
+        tokens, quantized, _ = stack.encode(frames)
         out["recon_mse"][name] = float(((frames - quantized) ** 2).mean())
         out["input_variance"][name] = float(frames.var())
-        out["utilization"][name] = stack.utilization(frames)
-        out["perplexity"][name] = stack.perplexity(frames)
+        out["utilization"][name] = stack.utilization(tokens)
+        out["perplexity"][name] = stack.perplexity(tokens)
     return out
 
 
 def paired_grids(tok: ParallelTokenizer, items: list[CorpusItem]) -> list[tuple[np.ndarray, np.ndarray]]:
     """(reference grid, target grid) per item, the reference chosen by
     `reference_pairing`; grids are (T, n_streams, L) tokens in stack order."""
-    grids = []
-    for it in items:
-        streams = tok.encode_streams(it.bundle)
-        grids.append(np.stack([streams[name] for name in tok.stacks], axis=1))
+    grids = tok.encode_grids([it.bundle for it in items])
     return [(grids[r], grids[i]) for i, r in enumerate(reference_pairing(items))]
 
 
@@ -311,8 +306,9 @@ def train_nar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool
 def train_flow(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
     """Train the checkpointed mel decoder against the frozen tokenizer."""
     field_model = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed))
-    feats = [tok.decode_tokens(tok.encode_streams(it.bundle)) for it in items]
-    conds = np.stack([tok.speaker_condition(it.bundle.speaker_frames) for it in items])
+    bundles = [it.bundle for it in items]
+    feats = [tok.decode_tokens(grid) for grid in tok.encode_grids(bundles)]
+    conds = tok.speaker_conditions([b.speaker_frames for b in bundles])
 
     def step_loss(srng: Rng, batch_size: int):
         idx = srng.integers(0, len(items), (batch_size,))

@@ -189,14 +189,12 @@ class RVQStack:
 
     # ---- diagnostics ------------------------------------------------------
 
-    def utilization(self, frames: np.ndarray) -> list[float]:
-        """Fraction of entries each layer selects at least once on `frames`."""
-        tokens, _, _ = self.encode(self._check_frames(frames))
+    def utilization(self, tokens: np.ndarray) -> list[float]:
+        """Fraction of entries each layer selects at least once in (T, L) `tokens`."""
         return [float(len(np.unique(tokens[:, l])) / cb.size) for l, cb in enumerate(self.layers)]
 
-    def perplexity(self, frames: np.ndarray) -> list[float]:
-        """exp(entropy) of each layer's empirical token distribution."""
-        tokens, _, _ = self.encode(self._check_frames(frames))
+    def perplexity(self, tokens: np.ndarray) -> list[float]:
+        """exp(entropy) of each layer's empirical distribution over (T, L) `tokens`."""
         out = []
         for l, cb in enumerate(self.layers):
             p = np.bincount(tokens[:, l], minlength=cb.size).astype(np.float64)

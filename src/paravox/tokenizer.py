@@ -2,11 +2,15 @@
 
 Semantic and acoustic feature streams are quantized independently by
 per-stream RVQ stacks ("parallel" mode) or jointly by one stack over
-channel-concatenated features ("merged" mode, an ablation). The
-speaker pathway projects per-frame speaker features, distills a pooled
-summary toward the global speaker target by cosine distance, and feeds
-a condition encoder (conv + attention + mean pool) that produces the
-time-invariant conditioning vector for the mel decoder.
+channel-concatenated features ("merged" mode, an ablation). Either
+way an utterance's tokens are one (T, n_streams, L) grid, streams in
+stack order: every encode takes a batch of utterances and runs one
+RVQ encode per stack over their concatenated frames, and
+`decode_tokens` maps a grid back to channel-concatenated features.
+The speaker pathway projects per-frame speaker features, distills a
+pooled summary toward the global speaker target by cosine distance,
+and feeds a condition encoder (conv + attention + mean pool) that
+produces the time-invariant conditioning vector for the mel decoder.
 """
 
 from __future__ import annotations
@@ -22,22 +26,6 @@ from .nn import Conv1dSame, Linear, Module, TransformerBlock, pad_rows
 from .rvq import RVQStack
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ParallelTokens:
-    """Aligned token matrices for the two streams, each (T, n_layers)."""
-
-    semantic: np.ndarray
-    acoustic: np.ndarray
-
-    def __post_init__(self):
-        if self.semantic.shape[0] != self.acoustic.shape[0]:
-            raise ValueError(f"stream lengths differ: semantic {self.semantic.shape[0]} vs acoustic {self.acoustic.shape[0]}")
-
-    @property
-    def n_frames(self) -> int:
-        return self.semantic.shape[0]
 
 
 @dataclass
@@ -122,33 +110,33 @@ class ParallelTokenizer(Module):
 
     # ---- stream quantization -------------------------------------------
 
-    def stream_frames(self, bundle: FeatureBundle) -> dict[str, np.ndarray]:
+    def stream_frames(self, bundles: list[FeatureBundle]) -> dict[str, np.ndarray]:
+        """Each stack's input frames, concatenated over the batch in order."""
+        semantic = np.concatenate([b.semantic for b in bundles])
+        acoustic = np.concatenate([b.acoustic for b in bundles])
         if self.cfg.merged:
-            return {"merged": np.concatenate([bundle.semantic, bundle.acoustic], axis=1)}
-        return {"semantic": bundle.semantic, "acoustic": bundle.acoustic}
+            return {"merged": np.concatenate([semantic, acoustic], axis=1)}
+        return {"semantic": semantic, "acoustic": acoustic}
 
-    def encode_streams(self, bundle: FeatureBundle) -> dict[str, np.ndarray]:
-        return {name: self.stacks[name].encode(frames)[0]
-                for name, frames in self.stream_frames(bundle).items()}
+    def encode_grids(self, bundles: list[FeatureBundle]) -> list[np.ndarray]:
+        """One (T_i, n_streams, L) token grid per bundle, streams in stack
+        order, from one RVQ encode per stack over the whole batch."""
+        frames = self.stream_frames(bundles)
+        grid = np.stack([stack.encode(frames[name])[0] for name, stack in self.stacks.items()], axis=1)
+        return np.split(grid, np.cumsum([b.n_frames for b in bundles])[:-1])
 
-    def encode_speech(self, bundle: FeatureBundle):
-        """(ParallelTokens, condition vector) for one utterance."""
-        if self.cfg.merged:
-            raise RuntimeError("encode_speech serves parallel mode; use encode_streams for merged stacks")
-        tokens = self.encode_streams(bundle)
-        cond = self.speaker_condition(bundle.speaker_frames)
-        return ParallelTokens(semantic=tokens["semantic"], acoustic=tokens["acoustic"]), cond
+    def encode_speech(self, bundle: FeatureBundle) -> tuple[np.ndarray, np.ndarray]:
+        """(token grid, condition vector (cond_dim,)) of one utterance."""
+        return self.encode_grids([bundle])[0], self.speaker_conditions([bundle.speaker_frames])[0]
 
-    def decode_tokens(self, tokens, up_to_layer: int | None = None) -> np.ndarray:
-        """Continuous (T, Ds + Da) conditioning features from tokens.
-
-        Accepts ParallelTokens (channel-concatenates the two decoded
-        streams) or a dict of per-stream token matrices.
-        """
-        if isinstance(tokens, ParallelTokens):
-            tokens = {"semantic": tokens.semantic, "acoustic": tokens.acoustic}
-        parts = [self.stacks[name].decode(tokens[name], up_to_layer) for name in self.stacks]
-        return np.concatenate(parts, axis=1)
+    def decode_tokens(self, grid: np.ndarray, up_to_layer: int | None = None) -> np.ndarray:
+        """Continuous (T, Ds + Da) features of a (T, n_streams, L) grid: each
+        stream's codeword sums, channel-concatenated in stack order."""
+        grid = np.asarray(grid)
+        if grid.ndim != 3 or grid.shape[1] != len(self.stacks):
+            raise ValueError(f"expected a (T, {len(self.stacks)}, L) token grid, got {grid.shape}")
+        return np.concatenate([stack.decode(grid[:, s], up_to_layer)
+                               for s, stack in enumerate(self.stacks.values())], axis=1)
 
     # ---- speaker pathway --------------------------------------------------
 
@@ -166,10 +154,10 @@ class ParallelTokenizer(Module):
         keep = np.arange(frames.shape[1]) < lengths[:, None]
         return self.projector(Tensor(frames)) * keep[..., None], lengths, mask
 
-    def speaker_condition(self, speaker_frames: np.ndarray) -> np.ndarray:
-        """Condition vector (cond_dim,) of one utterance, a batch of one."""
+    def speaker_conditions(self, speaker_frames: list[np.ndarray]) -> np.ndarray:
+        """(B, cond_dim) condition vectors of a batch of utterances."""
         with no_grad():
-            return self.cond_encoder(*self.projected_speaker_frames([speaker_frames])).data[0]
+            return self.cond_encoder(*self.projected_speaker_frames(speaker_frames)).data
 
     def speaker_distill_loss(self, frames: Tensor, lengths: np.ndarray, speaker_global: np.ndarray) -> Tensor:
         """1 - cos(pooled projection, target) per row of a
@@ -198,12 +186,14 @@ class ParallelTokenizer(Module):
         return out
 
     def load_full_state(self, state: dict[str, np.ndarray]) -> None:
-        module_part = {k: v for k, v in state.items() if not k.startswith("rvq.")}
-        self.load_state(module_part)
+        """Load a `full_state`; a codebook array no stack uses is a KeyError."""
+        wanted = {k for name, stack in self.stacks.items() for k in stack.state(prefix=f"rvq.{name}.")}
+        unused = sorted(k for k in state if k.startswith("rvq.") and k not in wanted)
+        if unused:
+            raise KeyError(f"codebook state not used by any stack: {unused}")
+        self.load_state({k: v for k, v in state.items() if not k.startswith("rvq.")})
         for name, stack in self.stacks.items():
-            prefix = f"rvq.{name}."
-            stack.load_state({k: v for k, v in state.items() if k.startswith(prefix)},
-                             prefix=prefix)
+            stack.load_state(state, prefix=f"rvq.{name}.")
 
     # ---- combined loss -----------------------------------------------------
 
@@ -217,16 +207,14 @@ class ParallelTokenizer(Module):
         """
         from .flow import cfm_train_loss
 
-        streams = [self.stream_frames(b) for b in bundles]
         splits = np.cumsum([b.n_frames for b in bundles])[:-1]
-        recon, decoded_parts = {}, []
-        for name, stack in self.stacks.items():
-            frames = np.concatenate([s[name] for s in streams])
-            _, quantized, _ = stack.encode(frames)
-            recon[name] = float(np.mean([float(((f - q) ** 2).mean()) for f, q in
-                                         zip(np.split(frames, splits), np.split(quantized, splits))]))
-            decoded_parts.append(quantized)
-        features = np.split(np.concatenate(decoded_parts, axis=1), splits)
+        features = self.decode_tokens(np.concatenate(self.encode_grids(bundles)))
+        recon, lo = {}, 0
+        for name, frames in self.stream_frames(bundles).items():
+            err = (frames - features[:, lo:lo + frames.shape[1]]) ** 2
+            recon[name] = float(np.mean([float(e.mean()) for e in np.split(err, splits)]))
+            lo += frames.shape[1]
+        features = np.split(features, splits)
         proj, lengths, mask = self.projected_speaker_frames([b.speaker_frames for b in bundles])
         l_speaker = self.speaker_distill_loss(proj, lengths, np.stack([b.speaker_global for b in bundles])).mean()
         l_mel = cfm_train_loss(field, [b.mel for b in bundles], features,

@@ -117,7 +117,7 @@ def toy_run(tmp_path_factory):
 
     pcfg = toy_profile()
     spec_path.write_text(json.dumps(spec_to_doc(pcfg.data), indent=2))
-    config_path.write_text(pcfg.to_json())
+    config_path.write_text(json.dumps(pcfg.to_dict(), indent=2))
 
     rcs = {}
     procs = {}

@@ -293,17 +293,14 @@ def test_criterion_07_decoupling_probe(toy_run):
     corpus = generate_corpus(toy_profile().data)
     base = corpus.utterances[0]
 
-    grids = []
-    for speaker in range(4):
-        utt = make_utterance(corpus.spec, corpus.factors, base.core_symbols,
-                             base.durations, speaker, Rng(700).spawn(("spk", speaker)))
-        grids.append(pipe.tokenizer.encode_streams(utt.bundle)["semantic"])
+    voices = [make_utterance(corpus.spec, corpus.factors, base.core_symbols, base.durations,
+                             speaker, Rng(700).spawn(("spk", speaker))).bundle for speaker in range(4)]
+    grids = [grid[:, 0] for grid in pipe.tokenizer.encode_grids(voices)]
     agreements = [float((g == grids[0]).mean()) for g in grids[1:]]
     full_agreement = all(a == 1.0 for a in agreements)
 
     items = corpus_items(corpus)
-    conds = np.stack([pipe.tokenizer.speaker_condition(it.bundle.speaker_frames)
-                      for it in items])
+    conds = pipe.tokenizer.speaker_conditions([it.bundle.speaker_frames for it in items])
     labels = np.array([it.speaker_id for it in items])
     sil = silhouette_score(conds, labels)
 

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from paravox.engine import Rng, Tensor, gradients, no_grad
+from paravox.engine import Rng, Tensor, gradients
 from paravox.flow import FlowConfig, VelocityField, cfm_train_loss
 from paravox.frontend import SyntheticSpec, generate_corpus
 from paravox.tokenizer import ParallelTokenizer, TokenizerConfig
@@ -64,13 +64,16 @@ def test_tokenizer_loss_matches_per_utterance_loop(merged):
     # The quantizer terms average the per-utterance MSEs as floats: bitwise.
     for key in ("L_Sem", "L_Acous"):
         assert terms[key] == float(np.mean([t[key] for _, t in parts]))
-    # One encode over the concatenated batch is each utterance's encode.
-    for name, stack in tok.stacks.items():
-        frames = [tok.stream_frames(b)[name] for b in bundles]
-        tokens, quantized, _ = stack.encode(np.concatenate(frames))
-        alone = [stack.encode(f) for f in frames]
-        assert np.array_equal(tokens, np.concatenate([a[0] for a in alone]))
-        assert np.array_equal(quantized, np.concatenate([a[1] for a in alone]))
+    # The batch's grids are each utterance's own encode, and decoding a grid
+    # is bitwise the `quantized` output of that encode.
+    for bundle, grid in zip(bundles, tok.encode_grids(bundles)):
+        feats, lo = tok.decode_tokens(grid), 0
+        for s, (name, frames) in enumerate(tok.stream_frames([bundle]).items()):
+            tokens, quantized, _ = tok.stacks[name].encode(frames)
+            assert np.array_equal(grid[:, s], tokens)
+            assert np.array_equal(feats[:, lo:lo + frames.shape[1]], quantized)
+            lo += frames.shape[1]
+        assert lo == feats.shape[1]
 
 
 def test_cfm_loss_is_mean_of_per_utterance_means():
@@ -104,8 +107,8 @@ def test_cfm_loss_is_mean_of_per_utterance_means():
 
 def test_tape_does_not_grow_with_batch():
     tok, field, bundles = toy_models(dtype=np.float32)
-    conds = np.stack([tok.speaker_condition(b.speaker_frames) for b in bundles])
-    feats = [tok.decode_tokens(tok.encode_streams(b)) for b in bundles]
+    conds = tok.speaker_conditions([b.speaker_frames for b in bundles])
+    feats = [tok.decode_tokens(grid) for grid in tok.encode_grids(bundles)]
     counts = {}
     for n in (2, 8):
         rngs = [Rng(j) for j in range(n)]
@@ -128,11 +131,10 @@ def test_speaker_condition_ignores_padding():
     rng = Rng(41)
     lengths = [9, 8, 7, 1, 4]
     frames = [rng.normal((n, 8), dtype=np.float64) for n in lengths]
-    with no_grad():
-        batch = tok.cond_encoder(*tok.projected_speaker_frames(frames)).data
+    batch = tok.speaker_conditions(frames)
     assert batch.shape == (len(lengths), 8)
     for i, f in enumerate(frames):
-        np.testing.assert_allclose(batch[i], tok.speaker_condition(f), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch[i], tok.speaker_conditions([f])[0], rtol=0, atol=1e-12)
 
 
 def test_distill_zero_target_row_is_pinned(caplog):

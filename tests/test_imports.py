@@ -1,4 +1,4 @@
-"""Every import in src/, tests/ and demos/ is used.
+"""Every import in src/, tests/, demos/ and perfbench/ is used.
 
 Package `__init__.py` files are exempt: their imports are re-exports.
 A name counts as used when it appears as a name anywhere in the module
@@ -30,7 +30,7 @@ def _unused_imports(source: str) -> list[tuple[int, str]]:
 
 
 def test_no_unused_imports():
-    files = [p for top in ("src", "tests", "demos") for p in sorted((ROOT / top).rglob("*.py"))
+    files = [p for top in ("src", "tests", "demos", "perfbench") for p in sorted((ROOT / top).rglob("*.py"))
              if p.name != "__init__.py"]
     assert len(files) > 20
     unused = [f"{p.relative_to(ROOT)}:{line} {name}"

@@ -20,7 +20,7 @@ from paravox.pipeline.cli import main as cli_main
 from paravox.pipeline.config import config_with_overrides, paper_profile
 from paravox.pipeline.data import (CorpusDirError, corpus_items, load_corpus_dir,
                                    reference_pairing, spec_to_doc, write_corpus_dir)
-from paravox.pipeline.evaluate import evaluate, format_report, report_to_json
+from paravox.pipeline.evaluate import evaluate, format_report
 from paravox.pipeline.infer import (IncompatibleCheckpoints, encode_text, infer,
                                     load_pipeline, write_mel_file)
 from paravox.pipeline.train import (Adam, MissingPrerequisite, train_tokenizer)
@@ -154,7 +154,7 @@ def test_adam_updates_parameter_arrays_in_place():
 
 def test_config_json_round_trip():
     pcfg = toy_profile()
-    back = PipelineConfig.from_json(pcfg.to_json())
+    back = PipelineConfig.from_json(json.dumps(pcfg.to_dict()))
     assert back.to_dict() == pcfg.to_dict()
     back.validate()
 
@@ -576,7 +576,7 @@ def test_evaluate_report_shape(mini_run):
     assert "ar[stop]: teacher-forced accuracy" in text
     assert "final state fires on" in text
     assert len(report["flow"]["mel_mse_per_item"]) == 2
-    back = json.loads(report_to_json(report))
+    back = json.loads(json.dumps(report))
     assert back["n_items"] == report["n_items"]
 
 
@@ -615,8 +615,15 @@ def test_ablation_merged_streams(tmp_path):
         train_stage(stage, items, pcfg, tmp_path / f"{stage}.ckpt")
     pipe = load_pipeline(tmp_path)
     assert [s for s, _ in pipe.ar.cfg.streams] == ["merged"]
+    calls = []
+    for name in ("encode_speech", "decode_tokens"):
+        method = getattr(pipe.tokenizer, name)
+        setattr(pipe.tokenizer, name, lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a))
     result = infer(pipe, encode_text(pipe, "ab"), items[0].bundle, seed=1, max_frames=4)
     assert result.mel.shape[1] == pcfg.data.mel_bins
+    assert result.tokens is None and result.metadata["n_frames"] > 0
+    # One encode and one decode, the same token-grid path as parallel streams.
+    assert calls == ["encode_speech", "decode_tokens"]
 
 
 # ---- command line ------------------------------------------------------------------
@@ -644,7 +651,7 @@ def test_cli_train_rejects_mismatched_corpus(tmp_path, capsys):
     other = dataclasses.replace(pcfg.data, semantic_dim=24)
     out = write_corpus_dir(generate_corpus(other), tmp_path / "d")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(pcfg.to_json())
+    cfg_path.write_text(json.dumps(pcfg.to_dict()))
     rc = cli_main(["train", "--stage", "tokenizer", "--config", str(cfg_path),
                    "--data", str(out), "--out", str(tmp_path / "t.ckpt"), "--quiet"])
     assert rc == 1

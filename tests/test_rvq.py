@@ -137,7 +137,7 @@ def test_dead_codes_reseeded_and_utilization_recovers():
         reseeded_total += out["n_reseeded"]
     assert reseeded_total > 0
     probe = data_rng.normal((2000, 2), dtype=np.float32)
-    util = stack.utilization(probe)[0]
+    util = stack.utilization(stack.encode(probe)[0])[0]
     assert util >= 0.5
 
 
@@ -155,7 +155,7 @@ def test_utilization_on_synthetic_corpus():
     for step in range(400):
         batch = frames[train_rng.choice(frames.shape[0], size=128)]
         stack.train_step(batch, train_rng)
-    for layer_util in stack.utilization(frames):
+    for layer_util in stack.utilization(stack.encode(frames)[0]):
         assert layer_util >= 0.5
 
 

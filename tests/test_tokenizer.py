@@ -8,8 +8,9 @@ import pytest
 from paravox.engine import Rng, grad_check
 from paravox.flow import FlowConfig, VelocityField
 from paravox.frontend import SyntheticSpec, generate_corpus, make_utterance
+from paravox.pipeline.infer import ParallelTokens
 from paravox.probes import silhouette_score
-from paravox.tokenizer import ParallelTokenizer, ParallelTokens, TokenizerConfig
+from paravox.tokenizer import ParallelTokenizer, TokenizerConfig
 
 
 def toy_spec(**kw):
@@ -33,11 +34,9 @@ def test_encode_shapes_and_alignment():
     corpus = generate_corpus(spec)
     tok = toy_tokenizer(spec)
     bundle = corpus.utterances[0].bundle
-    tokens, cond = tok.encode_speech(bundle)
-    t = bundle.n_frames
-    assert tokens.semantic.shape == (t, 3)
-    assert tokens.acoustic.shape == (t, 3)
-    assert tokens.n_frames == t
+    grid, cond = tok.encode_speech(bundle)
+    assert grid.shape == (bundle.n_frames, 2, 3)
+    assert grid.dtype == np.int64
     assert cond.shape == (16,)
 
 
@@ -50,7 +49,7 @@ def test_identical_text_different_speaker_same_semantic_tokens():
     u1 = make_utterance(spec, corpus.factors, syms, durs, 2, Rng(9))
     t0, _ = tok.encode_speech(u0.bundle)
     t1, _ = tok.encode_speech(u1.bundle)
-    assert np.array_equal(t0.semantic, t1.semantic)
+    assert np.array_equal(t0[:, 0], t1[:, 0])
 
 
 def test_decode_is_channel_concat_and_acoustic_zeroing_local():
@@ -58,14 +57,15 @@ def test_decode_is_channel_concat_and_acoustic_zeroing_local():
     corpus = generate_corpus(spec)
     tok = toy_tokenizer(spec)
     bundle = corpus.utterances[0].bundle
-    tokens, _ = tok.encode_speech(bundle)
-    feats = tok.decode_tokens(tokens)
+    grid, _ = tok.encode_speech(bundle)
+    feats = tok.decode_tokens(grid)
     assert feats.shape == (bundle.n_frames, 32)
-    sem_part = tok.stacks["semantic"].decode(tokens.semantic)
-    ac_part = tok.stacks["acoustic"].decode(tokens.acoustic)
+    sem_part = tok.stacks["semantic"].decode(grid[:, 0])
+    ac_part = tok.stacks["acoustic"].decode(grid[:, 1])
     assert np.array_equal(feats, np.concatenate([sem_part, ac_part], axis=1))
     # pinned zero codeword: all-zero acoustic tokens decode to zero channels
-    zeroed = ParallelTokens(semantic=tokens.semantic, acoustic=np.zeros_like(tokens.acoustic))
+    zeroed = grid.copy()
+    zeroed[:, 1] = 0
     feats_zeroed = tok.decode_tokens(zeroed)
     assert np.array_equal(feats_zeroed[:, :16], feats[:, :16])
     assert np.array_equal(feats_zeroed[:, 16:], np.zeros_like(feats[:, 16:]))
@@ -145,7 +145,7 @@ def test_speaker_condition_clusters_by_speaker():
     spec = toy_spec(n_utterances=24, noise_scale=0.02)
     corpus = generate_corpus(spec)
     tok = toy_tokenizer(spec)
-    conds = np.stack([tok.speaker_condition(u.bundle.speaker_frames) for u in corpus.utterances])
+    conds = tok.speaker_conditions([u.bundle.speaker_frames for u in corpus.utterances])
     labels = np.array([u.speaker_id for u in corpus.utterances])
     assert silhouette_score(conds, labels) > 0.5
 
@@ -156,12 +156,13 @@ def test_merged_mode_single_stack():
     tok = toy_tokenizer(spec, merged=True)
     assert list(tok.stacks) == ["merged"]
     bundle = corpus.utterances[0].bundle
-    streams = tok.encode_streams(bundle)
-    assert streams["merged"].shape == (bundle.n_frames, 3)
-    feats = tok.decode_tokens(streams)
+    grid, cond = tok.encode_speech(bundle)
+    assert grid.shape == (bundle.n_frames, 1, 3)
+    assert cond.shape == (16,)
+    feats = tok.decode_tokens(grid)
     assert feats.shape == (bundle.n_frames, 32)
-    with pytest.raises(RuntimeError, match="merged"):
-        tok.encode_speech(bundle)
+    with pytest.raises(ValueError, match=r"\(T, 1, L\) token grid"):
+        tok.decode_tokens(np.zeros((bundle.n_frames, 2, 3), dtype=np.int64))
 
 
 def test_encode_deterministic():
@@ -171,5 +172,19 @@ def test_encode_deterministic():
     bundle = corpus.utterances[3].bundle
     a, _ = tok.encode_speech(bundle)
     b, _ = tok.encode_speech(bundle)
-    assert np.array_equal(a.semantic, b.semantic)
-    assert np.array_equal(a.acoustic, b.acoustic)
+    assert np.array_equal(a, b)
+
+
+def test_load_full_state_rejects_unused_codebook_arrays():
+    """A deeper tokenizer's codebooks, or a key naming no stack, are each
+    named in a KeyError instead of being dropped."""
+    spec = toy_spec()
+    tok = toy_tokenizer(spec)
+    deeper = toy_tokenizer(spec, n_quantizer_layers=4).full_state()
+    stray = {**tok.full_state(), "rvq.bogus.layer0.entries": np.zeros((16, 16), dtype=np.float32)}
+    for state, unused in ((deeper, [k for k in deeper if ".layer3." in k]),
+                          (stray, ["rvq.bogus.layer0.entries"])):
+        with pytest.raises(KeyError) as err:
+            tok.load_full_state(state)
+        assert unused and all(repr(k) in str(err.value) for k in unused)
+    tok.load_full_state(tok.full_state())
