@@ -24,17 +24,19 @@ def evaluate(pipe: LoadedPipeline, items: list[CorpusItem], mel_items: int = 8) 
     comparison, the one genuinely slow metric.
     """
     tok = pipe.tokenizer
+    bundles = [it.bundle for it in items]
+    grids = tok.encode_grids(bundles)
     report: dict = {"n_items": len(items)}
-    report["tokenizer"] = tokenizer_metrics(tok, items)
+    report["tokenizer"] = tokenizer_metrics(tok, items, grids)
 
-    pairs = paired_grids(tok, items)
+    pairs = paired_grids(items, grids)
     report["ar"] = ar_metrics(pipe.ar, ar_rows(items, pairs, pipe.ar.cfg.layers_per_stream))
 
     if pipe.nar is not None:
         acc, exact = pipe.nar.stage_scores(pairs)
         report["nar"] = {"stage_accuracy": acc, "frame_exact_match": exact}
 
-    bundles = [it.bundle for it in items[:mel_items]]
+    bundles = bundles[:mel_items]
     conds = tok.speaker_conditions([b.speaker_frames for b in bundles])
     mse = []
     for bundle, (_, grid), cond in zip(bundles, pairs, conds):

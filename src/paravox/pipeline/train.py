@@ -240,26 +240,30 @@ def train_tokenizer(items: list[CorpusItem], pcfg, quiet: bool = True):
         return tok.tokenizer_loss(batch, scratch, [srng.spawn(("cfm", j)) for j in range(batch_size)])
 
     report = _fit("tokenizer", pcfg, params, step_loss, quiet)
-    report.final = tokenizer_metrics(tok, items)
+    report.final = tokenizer_metrics(tok, items, tok.encode_grids([it.bundle for it in items]))
     return tok, scratch, report
 
 
-def tokenizer_metrics(tok: ParallelTokenizer, items: list[CorpusItem]) -> dict:
+def tokenizer_metrics(tok: ParallelTokenizer, items: list[CorpusItem], grids: list[np.ndarray]) -> dict:
+    """Per-stack reconstruction, utilization and perplexity over the items,
+    read from their `encode_grids` grids; `decode` gives bitwise the
+    quantized frames an encode returns."""
     out: dict = {"recon_mse": {}, "input_variance": {}, "utilization": {}, "perplexity": {}}
-    for name, frames in tok.stream_frames([it.bundle for it in items]).items():
+    tokens = np.concatenate(grids)
+    for s, (name, frames) in enumerate(tok.stream_frames([it.bundle for it in items]).items()):
         stack = tok.stacks[name]
-        tokens, quantized, _ = stack.encode(frames)
+        quantized = stack.decode(tokens[:, s])
         out["recon_mse"][name] = float(((frames - quantized) ** 2).mean())
         out["input_variance"][name] = float(frames.var())
-        out["utilization"][name] = stack.utilization(tokens)
-        out["perplexity"][name] = stack.perplexity(tokens)
+        out["utilization"][name] = stack.utilization(tokens[:, s])
+        out["perplexity"][name] = stack.perplexity(tokens[:, s])
     return out
 
 
-def paired_grids(tok: ParallelTokenizer, items: list[CorpusItem]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(reference grid, target grid) per item, the reference chosen by
-    `reference_pairing`; grids are (T, n_streams, L) tokens in stack order."""
-    grids = tok.encode_grids([it.bundle for it in items])
+def paired_grids(items: list[CorpusItem], grids: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(reference grid, target grid) per item from the items' `encode_grids`
+    grids, the reference chosen by `reference_pairing`; grids are
+    (T, n_streams, L) tokens in stack order."""
     return [(grids[r], grids[i]) for i, r in enumerate(reference_pairing(items))]
 
 
@@ -272,7 +276,8 @@ def ar_rows(items: list[CorpusItem], pairs: list[tuple], layers: int) -> list[tu
 
 def train_ar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
     model = DualStreamAR(pcfg.build_ar_config())
-    rows = ar_rows(items, paired_grids(tok, items), model.cfg.layers_per_stream)
+    pairs = paired_grids(items, tok.encode_grids([it.bundle for it in items]))
+    rows = ar_rows(items, pairs, model.cfg.layers_per_stream)
     step_loss = _batch_loss(lambda batch: model.ar_loss(*model.teacher_forced_batch(batch)), rows)
     report = _fit("ar", pcfg, model.named_parameters(), step_loss, quiet)
     report.final = ar_metrics(model, rows)
@@ -297,7 +302,7 @@ def ar_metrics(model: DualStreamAR, rows: list[tuple], chunk: int = 8) -> dict:
 
 def train_nar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
     model = CoupledNAR(pcfg.build_nar_config())
-    pairs = paired_grids(tok, items)
+    pairs = paired_grids(items, tok.encode_grids([it.bundle for it in items]))
     report = _fit("nar", pcfg, model.named_parameters(), _batch_loss(model.nar_loss, pairs), quiet)
     report.final = {"stage_accuracy": model.stage_scores(pairs)[0]}
     return model, report

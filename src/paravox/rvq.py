@@ -6,6 +6,15 @@ tokens are the per-layer indices. Codebooks learn by exponential
 moving averages of assigned residuals; a commitment term is reported
 for an upstream encoder.
 
+The nearest-code search is defined by the direct search: squared
+differences summed in the frames' dtype, first minimum wins. It runs as
+one f64 GEMM of |c|^2 - 2 x.c instead, and keeps that answer only for
+rows whose runner-up trails the winner by more than the rounding of
+both methods, so that both must pick the same unique winner. Every
+other row (near-ties, non-finite values, distances that could overflow)
+reruns the direct search. Tokens are therefore bitwise those of the
+direct search.
+
 By default index 0 of every layer is pinned to the zero vector and
 never updated or re-seeded. A zero codeword is the "add nothing"
 option, which makes per-layer residual norms non-increasing: the
@@ -20,7 +29,8 @@ import numpy as np
 
 from .engine import Rng
 
-_CHUNK = 512  # frames per distance block, bounds T*K*D scratch memory
+_CHUNK = 512  # frames per direct distance block, bounds T*K*D scratch memory
+_F64 = np.finfo(np.float64)
 
 
 @dataclass
@@ -40,7 +50,7 @@ class Codebook:
         return self.entries.shape[1]
 
 
-def _nearest(entries: np.ndarray, frames: np.ndarray) -> np.ndarray:
+def _nearest_direct(entries: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Index of the closest entry per frame; squared euclidean, lowest
     index wins ties. Distances are direct squared differences so an
     exhaustive per-frame search reproduces them bit for bit."""
@@ -49,6 +59,51 @@ def _nearest(entries: np.ndarray, frames: np.ndarray) -> np.ndarray:
         block = frames[lo:lo + _CHUNK]
         d = ((block[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
         idx[lo:lo + _CHUNK] = d.argmin(axis=1)
+    return idx
+
+
+def _gamma(n: int, u: float) -> float:
+    """Relative rounding bound of n floating-point operations of unit roundoff u."""
+    return n * u / (1 - n * u)
+
+
+def _nearest(entries: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """`_nearest_direct` of (K, D) entries and (T, D) frames of one dtype,
+    bit for bit, mostly from one f64 GEMM.
+
+    e_k = |c_k|^2 - 2 x.c_k is |x - c_k|^2 shifted by the row's |x|^2.
+    S = 2 (|x|^2 + max|c|^2) bounds every distance, so the direct f32/f64
+    distances are within gamma_{D+2} S + D * subnormal of exact, and e
+    within gamma_{D+2} S (f64) + 3 D * subnormal. A winner whose runner-up
+    trails it by more than twice both, plus the rounding of that comparison,
+    is therefore the unique minimum of the direct distances too. Other
+    rows, and rows whose S could overflow the frames' dtype, rerun
+    `_nearest_direct`; NaN or inf anywhere in a row fails one of the tests.
+    """
+    if frames.dtype not in (np.float32, np.float64):
+        return _nearest_direct(entries, frames)
+    x = np.asarray(frames, dtype=np.float64)
+    c = np.asarray(entries, dtype=np.float64)
+    rows = np.arange(x.shape[0])
+    # Non-finite rows are re-searched; only the direct search warns about them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        cc = np.einsum("kd,kd->k", c, c)
+        e = x @ (-2.0 * c).T
+        e += cc
+        idx = e.argmin(axis=1)
+        best = e[rows, idx]
+        e[rows, idx] = np.inf
+        gap = e.min(axis=1) - best          # inf when K == 1
+        scale = 2 * (np.einsum("td,td->t", x, x) + cc.max())
+    info, dim = np.finfo(frames.dtype), x.shape[1]
+    # Twice each method's error (winner and runner-up) plus the rounding of
+    # `gap`, with 1% to spare for the rounding of S and of the bound itself.
+    rel = 2.02 * (_gamma(dim + 2, info.eps / 2) + _gamma(dim + 2, _F64.eps / 2) + 2 * _F64.eps)
+    tiny = 2.02 * dim * (info.smallest_subnormal + 3 * _F64.smallest_subnormal)
+    sure = (gap > rel * scale + tiny) & (scale < info.max / 2)
+    redo = np.flatnonzero(~sure)
+    if redo.size:
+        idx[redo] = _nearest_direct(entries, frames[redo])
     return idx
 
 

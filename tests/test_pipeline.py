@@ -24,6 +24,7 @@ from paravox.pipeline.evaluate import evaluate, format_report
 from paravox.pipeline.infer import (IncompatibleCheckpoints, encode_text, infer,
                                     load_pipeline, write_mel_file)
 from paravox.pipeline.train import (Adam, MissingPrerequisite, train_tokenizer)
+from paravox.rvq import RVQStack
 from paravox.tokenizer import ParallelTokenizer
 
 
@@ -578,6 +579,22 @@ def test_evaluate_report_shape(mini_run):
     assert len(report["flow"]["mel_mse_per_item"]) == 2
     back = json.loads(json.dumps(report))
     assert back["n_items"] == report["n_items"]
+
+
+def test_evaluate_encodes_the_corpus_once(mini_run, monkeypatch):
+    """One RVQ encode per stack per report, and the tokenizer figures equal
+    those of a per-stack encode of the corpus frames."""
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    encode, calls = RVQStack.encode, []
+    monkeypatch.setattr(RVQStack, "encode", lambda stack, frames: calls.append(stack) or encode(stack, frames))
+    report = evaluate(pipe, mini_run.items, mel_items=1)["tokenizer"]
+    assert calls == list(pipe.tokenizer.stacks.values())
+    for name, frames in pipe.tokenizer.stream_frames([it.bundle for it in mini_run.items]).items():
+        stack = pipe.tokenizer.stacks[name]
+        tokens, quantized, _ = encode(stack, frames)
+        assert report["recon_mse"][name] == float(((frames - quantized) ** 2).mean())
+        assert report["utilization"][name] == stack.utilization(tokens)
+        assert report["perplexity"][name] == stack.perplexity(tokens)
 
 
 # ---- ablations -------------------------------------------------------------------

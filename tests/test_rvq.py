@@ -1,12 +1,15 @@
-"""RVQ: brute-force oracle equivalence, residual behavior, EMA training."""
+"""RVQ: brute-force oracle equivalence, the GEMM search against the direct
+search, residual behavior, EMA training."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from paravox import rvq
 from paravox.engine import Rng, Tensor, grad_check
-from paravox.rvq import RVQStack
+from paravox.rvq import RVQStack, _nearest, _nearest_direct
+from paravox.tokenizer import TokenizerConfig
 
 
 def brute_force_encode(stack, frames):
@@ -234,3 +237,160 @@ def test_frame_shape_validation():
     stack = RVQStack.init_random(rng, n_layers=1, codebook_size=4, dim=6)
     with pytest.raises(ValueError, match=r"\(T, 6\)"):
         stack.encode(np.zeros((3, 5), dtype=np.float32))
+
+
+# ---- the GEMM nearest-code search against the direct search -----------------
+
+
+@pytest.fixture
+def redone(monkeypatch):
+    """Counts the rows `_nearest` hands back to the direct search."""
+    rows = [0]
+
+    def counting(entries, frames):
+        rows[0] += frames.shape[0]
+        return _nearest_direct(entries, frames)
+
+    monkeypatch.setattr(rvq, "_nearest_direct", counting)
+    return rows
+
+
+def _fuzz_case(rng: Rng, case: int):
+    """(entries, frames) of one seeded case: T 0-39, K 1-69, D 1-80, f32 or
+    f64, scales 1e-20 to 1e18, with pinned zero codewords, duplicate
+    codewords, frames equal to codewords, zero frames and near-midpoints."""
+    t, k, d = rng.integers(0, 40), rng.integers(1, 70), rng.integers(1, 81)
+    dtype = (np.float32, np.float64)[case % 2]
+    scale = 10.0 ** rng.uniform(-20, 18)
+    entries = rng.normal((k, d), scale=scale, dtype=dtype)
+    if rng.uniform() < 0.5:
+        entries[0] = 0.0
+    if k > 1 and rng.uniform() < 0.3:
+        entries[rng.integers(0, k, (2,))] = entries[rng.integers(0, k)]
+    frames = rng.normal((t, d), scale=scale * rng.uniform(0.1, 3.0), dtype=dtype)
+    for i in range(t):
+        pick = rng.uniform()
+        if pick < 0.1:
+            frames[i] = entries[rng.integers(0, k)]
+        elif pick < 0.15:
+            frames[i] = 0.0
+        elif pick < 0.25:
+            a, b = entries[rng.integers(0, k, (2,))]
+            frames[i] = (a / 2 + b / 2) * (1 + rng.uniform(-1e-6, 1e-6))
+    return entries, frames
+
+
+def test_nearest_matches_direct_search_fuzz(redone):
+    rng = Rng(1234)
+    searched = 0
+    with np.errstate(all="ignore"):
+        for case in range(3000):
+            entries, frames = _fuzz_case(rng.spawn(case), case)
+            got = _nearest(entries, frames)
+            want = _nearest_direct(entries, frames)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (case, entries.shape, frames.shape)
+            searched += frames.shape[0]
+    assert 0 < redone[0] < searched / 4, (redone[0], searched)
+
+
+def test_nearest_certifies_separated_rows(redone):
+    rng = Rng(40)
+    entries = rng.normal((64, 64), dtype=np.float32)
+    entries[0] = 0.0
+    frames = rng.normal((400, 64), dtype=np.float32)
+    assert np.array_equal(_nearest(entries, frames), _nearest_direct(entries, frames))
+    assert redone[0] == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nearest_codebook_of_one(dtype):
+    TokenizerConfig(codebook_size=1).validate()
+    rng = Rng(41)
+    frames = rng.normal((7, 5), dtype=dtype)
+    frames[2, 1], frames[4, 0] = np.nan, np.inf
+    for entries in (np.zeros((1, 5), dtype), rng.normal((1, 5), scale=3.0, dtype=dtype)):
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_nearest(entries, frames), np.zeros(7, np.int64))
+            assert np.array_equal(_nearest_direct(entries, frames), np.zeros(7, np.int64))
+    stack = RVQStack.init_random(rng, n_layers=2, codebook_size=1, dim=5)
+    assert np.array_equal(stack.encode(frames[:2])[0], np.zeros((2, 2), np.int64))
+    stack.train_step(frames[:2], rng.spawn("r"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nearest_zero_frames(dtype):
+    rng = Rng(42)
+    entries = rng.normal((8, 6), dtype=dtype)
+    out = _nearest(entries, np.zeros((0, 6), dtype))
+    assert out.shape == (0,) and out.dtype == np.int64
+    stack = RVQStack.init_random(rng, n_layers=3, codebook_size=8, dim=6)
+    tokens, quantized, norms = stack.encode(np.zeros((0, 6), dtype))
+    assert tokens.shape == (0, 3) and quantized.shape == (0, 6) and norms.shape == (0, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nearest_non_finite_frames_and_codewords(dtype, monkeypatch):
+    rng = Rng(43)
+    stack = RVQStack.init_random(rng, n_layers=3, codebook_size=8, dim=4)
+    frames = rng.normal((6, 4), dtype=dtype)
+    frames[1, 2], frames[2, 0], frames[3, 3] = np.nan, np.inf, -np.inf
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_nearest(stack.layers[0].entries.astype(dtype), frames),
+                              _nearest_direct(stack.layers[0].entries.astype(dtype), frames))
+        for bad in (np.nan, np.inf, -np.inf):
+            entries = rng.normal((8, 4), dtype=dtype)
+            entries[5, 1] = bad
+            clean = rng.normal((6, 4), dtype=dtype)
+            assert np.array_equal(_nearest(entries, clean), _nearest_direct(entries, clean))
+        # the public encode bypasses any finiteness check
+        tokens = stack.encode(frames)[0]
+        monkeypatch.setattr(rvq, "_nearest", _nearest_direct)
+        assert np.array_equal(tokens, stack.encode(frames)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16])
+def test_nearest_other_dtypes_use_the_direct_search(dtype, redone):
+    entries = np.array([[0, 0], [3, 4], [-2, 1]], dtype=dtype)
+    frames = np.array([[2, 3], [-1, 1], [0, 0]], dtype=dtype)
+    assert np.array_equal(_nearest(entries, frames), [1, 2, 0])
+    assert redone[0] == 3
+
+
+@pytest.mark.parametrize("dtype, small, large", [(np.float32, 1e-25, 1e20),
+                                                 (np.float64, 1e-165, 1e156)])
+def test_nearest_where_direct_distances_underflow_or_overflow(dtype, small, large):
+    """At these magnitudes every direct distance rounds to 0 or to inf, so
+    the direct search ties them all at index 0; the GEMM search must too."""
+    rng = Rng(44)
+    entries = rng.normal((16, 8), dtype=np.float64)
+    frames = rng.normal((10, 8), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        for scale in (small, large):
+            c, x = (entries * scale).astype(dtype), (frames * scale).astype(dtype)
+            assert np.array_equal(_nearest_direct(c, x), np.zeros(10, np.int64)), scale
+            assert np.array_equal(_nearest(c, x), np.zeros(10, np.int64)), scale
+        # in between, some rows straddle the limits
+        for scale in np.geomspace(small, large, 60):
+            c, x = (entries * scale).astype(dtype), (frames * scale).astype(dtype)
+            assert np.array_equal(_nearest(c, x), _nearest_direct(c, x)), scale
+
+
+def test_train_steps_match_direct_search(monkeypatch, redone):
+    """One repeated batch and a low `reseed_after`: reseeding copies the same
+    frame into several entries, whose exact ties the GEMM cannot certify."""
+    def run():
+        rng = Rng(45)
+        stack = RVQStack.init_random(rng, n_layers=3, codebook_size=16, dim=6, reseed_after=2)
+        batch = rng.normal((12, 6), dtype=np.float32)
+        train_rng = rng.spawn("train")
+        reseeded = sum(stack.train_step(batch, train_rng)["n_reseeded"] for _ in range(40))
+        return stack, reseeded
+
+    fast, reseeded = run()
+    assert reseeded > 0 and redone[0] > 0
+    monkeypatch.setattr(rvq, "_nearest", _nearest_direct)
+    slow, _ = run()
+    for cb, ref in zip(fast.layers, slow.layers):
+        for name in ("entries", "ema_counts", "ema_sums", "unused_steps"):
+            got, want = getattr(cb, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
