@@ -52,8 +52,8 @@ class ARConfig:
             raise ValueError(f"model_dim {self.model_dim} must divide evenly across {len(self.streams)} streams")
         if self.model_dim % self.n_heads:
             raise ValueError(f"model_dim {self.model_dim} not divisible by n_heads {self.n_heads}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not (isinstance(self.temperature, (int, float)) and self.temperature > 0):
+            raise ValueError(f"ARConfig.temperature must be > 0, got {self.temperature!r}")
 
     @property
     def n_streams(self) -> int:

@@ -25,6 +25,7 @@ __all__ = [
     "no_grad",
     "get_default_dtype",
     "concat",
+    "conv_windows",
     "embedding",
     "linear",
     "softmax",
@@ -373,6 +374,27 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor._make(data, tuple(tensors), grad_fn)
 
 
+def conv_windows(x: Tensor, kernel: int) -> Tensor:
+    """Same-padded convolution windows of a (..., T, D) input, one tape node:
+    row t of the (..., T, kernel * D) output holds input rows t - kernel // 2
+    .. t + kernel // 2, zeros past either end. The backward adds the taps'
+    column blocks into one padded gradient in tap order."""
+    xd = x.data
+    t, d = xd.shape[-2:]
+    half = kernel // 2
+    padded = np.zeros(xd.shape[:-2] + (t + 2 * half, d), dtype=xd.dtype)
+    padded[..., half:half + t, :] = xd
+    data = np.concatenate([padded[..., i:i + t, :] for i in range(kernel)], axis=-1)
+
+    def grad_fn(g):
+        gp = np.zeros_like(padded)
+        for i in range(kernel):
+            gp[..., i:i + t, :] += g[..., i * d:(i + 1) * d]
+        x._accumulate(gp[..., half:half + t, :])
+
+    return Tensor._make(data, (x,), grad_fn)
+
+
 def embedding(tables: list[Tensor], ids: np.ndarray) -> Tensor:
     """Summed row lookups from several (n_k, D) tables, one tape node.
 
@@ -556,12 +578,11 @@ def attention(qkv: Tensor, n_heads: int, mask: np.ndarray | None = None,
     return Tensor._make(data, (qkv,), grad_fn)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer `targets` under `logits`.
 
     `logits` has classes on the last axis; leading axes are flattened.
-    `mask` (same leading shape, 0/1) selects which positions count; the
-    mean is over selected positions. Uniform logits give exactly ln K.
+    Uniform logits give exactly ln K.
     """
     k = logits.data.shape[-1]
     flat = logits.data.reshape(-1, k)
@@ -573,53 +594,29 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
     z = flat - flat.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     nll = (lse.reshape(-1) - z[np.arange(t.shape[0]), t])
-    if mask is not None:
-        w = np.asarray(mask, dtype=flat.dtype).reshape(-1)
-        denom = w.sum()
-        if denom <= 0:
-            raise ValueError("cross_entropy mask selects no positions")
-        loss = (nll * w).sum() / denom
-    else:
-        w = None
-        denom = float(t.shape[0])
-        loss = nll.mean()
+    loss = nll.mean()
 
     def grad_fn(g):
         p = np.exp(z - lse)
         p[np.arange(t.shape[0]), t] -= 1.0
-        if w is not None:
-            p *= (w / denom)[:, None]
-        else:
-            p /= denom
+        p /= float(t.shape[0])
         logits._accumulate(float(g) * p.reshape(logits.data.shape))
 
     return Tensor._make(np.asarray(loss, dtype=flat.dtype), (logits,), grad_fn)
 
 
-def bce_with_logits(logits: Tensor, labels: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean binary cross-entropy of sigmoid(logits) against 0/1 labels."""
     x = logits.data
     y = np.asarray(labels, dtype=x.dtype)
     if x.shape != y.shape:
         raise ShapeError(f"bce_with_logits labels shape {y.shape} does not match logits {x.shape}")
     per = np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    if mask is not None:
-        w = np.asarray(mask, dtype=x.dtype)
-        denom = w.sum()
-        if denom <= 0:
-            raise ValueError("bce_with_logits mask selects no positions")
-        loss = (per * w).sum() / denom
-    else:
-        w = None
-        denom = float(x.size)
-        loss = per.mean()
+    loss = per.mean()
 
     def grad_fn(g):
         s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-        d = (s - y)
-        if w is not None:
-            d = d * w
-        logits._accumulate(float(g) * d.astype(x.dtype) / denom)
+        logits._accumulate(float(g) * (s - y).astype(x.dtype) / float(x.size))
 
     return Tensor._make(np.asarray(loss, dtype=x.dtype), (logits,), grad_fn)
 

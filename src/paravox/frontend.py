@@ -6,13 +6,10 @@ them from known latent factors (symbol templates, speaker latents, a
 prosody walk) so that downstream models can be tested against ground
 truth. Frame rate is uniform across all per-frame arrays.
 
-Feature files are a little-endian binary container:
-
-    magic   8 bytes  "PGPTFEAT"
-    version u32      1
-    count   u32      number of arrays
-    per array: name_len u16, name utf-8, dtype u8 (0 = f32),
-               rank u8, dims u64 * rank, raw row-major data
+Feature files are a little-endian binary container: magic "PGPTFEAT",
+u32 version 1, then the array records of `pack_records`, all with dtype
+code 0 = f32. Stage checkpoints store their parameters in the same
+records.
 
 A bundle file stores exactly the six required arrays; `symbols` is
 stored f32-cast (exact for any realistic id range).
@@ -20,6 +17,7 @@ stored f32-cast (exact for any realistic id range).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -36,9 +34,6 @@ EOS_ID = 2
 N_RESERVED = 3
 
 REQUIRED_ARRAYS = ("semantic", "acoustic", "speaker_frames", "speaker_global", "mel", "symbols")
-
-_DTYPE_CODES = {0: np.dtype("<f4")}
-
 
 class FeatureFileError(Exception):
     """Base class for feature-file parse failures."""
@@ -191,11 +186,12 @@ class SyntheticSpec:
             if not isinstance(v, int) or v <= 0:
                 raise ValueError(f"SyntheticSpec.{name} must be a positive int, got {v!r}")
         for name in ("symbols_per_utterance", "frames_per_symbol"):
-            lo, hi = getattr(self, name)
-            if lo < 1 or hi < lo:
-                raise ValueError(f"SyntheticSpec.{name} must be (lo, hi) with 1 <= lo <= hi, got {(lo, hi)}")
-        if self.noise_scale < 0:
-            raise ValueError("SyntheticSpec.noise_scale must be >= 0")
+            v = getattr(self, name)
+            if not (isinstance(v, (tuple, list)) and len(v) == 2 and all(isinstance(n, int) for n in v)
+                    and 1 <= v[0] <= v[1]):
+                raise ValueError(f"SyntheticSpec.{name} must be (lo, hi) with 1 <= lo <= hi, got {v!r}")
+        if not (isinstance(self.noise_scale, (int, float)) and self.noise_scale >= 0):
+            raise ValueError(f"SyntheticSpec.noise_scale must be >= 0, got {self.noise_scale!r}")
         worst = self.symbols_per_utterance[1] * self.frames_per_symbol[1]
         if worst > self.max_frames:
             raise ValueError(f"longest utterance ({worst} frames) exceeds max_frames={self.max_frames}")
@@ -340,66 +336,85 @@ def generate_corpus(spec: SyntheticSpec) -> Corpus:
 # ---- binary container ------------------------------------------------------
 
 
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    # asarray, not ascontiguousarray: the latter promotes rank-0 arrays
-    # to rank-1, and tobytes() already serializes in C order.
-    data = np.asarray(arr, dtype="<f4")
-    name_b = name.encode("utf-8")
-    head = struct.pack("<H", len(name_b)) + name_b
-    head += struct.pack("<BB", 0, data.ndim)
-    head += struct.pack(f"<{data.ndim}Q", *data.shape)
-    return head + data.tobytes()
+def pack_records(out: bytearray, arrays: dict[str, np.ndarray], codes: dict[np.dtype, int]) -> None:
+    """Append a u32 count and one record per array, in `arrays` order:
+    name_len u16, name utf-8, dtype u8, rank u8, dims u64 * rank, raw
+    row-major data. `codes` maps each dtype the format allows to its
+    code; every array must already have one of them."""
+    out += struct.pack("<I", len(arrays))
+    for name, arr in arrays.items():
+        name_b = name.encode("utf-8")
+        out += struct.pack(f"<H{len(name_b)}sBB{arr.ndim}Q", len(name_b), name_b,
+                           codes[arr.dtype], arr.ndim, *arr.shape)
+        out += arr.tobytes()
+
+
+class RecordReader:
+    """Cursor over a file's bytes that parses `pack_records` output. It raises
+    feature-file errors; another format overrides `truncated`,
+    `unknown_dtype` and `trailing` to raise its own."""
+
+    def __init__(self, buf: bytes):
+        self.buf = memoryview(buf)
+        self.pos = 0
+
+    def truncated(self, n: int, what: str) -> Exception:
+        return TruncatedFileError(f"file ends inside {what} (needed {n} bytes at offset {self.pos})")
+
+    def unknown_dtype(self, name: str, code: int) -> Exception:
+        return FeatureFileError(f"array {name!r}: unknown dtype code {code}")
+
+    def trailing(self) -> Exception:
+        return FeatureFileError(f"{len(self.buf) - self.pos} trailing bytes after last array")
+
+    def take(self, n: int, what: str) -> memoryview:
+        if self.pos + n > len(self.buf):
+            raise self.truncated(n, what)
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def records(self, dtypes: dict[int, np.dtype]) -> dict[str, np.ndarray]:
+        """The arrays, given the dtype of each code the format allows;
+        they must end the file."""
+        (count,) = self.unpack("<I", "array count")
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = self.unpack("<H", "name length")
+            name = str(self.take(name_len, "array name"), "utf-8")
+            code, rank = self.unpack("<BB", "array header")
+            if code not in dtypes:
+                raise self.unknown_dtype(name, code)
+            dims = self.unpack(f"<{rank}Q", f"dims of {name!r}")
+            raw = self.take(math.prod(dims) * dtypes[code].itemsize, f"data of {name!r}")
+            arrays[name] = np.frombuffer(raw, dtype=dtypes[code]).reshape(dims).copy()
+        if self.pos != len(self.buf):
+            raise self.trailing()
+        return arrays
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named f32 arrays in the feature-file container format."""
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<II", FORMAT_VERSION, len(arrays))
-    for name, arr in arrays.items():
-        blob += _pack_array(name, np.asarray(arr))
+    """Write named arrays, cast to f32, in the feature-file container format."""
+    out = bytearray(MAGIC)
+    out += struct.pack("<I", FORMAT_VERSION)
+    pack_records(out, {name: np.asarray(arr, dtype="<f4") for name, arr in arrays.items()}, {np.dtype("<f4"): 0})
     with open(path, "wb") as f:
-        f.write(blob)
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise TruncatedFileError(f"file ends inside {what} (needed {n} bytes at offset {self.pos})")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        f.write(out)
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
     """Parse a feature-file container into {name: f32 array}."""
     with open(path, "rb") as f:
-        buf = f.read()
-    r = _Reader(buf)
-    magic = r.take(8, "magic")
+        r = RecordReader(f.read())
+    magic = bytes(r.take(8, "magic"))
     if magic != MAGIC:
         raise MagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version, count = struct.unpack("<II", r.take(8, "header"))
+    (version,) = r.unpack("<I", "header")
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported format version {version}, expected {FORMAT_VERSION}")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", r.take(2, "name length"))
-        name = r.take(name_len, "array name").decode("utf-8")
-        dtype_code, rank = struct.unpack("<BB", r.take(2, "array header"))
-        if dtype_code not in _DTYPE_CODES:
-            raise FeatureFileError(f"array {name!r}: unknown dtype code {dtype_code}")
-        dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"dims of {name!r}"))
-        n_items = int(np.prod(dims)) if rank else 1
-        raw = r.take(4 * n_items, f"data of {name!r}")
-        arrays[name] = np.frombuffer(raw, dtype=_DTYPE_CODES[dtype_code]).reshape(dims).copy()
-    if r.pos != len(buf):
-        raise FeatureFileError(f"{len(buf) - r.pos} trailing bytes after last array")
-    return arrays
+    return r.records({0: np.dtype("<f4")})
 
 
 def save_features(path, bundle: FeatureBundle) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Rng, Tensor, attention, concat, gelu, layer_norm, linear
+from .engine import Rng, Tensor, attention, conv_windows, gelu, layer_norm, linear
 
 NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
 
@@ -156,7 +156,7 @@ class TransformerBlock(Module):
 
 
 class Conv1dSame(Module):
-    """1-D convolution over time with zero padding, via shifted-slice concat."""
+    """1-D convolution over time with zero padding: `conv_windows`, then a Linear."""
 
     def __init__(self, d_in: int, d_out: int, kernel: int, rng: Rng, dtype=None):
         if kernel % 2 == 0:
@@ -165,13 +165,7 @@ class Conv1dSame(Module):
         self.proj = Linear(kernel * d_in, d_out, rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        t, d = x.shape[-2], x.shape[-1]
-        half = self.kernel // 2
-        pad_shape = x.shape[:-2] + (half, d)
-        zeros = Tensor(np.zeros(pad_shape, dtype=x.dtype))
-        padded = concat([zeros, x, zeros], axis=-2)
-        windows = concat([padded[..., i:i + t, :] for i in range(self.kernel)], axis=-1)
-        return self.proj(windows)
+        return self.proj(conv_windows(x, self.kernel))
 
 
 def causal_mask(t: int, dtype=np.float32) -> np.ndarray:

@@ -1,12 +1,11 @@
 """Binary checkpoint container for trained stages.
 
-Layout (little-endian): magic "PVOXCKPT", u32 format version, then a
-length-prefixed stage tag and canonical-JSON config snapshot, followed
-by u32 parameter count and the parameter blobs sorted by name: u16
-name length, name bytes, u8 dtype code (0=f32, 1=f64, 2=i64), u8 rank,
-u64 dims, raw array data.
+Layout (little-endian): magic "PVOXCKPT", u32 format version, a u16
+length-prefixed stage tag and a u64 length-prefixed canonical-JSON
+config, then the parameters, sorted by name, in the array records of
+`frontend.pack_records` with dtype codes 0=f32, 1=f64, 2=i64.
 
-Canonical JSON (sorted keys, fixed separators) plus name-sorted blobs
+Canonical JSON (sorted keys, fixed separators) plus name-sorted records
 makes save -> load -> save reproduce the file byte for byte, which is
 what the stage-freezing guarantee is checked against.
 
@@ -24,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..frontend import RecordReader, pack_records
+
 MAGIC = b"PVOXCKPT"
 FORMAT_VERSION = 3
 
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
-_CODES_BY_KIND = {("f", 4): 0, ("f", 8): 1, ("i", 8): 2}
+_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
+_CODES = {dtype: code for code, dtype in _DTYPES.items()}
 
 
 class CheckpointError(ValueError):
@@ -59,87 +60,66 @@ class Checkpoint:
         return "\n".join(lines)
 
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
-
-
-def _dtype_code(arr: np.ndarray) -> int:
-    key = (arr.dtype.kind, arr.dtype.itemsize)
-    if key not in _CODES_BY_KIND:
+def _record_array(arr) -> np.ndarray:
+    """`arr` in the little-endian dtype of its record code."""
+    arr = np.asarray(arr)
+    dtype = arr.dtype.newbyteorder("<")
+    if dtype not in _CODES:
         raise CheckpointError(f"unsupported parameter dtype {arr.dtype}")
-    return _CODES_BY_KIND[key]
+    return arr.astype(dtype, copy=False)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    out = bytearray()
-    out += MAGIC
+    out = bytearray(MAGIC)
     out += struct.pack("<I", FORMAT_VERSION)
     stage = ckpt.stage.encode()
     out += struct.pack("<H", len(stage)) + stage
-    cfg = _canonical_json(ckpt.config)
+    cfg = json.dumps(ckpt.config, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
     out += struct.pack("<Q", len(cfg)) + cfg
-    out += struct.pack("<I", len(ckpt.params))
-    for name in sorted(ckpt.params):
-        # asarray, not ascontiguousarray: the latter promotes rank-0 to
-        # rank-1, and tobytes() already serializes in C order.
-        arr = np.asarray(ckpt.params[name])
-        code = _dtype_code(arr)
-        nm = name.encode()
-        out += struct.pack("<H", len(nm)) + nm
-        out += struct.pack("<BB", code, arr.ndim)
-        out += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        out += arr.astype(_DTYPE_CODES[code], copy=False).tobytes()
+    pack_records(out, {name: _record_array(ckpt.params[name]) for name in sorted(ckpt.params)}, _CODES)
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(out)
 
 
-class _Reader:
+class _Reader(RecordReader):
+    """A record reader whose errors are `CheckpointError`s naming the file."""
+
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        super().__init__(blob)
         self.path = path
-        self.off = 0
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise CheckpointError(f"{self.path}: truncated checkpoint "
-                                  f"(wanted {n} bytes at offset {self.off})")
-        out = self.blob[self.off:self.off + n]
-        self.off += n
-        return out
+    def truncated(self, n: int, what: str) -> Exception:
+        return CheckpointError(f"{self.path}: truncated checkpoint (wanted {n} bytes at offset {self.pos})")
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def unknown_dtype(self, name: str, code: int) -> Exception:
+        return CheckpointError(f"{self.path}: parameter {name!r} has unknown dtype code {code}")
+
+    def trailing(self) -> Exception:
+        return CheckpointError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes after parameters")
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob, path)
-    if r.take(len(MAGIC)) != MAGIC:
+        r = _Reader(fh.read(), path)
+    if r.take(len(MAGIC), "magic") != MAGIC:
         raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
-    (version,) = r.unpack("<I")
+    (version,) = r.unpack("<I", "version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    (stage_len,) = r.unpack("<H")
-    stage = r.take(stage_len).decode()
-    (cfg_len,) = r.unpack("<Q")
-    config = json.loads(r.take(cfg_len).decode())
-    (n_params,) = r.unpack("<I")
-    params: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
-        code, rank = r.unpack("<BB")
-        if code not in _DTYPE_CODES:
-            raise CheckpointError(f"{path}: parameter {name!r} has unknown dtype code {code}")
-        shape = r.unpack(f"<{rank}Q") if rank else ()
-        dtype = _DTYPE_CODES[code]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = r.take(count * dtype.itemsize)
-        params[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-    if r.off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - r.off} trailing bytes after parameters")
-    return Checkpoint(stage=stage, config=config, params=params)
+    (stage_len,) = r.unpack("<H", "stage tag length")
+    try:
+        stage = str(r.take(stage_len, "stage tag"), "utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: stage tag is not UTF-8") from None
+    (cfg_len,) = r.unpack("<Q", "config length")
+    config = r.take(cfg_len, "config")
+    try:
+        config = json.loads(str(config, "utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise CheckpointError(f"{path}: config is not JSON: {e}") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config is a JSON {type(config).__name__}, not an object")
+    return Checkpoint(stage=stage, config=config, params=r.records(_DTYPES))
 
 
 def load_stage_checkpoint(path, stage: str) -> Checkpoint:

@@ -19,9 +19,9 @@ from ..flow import SolverConfig, VelocityField, sample_mel
 from ..frontend import FeatureBundle, Vocabulary, default_alphabet, save_arrays
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
-from .checkpoint import Checkpoint, IncompatibleCheckpoints, load_stage_checkpoint
+from .checkpoint import Checkpoint, IncompatibleCheckpoints
 from .config import PipelineConfig
-from .train import CHECKPOINT_NAMES, config_mismatches
+from .train import CHECKPOINT_NAMES, load_stage
 
 _COMPAT_SECTIONS = ("data", "tokenizer", "ar", "nar", "flow", "ablation")
 
@@ -66,17 +66,10 @@ def load_pipeline(ckpt_dir) -> LoadedPipeline:
     root = Path(ckpt_dir)
 
     def load(stage: str, base: dict | None = None) -> Checkpoint:
-        """The stage's checkpoint, once its stage tag and, given `base`
-        (the tokenizer's config), its config check out."""
         path = root / CHECKPOINT_NAMES[stage]
-        if not path.is_file():
-            raise FileNotFoundError(f"missing {stage} checkpoint: {path}")
-        ckpt = load_stage_checkpoint(path, stage)
-        diffs = config_mismatches(base, ckpt.config, _COMPAT_SECTIONS) if base else []
-        if diffs:
-            raise IncompatibleCheckpoints(
-                f"tokenizer and {stage} checkpoints disagree on: " + ", ".join(diffs))
-        return ckpt
+        return load_stage(path, stage, FileNotFoundError(f"missing {stage} checkpoint: {path}"),
+                          base, _COMPAT_SECTIONS, lambda fields: IncompatibleCheckpoints(
+                              f"tokenizer and {stage} checkpoints disagree on: {fields}"))
 
     tok_ckpt = load("tokenizer")
     base = tok_ckpt.config

@@ -70,8 +70,9 @@ class TrainSchedule:
         if self.kind not in ("constant", "cosine"):
             raise ValueError(f"schedule kind must be 'constant' or 'cosine', got {self.kind!r}")
         for name in ("base_lr", "peak_lr", "final_lr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and v > 0):
+                raise ValueError(f"{name} must be > 0, got {v!r}")
 
     def learning_rate(self, step: int) -> float:
         if step < 0:
@@ -328,22 +329,6 @@ def train_flow(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: boo
 # ---- orchestration ---------------------------------------------------------------
 
 
-def _load_frozen_tokenizer(ckpt_dir: Path, pcfg) -> ParallelTokenizer:
-    path = ckpt_dir / CHECKPOINT_NAMES["tokenizer"]
-    if not path.is_file():
-        raise MissingPrerequisite(f"stage needs the frozen tokenizer at {path}; "
-                                  "run `train --stage tokenizer` first")
-    ckpt = load_stage_checkpoint(path, "tokenizer")
-    mismatches = config_mismatches(ckpt.config, pcfg.to_dict(),
-                                   sections=("data", "tokenizer", "ablation"))
-    if mismatches:
-        raise ValueError("tokenizer checkpoint config differs from this run's config: "
-                         + ", ".join(mismatches))
-    tok = ParallelTokenizer(pcfg.build_tokenizer_config())
-    tok.load_full_state(ckpt.params)
-    return tok
-
-
 def config_mismatches(a: dict, b: dict, sections) -> list[str]:
     """Dotted paths where two config snapshots disagree, within `sections`."""
     out = []
@@ -363,6 +348,20 @@ def config_mismatches(a: dict, b: dict, sections) -> list[str]:
     return out
 
 
+def load_stage(path: Path, stage: str, missing: Exception, base: dict | None, sections,
+               mismatch) -> Checkpoint:
+    """The `stage` checkpoint at `path`. Raises `missing` if there is no
+    file there and, unless `base` is None, `mismatch(fields)` if its config
+    and `base` differ in the dotted `fields` within `sections`."""
+    if not path.is_file():
+        raise missing
+    ckpt = load_stage_checkpoint(path, stage)
+    diffs = config_mismatches(base, ckpt.config, sections) if base else []
+    if diffs:
+        raise mismatch(", ".join(diffs))
+    return ckpt
+
+
 def train_stage(stage: str, items: list[CorpusItem], pcfg, out_ckpt, quiet: bool = True) -> StageReport:
     """Train one stage and write its checkpoint next to its prerequisites.
 
@@ -380,7 +379,14 @@ def train_stage(stage: str, items: list[CorpusItem], pcfg, out_ckpt, quiet: bool
         tok, _, report = train_tokenizer(items, pcfg, quiet=quiet)
         params = tok.full_state()
     else:
-        tok = _load_frozen_tokenizer(out_path.parent, pcfg)
+        path = out_path.parent / CHECKPOINT_NAMES["tokenizer"]
+        ckpt = load_stage(
+            path, "tokenizer",
+            MissingPrerequisite(f"stage needs the frozen tokenizer at {path}; run `train --stage tokenizer` first"),
+            pcfg.to_dict(), ("data", "tokenizer", "ablation"),
+            lambda fields: ValueError(f"tokenizer checkpoint config differs from this run's config: {fields}"))
+        tok = ParallelTokenizer(pcfg.build_tokenizer_config())
+        tok.load_full_state(ckpt.params)
         train = {"ar": train_ar, "nar": train_nar, "flow": train_flow}[stage]
         model, report = train(items, pcfg, tok, quiet=quiet)
         params = model.state()

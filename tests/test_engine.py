@@ -10,6 +10,7 @@ from paravox.engine import (
     attention,
     bce_with_logits,
     concat,
+    conv_windows,
     cross_entropy,
     embedding,
     gelu,
@@ -477,6 +478,23 @@ def test_embedding_grad_check_f64():
     assert np.all(gradients(loss(), tables)[2] == 0.0)
 
 
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
+def test_conv_windows_grad_check_f64(lead, kernel):
+    rng = Rng(44)
+    x = f64(rng, lead + (4, 3))
+    w = rng.normal(lead + (4, 3 * kernel), dtype=np.float64)
+    report = grad_check(lambda: (conv_windows(x, kernel) * w).sum(), {"x": x}, tolerance=1e-6)
+    assert report.passed, str(report)
+
+
+def test_conv_windows_zero_pads_each_tap():
+    x = np.arange(1.0, 7.0).reshape(3, 2)
+    out = conv_windows(Tensor(x), 3).data
+    padded = np.vstack([np.zeros((1, 2)), x, np.zeros((1, 2))])
+    np.testing.assert_array_equal(out, np.hstack([padded[0:3], padded[1:4], padded[2:5]]))
+
+
 def test_embedding_rejects_bad_ids():
     tables, ids = _embedding_case(Rng(44))
     # Below -1, and the second table's row count.
@@ -507,6 +525,7 @@ def test_fused_primitives_are_one_tape_node():
         (softmax(scores, scale=0.5, mask=mask), (scores,)),
         (attention(qkv, 2, mask=mask), (qkv,)),
         (embedding([w, table], np.array([[1, -1], [-1, 2]])), (w, table)),
+        (conv_windows(x, 3), (x,)),
     ]
     for out, inputs in cases:
         assert out._parents == inputs
@@ -520,18 +539,12 @@ def test_cross_entropy_uniform_is_ln_k():
         assert abs(loss.item() - np.log(k)) < 1e-6
 
 
-def test_cross_entropy_grad_and_mask():
+def test_cross_entropy_grad_check():
     rng = Rng(7)
     logits = f64(rng, (6, 5), 2.0)
     targets = np.array([0, 1, 4, 2, 3, 0])
-    mask = np.array([1, 1, 0, 1, 0, 1], dtype=np.float64)
-    report = grad_check(lambda: cross_entropy(logits, targets, mask), {"logits": logits}, tolerance=1e-6)
+    report = grad_check(lambda: cross_entropy(logits, targets), {"logits": logits}, tolerance=1e-6)
     assert report.passed, str(report)
-    # masked positions must not influence the loss
-    before = cross_entropy(logits, targets, mask).item()
-    logits.data[2] += 100.0
-    after = cross_entropy(logits, targets, mask).item()
-    assert before == pytest.approx(after, abs=1e-12)
 
 
 def test_bce_with_logits_matches_manual():

@@ -10,6 +10,7 @@ from paravox.frontend import (
     FORMAT_VERSION,
     MAGIC,
     FeatureBundle,
+    FeatureFileError,
     InvariantError,
     MagicError,
     SyntheticSpec,
@@ -279,6 +280,22 @@ def test_truncated_file(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(TruncatedFileError):
             load_arrays(path)
+
+
+def test_container_error_messages(tmp_path):
+    path = tmp_path / "x.feat"
+    save_arrays(path, {"x": np.zeros((2, 3), dtype=np.float32)})
+    raw = path.read_bytes()   # the record's dtype code is byte 19, its data starts at 37
+    cases = [
+        (raw[:-3], TruncatedFileError, "file ends inside data of 'x' (needed 24 bytes at offset 37)"),
+        (raw + b"\0", FeatureFileError, "1 trailing bytes after last array"),
+        (raw[:19] + b"\x07" + raw[20:], FeatureFileError, "array 'x': unknown dtype code 7"),
+    ]
+    for data, error, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(error) as info:
+            load_arrays(path)
+        assert str(info.value) == message
 
 
 def test_missing_required_array(tmp_path):

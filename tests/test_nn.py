@@ -226,6 +226,41 @@ def test_conv1d_grad_check():
     assert report.passed, str(report)
 
 
+def _conv_composed(conv: Conv1dSame, x: Tensor) -> Tensor:
+    """`Conv1dSame` as it was built from tape nodes: a concat of zero rows
+    around x, one slice per tap, a concat of the slices, then the Linear."""
+    t, d = x.shape[-2:]
+    zeros = Tensor(np.zeros(x.shape[:-2] + (conv.kernel // 2, d), dtype=x.dtype))
+    padded = concat([zeros, x, zeros], axis=-2)
+    return conv.proj(concat([padded[..., i:i + t, :] for i in range(conv.kernel)], axis=-1))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
+@pytest.mark.parametrize("t", [2, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [3, 5])
+def test_conv1d_same_is_bitwise_the_composed_chain(kernel, dtype, t, lead):
+    rng = Rng(12)
+    conv = Conv1dSame(3, 4, kernel, rng.spawn("conv"), dtype=dtype)
+    x = rng.normal(lead + (t, 3), dtype=dtype)
+    cot = Tensor(rng.normal(lead + (t, 4), dtype=dtype))
+    runs = []
+    for build in (conv, lambda xt: _conv_composed(conv, xt)):
+        xt = Tensor(x.copy(), requires_grad=True)
+        y = build(xt)
+        runs.append([y.data] + gradients((y * cot).sum(), [xt, conv.proj.weight, conv.proj.bias]))
+    for fused, composed in zip(*runs):
+        assert fused.dtype == composed.dtype
+        np.testing.assert_array_equal(fused, composed)
+
+
+def test_conv1d_same_is_two_tape_nodes():
+    rng = Rng(13)
+    conv = Conv1dSame(3, 4, 5, rng)
+    x = Tensor(rng.normal((2, 6, 3)), requires_grad=True)
+    assert _tape_nodes(conv(x)) == 2
+
+
 def test_module_collects_nested_names():
     rng = Rng(6)
 
