@@ -1,5 +1,6 @@
 """Tests for the dual-stream autoregressive generator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import Rng, Tensor, grad_check, gradients, no_grad
+from paravox.pipeline.config import toy_profile
 
 
 def tiny_config(**kw):
@@ -447,3 +449,68 @@ def test_short_training_reduces_loss():
     for _ in range(40):
         last = step()
     assert last < 0.5 * first
+
+
+# ---- pinned decode outputs -------------------------------------------------------
+
+
+def _decode_digest(model, text, ref, seed, max_frames):
+    """sha256 over every state `generate` gets from the trunk (the prefill,
+    then each decode step), the stop and head logits of those states, and
+    the sampled tokens."""
+    cfg = model.cfg
+    seen = []
+    trunk = model.forward_states
+
+    def recording(ids, *args, **kwargs):
+        states = trunk(ids, *args, **kwargs)
+        seen.append(states.data.copy())
+        return states
+
+    model.forward_states = recording
+    try:
+        out = model.generate(text, ref, seed=seed, max_frames=max_frames)
+    finally:
+        del model.forward_states
+    h = hashlib.sha256()
+    with no_grad():
+        for states in seen:
+            st = Tensor(states)
+            h.update(states.tobytes())
+            h.update(model.stop_head(st).data.tobytes())
+            for s in range(cfg.n_streams):
+                for l in range(cfg.layers_per_stream):
+                    h.update(model._head_logits(st, s, l).data.tobytes())
+    h.update(np.ascontiguousarray(out.tokens, dtype="<i8").tobytes())
+    h.update(bytes([out.terminated, out.truncated]))
+    return len(seen), h.hexdigest()
+
+
+DECODE_PINS = {
+    "toy_f32": "a37176d7b12ffc387cdbe83fe25023fe546c0d21c8e793d7c29e21518973fec5",
+    "dual_stream": "bf36caf822296a9eb1e2194d76aa86120c57531a2978f992a9ce74a589cca9bb",
+    "empty_reference": "325d6cf121cc779a4f53ad0b867243726a2e8519adb7dff3a8a135a09bfdf64e",
+    "merged_stream": "bf234c94281c9e3844ec6ef61757d219f9c5351087644f58e8cb6835358c0fa6",
+    "three_layer_heads": "9def42f002324dd24a2e43590233ceac98bb1cab09187d92de82a9176f93ab93",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(DECODE_PINS))
+def test_decode_outputs_are_pinned(variant):
+    """Cached states, stop and head logits and tokens equal the digests
+    recorded when the cached trunk ran on Tensor modules."""
+    if variant == "toy_f32":
+        cfg = toy_profile().build_ar_config()
+        model = DualStreamAR(cfg, Rng(50))
+        text, ref, _ = random_example(Rng(51), cfg, n_text=9, n_ref=14)
+        max_frames = 20
+    else:
+        overrides, n_ref = CACHE_VARIANTS[variant]
+        cfg = tiny_config(**overrides)
+        model = DualStreamAR(cfg, Rng(52), dtype=np.float64)
+        text, ref, _ = random_example(Rng(53), cfg, n_ref=n_ref)
+        max_frames = 12
+    model.stop_head.bias.data[:] = -3.0  # the stop head stays below 0.5: max_frames frames
+    calls, digest = _decode_digest(model, text, ref, seed=7, max_frames=max_frames)
+    assert calls == max_frames + 1
+    assert digest == DECODE_PINS[variant]
