@@ -16,14 +16,21 @@ quantizer layer at once so the refiner stage can be skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
-from .engine import Rng, Tensor, bce_with_logits, cross_entropy, embedding, no_grad
+from .engine import (Rng, Tensor, bce_with_logits, cross_entropy, embedding, embedding_fwd, layer_norm_fwd,
+                     linear_fwd, no_grad, sigmoid_fwd)
 from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_rows, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
+
+
+def _finite_number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
@@ -52,8 +59,8 @@ class ARConfig:
             raise ValueError(f"model_dim {self.model_dim} must divide evenly across {len(self.streams)} streams")
         if self.model_dim % self.n_heads:
             raise ValueError(f"model_dim {self.model_dim} not divisible by n_heads {self.n_heads}")
-        if not (isinstance(self.temperature, (int, float)) and self.temperature > 0):
-            raise ValueError(f"ARConfig.temperature must be > 0, got {self.temperature!r}")
+        if not (_finite_number(self.temperature) and self.temperature > 0):
+            raise ValueError(f"ARConfig.temperature must be a finite number > 0, got {self.temperature!r}")
 
     @property
     def n_streams(self) -> int:
@@ -157,30 +164,38 @@ class DualStreamAR(Module):
         With `cache` (one `KVCache` per block, see `new_cache`), `ids`
         holds only the positions after those already cached: the
         prompt at prefill, one frame per decode step. Their states come
-        back; earlier keys and values are read from the cache.
+        back; earlier keys and values are read from the cache. A cached
+        pass runs the blocks' array `step`, so its states carry no tape.
         """
-        tables = [self.text_emb.weight, self.text_pos.weight, self.speech_pos.weight]
-        emb = embedding(tables + [e.weight for e in self.token_embs], ids)
-        t = emb.shape[-2]
+        tables = [self.text_emb.weight, self.text_pos.weight, self.speech_pos.weight] + \
+            [e.weight for e in self.token_embs]
+        t = np.shape(ids)[-2]
         if mask is None and t > 1:
             # Causal rows [n - t, n) over the n positions the queries see;
             # a single new row sees every filled position, so it needs none.
             n = t if cache is None else cache[0].n + t
-            mask = causal_mask(n, dtype=emb.dtype)[n - t:]
-        h = emb
-        for i, block in enumerate(self.blocks):
-            h = block(h, mask=mask, cache=None if cache is None else cache[i])
-        return self.ln_f(h)
+            mask = causal_mask(n, dtype=tables[0].dtype)[n - t:]
+        if cache is None:
+            h = embedding(tables, ids)
+            for block in self.blocks:
+                h = block(h, mask=mask)
+            return self.ln_f(h)
+        h = embedding_fwd([w.data for w in tables], ids)[0]
+        for block, c in zip(self.blocks, cache):
+            h = block.step(h, c, mask)
+        return Tensor(layer_norm_fwd(h, self.ln_f.gamma.data, self.ln_f.beta.data)[0])
 
     def new_cache(self, capacity: int) -> list[KVCache]:
         """Empty key/value buffers for `capacity` positions, one per block."""
         return [KVCache(b.attn.n_heads, b.attn.head_dim, capacity, self.text_emb.weight.dtype) for b in self.blocks]
 
+    def _stream_states(self, states, s: int):
+        """Stream `s`'s slice of the states (a Tensor or an array); all of them for one stream."""
+        lo = s * self.cfg.slice_dim
+        return states[..., lo:lo + self.cfg.slice_dim] if self.cfg.n_streams > 1 else states
+
     def _head_logits(self, states: Tensor, s: int, l: int) -> Tensor:
-        cfg = self.cfg
-        lo = s * cfg.slice_dim
-        sl = states[..., lo:lo + cfg.slice_dim] if cfg.n_streams > 1 else states
-        return self.heads[s * cfg.layers_per_stream + l](sl)
+        return self.heads[s * self.cfg.layers_per_stream + l](self._stream_states(states, s))
 
     # ---- batched training path ---------------------------------------------
 
@@ -277,7 +292,7 @@ class DualStreamAR(Module):
         z = (top - top.max()) / temperature
         p = np.exp(z)
         p /= p.sum()
-        u = rng.uniform()
+        u = rng.generator.random()  # bitwise rng.uniform(), without its wrapper
         j = int(np.searchsorted(np.cumsum(p), u, side="right"))
         return int(keep[min(j, k - 1)])
 
@@ -286,8 +301,13 @@ class DualStreamAR(Module):
         """Check `generate`'s sampling arguments; return top_k and temperature, defaulted."""
         top_k = self.cfg.top_k if top_k is None else top_k
         temperature = self.cfg.temperature if temperature is None else temperature
+        for name, v in (("top_k", top_k), ("max_frames", max_frames)):
+            if v is not None and (not isinstance(v, Integral) or isinstance(v, bool)):
+                raise ValueError(f"{name} must be an int, got {v!r}")
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
+        if not _finite_number(temperature):
+            raise ValueError(f"temperature must be a finite number, got {temperature!r}")
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
         if max_frames is not None and max_frames < 0:
@@ -311,7 +331,8 @@ class DualStreamAR(Module):
 
         The limit is `max_frames`, clamped to the speech positions the
         reference leaves free (`max_speech_len - n_ref`); reaching it
-        sets `truncated`.
+        sets `truncated`. The stop head, the stream heads and the
+        sampling run on the cached pass's state arrays.
         """
         cfg = self.cfg
         rng = rng or Rng(seed)
@@ -324,12 +345,13 @@ class DualStreamAR(Module):
             cache = self.new_cache(prompt.shape[0] + limit)
             steps = self._frame_ids(np.zeros((limit, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64),
                                     pos_offset=n_ref)
-            states = self.forward_states(prompt, cache=cache)
+            states = self.forward_states(prompt, cache=cache).data
+            stop = self.stop_head
             n = 0
             terminated = truncated = False
             while True:
                 last = states[-1:]
-                stop_p = float(self.stop_head(last).sigmoid().data.reshape(()))
+                stop_p = float(sigmoid_fwd(linear_fwd(last, stop.weight.data, stop.bias.data)).reshape(()))
                 if stop_p > 0.5:
                     terminated = True
                     break
@@ -338,10 +360,11 @@ class DualStreamAR(Module):
                     break
                 for s in range(cfg.n_streams):
                     for l in range(cfg.layers_per_stream):
-                        logits = self._head_logits(last, s, l).data.reshape(-1)
+                        head = self.heads[s * cfg.layers_per_stream + l]
+                        logits = linear_fwd(self._stream_states(last, s), head.weight.data, head.bias.data)
                         steps[n, _TOKEN_COL + s * cfg.layers_per_stream + l] = \
-                            self._sample_head(logits, top_k, temperature, rng)
-                states = self.forward_states(steps[n:n + 1], cache=cache)
+                            self._sample_head(logits.reshape(-1), top_k, temperature, rng)
+                states = self.forward_states(steps[n:n + 1], cache=cache).data
                 n += 1
         tokens = steps[:n, _TOKEN_COL:].reshape(n, cfg.n_streams, cfg.layers_per_stream)
         return GenerationResult(tokens=tokens, terminated=terminated, truncated=truncated)

@@ -5,6 +5,11 @@ float64 for gradient checking). Every differentiable op records a
 closure on the output node; `backward()` walks the tape in reverse
 topological order and accumulates gradients into `.grad`.
 
+Each fused op's forward arithmetic is one array kernel (`linear_fwd`,
+`layer_norm_fwd`, ...) that its Tensor op calls; code that needs no
+gradient, such as a cached decode step, composes the kernels on plain
+arrays and gets the Tensor path's results bit for bit.
+
 Randomness goes through `Rng`, a thin wrapper over numpy's Philox
 counter-based bit generator, so that a fixed seed gives the same
 stream on every platform and named substreams stay reproducible.
@@ -32,6 +37,13 @@ __all__ = [
     "layer_norm",
     "attention",
     "gelu",
+    "embedding_fwd",
+    "linear_fwd",
+    "softmax_fwd",
+    "layer_norm_fwd",
+    "attention_fwd",
+    "gelu_fwd",
+    "sigmoid_fwd",
     "cross_entropy",
     "bce_with_logits",
     "gradients",
@@ -274,12 +286,7 @@ class Tensor:
         return Tensor._make(data, (self,), grad_fn)
 
     def sigmoid(self):
-        x = self.data
-        data = np.empty_like(x)
-        pos = x >= 0
-        data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        data[~pos] = ex / (1.0 + ex)
+        data = sigmoid_fwd(self.data)
 
         def grad_fn(g):
             self._accumulate(g * data * (1.0 - data))
@@ -358,6 +365,17 @@ def _picks_twice(idx, shape) -> bool:
 # ---- free functions -----------------------------------------------------
 
 
+def sigmoid_fwd(x: np.ndarray) -> np.ndarray:
+    """`Tensor.sigmoid` on arrays: 1 / (1 + e^-x), with e^x / (1 + e^x) for
+    negative x so that no exp overflows."""
+    data = np.empty_like(x)
+    pos = x >= 0
+    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    data[~pos] = ex / (1.0 + ex)
+    return data
+
+
 def concat(tensors, axis=0) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -395,13 +413,9 @@ def conv_windows(x: Tensor, kernel: int) -> Tensor:
     return Tensor._make(data, (x,), grad_fn)
 
 
-def embedding(tables: list[Tensor], ids: np.ndarray) -> Tensor:
-    """Summed row lookups from several (n_k, D) tables, one tape node.
-
-    `ids` (..., K) holds one column per table; output row [...] is the
-    sum of `tables[k][ids[..., k]]` in k order. An id of -1 adds nothing,
-    so a row of -1s is a zero (padding) row.
-    """
+def embedding_fwd(tables: list[np.ndarray], ids: np.ndarray):
+    """`embedding` on arrays. Returns the output, then the (N, K) flat ids
+    and the rows each table adds to, which its backward reuses."""
     ids = np.asarray(ids)
     if ids.ndim == 0 or ids.shape[-1] != len(tables):
         raise ShapeError(f"embedding ids {ids.shape} need one last-axis column per table ({len(tables)})")
@@ -413,11 +427,23 @@ def embedding(tables: list[Tensor], ids: np.ndarray) -> Tensor:
     # Row gathers raise IndexError for an id past the table's end.
     picks = [slice(None) if c == flat.shape[0] else valid[:, k] if c else None
              for k, c in enumerate(valid.sum(axis=0).tolist())]
-    dim = tables[0].data.shape[1]
-    out = np.zeros((flat.shape[0], dim), dtype=tables[0].data.dtype)
+    dim = tables[0].shape[1]
+    out = np.zeros((flat.shape[0], dim), dtype=tables[0].dtype)
     for k, (t, rows) in enumerate(zip(tables, picks)):
         if rows is not None:
-            out[rows] += t.data.take(flat[rows, k], axis=0)
+            out[rows] += t.take(flat[rows, k], axis=0)
+    return out.reshape(ids.shape[:-1] + (dim,)), flat, picks
+
+
+def embedding(tables: list[Tensor], ids: np.ndarray) -> Tensor:
+    """Summed row lookups from several (n_k, D) tables, one tape node.
+
+    `ids` (..., K) holds one column per table; output row [...] is the
+    sum of `tables[k][ids[..., k]]` in k order. An id of -1 adds nothing,
+    so a row of -1s is a zero (padding) row.
+    """
+    data, flat, picks = embedding_fwd([t.data for t in tables], ids)
+    dim = data.shape[-1]
 
     def grad_fn(g):
         g2 = g.reshape(-1, dim)
@@ -427,7 +453,17 @@ def embedding(tables: list[Tensor], ids: np.ndarray) -> Tensor:
                 np.add.at(full, flat[rows, k], g2[rows])
                 t._accumulate(full)
 
-    return Tensor._make(out.reshape(ids.shape[:-1] + (dim,)), tuple(tables), grad_fn)
+    return Tensor._make(data, tuple(tables), grad_fn)
+
+
+def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """`linear` on arrays."""
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
+        raise ShapeError(f"linear input {x.shape} does not match weight {w.shape}")
+    y = x.reshape(-1, w.shape[0]) @ w
+    if b is not None:
+        y += b
+    return y.reshape(x.shape[:-1] + (w.shape[1],))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -437,15 +473,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     2-D GEMM each; the bias gradient is one column sum.
     """
     xd, wd = x.data, w.data
-    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
-        raise ShapeError(f"linear input {xd.shape} does not match weight {wd.shape}")
-    x2 = xd.reshape(-1, wd.shape[0])
-    y = x2 @ wd
-    if b is not None:
-        y += b.data
-    data = y.reshape(xd.shape[:-1] + (wd.shape[1],))
+    data = linear_fwd(xd, wd, None if b is None else b.data)
 
     def grad_fn(g):
+        x2 = xd.reshape(-1, wd.shape[0])
         g2 = g.reshape(-1, wd.shape[1])
         if x.requires_grad:
             dx = np.empty(xd.shape, dtype=np.result_type(g2, wd))
@@ -459,6 +490,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor._make(data, (x, w) if b is None else (x, w, b), grad_fn)
 
 
+def softmax_fwd(x: np.ndarray, axis: int = -1, scale: float | None = None,
+                mask: np.ndarray | None = None) -> np.ndarray:
+    """`softmax` on arrays."""
+    z = x * x.dtype.type(scale) if scale is not None else x.copy()
+    if mask is not None:
+        try:
+            z += np.asarray(mask, dtype=x.dtype)
+        except ValueError:
+            raise ShapeError(f"softmax mask shape {np.shape(mask)} does not broadcast to {z.shape}") from None
+    z -= z.max(axis=axis, keepdims=True)
+    data = np.exp(z, out=z)
+    data /= data.sum(axis=axis, keepdims=True)
+    return data
+
+
 def softmax(x: Tensor, axis: int = -1, scale: float | None = None,
             mask: np.ndarray | None = None) -> Tensor:
     """softmax(x * scale + mask) along `axis`, one tape node.
@@ -466,16 +512,7 @@ def softmax(x: Tensor, axis: int = -1, scale: float | None = None,
     `scale` is applied in x's dtype and `mask` is an additive numpy
     constant cast to it (attention's scaled, masked scores).
     """
-    xd = x.data
-    z = xd * xd.dtype.type(scale) if scale is not None else xd.copy()
-    if mask is not None:
-        try:
-            z += np.asarray(mask, dtype=xd.dtype)
-        except ValueError:
-            raise ShapeError(f"softmax mask shape {np.shape(mask)} does not broadcast to {z.shape}") from None
-    z -= z.max(axis=axis, keepdims=True)
-    data = np.exp(z, out=z)
-    data /= data.sum(axis=axis, keepdims=True)
+    data = softmax_fwd(x.data, axis, scale, mask)
 
     def grad_fn(g):
         x._accumulate(_softmax_backward(g, data, axis, scale))
@@ -494,6 +531,23 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int, scale: float | No
     return d
 
 
+def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray | None = None,
+                   beta: np.ndarray | None = None, eps: float = 1e-5):
+    """`layer_norm` on arrays. Returns the output, then the normalized
+    rows and the per-row 1/std, which its backward reuses."""
+    n = x.shape[-1]
+    # np.add.reduce(...) / n is bitwise `.mean` without its per-call wrapper cost.
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = xc * inv
+    data = xhat if gamma is None else xhat * gamma
+    if beta is not None:
+        data = data + beta
+    return data, xhat, inv
+
+
 def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
                eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then scale by
@@ -502,17 +556,9 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
     A constant row has zero variance and normalizes to exact zeros
     (the centered numerator vanishes before the eps-guarded divide).
     """
-    xd = x.data
-    n = xd.shape[-1]
-    # np.add.reduce(...) / n is bitwise `.mean` without its per-call wrapper cost.
-    mu = np.add.reduce(xd, axis=-1, keepdims=True) / n
-    xc = xd - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
-    xhat = xc * inv
-    data = xhat if gamma is None else xhat * gamma.data
-    if beta is not None:
-        data = data + beta.data
+    n = x.data.shape[-1]
+    data, xhat, inv = layer_norm_fwd(x.data, None if gamma is None else gamma.data,
+                                     None if beta is None else beta.data, eps)
 
     def grad_fn(g):
         if beta is not None and beta.requires_grad:
@@ -530,8 +576,28 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
     return Tensor._make(data, parents, grad_fn)
 
 
-def attention(qkv: Tensor, n_heads: int, mask: np.ndarray | None = None,
-              kv: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., T, H * hd) rows as a (..., H, T, hd) view, one head per slab."""
+    return x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-3, -2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., H, T, hd) heads back to (..., T, H * hd) rows."""
+    x = x.swapaxes(-3, -2)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                  mask: np.ndarray | None = None) -> np.ndarray:
+    """`attention` on arrays, with the (..., T, dim) queries apart from the
+    (..., n, dim) keys and values they attend to, such as a key/value
+    cache's filled prefix."""
+    q, k, v = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
+    att = softmax_fwd(np.matmul(q, k.swapaxes(-1, -2)), -1, 1.0 / math.sqrt(q.shape[-1]), mask)
+    return _merge_heads(np.matmul(att, v))
+
+
+def attention(qkv: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Multi-head scaled, masked dot-product attention; one tape node.
 
     `qkv` is (..., T, 3 * dim): the packed query, key and value
@@ -539,40 +605,25 @@ def attention(qkv: Tensor, n_heads: int, mask: np.ndarray | None = None,
     weights are `softmax(q k^T, scale=1/sqrt(head_dim), mask=mask)` per
     head, and the heads of `weights @ v` are merged back into a
     (..., T, dim) output.
-
-    With `kv`, the (n, dim) keys and values of every position the T
-    queries attend to (a key/value cache's filled prefix, rank-2 `qkv`)
-    replace the key and value thirds of `qkv`; they carry no gradient,
-    so only the query third of `qkv` gets one.
     """
     shape = qkv.data.shape
     dim = shape[-1] // 3
     if shape[-1] != 3 * dim or dim % n_heads:
         raise ShapeError(f"last axis of {shape} is not 3 x {n_heads} heads")
-    hd = dim // n_heads
-    heads = qkv.data.reshape(shape[:-1] + (3, n_heads, hd))
-    q = heads[..., 0, :, :].swapaxes(-3, -2)  # (..., H, T, hd) views
-    if kv is None:
-        k = heads[..., 1, :, :].swapaxes(-3, -2)
-        v = heads[..., 2, :, :].swapaxes(-3, -2)
-    else:
-        k = kv[0].reshape(-1, n_heads, hd).swapaxes(0, 1)
-        v = kv[1].reshape(-1, n_heads, hd).swapaxes(0, 1)
-    scale = 1.0 / math.sqrt(hd)
+    q, k, v = (_heads(qkv.data[..., i * dim:(i + 1) * dim], n_heads) for i in range(3))
+    scale = 1.0 / math.sqrt(dim // n_heads)
+    # `attention_fwd`'s arithmetic, with the weights from the softmax op,
+    # so that a traced run sees softmax inside attention.
     att = softmax(Tensor(np.matmul(q, k.swapaxes(-1, -2))), axis=-1, scale=scale, mask=mask).data
-    out = np.matmul(att, v)  # (..., H, T, hd)
-    data = out.swapaxes(-3, -2).reshape(shape[:-1] + (dim,))
+    data = _merge_heads(np.matmul(att, v))
 
     def grad_fn(g):
-        gh = g.reshape(shape[:-1] + (n_heads, hd)).swapaxes(-3, -2)
-        d = np.empty(shape[:-1] + (3, n_heads, hd), dtype=np.result_type(g, att))
+        gh = _heads(g, n_heads)
+        d = np.empty(shape[:-1] + (3, n_heads, dim // n_heads), dtype=np.result_type(g, att))
         ds = _softmax_backward(np.matmul(gh, v.swapaxes(-1, -2)), att, -1, scale)
         d[..., 0, :, :] = np.matmul(ds, k).swapaxes(-3, -2)
-        if kv is None:
-            d[..., 1, :, :] = np.matmul(ds.swapaxes(-1, -2), q).swapaxes(-3, -2)
-            d[..., 2, :, :] = np.matmul(att.swapaxes(-1, -2), gh).swapaxes(-3, -2)
-        else:
-            d[..., 1:, :, :] = 0.0
+        d[..., 1, :, :] = np.matmul(ds.swapaxes(-1, -2), q).swapaxes(-3, -2)
+        d[..., 2, :, :] = np.matmul(att.swapaxes(-1, -2), gh).swapaxes(-3, -2)
         qkv._accumulate(d.reshape(shape))
 
     return Tensor._make(data, (qkv,), grad_fn)
@@ -780,6 +831,21 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def gelu_fwd(x: np.ndarray):
+    """`gelu` on arrays. Returns the output, then x^2 and tanh(u), which
+    its backward reuses."""
+    x2 = x * x
+    u = x2 * _GELU_A
+    u += 1.0
+    u *= x
+    u *= _GELU_C
+    th = np.tanh(u, out=u)
+    data = th + 1.0
+    data *= x
+    data *= 0.5
+    return data, x2, th
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (Hendrycks & Gimpel), one tape node.
 
@@ -788,15 +854,7 @@ def gelu(x: Tensor) -> Tensor:
     0.5 (1 + tanh u) + 0.5 x (1 - tanh^2 u) c (1 + 3 a x^2).
     """
     xd = x.data
-    x2 = xd * xd
-    u = x2 * _GELU_A
-    u += 1.0
-    u *= xd
-    u *= _GELU_C
-    th = np.tanh(u, out=u)
-    data = th + 1.0
-    data *= xd
-    data *= 0.5
+    data, x2, th = gelu_fwd(xd)
 
     def grad_fn(g):
         du = x2 * (3.0 * _GELU_A)

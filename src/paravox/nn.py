@@ -4,13 +4,19 @@ A `Module` collects parameters from its attributes (Tensors, child
 Modules, lists of Modules) under dotted names, which is what the
 checkpoint format stores. Layers accept inputs of rank 2 (T, D) or
 rank 3 (B, T, D); attention masks are additive numpy constants.
+
+Attention and transformer blocks also have a cached `step` for
+incremental decoding. It runs on plain arrays through the engine's
+kernels, so it records no tape, and it gives the Tensor path's results
+bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import Rng, Tensor, attention, conv_windows, gelu, layer_norm, linear
+from .engine import (Rng, Tensor, attention, attention_fwd, conv_windows, gelu, gelu_fwd, layer_norm,
+                     layer_norm_fwd, linear, linear_fwd)
 
 NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
 
@@ -86,9 +92,9 @@ class KVCache:
     """Keys and values of one attention layer for incremental decoding.
 
     Buffers of (capacity, n_heads * head_dim) rows are allocated once;
-    each call of the layer writes its new positions in place after the
+    each `step` of the layer writes its new positions in place after the
     `n` already filled and attends over the filled prefix. The cache
-    holds one sequence (rank-2 input) and carries no gradient.
+    holds one sequence (rank-2 input).
     """
 
     def __init__(self, n_heads: int, head_dim: int, capacity: int, dtype):
@@ -110,10 +116,7 @@ class KVCache:
 class MultiHeadAttention(Module):
     """Standard scaled dot-product attention with an additive mask.
 
-    One packed `wqkv` projection feeds `engine.attention`. With a
-    `KVCache`, only the new rows of `x` are projected; their keys and
-    values are appended to the cache and the queries attend over every
-    cached position. `mask` then covers (new rows, cached positions).
+    One packed `wqkv` projection feeds `engine.attention`.
     """
 
     def __init__(self, dim: int, n_heads: int, rng: Rng, dtype=None):
@@ -128,14 +131,18 @@ class MultiHeadAttention(Module):
              for tag in ("wq", "wk", "wv")], axis=1))
         self.wo = Linear(dim, dim, rng.spawn("wo"), dtype=dtype)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 cache: KVCache | None = None) -> Tensor:
-        qkv = self.wqkv(x)
-        kv = None
-        if cache is not None:
-            dim = self.n_heads * self.head_dim
-            kv = cache.extend(qkv.data[:, dim:2 * dim], qkv.data[:, 2 * dim:])  # (n, dim), n >= T
-        return self.wo(attention(qkv, self.n_heads, mask=mask, kv=kv))
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        return self.wo(attention(self.wqkv(x), self.n_heads, mask=mask))
+
+    def step(self, x: np.ndarray, cache: KVCache, mask: np.ndarray | None = None) -> np.ndarray:
+        """Cached attention on a (T, dim) array of new rows: their keys and
+        values are appended to `cache`, and their queries attend over every
+        cached position. `mask` covers (new rows, cached positions)."""
+        qkv = linear_fwd(x, self.wqkv.weight.data, self.wqkv.bias.data)
+        dim = self.n_heads * self.head_dim
+        k, v = cache.extend(qkv[:, dim:2 * dim], qkv[:, 2 * dim:])  # (n, dim), n >= T
+        out = attention_fwd(qkv[:, :dim], k, v, self.n_heads, mask)
+        return linear_fwd(out, self.wo.weight.data, self.wo.bias.data)
 
 
 class TransformerBlock(Module):
@@ -148,11 +155,17 @@ class TransformerBlock(Module):
         self.fc1 = Linear(dim, mlp_ratio * dim, rng.spawn("fc1"), dtype=dtype)
         self.fc2 = Linear(mlp_ratio * dim, dim, rng.spawn("fc2"), dtype=dtype)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 cache: KVCache | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), mask=mask, cache=cache)
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), mask=mask)
         x = x + self.fc2(gelu(self.fc1(self.ln2(x))))
         return x
+
+    def step(self, x: np.ndarray, cache: KVCache, mask: np.ndarray | None = None) -> np.ndarray:
+        """`__call__` on a (T, dim) array of new rows, attending through `cache`."""
+        ln1, ln2, fc1, fc2 = self.ln1, self.ln2, self.fc1, self.fc2
+        x = x + self.attn.step(layer_norm_fwd(x, ln1.gamma.data, ln1.beta.data)[0], cache, mask)
+        h = linear_fwd(layer_norm_fwd(x, ln2.gamma.data, ln2.beta.data)[0], fc1.weight.data, fc1.bias.data)
+        return x + linear_fwd(gelu_fwd(h)[0], fc2.weight.data, fc2.bias.data)
 
 
 class Conv1dSame(Module):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,6 +377,28 @@ def test_max_frames_beyond_capacity_is_clamped():
     assert positions == [4 + 4] + [1] * 6
     with pytest.raises(ValueError, match="max_frames"):
         model.generate(text, ref, seed=0, max_frames=-1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"temperature": math.nan}, "temperature must be a finite number, got nan"),
+    ({"temperature": math.inf}, "temperature must be a finite number, got inf"),
+    ({"temperature": -1.0}, "temperature must be > 0"),
+    ({"top_k": 2.5}, "top_k must be an int, got 2.5"),
+    ({"top_k": True}, "top_k must be an int, got True"),
+    ({"max_frames": 2.5}, "max_frames must be an int, got 2.5"),
+])
+def test_sampling_arguments_fail_before_the_trunk_runs(kwargs, message):
+    cfg = tiny_config()
+    model = DualStreamAR(cfg, Rng(46))
+    text, ref, _ = random_example(Rng(47), cfg)
+    calls = []
+    trunk = model.forward_states
+    model.forward_states = lambda *args, **kw: calls.append(1) or trunk(*args, **kw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        model.generate(text, ref, seed=0, **kwargs)
+    assert calls == []
+    model.generate(text, ref, seed=0, top_k=np.int64(2), max_frames=np.int64(1))
+    assert calls
 
 
 def test_merged_single_stream_variant():

@@ -8,18 +8,25 @@ from paravox.engine import (
     ShapeError,
     Tensor,
     attention,
+    attention_fwd,
     bce_with_logits,
     concat,
     conv_windows,
     cross_entropy,
     embedding,
+    embedding_fwd,
     gelu,
+    gelu_fwd,
     grad_check,
     gradients,
     layer_norm,
+    layer_norm_fwd,
     linear,
+    linear_fwd,
     no_grad,
+    sigmoid_fwd,
     softmax,
+    softmax_fwd,
 )
 from paravox.nn import NEG_MASK, causal_mask, padding_mask
 
@@ -401,19 +408,6 @@ def test_attention_grad_check_f64(lead, mask_kind):
     assert report.passed, str(report)
 
 
-def test_attention_with_kv_grad_check_f64():
-    """Cached keys and values are constants: only the query third moves the loss."""
-    rng = Rng(38)
-    qkv = f64(rng, (2, 24))
-    kv = (rng.normal((4, 8), dtype=np.float64), rng.normal((4, 8), dtype=np.float64))
-    mask = causal_mask(4, dtype=np.float64)[2:]
-    w = Tensor(rng.normal((2, 8), dtype=np.float64))
-    report = grad_check(lambda: (attention(qkv, 2, mask=mask, kv=kv) * w).sum(), {"qkv": qkv},
-                        tolerance=1e-8)
-    assert report.passed, str(report)
-    assert np.all(qkv.grad[:, 8:] == 0.0)
-
-
 @pytest.mark.parametrize("mask_kind", ["none", "causal_padding"])
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
 def test_attention_matches_composed_chain(lead, mask_kind):
@@ -431,6 +425,30 @@ def test_attention_matches_composed_chain(lead, mask_kind):
             (ya * cot).sum().backward()
             (yb * cot).sum().backward()
             np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_array_kernels_are_the_tensor_ops_forward(dtype):
+    """Each kernel returns its Tensor op's output bit for bit; attention's
+    kernel takes the keys and values apart from the queries."""
+    rng = Rng(40)
+    x = rng.normal((5, 24), scale=2.0, dtype=dtype)
+    w, b = rng.normal((24, 6), dtype=dtype), rng.normal((6,), dtype=dtype)
+    mask = causal_mask(5, dtype=np.float32)
+    tables = [rng.normal((7, 4), dtype=dtype), rng.normal((3, 4), dtype=dtype)]
+    ids = np.array([[0, -1], [6, 2], [-1, -1], [3, 0]])
+    pairs = [
+        (linear(Tensor(x), Tensor(w), Tensor(b)), linear_fwd(x, w, b)),
+        (layer_norm(Tensor(x), Tensor(x[0]), Tensor(x[1])), layer_norm_fwd(x, x[0], x[1])[0]),
+        (softmax(Tensor(x), scale=0.3, mask=x[:1] > 0), softmax_fwd(x, -1, 0.3, x[:1] > 0)),
+        (attention(Tensor(x), 2, mask=mask), attention_fwd(x[:, :8], x[:, 8:16], x[:, 16:], 2, mask)),
+        (gelu(Tensor(x)), gelu_fwd(x)[0]),
+        (Tensor(x).sigmoid(), sigmoid_fwd(x)),
+        (embedding([Tensor(t) for t in tables], ids), embedding_fwd(tables, ids)[0]),
+    ]
+    for op, kernel in pairs:
+        assert type(kernel) is np.ndarray and kernel.dtype == op.dtype == dtype
+        np.testing.assert_array_equal(kernel, op.data)
 
 
 def test_attention_rejects_unpacked_input():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import Rng, Tensor, concat, embedding, grad_check, gradients
 from paravox.nn import (
     Conv1dSame,
@@ -56,7 +57,8 @@ def test_causal_mask_blocks_future():
 
 
 def test_attention_cache_matches_full_pass():
-    """Rows fed in chunks through a KVCache equal one causal pass over all rows."""
+    """Rows fed in chunks through the cached array step equal one causal
+    pass of the Tensor layer over all rows."""
     rng = Rng(3)
     attn = MultiHeadAttention(8, 2, rng, dtype=np.float64)
     x = rng.normal((6, 8), dtype=np.float64)
@@ -65,11 +67,12 @@ def test_attention_cache_matches_full_pass():
     for lo, hi in ((0, 3), (3, 4), (4, 6)):
         rows = hi - lo
         mask = causal_mask(hi, dtype=np.float64)[lo:] if rows > 1 else None
-        out = attn(Tensor(x[lo:hi]), mask=mask, cache=cache).data
+        out = attn.step(x[lo:hi], cache, mask)
+        assert type(out) is np.ndarray
         np.testing.assert_allclose(out, full[lo:hi], rtol=0, atol=1e-12)
     assert cache.n == 6
     with pytest.raises(ValueError, match="capacity 6"):
-        attn(Tensor(x[:1]), cache=cache)
+        attn.step(x[:1], cache)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -85,26 +88,22 @@ def test_wqkv_initial_weights_are_the_three_spawned_draws(dtype):
     assert np.array_equal(attn.wo.weight.data, Linear(8, 8, rng.spawn("wo"), dtype=dtype).weight.data)
 
 
-def test_attention_cache_gives_queries_the_full_pass_gradient_and_keys_none():
-    """Through a KVCache, the new rows' query columns of `wqkv` get the
-    full causal pass's gradient; the key and value columns get none."""
-    rng = Rng(12)
-    attn = MultiHeadAttention(8, 2, rng, dtype=np.float64)
-    x = rng.normal((6, 8), dtype=np.float64)
-    cot = rng.normal((6, 8), dtype=np.float64)
-    cot[:4] = 0.0  # the full pass's loss sees only the rows the cached call computes
-    w, b = attn.wqkv.weight, attn.wqkv.bias
-    out = attn(Tensor(x), mask=causal_mask(6, dtype=np.float64))
-    want_w, want_b = gradients((out * Tensor(cot)).sum(), [w, b])
-
-    cache = KVCache(2, 4, 6, np.float64)
-    attn(Tensor(x[:4]), mask=causal_mask(4, dtype=np.float64), cache=cache)
-    out = attn(Tensor(x[4:]), mask=causal_mask(6, dtype=np.float64)[4:], cache=cache)
-    got_w, got_b = gradients((out * Tensor(cot[4:])).sum(), [w, b])
-    np.testing.assert_allclose(got_w[:, :8], want_w[:, :8], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got_b[:8], want_b[:8], rtol=0, atol=1e-12)
-    assert np.all(got_w[:, 8:] == 0.0) and np.all(got_b[8:] == 0.0)
-    assert np.any(want_w[:, 8:] != 0.0)
+def test_cached_states_carry_no_tape():
+    """With gradients on and trainable weights, a cached trunk pass records
+    nothing: its states are a plain Tensor, and the block step returns an array."""
+    cfg = ARConfig(text_vocab=6, streams=(("semantic", 5), ("acoustic", 5)), n_layers=2,
+                   model_dim=8, n_heads=2, max_text_len=8, max_speech_len=12)
+    model = DualStreamAR(cfg, Rng(12), dtype=np.float64)
+    assert all(p.requires_grad for p in model.named_parameters().values())
+    prompt = model.input_ids(np.array([1, 2, 3]), Rng(13).integers(0, 5, (2, 2, 1)))
+    cache = model.new_cache(prompt.shape[0] + 1)
+    states = model.forward_states(prompt, cache=cache)
+    assert isinstance(states, Tensor)
+    assert not states.requires_grad and states._grad_fn is None and states._parents == ()
+    step = model.blocks[0].step(states.data[-1:], KVCache(2, 4, 1, np.float64))
+    assert type(step) is np.ndarray
+    uncached = model.forward_states(prompt)
+    assert uncached.requires_grad and uncached._grad_fn is not None
 
 
 def test_padding_mask_zeroes_attention_to_pads():
