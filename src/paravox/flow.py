@@ -6,7 +6,9 @@ normal and t uniform. Sampling integrates the learned field from noise
 with a fixed-step Euler solver; one step degenerates to x0 + v(x0, 0).
 
 Conditioning is per-frame: decoded token features for that frame plus a
-time-invariant speaker vector, so the field is a frame-local MLP.
+time-invariant speaker vector, so the field is a frame-local MLP. Their
+share of its first layer does not change along a path, so it is computed
+once per request (`VelocityField.condition`) and reused by every step.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, concat, embedding, gelu, no_grad
+from .engine import Rng, Tensor, concat, embedding, gelu, linear, no_grad
 from .nn import Linear, Module
 
 
@@ -64,6 +66,10 @@ class VelocityField(Module):
     the head's optimum is the conditional clean-frame mean regardless of
     t; the division then restores the contraction toward the endpoint
     that a raw velocity head would have to learn as an unbounded gain.
+
+    The first layer is one (d_in, hidden) weight over the input columns
+    [x_t, features, speaker, time]. `condition` applies its features and
+    speaker rows and the bias; `__call__` adds the x_t and time rows.
     """
 
     # Denominator floor. Euler grids stop at t = 1 - 1/n_steps, so any
@@ -80,13 +86,21 @@ class VelocityField(Module):
         self.layers = [Linear(dims[i], dims[i + 1], rng.spawn(("fc", i)), dtype=dtype)
                        for i in range(len(dims) - 1)]
 
-    def __call__(self, x_t: Tensor, features: Tensor, speaker: Tensor, t: np.ndarray) -> Tensor:
-        """Velocity at each of the rows of `x_t`. `features` and `speaker`
-        hold one row per frame; the times `t`, (1,) or one per row,
-        broadcast to the rows."""
-        tf = np.broadcast_to(time_features(t, self.cfg.time_feat_dim, x_t.dtype), (x_t.shape[0], self.cfg.time_feat_dim))
-        h = concat([x_t, features, speaker, Tensor(tf)], axis=1)
-        for layer in self.layers[:-1]:
+    def condition(self, features: Tensor, speaker: Tensor) -> Tensor:
+        """The first layer's time-invariant part, one row per frame:
+        [features, speaker] through their rows of the weight, plus the bias.
+        `features` and `speaker` hold one row per frame."""
+        m, first = self.cfg.mel_bins, self.layers[0]
+        n_cond = self.cfg.feature_dim + self.cfg.speaker_dim
+        return linear(concat([features, speaker], axis=1), first.weight[m:m + n_cond], first.bias)
+
+    def __call__(self, x_t: Tensor, cond: Tensor, t: np.ndarray) -> Tensor:
+        """Velocity at each of the rows of `x_t`, given their `condition`
+        rows; the times `t`, (1,) or one per row, broadcast to the rows."""
+        m, w = self.cfg.mel_bins, self.layers[0].weight
+        tf = Tensor(time_features(t, self.cfg.time_feat_dim, x_t.dtype))
+        h = gelu(linear(x_t, w[:m]) + linear(tf, w[w.shape[0] - self.cfg.time_feat_dim:]) + cond)
+        for layer in self.layers[1:-1]:
             h = gelu(layer(h))
         endpoint = self.layers[-1](h)
         return (endpoint - x_t) * (1.0 / np.maximum(1.0 - t, self.TIME_EPS))[:, None]
@@ -112,7 +126,7 @@ def cfm_train_loss(field: VelocityField, mels: list, features, speakers, rngs: l
     spk = speakers if isinstance(speakers, Tensor) else Tensor(np.asarray(speakers, dtype=x_t.dtype))
     # One speaker row per frame; the lookup's backward adds each utterance's rows together.
     spk_rows = embedding([spk], np.repeat(np.arange(len(mels)), lengths)[:, None])
-    diff = field(Tensor(x_t), feats, spk_rows, np.repeat(t, lengths)) - Tensor(
+    diff = field(Tensor(x_t), field.condition(feats, spk_rows), np.repeat(t, lengths)) - Tensor(
         np.concatenate([m - x0i for m, x0i in zip(mels, x0)]))
     weights = np.repeat(1.0 / (len(mels) * lengths * diff.shape[1]), lengths)
     return (diff * diff * weights[:, None]).sum()
@@ -123,7 +137,8 @@ def sample_mel(field: VelocityField, features: np.ndarray, speaker: np.ndarray,
     """Euler-integrate the field from seeded noise to a mel matrix.
 
     The time grid is t_i = i / n_steps with step 1 / n_steps; the same
-    seed always yields the same output for fixed inputs.
+    seed always yields the same output for fixed inputs. The field's
+    `condition` is computed once, before the first step.
     """
     solver = solver or SolverConfig()
     rng = rng or Rng(solver.seed)
@@ -134,7 +149,8 @@ def sample_mel(field: VelocityField, features: np.ndarray, speaker: np.ndarray,
     with no_grad():
         feats = Tensor(features.astype(np.float32, copy=False))
         spk = Tensor(np.repeat(np.asarray(speaker, dtype=np.float32).reshape(1, -1), t_frames, axis=0))
+        cond = field.condition(feats, spk)
         for i in range(solver.n_steps):
-            v = field(Tensor(x), feats, spk, np.array([i * dt]))
+            v = field(Tensor(x), cond, np.array([i * dt]))
             x = x + dt * v.data
     return x

@@ -94,7 +94,7 @@ def test_cfm_loss_is_mean_of_per_utterance_means():
         t = r.uniform()
         x0 = r.normal(mel.shape, dtype=mel.dtype)
         rows = spk[i:i + 1] * np.ones((mel.shape[0], 1))  # broadcast, not a gather
-        v = field(Tensor((1.0 - t) * x0 + t * mel), Tensor(f), rows, np.array([t]))
+        v = field(Tensor((1.0 - t) * x0 + t * mel), field.condition(Tensor(f), rows), np.array([t]))
         diff = v - Tensor(mel - x0)
         parts.append((diff * diff).mean())
     ref = sum(parts[1:], parts[0]) * (1.0 / len(parts))
