@@ -185,6 +185,8 @@ class SyntheticSpec:
             v = getattr(self, name)
             if not isinstance(v, int) or v <= 0:
                 raise ValueError(f"SyntheticSpec.{name} must be a positive int, got {v!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"SyntheticSpec.seed must be an int >= 0, got {self.seed!r}")
         for name in ("symbols_per_utterance", "frames_per_symbol"):
             v = getattr(self, name)
             if not (isinstance(v, (tuple, list)) and len(v) == 2 and all(isinstance(n, int) for n in v)
@@ -352,7 +354,7 @@ def pack_records(out: bytearray, arrays: dict[str, np.ndarray], codes: dict[np.d
 class RecordReader:
     """Cursor over a file's bytes that parses `pack_records` output. It raises
     feature-file errors; another format overrides `truncated`,
-    `unknown_dtype` and `trailing` to raise its own."""
+    `unknown_dtype`, `trailing` and `bad_name` to raise its own."""
 
     def __init__(self, buf: bytes):
         self.buf = memoryview(buf)
@@ -366,6 +368,9 @@ class RecordReader:
 
     def trailing(self) -> Exception:
         return FeatureFileError(f"{len(self.buf) - self.pos} trailing bytes after last array")
+
+    def bad_name(self, offset: int) -> Exception:
+        return FeatureFileError(f"array name at offset {offset} is not UTF-8")
 
     def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.buf):
@@ -383,7 +388,11 @@ class RecordReader:
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = self.unpack("<H", "name length")
-            name = str(self.take(name_len, "array name"), "utf-8")
+            raw = self.take(name_len, "array name")
+            try:
+                name = str(raw, "utf-8")
+            except UnicodeDecodeError:
+                raise self.bad_name(self.pos - name_len) from None
             code, rank = self.unpack("<BB", "array header")
             if code not in dtypes:
                 raise self.unknown_dtype(name, code)

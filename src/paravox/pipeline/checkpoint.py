@@ -97,6 +97,9 @@ class _Reader(RecordReader):
     def trailing(self) -> Exception:
         return CheckpointError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes after parameters")
 
+    def bad_name(self, offset: int) -> Exception:
+        return CheckpointError(f"{self.path}: parameter name at offset {offset} is not UTF-8")
+
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:

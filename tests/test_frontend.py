@@ -285,11 +285,12 @@ def test_truncated_file(tmp_path):
 def test_container_error_messages(tmp_path):
     path = tmp_path / "x.feat"
     save_arrays(path, {"x": np.zeros((2, 3), dtype=np.float32)})
-    raw = path.read_bytes()   # the record's dtype code is byte 19, its data starts at 37
+    raw = path.read_bytes()   # the record's name is byte 18, its dtype code byte 19, its data starts at 37
     cases = [
         (raw[:-3], TruncatedFileError, "file ends inside data of 'x' (needed 24 bytes at offset 37)"),
         (raw + b"\0", FeatureFileError, "1 trailing bytes after last array"),
         (raw[:19] + b"\x07" + raw[20:], FeatureFileError, "array 'x': unknown dtype code 7"),
+        (raw[:18] + b"\xff" + raw[19:], FeatureFileError, "array name at offset 18 is not UTF-8"),
     ]
     for data, error, message in cases:
         path.write_bytes(data)

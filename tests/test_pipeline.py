@@ -275,7 +275,7 @@ def test_checkpoint_error_cases(tmp_path):
         load_checkpoint(bad)
 
 
-def test_checkpoint_container_errors_name_the_file(tmp_path):
+def test_checkpoint_container_errors_name_the_file(tmp_path, capsys):
     path, bad = tmp_path / "d.ckpt", tmp_path / "bad.ckpt"
     save_checkpoint(path, _toy_checkpoint())
     blob = path.read_bytes()
@@ -287,11 +287,14 @@ def test_checkpoint_container_errors_name_the_file(tmp_path):
         (blob[:-3], r"truncated checkpoint \(wanted 80 bytes at offset 229\)"),
         (blob + b"\0\0", "2 trailing bytes after parameters"),
         (blob[:code_at] + b"\x09" + blob[code_at + 1:], "parameter 'blocks.0.bias' has unknown dtype code 9"),
+        (blob[:first + 2] + b"\xff" + blob[first + 3:], f"parameter name at offset {first + 2} is not UTF-8"),
     ]
     for data, message in cases:
         bad.write_bytes(data)
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: {message}$"):
             load_checkpoint(bad)
+        assert cli_main(["inspect", "--ckpt", str(bad)]) == 1
+        assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}", _one_error_line(capsys))
 
 
 def _one_error_line(capsys) -> str:
@@ -563,6 +566,9 @@ def test_infer_rejects_bad_arguments_before_encoding(mini_run, tmp_path):
         (ids, short, {"top_k": 0}, "top_k must be >= 1"),
         (ids, short, {"temperature": 0.0}, "temperature must be > 0"),
         (ids, short, {"max_frames": -1}, "max_frames must be >= 0"),
+        (ids, short, {"temperature": math.nan}, "temperature must be a finite number, got nan"),
+        (ids, short, {"top_k": 2.5}, "top_k must be an int, got 2.5"),
+        (ids, short, {"max_frames": 2.5}, "max_frames must be an int, got 2.5"),
     ]
     for text_ids, ref, kwargs, match in cases:
         with pytest.raises(ValueError, match=match):
@@ -713,7 +719,8 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("symbols_per_utterance", 5), ("frames_per_symbol", [2]),
-                                          ("frames_per_symbol", [1, "2"]), ("noise_scale", "loud")])
+                                          ("frames_per_symbol", [1, "2"]), ("noise_scale", "loud"),
+                                          ("seed", "x"), ("seed", 1.5)])
 def test_cli_gen_data_names_a_malformed_spec_field(tmp_path, capsys, field, value):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({field: value}))
@@ -778,6 +785,16 @@ def test_cli_infer_and_eval_in_process(tmp_path, mini_run):
                    "--report", str(report_path)])
     assert rc == 0
     assert "tokenizer" in json.loads(report_path.read_text())
+
+
+def test_cli_infer_rejects_nan_temperature(tmp_path, mini_run, capsys):
+    ref_path = tmp_path / "ref.feat"
+    save_features(ref_path, mini_run.items[0].bundle)
+    rc = cli_main(["infer", "--text", "ab", "--ref", str(ref_path), "--ckpt-dir", str(mini_run.ckpt_dir),
+                   "--temperature", "nan", "--out", str(tmp_path / "out.feat")])
+    assert rc == 1
+    assert "temperature" in _one_error_line(capsys)
+    assert not (tmp_path / "out.feat").exists()
 
 
 def test_cli_subprocess_entry_point(tmp_path):
