@@ -368,12 +368,8 @@ def _picks_twice(idx, shape) -> bool:
 def sigmoid_fwd(x: np.ndarray) -> np.ndarray:
     """`Tensor.sigmoid` on arrays: 1 / (1 + e^-x), with e^x / (1 + e^x) for
     negative x so that no exp overflows."""
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    data[~pos] = ex / (1.0 + ex)
-    return data
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def concat(tensors, axis=0) -> Tensor:
