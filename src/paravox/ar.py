@@ -337,34 +337,33 @@ class DualStreamAR(Module):
         cfg = self.cfg
         rng = rng or Rng(seed)
         top_k, temperature = self._sampling(top_k, temperature, max_frames)
-        with no_grad():
-            prompt = self.input_ids(text_ids, ref_tokens)
-            n_ref = prompt.shape[0] - np.size(text_ids)
-            free = cfg.max_speech_len - n_ref
-            limit = free if max_frames is None else min(max_frames, free)
-            cache = self.new_cache(prompt.shape[0] + limit)
-            steps = self._frame_ids(np.zeros((limit, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64),
-                                    pos_offset=n_ref)
-            states = self.forward_states(prompt, cache=cache).data
-            stop = self.stop_head
-            n = 0
-            terminated = truncated = False
-            while True:
-                last = states[-1:]
-                stop_p = float(sigmoid_fwd(linear_fwd(last, stop.weight.data, stop.bias.data)).reshape(()))
-                if stop_p > 0.5:
-                    terminated = True
-                    break
-                if n >= limit:
-                    truncated = True
-                    break
-                for s in range(cfg.n_streams):
-                    for l in range(cfg.layers_per_stream):
-                        head = self.heads[s * cfg.layers_per_stream + l]
-                        logits = linear_fwd(self._stream_states(last, s), head.weight.data, head.bias.data)
-                        steps[n, _TOKEN_COL + s * cfg.layers_per_stream + l] = \
-                            self._sample_head(logits.reshape(-1), top_k, temperature, rng)
-                states = self.forward_states(steps[n:n + 1], cache=cache).data
-                n += 1
+        prompt = self.input_ids(text_ids, ref_tokens)
+        n_ref = prompt.shape[0] - np.size(text_ids)
+        free = cfg.max_speech_len - n_ref
+        limit = free if max_frames is None else min(max_frames, free)
+        cache = self.new_cache(prompt.shape[0] + limit)
+        steps = self._frame_ids(np.zeros((limit, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64),
+                                pos_offset=n_ref)
+        states = self.forward_states(prompt, cache=cache).data
+        stop = self.stop_head
+        n = 0
+        terminated = truncated = False
+        while True:
+            last = states[-1:]
+            stop_p = float(sigmoid_fwd(linear_fwd(last, stop.weight.data, stop.bias.data)).reshape(()))
+            if stop_p > 0.5:
+                terminated = True
+                break
+            if n >= limit:
+                truncated = True
+                break
+            for s in range(cfg.n_streams):
+                for l in range(cfg.layers_per_stream):
+                    head = self.heads[s * cfg.layers_per_stream + l]
+                    logits = linear_fwd(self._stream_states(last, s), head.weight.data, head.bias.data)
+                    steps[n, _TOKEN_COL + s * cfg.layers_per_stream + l] = \
+                        self._sample_head(logits.reshape(-1), top_k, temperature, rng)
+            states = self.forward_states(steps[n:n + 1], cache=cache).data
+            n += 1
         tokens = steps[:n, _TOKEN_COL:].reshape(n, cfg.n_streams, cfg.layers_per_stream)
         return GenerationResult(tokens=tokens, terminated=terminated, truncated=truncated)

@@ -6,9 +6,9 @@ checkpoint format stores. Layers accept inputs of rank 2 (T, D) or
 rank 3 (B, T, D); attention masks are additive numpy constants.
 
 Attention and transformer blocks also have a cached `step` for
-incremental decoding. It runs on plain arrays through the engine's
-kernels, so it records no tape, and it gives the Tensor path's results
-bit for bit.
+incremental decoding. It does the Tensor layers' arithmetic call for
+call, through the engine's kernels on plain arrays, so it records no
+tape.
 """
 
 from __future__ import annotations
