@@ -34,11 +34,12 @@ def main():
                   f"reseeded={stats['n_reseeded']}")
 
     frames = sample_batch(rng.spawn("eval"), n=512)
-    tokens, quantized, norms = stack.encode(frames)
+    tokens = stack.encode(frames)
 
     print("\nper-layer residual norm (mean over 512 frames):")
     ladder = [float(np.sqrt((frames ** 2).sum(axis=1)).mean())]
-    ladder += [float(norms[:, l].mean()) for l in range(stack.n_layers)]
+    ladder += [float(np.sqrt(((frames - stack.decode(tokens, up_to_layer=k)) ** 2).sum(axis=1)).mean())
+               for k in range(1, stack.n_layers + 1)]
     for l, v in enumerate(ladder):
         label = "input" if l == 0 else f"after layer {l}"
         print(f"  {label:14s} {v:.4f}")

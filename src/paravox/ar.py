@@ -76,6 +76,7 @@ class GenerationResult:
     tokens: np.ndarray          # (T, n_streams, layers_per_stream) int64
     terminated: bool            # stop head fired
     truncated: bool             # hit max_frames or max_speech_len instead
+    stop_probs: np.ndarray      # (T + 1,) P(stop) after the prompt and after each frame
 
     @property
     def n_frames(self) -> int:
@@ -180,22 +181,35 @@ class DualStreamAR(Module):
             for block in self.blocks:
                 h = block(h, mask=mask)
             return self.ln_f(h)
-        h = embedding_fwd([w.data for w in tables], ids)[0]
+        if t == 1 and np.ndim(ids) == 2:
+            h = self._decode_row(tables, ids[0])
+        else:
+            h = embedding_fwd([w.data for w in tables], ids)[0]
         for block, c in zip(self.blocks, cache):
             h = block.step(h, c, mask)
         return Tensor(layer_norm_fwd(h, self.ln_f.gamma.data, self.ln_f.beta.data)[0])
+
+    @staticmethod
+    def _decode_row(tables: list[Tensor], ids: np.ndarray) -> np.ndarray:
+        """`embedding_fwd` of one id row: its tables' rows added to zeros in
+        column order, bit for bit, without the batch bookkeeping."""
+        h = np.zeros((1, tables[0].data.shape[1]), dtype=tables[0].data.dtype)
+        for w, i in zip(tables, ids.tolist()):
+            if i >= 0:
+                h += w.data[i]
+            elif i != -1:
+                raise IndexError(f"embedding ids must be >= -1, got {i}")
+        return h
 
     def new_cache(self, capacity: int) -> list[KVCache]:
         """Empty key/value buffers for `capacity` positions, one per block."""
         return [KVCache(b.attn.n_heads, b.attn.head_dim, capacity, self.text_emb.weight.dtype) for b in self.blocks]
 
-    def _stream_states(self, states, s: int):
-        """Stream `s`'s slice of the states (a Tensor or an array); all of them for one stream."""
-        lo = s * self.cfg.slice_dim
-        return states[..., lo:lo + self.cfg.slice_dim] if self.cfg.n_streams > 1 else states
-
     def _head_logits(self, states: Tensor, s: int, l: int) -> Tensor:
-        return self.heads[s * self.cfg.layers_per_stream + l](self._stream_states(states, s))
+        """Head (s, l) over stream `s`'s slice of the states; all of them for one stream."""
+        lo, d = s * self.cfg.slice_dim, self.cfg.slice_dim
+        return self.heads[s * self.cfg.layers_per_stream + l](
+            states[..., lo:lo + d] if self.cfg.n_streams > 1 else states)
 
     # ---- batched training path ---------------------------------------------
 
@@ -286,14 +300,14 @@ class DualStreamAR(Module):
     def _sample_head(self, logits: np.ndarray, top_k: int, temperature: float, rng: Rng) -> int:
         k = min(top_k, logits.shape[-1])
         # Descending by logit, ties to the lowest index, so k=1 is argmax.
-        order = np.argsort(-logits, kind="stable")
-        keep = order[:k]
+        keep = (-logits).argsort(kind="stable")[:k]
         top = logits[keep]
-        z = (top - top.max()) / temperature
+        # The ufunc calls are bitwise `max`, `sum` and `cumsum`, without their wrappers.
+        z = (top - np.maximum.reduce(top)) / temperature
         p = np.exp(z)
-        p /= p.sum()
+        p /= np.add.reduce(p)
         u = rng.generator.random()  # bitwise rng.uniform(), without its wrapper
-        j = int(np.searchsorted(np.cumsum(p), u, side="right"))
+        j = int(np.add.accumulate(p).searchsorted(u, side="right"))
         return int(keep[min(j, k - 1)])
 
     def _sampling(self, top_k: int | None, temperature: float | None,
@@ -332,7 +346,8 @@ class DualStreamAR(Module):
         The limit is `max_frames`, clamped to the speech positions the
         reference leaves free (`max_speech_len - n_ref`); reaching it
         sets `truncated`. The stop head, the stream heads and the
-        sampling run on the cached pass's state arrays.
+        sampling run on the cached pass's state arrays. Every P(stop)
+        checked is kept in `stop_probs`, one more than the frames.
         """
         cfg = self.cfg
         rng = rng or Rng(seed)
@@ -344,26 +359,32 @@ class DualStreamAR(Module):
         cache = self.new_cache(prompt.shape[0] + limit)
         steps = self._frame_ids(np.zeros((limit, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64),
                                 pos_offset=n_ref)
+        # Weights are bound per call, never cached on the module, because
+        # `load_state` replaces the arrays. Each head reads its stream's
+        # slice of the state and writes one id column.
+        stop_w, stop_b = self.stop_head.weight.data, self.stop_head.bias.data
+        d = cfg.slice_dim
+        heads = [(_TOKEN_COL + i, i // cfg.layers_per_stream * d, head.weight.data, head.bias.data)
+                 for i, head in enumerate(self.heads)]
         states = self.forward_states(prompt, cache=cache).data
-        stop = self.stop_head
         n = 0
         terminated = truncated = False
+        stop_probs = []
         while True:
             last = states[-1:]
-            stop_p = float(sigmoid_fwd(linear_fwd(last, stop.weight.data, stop.bias.data)).reshape(()))
+            stop_p = float(sigmoid_fwd(linear_fwd(last, stop_w, stop_b)).reshape(()))
+            stop_probs.append(stop_p)
             if stop_p > 0.5:
                 terminated = True
                 break
             if n >= limit:
                 truncated = True
                 break
-            for s in range(cfg.n_streams):
-                for l in range(cfg.layers_per_stream):
-                    head = self.heads[s * cfg.layers_per_stream + l]
-                    logits = linear_fwd(self._stream_states(last, s), head.weight.data, head.bias.data)
-                    steps[n, _TOKEN_COL + s * cfg.layers_per_stream + l] = \
-                        self._sample_head(logits.reshape(-1), top_k, temperature, rng)
+            for col, lo, w, b in heads:
+                logits = linear_fwd(last[:, lo:lo + d], w, b)
+                steps[n, col] = self._sample_head(logits[0], top_k, temperature, rng)
             states = self.forward_states(steps[n:n + 1], cache=cache).data
             n += 1
         tokens = steps[:n, _TOKEN_COL:].reshape(n, cfg.n_streams, cfg.layers_per_stream)
-        return GenerationResult(tokens=tokens, terminated=terminated, truncated=truncated)
+        return GenerationResult(tokens=tokens, terminated=terminated, truncated=truncated,
+                                stop_probs=np.array(stop_probs))

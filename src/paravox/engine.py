@@ -456,6 +456,11 @@ def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     """`linear` on arrays."""
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
         raise ShapeError(f"linear input {x.shape} does not match weight {w.shape}")
+    if x.ndim == 2:
+        y = x @ w
+        if b is not None:
+            y += b
+        return y
     y = x.reshape(-1, w.shape[0]) @ w
     if b is not None:
         y += b
@@ -495,9 +500,10 @@ def softmax_fwd(x: np.ndarray, axis: int = -1, scale: float | None = None,
             z += np.asarray(mask, dtype=x.dtype)
         except ValueError:
             raise ShapeError(f"softmax mask shape {np.shape(mask)} does not broadcast to {z.shape}") from None
-    z -= z.max(axis=axis, keepdims=True)
+    # The ufunc reductions are bitwise `.max` and `.sum`, without their wrappers.
+    z -= np.maximum.reduce(z, axis=axis, keepdims=True)
     data = np.exp(z, out=z)
-    data /= data.sum(axis=axis, keepdims=True)
+    data /= np.add.reduce(data, axis=axis, keepdims=True)
     return data
 
 
@@ -532,6 +538,14 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray | None = None,
     """`layer_norm` on arrays. Returns the output, then the normalized
     rows and the per-row 1/std, which its backward reuses."""
     n = x.shape[-1]
+    if x.size == n:
+        # One row, such as a decode step's: scalar statistics over the 1-D
+        # row are bitwise the keepdims reductions below, in fewer calls.
+        xc = x - np.add.reduce(x, axis=None) / n
+        inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=None) / n + x.dtype.type(eps))
+        xhat = xc * inv
+        data = xhat if gamma is None else xhat * gamma
+        return data if beta is None else data + beta, xhat, inv
     # np.add.reduce(...) / n is bitwise `.mean` without its per-call wrapper cost.
     mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     xc = x - mu
@@ -549,8 +563,10 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
     """Normalize the last axis to zero mean, unit variance, then scale by
     `gamma` and shift by `beta` when given; one tape node.
 
-    A constant row has zero variance and normalizes to exact zeros
-    (the centered numerator vanishes before the eps-guarded divide).
+    A constant row whose computed mean equals its value normalizes to
+    exact zeros: the centered numerator vanishes before the eps-guarded
+    divide. Otherwise the mean's rounding error is left, scaled by about
+    1/sqrt(eps).
     """
     n = x.data.shape[-1]
     data, xhat, inv = layer_norm_fwd(x.data, None if gamma is None else gamma.data,

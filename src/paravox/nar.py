@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, cross_entropy, embedding, no_grad
-from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_rows, take_spans
+from .engine import Rng, Tensor, cross_entropy, embedding, layer_norm_fwd, linear_fwd, no_grad
+from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_rows, span_index, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after both positions and the segment
 
@@ -114,12 +114,23 @@ class CoupledStage(Module):
 
     # ---- forward ------------------------------------------------------------
 
-    def stream_slices(self, logits: Tensor) -> list[Tensor]:
+    def stream_slices(self, logits):
+        """Each stream's columns of joint logits (a Tensor or an array)."""
         out, lo = [], 0
         for _, k in self.cfg.streams:
             out.append(logits[..., lo:lo + k])
             lo += k
         return out
+
+    def _batch_ids(self, batch: list[tuple]):
+        """The embedding tables, the -1-padded id grid of `batch`'s
+        [reference || target] rows, its padding mask, and each row's
+        reference and total lengths."""
+        tables = [self.ref_pos.weight, self.tgt_pos.weight, self.segment_emb.weight]
+        tables += [e.weight for e in self.ref_embs + self.tgt_embs]
+        ids, lengths, mask = pad_rows([self._input_ids(r, t) for r, t in batch], -1, tables[0].dtype)
+        n_ref = np.array([np.asarray(r).shape[0] for r, _ in batch])
+        return tables, ids, mask, n_ref, lengths
 
     def batch_logits(self, batch: list[tuple]) -> Tensor:
         """Flattened (N, sum K) joint target-position logits over a padded batch.
@@ -129,13 +140,10 @@ class CoupledStage(Module):
         [reference || target] row; padded positions are masked out of
         attention and dropped from the output.
         """
-        tables = [self.ref_pos.weight, self.tgt_pos.weight, self.segment_emb.weight]
-        tables += [e.weight for e in self.ref_embs + self.tgt_embs]
-        ids, lengths, mask = pad_rows([self._input_ids(r, t) for r, t in batch], -1, tables[0].dtype)
+        tables, ids, mask, n_ref, lengths = self._batch_ids(batch)
         h = embedding(tables, ids)
         for block in self.blocks:
             h = block(h, mask=mask)
-        n_ref = np.array([np.asarray(r).shape[0] for r, _ in batch])
         return self.classifier(take_spans(self.ln_f(h), n_ref, lengths - n_ref))
 
     def stage_loss(self, batch: list[tuple]) -> Tensor:
@@ -163,10 +171,21 @@ class CoupledStage(Module):
 
     def predict(self, batch: list[tuple]) -> np.ndarray:
         """(N, n_streams) argmax tokens for the predicted layer, one row
-        per `batch_logits` row."""
+        per `batch_logits` row.
+
+        The logits are `batch_logits`'s, bit for bit: the blocks run
+        their array `step` without a cache, and the final LayerNorm and
+        the classifier see the target rows only.
+        """
+        tables, ids, mask, n_ref, lengths = self._batch_ids(batch)
         with no_grad():
-            slices = self.stream_slices(self.batch_logits(batch))
-        return np.stack([s.data.argmax(axis=-1) for s in slices], axis=1).astype(np.int64)
+            h = embedding(tables, ids).data
+        for block in self.blocks:
+            h = block.step(h, None, mask)
+        h = h[span_index(n_ref, lengths - n_ref)]
+        logits = linear_fwd(layer_norm_fwd(h, self.ln_f.gamma.data, self.ln_f.beta.data)[0],
+                            self.classifier.weight.data, self.classifier.bias.data)
+        return np.stack([s.argmax(axis=-1) for s in self.stream_slices(logits)], axis=1).astype(np.int64)
 
 
 class CoupledNAR(Module):

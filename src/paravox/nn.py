@@ -5,10 +5,10 @@ Modules, lists of Modules) under dotted names, which is what the
 checkpoint format stores. Layers accept inputs of rank 2 (T, D) or
 rank 3 (B, T, D); attention masks are additive numpy constants.
 
-Attention and transformer blocks also have a cached `step` for
-incremental decoding. It does the Tensor layers' arithmetic call for
-call, through the engine's kernels on plain arrays, so it records no
-tape.
+Attention and transformer blocks also have an array `step`, for
+incremental decoding through a key/value cache and for inference
+without one. It does the Tensor layers' arithmetic call for call,
+through the engine's kernels on plain arrays, so it records no tape.
 """
 
 from __future__ import annotations
@@ -134,14 +134,18 @@ class MultiHeadAttention(Module):
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         return self.wo(attention(self.wqkv(x), self.n_heads, mask=mask))
 
-    def step(self, x: np.ndarray, cache: KVCache, mask: np.ndarray | None = None) -> np.ndarray:
-        """Cached attention on a (T, dim) array of new rows: their keys and
-        values are appended to `cache`, and their queries attend over every
-        cached position. `mask` covers (new rows, cached positions)."""
+    def step(self, x: np.ndarray, cache: KVCache | None, mask: np.ndarray | None = None) -> np.ndarray:
+        """`__call__` on an array of rows, bit for bit. With a `cache`, the
+        (T, dim) rows' keys and values are appended to it and their queries
+        attend over every cached position; `mask` covers (new rows, cached
+        positions). With None, the rows attend over their own keys and
+        values under `mask`."""
         qkv = linear_fwd(x, self.wqkv.weight.data, self.wqkv.bias.data)
         dim = self.n_heads * self.head_dim
-        k, v = cache.extend(qkv[:, dim:2 * dim], qkv[:, 2 * dim:])  # (n, dim), n >= T
-        out = attention_fwd(qkv[:, :dim], k, v, self.n_heads, mask)
+        k, v = qkv[..., dim:2 * dim], qkv[..., 2 * dim:]
+        if cache is not None:
+            k, v = cache.extend(k, v)  # (n, dim), n >= T
+        out = attention_fwd(qkv[..., :dim], k, v, self.n_heads, mask)
         return linear_fwd(out, self.wo.weight.data, self.wo.bias.data)
 
 
@@ -160,8 +164,10 @@ class TransformerBlock(Module):
         x = x + self.fc2(gelu(self.fc1(self.ln2(x))))
         return x
 
-    def step(self, x: np.ndarray, cache: KVCache, mask: np.ndarray | None = None) -> np.ndarray:
-        """`__call__` on a (T, dim) array of new rows, attending through `cache`."""
+    def step(self, x: np.ndarray, cache: KVCache | None, mask: np.ndarray | None = None) -> np.ndarray:
+        """`__call__` on an array of rows, bit for bit, attending through
+        `cache` or, when it is None, over the rows themselves (see
+        `MultiHeadAttention.step`)."""
         ln1, ln2, fc1, fc2 = self.ln1, self.ln2, self.fc1, self.fc2
         x = x + self.attn.step(layer_norm_fwd(x, ln1.gamma.data, ln1.beta.data)[0], cache, mask)
         h = linear_fwd(layer_norm_fwd(x, ln2.gamma.data, ln2.beta.data)[0], fc1.weight.data, fc1.bias.data)
@@ -207,9 +213,15 @@ def pad_rows(rows: list[np.ndarray], fill, dtype) -> tuple[np.ndarray, np.ndarra
     return out, lengths, padding_mask(lengths, out.shape[1], dtype=dtype)
 
 
+def span_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(batch, time) indices of rows [starts[i], starts[i] + lengths[i]) of
+    each batch row i, in batch order."""
+    rows = np.repeat(np.arange(len(starts)), lengths)
+    cols = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
+    return rows, cols
+
+
 def take_spans(x: Tensor, starts: np.ndarray, lengths: np.ndarray) -> Tensor:
     """Rows x[i, starts[i]:starts[i] + lengths[i]] of a (B, T, D) batch,
     concatenated in batch order into one (sum(lengths), D) gather node."""
-    rows = np.repeat(np.arange(len(starts)), lengths)
-    cols = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
-    return x[rows, cols]
+    return x[span_index(starts, lengths)]

@@ -8,6 +8,7 @@ rather than a shape error three layers deep.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +104,11 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
     length (against the generator's, refiner's and tokenizer's limits)
     are checked before any encoding. Generation stops at the refiner's
     `max_target_len`, which sets `truncated` like the generator's own.
+
+    Besides the settings and why generation stopped, `metadata` holds
+    `stop_probs`, the generator's P(stop) after the prompt and after each
+    frame, and `stage_ms`, the wall ms of reference encode, AR, NAR,
+    token decode and flow (0.0 for a stage that did not run).
     """
     cfg = pipe.config
     pipe.ar.input_ids(text_ids, [])
@@ -122,10 +128,14 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
         raise ValueError(f"reference of {n_ref} frames is outside the tokenizer's range of 1 to "
                          f"max_frames={pipe.tokenizer.cfg.max_frames}")
     rng = Rng(seed)
+    stage_ms = dict.fromkeys(("encode", "ar", "nar", "decode", "flow"), 0.0)
+    t0 = time.perf_counter()
     ref_grid, cond = pipe.tokenizer.encode_speech(ref_bundle)
+    t0 = _lap(stage_ms, "encode", t0)
     layers = pipe.ar.cfg.layers_per_stream
     gen = pipe.ar.generate(text_ids, ref_grid[:, :, :layers], rng=rng.spawn("ar"),
                            top_k=top_k, temperature=temperature, max_frames=max_frames)
+    t0 = _lap(stage_ms, "ar", t0)
     n_frames = gen.n_frames
     metadata = {
         "seed": int(seed),
@@ -137,18 +147,31 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
         "top_k": int(top_k),
         "temperature": float(temperature),
         "flow_steps": int(solver.n_steps),
+        "stop_probs": gen.stop_probs.tolist(),
+        "stage_ms": stage_ms,
     }
     if n_frames == 0:
         mel = np.zeros((0, cfg.data.mel_bins), dtype=np.float32)
         return InferenceResult(tokens=None, mel=mel, metadata=metadata)
     if pipe.nar is not None:
         grid = pipe.nar.complete_tokens(gen.tokens[:, :, 0], ref_grid)
+        t0 = _lap(stage_ms, "nar", t0)
     else:
         grid = gen.tokens    # the AR heads already emitted every layer
     tokens = (ParallelTokens(semantic=grid[:, 0], acoustic=grid[:, 1])
               if cfg.ablation.parallel_streams else None)
-    mel = sample_mel(pipe.flow, pipe.tokenizer.decode_tokens(grid), cond, solver, rng.spawn("flow"))
+    features = pipe.tokenizer.decode_tokens(grid)
+    t0 = _lap(stage_ms, "decode", t0)
+    mel = sample_mel(pipe.flow, features, cond, solver, rng.spawn("flow"))
+    _lap(stage_ms, "flow", t0)
     return InferenceResult(tokens=tokens, mel=mel, metadata=metadata)
+
+
+def _lap(stage_ms: dict, stage: str, t0: float) -> float:
+    """Record the ms since `t0` under `stage`; return the time now."""
+    now = time.perf_counter()
+    stage_ms[stage] = 1e3 * (now - t0)
+    return now
 
 
 def write_mel_file(path, result: InferenceResult) -> None:

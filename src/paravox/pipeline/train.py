@@ -28,7 +28,7 @@ from ..engine import Rng, Tensor, gradients
 from ..flow import VelocityField, cfm_train_loss
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
-from .checkpoint import Checkpoint, load_stage_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, load_stage_checkpoint, save_checkpoint
 from .data import CorpusItem, reference_pairing, text_ids_for
 
 STAGES = ("tokenizer", "ar", "nar", "flow")
@@ -248,7 +248,7 @@ def train_tokenizer(items: list[CorpusItem], pcfg, quiet: bool = True):
 def tokenizer_metrics(tok: ParallelTokenizer, items: list[CorpusItem], grids: list[np.ndarray]) -> dict:
     """Per-stack reconstruction, utilization and perplexity over the items,
     read from their `encode_grids` grids; `decode` gives bitwise the
-    quantized frames an encode returns."""
+    codeword sums the encode subtracted."""
     out: dict = {"recon_mse": {}, "input_variance": {}, "utilization": {}, "perplexity": {}}
     tokens = np.concatenate(grids)
     for s, (name, frames) in enumerate(tok.stream_frames([it.bundle for it in items]).items()):
@@ -351,11 +351,15 @@ def config_mismatches(a: dict, b: dict, sections) -> list[str]:
 def load_stage(path: Path, stage: str, missing: Exception, base: dict | None, sections,
                mismatch) -> Checkpoint:
     """The `stage` checkpoint at `path`. Raises `missing` if there is no
-    file there and, unless `base` is None, `mismatch(fields)` if its config
-    and `base` differ in the dotted `fields` within `sections`."""
+    file there, `CheckpointError` naming the first parameter that holds a
+    NaN or an infinity and, unless `base` is None, `mismatch(fields)` if
+    its config and `base` differ in the dotted `fields` within `sections`."""
     if not path.is_file():
         raise missing
     ckpt = load_stage_checkpoint(path, stage)
+    for name, arr in ckpt.params.items():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
     diffs = config_mismatches(base, ckpt.config, sections) if base else []
     if diffs:
         raise mismatch(", ".join(diffs))

@@ -154,27 +154,16 @@ class RVQStack:
             raise ValueError(f"expected frames of shape (T, {self.dim}), got {frames.shape}")
         return frames
 
-    def encode(self, frames: np.ndarray):
-        """Greedy layer-by-layer quantization.
-
-        Returns (tokens (T, L) int64, quantized (T, D), residual_norms
-        (T, L)) where residual_norms[t, l] is the euclidean norm of the
-        residual after layer l's codeword is subtracted.
-        """
+    def encode(self, frames: np.ndarray) -> np.ndarray:
+        """Greedy layer-by-layer quantization: (T, L) int64 tokens."""
         frames = self._check_frames(frames)
-        t = frames.shape[0]
-        tokens = np.empty((t, self.n_layers), dtype=np.int64)
-        norms = np.empty((t, self.n_layers), dtype=frames.dtype)
-        resid = frames.copy()
-        quantized = np.zeros_like(frames)
+        tokens = np.empty((frames.shape[0], self.n_layers), dtype=np.int64)
+        resid = frames
         for l, cb in enumerate(self.layers):
             idx = _nearest(cb.entries.astype(frames.dtype, copy=False), resid)
-            chosen = cb.entries[idx].astype(frames.dtype, copy=False)
             tokens[:, l] = idx
-            resid = resid - chosen
-            quantized = quantized + chosen
-            norms[:, l] = np.sqrt((resid * resid).sum(axis=1))
-        return tokens, quantized, norms
+            resid = resid - cb.entries[idx].astype(frames.dtype, copy=False)
+        return tokens
 
     def decode(self, tokens: np.ndarray, up_to_layer: int | None = None) -> np.ndarray:
         """Sum codewords for layers 1..up_to_layer (default: all)."""

@@ -122,7 +122,7 @@ class ParallelTokenizer(Module):
         """One (T_i, n_streams, L) token grid per bundle, streams in stack
         order, from one RVQ encode per stack over the whole batch."""
         frames = self.stream_frames(bundles)
-        grid = np.stack([stack.encode(frames[name])[0] for name, stack in self.stacks.items()], axis=1)
+        grid = np.stack([stack.encode(frames[name]) for name, stack in self.stacks.items()], axis=1)
         return np.split(grid, np.cumsum([b.n_frames for b in bundles])[:-1])
 
     def encode_speech(self, bundle: FeatureBundle) -> tuple[np.ndarray, np.ndarray]:

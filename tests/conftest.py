@@ -14,10 +14,46 @@ import sys
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from paravox.engine import Tensor
 from paravox.frontend import SyntheticSpec, Vocabulary, default_alphabet, generate_corpus
 from paravox.pipeline import toy_profile, train_stage
+
+# ---- residual quantization ------------------------------------------------------
+
+
+def rvq_residuals(stack, frames, tokens):
+    """The quantized frames and each layer's residual norm of the (T, L)
+    `tokens` an RVQ encode gave `frames`: codewords subtracted and summed
+    layer by layer in the frames' dtype, as the encode's search saw them."""
+    resid = np.asarray(frames)
+    quantized = np.zeros_like(resid)
+    norms = np.empty(tokens.shape, dtype=resid.dtype)
+    for l, cb in enumerate(stack.layers):
+        chosen = cb.entries[tokens[:, l]].astype(resid.dtype, copy=False)
+        resid = resid - chosen
+        quantized = quantized + chosen
+        norms[:, l] = np.sqrt((resid * resid).sum(axis=1))
+    return quantized, norms
+
+
+@pytest.fixture
+def tape_records(monkeypatch):
+    """One bool per Tensor op output made while the test runs: whether it
+    recorded a tape node."""
+    recorded = []
+    make = Tensor._make
+
+    def recording(data, parents, grad_fn):
+        out = make(data, parents, grad_fn)
+        recorded.append(out._grad_fn is not None)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording))
+    return recorded
+
 
 # ---- acceptance reporting ----------------------------------------------------
 

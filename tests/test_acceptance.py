@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import record_criterion
+from conftest import record_criterion, rvq_residuals
 from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import Rng, Tensor, cross_entropy, grad_check, gradients, no_grad
 from paravox.flow import FlowConfig, SolverConfig, VelocityField, cfm_train_loss, sample_mel
@@ -56,7 +56,7 @@ def _oracle_instance():
 def test_criterion_01_rvq_oracle_equivalence():
     stack, frames = _oracle_instance()
     t0 = time.perf_counter()
-    tokens, _, _ = stack.encode(frames)
+    tokens = stack.encode(frames)
     oracle = _brute_force_encode(stack, frames)
     elapsed = time.perf_counter() - t0
     mismatches = int((tokens != oracle).sum())
@@ -69,7 +69,7 @@ def test_criterion_01_rvq_oracle_equivalence():
 
 def test_criterion_02_residual_monotonicity():
     stack, frames = _oracle_instance()
-    _, _, norms = stack.encode(frames)
+    _, norms = rvq_residuals(stack, frames, stack.encode(frames))
     input_norms = np.sqrt((frames * frames).sum(axis=1))
     ladder = np.concatenate([input_norms[:, None], norms], axis=1)
     violations = int((ladder[:, 1:] > ladder[:, :-1]).sum())
@@ -93,7 +93,7 @@ def test_criterion_03_gradient_suite():
     x = Tensor(rng.normal((4, 4), dtype=np.float64), requires_grad=True)
 
     def commitment():
-        _, quantized, _ = stack.encode(x.data)
+        quantized, _ = rvq_residuals(stack, x.data, stack.encode(x.data))
         d = x - Tensor(quantized)
         return (d * d).mean() * stack.commitment_weight
 

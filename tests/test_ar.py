@@ -537,3 +537,32 @@ def test_decode_outputs_are_pinned(variant):
     calls, digest = _decode_digest(model, text, ref, seed=7, max_frames=max_frames)
     assert calls == max_frames + 1
     assert digest == DECODE_PINS[variant]
+
+
+def test_generate_records_no_tape(tape_records):
+    """With gradients enabled and trainable weights, prefill, decode steps,
+    the heads and sampling record no tape node."""
+    cfg = tiny_config()
+    model = DualStreamAR(cfg, Rng(60))
+    text, ref, _ = random_example(Rng(61), cfg)
+    assert all(p.requires_grad for p in model.named_parameters().values())
+    model.stop_head.bias.data[:] = -30.0
+    out = model.generate(text, ref, seed=1, max_frames=6)
+    assert out.n_frames == 6 and out.truncated
+    assert not any(tape_records)
+
+
+def test_generate_traces_stop_probability_per_check():
+    """`stop_probs` holds P(stop) after the prompt and after each frame:
+    one more entry than frames, the last above 0.5 only when terminated."""
+    cfg = tiny_config()
+    model = DualStreamAR(cfg, Rng(62))
+    text, ref, _ = random_example(Rng(63), cfg)
+    model.stop_head.weight.data[:] = 0.0
+    model.stop_head.bias.data[:] = -30.0
+    out = model.generate(text, ref, seed=2, max_frames=5)
+    assert out.truncated and out.stop_probs.shape == (6,) and (out.stop_probs < 0.5).all()
+    model.stop_head.bias.data[:] = 30.0
+    out = model.generate(text, ref, seed=2, max_frames=5)
+    assert out.terminated and out.n_frames == 0 and out.stop_probs.shape == (1,)
+    assert out.stop_probs[0] > 0.5

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import rvq_residuals
 from paravox.engine import Rng, Tensor, gradients
 from paravox.flow import FlowConfig, VelocityField, cfm_train_loss
 from paravox.frontend import SyntheticSpec, generate_corpus
@@ -65,11 +66,12 @@ def test_tokenizer_loss_matches_per_utterance_loop(merged):
     for key in ("L_Sem", "L_Acous"):
         assert terms[key] == float(np.mean([t[key] for _, t in parts]))
     # The batch's grids are each utterance's own encode, and decoding a grid
-    # is bitwise the `quantized` output of that encode.
+    # is bitwise the codeword sums of that encode.
     for bundle, grid in zip(bundles, tok.encode_grids(bundles)):
         feats, lo = tok.decode_tokens(grid), 0
         for s, (name, frames) in enumerate(tok.stream_frames([bundle]).items()):
-            tokens, quantized, _ = tok.stacks[name].encode(frames)
+            tokens = tok.stacks[name].encode(frames)
+            quantized, _ = rvq_residuals(tok.stacks[name], frames, tokens)
             assert np.array_equal(grid[:, s], tokens)
             assert np.array_equal(feats[:, lo:lo + frames.shape[1]], quantized)
             lo += frames.shape[1]

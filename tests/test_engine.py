@@ -647,3 +647,41 @@ def test_finite_ops_stay_finite():
             assert np.all(np.isfinite(out.data))
         loss = cross_entropy(x, rng.generator.integers(0, 16, size=4))
         assert np.isfinite(loss.item())
+
+
+# ---- the one-row layer norm ----------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_one_row_is_bitwise_the_general_form(dtype):
+    """A single row takes scalar statistics; its output, normalized row and
+    1/std equal, bit for bit, those of the same row in a two-row batch,
+    which takes the keepdims reductions. Constant rows included."""
+    rng = Rng(77)
+    for width in (1, 2, 3, 7, 8, 9, 31, 64, 127, 128, 129, 300, 512, 1024):
+        for case in range(12):
+            r = rng.spawn((width, case))
+            row = r.normal((width,), scale=10.0 ** r.uniform(-3, 3), dtype=dtype)
+            row += dtype(r.normal(scale=10.0 ** r.uniform(-3, 3)))
+            if case % 4 == 0:
+                row[:] = row[0]  # zero variance
+            gamma, beta = r.normal((width,), dtype=dtype), r.normal((width,), dtype=dtype)
+            for affine in ((gamma, beta), (gamma, None), (None, None)):
+                want, want_xhat, want_inv = layer_norm_fwd(np.stack([row, row]), *affine)
+                for shape in ((width,), (1, width), (1, 1, width)):
+                    out, xhat, inv = layer_norm_fwd(row.reshape(shape), *affine)
+                    assert out.shape == shape and out.dtype == dtype
+                    assert out.tobytes() == want[0].tobytes(), (width, case, shape)
+                    assert xhat.tobytes() == want_xhat[0].tobytes()
+                    assert np.asarray(inv, dtype=dtype).tobytes() == want_inv[0].tobytes()
+
+
+def test_layer_norm_one_row_gradient_matches_the_batch_row():
+    rng = Rng(78)
+    x1 = Tensor(rng.normal((1, 16), dtype=np.float64), requires_grad=True)
+    x2 = Tensor(np.concatenate([x1.data, x1.data]), requires_grad=True)
+    g = rng.normal((16,), dtype=np.float64)
+    gamma = Tensor(rng.normal((16,), dtype=np.float64), requires_grad=True)
+    for x in (x1, x2):
+        (layer_norm(x, gamma) * Tensor(g)).sum().backward()
+    assert x1.grad.tobytes() == x2.grad[:1].tobytes()

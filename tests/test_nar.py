@@ -305,3 +305,34 @@ def test_stage_scores_match_per_pair_predict_in_chunks_of_eight():
     assert model.stage_scores(batch) == (tokens, frames)
     assert rows_per_pass == [8, 8, 3] * 2
     assert 0.0 < tokens["layer2"] < 1.0
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+def test_predict_is_the_argmax_of_batch_logits(batch_size):
+    """`predict` runs the blocks on arrays and the final LayerNorm and the
+    classifier on target rows only; its tokens are the argmax of the
+    Tensor path's logits over a padded batch."""
+    cfg = tiny_config(n_layers=2)
+    rng = Rng(31)
+    for dtype in (np.float32, np.float64):
+        nar = CoupledNAR(cfg, Rng(30), dtype=dtype)
+        batch = [(random_grid(rng, cfg, rng.integers(2, 12)), random_grid(rng, cfg, rng.integers(1, 10)))
+                 for _ in range(batch_size)]
+        for stage in nar.stages:
+            with no_grad():
+                slices = stage.stream_slices(stage.batch_logits(batch))
+            want = np.stack([s.data.argmax(axis=-1) for s in slices], axis=1)
+            got = stage.predict(batch)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_predict_records_no_tape(tape_records):
+    """With gradients enabled and trainable weights, refinement records no
+    tape node."""
+    cfg = tiny_config()
+    nar = CoupledNAR(cfg, Rng(32))
+    rng = Rng(33)
+    ref, top = random_grid(rng, cfg, 6), random_grid(rng, cfg, 4)[:, :, 0]
+    assert all(p.requires_grad for p in nar.named_parameters().values())
+    assert nar.complete_tokens(top, ref).shape == (4, 2, 3)
+    assert tape_records and not any(tape_records)

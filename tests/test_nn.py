@@ -308,3 +308,19 @@ def test_batched_equals_unbatched_block():
     for i in range(2):
         single = block(Tensor(x[i]), mask=mask).data
         assert np.allclose(batched[i], single, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block_step_without_cache_is_bitwise_the_tensor_block(dtype):
+    """`step(x, None, mask)` on arrays equals `__call__` bit for bit: rank 2
+    with and without a causal mask, and a padded rank-3 batch."""
+    rng = Rng(21)
+    block = TransformerBlock(16, 4, rng, dtype=dtype)
+    x = rng.normal((7, 16), dtype=dtype)
+    for mask in (None, causal_mask(7, dtype=dtype)):
+        out = block.step(x, None, mask)
+        assert type(out) is np.ndarray
+        assert out.tobytes() == block(Tensor(x), mask=mask).data.tobytes()
+    rows = [rng.normal((n, 16), dtype=dtype) for n in (5, 9, 1, 9)]
+    batch, _, pad = pad_rows(rows, 0.0, dtype)
+    assert block.step(batch, None, pad).tobytes() == block(Tensor(batch), mask=pad).data.tobytes()

@@ -11,7 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import mini_pipeline_config, run_cli
+from conftest import mini_pipeline_config, run_cli, rvq_residuals
 from paravox.engine import Rng, Tensor, gradients
 from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays, load_features, save_features
 from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSchedule,
@@ -25,7 +25,7 @@ from paravox.pipeline.data import (CorpusDirError, corpus_items, load_corpus_dir
 from paravox.pipeline.evaluate import evaluate, format_report
 from paravox.pipeline.infer import (IncompatibleCheckpoints, encode_text, infer,
                                     load_pipeline, write_mel_file)
-from paravox.pipeline.train import (Adam, MissingPrerequisite, train_tokenizer)
+from paravox.pipeline.train import (CHECKPOINT_NAMES, Adam, MissingPrerequisite, train_tokenizer)
 from paravox.rvq import RVQStack
 from paravox.tokenizer import ParallelTokenizer
 
@@ -602,6 +602,72 @@ def test_load_pipeline_rejects_mixed_configs(tmp_path, mini_run):
         load_pipeline(tmp_path)
 
 
+def _corrupt_copy(mini_run, tmp_path, stage: str, name: str, value: float) -> None:
+    """Copy mini_run's checkpoints to tmp_path, with `value` written into
+    the first entry of parameter `name` of the `stage` checkpoint."""
+    for ckpt_name in CHECKPOINT_NAMES.values():
+        shutil.copy(mini_run.ckpt_dir / ckpt_name, tmp_path / ckpt_name)
+    path = tmp_path / CHECKPOINT_NAMES[stage]
+    ckpt = load_checkpoint(path)
+    ckpt.params[name].reshape(-1)[0] = value
+    save_checkpoint(path, ckpt)
+
+
+def test_load_pipeline_rejects_non_finite_parameters(tmp_path, mini_run):
+    """One NaN in a weight fails the load, naming the file and the array,
+    instead of synthesizing from it."""
+    _corrupt_copy(mini_run, tmp_path, "ar", "blocks.0.fc1.weight", np.nan)
+    with pytest.raises(CheckpointError, match=r"ar\.ckpt: parameter 'blocks\.0\.fc1\.weight' holds non-finite"):
+        load_pipeline(tmp_path)
+
+
+def test_training_rejects_a_non_finite_frozen_tokenizer(tmp_path, mini_run):
+    params = load_checkpoint(mini_run.ckpt_dir / "tokenizer.ckpt").params
+    name = next(k for k in sorted(params) if params[k].dtype.kind == "f")
+    _corrupt_copy(mini_run, tmp_path, "tokenizer", name, -np.inf)
+    with pytest.raises(CheckpointError, match=rf"tokenizer\.ckpt: parameter '{re.escape(name)}' holds non-finite"):
+        train_stage("ar", mini_run.items, _quick_pcfg(), tmp_path / "ar.ckpt")
+    assert (tmp_path / "ar.ckpt").read_bytes() == (mini_run.ckpt_dir / "ar.ckpt").read_bytes()
+
+
+def _stop_after(pipe, n_calls: int | None) -> None:
+    """Pin the generator's P(stop) to 0, then to 1 from the `n_calls`-th
+    trunk call on (never when None)."""
+    stop = pipe.ar.stop_head
+    stop.weight.data[:] = 0.0
+    stop.bias.data[:] = -1e4
+    trunk, calls = pipe.ar.forward_states, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n_calls:
+            stop.bias.data[:] = 1e4
+        return trunk(*args, **kwargs)
+
+    pipe.ar.forward_states = counting
+
+
+@pytest.mark.parametrize("n_calls, max_frames", [(3, None), (None, 4)])
+def test_infer_reports_stage_times_and_stop_trace(mini_run, n_calls, max_frames):
+    """Per-stage ms for every stage, and P(stop) after the prompt and after
+    each frame, for a request the stop head ends and for a truncated one."""
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    _stop_after(pipe, n_calls)
+    result = infer(pipe, encode_text(pipe, "ab"), mini_run.items[0].bundle, seed=4, max_frames=max_frames)
+    meta = result.metadata
+    n = meta["n_frames"]
+    assert set(meta["stage_ms"]) == {"encode", "ar", "nar", "decode", "flow"}
+    assert all(isinstance(v, float) and v > 0 for v in meta["stage_ms"].values())
+    probs = meta["stop_probs"]
+    assert len(probs) == n + 1 and all(isinstance(p, float) for p in probs)
+    assert all(p < 0.5 for p in probs[:-1])
+    if n_calls is None:
+        assert meta["truncated"] and n == max_frames and probs[-1] < 0.5
+    else:
+        assert meta["terminated"] and n == n_calls - 1 and probs[-1] > 0.5
+    json.dumps(meta)
+
+
 def test_write_mel_file_round_trip(tmp_path, mini_run):
     pipe = load_pipeline(mini_run.ckpt_dir)
     ref = mini_run.items[1].bundle
@@ -646,7 +712,8 @@ def test_evaluate_encodes_the_corpus_once(mini_run, monkeypatch):
     assert calls == list(pipe.tokenizer.stacks.values())
     for name, frames in pipe.tokenizer.stream_frames([it.bundle for it in mini_run.items]).items():
         stack = pipe.tokenizer.stacks[name]
-        tokens, quantized, _ = encode(stack, frames)
+        tokens = encode(stack, frames)
+        quantized, _ = rvq_residuals(stack, frames, tokens)
         assert report["recon_mse"][name] == float(((frames - quantized) ** 2).mean())
         assert report["utilization"][name] == stack.utilization(tokens)
         assert report["perplexity"][name] == stack.perplexity(tokens)

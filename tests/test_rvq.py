@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import rvq_residuals
 from paravox import rvq
 from paravox.engine import Rng, Tensor, grad_check
 from paravox.rvq import RVQStack, _nearest, _nearest_direct
@@ -33,7 +34,7 @@ def test_encode_matches_brute_force_oracle():
     rng = Rng(0)
     stack = RVQStack.init_random(rng, n_layers=3, codebook_size=16, dim=8)
     frames = rng.normal((200, 8), dtype=np.float64)
-    tokens, _, _ = stack.encode(frames)
+    tokens = stack.encode(frames)
     oracle = brute_force_encode(stack, frames)
     assert np.array_equal(tokens, oracle)
 
@@ -42,7 +43,8 @@ def test_exact_codeword_hits_token_and_zero_residual():
     rng = Rng(1)
     stack = RVQStack.init_random(rng, n_layers=3, codebook_size=16, dim=8)
     frame = stack.layers[0].entries[7][None, :].copy()
-    tokens, quantized, norms = stack.encode(frame)
+    tokens = stack.encode(frame)
+    quantized, norms = rvq_residuals(stack, frame, tokens)
     # layers 2 and 3 have the pinned zero codeword at index 0
     assert tokens[0].tolist() == [7, 0, 0]
     assert np.allclose(norms[0], 0.0)
@@ -56,7 +58,7 @@ def test_tie_breaks_to_lowest_index():
     cb.entries[1] = [1.0, 0.0, 0.0]
     cb.entries[3] = [1.0, 0.0, 0.0]  # exact duplicate further along
     frame = np.array([[1.0, 0.0, 0.0]], dtype=np.float32)
-    tokens, _, _ = stack.encode(frame)
+    tokens = stack.encode(frame)
     assert tokens[0, 0] == 1
 
 
@@ -64,7 +66,7 @@ def test_residual_norms_non_increasing_with_pinned_zero():
     rng = Rng(3)
     stack = RVQStack.init_random(rng, n_layers=4, codebook_size=12, dim=6)
     frames = rng.normal((300, 6), scale=2.0, dtype=np.float64)
-    _, _, norms = stack.encode(frames)
+    _, norms = rvq_residuals(stack, frames, stack.encode(frames))
     input_norms = np.linalg.norm(frames, axis=1)
     assert np.all(norms[:, 0] <= input_norms + 1e-12)
     assert np.all(np.diff(norms, axis=1) <= 1e-12)
@@ -74,7 +76,8 @@ def test_decode_encode_error_equals_final_residual():
     rng = Rng(4)
     stack = RVQStack.init_random(rng, n_layers=3, codebook_size=8, dim=5)
     frames = rng.normal((50, 5), dtype=np.float32)
-    tokens, quantized, norms = stack.encode(frames)
+    tokens = stack.encode(frames)
+    quantized, norms = rvq_residuals(stack, frames, tokens)
     recon = stack.decode(tokens)
     assert np.allclose(recon, quantized, atol=1e-6)
     err = np.linalg.norm(frames - recon, axis=1)
@@ -85,7 +88,7 @@ def test_decode_partial_layers():
     rng = Rng(5)
     stack = RVQStack.init_random(rng, n_layers=3, codebook_size=8, dim=5)
     frames = rng.normal((20, 5), dtype=np.float32)
-    tokens, _, _ = stack.encode(frames)
+    tokens = stack.encode(frames)
     top_only = stack.decode(tokens, up_to_layer=1)
     assert np.allclose(top_only, stack.layers[0].entries[tokens[:, 0]])
     full = stack.decode(tokens, up_to_layer=3)
@@ -140,7 +143,7 @@ def test_dead_codes_reseeded_and_utilization_recovers():
         reseeded_total += out["n_reseeded"]
     assert reseeded_total > 0
     probe = data_rng.normal((2000, 2), dtype=np.float32)
-    util = stack.utilization(stack.encode(probe)[0])[0]
+    util = stack.utilization(stack.encode(probe))[0]
     assert util >= 0.5
 
 
@@ -158,7 +161,7 @@ def test_utilization_on_synthetic_corpus():
     for step in range(400):
         batch = frames[train_rng.choice(frames.shape[0], size=128)]
         stack.train_step(batch, train_rng)
-    for layer_util in stack.utilization(stack.encode(frames)[0]):
+    for layer_util in stack.utilization(stack.encode(frames)):
         assert layer_util >= 0.5
 
 
@@ -166,12 +169,12 @@ def test_training_reduces_reconstruction_error():
     rng = Rng(10)
     data = rng.normal((1000, 8), dtype=np.float32)
     stack = RVQStack.init_random(rng, n_layers=3, codebook_size=32, dim=8)
-    before = float(((data - stack.decode(stack.encode(data)[0])) ** 2).mean())
+    before = float(((data - stack.decode(stack.encode(data))) ** 2).mean())
     train_rng = rng.spawn("t")
     for step in range(300):
         batch = data[train_rng.choice(1000, size=128)]
         stack.train_step(batch, train_rng)
-    after = float(((data - stack.decode(stack.encode(data)[0])) ** 2).mean())
+    after = float(((data - stack.decode(stack.encode(data))) ** 2).mean())
     assert after < 0.5 * before
 
 
@@ -192,7 +195,7 @@ def test_commitment_path_gradient_passes_fd():
     x = Tensor(rng.normal((4, 4), dtype=np.float64), requires_grad=True)
 
     def loss():
-        _, quantized, _ = stack.encode(x.data)
+        quantized, _ = rvq_residuals(stack, x.data, stack.encode(x.data))
         d = x - Tensor(quantized)
         return (d * d).mean() * stack.commitment_weight
 
@@ -208,8 +211,8 @@ def test_state_roundtrip():
     state = {k: v.copy() for k, v in stack.state("s.").items()}
     stack2 = RVQStack.init_random(Rng(99), n_layers=2, codebook_size=8, dim=4)
     stack2.load_state(state, "s.")
-    t1 = stack.encode(frames)[0]
-    t2 = stack2.encode(frames)[0]
+    t1 = stack.encode(frames)
+    t2 = stack2.encode(frames)
     assert np.array_equal(t1, t2)
     with pytest.raises(KeyError, match="missing"):
         stack2.load_state({}, "s.")
@@ -313,7 +316,7 @@ def test_nearest_codebook_of_one(dtype):
             assert np.array_equal(_nearest(entries, frames), np.zeros(7, np.int64))
             assert np.array_equal(_nearest_direct(entries, frames), np.zeros(7, np.int64))
     stack = RVQStack.init_random(rng, n_layers=2, codebook_size=1, dim=5)
-    assert np.array_equal(stack.encode(frames[:2])[0], np.zeros((2, 2), np.int64))
+    assert np.array_equal(stack.encode(frames[:2]), np.zeros((2, 2), np.int64))
     stack.train_step(frames[:2], rng.spawn("r"))
 
 
@@ -324,7 +327,8 @@ def test_nearest_zero_frames(dtype):
     out = _nearest(entries, np.zeros((0, 6), dtype))
     assert out.shape == (0,) and out.dtype == np.int64
     stack = RVQStack.init_random(rng, n_layers=3, codebook_size=8, dim=6)
-    tokens, quantized, norms = stack.encode(np.zeros((0, 6), dtype))
+    tokens = stack.encode(np.zeros((0, 6), dtype))
+    quantized, norms = rvq_residuals(stack, np.zeros((0, 6), dtype), tokens)
     assert tokens.shape == (0, 3) and quantized.shape == (0, 6) and norms.shape == (0, 3)
 
 
@@ -343,9 +347,9 @@ def test_nearest_non_finite_frames_and_codewords(dtype, monkeypatch):
             clean = rng.normal((6, 4), dtype=dtype)
             assert np.array_equal(_nearest(entries, clean), _nearest_direct(entries, clean))
         # the public encode bypasses any finiteness check
-        tokens = stack.encode(frames)[0]
+        tokens = stack.encode(frames)
         monkeypatch.setattr(rvq, "_nearest", _nearest_direct)
-        assert np.array_equal(tokens, stack.encode(frames)[0])
+        assert np.array_equal(tokens, stack.encode(frames))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float16])
