@@ -7,8 +7,8 @@ coupled non-autoregressive refiner fills in the detail layers; a
 conditional flow-matching decoder renders mel frames.
 """
 
-from .engine import Rng, Tensor, no_grad
+from .engine import Rng, Tensor
 
 __version__ = "0.1.0"
 
-__all__ = ["Tensor", "Rng", "no_grad", "__version__"]
+__all__ = ["Tensor", "Rng", "__version__"]

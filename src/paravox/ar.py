@@ -22,8 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .engine import (Rng, Tensor, bce_with_logits, cross_entropy, embedding, embedding_fwd, layer_norm_fwd,
-                     linear_fwd, no_grad, sigmoid_fwd)
+from .engine import Rng, bce_with_logits, cross_entropy, embedding, sigmoid_fwd
 from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_rows, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
@@ -158,19 +157,19 @@ class DualStreamAR(Module):
     # ---- trunk ------------------------------------------------------------
 
     def forward_states(self, ids: np.ndarray, mask: np.ndarray | None = None,
-                       cache: list[KVCache] | None = None) -> Tensor:
+                       cache: list[KVCache] | None = None):
         """Embed an (L, n_tables) or (B, L, n_tables) id grid (see
-        `input_ids`) and run the causal trunk over it.
+        `input_ids`) and run the causal trunk over it, recording the tape.
 
         With `cache` (one `KVCache` per block, see `new_cache`), `ids`
         holds only the positions after those already cached: the
         prompt at prefill, one frame per decode step. Their states come
-        back; earlier keys and values are read from the cache. A cached
-        pass runs the blocks' array `step`, so its states carry no tape.
+        back as an array, with no tape; earlier keys and values are read
+        from the cache.
         """
         tables = [self.text_emb.weight, self.text_pos.weight, self.speech_pos.weight] + \
             [e.weight for e in self.token_embs]
-        t = np.shape(ids)[-2]
+        t = ids.shape[-2]
         if mask is None and t > 1:
             # Causal rows [n - t, n) over the n positions the queries see;
             # a single new row sees every filled position, so it needs none.
@@ -178,25 +177,21 @@ class DualStreamAR(Module):
             mask = causal_mask(n, dtype=tables[0].dtype)[n - t:]
         if cache is None:
             h = embedding(tables, ids)
-            for block in self.blocks:
-                h = block(h, mask=mask)
-            return self.ln_f(h)
-        if t == 1 and np.ndim(ids) == 2:
-            h = self._decode_row(tables, ids[0])
         else:
-            h = embedding_fwd([w.data for w in tables], ids)[0]
-        for block, c in zip(self.blocks, cache):
-            h = block.step(h, c, mask)
-        return Tensor(layer_norm_fwd(h, self.ln_f.gamma.data, self.ln_f.beta.data)[0])
+            tables = [w.data for w in tables]
+            h = self._decode_row(tables, ids[0]) if t == 1 and ids.ndim == 2 else embedding(tables, ids)
+        for i, block in enumerate(self.blocks):
+            h = block(h, mask, None if cache is None else cache[i])
+        return self.ln_f(h)
 
     @staticmethod
-    def _decode_row(tables: list[Tensor], ids: np.ndarray) -> np.ndarray:
-        """`embedding_fwd` of one id row: its tables' rows added to zeros in
+    def _decode_row(tables: list[np.ndarray], ids: np.ndarray) -> np.ndarray:
+        """`embedding` of one id row: its tables' rows added to zeros in
         column order, bit for bit, without the batch bookkeeping."""
-        h = np.zeros((1, tables[0].data.shape[1]), dtype=tables[0].data.dtype)
+        h = np.zeros((1, tables[0].shape[1]), dtype=tables[0].dtype)
         for w, i in zip(tables, ids.tolist()):
             if i >= 0:
-                h += w.data[i]
+                h += w[i]
             elif i != -1:
                 raise IndexError(f"embedding ids must be >= -1, got {i}")
         return h
@@ -205,7 +200,7 @@ class DualStreamAR(Module):
         """Empty key/value buffers for `capacity` positions, one per block."""
         return [KVCache(b.attn.n_heads, b.attn.head_dim, capacity, self.text_emb.weight.dtype) for b in self.blocks]
 
-    def _head_logits(self, states: Tensor, s: int, l: int) -> Tensor:
+    def _head_logits(self, states, s: int, l: int):
         """Head (s, l) over stream `s`'s slice of the states; all of them for one stream."""
         lo, d = s * self.cfg.slice_dim, self.cfg.slice_dim
         return self.heads[s * self.cfg.layers_per_stream + l](
@@ -279,8 +274,7 @@ class DualStreamAR(Module):
         `stop`: stop states where P(stop) > 0.5 agrees with the label.
         `stop_final`: utterances whose final state fires the stop head.
         """
-        with no_grad():
-            stream_logits, stream_targets, stop_logits, stop_labels = self.teacher_forced_batch(batch)
+        stream_logits, stream_targets, stop_logits, stop_labels = self.teacher_forced_batch(batch)
         out = {}
         for s, (name, _) in enumerate(self.cfg.streams):
             correct = total = 0
@@ -359,20 +353,16 @@ class DualStreamAR(Module):
         cache = self.new_cache(prompt.shape[0] + limit)
         steps = self._frame_ids(np.zeros((limit, cfg.n_streams, cfg.layers_per_stream), dtype=np.int64),
                                 pos_offset=n_ref)
-        # Weights are bound per call, never cached on the module, because
-        # `load_state` replaces the arrays. Each head reads its stream's
-        # slice of the state and writes one id column.
-        stop_w, stop_b = self.stop_head.weight.data, self.stop_head.bias.data
+        # Head i reads its stream's slice of the state and writes id column _TOKEN_COL + i.
         d = cfg.slice_dim
-        heads = [(_TOKEN_COL + i, i // cfg.layers_per_stream * d, head.weight.data, head.bias.data)
-                 for i, head in enumerate(self.heads)]
-        states = self.forward_states(prompt, cache=cache).data
+        heads = [(_TOKEN_COL + i, i // cfg.layers_per_stream * d, head) for i, head in enumerate(self.heads)]
+        states = self.forward_states(prompt, cache=cache)
         n = 0
         terminated = truncated = False
         stop_probs = []
         while True:
             last = states[-1:]
-            stop_p = float(sigmoid_fwd(linear_fwd(last, stop_w, stop_b)).reshape(()))
+            stop_p = float(sigmoid_fwd(self.stop_head(last)).reshape(()))
             stop_probs.append(stop_p)
             if stop_p > 0.5:
                 terminated = True
@@ -380,10 +370,9 @@ class DualStreamAR(Module):
             if n >= limit:
                 truncated = True
                 break
-            for col, lo, w, b in heads:
-                logits = linear_fwd(last[:, lo:lo + d], w, b)
-                steps[n, col] = self._sample_head(logits[0], top_k, temperature, rng)
-            states = self.forward_states(steps[n:n + 1], cache=cache).data
+            for col, lo, head in heads:
+                steps[n, col] = self._sample_head(head(last[:, lo:lo + d])[0], top_k, temperature, rng)
+            states = self.forward_states(steps[n:n + 1], cache=cache)
             n += 1
         tokens = steps[:n, _TOKEN_COL:].reshape(n, cfg.n_streams, cfg.layers_per_stream)
         return GenerationResult(tokens=tokens, terminated=terminated, truncated=truncated,

@@ -6,9 +6,11 @@ closure on the output node; `backward()` walks the tape in reverse
 topological order and accumulates gradients into `.grad`.
 
 Each fused op's forward arithmetic is one array kernel (`linear_fwd`,
-`layer_norm_fwd`, ...) that its Tensor op calls; code that needs no
-gradient, such as a cached decode step, composes the kernels on plain
-arrays and gets the Tensor path's results bit for bit.
+`layer_norm_fwd`, ...). The op runs on whatever it is given: a Tensor
+input records one tape node, and a plain array input returns the
+kernel's array and records nothing, with the same bits. Parameters stay
+Tensors either way; the array branch reads their `.data`. So one module
+forward serves training (Tensors in) and inference (arrays in).
 
 Randomness goes through `Rng`, a thin wrapper over numpy's Philox
 counter-based bit generator, so that a fixed seed gives the same
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "Rng",
-    "no_grad",
     "get_default_dtype",
     "concat",
     "conv_windows",
@@ -58,23 +58,10 @@ class ShapeError(ValueError):
 
 
 _DEFAULT_DTYPE = np.float32
-_GRAD_ENABLED = True
 
 
 def get_default_dtype():
     return _DEFAULT_DTYPE
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording (inference / finite-difference evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -116,9 +103,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
@@ -179,7 +163,7 @@ class Tensor:
             out._grad_fn = None
         else:
             out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._grad_fn = grad_fn
@@ -236,8 +220,6 @@ class Tensor:
                 other._accumulate(g * self.data)
 
         return Tensor._make(data, (self, other), grad_fn)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._lift(other, self.data.dtype)
@@ -372,8 +354,11 @@ def sigmoid_fwd(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def concat(tensors, axis=0) -> Tensor:
+def concat(tensors, axis=0):
+    """Join Tensors along `axis`, one tape node; arrays join as arrays."""
     tensors = list(tensors)
+    if not isinstance(tensors[0], Tensor):
+        return np.concatenate(tensors, axis=axis)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -388,17 +373,20 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor._make(data, tuple(tensors), grad_fn)
 
 
-def conv_windows(x: Tensor, kernel: int) -> Tensor:
+def conv_windows(x, kernel: int):
     """Same-padded convolution windows of a (..., T, D) input, one tape node:
     row t of the (..., T, kernel * D) output holds input rows t - kernel // 2
     .. t + kernel // 2, zeros past either end. The backward adds the taps'
     column blocks into one padded gradient in tap order."""
-    xd = x.data
+    tape = isinstance(x, Tensor)
+    xd = x.data if tape else x
     t, d = xd.shape[-2:]
     half = kernel // 2
     padded = np.zeros(xd.shape[:-2] + (t + 2 * half, d), dtype=xd.dtype)
     padded[..., half:half + t, :] = xd
     data = np.concatenate([padded[..., i:i + t, :] for i in range(kernel)], axis=-1)
+    if not tape:
+        return data
 
     def grad_fn(g):
         gp = np.zeros_like(padded)
@@ -431,13 +419,16 @@ def embedding_fwd(tables: list[np.ndarray], ids: np.ndarray):
     return out.reshape(ids.shape[:-1] + (dim,)), flat, picks
 
 
-def embedding(tables: list[Tensor], ids: np.ndarray) -> Tensor:
-    """Summed row lookups from several (n_k, D) tables, one tape node.
+def embedding(tables: list, ids: np.ndarray):
+    """Summed row lookups from several (n_k, D) tables, one tape node;
+    array tables give the array and record nothing.
 
     `ids` (..., K) holds one column per table; output row [...] is the
     sum of `tables[k][ids[..., k]]` in k order. An id of -1 adds nothing,
     so a row of -1s is a zero (padding) row.
     """
+    if not isinstance(tables[0], Tensor):
+        return embedding_fwd(tables, ids)[0]
     data, flat, picks = embedding_fwd([t.data for t in tables], ids)
     dim = data.shape[-1]
 
@@ -467,12 +458,14 @@ def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     return y.reshape(x.shape[:-1] + (w.shape[1],))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x, w: Tensor, b: Tensor | None = None):
     """`x @ w + b` over the last axis of x, one tape node.
 
     Leading axes are flattened so the forward pass, dx and dW are one
     2-D GEMM each; the bias gradient is one column sum.
     """
+    if not isinstance(x, Tensor):
+        return linear_fwd(x, w.data, None if b is None else b.data)
     xd, wd = x.data, w.data
     data = linear_fwd(xd, wd, None if b is None else b.data)
 
@@ -507,13 +500,14 @@ def softmax_fwd(x: np.ndarray, axis: int = -1, scale: float | None = None,
     return data
 
 
-def softmax(x: Tensor, axis: int = -1, scale: float | None = None,
-            mask: np.ndarray | None = None) -> Tensor:
+def softmax(x, axis: int = -1, scale: float | None = None, mask: np.ndarray | None = None):
     """softmax(x * scale + mask) along `axis`, one tape node.
 
     `scale` is applied in x's dtype and `mask` is an additive numpy
     constant cast to it (attention's scaled, masked scores).
     """
+    if not isinstance(x, Tensor):
+        return softmax_fwd(x, axis, scale, mask)
     data = softmax_fwd(x.data, axis, scale, mask)
 
     def grad_fn(g):
@@ -558,8 +552,7 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray | None = None,
     return data, xhat, inv
 
 
-def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None, eps: float = 1e-5):
     """Normalize the last axis to zero mean, unit variance, then scale by
     `gamma` and shift by `beta` when given; one tape node.
 
@@ -568,9 +561,12 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
     divide. Otherwise the mean's rounding error is left, scaled by about
     1/sqrt(eps).
     """
-    n = x.data.shape[-1]
-    data, xhat, inv = layer_norm_fwd(x.data, None if gamma is None else gamma.data,
+    tape = isinstance(x, Tensor)
+    data, xhat, inv = layer_norm_fwd(x.data if tape else x, None if gamma is None else gamma.data,
                                      None if beta is None else beta.data, eps)
+    if not tape:
+        return data
+    n = x.data.shape[-1]
 
     def grad_fn(g):
         if beta is not None and beta.requires_grad:
@@ -600,16 +596,18 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                  mask: np.ndarray | None = None) -> np.ndarray:
+                  mask: np.ndarray | None = None):
     """`attention` on arrays, with the (..., T, dim) queries apart from the
     (..., n, dim) keys and values they attend to, such as a key/value
-    cache's filled prefix."""
+    cache's filled prefix. Returns the output, then the query, key and
+    value heads and the attention weights, which its backward reuses."""
     q, k, v = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
-    att = softmax_fwd(np.matmul(q, k.swapaxes(-1, -2)), -1, 1.0 / math.sqrt(q.shape[-1]), mask)
-    return _merge_heads(np.matmul(att, v))
+    # The weights come from the `softmax` op, so a traced run sees softmax inside attention.
+    att = softmax(np.matmul(q, k.swapaxes(-1, -2)), -1, 1.0 / math.sqrt(q.shape[-1]), mask)
+    return _merge_heads(np.matmul(att, v)), q, k, v, att
 
 
-def attention(qkv: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+def attention(qkv, n_heads: int, mask: np.ndarray | None = None):
     """Multi-head scaled, masked dot-product attention; one tape node.
 
     `qkv` is (..., T, 3 * dim): the packed query, key and value
@@ -618,16 +616,16 @@ def attention(qkv: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tens
     head, and the heads of `weights @ v` are merged back into a
     (..., T, dim) output.
     """
-    shape = qkv.data.shape
+    tape = isinstance(qkv, Tensor)
+    qd = qkv.data if tape else qkv
+    shape = qd.shape
     dim = shape[-1] // 3
     if shape[-1] != 3 * dim or dim % n_heads:
         raise ShapeError(f"last axis of {shape} is not 3 x {n_heads} heads")
-    q, k, v = (_heads(qkv.data[..., i * dim:(i + 1) * dim], n_heads) for i in range(3))
+    data, q, k, v, att = attention_fwd(qd[..., :dim], qd[..., dim:2 * dim], qd[..., 2 * dim:], n_heads, mask)
+    if not tape:
+        return data
     scale = 1.0 / math.sqrt(dim // n_heads)
-    # `attention_fwd`'s arithmetic, with the weights from the softmax op,
-    # so that a traced run sees softmax inside attention.
-    att = softmax(Tensor(np.matmul(q, k.swapaxes(-1, -2))), axis=-1, scale=scale, mask=mask).data
-    data = _merge_heads(np.matmul(att, v))
 
     def grad_fn(g):
         gh = _heads(g, n_heads)
@@ -764,8 +762,7 @@ def grad_check(fn, params: dict, tolerance: float = 1e-5, h: float = 1e-5,
                 for name, p in params.items()}
 
     def eval_loss() -> float:
-        with no_grad():
-            return float(fn().data)
+        return float(fn().data)
 
     for name, p in params.items():
         flat = p.data.reshape(-1)
@@ -858,13 +855,15 @@ def gelu_fwd(x: np.ndarray):
     return data, x2, th
 
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x):
     """Gaussian error linear unit, tanh form (Hendrycks & Gimpel), one tape node.
 
     y = 0.5 x (1 + tanh(u)) with u = c (x + a x^3), c = sqrt(2/pi),
     a = 0.044715; the backward is the analytic derivative
     0.5 (1 + tanh u) + 0.5 x (1 - tanh^2 u) c (1 + 3 a x^2).
     """
+    if not isinstance(x, Tensor):
+        return gelu_fwd(x)[0]
     xd = x.data
     data, x2, th = gelu_fwd(xd)
 

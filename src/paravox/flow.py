@@ -8,7 +8,9 @@ with a fixed-step Euler solver; one step degenerates to x0 + v(x0, 0).
 Conditioning is per-frame: decoded token features for that frame plus a
 time-invariant speaker vector, so the field is a frame-local MLP. Their
 share of its first layer does not change along a path, so it is computed
-once per request (`VelocityField.condition`) and reused by every step.
+once per request (`VelocityField.condition`) and reused by every step,
+and so are the time features of every step. Training runs the field on
+Tensors; the sampler runs the same forward on arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, concat, embedding, gelu, linear, no_grad
+from .engine import Rng, Tensor, concat, embedding, gelu, linear
 from .nn import Linear, Module
 
 
@@ -41,7 +43,8 @@ class FlowConfig:
 
 
 def time_features(t, dim: int, dtype=np.float32) -> np.ndarray:
-    """Fourier features [sin(2^k pi t), cos(2^k pi t)] of a time, or one row per time of an array."""
+    """Fourier features [sin(2^k pi t), cos(2^k pi t)] of a time, or one row
+    per time of an array, computed in float64 and cast to `dtype`."""
     k = np.arange(dim // 2, dtype=np.float64)
     angles = (2.0 ** k) * np.pi * np.asarray(t, dtype=np.float64)[..., None]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1).astype(dtype)
@@ -70,6 +73,7 @@ class VelocityField(Module):
     The first layer is one (d_in, hidden) weight over the input columns
     [x_t, features, speaker, time]. `condition` applies its features and
     speaker rows and the bias; `__call__` adds the x_t and time rows.
+    Both take Tensors, recording the tape, or arrays, returning arrays.
     """
 
     # Denominator floor. Euler grids stop at t = 1 - 1/n_steps, so any
@@ -86,24 +90,34 @@ class VelocityField(Module):
         self.layers = [Linear(dims[i], dims[i + 1], rng.spawn(("fc", i)), dtype=dtype)
                        for i in range(len(dims) - 1)]
 
-    def condition(self, features: Tensor, speaker: Tensor) -> Tensor:
+    def _rows(self, lo: int, hi: int, x):
+        """Rows [lo, hi) of the first layer's weight: a tape slice for a
+        Tensor input `x`, a constant over its data for an array."""
+        w = self.layers[0].weight
+        return w[lo:hi] if isinstance(x, Tensor) else Tensor(w.data[lo:hi])
+
+    def condition(self, features, speaker):
         """The first layer's time-invariant part, one row per frame:
         [features, speaker] through their rows of the weight, plus the bias.
         `features` and `speaker` hold one row per frame."""
-        m, first = self.cfg.mel_bins, self.layers[0]
-        n_cond = self.cfg.feature_dim + self.cfg.speaker_dim
-        return linear(concat([features, speaker], axis=1), first.weight[m:m + n_cond], first.bias)
+        m = self.cfg.mel_bins
+        x = concat([features, speaker], axis=1)
+        return linear(x, self._rows(m, m + self.cfg.feature_dim + self.cfg.speaker_dim, x), self.layers[0].bias)
 
-    def __call__(self, x_t: Tensor, cond: Tensor, t: np.ndarray) -> Tensor:
+    def __call__(self, x_t, cond, t: np.ndarray, tf: np.ndarray):
         """Velocity at each of the rows of `x_t`, given their `condition`
-        rows; the times `t`, (1,) or one per row, broadcast to the rows."""
-        m, w = self.cfg.mel_bins, self.layers[0].weight
-        tf = Tensor(time_features(t, self.cfg.time_feat_dim, x_t.dtype))
-        h = gelu(linear(x_t, w[:m]) + linear(tf, w[w.shape[0] - self.cfg.time_feat_dim:]) + cond)
+        rows, their times `t` and those times' `time_features` rows `tf`;
+        `t` and `tf` hold one time or one per row, and broadcast to the rows."""
+        m, d_in = self.cfg.mel_bins, self.layers[0].weight.shape[0]
+        tf = tf.astype(x_t.dtype, copy=False)
+        if isinstance(x_t, Tensor):
+            tf = Tensor(tf)  # so that the time rows of the weight get their gradient
+        h = gelu(linear(x_t, self._rows(0, m, x_t))
+                 + linear(tf, self._rows(d_in - self.cfg.time_feat_dim, d_in, x_t)) + cond)
         for layer in self.layers[1:-1]:
             h = gelu(layer(h))
-        endpoint = self.layers[-1](h)
-        return (endpoint - x_t) * (1.0 / np.maximum(1.0 - t, self.TIME_EPS))[:, None]
+        diff = self.layers[-1](h) - x_t
+        return diff * (1.0 / np.maximum(1.0 - t, self.TIME_EPS)).astype(diff.dtype)[:, None]
 
 
 def cfm_train_loss(field: VelocityField, mels: list, features, speakers, rngs: list,
@@ -121,12 +135,14 @@ def cfm_train_loss(field: VelocityField, mels: list, features, speakers, rngs: l
     t = [float(r.uniform()) for r in rngs] if t is None else [float(v) for v in t]
     x0 = [r.normal(m.shape, dtype=m.dtype) for r, m in zip(rngs, mels)] if x0 is None else x0
     lengths = np.array([m.shape[0] for m in mels])
+    t_rows = np.repeat(t, lengths)
     x_t = np.concatenate([(1.0 - ti) * x0i + ti * m for ti, x0i, m in zip(t, x0, mels)])
     feats = features if isinstance(features, Tensor) else Tensor(np.concatenate(features).astype(x_t.dtype, copy=False))
     spk = speakers if isinstance(speakers, Tensor) else Tensor(np.asarray(speakers, dtype=x_t.dtype))
     # One speaker row per frame; the lookup's backward adds each utterance's rows together.
     spk_rows = embedding([spk], np.repeat(np.arange(len(mels)), lengths)[:, None])
-    diff = field(Tensor(x_t), field.condition(feats, spk_rows), np.repeat(t, lengths)) - Tensor(
+    tf = time_features(t_rows, field.cfg.time_feat_dim, x_t.dtype)
+    diff = field(Tensor(x_t), field.condition(feats, spk_rows), t_rows, tf) - Tensor(
         np.concatenate([m - x0i for m, x0i in zip(mels, x0)]))
     weights = np.repeat(1.0 / (len(mels) * lengths * diff.shape[1]), lengths)
     return (diff * diff * weights[:, None]).sum()
@@ -138,7 +154,8 @@ def sample_mel(field: VelocityField, features: np.ndarray, speaker: np.ndarray,
 
     The time grid is t_i = i / n_steps with step 1 / n_steps; the same
     seed always yields the same output for fixed inputs. The field's
-    `condition` is computed once, before the first step.
+    `condition` and every step's time features are computed once, before
+    the first step; the field runs on arrays.
     """
     solver = solver or SolverConfig()
     rng = rng or Rng(solver.seed)
@@ -146,11 +163,10 @@ def sample_mel(field: VelocityField, features: np.ndarray, speaker: np.ndarray,
     t_frames = features.shape[0]
     x = rng.normal((t_frames, field.cfg.mel_bins), dtype=np.float32)
     dt = 1.0 / solver.n_steps
-    with no_grad():
-        feats = Tensor(features.astype(np.float32, copy=False))
-        spk = Tensor(np.repeat(np.asarray(speaker, dtype=np.float32).reshape(1, -1), t_frames, axis=0))
-        cond = field.condition(feats, spk)
-        for i in range(solver.n_steps):
-            v = field(Tensor(x), cond, np.array([i * dt]))
-            x = x + dt * v.data
+    t = np.arange(solver.n_steps) * dt
+    tf = time_features(t, field.cfg.time_feat_dim, np.float64)
+    spk = np.repeat(np.asarray(speaker, dtype=np.float32).reshape(1, -1), t_frames, axis=0)
+    cond = field.condition(features.astype(np.float32, copy=False), spk)
+    for i in range(solver.n_steps):
+        x = x + dt * field(x, cond, t[i:i + 1], tf[i:i + 1])
     return x

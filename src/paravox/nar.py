@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, cross_entropy, embedding, layer_norm_fwd, linear_fwd, no_grad
-from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_rows, span_index, take_spans
+from .engine import Rng, Tensor, cross_entropy, embedding
+from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_rows, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after both positions and the segment
 
@@ -122,15 +122,20 @@ class CoupledStage(Module):
             lo += k
         return out
 
-    def _batch_ids(self, batch: list[tuple]):
-        """The embedding tables, the -1-padded id grid of `batch`'s
-        [reference || target] rows, its padding mask, and each row's
-        reference and total lengths."""
-        tables = [self.ref_pos.weight, self.tgt_pos.weight, self.segment_emb.weight]
-        tables += [e.weight for e in self.ref_embs + self.tgt_embs]
+    def _tables(self) -> list[Tensor]:
+        """The embedding tables, in id-grid column order."""
+        return [self.ref_pos.weight, self.tgt_pos.weight, self.segment_emb.weight] + \
+            [e.weight for e in self.ref_embs + self.tgt_embs]
+
+    def _logits(self, batch: list[tuple], tables: list):
+        """`batch_logits` from the embedding `tables`: Tensors record the
+        tape, their arrays run the kernels and give an array."""
         ids, lengths, mask = pad_rows([self._input_ids(r, t) for r, t in batch], -1, tables[0].dtype)
         n_ref = np.array([np.asarray(r).shape[0] for r, _ in batch])
-        return tables, ids, mask, n_ref, lengths
+        h = embedding(tables, ids)
+        for block in self.blocks:
+            h = block(h, mask)
+        return self.classifier(take_spans(self.ln_f(h), n_ref, lengths - n_ref))
 
     def batch_logits(self, batch: list[tuple]) -> Tensor:
         """Flattened (N, sum K) joint target-position logits over a padded batch.
@@ -140,11 +145,7 @@ class CoupledStage(Module):
         [reference || target] row; padded positions are masked out of
         attention and dropped from the output.
         """
-        tables, ids, mask, n_ref, lengths = self._batch_ids(batch)
-        h = embedding(tables, ids)
-        for block in self.blocks:
-            h = block(h, mask=mask)
-        return self.classifier(take_spans(self.ln_f(h), n_ref, lengths - n_ref))
+        return self._logits(batch, self._tables())
 
     def stage_loss(self, batch: list[tuple]) -> Tensor:
         """Mean per-decision cross-entropy for this stage's layer.
@@ -171,20 +172,8 @@ class CoupledStage(Module):
 
     def predict(self, batch: list[tuple]) -> np.ndarray:
         """(N, n_streams) argmax tokens for the predicted layer, one row
-        per `batch_logits` row.
-
-        The logits are `batch_logits`'s, bit for bit: the blocks run
-        their array `step` without a cache, and the final LayerNorm and
-        the classifier see the target rows only.
-        """
-        tables, ids, mask, n_ref, lengths = self._batch_ids(batch)
-        with no_grad():
-            h = embedding(tables, ids).data
-        for block in self.blocks:
-            h = block.step(h, None, mask)
-        h = h[span_index(n_ref, lengths - n_ref)]
-        logits = linear_fwd(layer_norm_fwd(h, self.ln_f.gamma.data, self.ln_f.beta.data)[0],
-                            self.classifier.weight.data, self.classifier.bias.data)
+        per `batch_logits` row, from its logits computed on arrays."""
+        logits = self._logits(batch, [w.data for w in self._tables()])
         return np.stack([s.argmax(axis=-1) for s in self.stream_slices(logits)], axis=1).astype(np.int64)
 
 

@@ -5,18 +5,18 @@ Modules, lists of Modules) under dotted names, which is what the
 checkpoint format stores. Layers accept inputs of rank 2 (T, D) or
 rank 3 (B, T, D); attention masks are additive numpy constants.
 
-Attention and transformer blocks also have an array `step`, for
-incremental decoding through a key/value cache and for inference
-without one. It does the Tensor layers' arithmetic call for call,
-through the engine's kernels on plain arrays, so it records no tape.
+Each layer has one forward, built from engine ops that run on whatever
+they are given: a Tensor input records the tape for training, and a
+plain array input returns arrays and records nothing, with the same
+bits. Inference passes arrays. Attention and transformer blocks also
+take a key/value cache for incremental decoding, with array input only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import (Rng, Tensor, attention, attention_fwd, conv_windows, gelu, gelu_fwd, layer_norm,
-                     layer_norm_fwd, linear, linear_fwd)
+from .engine import Rng, Tensor, attention, attention_fwd, conv_windows, gelu, layer_norm, linear
 
 NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
 
@@ -69,7 +69,7 @@ class Linear(Module):
         out.bias = Tensor(np.zeros(weight.shape[1], dtype=out.weight.dtype), requires_grad=True)
         return out
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
         return linear(x, self.weight, self.bias)
 
 
@@ -84,7 +84,7 @@ class LayerNorm(Module):
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
         return layer_norm(x, self.gamma, self.beta)
 
 
@@ -92,9 +92,9 @@ class KVCache:
     """Keys and values of one attention layer for incremental decoding.
 
     Buffers of (capacity, n_heads * head_dim) rows are allocated once;
-    each `step` of the layer writes its new positions in place after the
-    `n` already filled and attends over the filled prefix. The cache
-    holds one sequence (rank-2 input).
+    each cached call of the layer writes its new positions in place after
+    the `n` already filled and attends over the filled prefix. The cache
+    holds one sequence (rank-2 array input).
     """
 
     def __init__(self, n_heads: int, head_dim: int, capacity: int, dtype):
@@ -131,22 +131,19 @@ class MultiHeadAttention(Module):
              for tag in ("wq", "wk", "wv")], axis=1))
         self.wo = Linear(dim, dim, rng.spawn("wo"), dtype=dtype)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        return self.wo(attention(self.wqkv(x), self.n_heads, mask=mask))
-
-    def step(self, x: np.ndarray, cache: KVCache | None, mask: np.ndarray | None = None) -> np.ndarray:
-        """`__call__` on an array of rows, bit for bit. With a `cache`, the
-        (T, dim) rows' keys and values are appended to it and their queries
-        attend over every cached position; `mask` covers (new rows, cached
-        positions). With None, the rows attend over their own keys and
-        values under `mask`."""
-        qkv = linear_fwd(x, self.wqkv.weight.data, self.wqkv.bias.data)
+    def __call__(self, x, mask: np.ndarray | None = None, cache: KVCache | None = None):
+        """The rows attend over their own keys and values under `mask`.
+        With a `cache`, which needs (T, dim) array rows, their keys and
+        values are appended to it and their queries attend over every
+        cached position; `mask` then covers (new rows, cached positions)."""
+        if cache is None:
+            return self.wo(attention(self.wqkv(x), self.n_heads, mask=mask))
+        if isinstance(x, Tensor):
+            raise TypeError("a KV cache takes array input; a cached pass records no tape")
+        qkv = self.wqkv(x)
         dim = self.n_heads * self.head_dim
-        k, v = qkv[..., dim:2 * dim], qkv[..., 2 * dim:]
-        if cache is not None:
-            k, v = cache.extend(k, v)  # (n, dim), n >= T
-        out = attention_fwd(qkv[..., :dim], k, v, self.n_heads, mask)
-        return linear_fwd(out, self.wo.weight.data, self.wo.bias.data)
+        k, v = cache.extend(qkv[..., dim:2 * dim], qkv[..., 2 * dim:])  # (n, dim), n >= T
+        return self.wo(attention_fwd(qkv[..., :dim], k, v, self.n_heads, mask)[0])
 
 
 class TransformerBlock(Module):
@@ -159,19 +156,10 @@ class TransformerBlock(Module):
         self.fc1 = Linear(dim, mlp_ratio * dim, rng.spawn("fc1"), dtype=dtype)
         self.fc2 = Linear(mlp_ratio * dim, dim, rng.spawn("fc2"), dtype=dtype)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), mask=mask)
-        x = x + self.fc2(gelu(self.fc1(self.ln2(x))))
-        return x
-
-    def step(self, x: np.ndarray, cache: KVCache | None, mask: np.ndarray | None = None) -> np.ndarray:
-        """`__call__` on an array of rows, bit for bit, attending through
-        `cache` or, when it is None, over the rows themselves (see
-        `MultiHeadAttention.step`)."""
-        ln1, ln2, fc1, fc2 = self.ln1, self.ln2, self.fc1, self.fc2
-        x = x + self.attn.step(layer_norm_fwd(x, ln1.gamma.data, ln1.beta.data)[0], cache, mask)
-        h = linear_fwd(layer_norm_fwd(x, ln2.gamma.data, ln2.beta.data)[0], fc1.weight.data, fc1.bias.data)
-        return x + linear_fwd(gelu_fwd(h)[0], fc2.weight.data, fc2.bias.data)
+    def __call__(self, x, mask: np.ndarray | None = None, cache: KVCache | None = None):
+        """Attention through `cache` when given (see `MultiHeadAttention`)."""
+        x = x + self.attn(self.ln1(x), mask, cache)
+        return x + self.fc2(gelu(self.fc1(self.ln2(x))))
 
 
 class Conv1dSame(Module):
@@ -183,7 +171,7 @@ class Conv1dSame(Module):
         self.kernel = kernel
         self.proj = Linear(kernel * d_in, d_out, rng, dtype=dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
         return self.proj(conv_windows(x, self.kernel))
 
 
@@ -213,15 +201,10 @@ def pad_rows(rows: list[np.ndarray], fill, dtype) -> tuple[np.ndarray, np.ndarra
     return out, lengths, padding_mask(lengths, out.shape[1], dtype=dtype)
 
 
-def span_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(batch, time) indices of rows [starts[i], starts[i] + lengths[i]) of
-    each batch row i, in batch order."""
+def take_spans(x, starts: np.ndarray, lengths: np.ndarray):
+    """Rows x[i, starts[i]:starts[i] + lengths[i]] of a (B, T, D) batch,
+    concatenated in batch order into one (sum(lengths), D) gather node
+    (an array for an array batch)."""
     rows = np.repeat(np.arange(len(starts)), lengths)
     cols = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
-    return rows, cols
-
-
-def take_spans(x: Tensor, starts: np.ndarray, lengths: np.ndarray) -> Tensor:
-    """Rows x[i, starts[i]:starts[i] + lengths[i]] of a (B, T, D) batch,
-    concatenated in batch order into one (sum(lengths), D) gather node."""
-    return x[span_index(starts, lengths)]
+    return x[rows, cols]

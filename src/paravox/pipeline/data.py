@@ -80,6 +80,8 @@ def load_corpus_dir(data_dir) -> tuple[SyntheticSpec, list[CorpusItem]]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise CorpusDirError(f"{manifest_path}: invalid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CorpusDirError(f"{manifest_path}: must be an object")
     for key in ("format", "spec", "items"):
         if key not in manifest:
             raise CorpusDirError(f"{manifest_path}: missing key {key!r}")
@@ -87,12 +89,20 @@ def load_corpus_dir(data_dir) -> tuple[SyntheticSpec, list[CorpusItem]]:
         raise CorpusDirError(f"{manifest_path}: format {manifest['format']}, "
                              f"expected {MANIFEST_VERSION}")
     spec = spec_from_doc(manifest["spec"], where=f"{manifest_path}:spec")
+    if not isinstance(manifest["items"], list):
+        raise CorpusDirError(f"{manifest_path}: items must be a list")
     items = []
-    for row in manifest["items"]:
+    for i, row in enumerate(manifest["items"]):
+        where = f"{manifest_path}: items[{i}]"
+        if not isinstance(row, dict):
+            raise CorpusDirError(f"{where} must be an object, got {row!r}")
         if "file" not in row or "speaker_id" not in row:
-            raise CorpusDirError(f"{manifest_path}: item rows need 'file' and 'speaker_id'")
-        bundle = load_features(root / row["file"])
-        items.append(CorpusItem(bundle=bundle, speaker_id=int(row["speaker_id"])))
+            raise CorpusDirError(f"{where} needs 'file' and 'speaker_id'")
+        if not isinstance(row["file"], str):
+            raise CorpusDirError(f"{where}.file must be a string, got {row['file']!r}")
+        if not isinstance(row["speaker_id"], int) or isinstance(row["speaker_id"], bool):
+            raise CorpusDirError(f"{where}.speaker_id must be an int, got {row['speaker_id']!r}")
+        items.append(CorpusItem(bundle=load_features(root / row["file"]), speaker_id=row["speaker_id"]))
     if not items:
         raise CorpusDirError(f"{root}: corpus is empty")
     return spec, items

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, no_grad
+from .engine import Rng, Tensor
 from .frontend import FeatureBundle
 from .nn import Conv1dSame, Linear, Module, TransformerBlock, pad_rows
 from .rvq import RVQStack
@@ -73,7 +73,7 @@ class ConditionEncoder(Module):
         self.blocks = [TransformerBlock(cfg.cond_dim, cfg.n_heads, rng.spawn(("blk", i)), dtype=dtype)
                        for i in range(cfg.attn_blocks)]
 
-    def __call__(self, frames: Tensor, lengths: np.ndarray, mask: np.ndarray) -> Tensor:
+    def __call__(self, frames, lengths: np.ndarray, mask: np.ndarray):
         """(B, cond_dim) of a zero-padded batch; padding is kept out of attention and pooling."""
         h = self.conv(frames)
         for block in self.blocks:
@@ -81,10 +81,10 @@ class ConditionEncoder(Module):
         return _mean_rows(h, lengths)
 
 
-def _mean_rows(h: Tensor, lengths: np.ndarray) -> Tensor:
+def _mean_rows(h, lengths: np.ndarray):
     """Mean of each (T, D) row of a (B, T, D) batch over its first lengths[i] positions."""
     keep = np.arange(h.shape[1]) < lengths[:, None]
-    return (h * keep[..., None]).sum(axis=1) * (1.0 / lengths)[:, None]
+    return (h * keep[..., None]).sum(axis=1) * (1.0 / lengths).astype(h.dtype)[:, None]
 
 
 class ParallelTokenizer(Module):
@@ -140,10 +140,12 @@ class ParallelTokenizer(Module):
 
     # ---- speaker pathway --------------------------------------------------
 
-    def projected_speaker_frames(self, speaker_frames: list[np.ndarray]):
+    def _speaker_batch(self, speaker_frames: list[np.ndarray], wrap):
         """(B, T_max, D) projections of padded speaker frames, the lengths and
         padding mask. Padded rows are zeroed after the bias, so `Conv1dSame`
-        sees the zeros its same-padding gives each utterance alone."""
+        sees the zeros its same-padding gives each utterance alone. `wrap`
+        makes the padded frames the projector's input: `Tensor` records the
+        tape, `np.asarray` runs the kernels."""
         # Deliberately no positional encoding here: the condition vector
         # should describe *who* is speaking, invariant to utterance
         # length, so the pooled pathway stays permutation-equivariant.
@@ -152,12 +154,15 @@ class ParallelTokenizer(Module):
         if lengths.max() > self.cfg.max_frames:
             raise ValueError(f"{lengths.max()} frames exceeds tokenizer max_frames={self.cfg.max_frames}")
         keep = np.arange(frames.shape[1]) < lengths[:, None]
-        return self.projector(Tensor(frames)) * keep[..., None], lengths, mask
+        return self.projector(wrap(frames)) * keep[..., None], lengths, mask
+
+    def projected_speaker_frames(self, speaker_frames: list[np.ndarray]) -> tuple[Tensor, np.ndarray, np.ndarray]:
+        """`_speaker_batch` with a Tensor projection, to train the speaker pathway."""
+        return self._speaker_batch(speaker_frames, Tensor)
 
     def speaker_conditions(self, speaker_frames: list[np.ndarray]) -> np.ndarray:
-        """(B, cond_dim) condition vectors of a batch of utterances."""
-        with no_grad():
-            return self.cond_encoder(*self.projected_speaker_frames(speaker_frames)).data
+        """(B, cond_dim) condition vectors of a batch of utterances, on arrays."""
+        return self.cond_encoder(*self._speaker_batch(speaker_frames, np.asarray))
 
     def speaker_distill_loss(self, frames: Tensor, lengths: np.ndarray, speaker_global: np.ndarray) -> Tensor:
         """1 - cos(pooled projection, target) per row of a

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import record_criterion, rvq_residuals
 from paravox.ar import ARConfig, DualStreamAR
-from paravox.engine import Rng, Tensor, cross_entropy, grad_check, gradients, no_grad
+from paravox.engine import Rng, Tensor, cross_entropy, grad_check, gradients
 from paravox.flow import FlowConfig, SolverConfig, VelocityField, cfm_train_loss, sample_mel
 from paravox.frontend import (FeatureBundle, generate_corpus, load_arrays, load_features,
                               make_utterance, save_arrays, save_features)
@@ -185,9 +185,8 @@ def test_criterion_04_ar_causality():
         mutated = tgt.copy()
         s = int(rng.integers(0, 2))
         mutated[pos, s, 0] = (mutated[pos, s, 0] + 1) % 8
-        with no_grad():
-            base_stream, _, base_stop, _ = model.teacher_forced_batch([(text, ref, tgt)])
-            new_stream, _, new_stop, _ = model.teacher_forced_batch([(text, ref, mutated)])
+        base_stream, _, base_stop, _ = model.teacher_forced_batch([(text, ref, tgt)])
+        new_stream, _, new_stop, _ = model.teacher_forced_batch([(text, ref, mutated)])
         for si in range(2):
             # ...then logits for predictions at frames <= pos must be
             # bitwise unchanged (they only see frames < pos+1).
@@ -233,19 +232,18 @@ def test_criterion_05_dual_stream_alignment():
         got = model.generate(text, ref, seed=0, top_k=1, max_frames=10)
         frames = np.zeros((0, 2, 1), dtype=np.int64)
         terminated = False
-        with no_grad():
-            for _ in range(11):
-                states = model.forward_states(model.input_ids(text, ref, frames if frames.shape[0] else None))
-                last = states[-1:]
-                if float(model.stop_head(last).sigmoid().data.reshape(())) > 0.5:
-                    terminated = True
-                    break
-                if frames.shape[0] >= 10:
-                    break
-                step = np.zeros((1, 2, 1), dtype=np.int64)
-                for s in range(2):
-                    step[0, s, 0] = int(np.argmax(model._head_logits(last, s, 0).data))
-                frames = np.concatenate([frames, step], axis=0)
+        for _ in range(11):
+            states = model.forward_states(model.input_ids(text, ref, frames if frames.shape[0] else None))
+            last = states[-1:]
+            if float(model.stop_head(last).sigmoid().data.reshape(())) > 0.5:
+                terminated = True
+                break
+            if frames.shape[0] >= 10:
+                break
+            step = np.zeros((1, 2, 1), dtype=np.int64)
+            for s in range(2):
+                step[0, s, 0] = int(np.argmax(model._head_logits(last, s, 0).data))
+            frames = np.concatenate([frames, step], axis=0)
         if not (np.array_equal(got.tokens, frames) and got.terminated == terminated):
             trace_failures += 1
 
@@ -367,8 +365,7 @@ def test_criterion_09_loss_identities():
     ar = DualStreamAR(ar_cfg, Rng(90))
     rng = Rng(91)
     row = (rng.integers(0, 10, (3,)), rng.integers(0, 6, (2, 2, 1)), rng.integers(0, 6, (4, 2, 1)))
-    with no_grad():
-        out = ar.ar_loss(*ar.teacher_forced_batch([row]))
+    out = ar.ar_loss(*ar.teacher_forced_batch([row]))
     total = out["total"].data
     parts = (out["L_semantic"].data + out["L_acoustic"].data) + out["L_stop"].data
     checks.append(("generator total == L_semantic + L_acoustic + L_stop (exact)",
@@ -379,8 +376,7 @@ def test_criterion_09_loss_identities():
                         max_target_len=12, seed=0)
     nar = CoupledNAR(nar_cfg, Rng(92))
     grid = lambda t: np.stack([rng.integers(0, 6, (t, 3)) for _ in range(2)], axis=1)
-    with no_grad():
-        nl = nar.nar_loss([(grid(3), grid(4))])
+    nl = nar.nar_loss([(grid(3), grid(4))])
     nar_exact = nl["total"].data == nl["L_second"].data + nl["L_third"].data
     checks.append(("refiner total == L_second + L_third (exact)", nar_exact))
 

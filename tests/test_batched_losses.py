@@ -8,7 +8,7 @@ import pytest
 
 from conftest import rvq_residuals
 from paravox.engine import Rng, Tensor, gradients
-from paravox.flow import FlowConfig, VelocityField, cfm_train_loss
+from paravox.flow import FlowConfig, VelocityField, cfm_train_loss, time_features
 from paravox.frontend import SyntheticSpec, generate_corpus
 from paravox.tokenizer import ParallelTokenizer, TokenizerConfig
 
@@ -59,7 +59,7 @@ def test_tokenizer_loss_matches_per_utterance_loop(merged):
     ref = sum((p for p, _ in parts[1:]), parts[0][0]) * (1.0 / len(parts))
     want = gradients(ref, params)
 
-    assert_close(loss.item(), ref.item(), 1e-10)
+    assert_close(float(loss.data), float(ref.data), 1e-10)
     for g, w in zip(got, want):
         assert_close(g, w, 1e-10)
     # The quantizer terms average the per-utterance MSEs as floats: bitwise.
@@ -96,13 +96,14 @@ def test_cfm_loss_is_mean_of_per_utterance_means():
         t = r.uniform()
         x0 = r.normal(mel.shape, dtype=mel.dtype)
         rows = spk[i:i + 1] * np.ones((mel.shape[0], 1))  # broadcast, not a gather
-        v = field(Tensor((1.0 - t) * x0 + t * mel), field.condition(Tensor(f), rows), np.array([t]))
+        tf = time_features(np.array([t]), field.cfg.time_feat_dim, np.float64)
+        v = field(Tensor((1.0 - t) * x0 + t * mel), field.condition(Tensor(f), rows), np.array([t]), tf)
         diff = v - Tensor(mel - x0)
         parts.append((diff * diff).mean())
     ref = sum(parts[1:], parts[0]) * (1.0 / len(parts))
     want = gradients(ref, params)
 
-    assert_close(loss.item(), ref.item(), 1e-10)
+    assert_close(float(loss.data), float(ref.data), 1e-10)
     for g, w in zip(got, want):
         assert_close(g, w, 1e-10)
 

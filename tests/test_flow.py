@@ -25,11 +25,10 @@ def test_loss_zero_for_perfect_field():
     t, x0 = 0.37, rng.normal((5, 6))
     loss = cfm_train_loss(field, [mel], [feats], spk.reshape(1, -1), [rng], t=[t], x0=[x0])
     x_t = (1 - t) * x0 + t * mel
-    from paravox.engine import no_grad
-    with no_grad():
-        v = field(Tensor(x_t), field.condition(Tensor(feats), Tensor(np.tile(spk, (5, 1)))), np.array([t])).data
+    cond = field.condition(Tensor(feats), Tensor(np.tile(spk, (5, 1))))
+    v = field(Tensor(x_t), cond, np.array([t]), time_features(np.array([t]), cfg.time_feat_dim)).data
     manual = ((v - (mel - x0)) ** 2).mean()
-    assert loss.item() == pytest.approx(manual, rel=1e-6)
+    assert float(loss.data) == pytest.approx(manual, rel=1e-6)
 
 
 def test_one_step_sampler_is_x0_plus_v():
@@ -40,10 +39,8 @@ def test_one_step_sampler_is_x0_plus_v():
     spk = rng.normal((4,))
     out = sample_mel(field, feats, spk, SolverConfig(n_steps=1, seed=7))
     x0 = Rng(7).normal((4, 6), dtype=np.float32)
-    from paravox.engine import no_grad
-    with no_grad():
-        cond = field.condition(Tensor(feats.astype(np.float32)), Tensor(np.tile(spk.astype(np.float32), (4, 1))))
-        v = field(Tensor(x0), cond, np.array([0.0])).data
+    cond = field.condition(Tensor(feats.astype(np.float32)), Tensor(np.tile(spk.astype(np.float32), (4, 1))))
+    v = field(Tensor(x0), cond, np.array([0.0]), time_features(np.array([0.0]), cfg.time_feat_dim)).data
     assert np.allclose(out, x0 + v, atol=1e-6)
 
 
@@ -109,6 +106,34 @@ def test_split_first_layer_matches_one_gemm_field_f64():
     want = _one_gemm_sample_mel(field, feats, spk, solver)
     assert got.dtype == want.dtype == np.float64
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sample_mel_is_bitwise_the_tensor_field_loop(dtype):
+    """The sampler's array forward equals Euler steps of the field on Tensors,
+    each with its own time-feature call, bit for bit and in the same dtype."""
+    rng = Rng(6)
+    field = VelocityField(tiny_cfg(), rng, dtype=dtype)
+    feats, spk = rng.normal((5, 8), dtype=dtype), rng.normal((4,), dtype=dtype)
+    solver = SolverConfig(n_steps=6, seed=2)
+    x = Rng(solver.seed).normal((5, 6), dtype=np.float32)
+    cond = field.condition(Tensor(feats.astype(np.float32)), Tensor(np.tile(spk.astype(np.float32), (5, 1))))
+    dt = 1.0 / solver.n_steps
+    for i in range(solver.n_steps):
+        t = np.array([i * dt])
+        x = x + dt * field(Tensor(x), cond, t, time_features(t, 4, np.float64)).data
+    got = sample_mel(field, feats, spk, solver)
+    assert got.dtype == x.dtype == dtype and got.tobytes() == x.tobytes()
+
+
+def test_time_features_of_a_grid_are_the_per_step_rows():
+    """`sample_mel` builds every step's time features in one call: each row
+    is bitwise the call for that step's time alone, for 1 to 100 steps."""
+    for n in range(1, 101):
+        dt = 1.0 / n
+        grid = time_features(np.arange(n) * dt, 8, np.float64)
+        for i in range(n):
+            assert grid[i:i + 1].tobytes() == time_features(np.array([i * dt]), 8, np.float64).tobytes()
 
 
 def test_conditioning_tensor_receives_gradient():

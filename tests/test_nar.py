@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from paravox.engine import Rng, grad_check, gradients, no_grad
+from paravox.engine import Rng, grad_check, gradients
 from paravox.nar import CoupledNAR, CoupledStage, NARConfig
 
 
@@ -39,23 +39,19 @@ def test_stage_input_visibility():
     assert stage.n_tgt_in == 1 and stage.n_ref_in == 2
     rng = Rng(1)
     ref, tgt = random_grid(rng, cfg, 5), random_grid(rng, cfg, 6)
-    with no_grad():
-        base = stage.batch_logits([(ref, tgt)]).data
+    base = stage.batch_logits([(ref, tgt)]).data
 
     deeper_ref = ref.copy()
     deeper_ref[:, :, 2] = (deeper_ref[:, :, 2] + 1) % 7
-    with no_grad():
-        assert np.array_equal(stage.batch_logits([(deeper_ref, tgt)]).data, base)
+    assert np.array_equal(stage.batch_logits([(deeper_ref, tgt)]).data, base)
 
     label_tgt = tgt.copy()
     label_tgt[:, :, 1:] = (label_tgt[:, :, 1:] + 1) % 7
-    with no_grad():
-        assert np.array_equal(stage.batch_logits([(ref, label_tgt)]).data, base)
+    assert np.array_equal(stage.batch_logits([(ref, label_tgt)]).data, base)
 
     seen_ref = ref.copy()
     seen_ref[2, 0, 1] = (seen_ref[2, 0, 1] + 1) % 7
-    with no_grad():
-        assert not np.array_equal(stage.batch_logits([(seen_ref, tgt)]).data, base)
+    assert not np.array_equal(stage.batch_logits([(seen_ref, tgt)]).data, base)
 
 
 def test_stage2_sees_deeper_context():
@@ -64,16 +60,13 @@ def test_stage2_sees_deeper_context():
     assert stage.n_tgt_in == 2 and stage.n_ref_in == 3
     rng = Rng(3)
     ref, tgt = random_grid(rng, cfg, 4), random_grid(rng, cfg, 4)
-    with no_grad():
-        base = stage.batch_logits([(ref, tgt)]).data
+    base = stage.batch_logits([(ref, tgt)]).data
     ref2 = ref.copy()
     ref2[1, 1, 2] = (ref2[1, 1, 2] + 1) % 9
-    with no_grad():
-        assert not np.array_equal(stage.batch_logits([(ref2, tgt)]).data, base)
+    assert not np.array_equal(stage.batch_logits([(ref2, tgt)]).data, base)
     tgt2 = tgt.copy()
     tgt2[3, 0, 1] = (tgt2[3, 0, 1] + 1) % 7
-    with no_grad():
-        assert not np.array_equal(stage.batch_logits([(ref, tgt2)]).data, base)
+    assert not np.array_equal(stage.batch_logits([(ref, tgt2)]).data, base)
 
 
 def test_refinement_is_not_causal():
@@ -82,12 +75,10 @@ def test_refinement_is_not_causal():
     stage = CoupledStage(cfg, 1, Rng(4))
     rng = Rng(5)
     ref, tgt = random_grid(rng, cfg, 4), random_grid(rng, cfg, 8)
-    with no_grad():
-        base = stage.batch_logits([(ref, tgt)]).data
+    base = stage.batch_logits([(ref, tgt)]).data
     tgt2 = tgt.copy()
     tgt2[7, 0, 0] = (tgt2[7, 0, 0] + 1) % 7
-    with no_grad():
-        after = stage.batch_logits([(ref, tgt2)]).data
+    after = stage.batch_logits([(ref, tgt2)]).data
     assert not np.array_equal(after[0], base[0])
 
 
@@ -97,12 +88,10 @@ def test_streams_are_coupled():
     stage = CoupledStage(cfg, 1, Rng(6))
     rng = Rng(7)
     ref, tgt = random_grid(rng, cfg, 4), random_grid(rng, cfg, 6)
-    with no_grad():
-        sem_base = stage.stream_slices(stage.batch_logits([(ref, tgt)]))[0].data
+    sem_base = stage.stream_slices(stage.batch_logits([(ref, tgt)]))[0].data
     tgt2 = tgt.copy()
     tgt2[3, 1, 0] = (tgt2[3, 1, 0] + 1) % 9   # acoustic top token only
-    with no_grad():
-        sem_after = stage.stream_slices(stage.batch_logits([(ref, tgt2)]))[0].data
+    sem_after = stage.stream_slices(stage.batch_logits([(ref, tgt2)]))[0].data
     assert not np.array_equal(sem_after[3], sem_base[3])
 
 
@@ -111,8 +100,7 @@ def test_logit_shapes_and_slices():
     stage = CoupledStage(cfg, 1, Rng(8))
     rng = Rng(9)
     ref, tgt = random_grid(rng, cfg, 3), random_grid(rng, cfg, 5)
-    with no_grad():
-        logits = stage.batch_logits([(ref, tgt)])
+    logits = stage.batch_logits([(ref, tgt)])
     assert logits.shape == (5, 7 + 9)
     sem, ac = stage.stream_slices(logits)
     assert sem.shape == (5, 7) and ac.shape == (5, 9)
@@ -164,9 +152,8 @@ def test_batch_matches_single():
     rng = Rng(15)
     short = (random_grid(rng, cfg, 2), random_grid(rng, cfg, 3))
     long = (random_grid(rng, cfg, 4), random_grid(rng, cfg, 7))
-    with no_grad():
-        alone = stage.batch_logits([short]).data
-        both = stage.batch_logits([short, long])
+    alone = stage.batch_logits([short]).data
+    both = stage.batch_logits([short, long])
     np.testing.assert_allclose(both.data[:3], alone, rtol=0, atol=1e-5)
 
 
@@ -207,9 +194,8 @@ def test_state_roundtrip():
     rebuilt.load_state(state)
     rng = Rng(22)
     ref, tgt = random_grid(rng, cfg, 3), random_grid(rng, cfg, 4)
-    with no_grad():
-        a = model.stages[0].batch_logits([(ref, tgt)]).data
-        b = rebuilt.stages[0].batch_logits([(ref, tgt)]).data
+    a = model.stages[0].batch_logits([(ref, tgt)]).data
+    b = rebuilt.stages[0].batch_logits([(ref, tgt)]).data
     assert np.array_equal(a, b)
 
 
@@ -309,8 +295,7 @@ def test_stage_scores_match_per_pair_predict_in_chunks_of_eight():
 
 @pytest.mark.parametrize("batch_size", [1, 8])
 def test_predict_is_the_argmax_of_batch_logits(batch_size):
-    """`predict` runs the blocks on arrays and the final LayerNorm and the
-    classifier on target rows only; its tokens are the argmax of the
+    """`predict` runs the stage on arrays; its tokens are the argmax of the
     Tensor path's logits over a padded batch."""
     cfg = tiny_config(n_layers=2)
     rng = Rng(31)
@@ -319,20 +304,19 @@ def test_predict_is_the_argmax_of_batch_logits(batch_size):
         batch = [(random_grid(rng, cfg, rng.integers(2, 12)), random_grid(rng, cfg, rng.integers(1, 10)))
                  for _ in range(batch_size)]
         for stage in nar.stages:
-            with no_grad():
-                slices = stage.stream_slices(stage.batch_logits(batch))
+            slices = stage.stream_slices(stage.batch_logits(batch))
             want = np.stack([s.data.argmax(axis=-1) for s in slices], axis=1)
             got = stage.predict(batch)
             assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_predict_records_no_tape(tape_records):
-    """With gradients enabled and trainable weights, refinement records no
-    tape node."""
+    """With trainable weights, refinement runs on arrays: it makes no
+    Tensor op output at all."""
     cfg = tiny_config()
     nar = CoupledNAR(cfg, Rng(32))
     rng = Rng(33)
     ref, top = random_grid(rng, cfg, 6), random_grid(rng, cfg, 4)[:, :, 0]
     assert all(p.requires_grad for p in nar.named_parameters().values())
     assert nar.complete_tokens(top, ref).shape == (4, 2, 3)
-    assert tape_records and not any(tape_records)
+    assert tape_records == []

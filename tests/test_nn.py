@@ -5,6 +5,7 @@ import pytest
 
 from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import Rng, Tensor, concat, embedding, grad_check, gradients
+from paravox.flow import FlowConfig, VelocityField, time_features
 from paravox.nn import (
     Conv1dSame,
     Embedding,
@@ -19,6 +20,7 @@ from paravox.nn import (
     padding_mask,
     take_spans,
 )
+from paravox.tokenizer import ConditionEncoder, TokenizerConfig
 
 
 def mse(a: Tensor, b: np.ndarray) -> Tensor:
@@ -57,8 +59,8 @@ def test_causal_mask_blocks_future():
 
 
 def test_attention_cache_matches_full_pass():
-    """Rows fed in chunks through the cached array step equal one causal
-    pass of the Tensor layer over all rows."""
+    """Array rows fed in chunks through a cache equal one causal pass of
+    the layer over all rows; a Tensor cannot go through a cache."""
     rng = Rng(3)
     attn = MultiHeadAttention(8, 2, rng, dtype=np.float64)
     x = rng.normal((6, 8), dtype=np.float64)
@@ -67,12 +69,14 @@ def test_attention_cache_matches_full_pass():
     for lo, hi in ((0, 3), (3, 4), (4, 6)):
         rows = hi - lo
         mask = causal_mask(hi, dtype=np.float64)[lo:] if rows > 1 else None
-        out = attn.step(x[lo:hi], cache, mask)
+        out = attn(x[lo:hi], mask, cache)
         assert type(out) is np.ndarray
         np.testing.assert_allclose(out, full[lo:hi], rtol=0, atol=1e-12)
     assert cache.n == 6
     with pytest.raises(ValueError, match="capacity 6"):
-        attn.step(x[:1], cache)
+        attn(x[:1], None, cache)
+    with pytest.raises(TypeError, match="array input"):
+        attn(Tensor(x[:1]), None, KVCache(2, 4, 1, np.float64))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -89,8 +93,8 @@ def test_wqkv_initial_weights_are_the_three_spawned_draws(dtype):
 
 
 def test_cached_states_carry_no_tape():
-    """With gradients on and trainable weights, a cached trunk pass records
-    nothing: its states are a plain Tensor, and the block step returns an array."""
+    """With trainable weights, a cached trunk pass records nothing: its
+    states, and a cached block's output, are plain arrays."""
     cfg = ARConfig(text_vocab=6, streams=(("semantic", 5), ("acoustic", 5)), n_layers=2,
                    model_dim=8, n_heads=2, max_text_len=8, max_speech_len=12)
     model = DualStreamAR(cfg, Rng(12), dtype=np.float64)
@@ -98,9 +102,8 @@ def test_cached_states_carry_no_tape():
     prompt = model.input_ids(np.array([1, 2, 3]), Rng(13).integers(0, 5, (2, 2, 1)))
     cache = model.new_cache(prompt.shape[0] + 1)
     states = model.forward_states(prompt, cache=cache)
-    assert isinstance(states, Tensor)
-    assert not states.requires_grad and states._grad_fn is None and states._parents == ()
-    step = model.blocks[0].step(states.data[-1:], KVCache(2, 4, 1, np.float64))
+    assert type(states) is np.ndarray
+    step = model.blocks[0](states[-1:], None, KVCache(2, 4, 1, np.float64))
     assert type(step) is np.ndarray
     uncached = model.forward_states(prompt)
     assert uncached.requires_grad and uncached._grad_fn is not None
@@ -310,17 +313,54 @@ def test_batched_equals_unbatched_block():
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_block_step_without_cache_is_bitwise_the_tensor_block(dtype):
-    """`step(x, None, mask)` on arrays equals `__call__` bit for bit: rank 2
-    with and without a causal mask, and a padded rank-3 batch."""
+def _forward_pairs(case: str, dtype) -> list:
+    """(array forward, Tensor forward) outputs of one module on the same inputs."""
     rng = Rng(21)
-    block = TransformerBlock(16, 4, rng, dtype=dtype)
     x = rng.normal((7, 16), dtype=dtype)
-    for mask in (None, causal_mask(7, dtype=dtype)):
-        out = block.step(x, None, mask)
-        assert type(out) is np.ndarray
-        assert out.tobytes() == block(Tensor(x), mask=mask).data.tobytes()
-    rows = [rng.normal((n, 16), dtype=dtype) for n in (5, 9, 1, 9)]
-    batch, _, pad = pad_rows(rows, 0.0, dtype)
-    assert block.step(batch, None, pad).tobytes() == block(Tensor(batch), mask=pad).data.tobytes()
+    causal = causal_mask(7, dtype=dtype)
+    batch, lengths, pad = pad_rows([rng.normal((n, 16), dtype=dtype) for n in (5, 9, 1, 9)], 0.0, dtype)
+    if case == "linear":
+        layer = Linear(16, 8, rng, dtype=dtype)
+        return [(layer(a), layer(Tensor(a)).data) for a in (x, batch)]
+    if case == "layer_norm":
+        ln = LayerNorm(16, dtype=dtype)
+        ln.gamma.data[:] = rng.normal((16,), dtype=dtype)
+        return [(ln(a), ln(Tensor(a)).data) for a in (x[:1], x, batch)]
+    if case == "attention":
+        attn = MultiHeadAttention(16, 4, rng, dtype=dtype)
+        return [(attn(x, mask), attn(Tensor(x), mask).data) for mask in (None, causal)]
+    if case == "attention_cached":
+        attn = MultiHeadAttention(16, 4, rng, dtype=dtype)
+        return [(attn(x, causal, KVCache(4, 4, 7, dtype)), attn(Tensor(x), causal).data)]
+    if case == "block":
+        block = TransformerBlock(16, 4, rng, dtype=dtype)
+        return [(block(a, mask), block(Tensor(a), mask).data)
+                for a, mask in ((x, None), (x, causal), (batch, pad))]
+    if case == "conv1d":
+        conv = Conv1dSame(16, 8, 3, rng, dtype=dtype)
+        return [(conv(a), conv(Tensor(a)).data) for a in (x, batch)]
+    if case == "condition_encoder":
+        cfg = TokenizerConfig(speaker_frame_dim=16, cond_dim=16, n_heads=4, attn_blocks=2)
+        enc = ConditionEncoder(cfg, rng, dtype=dtype)
+        return [(enc(batch, lengths, pad), enc(Tensor(batch), lengths, pad).data)]
+    field = VelocityField(FlowConfig(mel_bins=6, feature_dim=12, speaker_dim=4, hidden_dim=16,
+                                     n_hidden=2, time_feat_dim=4), rng, dtype=dtype)
+    feats, spk = x[:, :12], x[:, 12:]
+    cond = field.condition(feats, spk)
+    if case == "field_condition":
+        return [(cond, field.condition(Tensor(feats), Tensor(spk)).data)]
+    x_t, t = rng.normal((7, 6), dtype=dtype), np.array([0.375])
+    tf = time_features(t, 4, np.float64)
+    return [(field(x_t, cond, t, tf), field(Tensor(x_t), Tensor(cond), t, tf).data)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["linear", "layer_norm", "attention", "attention_cached", "block", "conv1d",
+                                  "condition_encoder", "field_condition", "field"])
+def test_array_forward_is_bitwise_the_tensor_forward(case, dtype):
+    """Each module's one forward on arrays returns an array equal bit for bit
+    to its output on Tensors: rank 2 and 3, unmasked, causal and padded, one
+    pass through an empty key/value cache, and the flow field's two halves."""
+    for got, want in _forward_pairs(case, dtype):
+        assert type(got) is np.ndarray and got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()

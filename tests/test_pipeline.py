@@ -668,6 +668,15 @@ def test_infer_reports_stage_times_and_stop_trace(mini_run, n_calls, max_frames)
     json.dumps(meta)
 
 
+def test_infer_makes_no_tensor_op(mini_run, tape_records):
+    """Synthesis runs every module on arrays: `speaker_conditions`,
+    `generate`, `predict` and `sample_mel` make no Tensor op output at all."""
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    result = infer(pipe, encode_text(pipe, "abc"), mini_run.items[0].bundle, seed=12, max_frames=4)
+    assert result.metadata["n_frames"] > 0 and result.tokens.semantic.shape[1] == 3
+    assert tape_records == []
+
+
 def test_write_mel_file_round_trip(tmp_path, mini_run):
     pipe = load_pipeline(mini_run.ckpt_dir)
     ref = mini_run.items[1].bundle
@@ -823,6 +832,32 @@ def test_cli_train_rejects_mismatched_corpus(tmp_path, capsys):
                    "--data", str(out), "--out", str(tmp_path / "t.ckpt"), "--quiet"])
     assert rc == 1
     assert "data.semantic_dim" in capsys.readouterr().err
+
+
+MALFORMED_MANIFESTS = {
+    "items_not_a_list": (lambda doc: doc.update(items={"file": "utt_00000.feat"}), "items must be a list"),
+    "row_not_an_object": (lambda doc: doc["items"].insert(1, 5), "items[1] must be an object, got 5"),
+    "file_not_a_string": (lambda doc: doc["items"][2].update(file=7), "items[2].file must be a string, got 7"),
+    "speaker_id_not_an_int": (lambda doc: doc["items"][0].update(speaker_id="abc"),
+                              "items[0].speaker_id must be an int, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_cli_train_names_a_malformed_manifest_row(tmp_path, capsys, case):
+    """A malformed manifest is one error line naming the manifest and the row."""
+    mutate, message = MALFORMED_MANIFESTS[case]
+    pcfg = _quick_pcfg()
+    manifest = write_corpus_dir(generate_corpus(pcfg.data), tmp_path / "d") / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    mutate(doc)
+    manifest.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(pcfg.to_dict()))
+    rc = cli_main(["train", "--stage", "tokenizer", "--config", str(cfg_path),
+                   "--data", str(manifest.parent), "--out", str(tmp_path / "t.ckpt"), "--quiet"])
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {manifest}: {message}"
 
 
 def test_cli_inspect(tmp_path, mini_run, capsys):

@@ -87,10 +87,8 @@ def test_distill_loss_range_and_perfect_alignment():
     assert loss.shape == (1,)
     assert 0.0 <= loss.data[0] <= 2.0
     # aligning the target with the actual pooled prediction gives ~0
-    from paravox.engine import no_grad
-    with no_grad():
-        pooled = tok.projected_speaker_frames([frames])[0].mean(axis=1)
-        pred = tok.distill_head(pooled).data
+    pooled = tok.projected_speaker_frames([frames])[0].mean(axis=1)
+    pred = tok.distill_head(pooled).data
     aligned = tok.speaker_distill_loss(proj, lengths, 3.0 * pred)
     assert aligned.data[0] == pytest.approx(0.0, abs=1e-6)
 
