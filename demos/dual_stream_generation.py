@@ -12,7 +12,7 @@ import numpy as np
 
 from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import Rng, gradients
-from paravox.pipeline.train import Adam, ar_metrics
+from paravox.pipeline.train import Adam
 
 TEXT_VOCAB = 10
 TOKEN_VOCAB = 12
@@ -58,7 +58,7 @@ def main():
                   f"L_ac={float(loss['L_acoustic'].data):.3f}  "
                   f"L_stop={float(loss['L_stop'].data):.3f}")
 
-    acc = ar_metrics(model, rows)["teacher_forced_accuracy"]
+    acc = model.teacher_forced_scores(rows)["teacher_forced_accuracy"]
     print(f"\nteacher-forced accuracy: semantic {acc['semantic']:.2f}, "
           f"acoustic {acc['acoustic']:.2f}")
 

@@ -156,30 +156,36 @@ class DualStreamAR(Module):
 
     # ---- trunk ------------------------------------------------------------
 
+    def _tables(self) -> list:
+        """The embedding tables, in id-grid column order."""
+        return [self.text_emb.weight, self.text_pos.weight, self.speech_pos.weight] + \
+            [e.weight for e in self.token_embs]
+
     def forward_states(self, ids: np.ndarray, mask: np.ndarray | None = None,
-                       cache: list[KVCache] | None = None):
+                       cache: list[KVCache] | None = None, tables: list | None = None):
         """Embed an (L, n_tables) or (B, L, n_tables) id grid (see
-        `input_ids`) and run the causal trunk over it, recording the tape.
+        `input_ids`) and run the causal trunk over it. Tensor `tables`
+        (by default `_tables()`) record the tape; their arrays run the
+        kernels and give an array.
 
         With `cache` (one `KVCache` per block, see `new_cache`), `ids`
         holds only the positions after those already cached: the
-        prompt at prefill, one frame per decode step. Their states come
-        back as an array, with no tape; earlier keys and values are read
-        from the cache.
+        prompt at prefill, one frame per decode step. The default tables
+        are then their arrays, so states come back as an array, with no
+        tape; earlier keys and values are read from the cache.
         """
-        tables = [self.text_emb.weight, self.text_pos.weight, self.speech_pos.weight] + \
-            [e.weight for e in self.token_embs]
+        if tables is None:
+            tables = self._tables() if cache is None else [w.data for w in self._tables()]
         t = ids.shape[-2]
         if mask is None and t > 1:
             # Causal rows [n - t, n) over the n positions the queries see;
             # a single new row sees every filled position, so it needs none.
             n = t if cache is None else cache[0].n + t
             mask = causal_mask(n, dtype=tables[0].dtype)[n - t:]
-        if cache is None:
-            h = embedding(tables, ids)
+        if cache is not None and t == 1 and ids.ndim == 2:
+            h = self._decode_row(tables, ids[0])
         else:
-            tables = [w.data for w in tables]
-            h = self._decode_row(tables, ids[0]) if t == 1 and ids.ndim == 2 else embedding(tables, ids)
+            h = embedding(tables, ids)
         for i, block in enumerate(self.blocks):
             h = block(h, mask, None if cache is None else cache[i])
         return self.ln_f(h)
@@ -208,7 +214,7 @@ class DualStreamAR(Module):
 
     # ---- batched training path ---------------------------------------------
 
-    def teacher_forced_batch(self, batch: list[tuple]):
+    def teacher_forced_batch(self, batch: list[tuple], tables: list | None = None):
         """Flatten teacher-forced logits over a batch.
 
         `batch` rows are (text_ids, ref_tokens, tgt_tokens). Returns
@@ -219,8 +225,10 @@ class DualStreamAR(Module):
         T + 1 stop logits, one per state from the prompt boundary
         through its last frame, labelled 1 only at that last state.
         The rows' id grids are padded with -1 and run through the trunk
-        once; padded positions are blocked as attention targets.
+        once; padded positions are blocked as attention targets. The
+        trunk runs on `tables` (see `forward_states`).
         """
+        tables = tables or self._tables()
         cfg = self.cfg
         rows, targets = [], []
         for text_ids, ref_tokens, tgt_tokens in batch:
@@ -229,8 +237,9 @@ class DualStreamAR(Module):
                 raise ValueError("teacher forcing needs at least one target frame")
             rows.append(self.input_ids(text_ids, ref_tokens, tgt))
             targets.append(tgt)
-        ids, lengths, pad = pad_rows(rows, -1, self.text_emb.weight.dtype)
-        states = self.forward_states(ids, mask=causal_mask(ids.shape[1], dtype=pad.dtype)[None, None] + pad)
+        ids, lengths, pad = pad_rows(rows, -1, tables[0].dtype)
+        states = self.forward_states(ids, causal_mask(ids.shape[1], dtype=pad.dtype)[None, None] + pad,
+                                     tables=tables)
         n_target = np.array([tgt.shape[0] for tgt in targets])
         starts = lengths - n_target - 1   # the state that predicts each first target frame
         pred = take_spans(states, starts, n_target)
@@ -267,27 +276,25 @@ class DualStreamAR(Module):
         out["total"] = sum(parts[1:], parts[0])
         return out
 
-    def teacher_forced_counts(self, batch: list[tuple]) -> dict[str, tuple[int, int]]:
-        """(hits, total) from one teacher-forced pass over `batch`.
-
-        Per stream name: argmax-correct predictions over all heads.
-        `stop`: stop states where P(stop) > 0.5 agrees with the label.
-        `stop_final`: utterances whose final state fires the stop head.
-        """
-        stream_logits, stream_targets, stop_logits, stop_labels = self.teacher_forced_batch(batch)
-        out = {}
-        for s, (name, _) in enumerate(self.cfg.streams):
-            correct = total = 0
-            for l in range(self.cfg.layers_per_stream):
-                pred = stream_logits[s][l].data.argmax(axis=-1)
-                correct += int((pred == stream_targets[s][l]).sum())
-                total += pred.shape[0]
-            out[name] = (correct, total)
-        fires = stop_logits.sigmoid().data > 0.5  # generate()'s stop test
-        final = stop_labels > 0.5
-        out["stop"] = (int((fires == final).sum()), fires.size)
-        out["stop_final"] = (int(fires[final].sum()), len(batch))
-        return out
+    def teacher_forced_scores(self, rows: list[tuple]) -> dict:
+        """Teacher-forced figures over `rows` of (text_ids, ref_tokens,
+        tgt_tokens), from one array pass per eight rows: argmax accuracy
+        per stream over all its heads, the fraction of stop states where
+        P(stop) > 0.5 agrees with the label, and the fraction of rows
+        whose final state fires the stop head."""
+        tables = [w.data for w in self._tables()]
+        names = [name for name, _ in self.cfg.streams]
+        right: dict[str, list] = {key: [] for key in names + ["stop", "stop_final"]}
+        for lo in range(0, len(rows), 8):
+            stream_logits, stream_targets, stop_logits, stop_labels = self.teacher_forced_batch(rows[lo:lo + 8], tables)
+            for name, logits, targets in zip(names, stream_logits, stream_targets):
+                right[name] += [lg.argmax(axis=-1) == tg for lg, tg in zip(logits, targets)]
+            fires, final = sigmoid_fwd(stop_logits) > 0.5, stop_labels > 0.5  # generate()'s stop test
+            right["stop"].append(fires == final)
+            right["stop_final"].append(fires[final])
+        frac = {key: float(np.concatenate(hits).mean()) for key, hits in right.items()}
+        return {"teacher_forced_accuracy": {name: frac[name] for name in names},
+                "stop_accuracy": frac["stop"], "stop_final_fired": frac["stop_final"]}
 
     # ---- sampling --------------------------------------------------------
 

@@ -74,15 +74,19 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _corpus_items(data_dir, pcfg: PipelineConfig) -> list:
+    """The corpus items, once their spec agrees with the config's data section."""
+    spec, items = load_corpus_dir(data_dir)
+    diffs = [f"data.{f}" for f in ("semantic_dim", "acoustic_dim", "speaker_frame_dim", "speaker_global_dim",
+                                   "mel_bins", "vocab_size") if getattr(spec, f) != getattr(pcfg.data, f)]
+    if diffs:
+        raise ConfigError("corpus spec disagrees with config data section on: " + ", ".join(diffs))
+    return items
+
+
 def _cmd_train(args) -> int:
     pcfg = PipelineConfig.from_json(Path(args.config).read_text())
-    spec, items = load_corpus_dir(args.data)
-    diffs = [f for f in ("semantic_dim", "acoustic_dim", "speaker_frame_dim",
-                         "speaker_global_dim", "mel_bins", "vocab_size")
-             if getattr(spec, f) != getattr(pcfg.data, f)]
-    if diffs:
-        raise ConfigError("corpus spec disagrees with config data section on: "
-                          + ", ".join(f"data.{f}" for f in diffs))
+    items = _corpus_items(args.data, pcfg)
     report = train_stage(args.stage, items, pcfg, args.out, quiet=args.quiet)
     print(report.summary())
     print(f"wrote checkpoint {args.out}")
@@ -103,8 +107,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_eval(args) -> int:
     pipe = load_pipeline(args.ckpt_dir)
-    _, items = load_corpus_dir(args.data)
-    report = evaluate(pipe, items)
+    report = evaluate(pipe, _corpus_items(args.data, pipe.config))
     Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
     print(format_report(report))
     print(f"wrote report {args.report}")

@@ -225,6 +225,10 @@ def _build_section(name: str, cls, doc) -> object:
         raise ConfigError("config fields: " + "; ".join(detail))
     kwargs = dict(doc)
     for key, val in kwargs.items():
+        typed = cls.__dataclass_fields__[key].type
+        values = val if isinstance(val, list) else [val]
+        if typed not in ("bool", bool) and any(isinstance(v, bool) for v in values):
+            raise ConfigError(f"config field {name}.{key} must be {typed}, got {val!r}")
         if isinstance(val, list):
             kwargs[key] = tuple(val)
     try:

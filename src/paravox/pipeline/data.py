@@ -125,14 +125,33 @@ def reference_pairing(items: list[CorpusItem]) -> list[int]:
     return ref
 
 
-def text_ids_for(bundle: FeatureBundle) -> np.ndarray:
-    """Symbol ids as the AR model consumes them.
+@dataclass
+class CorpusView:
+    """The items as the AR, NAR and flow stages and `evaluate` read them:
+    each item's text ids, its (T, n_streams, L) token grid (streams in
+    stack order) and the index of its `reference_pairing` reference."""
 
-    Bundle symbols already carry the begin/end marks, so they pass
-    through unchanged; this is the training-side mirror of
-    `Vocabulary.encode`.
-    """
-    ids = np.asarray(bundle.symbols, dtype=np.int64).reshape(-1)
-    if ids.size < 2 or ids[0] != BOS_ID or ids[-1] != EOS_ID:
+    items: list[CorpusItem]
+    text_ids: list[np.ndarray]
+    grids: list[np.ndarray]
+    refs: list[int]
+
+    def pairs(self, idx) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(reference grid, target grid) of each item index in `idx`."""
+        return [(self.grids[self.refs[i]], self.grids[i]) for i in idx]
+
+    def ar_rows(self, idx, layers: int) -> list[tuple]:
+        """(text ids, reference tokens, target tokens) of each item index
+        in `idx`, cut to the first `layers` quantizer layers."""
+        return [(self.text_ids[i], ref[:, :, :layers], tgt[:, :, :layers])
+                for i, (ref, tgt) in zip(idx, self.pairs(idx))]
+
+
+def corpus_view(items: list[CorpusItem], encode_grids) -> CorpusView:
+    """The view of `items`, their grids from one `encode_grids` call. Text
+    ids are the bundle symbols, which already carry the begin/end marks
+    (the training-side mirror of `Vocabulary.encode`)."""
+    text_ids = [np.asarray(it.bundle.symbols, dtype=np.int64).reshape(-1) for it in items]
+    if any(ids.size < 2 or ids[0] != BOS_ID or ids[-1] != EOS_ID for ids in text_ids):
         raise ValueError("bundle symbols must start with the begin mark and end with the end mark")
-    return ids
+    return CorpusView(items, text_ids, encode_grids([it.bundle for it in items]), reference_pairing(items))

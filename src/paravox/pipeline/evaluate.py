@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..flow import SolverConfig, sample_mel
-from .data import CorpusItem
+from .data import CorpusItem, corpus_view
 from .infer import LoadedPipeline
-from .train import ar_metrics, ar_rows, paired_grids, tokenizer_metrics
+from .train import tokenizer_metrics
 
 
 def evaluate(pipe: LoadedPipeline, items: list[CorpusItem], mel_items: int = 8) -> dict:
@@ -24,22 +24,18 @@ def evaluate(pipe: LoadedPipeline, items: list[CorpusItem], mel_items: int = 8) 
     comparison, the one genuinely slow metric.
     """
     tok = pipe.tokenizer
-    bundles = [it.bundle for it in items]
-    grids = tok.encode_grids(bundles)
-    report: dict = {"n_items": len(items)}
-    report["tokenizer"] = tokenizer_metrics(tok, items, grids)
-
-    pairs = paired_grids(items, grids)
-    report["ar"] = ar_metrics(pipe.ar, ar_rows(items, pairs, pipe.ar.cfg.layers_per_stream))
-
+    view = corpus_view(items, tok.encode_grids)
+    every = range(len(items))
+    report: dict = {"n_items": len(items), "tokenizer": tokenizer_metrics(tok, items, view.grids),
+                    "ar": pipe.ar.teacher_forced_scores(view.ar_rows(every, pipe.ar.cfg.layers_per_stream))}
     if pipe.nar is not None:
-        acc, exact = pipe.nar.stage_scores(pairs)
+        acc, exact = pipe.nar.stage_scores(view.pairs(every))
         report["nar"] = {"stage_accuracy": acc, "frame_exact_match": exact}
 
-    bundles = bundles[:mel_items]
+    bundles = [it.bundle for it in items[:mel_items]]
     conds = tok.speaker_conditions([b.speaker_frames for b in bundles])
     mse = []
-    for bundle, (_, grid), cond in zip(bundles, pairs, conds):
+    for bundle, grid, cond in zip(bundles, view.grids, conds):
         mel = sample_mel(pipe.flow, tok.decode_tokens(grid), cond,
                          SolverConfig(n_steps=pipe.config.flow.default_steps, seed=0))
         mse.append(float(((mel - bundle.mel) ** 2).mean()))

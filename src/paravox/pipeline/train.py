@@ -29,7 +29,7 @@ from ..flow import VelocityField, cfm_train_loss
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
 from .checkpoint import Checkpoint, CheckpointError, load_stage_checkpoint, save_checkpoint
-from .data import CorpusItem, reference_pairing, text_ids_for
+from .data import CorpusItem, CorpusView, corpus_view
 
 STAGES = ("tokenizer", "ar", "nar", "flow")
 
@@ -184,13 +184,14 @@ def _progress(stage: str, step: int, total: int, terms: dict, quiet: bool) -> No
     print(f"[{stage}] step {step + 1}/{total}  {shown}", flush=True)
 
 
-def _fit(stage: str, pcfg, params: dict[str, Tensor], step_loss, quiet: bool) -> StageReport:
+def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, quiet: bool) -> StageReport:
     """The training loop every stage runs, under `pcfg.schedules[stage]`.
 
-    `step_loss(srng, batch_size)` draws a batch from `srng`, the step's
-    own stream keyed by (schedule seed, step), and returns (loss to
-    differentiate, float loss terms to record). The report's `final`
-    is left for the stage to fill.
+    Each step first draws its batch of item indices, with replacement,
+    from `srng`, the step's own stream keyed by (schedule seed, step):
+    `srng.integers(0, n_items, (batch_size,))`. `step_loss(idx, srng)`
+    returns (loss to differentiate, float loss terms to record). The
+    report's `final` is left for the stage to fill.
     """
     sched = pcfg.schedules[stage]
     sched.validate()
@@ -200,7 +201,8 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], step_loss, quiet: bool) ->
     losses: dict[str, list] = {}
     t0 = time.perf_counter()
     for step in range(sched.total_steps):
-        loss, terms = step_loss(rng.spawn(("step", step)), sched.batch_size)
+        srng = rng.spawn(("step", step))
+        loss, terms = step_loss(srng.integers(0, n_items, (sched.batch_size,)), srng)
         _check_finite(stage, step, terms)
         grads = dict(zip(names, gradients(loss, tensors)))
         opt.step(grads, sched.learning_rate(step))
@@ -209,14 +211,9 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], step_loss, quiet: bool) ->
     return StageReport(stage, sched.total_steps, time.perf_counter() - t0, losses)
 
 
-def _batch_loss(loss_terms, rows: list):
-    """`step_loss` for a stage whose `loss_terms(batch)` gives a dict of
-    loss tensors, with the one to differentiate under "total"."""
-    def step_loss(srng: Rng, batch_size: int):
-        idx = srng.integers(0, len(rows), (batch_size,))
-        out = loss_terms([rows[i] for i in idx])
-        return out["total"], {k: float(v.data) for k, v in out.items()}
-    return step_loss
+def _total_and_terms(out: dict):
+    """(out["total"], every term as a float) of a dict of loss tensors."""
+    return out["total"], {k: float(v.data) for k, v in out.items()}
 
 
 # ---- stages ---------------------------------------------------------------------
@@ -225,24 +222,24 @@ def _batch_loss(loss_terms, rows: list):
 def train_tokenizer(items: list[CorpusItem], pcfg, quiet: bool = True):
     """Quantizers by EMA plus the speaker pathway by backprop.
 
-    Returns (tokenizer, scratch mel decoder, report). The scratch
-    decoder exists to give the condition encoder a mel-grounded
-    gradient; it is not the checkpointed one.
+    Returns (tokenizer, report). A scratch mel decoder trains alongside
+    to give the condition encoder a mel-grounded gradient; it is not the
+    checkpointed one and is dropped.
     """
     tok = ParallelTokenizer(pcfg.build_tokenizer_config())
     scratch = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed).spawn("scratch"))
     params = dict(tok.named_parameters())
     params.update({f"scratch.{k}": v for k, v in scratch.named_parameters().items()})
 
-    def step_loss(srng: Rng, batch_size: int):
-        batch = [items[i].bundle for i in srng.integers(0, len(items), (batch_size,))]
+    def step_loss(idx: np.ndarray, srng: Rng):
+        batch = [items[i].bundle for i in idx]
         for name, frames in tok.stream_frames(batch).items():
             tok.stacks[name].train_step(frames, srng.spawn(("reseed", name)))
-        return tok.tokenizer_loss(batch, scratch, [srng.spawn(("cfm", j)) for j in range(batch_size)])
+        return tok.tokenizer_loss(batch, scratch, [srng.spawn(("cfm", j)) for j in range(len(idx))])
 
-    report = _fit("tokenizer", pcfg, params, step_loss, quiet)
+    report = _fit("tokenizer", pcfg, params, len(items), step_loss, quiet)
     report.final = tokenizer_metrics(tok, items, tok.encode_grids([it.bundle for it in items]))
-    return tok, scratch, report
+    return tok, report
 
 
 def tokenizer_metrics(tok: ParallelTokenizer, items: list[CorpusItem], grids: list[np.ndarray]) -> dict:
@@ -261,68 +258,38 @@ def tokenizer_metrics(tok: ParallelTokenizer, items: list[CorpusItem], grids: li
     return out
 
 
-def paired_grids(items: list[CorpusItem], grids: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(reference grid, target grid) per item from the items' `encode_grids`
-    grids, the reference chosen by `reference_pairing`; grids are
-    (T, n_streams, L) tokens in stack order."""
-    return [(grids[r], grids[i]) for i, r in enumerate(reference_pairing(items))]
-
-
-def ar_rows(items: list[CorpusItem], pairs: list[tuple], layers: int) -> list[tuple]:
-    """(text ids, reference tokens, target tokens) per item, cut to the
-    first `layers` quantizer layers the AR model predicts."""
-    return [(text_ids_for(it.bundle), ref[:, :, :layers], tgt[:, :, :layers])
-            for it, (ref, tgt) in zip(items, pairs)]
-
-
-def train_ar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
+def train_ar(view: CorpusView, pcfg, quiet: bool = True):
     model = DualStreamAR(pcfg.build_ar_config())
-    pairs = paired_grids(items, tok.encode_grids([it.bundle for it in items]))
-    rows = ar_rows(items, pairs, model.cfg.layers_per_stream)
-    step_loss = _batch_loss(lambda batch: model.ar_loss(*model.teacher_forced_batch(batch)), rows)
-    report = _fit("ar", pcfg, model.named_parameters(), step_loss, quiet)
-    report.final = ar_metrics(model, rows)
+    layers = model.cfg.layers_per_stream
+
+    def step_loss(idx: np.ndarray, srng: Rng):
+        return _total_and_terms(model.ar_loss(*model.teacher_forced_batch(view.ar_rows(idx, layers))))
+
+    report = _fit("ar", pcfg, model.named_parameters(), len(view.items), step_loss, quiet)
+    report.final = model.teacher_forced_scores(view.ar_rows(range(len(view.items)), layers))
     return model, report
 
 
-def ar_metrics(model: DualStreamAR, rows: list[tuple], chunk: int = 8) -> dict:
-    """Corpus-wide teacher-forced figures: argmax accuracy per stream, the
-    fraction of stop states whose P(stop) > 0.5 matches the label, and the
-    fraction of utterances whose final state fires the stop head."""
-    counts: dict[str, list] = {}
-    for lo in range(0, len(rows), chunk):
-        for key, (hits, total) in model.teacher_forced_counts(rows[lo:lo + chunk]).items():
-            acc = counts.setdefault(key, [0, 0])
-            acc[0] += hits
-            acc[1] += total
-    frac = {key: hits / total for key, (hits, total) in counts.items()}
-    return {"teacher_forced_accuracy": {name: frac[name] for name, _ in model.cfg.streams},
-            "stop_accuracy": frac["stop"],
-            "stop_final_fired": frac["stop_final"]}
-
-
-def train_nar(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
+def train_nar(view: CorpusView, pcfg, quiet: bool = True):
     model = CoupledNAR(pcfg.build_nar_config())
-    pairs = paired_grids(items, tok.encode_grids([it.bundle for it in items]))
-    report = _fit("nar", pcfg, model.named_parameters(), _batch_loss(model.nar_loss, pairs), quiet)
-    report.final = {"stage_accuracy": model.stage_scores(pairs)[0]}
+    report = _fit("nar", pcfg, model.named_parameters(), len(view.items),
+                  lambda idx, srng: _total_and_terms(model.nar_loss(view.pairs(idx))), quiet)
+    report.final = {"stage_accuracy": model.stage_scores(view.pairs(range(len(view.items))))[0]}
     return model, report
 
 
-def train_flow(items: list[CorpusItem], pcfg, tok: ParallelTokenizer, quiet: bool = True):
+def train_flow(view: CorpusView, pcfg, tok: ParallelTokenizer, quiet: bool = True):
     """Train the checkpointed mel decoder against the frozen tokenizer."""
     field_model = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed))
-    bundles = [it.bundle for it in items]
-    feats = [tok.decode_tokens(grid) for grid in tok.encode_grids(bundles)]
-    conds = tok.speaker_conditions([b.speaker_frames for b in bundles])
+    feats = [tok.decode_tokens(grid) for grid in view.grids]
+    conds = tok.speaker_conditions([it.bundle.speaker_frames for it in view.items])
 
-    def step_loss(srng: Rng, batch_size: int):
-        idx = srng.integers(0, len(items), (batch_size,))
-        loss = cfm_train_loss(field_model, [items[i].bundle.mel for i in idx], [feats[i] for i in idx],
-                              conds[idx], [srng.spawn(("noise", j)) for j in range(batch_size)])
+    def step_loss(idx: np.ndarray, srng: Rng):
+        loss = cfm_train_loss(field_model, [view.items[i].bundle.mel for i in idx], [feats[i] for i in idx],
+                              conds[idx], [srng.spawn(("noise", j)) for j in range(len(idx))])
         return loss, {"L_Flow": float(loss.data), "total": float(loss.data)}
 
-    report = _fit("flow", pcfg, field_model.named_parameters(), step_loss, quiet)
+    report = _fit("flow", pcfg, field_model.named_parameters(), len(view.items), step_loss, quiet)
     return field_model, report
 
 
@@ -380,7 +347,7 @@ def train_stage(stage: str, items: list[CorpusItem], pcfg, out_ckpt, quiet: bool
     out_path = Path(out_ckpt)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if stage == "tokenizer":
-        tok, _, report = train_tokenizer(items, pcfg, quiet=quiet)
+        tok, report = train_tokenizer(items, pcfg, quiet=quiet)
         params = tok.full_state()
     else:
         path = out_path.parent / CHECKPOINT_NAMES["tokenizer"]
@@ -391,8 +358,9 @@ def train_stage(stage: str, items: list[CorpusItem], pcfg, out_ckpt, quiet: bool
             lambda fields: ValueError(f"tokenizer checkpoint config differs from this run's config: {fields}"))
         tok = ParallelTokenizer(pcfg.build_tokenizer_config())
         tok.load_full_state(ckpt.params)
-        train = {"ar": train_ar, "nar": train_nar, "flow": train_flow}[stage]
-        model, report = train(items, pcfg, tok, quiet=quiet)
+        view = corpus_view(items, tok.encode_grids)
+        model, report = train_flow(view, pcfg, tok, quiet) if stage == "flow" else \
+            {"ar": train_ar, "nar": train_nar}[stage](view, pcfg, quiet)
         params = model.state()
     save_checkpoint(out_path, Checkpoint(stage=stage, config=pcfg.to_dict(), params=params))
     return report

@@ -530,6 +530,43 @@ def test_decode_outputs_are_pinned(variant):
     assert digest == DECODE_PINS[variant]
 
 
+@pytest.mark.parametrize("streams, layers", [((("semantic", 8), ("acoustic", 8)), 1),
+                                             ((("semantic", 8), ("acoustic", 8)), 2),
+                                             ((("merged", 8),), 1)])
+def test_teacher_forced_scores_match_tensor_path_counts(tape_records, streams, layers):
+    """The scorer runs on arrays, eight rows per pass, and its figures equal
+    bitwise those counted over the Tensor path's `teacher_forced_batch`:
+    argmax hits per stream over all heads, stop states where P(stop) > 0.5
+    agrees with the label, and rows whose final state fires."""
+    cfg = tiny_config(streams=streams, layers_per_stream=layers)
+    model = DualStreamAR(cfg, Rng(70))
+    rng = Rng(71)
+    rows = [random_example(rng, cfg, n_ref=int(rng.integers(0, 4)), n_tgt=int(rng.integers(1, 7)))
+            for _ in range(19)]
+    scores = model.teacher_forced_scores(rows)
+    assert tape_records == []
+
+    counts: dict = {}
+
+    def add(key, hits):
+        acc = counts.setdefault(key, [0, 0])
+        acc[0] += int(hits.sum())
+        acc[1] += hits.size
+
+    for lo in range(0, len(rows), 8):
+        stream_logits, stream_targets, stop_logits, stop_labels = model.teacher_forced_batch(rows[lo:lo + 8])
+        for s, (name, _) in enumerate(cfg.streams):
+            for l in range(layers):
+                add(name, stream_logits[s][l].data.argmax(axis=-1) == stream_targets[s][l])
+        fires = stop_logits.sigmoid().data > 0.5
+        add("stop", fires == (stop_labels > 0.5))
+        add("stop_final", fires[stop_labels > 0.5])
+    frac = {key: hits / total for key, (hits, total) in counts.items()}
+    assert counts["stop_final"][1] == len(rows) and 0 < frac["stop"] < 1
+    assert scores == {"teacher_forced_accuracy": {name: frac[name] for name, _ in cfg.streams},
+                      "stop_accuracy": frac["stop"], "stop_final_fired": frac["stop_final"]}
+
+
 def test_generate_records_no_tape(tape_records):
     """With trainable weights, prefill, decode steps, the heads and
     sampling run on arrays: they make no Tensor op output at all."""

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import mini_pipeline_config, run_cli, rvq_residuals
+from paravox.ar import DualStreamAR
 from paravox.engine import Rng, Tensor, gradients
 from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays, load_features, save_features
+from paravox.nar import CoupledNAR
 from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSchedule,
                               TrainingDiverged, load_checkpoint, save_checkpoint,
                               toy_profile, train_stage)
@@ -200,6 +202,17 @@ def test_profiles_by_name():
     assert paper_profile().name == "paper"
     # The paper-scale profile is structurally valid even if never run here.
     paper_profile().validate()
+
+
+@pytest.mark.parametrize("path, value", [("schedules.ar.batch_size", True), ("schedules.ar.peak_lr", True),
+                                         ("ar.top_k", True), ("ar.temperature", False),
+                                         ("data.frames_per_symbol", [True, 3]), ("tokenizer.seed", False)])
+def test_config_numbers_reject_booleans(path, value):
+    """JSON true/false is not the number 1 or 0: a boolean for a field not
+    typed bool fails, naming the dotted field; the ablation flags take them."""
+    with pytest.raises(ConfigError, match=rf"config field {re.escape(path)} must be"):
+        config_with_overrides(toy_profile(), {path: value})
+    assert not config_with_overrides(toy_profile(), {"ablation.use_refiner": False}).ablation.use_refiner
 
 
 def test_config_with_overrides():
@@ -429,6 +442,62 @@ def test_progress_prints_every_tenth_step_and_the_last(tmp_path, mini_run, capsy
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[0] for line in lines] == [f"[flow] step {n}/25" for n in range(1, 26, 2)]
     assert all("L_Flow=" in line and "total=" in line for line in lines)
+
+
+@pytest.mark.parametrize("stage", ["ar", "nar"])
+def test_training_draws_the_per_item_rows(tmp_path, mini_run, monkeypatch, stage):
+    """AR and NAR steps consume the rows of a rebuild of the per-item draw:
+    step s's indices are `Rng(seed).spawn(("step", s)).integers(0, n, (batch,))`,
+    each item paired with its `reference_pairing` reference's grid (the
+    AR's rows are text ids and both grids cut to its layers). A plain
+    `gradients` + `Adam` loop over those rows gives the stage's loss
+    curves and checkpoint bit for bit."""
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    pcfg, items = _quick_pcfg(6), mini_run.items
+    sched = pcfg.schedules[stage]
+    tok = ParallelTokenizer(pcfg.build_tokenizer_config())
+    tok.load_full_state(load_checkpoint(tmp_path / "tokenizer.ckpt").params)
+    grids, refs = tok.encode_grids([it.bundle for it in items]), reference_pairing(items)
+    layers = pcfg.build_ar_config().layers_per_stream
+
+    def rebuilt_batch(step):
+        idx = Rng(sched.seed).spawn(("step", step)).integers(0, len(items), (sched.batch_size,))
+        if stage == "nar":
+            return [(grids[refs[i]], grids[i]) for i in idx]
+        return [(np.asarray(items[i].bundle.symbols, dtype=np.int64).reshape(-1),
+                 grids[refs[i]][:, :, :layers], grids[i][:, :, :layers]) for i in idx]
+
+    cls, method = (DualStreamAR, "teacher_forced_batch") if stage == "ar" else (CoupledNAR, "nar_loss")
+    consumed, original = [], getattr(cls, method)
+
+    def spy(model, batch, *tables):
+        if not tables:  # the AR's end-of-stage scorer passes the tables' arrays
+            consumed.append(batch)
+        return original(model, batch, *tables)
+
+    monkeypatch.setattr(cls, method, spy)
+    report = train_stage(stage, items, pcfg, tmp_path / f"{stage}.ckpt")
+    monkeypatch.undo()
+    assert len(consumed) == sched.total_steps
+    for step, batch in enumerate(consumed):
+        expect = rebuilt_batch(step)
+        assert len(batch) == len(expect)
+        for row, want in zip(batch, expect):
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(row, want, strict=True))
+
+    model = DualStreamAR(pcfg.build_ar_config()) if stage == "ar" else CoupledNAR(pcfg.build_nar_config())
+    params = model.named_parameters()
+    opt, names, tensors = Adam(params), list(params), list(params.values())
+    curves: dict = {}
+    for step in range(sched.total_steps):
+        batch = rebuilt_batch(step)
+        out = model.ar_loss(*model.teacher_forced_batch(batch)) if stage == "ar" else model.nar_loss(batch)
+        opt.step(dict(zip(names, gradients(out["total"], tensors))), sched.learning_rate(step))
+        for key, term in out.items():
+            curves.setdefault(key, []).append(float(term.data))
+    assert curves == report.losses
+    saved = load_checkpoint(tmp_path / f"{stage}.ckpt").params
+    assert all(np.array_equal(saved[k], v) for k, v in model.state().items()) and set(saved) == set(model.state())
 
 
 def test_train_stage_requires_tokenizer_first(tmp_path):
@@ -711,6 +780,15 @@ def test_evaluate_report_shape(mini_run):
     assert back["n_items"] == report["n_items"]
 
 
+def test_evaluate_makes_no_tensor_op(mini_run, tape_records):
+    """Evaluation scores every stage on arrays, the AR's teacher-forced
+    pass included: it makes no Tensor op output at all."""
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    report = evaluate(pipe, mini_run.items, mel_items=1)
+    assert report["n_items"] == len(mini_run.items) and 0.0 <= report["ar"]["stop_accuracy"] <= 1.0
+    assert tape_records == []
+
+
 def test_evaluate_encodes_the_corpus_once(mini_run, monkeypatch):
     """One RVQ encode per stack per report, and the tokenizer figures equal
     those of a per-stack encode of the corpus frames."""
@@ -832,6 +910,20 @@ def test_cli_train_rejects_mismatched_corpus(tmp_path, capsys):
                    "--data", str(out), "--out", str(tmp_path / "t.ckpt"), "--quiet"])
     assert rc == 1
     assert "data.semantic_dim" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_mismatched_corpus_before_encoding(tmp_path, mini_run, monkeypatch, capsys):
+    """`eval` checks the corpus spec against the pipeline's config before
+    any model runs: a corpus of 12 mel bins against a 16-bin pipeline is
+    one error line naming `data.mel_bins`, with nothing encoded."""
+    out = write_corpus_dir(generate_corpus(dataclasses.replace(mini_run.pcfg.data, mel_bins=12)), tmp_path / "d")
+    encode, calls = ParallelTokenizer.encode_grids, []
+    monkeypatch.setattr(ParallelTokenizer, "encode_grids", lambda tok, bundles: calls.append(1) or encode(tok, bundles))
+    rc = cli_main(["eval", "--data", str(out), "--ckpt-dir", str(mini_run.ckpt_dir),
+                   "--report", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert _one_error_line(capsys) == "error: corpus spec disagrees with config data section on: data.mel_bins"
+    assert calls == [] and not (tmp_path / "r.json").exists()
 
 
 MALFORMED_MANIFESTS = {
