@@ -15,6 +15,8 @@ forward serves training (Tensors in) and inference (arrays in).
 Randomness goes through `Rng`, a thin wrapper over numpy's Philox
 counter-based bit generator, so that a fixed seed gives the same
 stream on every platform and named substreams stay reproducible.
+`BlankRng` is the source for a model that a load is about to overwrite:
+it draws nothing and fills every `normal` array with NaN.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "Rng",
+    "BlankRng",
     "get_default_dtype",
     "concat",
     "conv_windows",
@@ -834,6 +837,31 @@ class Rng:
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
         return self.generator.choice(n, size=size, replace=replace)
+
+
+class BlankRng(Rng):
+    """An `Rng` that draws nothing, for building a model whose every
+    value a load then overwrites.
+
+    `spawn` returns the source itself and `normal` returns an all-NaN
+    array: no Philox generator, no tag hashing, no draw. An array that
+    a constructor draws but a state does not hold therefore stays NaN
+    and shows in the outputs. Every other draw goes through `generator`,
+    which raises.
+    """
+
+    def __init__(self):
+        pass
+
+    def spawn(self, tag) -> "BlankRng":
+        return self
+
+    def normal(self, shape=(), scale: float = 1.0, dtype=None) -> np.ndarray:
+        return np.full(shape, np.nan, dtype=dtype or get_default_dtype())
+
+    @property
+    def generator(self):
+        raise TypeError("a BlankRng makes no draws; only normal() gives (NaN) arrays")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

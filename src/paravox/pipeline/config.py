@@ -227,7 +227,11 @@ def _build_section(name: str, cls, doc) -> object:
     for key, val in kwargs.items():
         typed = cls.__dataclass_fields__[key].type
         values = val if isinstance(val, list) else [val]
-        if typed not in ("bool", bool) and any(isinstance(v, bool) for v in values):
+        if typed in ("bool", bool):
+            wrong = not isinstance(val, bool)  # a string "false" or a 0 is not a boolean
+        else:
+            wrong = any(isinstance(v, bool) for v in values)
+        if wrong:
             raise ConfigError(f"config field {name}.{key} must be {typed}, got {val!r}")
         if isinstance(val, list):
             kwargs[key] = tuple(val)

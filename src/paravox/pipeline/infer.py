@@ -3,7 +3,10 @@
 Loading a pipeline means reading every stage checkpoint from one
 directory and checking that they were all trained against the same
 config — any disagreeing field aborts with the dotted field names
-rather than a shape error three layers deep.
+rather than a shape error three layers deep. The models are built
+from a `BlankRng`, without a random draw: every value comes from the
+checkpoints, whose loads reject a missing or extra name, a wrong shape
+and a non-finite value.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ar import DualStreamAR
-from ..engine import Rng
+from ..engine import BlankRng, Rng
 from ..flow import SolverConfig, VelocityField, sample_mel
 from ..frontend import FeatureBundle, Vocabulary, default_alphabet, save_arrays
 from ..nar import CoupledNAR
@@ -75,15 +78,16 @@ def load_pipeline(ckpt_dir) -> LoadedPipeline:
     tok_ckpt = load("tokenizer")
     base = tok_ckpt.config
     pcfg = PipelineConfig.from_dict(base)
-    tok = ParallelTokenizer(pcfg.build_tokenizer_config())
+    blank = BlankRng()
+    tok = ParallelTokenizer(pcfg.build_tokenizer_config(), blank)
     tok.load_full_state(tok_ckpt.params)
-    ar = DualStreamAR(pcfg.build_ar_config())
+    ar = DualStreamAR(pcfg.build_ar_config(), blank)
     ar.load_state(load("ar", base).params)
-    field = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed))
+    field = VelocityField(pcfg.build_flow_config(), blank)
     field.load_state(load("flow", base).params)
     nar = None
     if pcfg.ablation.use_refiner:
-        nar = CoupledNAR(pcfg.build_nar_config())
+        nar = CoupledNAR(pcfg.build_nar_config(), blank)
         nar.load_state(load("nar", base).params)
     return LoadedPipeline(config=pcfg, tokenizer=tok, ar=ar, nar=nar, flow=field)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ar import DualStreamAR
-from ..engine import Rng, Tensor, gradients
+from ..engine import BlankRng, Rng, Tensor, gradients
 from ..flow import VelocityField, cfm_train_loss
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
@@ -356,7 +356,7 @@ def train_stage(stage: str, items: list[CorpusItem], pcfg, out_ckpt, quiet: bool
             MissingPrerequisite(f"stage needs the frozen tokenizer at {path}; run `train --stage tokenizer` first"),
             pcfg.to_dict(), ("data", "tokenizer", "ablation"),
             lambda fields: ValueError(f"tokenizer checkpoint config differs from this run's config: {fields}"))
-        tok = ParallelTokenizer(pcfg.build_tokenizer_config())
+        tok = ParallelTokenizer(pcfg.build_tokenizer_config(), BlankRng())
         tok.load_full_state(ckpt.params)
         view = corpus_view(items, tok.encode_grids)
         model, report = train_flow(view, pcfg, tok, quiet) if stage == "flow" else \

@@ -500,6 +500,36 @@ def _decode_digest(model, text, ref, seed, max_frames):
     return len(seen), h.hexdigest()
 
 
+# The digests are the f32 and f64 bits of one host's numpy SIMD kernels and
+# BLAS build: another CPU or BLAS can move them with no code change. This is
+# the environment they were recorded and checked on.
+DECODE_PINS_HOST = {
+    "numpy": "2.4.6",
+    "blas": {"name": "scipy-openblas", "version": "0.3.31.188.0",
+             "openblas configuration": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+                                       "NO_AFFINITY Haswell MAX_THREADS=64"},
+    "simd": {"baseline": ["X86_V2"], "found": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]},
+}
+
+
+def _host() -> dict:
+    """This host's entries of `DECODE_PINS_HOST`."""
+    try:
+        cfg = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its config
+        return {"numpy": np.__version__}
+    blas, simd = cfg["Build Dependencies"]["blas"], cfg["SIMD Extensions"]
+    return {"numpy": np.__version__, "blas": {k: blas.get(k) for k in DECODE_PINS_HOST["blas"]},
+            "simd": {k: simd.get(k) for k in DECODE_PINS_HOST["simd"]}}
+
+
+def _host_note() -> str:
+    host = _host()
+    differ = [k for k in DECODE_PINS_HOST if host.get(k) != DECODE_PINS_HOST[k]]
+    return (f"pins recorded on {DECODE_PINS_HOST}; this host {host} "
+            f"({'differs in ' + ', '.join(differ) if differ else 'is the same'})")
+
+
 DECODE_PINS = {
     "toy_f32": "a37176d7b12ffc387cdbe83fe25023fe546c0d21c8e793d7c29e21518973fec5",
     "dual_stream": "bf36caf822296a9eb1e2194d76aa86120c57531a2978f992a9ce74a589cca9bb",
@@ -527,7 +557,16 @@ def test_decode_outputs_are_pinned(variant):
     model.stop_head.bias.data[:] = -3.0  # the stop head stays below 0.5: max_frames frames
     calls, digest = _decode_digest(model, text, ref, seed=7, max_frames=max_frames)
     assert calls == max_frames + 1
-    assert digest == DECODE_PINS[variant]
+    assert digest == DECODE_PINS[variant], _host_note()
+
+
+def test_decode_pin_failures_name_the_host(monkeypatch):
+    """A digest mismatch shows the recorded environment next to this
+    host's and names the entries that differ."""
+    monkeypatch.setitem(DECODE_PINS_HOST, "numpy", "0.0")
+    note = _host_note()
+    assert "'numpy': '0.0'" in note and f"'numpy': '{np.__version__}'" in note
+    assert re.search(r"differs in numpy\b", note)
 
 
 @pytest.mark.parametrize("streams, layers", [((("semantic", 8), ("acoustic", 8)), 1),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paravox.engine import (
+    BlankRng,
     Rng,
     ShapeError,
     Tensor,
@@ -636,6 +637,21 @@ def test_rng_spawn_tags_independent():
     r1 = Rng(7)
     r1.normal((100,))
     assert np.array_equal(r1.spawn("a").normal((8,)), Rng(7).spawn("a").normal((8,)))
+
+
+def test_blank_rng_draws_nothing():
+    """The blank source spawns itself and fills `normal` arrays with NaN in
+    the asked dtype (the default dtype when none is given); every other
+    draw raises instead of drawing."""
+    blank = BlankRng()
+    assert blank.spawn("a").spawn(("b", 1)) is blank
+    out = blank.normal((3, 4), scale=0.5, dtype=np.float64)
+    assert out.shape == (3, 4) and out.dtype == np.float64 and np.isnan(out).all()
+    assert blank.normal((2,)).dtype == Rng(0).normal((2,)).dtype
+    for draw in (lambda: blank.uniform(), lambda: blank.integers(0, 4, (2,)),
+                 lambda: blank.permutation(3), lambda: blank.choice(3, 2), lambda: blank.generator.random()):
+        with pytest.raises(TypeError, match="makes no draws"):
+            draw()
 
 
 def test_finite_ops_stay_finite():

@@ -13,7 +13,8 @@ import pytest
 
 from conftest import mini_pipeline_config, run_cli, rvq_residuals
 from paravox.ar import DualStreamAR
-from paravox.engine import Rng, Tensor, gradients
+from paravox.engine import BlankRng, Rng, Tensor, gradients
+from paravox.flow import VelocityField
 from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays, load_features, save_features
 from paravox.nar import CoupledNAR
 from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSchedule,
@@ -25,7 +26,8 @@ from paravox.pipeline.config import config_with_overrides, paper_profile
 from paravox.pipeline.data import (CorpusDirError, corpus_items, load_corpus_dir,
                                    reference_pairing, spec_to_doc, write_corpus_dir)
 from paravox.pipeline.evaluate import evaluate, format_report
-from paravox.pipeline.infer import (IncompatibleCheckpoints, encode_text, infer,
+from paravox.pipeline import train as train_mod
+from paravox.pipeline.infer import (IncompatibleCheckpoints, LoadedPipeline, encode_text, infer,
                                     load_pipeline, write_mel_file)
 from paravox.pipeline.train import (CHECKPOINT_NAMES, Adam, MissingPrerequisite, train_tokenizer)
 from paravox.rvq import RVQStack
@@ -213,6 +215,24 @@ def test_config_numbers_reject_booleans(path, value):
     with pytest.raises(ConfigError, match=rf"config field {re.escape(path)} must be"):
         config_with_overrides(toy_profile(), {path: value})
     assert not config_with_overrides(toy_profile(), {"ablation.use_refiner": False}).ablation.use_refiner
+
+
+@pytest.mark.parametrize("field, value", [("use_refiner", "false"), ("parallel_streams", 0),
+                                          ("use_refiner", 1), ("parallel_streams", "true"),
+                                          ("use_refiner", None), ("parallel_streams", [False])])
+def test_config_booleans_take_only_json_booleans(field, value):
+    """A `bool` field takes only true or false: the string "false" or a 0
+    would otherwise decide by truthiness (and keep the refiner it meant to
+    drop). It fails naming the dotted field, by override and from a document."""
+    path = f"ablation.{field}"
+    with pytest.raises(ConfigError, match=rf"config field {re.escape(path)} must be bool"):
+        config_with_overrides(toy_profile(), {path: value})
+    doc = toy_profile().to_dict()
+    doc["ablation"][field] = value
+    with pytest.raises(ConfigError, match=rf"config field {re.escape(path)} must be bool"):
+        PipelineConfig.from_dict(doc)
+    doc["ablation"][field] = False
+    assert getattr(PipelineConfig.from_dict(doc).ablation, field) is False
 
 
 def test_config_with_overrides():
@@ -575,6 +595,155 @@ def test_load_pipeline_and_infer_deterministic(mini_run):
     assert r1.metadata["n_frames"] == r1.mel.shape[0]
     if r1.tokens is not None:
         assert r1.metadata["n_frames"] == r1.tokens.n_frames
+
+
+def _assert_states_bitwise(got: dict, want: dict) -> None:
+    assert set(got) == set(want)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
+
+
+def _seeded_pipeline(ckpt_dir) -> LoadedPipeline:
+    """The pipeline as loading built it before the blank source: every
+    model from its seeded initialisation, then its checkpoint loaded over it."""
+    params = {stage: load_checkpoint(ckpt_dir / name).params for stage, name in CHECKPOINT_NAMES.items()}
+    pcfg = PipelineConfig.from_dict(load_checkpoint(ckpt_dir / CHECKPOINT_NAMES["tokenizer"]).config)
+    tok = ParallelTokenizer(pcfg.build_tokenizer_config())
+    tok.load_full_state(params["tokenizer"])
+    ar = DualStreamAR(pcfg.build_ar_config())
+    ar.load_state(params["ar"])
+    nar = CoupledNAR(pcfg.build_nar_config())
+    nar.load_state(params["nar"])
+    field = VelocityField(pcfg.build_flow_config(), Rng(pcfg.flow.seed))
+    field.load_state(params["flow"])
+    return LoadedPipeline(config=pcfg, tokenizer=tok, ar=ar, nar=nar, flow=field)
+
+
+def test_load_pipeline_equals_the_seeded_route(mini_run):
+    """Loading from the blank source gives bitwise the states and the
+    `infer()` outputs of seeded models loaded over."""
+    pipe, ref = load_pipeline(mini_run.ckpt_dir), _seeded_pipeline(mini_run.ckpt_dir)
+    _assert_states_bitwise(pipe.tokenizer.full_state(), ref.tokenizer.full_state())
+    for name in ("ar", "nar", "flow"):
+        _assert_states_bitwise(getattr(pipe, name).state(), getattr(ref, name).state())
+    for text, item, seed in (("abc", 0, 12), ("ba", 3, 5), ("cab", 6, 0)):
+        ids, bundle = encode_text(pipe, text), mini_run.items[item].bundle
+        got, want = infer(pipe, ids, bundle, seed=seed), infer(ref, ids, bundle, seed=seed)
+        assert got.mel.dtype == want.mel.dtype and got.mel.tobytes() == want.mel.tobytes()
+        assert got.tokens is not None and want.tokens is not None
+        for stream in ("semantic", "acoustic"):
+            assert np.array_equal(getattr(got.tokens, stream), getattr(want.tokens, stream))
+        assert got.metadata["stop_probs"] == want.metadata["stop_probs"]
+
+
+def test_load_pipeline_makes_no_draw(mini_run, monkeypatch):
+    """No `Rng` is seeded and no `Rng.normal` draw is made while loading;
+    the counter does see the draws `infer()` then makes."""
+    calls = []
+    init, normal = Rng.__init__, Rng.normal
+
+    def counting_init(self, seed):
+        calls.append("init")
+        init(self, seed)
+
+    def counting_normal(self, *args, **kwargs):
+        calls.append("normal")
+        return normal(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rng, "__init__", counting_init)
+    monkeypatch.setattr(Rng, "normal", counting_normal)
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    assert calls == []
+    infer(pipe, encode_text(pipe, "ab"), mini_run.items[0].bundle, seed=1, max_frames=2)
+    assert {"init", "normal"} <= set(calls)
+
+
+@pytest.mark.parametrize("stage", ["ar", "nar", "flow"])
+def test_frozen_tokenizer_equals_the_seeded_route(tmp_path, mini_run, monkeypatch, stage):
+    """`train_stage` builds its frozen tokenizer from the blank source: its
+    state is bitwise a seeded tokenizer's loaded over, and the stage writes
+    the same checkpoint bytes as it does from that seeded tokenizer."""
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    pcfg, built = _quick_pcfg(3), []
+
+    def recording(cfg, rng=None):
+        built.append((ParallelTokenizer(cfg, rng), rng))
+        return built[-1][0]
+
+    monkeypatch.setattr(train_mod, "ParallelTokenizer", recording)
+    train_stage(stage, mini_run.items, pcfg, tmp_path / "blank.ckpt")
+    (tok, rng), = built
+    assert isinstance(rng, BlankRng)
+    seeded = ParallelTokenizer(pcfg.build_tokenizer_config())
+    seeded.load_full_state(load_checkpoint(tmp_path / "tokenizer.ckpt").params)
+    _assert_states_bitwise(tok.full_state(), seeded.full_state())
+
+    monkeypatch.setattr(train_mod, "ParallelTokenizer", lambda cfg, rng=None: ParallelTokenizer(cfg))
+    train_stage(stage, mini_run.items, pcfg, tmp_path / "seeded.ckpt")
+    assert (tmp_path / "blank.ckpt").read_bytes() == (tmp_path / "seeded.ckpt").read_bytes()
+
+
+def _reachable_arrays(obj, path: str = ""):
+    """(path, array) for every numpy array reachable from `obj` through
+    attributes, lists, tuples and dicts (a Tensor by its data)."""
+    if isinstance(obj, Tensor):
+        obj = obj.data
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+        return
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        children = enumerate(obj)
+    elif hasattr(obj, "__dict__"):
+        children = vars(obj).items()
+    else:
+        return
+    for key, value in children:
+        yield from _reachable_arrays(value, f"{path}.{key}")
+
+
+# name -> (model from a config and a random source, its seeded random source, state, load)
+_MODELS = {
+    "tokenizer": (lambda p, rng: ParallelTokenizer(p.build_tokenizer_config(), rng), lambda p: None,
+                  "full_state", "load_full_state"),
+    "ar": (lambda p, rng: DualStreamAR(p.build_ar_config(), rng), lambda p: None, "state", "load_state"),
+    "nar": (lambda p, rng: CoupledNAR(p.build_nar_config(), rng), lambda p: None, "state", "load_state"),
+    "flow": (lambda p, rng: VelocityField(p.build_flow_config(), rng), lambda p: Rng(p.flow.seed),
+             "state", "load_state"),
+}
+
+
+_ABLATIONS = {"toy": {}, "merged": {"parallel_streams": False}, "no_refiner": {"use_refiner": False}}
+
+
+@pytest.mark.parametrize("ablation, model", [pytest.param(ab, m, id=f"{name}-{m}")
+                                             for name, ab in _ABLATIONS.items()
+                                             for m in _MODELS if not (m == "nar" and name == "no_refiner")])
+def test_every_drawn_array_is_in_the_state(ablation, model):
+    """A model built from the blank source holds NaN in every drawn value
+    and nowhere outside its state, and a seeded model's state loaded over
+    it leaves every array finite and bitwise that state."""
+    build, seeded_rng, state, load = _MODELS[model]
+    pcfg = config_with_overrides(toy_profile(), {f"ablation.{k}": v for k, v in ablation.items()})
+    blank, seeded = build(pcfg, BlankRng()), build(pcfg, seeded_rng(pcfg))
+    blank_state, seeded_state = getattr(blank, state)(), getattr(seeded, state)()
+    assert set(blank_state) == set(seeded_state)
+    for name, arr in blank_state.items():
+        if name.endswith("weight"):
+            assert np.isnan(arr).all(), name
+        elif name.endswith("entries"):  # drawn, then the pinned zero codeword written over row 0
+            assert np.isnan(arr[1:]).all() and not arr[0].any(), name
+        else:  # LayerNorm gains and shifts, biases and EMA statistics are constants, not draws
+            assert arr.tobytes() == seeded_state[name].tobytes(), name
+    in_state = {id(arr) for arr in blank_state.values()}
+    for path, arr in _reachable_arrays(blank):
+        assert arr.dtype.kind != "f" or np.isfinite(arr).all() or id(arr) in in_state, path
+    getattr(blank, load)(seeded_state)
+    for path, arr in _reachable_arrays(blank):
+        assert arr.dtype.kind != "f" or np.isfinite(arr).all(), path
+    _assert_states_bitwise(getattr(blank, state)(), seeded_state)
 
 
 def test_infer_rejects_overlong_reference_before_encoding(mini_run):
