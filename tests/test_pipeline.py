@@ -20,13 +20,13 @@ from paravox.nar import CoupledNAR
 from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSchedule,
                               TrainingDiverged, load_checkpoint, save_checkpoint,
                               toy_profile, train_stage)
+from paravox.pipeline import train as train_mod
 from paravox.pipeline.checkpoint import CheckpointError
 from paravox.pipeline.cli import main as cli_main
 from paravox.pipeline.config import config_with_overrides, paper_profile
 from paravox.pipeline.data import (CorpusDirError, corpus_items, load_corpus_dir,
                                    reference_pairing, spec_to_doc, write_corpus_dir)
 from paravox.pipeline.evaluate import evaluate, format_report
-from paravox.pipeline import train as train_mod
 from paravox.pipeline.infer import (IncompatibleCheckpoints, LoadedPipeline, encode_text, infer,
                                     load_pipeline, write_mel_file)
 from paravox.pipeline.train import (CHECKPOINT_NAMES, Adam, MissingPrerequisite, train_tokenizer)
@@ -607,8 +607,9 @@ def _assert_states_bitwise(got: dict, want: dict) -> None:
 def _seeded_pipeline(ckpt_dir) -> LoadedPipeline:
     """The pipeline as loading built it before the blank source: every
     model from its seeded initialisation, then its checkpoint loaded over it."""
-    params = {stage: load_checkpoint(ckpt_dir / name).params for stage, name in CHECKPOINT_NAMES.items()}
-    pcfg = PipelineConfig.from_dict(load_checkpoint(ckpt_dir / CHECKPOINT_NAMES["tokenizer"]).config)
+    ckpts = {stage: load_checkpoint(ckpt_dir / name) for stage, name in CHECKPOINT_NAMES.items()}
+    params = {stage: ckpt.params for stage, ckpt in ckpts.items()}
+    pcfg = PipelineConfig.from_dict(ckpts["tokenizer"].config)
     tok = ParallelTokenizer(pcfg.build_tokenizer_config())
     tok.load_full_state(params["tokenizer"])
     ar = DualStreamAR(pcfg.build_ar_config())
