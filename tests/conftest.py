@@ -55,6 +55,31 @@ def tape_records(monkeypatch):
     return recorded
 
 
+# ---- the host that pinned bits were recorded on ------------------------------
+
+
+def host_record(recorded: dict) -> dict:
+    """This host's entries of `recorded`, a pin's host record: the numpy
+    version, the BLAS build and the CPU SIMD flags."""
+    try:
+        cfg = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its config
+        return {"numpy": np.__version__}
+    blas, simd = cfg["Build Dependencies"]["blas"], cfg["SIMD Extensions"]
+    return {"numpy": np.__version__, "blas": {k: blas.get(k) for k in recorded["blas"]},
+            "simd": {k: simd.get(k) for k in recorded["simd"]}}
+
+
+def host_note(recorded: dict) -> str:
+    """The host record `recorded` next to this host's, naming what differs:
+    pinned f32 bits come from one host's numpy SIMD kernels and BLAS build,
+    so another CPU or BLAS can move them with no code change."""
+    host = host_record(recorded)
+    differ = [k for k in recorded if host.get(k) != recorded[k]]
+    return (f"pins recorded on {recorded}; this host {host} "
+            f"({'differs in ' + ', '.join(differ) if differ else 'is the same'})")
+
+
 # ---- acceptance reporting ----------------------------------------------------
 
 CRITERION_LINES: list[str] = []

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import host_note
 from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import Rng, Tensor, grad_check, gradients
 from paravox.pipeline.config import toy_profile
@@ -512,24 +513,6 @@ DECODE_PINS_HOST = {
 }
 
 
-def _host() -> dict:
-    """This host's entries of `DECODE_PINS_HOST`."""
-    try:
-        cfg = np.show_config(mode="dicts")
-    except TypeError:  # numpy before 1.26 only prints its config
-        return {"numpy": np.__version__}
-    blas, simd = cfg["Build Dependencies"]["blas"], cfg["SIMD Extensions"]
-    return {"numpy": np.__version__, "blas": {k: blas.get(k) for k in DECODE_PINS_HOST["blas"]},
-            "simd": {k: simd.get(k) for k in DECODE_PINS_HOST["simd"]}}
-
-
-def _host_note() -> str:
-    host = _host()
-    differ = [k for k in DECODE_PINS_HOST if host.get(k) != DECODE_PINS_HOST[k]]
-    return (f"pins recorded on {DECODE_PINS_HOST}; this host {host} "
-            f"({'differs in ' + ', '.join(differ) if differ else 'is the same'})")
-
-
 DECODE_PINS = {
     "toy_f32": "a37176d7b12ffc387cdbe83fe25023fe546c0d21c8e793d7c29e21518973fec5",
     "dual_stream": "bf36caf822296a9eb1e2194d76aa86120c57531a2978f992a9ce74a589cca9bb",
@@ -557,14 +540,14 @@ def test_decode_outputs_are_pinned(variant):
     model.stop_head.bias.data[:] = -3.0  # the stop head stays below 0.5: max_frames frames
     calls, digest = _decode_digest(model, text, ref, seed=7, max_frames=max_frames)
     assert calls == max_frames + 1
-    assert digest == DECODE_PINS[variant], _host_note()
+    assert digest == DECODE_PINS[variant], host_note(DECODE_PINS_HOST)
 
 
 def test_decode_pin_failures_name_the_host(monkeypatch):
     """A digest mismatch shows the recorded environment next to this
     host's and names the entries that differ."""
     monkeypatch.setitem(DECODE_PINS_HOST, "numpy", "0.0")
-    note = _host_note()
+    note = host_note(DECODE_PINS_HOST)
     assert "'numpy': '0.0'" in note and f"'numpy': '{np.__version__}'" in note
     assert re.search(r"differs in numpy\b", note)
 
