@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .engine import Rng, bce_with_logits, cross_entropy, embedding, sigmoid_fwd
+from .engine import Rng, bce_with_logits, cross_entropy, embedding, sigmoid
 from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_rows, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
@@ -289,7 +289,7 @@ class DualStreamAR(Module):
             stream_logits, stream_targets, stop_logits, stop_labels = self.teacher_forced_batch(rows[lo:lo + 8], tables)
             for name, logits, targets in zip(names, stream_logits, stream_targets):
                 right[name] += [lg.argmax(axis=-1) == tg for lg, tg in zip(logits, targets)]
-            fires, final = sigmoid_fwd(stop_logits) > 0.5, stop_labels > 0.5  # generate()'s stop test
+            fires, final = sigmoid(stop_logits) > 0.5, stop_labels > 0.5  # generate()'s stop test
             right["stop"].append(fires == final)
             right["stop_final"].append(fires[final])
         frac = {key: float(np.concatenate(hits).mean()) for key, hits in right.items()}
@@ -369,7 +369,7 @@ class DualStreamAR(Module):
         stop_probs = []
         while True:
             last = states[-1:]
-            stop_p = float(sigmoid_fwd(self.stop_head(last)).reshape(()))
+            stop_p = float(sigmoid(self.stop_head(last)).reshape(()))
             stop_probs.append(stop_p)
             if stop_p > 0.5:
                 terminated = True

@@ -5,12 +5,14 @@ float64 for gradient checking). Every differentiable op records a
 closure on the output node; `backward()` walks the tape in reverse
 topological order and accumulates gradients into `.grad`.
 
-Each fused op's forward arithmetic is one array kernel (`linear_fwd`,
-`layer_norm_fwd`, ...). The op runs on whatever it is given: a Tensor
-input records one tape node, and a plain array input returns the
-kernel's array and records nothing, with the same bits. Parameters stay
-Tensors either way; the array branch reads their `.data`. So one module
-forward serves training (Tensors in) and inference (arrays in).
+Each fused op (`linear`, `layer_norm`, `softmax`, `gelu`, `sigmoid`,
+`embedding`, ...) is one function that runs on what it is given: an
+array input runs the arithmetic and returns its array, and a Tensor
+input runs the same lines and records one tape node, whose backward
+reads the forward's locals. Parameters stay Tensors either way. So one
+module forward serves training (Tensors in) and inference (arrays in),
+with the same bits. `attention_fwd` is the one kernel kept apart: the
+cached attention calls it too, with keys and values apart from queries.
 
 Randomness goes through `Rng`, a thin wrapper over numpy's Philox
 counter-based bit generator, so that a fixed seed gives the same
@@ -40,13 +42,8 @@ __all__ = [
     "layer_norm",
     "attention",
     "gelu",
-    "embedding_fwd",
-    "linear_fwd",
-    "softmax_fwd",
-    "layer_norm_fwd",
+    "sigmoid",
     "attention_fwd",
-    "gelu_fwd",
-    "sigmoid_fwd",
     "cross_entropy",
     "bce_with_logits",
     "gradients",
@@ -270,14 +267,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), grad_fn)
 
-    def sigmoid(self):
-        data = sigmoid_fwd(self.data)
-
-        def grad_fn(g):
-            self._accumulate(g * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), grad_fn)
-
     # ---- reductions ----------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -350,11 +339,21 @@ def _picks_twice(idx, shape) -> bool:
 # ---- free functions -----------------------------------------------------
 
 
-def sigmoid_fwd(x: np.ndarray) -> np.ndarray:
-    """`Tensor.sigmoid` on arrays: 1 / (1 + e^-x), with e^x / (1 + e^x) for
-    negative x so that no exp overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid(x):
+    """1 / (1 + e^-x), one tape node; an array gives the array and records
+    nothing. Negative x takes e^x / (1 + e^x), from the same exp of -|x|,
+    so no exp overflows, not even on the branch that is discarded."""
+    tape = isinstance(x, Tensor)
+    xd = x.data if tape else x
+    e = np.exp(-np.abs(xd))
+    data = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if not tape:
+        return data
+
+    def grad_fn(g):
+        x._accumulate(g * data * (1.0 - data))
+
+    return Tensor._make(data, (x,), grad_fn)
 
 
 def concat(tensors, axis=0):
@@ -400,9 +399,16 @@ def conv_windows(x, kernel: int):
     return Tensor._make(data, (x,), grad_fn)
 
 
-def embedding_fwd(tables: list[np.ndarray], ids: np.ndarray):
-    """`embedding` on arrays. Returns the output, then the (N, K) flat ids
-    and the rows each table adds to, which its backward reuses."""
+def embedding(tables: list, ids: np.ndarray):
+    """Summed row lookups from several (n_k, D) tables, one tape node;
+    array tables give the array and record nothing.
+
+    `ids` (..., K) holds one column per table; output row [...] is the
+    sum of `tables[k][ids[..., k]]` in k order. An id of -1 adds nothing,
+    so a row of -1s is a zero (padding) row.
+    """
+    tape = isinstance(tables[0], Tensor)
+    arrays = [t.data for t in tables] if tape else tables
     ids = np.asarray(ids)
     if ids.ndim == 0 or ids.shape[-1] != len(tables):
         raise ShapeError(f"embedding ids {ids.shape} need one last-axis column per table ({len(tables)})")
@@ -414,26 +420,14 @@ def embedding_fwd(tables: list[np.ndarray], ids: np.ndarray):
     # Row gathers raise IndexError for an id past the table's end.
     picks = [slice(None) if c == flat.shape[0] else valid[:, k] if c else None
              for k, c in enumerate(valid.sum(axis=0).tolist())]
-    dim = tables[0].shape[1]
-    out = np.zeros((flat.shape[0], dim), dtype=tables[0].dtype)
-    for k, (t, rows) in enumerate(zip(tables, picks)):
+    dim = arrays[0].shape[1]
+    out = np.zeros((flat.shape[0], dim), dtype=arrays[0].dtype)
+    for k, (t, rows) in enumerate(zip(arrays, picks)):
         if rows is not None:
             out[rows] += t.take(flat[rows, k], axis=0)
-    return out.reshape(ids.shape[:-1] + (dim,)), flat, picks
-
-
-def embedding(tables: list, ids: np.ndarray):
-    """Summed row lookups from several (n_k, D) tables, one tape node;
-    array tables give the array and record nothing.
-
-    `ids` (..., K) holds one column per table; output row [...] is the
-    sum of `tables[k][ids[..., k]]` in k order. An id of -1 adds nothing,
-    so a row of -1s is a zero (padding) row.
-    """
-    if not isinstance(tables[0], Tensor):
-        return embedding_fwd(tables, ids)[0]
-    data, flat, picks = embedding_fwd([t.data for t in tables], ids)
-    dim = data.shape[-1]
+    data = out.reshape(ids.shape[:-1] + (dim,))
+    if not tape:
+        return data
 
     def grad_fn(g):
         g2 = g.reshape(-1, dim)
@@ -446,31 +440,24 @@ def embedding(tables: list, ids: np.ndarray):
     return Tensor._make(data, tuple(tables), grad_fn)
 
 
-def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """`linear` on arrays."""
-    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
-        raise ShapeError(f"linear input {x.shape} does not match weight {w.shape}")
-    if x.ndim == 2:
-        y = x @ w
-        if b is not None:
-            y += b
-        return y
-    y = x.reshape(-1, w.shape[0]) @ w
-    if b is not None:
-        y += b
-    return y.reshape(x.shape[:-1] + (w.shape[1],))
-
-
 def linear(x, w: Tensor, b: Tensor | None = None):
-    """`x @ w + b` over the last axis of x, one tape node.
+    """`x @ w + b` over the last axis of x, one tape node; an array x gives
+    the array and records nothing.
 
     Leading axes are flattened so the forward pass, dx and dW are one
     2-D GEMM each; the bias gradient is one column sum.
     """
-    if not isinstance(x, Tensor):
-        return linear_fwd(x, w.data, None if b is None else b.data)
-    xd, wd = x.data, w.data
-    data = linear_fwd(xd, wd, None if b is None else b.data)
+    tape = isinstance(x, Tensor)
+    xd, wd = x.data if tape else x, w.data
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
+        raise ShapeError(f"linear input {xd.shape} does not match weight {wd.shape}")
+    data = xd @ wd if xd.ndim == 2 else xd.reshape(-1, wd.shape[0]) @ wd
+    if b is not None:
+        data += b.data
+    if xd.ndim != 2:
+        data = data.reshape(xd.shape[:-1] + (wd.shape[1],))
+    if not tape:
+        return data
 
     def grad_fn(g):
         x2 = xd.reshape(-1, wd.shape[0])
@@ -487,31 +474,27 @@ def linear(x, w: Tensor, b: Tensor | None = None):
     return Tensor._make(data, (x, w) if b is None else (x, w, b), grad_fn)
 
 
-def softmax_fwd(x: np.ndarray, axis: int = -1, scale: float | None = None,
-                mask: np.ndarray | None = None) -> np.ndarray:
-    """`softmax` on arrays."""
-    z = x * x.dtype.type(scale) if scale is not None else x.copy()
+def softmax(x, axis: int = -1, scale: float | None = None, mask: np.ndarray | None = None):
+    """softmax(x * scale + mask) along `axis`, one tape node; an array x
+    gives the array and records nothing.
+
+    `scale` is applied in x's dtype and `mask` is an additive numpy
+    constant cast to it (attention's scaled, masked scores).
+    """
+    tape = isinstance(x, Tensor)
+    xd = x.data if tape else x
+    z = xd * xd.dtype.type(scale) if scale is not None else xd.copy()
     if mask is not None:
         try:
-            z += np.asarray(mask, dtype=x.dtype)
+            z += np.asarray(mask, dtype=xd.dtype)
         except ValueError:
             raise ShapeError(f"softmax mask shape {np.shape(mask)} does not broadcast to {z.shape}") from None
     # The ufunc reductions are bitwise `.max` and `.sum`, without their wrappers.
     z -= np.maximum.reduce(z, axis=axis, keepdims=True)
     data = np.exp(z, out=z)
     data /= np.add.reduce(data, axis=axis, keepdims=True)
-    return data
-
-
-def softmax(x, axis: int = -1, scale: float | None = None, mask: np.ndarray | None = None):
-    """softmax(x * scale + mask) along `axis`, one tape node.
-
-    `scale` is applied in x's dtype and `mask` is an additive numpy
-    constant cast to it (attention's scaled, masked scores).
-    """
-    if not isinstance(x, Tensor):
-        return softmax_fwd(x, axis, scale, mask)
-    data = softmax_fwd(x.data, axis, scale, mask)
+    if not tape:
+        return data
 
     def grad_fn(g):
         x._accumulate(_softmax_backward(g, data, axis, scale))
@@ -530,34 +513,10 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int, scale: float | No
     return d
 
 
-def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray | None = None,
-                   beta: np.ndarray | None = None, eps: float = 1e-5):
-    """`layer_norm` on arrays. Returns the output, then the normalized
-    rows and the per-row 1/std, which its backward reuses."""
-    n = x.shape[-1]
-    if x.size == n:
-        # One row, such as a decode step's: scalar statistics over the 1-D
-        # row are bitwise the keepdims reductions below, in fewer calls.
-        xc = x - np.add.reduce(x, axis=None) / n
-        inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=None) / n + x.dtype.type(eps))
-        xhat = xc * inv
-        data = xhat if gamma is None else xhat * gamma
-        return data if beta is None else data + beta, xhat, inv
-    # np.add.reduce(...) / n is bitwise `.mean` without its per-call wrapper cost.
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = xc * inv
-    data = xhat if gamma is None else xhat * gamma
-    if beta is not None:
-        data = data + beta
-    return data, xhat, inv
-
-
 def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None, eps: float = 1e-5):
     """Normalize the last axis to zero mean, unit variance, then scale by
-    `gamma` and shift by `beta` when given; one tape node.
+    `gamma` and shift by `beta` when given; one tape node. An array x
+    gives the array and records nothing.
 
     A constant row whose computed mean equals its value normalizes to
     exact zeros: the centered numerator vanishes before the eps-guarded
@@ -565,11 +524,24 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None, eps: 
     1/sqrt(eps).
     """
     tape = isinstance(x, Tensor)
-    data, xhat, inv = layer_norm_fwd(x.data if tape else x, None if gamma is None else gamma.data,
-                                     None if beta is None else beta.data, eps)
+    xd = x.data if tape else x
+    n = xd.shape[-1]
+    # np.add.reduce(...) / n is bitwise `.mean` without its per-call wrapper cost.
+    if xd.size == n:
+        # One row, such as a decode step's: scalar statistics over the 1-D
+        # row are bitwise the keepdims reductions below, in fewer calls.
+        xc = xd - np.add.reduce(xd, axis=None) / n
+        var = np.add.reduce(xc * xc, axis=None) / n
+    else:
+        xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / n
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + xd.dtype.type(eps))
+    xhat = xc * inv
+    data = xhat if gamma is None else xhat * gamma.data
+    if beta is not None:
+        data = data + beta.data
     if not tape:
         return data
-    n = x.data.shape[-1]
 
     def grad_fn(g):
         if beta is not None and beta.requires_grad:
@@ -601,9 +573,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
                   mask: np.ndarray | None = None):
     """`attention` on arrays, with the (..., T, dim) queries apart from the
-    (..., n, dim) keys and values they attend to, such as a key/value
-    cache's filled prefix. Returns the output, then the query, key and
-    value heads and the attention weights, which its backward reuses."""
+    (..., n, dim) keys and values they attend to. Returns the output, then
+    the query, key and value heads and the attention weights, which the
+    op's backward reuses.
+
+    The one forward kept apart from its op, because it has a second
+    caller: a cached attention passes a key/value cache's filled prefix,
+    not the keys and values of its own packed rows."""
     q, k, v = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
     # The weights come from the `softmax` op, so a traced run sees softmax inside attention.
     att = softmax(np.matmul(q, k.swapaxes(-1, -2)), -1, 1.0 / math.sqrt(q.shape[-1]), mask)
@@ -679,7 +655,7 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     loss = per.mean()
 
     def grad_fn(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        s = sigmoid(x)
         logits._accumulate(float(g) * (s - y).astype(x.dtype) / float(x.size))
 
     return Tensor._make(np.asarray(loss, dtype=x.dtype), (logits,), grad_fn)
@@ -868,32 +844,27 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu_fwd(x: np.ndarray):
-    """`gelu` on arrays. Returns the output, then x^2 and tanh(u), which
-    its backward reuses."""
-    x2 = x * x
-    u = x2 * _GELU_A
-    u += 1.0
-    u *= x
-    u *= _GELU_C
-    th = np.tanh(u, out=u)
-    data = th + 1.0
-    data *= x
-    data *= 0.5
-    return data, x2, th
-
-
 def gelu(x):
-    """Gaussian error linear unit, tanh form (Hendrycks & Gimpel), one tape node.
+    """Gaussian error linear unit, tanh form (Hendrycks & Gimpel), one tape
+    node; an array x gives the array and records nothing.
 
     y = 0.5 x (1 + tanh(u)) with u = c (x + a x^3), c = sqrt(2/pi),
     a = 0.044715; the backward is the analytic derivative
     0.5 (1 + tanh u) + 0.5 x (1 - tanh^2 u) c (1 + 3 a x^2).
     """
-    if not isinstance(x, Tensor):
-        return gelu_fwd(x)[0]
-    xd = x.data
-    data, x2, th = gelu_fwd(xd)
+    tape = isinstance(x, Tensor)
+    xd = x.data if tape else x
+    x2 = xd * xd
+    u = x2 * _GELU_A
+    u += 1.0
+    u *= xd
+    u *= _GELU_C
+    th = np.tanh(u, out=u)
+    data = th + 1.0
+    data *= xd
+    data *= 0.5
+    if not tape:
+        return data
 
     def grad_fn(g):
         du = x2 * (3.0 * _GELU_A)

@@ -1,6 +1,6 @@
 """Training orchestration, inference, evaluation, and the CLI."""
 
-from .config import ConfigError, PipelineConfig, paper_profile, toy_profile
+from .config import ConfigError, PipelineConfig, toy_profile
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .train import Adam, TrainSchedule, TrainingDiverged, train_stage
 
@@ -12,7 +12,6 @@ __all__ = [
     "TrainSchedule",
     "TrainingDiverged",
     "load_checkpoint",
-    "paper_profile",
     "save_checkpoint",
     "toy_profile",
     "train_stage",

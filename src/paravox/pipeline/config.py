@@ -6,10 +6,8 @@ a config that fully determines the run. Cross-section dimensions
 (feature widths, vocabulary sizes) are derived from the `data` and
 `tokenizer` sections at model-build time rather than duplicated.
 
-Two built-in profiles ship with the package: `toy`, sized so the whole
-four-stage pipeline trains on one CPU core in minutes, and `paper`, a
-reference record of the architecture's large-scale hyperparameters
-(kept as a record, not something to train in this repo).
+One built-in profile ships with the package: `toy`, sized so the whole
+four-stage pipeline trains on one CPU core in minutes.
 """
 
 from __future__ import annotations
@@ -157,7 +155,12 @@ class PipelineConfig:
             self.build_nar_config().validate()
         self.build_flow_config().validate()
         for stage, sched in self.schedules.items():
-            _validate_schedule(stage, sched)
+            if stage not in STAGES:
+                raise ConfigError(f"unknown schedule stage {stage!r}")
+            try:
+                sched.validate()
+            except ValueError as e:
+                raise ConfigError(f"schedules.{stage}: {e}") from e
         worst = self.data.symbols_per_utterance[1] * self.data.frames_per_symbol[1]
         if self.ar.max_speech_len < 2 * worst:
             raise ConfigError(f"ar.max_speech_len={self.ar.max_speech_len} cannot hold a reference "
@@ -241,18 +244,6 @@ def _build_section(name: str, cls, doc) -> object:
         raise ConfigError(f"config section {name!r}: {e}") from e
 
 
-def _validate_schedule(stage: str, s: TrainSchedule) -> None:
-    if stage not in STAGES:
-        raise ConfigError(f"unknown schedule stage {stage!r}")
-    for f in ("total_steps", "warmup_steps", "batch_size", "seed"):
-        if not isinstance(getattr(s, f), int):
-            raise ConfigError(f"schedules.{stage}.{f} must be an int")
-    try:
-        s.validate()
-    except ValueError as e:
-        raise ConfigError(f"schedules.{stage}: {e}") from e
-
-
 # ---- built-in profiles -------------------------------------------------------
 
 
@@ -281,46 +272,6 @@ def toy_profile() -> PipelineConfig:
             "flow": TrainSchedule(total_steps=600, warmup_steps=25, kind="cosine",
                                     base_lr=1e-4, peak_lr=3e-3, final_lr=5e-4,
                                     batch_size=8, seed=404),
-        },
-        ablation=AblationSection(),
-    )
-
-
-def paper_profile() -> PipelineConfig:
-    """Large-scale reference hyperparameters; not meant to be run here.
-
-    The autoregressive decay endpoints (1e-5 to 1e-4 after a 1e-2 warmup
-    start) rise rather than decay; they are recorded unchanged rather
-    than corrected. The tokenizer and refiner use fixed rates (2e-4 and
-    2e-5), expressed as constant schedules.
-    """
-    return PipelineConfig(
-        name="paper",
-        data=SyntheticSpec(vocab_size=4096, n_speakers=1000, n_utterances=100000,
-                           symbols_per_utterance=(8, 64), frames_per_symbol=(2, 12),
-                           semantic_dim=768, acoustic_dim=768, speaker_frame_dim=512,
-                           speaker_global_dim=192, mel_bins=80, prosody_dim=8,
-                           max_frames=1500, noise_scale=0.05, seed=0),
-        tokenizer=TokenizerSection(cond_dim=512, codebook_size=256, n_quantizer_layers=3,
-                                   attn_blocks=4, n_heads=8, conv_kernel=5, seed=1),
-        ar=ARSection(n_layers=12, model_dim=1024, n_heads=16, seed=2,
-                     max_text_len=128, max_speech_len=3000, top_k=10, temperature=1.0),
-        nar=ModelSection(n_layers=6, model_dim=1024, n_heads=16, seed=3),
-        flow=FlowSection(hidden_dim=1024, n_hidden=4, time_feat_dim=16,
-                         default_steps=32, seed=4),
-        schedules={
-            "tokenizer": TrainSchedule(total_steps=450000, warmup_steps=0, kind="constant",
-                                         base_lr=2e-4, peak_lr=2e-4, final_lr=2e-4,
-                                         batch_size=16, seed=10),
-            "ar": TrainSchedule(total_steps=800000, warmup_steps=2000, kind="cosine",
-                                  base_lr=1e-2, peak_lr=1e-5, final_lr=1e-4,
-                                  batch_size=16, seed=20),
-            "nar": TrainSchedule(total_steps=200000, warmup_steps=0, kind="constant",
-                                   base_lr=2e-5, peak_lr=2e-5, final_lr=2e-5,
-                                   batch_size=16, seed=30),
-            "flow": TrainSchedule(total_steps=450000, warmup_steps=0, kind="constant",
-                                    base_lr=2e-4, peak_lr=2e-4, final_lr=2e-4,
-                                    batch_size=16, seed=40),
         },
         ablation=AblationSection(),
     )

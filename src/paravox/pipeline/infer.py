@@ -25,9 +25,7 @@ from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
 from .checkpoint import Checkpoint, IncompatibleCheckpoints
 from .config import PipelineConfig
-from .train import CHECKPOINT_NAMES, load_stage
-
-_COMPAT_SECTIONS = ("data", "tokenizer", "ar", "nar", "flow", "ablation")
+from .train import CHECKPOINT_NAMES, COMPAT_SECTIONS, load_stage
 
 
 @dataclass
@@ -72,7 +70,7 @@ def load_pipeline(ckpt_dir) -> LoadedPipeline:
     def load(stage: str, base: dict | None = None) -> Checkpoint:
         path = root / CHECKPOINT_NAMES[stage]
         return load_stage(path, stage, FileNotFoundError(f"missing {stage} checkpoint: {path}"),
-                          base, _COMPAT_SECTIONS, lambda fields: IncompatibleCheckpoints(
+                          base, COMPAT_SECTIONS, lambda fields: IncompatibleCheckpoints(
                               f"tokenizer and {stage} checkpoints disagree on: {fields}"))
 
     tok_ckpt = load("tokenizer")

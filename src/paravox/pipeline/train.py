@@ -33,6 +33,11 @@ from .data import CorpusItem, CorpusView, corpus_view
 
 STAGES = ("tokenizer", "ar", "nar", "flow")
 
+# The config sections every stage of one pipeline must share: all but its
+# `name` and `schedules`. Training checks the frozen tokenizer against
+# them, and loading checks every checkpoint, so a stage that trains loads.
+COMPAT_SECTIONS = ("data", "tokenizer", "ar", "nar", "flow", "ablation")
+
 CHECKPOINT_NAMES = {stage: f"{stage}.ckpt" for stage in STAGES}
 
 
@@ -63,6 +68,10 @@ class TrainSchedule:
     seed: int
 
     def validate(self) -> None:
+        for name in ("total_steps", "warmup_steps", "batch_size", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an int, got {v!r}")
         if self.total_steps < 1 or self.batch_size < 1:
             raise ValueError("total_steps and batch_size must be >= 1")
         if not 0 <= self.warmup_steps <= self.total_steps:
@@ -354,7 +363,7 @@ def train_stage(stage: str, items: list[CorpusItem], pcfg, out_ckpt, quiet: bool
         ckpt = load_stage(
             path, "tokenizer",
             MissingPrerequisite(f"stage needs the frozen tokenizer at {path}; run `train --stage tokenizer` first"),
-            pcfg.to_dict(), ("data", "tokenizer", "ablation"),
+            pcfg.to_dict(), COMPAT_SECTIONS,
             lambda fields: ValueError(f"tokenizer checkpoint config differs from this run's config: {fields}"))
         tok = ParallelTokenizer(pcfg.build_tokenizer_config(), BlankRng())
         tok.load_full_state(ckpt.params)

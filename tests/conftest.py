@@ -58,9 +58,8 @@ def tape_records(monkeypatch):
 # ---- the host that pinned bits were recorded on ------------------------------
 
 
-def host_record(recorded: dict) -> dict:
-    """This host's entries of `recorded`, a pin's host record: the numpy
-    version, the BLAS build and the CPU SIMD flags."""
+def _host(recorded: dict) -> dict:
+    """This host's entries of the host record `recorded`."""
     try:
         cfg = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.26 only prints its config
@@ -71,10 +70,11 @@ def host_record(recorded: dict) -> dict:
 
 
 def host_note(recorded: dict) -> str:
-    """The host record `recorded` next to this host's, naming what differs:
-    pinned f32 bits come from one host's numpy SIMD kernels and BLAS build,
-    so another CPU or BLAS can move them with no code change."""
-    host = host_record(recorded)
+    """The host record `recorded` (numpy version, BLAS build, CPU SIMD flags)
+    next to this host's, naming what differs: pinned f32 bits come from one
+    host's numpy SIMD kernels and BLAS build, so another CPU or BLAS can
+    move them with no code change."""
+    host = _host(recorded)
     differ = [k for k in recorded if host.get(k) != recorded[k]]
     return (f"pins recorded on {recorded}; this host {host} "
             f"({'differs in ' + ', '.join(differ) if differ else 'is the same'})")

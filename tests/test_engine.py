@@ -15,18 +15,13 @@ from paravox.engine import (
     conv_windows,
     cross_entropy,
     embedding,
-    embedding_fwd,
     gelu,
-    gelu_fwd,
     grad_check,
     gradients,
     layer_norm,
-    layer_norm_fwd,
     linear,
-    linear_fwd,
-    sigmoid_fwd,
+    sigmoid,
     softmax,
-    softmax_fwd,
 )
 from paravox.nn import NEG_MASK, causal_mask, padding_mask
 
@@ -64,7 +59,7 @@ def test_two_layer_mlp_grad_check_under_1e5():
     t = Tensor(rng.normal((4, 3), dtype=np.float64))
 
     def loss():
-        h = (x @ w1 + b1).sigmoid()
+        h = sigmoid(x @ w1 + b1)
         d = h @ w2 + b2 - t
         return (d * d).mean()
 
@@ -156,7 +151,7 @@ def test_composite_ops_grad_check():
         e = embedding([table], ids[:, None])
         merged = concat([x, e], axis=0)
         s = softmax(merged * 1.5)
-        return (s * s).sum() + merged.sigmoid().mean() + gelu(merged).sum() * 0.1
+        return (s * s).sum() + sigmoid(merged).mean() + gelu(merged).sum() * 0.1
 
     report = grad_check(loss, {"a": a, "g": g, "table": table}, tolerance=1e-6)
     assert report.passed, str(report)
@@ -429,26 +424,26 @@ def test_attention_matches_composed_chain(lead, mask_kind):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_array_kernels_are_the_tensor_ops_forward(dtype):
-    """Each kernel, and each op given an array where the Tensor op takes its
-    data input, returns the Tensor op's output bit for bit; attention's
-    kernel takes the keys and values apart from the queries."""
+    """Each op given an array where the Tensor op takes its data input
+    returns the Tensor op's output bit for bit, and so does attention's
+    kernel, which takes the keys and values apart from the queries."""
     rng = Rng(40)
     x = rng.normal((5, 24), scale=2.0, dtype=dtype)
     w, b = rng.normal((24, 6), dtype=dtype), rng.normal((6,), dtype=dtype)
     mask = causal_mask(5, dtype=np.float32)
     tables = [rng.normal((7, 4), dtype=dtype), rng.normal((3, 4), dtype=dtype)]
     ids = np.array([[0, -1], [6, 2], [-1, -1], [3, 0]])
-    cases = [  # (Tensor op, [kernel, op on arrays])
-        (linear(Tensor(x), Tensor(w), Tensor(b)), [linear_fwd(x, w, b), linear(x, Tensor(w), Tensor(b))]),
-        (layer_norm(Tensor(x), Tensor(x[0]), Tensor(x[1])),
-         [layer_norm_fwd(x, x[0], x[1])[0], layer_norm(x, Tensor(x[0]), Tensor(x[1]))]),
-        (softmax(Tensor(x), scale=0.3, mask=x[:1] > 0),
-         [softmax_fwd(x, -1, 0.3, x[:1] > 0), softmax(x, scale=0.3, mask=x[:1] > 0)]),
+    cases = [  # (Tensor op, [op on arrays, attention's kernel])
+        (linear(Tensor(x), Tensor(w), Tensor(b)), [linear(x, Tensor(w), Tensor(b))]),
+        (linear(Tensor(x[None]), Tensor(w)), [linear(x[None], Tensor(w))]),
+        (layer_norm(Tensor(x), Tensor(x[0]), Tensor(x[1])), [layer_norm(x, Tensor(x[0]), Tensor(x[1]))]),
+        (layer_norm(Tensor(x[:1])), [layer_norm(x[:1])]),
+        (softmax(Tensor(x), scale=0.3, mask=x[:1] > 0), [softmax(x, -1, 0.3, x[:1] > 0)]),
         (attention(Tensor(x), 2, mask=mask),
-         [attention_fwd(x[:, :8], x[:, 8:16], x[:, 16:], 2, mask)[0], attention(x, 2, mask=mask)]),
-        (gelu(Tensor(x)), [gelu_fwd(x)[0], gelu(x)]),
-        (Tensor(x).sigmoid(), [sigmoid_fwd(x)]),
-        (embedding([Tensor(t) for t in tables], ids), [embedding_fwd(tables, ids)[0], embedding(tables, ids)]),
+         [attention(x, 2, mask=mask), attention_fwd(x[:, :8], x[:, 8:16], x[:, 16:], 2, mask)[0]]),
+        (gelu(Tensor(x)), [gelu(x)]),
+        (sigmoid(Tensor(x)), [sigmoid(x)]),
+        (embedding([Tensor(t) for t in tables], ids), [embedding(tables, ids)]),
         (conv_windows(Tensor(x), 3), [conv_windows(x, 3)]),
         (concat([Tensor(x), Tensor(x[:2])], axis=0), [concat([x, x[:2]], axis=0)]),
     ]
@@ -658,7 +653,7 @@ def test_finite_ops_stay_finite():
     rng = Rng(10)
     for trial in range(10):
         x = Tensor(rng.normal((4, 16), scale=50.0))
-        for out in (softmax(x), layer_norm(x), x.sigmoid(), gelu(x)):
+        for out in (softmax(x), layer_norm(x), sigmoid(x), gelu(x)):
             assert np.all(np.isfinite(out.data))
         loss = cross_entropy(x, rng.generator.integers(0, 16, size=4))
         assert np.isfinite(float(loss.data))
@@ -667,11 +662,24 @@ def test_finite_ops_stay_finite():
 # ---- the one-row layer norm ----------------------------------------------------
 
 
+def _layer_norm_grads(x, affine, cot):
+    """Tensor-path gradients of sum(layer_norm(x, *affine) * cot) for x and
+    for gamma (None without one). Gamma takes x's shape, so that its
+    gradient is each row's own g * x_hat, with no sum over rows."""
+    xt = Tensor(x, requires_grad=True)
+    gamma, beta = affine
+    gamma = None if gamma is None else Tensor(np.broadcast_to(gamma, x.shape).copy(), requires_grad=True)
+    (layer_norm(xt, gamma, None if beta is None else Tensor(beta)) * Tensor(cot)).sum().backward()
+    return xt.grad, None if gamma is None else gamma.grad
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_layer_norm_one_row_is_bitwise_the_general_form(dtype):
-    """A single row takes scalar statistics; its output, normalized row and
-    1/std equal, bit for bit, those of the same row in a two-row batch,
-    which takes the keepdims reductions. Constant rows included."""
+    """A single row takes scalar statistics; its output, and its gradients
+    for x and gamma, equal bit for bit those of the same row in a two-row
+    batch, which takes the keepdims reductions. The gradients are built
+    from the normalized row and 1/std, so both are covered. Constant rows
+    included."""
     rng = Rng(77)
     for width in (1, 2, 3, 7, 8, 9, 31, 64, 127, 128, 129, 300, 512, 1024):
         for case in range(12):
@@ -681,14 +689,20 @@ def test_layer_norm_one_row_is_bitwise_the_general_form(dtype):
             if case % 4 == 0:
                 row[:] = row[0]  # zero variance
             gamma, beta = r.normal((width,), dtype=dtype), r.normal((width,), dtype=dtype)
+            cot = r.normal((width,), dtype=dtype)
             for affine in ((gamma, beta), (gamma, None), (None, None)):
-                want, want_xhat, want_inv = layer_norm_fwd(np.stack([row, row]), *affine)
+                params = [None if a is None else Tensor(a) for a in affine]
+                batch = np.stack([row, row])
+                want = layer_norm(batch, *params)
+                want_dx, want_dgamma = _layer_norm_grads(batch, affine, np.stack([cot, cot]))
                 for shape in ((width,), (1, width), (1, 1, width)):
-                    out, xhat, inv = layer_norm_fwd(row.reshape(shape), *affine)
+                    out = layer_norm(row.reshape(shape), *params)
                     assert out.shape == shape and out.dtype == dtype
                     assert out.tobytes() == want[0].tobytes(), (width, case, shape)
-                    assert xhat.tobytes() == want_xhat[0].tobytes()
-                    assert np.asarray(inv, dtype=dtype).tobytes() == want_inv[0].tobytes()
+                    dx, dgamma = _layer_norm_grads(row.reshape(shape), affine, cot.reshape(shape))
+                    assert dx.tobytes() == want_dx[0].tobytes(), (width, case, shape)
+                    if affine[0] is not None:
+                        assert dgamma.tobytes() == want_dgamma[0].tobytes(), (width, case, shape)
 
 
 def test_layer_norm_one_row_gradient_matches_the_batch_row():

@@ -23,7 +23,7 @@ from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSche
 from paravox.pipeline import train as train_mod
 from paravox.pipeline.checkpoint import CheckpointError
 from paravox.pipeline.cli import main as cli_main
-from paravox.pipeline.config import config_with_overrides, paper_profile
+from paravox.pipeline.config import config_with_overrides
 from paravox.pipeline.data import (CorpusDirError, corpus_items, load_corpus_dir,
                                    reference_pairing, spec_to_doc, write_corpus_dir)
 from paravox.pipeline.evaluate import evaluate, format_report
@@ -70,6 +70,22 @@ def test_schedule_validation_errors():
         bad = TrainSchedule(**{**good, field: value})
         with pytest.raises(ValueError, match=match):
             bad.validate()
+
+
+@pytest.mark.parametrize("field, value", [("total_steps", 2.5), ("warmup_steps", 1.5),
+                                          ("batch_size", 4.0), ("seed", 2.5), ("seed", True)])
+def test_schedule_int_fields_must_be_ints(field, value):
+    """A directly built schedule checks its int fields itself: a fractional
+    step count would fail inside the training loop's range(), and a
+    fractional seed would be truncated silently. A config names the stage."""
+    good = dict(total_steps=10, warmup_steps=2, kind="cosine", base_lr=1e-4,
+                peak_lr=1e-3, final_lr=1e-4, batch_size=2, seed=0)
+    with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(repr(value))}$"):
+        TrainSchedule(**{**good, field: value}).validate()
+    pcfg = mini_pipeline_config()
+    pcfg.schedules["nar"] = TrainSchedule(**{**good, field: value})
+    with pytest.raises(ConfigError, match=rf"^schedules\.nar: {field} must be an int"):
+        pcfg.validate()
 
 
 def test_adam_minimizes_quadratic():
@@ -197,13 +213,6 @@ def test_config_capacity_validation():
     pcfg.ar = dataclasses.replace(pcfg.ar, max_speech_len=8)
     with pytest.raises(ConfigError, match="max_speech_len"):
         pcfg.validate()
-
-
-def test_profiles_by_name():
-    assert toy_profile().name == "toy"
-    assert paper_profile().name == "paper"
-    # The paper-scale profile is structurally valid even if never run here.
-    paper_profile().validate()
 
 
 @pytest.mark.parametrize("path, value", [("schedules.ar.batch_size", True), ("schedules.ar.peak_lr", True),
@@ -551,6 +560,28 @@ def test_mismatched_tokenizer_config_is_rejected(tmp_path, mini_run):
     pcfg.tokenizer = dataclasses.replace(pcfg.tokenizer, codebook_size=16)
     with pytest.raises(ValueError, match="tokenizer.codebook_size"):
         train_stage("ar", mini_run.items, pcfg, tmp_path / "ar.ckpt")
+
+
+@pytest.mark.parametrize("stage, section, field, value", [("ar", "ar", "n_layers", 3),
+                                                           ("flow", "flow", "hidden_dim", 24)])
+def test_later_stage_rejects_what_loading_would_refuse(tmp_path, mini_run, monkeypatch,
+                                                       stage, section, field, value):
+    """Training checks the frozen tokenizer on the config sections that
+    loading checks: a stage whose architecture differs from the
+    tokenizer's config fails naming the field before any step runs, and
+    writes no checkpoint that `load_pipeline` would then refuse."""
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    pcfg = _quick_pcfg(5)
+    setattr(pcfg, section, dataclasses.replace(getattr(pcfg, section), **{field: value}))
+    pcfg.validate()
+
+    def no_step(self, grads, lr):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(train_mod.Adam, "step", no_step)
+    with pytest.raises(ValueError, match=rf"differs from this run's config: {section}\.{field}$"):
+        train_stage(stage, mini_run.items, pcfg, tmp_path / f"{stage}.ckpt")
+    assert not (tmp_path / f"{stage}.ckpt").exists()
 
 
 def test_frozen_tokenizer_checkpoint_of_another_stage_is_rejected(tmp_path, mini_run, monkeypatch):
