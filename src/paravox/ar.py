@@ -22,14 +22,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .engine import Rng, bce_with_logits, cross_entropy, embedding, sigmoid
+from .engine import Rng, bce_with_logits, check_fields, cross_entropy, embedding, sigmoid
 from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_rows, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
-
-
-def _finite_number(v) -> bool:
-    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
@@ -47,19 +43,13 @@ class ARConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("text_vocab", "layers_per_stream", "n_layers", "model_dim",
-                     "n_heads", "max_text_len", "max_speech_len", "top_k"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"ARConfig.{name} must be a positive int, got {v!r}")
+        check_fields(self)
         if not self.streams or not all(len(s) == 2 and s[1] > 0 for s in self.streams):
             raise ValueError(f"ARConfig.streams must be ((name, vocab), ...), got {self.streams!r}")
         if self.model_dim % len(self.streams):
             raise ValueError(f"model_dim {self.model_dim} must divide evenly across {len(self.streams)} streams")
         if self.model_dim % self.n_heads:
             raise ValueError(f"model_dim {self.model_dim} not divisible by n_heads {self.n_heads}")
-        if not (_finite_number(self.temperature) and self.temperature > 0):
-            raise ValueError(f"ARConfig.temperature must be a finite number > 0, got {self.temperature!r}")
 
     @property
     def n_streams(self) -> int:
@@ -321,7 +311,7 @@ class DualStreamAR(Module):
                 raise ValueError(f"{name} must be an int, got {v!r}")
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
-        if not _finite_number(temperature):
+        if not (isinstance(temperature, Real) and not isinstance(temperature, bool) and math.isfinite(temperature)):
             raise ValueError(f"temperature must be a finite number, got {temperature!r}")
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")

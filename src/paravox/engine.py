@@ -19,10 +19,14 @@ counter-based bit generator, so that a fixed seed gives the same
 stream on every platform and named substreams stay reproducible.
 `BlankRng` is the source for a model that a load is about to overwrite:
 it draws nothing and fills every `normal` array with NaN.
+
+`check_fields` is the one field rule of every config dataclass, read
+from the field annotations.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -33,6 +37,7 @@ __all__ = [
     "ShapeError",
     "Rng",
     "BlankRng",
+    "check_fields",
     "get_default_dtype",
     "concat",
     "conv_windows",
@@ -772,6 +777,41 @@ def grad_check(fn, params: dict, tolerance: float = 1e-5, h: float = 1e-5,
     return report
 
 
+# ---- config fields ---------------------------------------------------------
+
+
+def _int_at_least(v, lo: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def check_fields(obj, where: str | None = None) -> None:
+    """Check each field of the dataclass `obj` by its annotation: an `int`
+    holds an int >= 1, a `float` a finite number > 0, a `bool` a bool, and
+    a `tuple[int, int]` a tuple (lo, hi) of such ints, lo <= hi; no bool is
+    a number. A `seed`, or a field named in the class's `ZERO_OK`, may be 0.
+    Other annotations are the class's own to check. The ValueError names
+    `<where>.<field>` (`where` defaults to the class name) and the value."""
+    zero_ok = getattr(obj, "ZERO_OK", ())
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        lo = 0 if f.name == "seed" or f.name in zero_ok else 1
+        if f.type == "int":
+            ok, want = _int_at_least(v, lo), f"an int >= {lo}"
+        elif f.type == "float":
+            ok = (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                  and (v > 0 if lo else v >= 0))
+            want = f"a finite number {'>' if lo else '>='} 0"
+        elif f.type == "bool":
+            ok, want = isinstance(v, bool), "bool"
+        elif f.type == "tuple[int, int]":
+            ok = isinstance(v, tuple) and len(v) == 2 and _int_at_least(v[0], 1) and _int_at_least(v[1], v[0])
+            want = "a pair (lo, hi) of ints with 1 <= lo <= hi"
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{where or type(obj).__name__}.{f.name} must be {want}, got {v!r}")
+
+
 # ---- randomness ----------------------------------------------------------
 
 
@@ -790,6 +830,8 @@ class Rng:
     """
 
     def __init__(self, seed: int):
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"Rng seed must be an int >= 0, got {seed!r}")
         self.seed = int(seed)
         self.generator = np.random.Generator(np.random.Philox(self.seed))
 

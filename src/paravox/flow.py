@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, concat, embedding, gelu, linear
+from .engine import Rng, Tensor, check_fields, concat, embedding, gelu, linear
 from .nn import Linear, Module
 
 
@@ -34,10 +34,7 @@ class FlowConfig:
     default_steps: int = 32
 
     def validate(self) -> None:
-        for name in ("mel_bins", "feature_dim", "speaker_dim", "hidden_dim", "n_hidden", "time_feat_dim", "default_steps"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"FlowConfig.{name} must be a positive int, got {v!r}")
+        check_fields(self)
         if self.time_feat_dim % 2 != 0:
             raise ValueError("FlowConfig.time_feat_dim must be even (sin/cos pairs)")
 
@@ -56,8 +53,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        check_fields(self)
 
 
 class VelocityField(Module):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Rng
+from .engine import Rng, check_fields
 
 MAGIC = b"PGPTFEAT"
 FORMAT_VERSION = 1
@@ -103,13 +103,9 @@ class Vocabulary:
 
 def default_alphabet(vocab_size: int) -> str:
     base = "abcdefghijklmnopqrstuvwxyz .,!?-'0123456789"
-    chars = []
-    for ch in base:
-        if ch not in chars:
-            chars.append(ch)
-    if vocab_size > len(chars):
-        raise ValueError(f"built-in alphabet supports up to {len(chars)} symbols, asked for {vocab_size}")
-    return "".join(chars[:vocab_size])
+    if vocab_size > len(base):
+        raise ValueError(f"built-in alphabet supports up to {len(base)} symbols, asked for {vocab_size}")
+    return base[:vocab_size]
 
 
 # ---- bundles --------------------------------------------------------------
@@ -179,21 +175,10 @@ class SyntheticSpec:
     noise_scale: float = 0.0
     seed: int = 0
 
+    ZERO_OK = ("noise_scale",)
+
     def validate(self) -> None:
-        for name in ("vocab_size", "n_speakers", "n_utterances", "semantic_dim", "acoustic_dim",
-                     "speaker_frame_dim", "speaker_global_dim", "mel_bins", "prosody_dim", "max_frames"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"SyntheticSpec.{name} must be a positive int, got {v!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"SyntheticSpec.seed must be an int >= 0, got {self.seed!r}")
-        for name in ("symbols_per_utterance", "frames_per_symbol"):
-            v = getattr(self, name)
-            if not (isinstance(v, (tuple, list)) and len(v) == 2 and all(isinstance(n, int) for n in v)
-                    and 1 <= v[0] <= v[1]):
-                raise ValueError(f"SyntheticSpec.{name} must be (lo, hi) with 1 <= lo <= hi, got {v!r}")
-        if not (isinstance(self.noise_scale, (int, float)) and self.noise_scale >= 0):
-            raise ValueError(f"SyntheticSpec.noise_scale must be >= 0, got {self.noise_scale!r}")
+        check_fields(self)
         worst = self.symbols_per_utterance[1] * self.frames_per_symbol[1]
         if worst > self.max_frames:
             raise ValueError(f"longest utterance ({worst} frames) exceeds max_frames={self.max_frames}")

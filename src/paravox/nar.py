@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, cross_entropy, embedding
+from .engine import Rng, Tensor, check_fields, cross_entropy, embedding
 from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_rows, take_spans
 
 _TOKEN_COL = 3  # input-id column of the first token table, after both positions and the segment
@@ -38,11 +38,7 @@ class NARConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("n_quant_layers", "n_layers", "model_dim", "n_heads",
-                     "max_ref_len", "max_target_len"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"NARConfig.{name} must be a positive int, got {v!r}")
+        check_fields(self)
         if not self.streams or not all(len(s) == 2 and s[1] > 0 for s in self.streams):
             raise ValueError(f"NARConfig.streams must be ((name, vocab), ...), got {self.streams!r}")
         if self.n_quant_layers < 2:

@@ -75,12 +75,19 @@ def _cmd_gen_data(args) -> int:
 
 
 def _corpus_items(data_dir, pcfg: PipelineConfig) -> list:
-    """The corpus items, once their spec agrees with the config's data section."""
+    """The corpus items, once their spec agrees with the config's data section
+    and its utterances can be no longer, in symbols or in frames."""
     spec, items = load_corpus_dir(data_dir)
     diffs = [f"data.{f}" for f in ("semantic_dim", "acoustic_dim", "speaker_frame_dim", "speaker_global_dim",
                                    "mel_bins", "vocab_size") if getattr(spec, f) != getattr(pcfg.data, f)]
     if diffs:
         raise ConfigError("corpus spec disagrees with config data section on: " + ", ".join(diffs))
+    (syms, frames), (cap_syms, cap_frames) = [
+        (d.symbols_per_utterance[1], d.symbols_per_utterance[1] * d.frames_per_symbol[1]) for d in (spec, pcfg.data)]
+    for n, cap, unit, field in ((syms, cap_syms, "symbols", "symbols_per_utterance"),
+                                (frames, cap_frames, "frames", "frames_per_symbol")):
+        if n > cap:
+            raise ConfigError(f"corpus utterances run to {n} {unit}, past the {cap} the config's data.{field} allows")
     return items
 
 

@@ -2,9 +2,13 @@
 
 The document has a fixed set of sections and every field is explicit —
 a missing or unknown key is rejected by name, so a config that loads is
-a config that fully determines the run. Cross-section dimensions
-(feature widths, vocabulary sizes) are derived from the `data` and
-`tokenizer` sections at model-build time rather than duplicated.
+a config that fully determines the run. A field holds what its annotation
+says (`engine.check_fields`): an integer >= 1, a finite number > 0, true
+or false, or a list [lo, hi] of integers with lo <= hi; a seed, a warmup
+or a noise scale may be 0, and true or false is never a number.
+Cross-section dimensions (feature widths, vocabulary sizes) are derived
+from the `data` and `tokenizer` sections at model-build time rather than
+duplicated.
 
 One built-in profile ships with the package: `toy`, sized so the whole
 four-stage pipeline trains on one CPU core in minutes.
@@ -17,10 +21,12 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from ..ar import ARConfig
+from ..engine import check_fields
 from ..flow import FlowConfig
 from ..frontend import N_RESERVED, SyntheticSpec
 from ..nar import NARConfig
 from ..tokenizer import TokenizerConfig
+from .data import spec_to_doc
 from .train import STAGES, TrainSchedule
 
 
@@ -102,11 +108,7 @@ class PipelineConfig:
             "schedules": {k: asdict(v) for k, v in self.schedules.items()},
         }
         for section in ("data", "tokenizer", "ar", "nar", "flow"):
-            d = asdict(getattr(self, section))
-            for k, v in d.items():
-                if isinstance(v, tuple):
-                    d[k] = list(v)
-            out[section] = d
+            out[section] = spec_to_doc(getattr(self, section))
         return out
 
     @staticmethod
@@ -148,6 +150,12 @@ class PipelineConfig:
     # ---- validation ----------------------------------------------------------
 
     def validate(self) -> None:
+        sections = [(name, getattr(self, name)) for name in _SECTION_TYPES]
+        for name, part in sections + [(f"schedules.{k}", v) for k, v in self.schedules.items()]:
+            try:
+                check_fields(part, where=f"config field {name}")
+            except ValueError as e:
+                raise ConfigError(str(e)) from e
         self.data.validate()
         self.build_tokenizer_config().validate()
         self.build_ar_config().validate()
@@ -226,22 +234,7 @@ def _build_section(name: str, cls, doc) -> object:
         if unknown:
             detail.append("unknown " + ", ".join(f"{name}.{u}" for u in unknown))
         raise ConfigError("config fields: " + "; ".join(detail))
-    kwargs = dict(doc)
-    for key, val in kwargs.items():
-        typed = cls.__dataclass_fields__[key].type
-        values = val if isinstance(val, list) else [val]
-        if typed in ("bool", bool):
-            wrong = not isinstance(val, bool)  # a string "false" or a 0 is not a boolean
-        else:
-            wrong = any(isinstance(v, bool) for v in values)
-        if wrong:
-            raise ConfigError(f"config field {name}.{key} must be {typed}, got {val!r}")
-        if isinstance(val, list):
-            kwargs[key] = tuple(val)
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config section {name!r}: {e}") from e
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 # ---- built-in profiles -------------------------------------------------------

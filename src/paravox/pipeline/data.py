@@ -33,7 +33,8 @@ class CorpusItem:
     speaker_id: int
 
 
-def spec_to_doc(spec: SyntheticSpec) -> dict:
+def spec_to_doc(spec) -> dict:
+    """A corpus spec or a config section as a JSON object, its tuples as lists."""
     doc = asdict(spec)
     for k, v in doc.items():
         if isinstance(v, tuple):

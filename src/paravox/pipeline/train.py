@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ar import DualStreamAR
-from ..engine import BlankRng, Rng, Tensor, gradients
+from ..engine import BlankRng, Rng, Tensor, check_fields, gradients
 from ..flow import VelocityField, cfm_train_loss
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
@@ -67,21 +67,14 @@ class TrainSchedule:
     batch_size: int
     seed: int
 
+    ZERO_OK = ("warmup_steps",)
+
     def validate(self) -> None:
-        for name in ("total_steps", "warmup_steps", "batch_size", "seed"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an int, got {v!r}")
-        if self.total_steps < 1 or self.batch_size < 1:
-            raise ValueError("total_steps and batch_size must be >= 1")
-        if not 0 <= self.warmup_steps <= self.total_steps:
+        check_fields(self)
+        if self.warmup_steps > self.total_steps:
             raise ValueError(f"warmup_steps {self.warmup_steps} outside [0, {self.total_steps}]")
         if self.kind not in ("constant", "cosine"):
             raise ValueError(f"schedule kind must be 'constant' or 'cosine', got {self.kind!r}")
-        for name in ("base_lr", "peak_lr", "final_lr"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise ValueError(f"{name} must be > 0, got {v!r}")
 
     def learning_rate(self, step: int) -> float:
         if step < 0:

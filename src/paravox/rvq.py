@@ -125,10 +125,6 @@ class RVQStack:
     def dim(self) -> int:
         return self.layers[0].dim
 
-    @property
-    def codebook_size(self) -> int:
-        return self.layers[0].size
-
     @classmethod
     def init_random(cls, rng: Rng, n_layers: int, codebook_size: int, dim: int,
                     scale: float = 1.0, pin_zero: bool = True, **kwargs) -> "RVQStack":

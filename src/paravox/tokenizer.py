@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor
+from .engine import Rng, Tensor, check_fields
 from .frontend import FeatureBundle
 from .nn import Conv1dSame, Linear, Module, TransformerBlock, pad_rows
 from .rvq import RVQStack
@@ -45,12 +45,7 @@ class TokenizerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("semantic_dim", "acoustic_dim", "speaker_frame_dim", "speaker_global_dim",
-                     "cond_dim", "codebook_size", "n_quantizer_layers", "attn_blocks",
-                     "n_heads", "conv_kernel", "max_frames"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"TokenizerConfig.{name} must be a positive int, got {v!r}")
+        check_fields(self)
         if self.cond_dim % self.n_heads:
             raise ValueError(f"cond_dim {self.cond_dim} must divide by n_heads {self.n_heads}")
 
@@ -59,10 +54,6 @@ class TokenizerConfig:
         if self.merged:
             return {"merged": self.semantic_dim + self.acoustic_dim}
         return {"semantic": self.semantic_dim, "acoustic": self.acoustic_dim}
-
-    @property
-    def feature_dim(self) -> int:
-        return self.semantic_dim + self.acoustic_dim
 
 
 class ConditionEncoder(Module):

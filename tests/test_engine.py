@@ -1,5 +1,7 @@
 """Tensor engine: forward ops, backward, grad_check, rng, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -623,6 +625,15 @@ def test_rng_same_seed_same_stream():
     assert np.array_equal(a.normal((10,)), b.normal((10,)))
     assert a.spawn("x").normal((4,)).tolist() == b.spawn("x").normal((4,)).tolist()
     assert not np.array_equal(Rng(42).normal((10,)), Rng(43).normal((10,)))
+
+
+def test_rng_seed_must_be_a_non_negative_int():
+    """A seed is an int >= 0 (numpy ints too): 2.5 is not truncated to 2,
+    "3" not parsed, True not taken as 1, and -1 fails naming the seed."""
+    for bad in (2.5, 2.0, "3", True, -1):
+        with pytest.raises(ValueError, match=rf"^Rng seed must be an int >= 0, got {re.escape(repr(bad))}$"):
+            Rng(bad)
+    assert np.array_equal(Rng(np.int64(3)).normal((4,)), Rng(3).normal((4,)))
 
 
 def test_rng_spawn_tags_independent():

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import mini_pipeline_config, run_cli, rvq_residuals
-from paravox.ar import DualStreamAR
+from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import BlankRng, Rng, Tensor, gradients
-from paravox.flow import VelocityField
+from paravox.flow import FlowConfig, SolverConfig, VelocityField
 from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays, load_features, save_features
-from paravox.nar import CoupledNAR
+from paravox.nar import CoupledNAR, NARConfig
 from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSchedule,
                               TrainingDiverged, load_checkpoint, save_checkpoint,
                               toy_profile, train_stage)
@@ -31,7 +31,7 @@ from paravox.pipeline.infer import (IncompatibleCheckpoints, LoadedPipeline, enc
                                     load_pipeline, write_mel_file)
 from paravox.pipeline.train import (CHECKPOINT_NAMES, Adam, MissingPrerequisite, train_tokenizer)
 from paravox.rvq import RVQStack
-from paravox.tokenizer import ParallelTokenizer
+from paravox.tokenizer import ParallelTokenizer, TokenizerConfig
 
 
 # ---- schedules and the optimizer -------------------------------------------
@@ -80,11 +80,13 @@ def test_schedule_int_fields_must_be_ints(field, value):
     fractional seed would be truncated silently. A config names the stage."""
     good = dict(total_steps=10, warmup_steps=2, kind="cosine", base_lr=1e-4,
                 peak_lr=1e-3, final_lr=1e-4, batch_size=2, seed=0)
-    with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(repr(value))}$"):
+    lo = 0 if field in ("warmup_steps", "seed") else 1
+    rule = rf"{field} must be an int >= {lo}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=rf"^TrainSchedule\.{rule}"):
         TrainSchedule(**{**good, field: value}).validate()
     pcfg = mini_pipeline_config()
     pcfg.schedules["nar"] = TrainSchedule(**{**good, field: value})
-    with pytest.raises(ConfigError, match=rf"^schedules\.nar: {field} must be an int"):
+    with pytest.raises(ConfigError, match=rf"^config field schedules\.nar\.{rule}"):
         pcfg.validate()
 
 
@@ -242,6 +244,59 @@ def test_config_booleans_take_only_json_booleans(field, value):
         PipelineConfig.from_dict(doc)
     doc["ablation"][field] = False
     assert getattr(PipelineConfig.from_dict(doc).ablation, field) is False
+
+
+# Values each annotated field must refuse: a bool is never a number, a
+# string never parsed, a fraction never truncated, a non-finite never a rate.
+BAD_FIELD_VALUES = {"int": (True, 2.5, "3"), "float": (True, math.nan, math.inf, "x"),
+                    "bool": (0, "false"), "tuple[int, int]": ((True, 3), (3, 2), (1,), 4)}
+
+
+def _bad_field_values(obj):
+    """(field, value) for every checked field of the dataclass `obj`, read
+    from its annotations; an int field also gets one below its minimum."""
+    for f in dataclasses.fields(obj):
+        values = BAD_FIELD_VALUES.get(f.type, ())
+        if f.type == "int":
+            values += (-1 if f.name == "seed" or f.name in getattr(obj, "ZERO_OK", ()) else 0,)
+        for value in values:
+            yield f.name, value
+
+
+@pytest.mark.parametrize("cls", [SyntheticSpec, TokenizerConfig, ARConfig, NARConfig, FlowConfig,
+                                 SolverConfig, TrainSchedule], ids=lambda cls: cls.__name__)
+def test_config_dataclass_fields_follow_their_annotations(cls):
+    """Every int, float, bool and pair field of every config dataclass,
+    found through `dataclasses.fields`, refuses a wrong value by name."""
+    good = toy_profile().schedules["ar"] if cls is TrainSchedule else cls()
+    checked = list(_bad_field_values(good))
+    assert checked
+    for name, value in checked:
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} must be .*, got {re.escape(repr(value))}$"):
+            dataclasses.replace(good, **{name: value}).validate()
+
+
+@pytest.mark.parametrize("section", ["data", "tokenizer", "ar", "nar", "flow", "ablation",
+                                     "schedules.tokenizer", "schedules.ar", "schedules.nar", "schedules.flow"])
+def test_config_section_fields_follow_their_annotations(section):
+    """The same rule holds for every field of every pipeline section and
+    schedule, given as an override, as a ConfigError naming the dotted field."""
+    pcfg = toy_profile()
+    part = pcfg.schedules[section.split(".")[1]] if "." in section else getattr(pcfg, section)
+    for name, value in _bad_field_values(part):
+        got = tuple(value) if isinstance(value, list) else value
+        with pytest.raises(ConfigError, match=rf"^config field {re.escape(f'{section}.{name}')} must be .*, "
+                                              rf"got {re.escape(repr(got))}$"):
+            config_with_overrides(pcfg, {f"{section}.{name}": value})
+
+
+@pytest.mark.parametrize("path, value", [("ar.seed", None), ("nar.seed", 22.7), ("tokenizer.seed", "7"),
+                                         ("flow.seed", "x"), ("ar.seed", -5), ("schedules.ar.peak_lr", math.inf)])
+def test_config_rejects_bad_seeds_and_rates(path, value):
+    """A model seed is an int >= 0 and a learning rate finite: none is
+    int()-ed, nor left to fail when a stage builds its model or trains."""
+    with pytest.raises(ConfigError, match=rf"^config field {re.escape(path)} must be "):
+        config_with_overrides(toy_profile(), {path: value})
 
 
 def test_config_with_overrides():
@@ -830,7 +885,10 @@ def test_infer_rejects_bad_arguments_before_encoding(mini_run, tmp_path):
     cfg = pipe.ar.cfg
     cases = [
         (ids, empty, {}, "reference of 0 frames"),
-        (ids, short, {"flow_steps": 0}, "n_steps must be >= 1"),
+        (ids, short, {"flow_steps": 0}, r"^SolverConfig\.n_steps must be an int >= 1, got 0$"),
+        (ids, short, {"flow_steps": 2.5}, r"^SolverConfig\.n_steps must be an int >= 1, got 2\.5$"),
+        (ids, short, {"flow_steps": True}, r"^SolverConfig\.n_steps must be an int >= 1, got True$"),
+        (ids, short, {"seed": 2.5}, r"^Rng seed must be an int >= 0, got 2\.5$"),
         (np.zeros(cfg.max_text_len + 1, dtype=np.int64), short, {}, "max_text_len"),
         (np.array([0, cfg.text_vocab]), short, {}, "text ids out of range"),
         (ids, short, {"top_k": 0}, "top_k must be >= 1"),
@@ -842,7 +900,7 @@ def test_infer_rejects_bad_arguments_before_encoding(mini_run, tmp_path):
     ]
     for text_ids, ref, kwargs, match in cases:
         with pytest.raises(ValueError, match=match):
-            infer(pipe, text_ids, ref, seed=1, **kwargs)
+            infer(pipe, text_ids, ref, **{"seed": 1, **kwargs})
         assert encoded == [], match
 
 
@@ -1075,7 +1133,8 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [("symbols_per_utterance", 5), ("frames_per_symbol", [2]),
                                           ("frames_per_symbol", [1, "2"]), ("noise_scale", "loud"),
-                                          ("seed", "x"), ("seed", 1.5)])
+                                          ("seed", "x"), ("seed", 1.5), ("n_utterances", True),
+                                          ("n_speakers", True)])
 def test_cli_gen_data_names_a_malformed_spec_field(tmp_path, capsys, field, value):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({field: value}))
@@ -1111,6 +1170,26 @@ def test_cli_train_rejects_mismatched_corpus(tmp_path, capsys):
                    "--data", str(out), "--out", str(tmp_path / "t.ckpt"), "--quiet"])
     assert rc == 1
     assert "data.semantic_dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("frames_per_symbol", (2, 5)), ("symbols_per_utterance", (3, 6))])
+def test_cli_rejects_a_corpus_longer_than_the_config(tmp_path, mini_run, capsys, field, value):
+    """A corpus whose utterances can run longer than the config's data
+    section allows fails `train` before the tokenizer trains, and `eval`
+    before any report, naming the field: it would otherwise pass the
+    tokenizer and fail inside the AR's training loop."""
+    out = write_corpus_dir(generate_corpus(dataclasses.replace(mini_run.pcfg.data, **{field: value})),
+                           tmp_path / "d")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(mini_run.pcfg.to_dict()))
+    rc = cli_main(["train", "--stage", "tokenizer", "--config", str(cfg_path),
+                   "--data", str(out), "--out", str(tmp_path / "t.ckpt"), "--quiet"])
+    assert rc == 1 and f"config's data.{field}" in _one_error_line(capsys)
+    assert not (tmp_path / "t.ckpt").exists()
+    rc = cli_main(["eval", "--data", str(out), "--ckpt-dir", str(mini_run.ckpt_dir),
+                   "--report", str(tmp_path / "r.json")])
+    assert rc == 1 and f"config's data.{field}" in _one_error_line(capsys)
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_eval_rejects_mismatched_corpus_before_encoding(tmp_path, mini_run, monkeypatch, capsys):
