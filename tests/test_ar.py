@@ -471,9 +471,11 @@ def test_short_training_reduces_loss():
 
 
 def _decode_digest(model, text, ref, seed, max_frames):
-    """sha256 over every state `generate` gets from the trunk (the prefill,
-    then each decode step), the stop and head logits of those states, and
-    the sampled tokens."""
+    """Two sha256 digests of one `generate` run. The first covers every
+    state it gets from the trunk (the prefill, then each decode step),
+    the stop and head logits of those states, and the sampled tokens.
+    The second covers only the sampled tokens and the stop flags, which
+    must survive a change that moves the states' f32 bits."""
     cfg = model.cfg
     seen = []
     trunk = model.forward_states
@@ -496,9 +498,9 @@ def _decode_digest(model, text, ref, seed, max_frames):
         for s in range(cfg.n_streams):
             for l in range(cfg.layers_per_stream):
                 h.update(model._head_logits(st, s, l).data.tobytes())
-    h.update(np.ascontiguousarray(out.tokens, dtype="<i8").tobytes())
-    h.update(bytes([out.terminated, out.truncated]))
-    return len(seen), h.hexdigest()
+    tokens = np.ascontiguousarray(out.tokens, dtype="<i8").tobytes() + bytes([out.terminated, out.truncated])
+    h.update(tokens)
+    return len(seen), h.hexdigest(), hashlib.sha256(tokens).hexdigest()
 
 
 # The digests are the f32 and f64 bits of one host's numpy SIMD kernels and
@@ -522,10 +524,21 @@ DECODE_PINS = {
 }
 
 
+# Sampled tokens and stop flags alone. These hold across a change of GEMM
+# row counts that moves the state digests above.
+DECODE_TOKEN_PINS = {
+    "toy_f32": "57e402c7e45beb35b902e633ffcbf6afabdaac2db2541cc786e6aef3d9af084c",
+    "dual_stream": "6cec236f32212d6f7eca7d3367727918220785c32ed2ee1ce6d8020feab846a4",
+    "empty_reference": "59e83647159ecce0afd52c4f4ac03079bfdf2edbbc428a934796f22d323c622b",
+    "merged_stream": "11bab6fd83405b90405fd24bbd588f4390642e263266764b944ceab187d6a6ff",
+    "three_layer_heads": "47915115a53cdef050d5ce6b80a82b9455c66e5c3a397fdf498ce3d37a22f433",
+}
+
+
 @pytest.mark.parametrize("variant", sorted(DECODE_PINS))
 def test_decode_outputs_are_pinned(variant):
-    """Cached states, stop and head logits and tokens equal the digests
-    recorded when the cached trunk ran on Tensor modules."""
+    """Sampled tokens equal their pinned digest, and so do the cached
+    states, stop and head logits with the tokens."""
     if variant == "toy_f32":
         cfg = toy_profile().build_ar_config()
         model = DualStreamAR(cfg, Rng(50))
@@ -538,8 +551,9 @@ def test_decode_outputs_are_pinned(variant):
         text, ref, _ = random_example(Rng(53), cfg, n_ref=n_ref)
         max_frames = 12
     model.stop_head.bias.data[:] = -3.0  # the stop head stays below 0.5: max_frames frames
-    calls, digest = _decode_digest(model, text, ref, seed=7, max_frames=max_frames)
+    calls, digest, tokens = _decode_digest(model, text, ref, seed=7, max_frames=max_frames)
     assert calls == max_frames + 1
+    assert tokens == DECODE_TOKEN_PINS[variant], host_note(DECODE_PINS_HOST)
     assert digest == DECODE_PINS[variant], host_note(DECODE_PINS_HOST)
 
 
