@@ -22,8 +22,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .engine import Rng, bce_with_logits, check_fields, cross_entropy, embedding, sigmoid
-from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask, pad_rows, take_spans
+from .engine import Rng, bce_with_logits, check_fields, cross_entropy, embedding, last_rows, sigmoid
+from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask
 
 _TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
 
@@ -151,33 +151,38 @@ class DualStreamAR(Module):
         return [self.text_emb.weight, self.text_pos.weight, self.speech_pos.weight] + \
             [e.weight for e in self.token_embs]
 
-    def forward_states(self, ids: np.ndarray, mask: np.ndarray | None = None,
+    def forward_states(self, ids: np.ndarray, lengths: np.ndarray | None = None, tail: int | None = None,
                        cache: list[KVCache] | None = None, tables: list | None = None):
-        """Embed an (L, n_tables) or (B, L, n_tables) id grid (see
-        `input_ids`) and run the causal trunk over it. Tensor `tables`
-        (by default `_tables()`) record the tape; their arrays run the
-        kernels and give an array.
+        """Embed an (N, n_tables) id grid (see `input_ids`) and run the
+        causal trunk over it. `ids` stacks sequences of `lengths` (one
+        sequence if None), one after another. The last block runs only
+        for each sequence's last `tail` positions (all if None), and the
+        states of those min(tail, length) rows per sequence come back,
+        stacked in order. Tensor `tables` (by default `_tables()`) record
+        the tape; their arrays run the kernels and give an array.
 
         With `cache` (one `KVCache` per block, see `new_cache`), `ids`
-        holds only the positions after those already cached: the
+        holds one sequence's positions after those already cached: the
         prompt at prefill, one frame per decode step. The default tables
         are then their arrays, so states come back as an array, with no
         tape; earlier keys and values are read from the cache.
         """
         if tables is None:
             tables = self._tables() if cache is None else [w.data for w in self._tables()]
-        t = ids.shape[-2]
-        if mask is None and t > 1:
+        t = ids.shape[0] if lengths is None else int(np.max(lengths))
+        mask = None
+        if t > 1:
             # Causal rows [n - t, n) over the n positions the queries see;
             # a single new row sees every filled position, so it needs none.
             n = t if cache is None else cache[0].n + t
             mask = causal_mask(n, dtype=tables[0].dtype)[n - t:]
-        if cache is not None and t == 1 and ids.ndim == 2:
+        if cache is not None and t == 1:
             h = self._decode_row(tables, ids[0])
         else:
             h = embedding(tables, ids)
+        last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            h = block(h, mask, None if cache is None else cache[i])
+            h = block(h, mask, None if cache is None else cache[i], lengths, tail if i == last else None)
         return self.ln_f(h)
 
     @staticmethod
@@ -214,9 +219,10 @@ class DualStreamAR(Module):
         target frame t. An utterance of T target frames contributes
         T + 1 stop logits, one per state from the prompt boundary
         through its last frame, labelled 1 only at that last state.
-        The rows' id grids are padded with -1 and run through the trunk
-        once; padded positions are blocked as attention targets. The
-        trunk runs on `tables` (see `forward_states`).
+        The rows' id grids run through the trunk once, packed; it runs
+        its last block for only the states that are read: each row's
+        last prompt state and its target frames. The trunk runs on
+        `tables` (see `forward_states`).
         """
         tables = tables or self._tables()
         cfg = self.cfg
@@ -227,13 +233,13 @@ class DualStreamAR(Module):
                 raise ValueError("teacher forcing needs at least one target frame")
             rows.append(self.input_ids(text_ids, ref_tokens, tgt))
             targets.append(tgt)
-        ids, lengths, pad = pad_rows(rows, -1, tables[0].dtype)
-        states = self.forward_states(ids, causal_mask(ids.shape[1], dtype=pad.dtype)[None, None] + pad,
-                                     tables=tables)
+        lengths = np.array([r.shape[0] for r in rows])
         n_target = np.array([tgt.shape[0] for tgt in targets])
-        starts = lengths - n_target - 1   # the state that predicts each first target frame
-        pred = take_spans(states, starts, n_target)
-        stops = take_spans(states, starts, n_target + 1)
+        tail = int(n_target.max()) + 1
+        states = self.forward_states(np.concatenate(rows), lengths, tail, tables=tables)
+        ends = np.cumsum(np.minimum(lengths, tail))  # where each row's states end
+        pred = states[last_rows(ends - 1, n_target)]  # the states that predict each target frame
+        stops = states[last_rows(ends, n_target + 1)]
         stop_labels = np.zeros(stops.shape[0], dtype=np.float64)
         stop_labels[np.cumsum(n_target + 1) - 1] = 1.0
         stream_logits = [[self._head_logits(pred, s, l) for l in range(cfg.layers_per_stream)]
@@ -326,7 +332,8 @@ class DualStreamAR(Module):
 
         The trunk runs once over the prompt (text, then reference) and
         keeps every block's keys and values in buffers sized for the
-        prompt plus the frame limit. Each sampled frame's tokens go into
+        prompt plus the frame limit; its last block computes only the
+        prompt's last state. Each sampled frame's tokens go into
         its preallocated id row, which runs through the trunk as one
         position against those cached keys and values. After the prompt
         and after every frame, P(stop) is checked at the last state
@@ -353,7 +360,7 @@ class DualStreamAR(Module):
         # Head i reads its stream's slice of the state and writes id column _TOKEN_COL + i.
         d = cfg.slice_dim
         heads = [(_TOKEN_COL + i, i // cfg.layers_per_stream * d, head) for i, head in enumerate(self.heads)]
-        states = self.forward_states(prompt, cache=cache)
+        states = self.forward_states(prompt, tail=1, cache=cache)
         n = 0
         terminated = truncated = False
         stop_probs = []

@@ -14,6 +14,12 @@ module forward serves training (Tensors in) and inference (arrays in),
 with the same bits. `attention_fwd` is the one kernel kept apart: the
 cached attention calls it too, with keys and values apart from queries.
 
+Row-wise ops take whatever rows they are given. The AR and NAR trunks
+pass a packed (N, D) stack of their sequences' real rows, one sequence
+after another; `attention` is the one op that lays them out on a
+(B, T) grid, inside its own tape node. `last_rows` finds sequences and
+their last rows in such a stack.
+
 Randomness goes through `Rng`, a thin wrapper over numpy's Philox
 counter-based bit generator, so that a fixed seed gives the same
 stream on every platform and named substreams stay reproducible.
@@ -46,6 +52,7 @@ __all__ = [
     "softmax",
     "layer_norm",
     "attention",
+    "last_rows",
     "gelu",
     "sigmoid",
     "attention_fwd",
@@ -56,6 +63,9 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
 ]
+
+
+NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
 
 
 class ShapeError(ValueError):
@@ -591,7 +601,15 @@ def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     return _merge_heads(np.matmul(att, v)), q, k, v, att
 
 
-def attention(qkv, n_heads: int, mask: np.ndarray | None = None):
+def last_rows(ends, counts) -> np.ndarray:
+    """Indices of the last `counts[i]` rows before `ends[i]`, for each i in
+    order: the rows of packed sequences, or the parts of them that are read."""
+    counts = np.asarray(counts)
+    return np.arange(int(counts.sum())) + np.repeat(np.asarray(ends) - np.cumsum(counts), counts)
+
+
+def attention(qkv, n_heads: int, mask: np.ndarray | None = None,
+              lengths: np.ndarray | None = None, tail: int | None = None):
     """Multi-head scaled, masked dot-product attention; one tape node.
 
     `qkv` is (..., T, 3 * dim): the packed query, key and value
@@ -599,26 +617,65 @@ def attention(qkv, n_heads: int, mask: np.ndarray | None = None):
     weights are `softmax(q k^T, scale=1/sqrt(head_dim), mask=mask)` per
     head, and the heads of `weights @ v` are merged back into a
     (..., T, dim) output.
+
+    With `lengths`, `qkv` is an (N, 3 * dim) stack of sequences of those
+    lengths, one after another. The op scatters them onto a (B, T) grid,
+    T = max(lengths), padded on the left so that every sequence ends at
+    grid position T. Padded keys are masked, `mask` is over grid
+    positions, and the output holds the real rows, stacked the same
+    way. One sequence needs no grid.
+
+    With `tail`, only each sequence's last `tail` positions are queried,
+    and the output holds min(tail, length) rows per sequence. Keys and
+    values still come from every row. A `mask` then covers every query
+    position, and its earlier rows are dropped.
     """
     tape = isinstance(qkv, Tensor)
     qd = qkv.data if tape else qkv
-    shape = qd.shape
-    dim = shape[-1] // 3
-    if shape[-1] != 3 * dim or dim % n_heads:
-        raise ShapeError(f"last axis of {shape} is not 3 x {n_heads} heads")
-    data, q, k, v, att = attention_fwd(qd[..., :dim], qd[..., dim:2 * dim], qd[..., 2 * dim:], n_heads, mask)
+    dim = qd.shape[-1] // 3
+    if qd.shape[-1] != 3 * dim or dim % n_heads:
+        raise ShapeError(f"last axis of {qd.shape} is not 3 x {n_heads} heads")
+    grid = qd
+    packed = lengths is not None and len(lengths) > 1
+    if packed:
+        lengths = np.asarray(lengths)
+        b, t = lengths.size, int(lengths.max())
+        if qd.shape != (int(lengths.sum()), 3 * dim):
+            raise ShapeError(f"packed qkv {qd.shape} does not hold rows of lengths {lengths.tolist()}")
+        at = last_rows(np.arange(1, b + 1) * t, lengths)  # each packed row's grid row
+        grid = np.zeros((b * t, 3 * dim), dtype=qd.dtype)
+        grid[at] = qd
+        grid = grid.reshape(b, t, 3 * dim)
+    t = grid.shape[-2]
+    lo = t - tail if tail is not None and tail < t else 0
+    if lo and mask is not None:
+        mask = mask[..., lo:, :]
+    if packed:
+        pad = np.where(np.arange(t) < t - lengths[:, None], NEG_MASK, 0.0).astype(qd.dtype)[:, None, None, :]
+        mask = pad if mask is None else mask + pad
+    data, q, k, v, att = attention_fwd(grid[..., lo:, :dim], grid[..., dim:2 * dim], grid[..., 2 * dim:],
+                                       n_heads, mask)
+    if packed:
+        out_at = last_rows(np.arange(1, b + 1) * (t - lo), np.minimum(lengths, t - lo))
+        data = data.reshape(-1, dim)[out_at]
     if not tape:
         return data
     scale = 1.0 / math.sqrt(dim // n_heads)
 
     def grad_fn(g):
+        if packed:
+            full = np.zeros((b * (t - lo), dim), dtype=g.dtype)
+            full[out_at] = g
+            g = full.reshape(b, t - lo, dim)
         gh = _heads(g, n_heads)
-        d = np.empty(shape[:-1] + (3, n_heads, dim // n_heads), dtype=np.result_type(g, att))
+        d = np.empty(grid.shape[:-1] + (3, n_heads, dim // n_heads), dtype=np.result_type(g, att))
         ds = _softmax_backward(np.matmul(gh, v.swapaxes(-1, -2)), att, -1, scale)
-        d[..., 0, :, :] = np.matmul(ds, k).swapaxes(-3, -2)
+        d[..., :lo, 0, :, :] = 0.0
+        d[..., lo:, 0, :, :] = np.matmul(ds, k).swapaxes(-3, -2)
         d[..., 1, :, :] = np.matmul(ds.swapaxes(-1, -2), q).swapaxes(-3, -2)
         d[..., 2, :, :] = np.matmul(att.swapaxes(-1, -2), gh).swapaxes(-3, -2)
-        qkv._accumulate(d.reshape(shape))
+        d = d.reshape(grid.shape)
+        qkv._accumulate(d.reshape(-1, 3 * dim)[at] if packed else d)
 
     return Tensor._make(data, (qkv,), grad_fn)
 

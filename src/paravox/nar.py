@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, check_fields, cross_entropy, embedding
-from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock, pad_rows, take_spans
+from .engine import Rng, Tensor, check_fields, cross_entropy, embedding, last_rows
+from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock
 
 _TOKEN_COL = 3  # input-id column of the first token table, after both positions and the segment
 
@@ -126,20 +126,25 @@ class CoupledStage(Module):
     def _logits(self, batch: list[tuple], tables: list):
         """`batch_logits` from the embedding `tables`: Tensors record the
         tape, their arrays run the kernels and give an array."""
-        ids, lengths, mask = pad_rows([self._input_ids(r, t) for r, t in batch], -1, tables[0].dtype)
-        n_ref = np.array([np.asarray(r).shape[0] for r, _ in batch])
-        h = embedding(tables, ids)
-        for block in self.blocks:
-            h = block(h, mask)
-        return self.classifier(take_spans(self.ln_f(h), n_ref, lengths - n_ref))
+        rows = [self._input_ids(r, t) for r, t in batch]
+        lengths = np.array([r.shape[0] for r in rows])
+        n_target = np.array([np.asarray(t).shape[0] for _, t in batch])
+        tail = int(n_target.max())
+        h = embedding(tables, np.concatenate(rows))
+        last = len(self.blocks) - 1
+        for i, block in enumerate(self.blocks):
+            h = block(h, None, None, lengths, tail if i == last else None)
+        # The last block kept each row's last min(tail, length) rows; its targets end them.
+        h = h[last_rows(np.cumsum(np.minimum(lengths, tail)), n_target)]
+        return self.classifier(self.ln_f(h))
 
     def batch_logits(self, batch: list[tuple]) -> Tensor:
-        """Flattened (N, sum K) joint target-position logits over a padded batch.
+        """Flattened (N, sum K) joint target-position logits over a batch.
 
         `batch` rows are (ref_tokens, tgt_tokens). Attention is
         bidirectional, so every target position sees its whole
-        [reference || target] row; padded positions are masked out of
-        attention and dropped from the output.
+        [reference || target] row. The rows run through the trunk
+        packed, and its last block runs for only their target positions.
         """
         return self._logits(batch, self._tables())
 

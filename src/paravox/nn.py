@@ -2,8 +2,11 @@
 
 A `Module` collects parameters from its attributes (Tensors, child
 Modules, lists of Modules) under dotted names, which is what the
-checkpoint format stores. Layers accept inputs of rank 2 (T, D) or
-rank 3 (B, T, D); attention masks are additive numpy constants.
+checkpoint format stores. Row-wise layers take any (..., D) rows.
+Attention and transformer blocks take one (T, D) sequence, a padded
+(B, T, D) batch under an additive numpy mask, or a packed (N, D) stack
+of sequences with their `lengths` (see `engine.attention`). A block
+given a `tail` returns only each sequence's last `tail` rows.
 
 Each layer has one forward, built from engine ops that run on whatever
 they are given: a Tensor input records the tape for training, and a
@@ -16,9 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Rng, Tensor, attention, attention_fwd, conv_windows, gelu, layer_norm, linear
-
-NEG_MASK = -1e9  # additive attention mask; exp underflows to exactly 0
+from .engine import NEG_MASK, Rng, Tensor, attention, attention_fwd, conv_windows, gelu, layer_norm, last_rows, linear
 
 
 class Module:
@@ -131,19 +132,25 @@ class MultiHeadAttention(Module):
              for tag in ("wq", "wk", "wv")], axis=1))
         self.wo = Linear(dim, dim, rng.spawn("wo"), dtype=dtype)
 
-    def __call__(self, x, mask: np.ndarray | None = None, cache: KVCache | None = None):
-        """The rows attend over their own keys and values under `mask`.
-        With a `cache`, which needs (T, dim) array rows, their keys and
-        values are appended to it and their queries attend over every
-        cached position; `mask` then covers (new rows, cached positions)."""
+    def __call__(self, x, mask: np.ndarray | None = None, cache: KVCache | None = None,
+                 lengths: np.ndarray | None = None, tail: int | None = None):
+        """The rows attend over their own keys and values under `mask`;
+        `lengths` and `tail` are `engine.attention`'s. With a `cache`,
+        which needs (T, dim) array rows, their keys and values are
+        appended to it and their queries (the last `tail`, if given)
+        attend over every cached position; `mask` then covers (new rows,
+        cached positions)."""
         if cache is None:
-            return self.wo(attention(self.wqkv(x), self.n_heads, mask=mask))
+            return self.wo(attention(self.wqkv(x), self.n_heads, mask, lengths, tail))
         if isinstance(x, Tensor):
             raise TypeError("a KV cache takes array input; a cached pass records no tape")
         qkv = self.wqkv(x)
         dim = self.n_heads * self.head_dim
         k, v = cache.extend(qkv[..., dim:2 * dim], qkv[..., 2 * dim:])  # (n, dim), n >= T
-        return self.wo(attention_fwd(qkv[..., :dim], k, v, self.n_heads, mask)[0])
+        q = qkv[..., :dim]
+        if tail is not None:
+            q, mask = q[-tail:], None if mask is None else mask[-tail:]
+        return self.wo(attention_fwd(q, k, v, self.n_heads, mask)[0])
 
 
 class TransformerBlock(Module):
@@ -156,9 +163,17 @@ class TransformerBlock(Module):
         self.fc1 = Linear(dim, mlp_ratio * dim, rng.spawn("fc1"), dtype=dtype)
         self.fc2 = Linear(mlp_ratio * dim, dim, rng.spawn("fc2"), dtype=dtype)
 
-    def __call__(self, x, mask: np.ndarray | None = None, cache: KVCache | None = None):
-        """Attention through `cache` when given (see `MultiHeadAttention`)."""
-        x = x + self.attn(self.ln1(x), mask, cache)
+    def __call__(self, x, mask: np.ndarray | None = None, cache: KVCache | None = None,
+                 lengths: np.ndarray | None = None, tail: int | None = None):
+        """Attention through `cache` when given (see `MultiHeadAttention`).
+        With `tail`, only the rows of each sequence's last `tail` positions
+        go on past attention: min(tail, length) per sequence of `lengths`
+        (one sequence if None), stacked in order."""
+        h = self.attn(self.ln1(x), mask, cache, lengths, tail)
+        if tail is not None:
+            x = x[-tail:] if lengths is None or len(lengths) == 1 else \
+                x[last_rows(np.cumsum(lengths), np.minimum(lengths, tail))]
+        x = x + h
         return x + self.fc2(gelu(self.fc1(self.ln2(x))))
 
 
@@ -188,23 +203,13 @@ def padding_mask(lengths: np.ndarray, t: int, dtype=np.float32) -> np.ndarray:
     return np.where(cols, NEG_MASK, 0.0).astype(dtype)[:, None, None, :]
 
 
-def pad_rows(rows: list[np.ndarray], fill, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack (T_i, ...) arrays into one (B, T_max, ...) batch padded with
-    `fill`: -1 for id grids (zero rows under `engine.embedding`), 0.0 for
-    frames. Returns the batch, the row lengths, and their
+def pad_rows(frames: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack (T_i, D) frame arrays into one zero-padded (B, T_max, D)
+    batch. Returns the batch, the row lengths, and their
     (B, 1, 1, T_max) `padding_mask` in `dtype`.
     """
-    lengths = np.array([r.shape[0] for r in rows])
-    out = np.full((len(rows), int(lengths.max())) + rows[0].shape[1:], fill, dtype=rows[0].dtype)
-    for i, r in enumerate(rows):
-        out[i, :r.shape[0]] = r
+    lengths = np.array([f.shape[0] for f in frames])
+    out = np.zeros((len(frames), int(lengths.max())) + frames[0].shape[1:], dtype=frames[0].dtype)
+    for i, f in enumerate(frames):
+        out[i, :f.shape[0]] = f
     return out, lengths, padding_mask(lengths, out.shape[1], dtype=dtype)
-
-
-def take_spans(x, starts: np.ndarray, lengths: np.ndarray):
-    """Rows x[i, starts[i]:starts[i] + lengths[i]] of a (B, T, D) batch,
-    concatenated in batch order into one (sum(lengths), D) gather node
-    (an array for an array batch)."""
-    rows = np.repeat(np.arange(len(starts)), lengths)
-    cols = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
-    return x[rows, cols]

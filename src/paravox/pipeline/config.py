@@ -156,12 +156,16 @@ class PipelineConfig:
                 check_fields(part, where=f"config field {name}")
             except ValueError as e:
                 raise ConfigError(str(e)) from e
-        self.data.validate()
-        self.build_tokenizer_config().validate()
-        self.build_ar_config().validate()
+        # Rules between fields, per section; the stage configs are built from theirs.
+        relations = [("data", self.data), ("tokenizer", self.build_tokenizer_config()),
+                     ("ar", self.build_ar_config()), ("flow", self.build_flow_config())]
         if self.ablation.use_refiner:
-            self.build_nar_config().validate()
-        self.build_flow_config().validate()
+            relations.insert(3, ("nar", self.build_nar_config()))
+        for name, part in relations:
+            try:
+                part.validate()
+            except ValueError as e:
+                raise ConfigError(f"config section {name}: {e}") from e
         for stage, sched in self.schedules.items():
             if stage not in STAGES:
                 raise ConfigError(f"unknown schedule stage {stage!r}")

@@ -141,7 +141,7 @@ class ParallelTokenizer(Module):
         # should describe *who* is speaking, invariant to utterance
         # length, so the pooled pathway stays permutation-equivariant.
         dtype = self.projector.weight.dtype
-        frames, lengths, mask = pad_rows([np.asarray(f, dtype=dtype) for f in speaker_frames], 0.0, dtype)
+        frames, lengths, mask = pad_rows([np.asarray(f, dtype=dtype) for f in speaker_frames], dtype)
         if lengths.max() > self.cfg.max_frames:
             raise ValueError(f"{lengths.max()} frames exceeds tokenizer max_frames={self.cfg.max_frames}")
         keep = np.arange(frames.shape[1]) < lengths[:, None]

@@ -20,6 +20,7 @@ from paravox.engine import (
     gelu,
     grad_check,
     gradients,
+    last_rows,
     layer_norm,
     linear,
     sigmoid,
@@ -458,6 +459,49 @@ def test_array_kernels_are_the_tensor_ops_forward(dtype):
 def test_attention_rejects_unpacked_input():
     with pytest.raises(ShapeError, match="3 x 2 heads"):
         attention(Tensor(np.zeros((3, 8))), 2)
+    with pytest.raises(ShapeError, match="does not hold rows of lengths"):
+        attention(Tensor(np.zeros((5, 24))), 2, lengths=np.array([2, 4]))
+
+
+def test_last_rows_matches_slice_concat():
+    """Each (end, count) pair's rows, in order, as one index."""
+    ends, counts = np.array([5, 6, 14, 14]), np.array([3, 0, 8, 1])
+    want = np.concatenate([np.arange(e - n, e) for e, n in zip(ends, counts)])
+    got = last_rows(ends, counts)
+    assert got.dtype.kind == "i" and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("tail", [None, 1, 3, 9])
+@pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
+def test_packed_attention_matches_each_sequence_alone(causal, tail):
+    """Packed sequences of lengths 1, 6 and 4 give each sequence's own
+    attention over its last min(tail, length) rows: forward and gradient
+    to 1e-12 in f64, and an f64 grad-check. Causal, the length-1 sequence
+    leaves padded query rows whose keys are all masked; in f32 they keep
+    the output and the gradient finite."""
+    lengths = np.array([1, 6, 4])
+    starts = np.cumsum(lengths) - lengths
+    for dtype in (np.float64, np.float32):
+        rng = Rng(41)
+        x = rng.normal((int(lengths.sum()), 24), scale=2.0, dtype=dtype)
+        cot = rng.normal((int(np.minimum(lengths, tail or 6).sum()), 8), dtype=dtype)
+        a, b = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        y = attention(a, 2, causal_mask(6, dtype=dtype) if causal else None, lengths, tail)
+        want = concat([attention(b[s:s + n], 2, mask=causal_mask(n, dtype=dtype) if causal else None)
+                       [n - min(n, tail or n):] for s, n in zip(starts, lengths)], axis=0)
+        (y * Tensor(cot)).sum().backward()
+        (want * Tensor(cot)).sum().backward()
+        assert y.dtype == dtype and y.shape == want.shape
+        if dtype == np.float32:
+            assert np.isfinite(y.data).all() and np.isfinite(a.grad).all()
+            continue
+        np.testing.assert_allclose(y.data, want.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
+        qkv = Tensor(x, requires_grad=True)
+        report = grad_check(lambda: (attention(qkv, 2, causal_mask(6, dtype=dtype) if causal else None,
+                                               lengths, tail) * Tensor(cot)).sum(),
+                            {"qkv": qkv}, tolerance=1e-8)
+        assert report.passed, str(report)
 
 
 def _embedding_case(rng):

@@ -1,18 +1,23 @@
-"""AR and NAR id-grid inputs against the per-row lookup chains they replaced.
+"""The packed AR and NAR trunks against the padded trunk they replaced.
 
 The reference builds every row's input the old way: one gather node per
 table, summed by `+` nodes in the same order, rows joined with `concat`
-and zero-padded to the longest row. The id-grid paths must give bitwise
-the same forward values; table gradients add their rows in another
-order, so they are compared within a tolerance in f64.
+and zero-padded to the longest row. It then runs every block over every
+position of that (B, T, D) batch under a causal or bidirectional mask
+plus a padding mask, and slices out the rows the loss reads.
+
+The packed trunk runs its GEMMs over other row counts, so f32 bits
+differ. Logits, losses and every parameter gradient are compared at
+rtol 1e-12 in f64; f32 logits only to within f32 rounding.
 """
 
 import numpy as np
 import pytest
 
 from paravox.ar import ARConfig, DualStreamAR
-from paravox.engine import Rng, Tensor, concat, gradients
-from paravox.nar import CoupledStage, NARConfig
+from paravox import nn
+from paravox.engine import Rng, Tensor, concat, cross_entropy, gradients
+from paravox.nar import CoupledNAR, CoupledStage, NARConfig
 from paravox.nn import causal_mask, padding_mask
 
 
@@ -99,58 +104,131 @@ def _nar_chain(stage: CoupledStage, batch) -> Tensor:
 
 
 def _ar_batch(cfg, rng):
-    """Rows of different lengths, one with an empty reference."""
+    """Rows of different lengths, two with an empty reference; the last
+    row (2 positions) is shorter than the tail of 7 (6 targets + 1)."""
     batch = []
-    for n_text, n_ref, n_tgt in ((3, 2, 4), (5, 0, 2), (2, 4, 6), (4, 1, 1)):
+    for n_text, n_ref, n_tgt in ((3, 2, 4), (5, 0, 2), (2, 4, 6), (4, 1, 1), (1, 0, 1)):
         ref = np.stack([rng.integers(0, k, (n_ref, cfg.layers_per_stream)) for _, k in cfg.streams], axis=1)
         tgt = np.stack([rng.integers(0, k, (n_tgt, cfg.layers_per_stream)) for _, k in cfg.streams], axis=1)
         batch.append((rng.integers(0, cfg.text_vocab, (n_text,)), ref, tgt))
     return batch
 
 
-def _tables(model) -> list[Tensor]:
-    return [p for name, p in model.named_parameters().items()
-            if name.endswith("weight") and ("emb" in name or "pos" in name)]
+def _nar_batch(cfg, rng):
+    """Rows of different lengths; the last (2 positions) is shorter than
+    the tail of 6 targets."""
+    return [(np.stack([rng.integers(0, k, (r, 3)) for _, k in cfg.streams], axis=1),
+             np.stack([rng.integers(0, k, (t, 3)) for _, k in cfg.streams], axis=1))
+            for r, t in ((3, 4), (1, 6), (5, 2), (1, 1))]
+
+
+def _stage_loss(stage, logits, batch):
+    """`stage_loss` over given logits."""
+    labels = stage._labels(batch)
+    ces = [cross_entropy(sl, labels[:, s]) for s, sl in enumerate(stage.stream_slices(logits))]
+    return sum(ces[1:], ces[0]) * (1.0 / len(ces))
+
+
+def _assert_close(got, want, dtype):
+    """rtol 1e-12 in f64; within f32 rounding of unit-scale values in f32."""
+    assert got.dtype == dtype
+    if dtype == np.float64:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-5)
+
+
+def _assert_same_gradients(model, got_loss, want_loss):
+    params = model.named_parameters()
+    got = gradients(got_loss, list(params.values()))
+    want = gradients(want_loss, list(params.values()))
+    for name, g, w in zip(params, got, want):
+        # The key-bias columns of `wqkv` get rounding noise only: a shift
+        # shared by every key leaves the softmax as it is. So the floor is
+        # 1e-12 of the parameter's largest gradient.
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max(), err_msg=name)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layers", [1, 2])
 def test_ar_id_grid_matches_lookup_chain(dtype, layers):
+    """`teacher_forced_batch` and `ar_loss` against the padded trunk, for
+    the mixed batch and for a batch of one; every parameter gradient in f64."""
     cfg = ARConfig(text_vocab=9, streams=(("semantic", 6), ("acoustic", 7)), layers_per_stream=layers,
                    n_layers=2, model_dim=16, n_heads=2, max_text_len=8, max_speech_len=16)
     model = DualStreamAR(cfg, Rng(1), dtype=dtype)
-    batch = _ar_batch(cfg, Rng(2))
-    stream_logits, stream_targets, stop_logits, stop_labels = model.teacher_forced_batch(batch)
-    want_logits, want_stop = _ar_chain(model, batch)
-    for got_s, want_s in zip(stream_logits, want_logits):
-        for got, want in zip(got_s, want_s):
-            assert got.dtype == dtype and np.array_equal(got.data, want.data)
-    assert np.array_equal(stop_logits.data, want_stop.data)
-    if dtype is np.float64:
-        tables = _tables(model)
-        assert len(tables) == 3 + 2 * layers
-        got = gradients(model.ar_loss(stream_logits, stream_targets, stop_logits, stop_labels)["total"], tables)
-        want = gradients(model.ar_loss(want_logits, stream_targets, want_stop, stop_labels)["total"], tables)
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+    mixed = _ar_batch(cfg, Rng(2))
+    for batch in (mixed, mixed[2:3]):
+        stream_logits, stream_targets, stop_logits, stop_labels = model.teacher_forced_batch(batch)
+        want_logits, want_stop = _ar_chain(model, batch)
+        for got_s, want_s in zip(stream_logits, want_logits):
+            for got, want in zip(got_s, want_s):
+                _assert_close(got.data, want.data, dtype)
+        _assert_close(stop_logits.data, want_stop.data, dtype)
+        got = model.ar_loss(stream_logits, stream_targets, stop_logits, stop_labels)
+        want = model.ar_loss(want_logits, stream_targets, want_stop, stop_labels)
+        for key in want:
+            _assert_close(got[key].data, want[key].data, dtype)
+        if dtype is np.float64:
+            _assert_same_gradients(model, got["total"], want["total"])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layer_index", [1, 2])
 def test_nar_id_grid_matches_lookup_chain(dtype, layer_index):
-    cfg = NARConfig(streams=(("semantic", 5), ("acoustic", 6)), n_quant_layers=3, n_layers=1,
+    """`batch_logits` and `stage_loss` against the padded trunk, for the
+    mixed batch and for a batch of one; every parameter gradient in f64."""
+    cfg = NARConfig(streams=(("semantic", 5), ("acoustic", 6)), n_quant_layers=3, n_layers=2,
                     model_dim=16, n_heads=2, max_ref_len=8, max_target_len=8)
     stage = CoupledStage(cfg, layer_index, Rng(3), dtype=dtype)
-    rng = Rng(4)
-    batch = [(np.stack([rng.integers(0, k, (r, 3)) for _, k in cfg.streams], axis=1),
-              np.stack([rng.integers(0, k, (t, 3)) for _, k in cfg.streams], axis=1))
-             for r, t in ((3, 4), (1, 6), (5, 2))]
-    got = stage.batch_logits(batch)
-    want = _nar_chain(stage, batch)
-    assert got.dtype == dtype and np.array_equal(got.data, want.data)
-    if dtype is np.float64:
-        tables = _tables(stage)
-        assert len(tables) == 3 + 2 * (2 * layer_index + 1)
-        weights = Tensor(rng.normal(got.shape, dtype=np.float64))
-        for g, w in zip(gradients((got * weights).sum(), tables), gradients((want * weights).sum(), tables)):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+    mixed = _nar_batch(cfg, Rng(4))
+    for batch in (mixed, mixed[:1]):
+        got, want = stage.batch_logits(batch), _nar_chain(stage, batch)
+        _assert_close(got.data, want.data, dtype)
+        got_loss, want_loss = stage.stage_loss(batch), _stage_loss(stage, want, batch)
+        _assert_close(got_loss.data, want_loss.data, dtype)
+        if dtype is np.float64:
+            _assert_same_gradients(stage, got_loss, want_loss)
+
+
+def test_trunks_run_real_rows_and_the_last_block_over_the_tail(monkeypatch):
+    """Rows each `linear` gets in one AR and one NAR training step. Blocks
+    before the last see only the real rows; the last block projects keys
+    and values from them too, but its out-projection and MLP see only
+    each row's last min(tail, length) positions."""
+    seen: list = []
+    linear = nn.linear
+    monkeypatch.setattr(nn, "linear", lambda x, w, b=None: seen.append((id(w), x.shape[0])) or linear(x, w, b))
+
+    def rows_by_weight(blocks):
+        got = dict(seen)
+        return [{name: got[id(layer.weight)]
+                 for name, layer in (("wqkv", b.attn.wqkv), ("wo", b.attn.wo), ("fc1", b.fc1), ("fc2", b.fc2))}
+                for b in blocks]
+
+    cfg = ARConfig(text_vocab=9, streams=(("semantic", 6), ("acoustic", 7)), n_layers=3,
+                   model_dim=16, n_heads=2, max_text_len=8, max_speech_len=16)
+    model = DualStreamAR(cfg, Rng(1))
+    batch = _ar_batch(cfg, Rng(2))
+    lengths = np.array([t.size + r.shape[0] + g.shape[0] for t, r, g in batch])
+    tail = max(g.shape[0] for _, _, g in batch) + 1
+    gradients(model.ar_loss(*model.teacher_forced_batch(batch))["total"], list(model.named_parameters().values()))
+    _check_rows(rows_by_weight(model.blocks), int(lengths.sum()), int(np.minimum(lengths, tail).sum()))
+    assert int(np.minimum(lengths, tail).sum()) < int(lengths.sum()) < len(batch) * int(lengths.max())
+
+    seen.clear()
+    ncfg = NARConfig(streams=(("semantic", 5), ("acoustic", 6)), n_quant_layers=2, n_layers=2,
+                     model_dim=16, n_heads=2, max_ref_len=8, max_target_len=8)
+    nar = CoupledNAR(ncfg, Rng(3))
+    batch = _nar_batch(ncfg, Rng(4))
+    lengths = np.array([r.shape[0] + t.shape[0] for r, t in batch])
+    tail = max(t.shape[0] for _, t in batch)
+    gradients(nar.nar_loss(batch)["total"], list(nar.named_parameters().values()))
+    _check_rows(rows_by_weight(nar.stages[0].blocks), int(lengths.sum()), int(np.minimum(lengths, tail).sum()))
+    assert int(np.minimum(lengths, tail).sum()) < int(lengths.sum()) < len(batch) * int(lengths.max())
+
+
+def _check_rows(blocks: list[dict], n_real: int, n_tail: int) -> None:
+    for rows in blocks[:-1]:
+        assert rows == {"wqkv": n_real, "wo": n_real, "fc1": n_real, "fc2": n_real}
+    assert blocks[-1] == {"wqkv": n_real, "wo": n_tail, "fc1": n_tail, "fc2": n_tail}

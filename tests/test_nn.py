@@ -18,7 +18,6 @@ from paravox.nn import (
     causal_mask,
     pad_rows,
     padding_mask,
-    take_spans,
 )
 from paravox.tokenizer import ConditionEncoder, TokenizerConfig
 
@@ -127,26 +126,22 @@ def test_padding_mask_zeroes_attention_to_pads():
 def test_pad_rows_shapes_fill_mask_and_gradient(dtype):
     rng = Rng(6)
     lengths = [3, 5, 1]
-    rows = [rng.integers(0, 7, (n, 2)) for n in lengths]
-    batch, got_lengths, mask = pad_rows(rows, -1, dtype)
-    assert batch.shape == (3, 5, 2) and batch.dtype == np.int64
-    assert got_lengths.tolist() == lengths
-    for i, (row, n) in enumerate(zip(rows, lengths)):
-        assert np.array_equal(batch[i, :n], row)
-        assert np.all(batch[i, n:] == -1)
     expected = padding_mask(np.array(lengths), 5, dtype=dtype)
-    assert mask.dtype == dtype and np.array_equal(mask, expected)
 
-    # Frames pad with zeros and keep their dtype; the mask is the same.
+    # Frames pad with zeros and keep their dtype, under the padding mask.
     frames = [rng.normal((n, 4), dtype=dtype) for n in lengths]
-    padded, frame_lengths, frame_mask = pad_rows(frames, 0.0, dtype)
+    padded, frame_lengths, frame_mask = pad_rows(frames, dtype)
     assert padded.shape == (3, 5, 4) and padded.dtype == dtype
-    assert frame_lengths.tolist() == lengths and np.array_equal(frame_mask, expected)
+    assert frame_lengths.tolist() == lengths
+    assert frame_mask.dtype == dtype and np.array_equal(frame_mask, expected)
     for i, (row, n) in enumerate(zip(frames, lengths)):
         assert np.array_equal(padded[i, :n], row)
         assert np.all(padded[i, n:] == 0.0)
 
-    # Padded positions embed to zero rows and carry no gradient back.
+    # Id rows padded with -1 embed to zero rows and carry no gradient back.
+    batch = np.full((3, 5, 2), -1, dtype=np.int64)
+    for i, n in enumerate(lengths):
+        batch[i, :n] = rng.integers(0, 7, (n, 2))
     tables = [Tensor(rng.normal((7, 4), dtype=dtype), requires_grad=True) for _ in range(2)]
     emb = embedding(tables, batch)
     assert emb.shape == (3, 5, 4) and emb.dtype == dtype
@@ -159,20 +154,6 @@ def test_pad_rows_shapes_fill_mask_and_gradient(dtype):
     want = gradients((embedding(tables, batch) * Tensor(live)).sum(), tables)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
-
-
-def test_take_spans_matches_slice_concat():
-    """One gather node equal to the per-row slices it replaces, gradient too."""
-    rng = Rng(10)
-    x = Tensor(rng.normal((3, 6, 4), dtype=np.float64), requires_grad=True)
-    starts, lengths = np.array([2, 0, 5]), np.array([3, 6, 0])
-    got = take_spans(x, starts, lengths)
-    want = concat([x[i, s:s + n] for i, (s, n) in enumerate(zip(starts, lengths))], axis=0)
-    assert got.shape == (9, 4) and np.array_equal(got.data, want.data)
-    assert _tape_nodes(got) == 1
-    upstream = Tensor(rng.normal((9, 4), dtype=np.float64))
-    assert np.array_equal(gradients((got * upstream).sum(), [x])[0],
-                          gradients((want * upstream).sum(), [x])[0])
 
 
 def test_transformer_block_grad_check():
@@ -205,6 +186,10 @@ def test_transformer_block_tape_nodes():
     mask = causal_mask(5)[None, None] + padding_mask(np.array([5, 3]), 5)
     assert _tape_nodes(block(x, mask=mask)) == 10
     assert _tape_nodes(block(Tensor(rng.normal((5, 8)), requires_grad=True))) == 10
+    packed = Tensor(rng.normal((8, 8)), requires_grad=True)
+    assert _tape_nodes(block(packed, causal_mask(5), lengths=np.array([5, 3]))) == 10
+    # A tail adds one node: the residual rows' gather.
+    assert _tape_nodes(block(packed, causal_mask(5), lengths=np.array([5, 3]), tail=2)) == 11
 
 
 def test_conv1d_same_matches_explicit_window_sum():
@@ -318,7 +303,8 @@ def _forward_pairs(case: str, dtype) -> list:
     rng = Rng(21)
     x = rng.normal((7, 16), dtype=dtype)
     causal = causal_mask(7, dtype=dtype)
-    batch, lengths, pad = pad_rows([rng.normal((n, 16), dtype=dtype) for n in (5, 9, 1, 9)], 0.0, dtype)
+    batch, lengths, pad = pad_rows([rng.normal((n, 16), dtype=dtype) for n in (5, 9, 1, 9)], dtype)
+    packed = np.concatenate([batch[i, :n] for i, n in enumerate(lengths)])
     if case == "linear":
         layer = Linear(16, 8, rng, dtype=dtype)
         return [(layer(a), layer(Tensor(a)).data) for a in (x, batch)]
@@ -335,7 +321,9 @@ def _forward_pairs(case: str, dtype) -> list:
     if case == "block":
         block = TransformerBlock(16, 4, rng, dtype=dtype)
         return [(block(a, mask), block(Tensor(a), mask).data)
-                for a, mask in ((x, None), (x, causal), (batch, pad))]
+                for a, mask in ((x, None), (x, causal), (batch, pad))] + \
+            [(block(packed, mask, lengths=lengths, tail=tail), block(Tensor(packed), mask, lengths=lengths, tail=tail).data)
+             for mask, tail in ((None, None), (causal_mask(9, dtype=dtype), None), (causal_mask(9, dtype=dtype), 3))]
     if case == "conv1d":
         conv = Conv1dSame(16, 8, 3, rng, dtype=dtype)
         return [(conv(a), conv(Tensor(a)).data) for a in (x, batch)]
@@ -359,8 +347,9 @@ def _forward_pairs(case: str, dtype) -> list:
                                   "condition_encoder", "field_condition", "field"])
 def test_array_forward_is_bitwise_the_tensor_forward(case, dtype):
     """Each module's one forward on arrays returns an array equal bit for bit
-    to its output on Tensors: rank 2 and 3, unmasked, causal and padded, one
-    pass through an empty key/value cache, and the flow field's two halves."""
+    to its output on Tensors: rank 2 and 3, unmasked, causal and padded,
+    packed rows with and without a tail, one pass through an empty
+    key/value cache, and the flow field's two halves."""
     for got, want in _forward_pairs(case, dtype):
         assert type(got) is np.ndarray and got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()

@@ -299,6 +299,20 @@ def test_config_rejects_bad_seeds_and_rates(path, value):
         config_with_overrides(toy_profile(), {path: value})
 
 
+@pytest.mark.parametrize("path, value, message", [
+    ("ar.n_heads", 3, "ar: model_dim 128 not divisible by n_heads 3"),
+    ("nar.model_dim", 130, "nar: model_dim 130 not divisible by n_heads 4"),
+    ("flow.time_feat_dim", 5, "flow: FlowConfig.time_feat_dim must be even (sin/cos pairs)"),
+    ("data.max_frames", 10, "data: longest utterance (18 frames) exceeds max_frames=10"),
+    ("tokenizer.n_heads", 3, "tokenizer: cond_dim 64 must divide by n_heads 3"),
+], ids=["ar", "nar", "flow", "data", "tokenizer"])
+def test_config_relational_errors_name_their_section(path, value, message):
+    """Fields that are each valid but relate wrongly fail as a ConfigError
+    that names the section they were set in."""
+    with pytest.raises(ConfigError, match=rf"^config section {re.escape(message)}$"):
+        config_with_overrides(toy_profile(), {path: value})
+
+
 def test_config_with_overrides():
     pcfg = toy_profile()
     out = config_with_overrides(pcfg, {"schedules.ar.total_steps": 7,
