@@ -17,7 +17,9 @@ reproduces the loss curve exactly.
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,13 +90,37 @@ class TrainSchedule:
         return self.final_lr + 0.5 * (self.peak_lr - self.final_lr) * (1.0 + math.cos(math.pi * progress))
 
 
+def _split(sizes: list[int], n: int) -> list[range]:
+    """Positions 0..len(sizes) in at most `n` contiguous, non-empty runs
+    (one empty run if there are no positions), each cut at the boundary
+    nearest to a multiple of an n-th of the elements."""
+    cum = np.cumsum([0, *sizes])
+    cuts = [0]
+    for k in range(1, n):
+        target = cum[-1] * k / n
+        j = int(np.searchsorted(cum, target))
+        if j > 0 and target - cum[j - 1] <= cum[j] - target:
+            j -= 1
+        cuts.append(max(cuts[-1], j))
+    cuts.append(len(sizes))
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b > a] or [range(0)]
+
+
 class Adam:
     """Adam with decoupled global-norm gradient clipping.
 
     Moments are float64. Each step works in two preallocated float64
-    buffers per parameter and writes `p.data` in place, so nothing is
+    buffers per parameter and writes `p.data` in place, so no array is
     allocated per step; every array op is the one the textbook formula
     spells out, in its order, so the result is bitwise that formula's.
+
+    Entered as a context manager, the optimiser splits its parameters
+    into contiguous shards of about equal element count, one per usable
+    CPU, and a thread pool it owns until exit runs all shards but the
+    first, which the caller runs. Every element's arithmetic is its own
+    and the per-tensor squared sums are added in parameter order as
+    before, so each bit of the result is the one-shard result. Outside a
+    `with`, or on one CPU, there is one shard and no pool.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.95,
@@ -106,23 +132,46 @@ class Adam:
         self._work = {k: (np.empty(p.shape, dtype=np.float64), np.empty(p.shape, dtype=np.float64))
                       for k, p in self.params.items()}
         self.t = 0
+        self._shards = [list(self.params)]
+        self._pool: ThreadPoolExecutor | None = None
 
-    def step(self, grads: dict[str, np.ndarray], lr: float) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
-        sq = 0.0
-        for k, (g, sq_buf) in self._work.items():
+    def __enter__(self) -> Adam:
+        keys = list(self.params)
+        n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        self._shards = [keys[r.start:r.stop] for r in _split([self.params[k].data.size for k in keys], n_cpus)]
+        if len(self._shards) > 1:
+            self._pool = ThreadPoolExecutor(len(self._shards) - 1, thread_name_prefix="adam")
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+        self._shards, self._pool = [list(self.params)], None
+
+    def _map(self, fn, *args) -> list:
+        """[fn(shard, *args) for each shard], in shard order: the pool runs
+        all but the first shard while the caller runs that one. An error
+        in any shard is raised once no shard is running."""
+        futures = [self._pool.submit(fn, shard, *args) for shard in self._shards[1:]]
+        try:
+            return [fn(self._shards[0], *args), *(f.result() for f in futures)]
+        finally:
+            for f in futures:
+                f.cancel()
+            wait(futures)
+
+    def _load(self, keys: list[str], grads: dict[str, np.ndarray]) -> list[float]:
+        """Copy each gradient into its float64 buffer; its squared sum."""
+        sums = []
+        for k in keys:
+            g, sq_buf = self._work[k]
             g[...] = grads[k]
-            sq += float(np.square(g, out=sq_buf).sum())
-        norm = math.sqrt(sq)
-        scale = 1.0
-        if self.clip_norm is not None and norm > self.clip_norm > 0:
-            scale = self.clip_norm / norm
-        self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for k, p in self.params.items():
-            g, tmp = self._work[k]
-            m, v = self.m[k], self.v[k]
+            sums.append(float(np.square(g, out=sq_buf).sum()))
+        return sums
+
+    def _update(self, keys: list[str], scale: float, lr: float, b1c: float, b2c: float) -> None:
+        for k in keys:
+            p, (g, tmp), m, v = self.params[k], self._work[k], self.m[k], self.v[k]
             if scale != 1.0:
                 g *= scale
             # m = beta1 m + (1 - beta1) g
@@ -144,27 +193,42 @@ class Adam:
             tmp[...] = p.data
             tmp -= g
             p.data[...] = tmp
+
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> float:
+        """Apply one update; returns the pre-clip global gradient norm."""
+        sq = 0.0
+        for sums in self._map(self._load, grads):
+            for s in sums:
+                sq += s
+        norm = math.sqrt(sq)
+        scale = 1.0
+        if self.clip_norm is not None and norm > self.clip_norm > 0:
+            scale = self.clip_norm / norm
+        self.t += 1
+        self._map(self._update, scale, lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
         return norm
 
 
 @dataclass
 class StageReport:
+    """What one stage's training did: per-step loss terms and pre-clip
+    global gradient norms, and the stage's end-of-training metrics."""
+
     stage: str
     steps: int
     wall_time_s: float
     losses: dict[str, list] = field(default_factory=dict)
+    grad_norms: list[float] = field(default_factory=list)
     final: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "steps": self.steps,
-                "wall_time_s": self.wall_time_s, "losses": self.losses,
-                "final": self.final}
 
     def summary(self) -> str:
         bits = [f"{self.stage}: {self.steps} steps in {self.wall_time_s:.1f}s"]
         for key, curve in self.losses.items():
             if curve:
                 bits.append(f"{key} {curve[0]:.4g} -> {curve[-1]:.4g}")
+        if self.grad_norms:
+            bits.append(f"grad norm {self.grad_norms[0]:.4g} -> {self.grad_norms[-1]:.4g} "
+                        f"(max {max(self.grad_norms):.4g})")
         return "; ".join(bits)
 
 
@@ -193,24 +257,26 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, q
     from `srng`, the step's own stream keyed by (schedule seed, step):
     `srng.integers(0, n_items, (batch_size,))`. `step_loss(idx, srng)`
     returns (loss to differentiate, float loss terms to record). The
-    report's `final` is left for the stage to fill.
+    report's `final` is left for the stage to fill. The optimiser's
+    thread pool lives for the loop and is closed when it ends or raises.
     """
     sched = pcfg.schedules[stage]
     sched.validate()
-    opt = Adam(params)
     names, tensors = list(params), list(params.values())
     rng = Rng(sched.seed)
     losses: dict[str, list] = {}
+    grad_norms: list[float] = []
     t0 = time.perf_counter()
-    for step in range(sched.total_steps):
-        srng = rng.spawn(("step", step))
-        loss, terms = step_loss(srng.integers(0, n_items, (sched.batch_size,)), srng)
-        _check_finite(stage, step, terms)
-        grads = dict(zip(names, gradients(loss, tensors)))
-        opt.step(grads, sched.learning_rate(step))
-        _record(losses, terms)
-        _progress(stage, step, sched.total_steps, terms, quiet)
-    return StageReport(stage, sched.total_steps, time.perf_counter() - t0, losses)
+    with Adam(params) as opt:
+        for step in range(sched.total_steps):
+            srng = rng.spawn(("step", step))
+            loss, terms = step_loss(srng.integers(0, n_items, (sched.batch_size,)), srng)
+            _check_finite(stage, step, terms)
+            grads = dict(zip(names, gradients(loss, tensors)))
+            grad_norms.append(opt.step(grads, sched.learning_rate(step)))
+            _record(losses, terms)
+            _progress(stage, step, sched.total_steps, terms, quiet)
+    return StageReport(stage, sched.total_steps, time.perf_counter() - t0, losses, grad_norms)
 
 
 def _total_and_terms(out: dict):

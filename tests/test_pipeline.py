@@ -4,9 +4,12 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -172,6 +175,153 @@ def test_adam_updates_parameter_arrays_in_place():
     data = p.data
     Adam({"p": p}).step({"p": np.ones(3, dtype=np.float32)}, lr=0.1)
     assert p.data is data and np.all(data < 0)
+
+
+def _usable(monkeypatch, n_cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+
+
+def _adam_runs(monkeypatch, init, grads_per_step, lrs, cpu_counts):
+    """Per CPU count, plus "ref" for `_ReferenceAdam`: the shards the
+    optimiser split into, its per-step norms and its final p, m and v."""
+    out = {}
+    for n in (*cpu_counts, "ref"):
+        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+        if n == "ref":
+            opt, shards = _ReferenceAdam(params), None
+            norms = [opt.step(g, lr) for g, lr in zip(grads_per_step, lrs)]
+        else:
+            _usable(monkeypatch, n)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+            try:
+                with Adam(params) as opt:
+                    shards = [list(s) for s in opt._shards]
+                    norms = [opt.step(g, lr) for g, lr in zip(grads_per_step, lrs)]
+            finally:
+                sys.setswitchinterval(interval)
+        out[n] = (shards, norms, {k: p.data for k, p in params.items()}, opt.m, opt.v)
+    return out
+
+
+def _assert_bitwise_alike(runs):
+    _, norms, p, m, v = runs["ref"]
+    for n, (_, n_norms, n_p, n_m, n_v) in runs.items():
+        assert n_norms == norms, n
+        for k in p:
+            assert n_p[k].dtype == p[k].dtype and np.array_equal(n_p[k], p[k]), (n, k)
+            assert np.array_equal(n_m[k], m[k]) and np.array_equal(n_v[k], v[k]), (n, k)
+
+
+def test_sharded_adam_is_bitwise_one_shard_and_the_reference(monkeypatch):
+    """The toy AR's parameters, split over 1, 2 and 3 CPUs, take 20 steps
+    (clipping on every other one) to the bits of the textbook formula."""
+    model = DualStreamAR(toy_profile().build_ar_config())
+    init = {k: p.data.copy() for k, p in model.named_parameters().items()}
+    assert (len(init), sum(a.size for a in init.values())) == (61, 832_897)
+    rng = Rng(7)
+    # A unit-variance gradient over 832,897 elements has norm ~900; 1e-4 of it, ~0.09.
+    grads = [{k: rng.normal(a.shape, scale=1.0 if s % 2 else 1e-4, dtype=a.dtype) for k, a in init.items()}
+             for s in range(20)]
+    lrs = [1e-3 / (1 + s) for s in range(20)]
+    runs = _adam_runs(monkeypatch, init, grads, lrs, (1, 2, 3))
+    _assert_bitwise_alike(runs)
+    clipped = [norm > 2.0 for norm in runs["ref"][1]]
+    assert clipped == [s % 2 == 1 for s in range(20)]
+    for n in (1, 2, 3):
+        shards = runs[n][0]
+        assert len(shards) == n and [k for s in shards for k in s] == list(init)
+        sizes = [sum(init[k].size for k in s) for s in shards]
+        assert max(sizes) - min(sizes) <= max(a.size for a in init.values())
+
+
+@pytest.mark.parametrize("sizes, n_cpus, n_shards", [
+    ({"big": 1000, "small": 1}, 3, 2),             # the first cut falls at 0: one CPU gets no shard
+    ({"small": 3, "big": 1000, "tail": 2}, 2, 2),  # a lopsided split: 3 against 1002 elements
+    ({"a": 5, "big": 1000, "b": 5}, 4, 3),         # fewer tensors than CPUs
+    ({"only": 10}, 2, 1),
+])
+def test_sharded_adam_with_a_dominant_tensor(monkeypatch, sizes, n_cpus, n_shards):
+    """One tensor holding most elements leaves a shard lopsided, or none
+    for a CPU; the shards still cover every tensor once, in order, and
+    the bits are the one-shard bits."""
+    rng = Rng(3)
+    init = {k: rng.normal((n,), dtype=np.float32) for k, n in sizes.items()}
+    grads = [{k: rng.normal(a.shape, scale=10.0 if s % 2 else 0.01, dtype=a.dtype) for k, a in init.items()}
+             for s in range(6)]
+    runs = _adam_runs(monkeypatch, init, grads, [1e-2] * 6, (1, n_cpus))
+    _assert_bitwise_alike(runs)
+    shards = runs[n_cpus][0]
+    assert len(shards) == n_shards and all(shards) and [k for s in shards for k in s] == list(sizes)
+
+
+def test_adam_on_one_cpu_creates_no_pool(monkeypatch, tmp_path, mini_run):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    _usable(monkeypatch, 1)
+    monkeypatch.setattr(train_mod, "ThreadPoolExecutor", no_pool)
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    report = train_stage("flow", mini_run.items, _quick_pcfg(3), tmp_path / "flow.ckpt")
+    assert len(report.grad_norms) == 3
+
+
+def test_adam_raises_an_error_from_a_worker_shard(monkeypatch):
+    """A gradient of the wrong shape in the pool's shard is raised from
+    `step`. The caller's shard waits for the worker's to start, so the
+    worker, not the caller, is the one that meets it."""
+    _usable(monkeypatch, 2)
+    params = {k: Tensor(np.zeros(64, dtype=np.float32), requires_grad=True) for k in ("a", "b")}
+    started, seen_in = threading.Event(), []
+
+    class Grads(dict):
+        def __getitem__(self, key):
+            if key == "a":
+                assert started.wait(timeout=30)
+            else:
+                seen_in.append(threading.current_thread().name)
+                started.set()
+            return super().__getitem__(key)
+
+    with Adam(params) as opt:
+        assert opt._shards == [["a"], ["b"]]
+        with pytest.raises(ValueError, match="broadcast"):
+            opt.step(Grads(a=np.ones(64, dtype=np.float32), b=np.ones(65, dtype=np.float32)), lr=0.1)
+    assert seen_in and seen_in[0] != threading.main_thread().name
+
+
+def test_train_stage_leaves_no_thread_behind(monkeypatch, tmp_path, mini_run):
+    """The optimiser's pool lives for its stage: on two CPUs a worker runs
+    during the steps and is gone when `train_stage` returns, also when
+    the stage fails."""
+    _usable(monkeypatch, 2)
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    before = threading.enumerate()
+    during, original = [], train_mod.Adam.step
+
+    def step(opt, grads, lr):
+        during.append(len(threading.enumerate()))
+        return original(opt, grads, lr)
+
+    monkeypatch.setattr(train_mod.Adam, "step", step)
+    train_stage("ar", mini_run.items, _quick_pcfg(4), tmp_path / "ar.ckpt")
+    assert threading.enumerate() == before
+    assert max(during) > len(before)
+
+    during.clear()
+    nar_loss = CoupledNAR.nar_loss
+
+    def diverge_on_the_third_step(model, pairs):
+        out = nar_loss(model, pairs)
+        if len(during) == 2:
+            out["total"] = out["total"] * np.nan
+        return out
+
+    monkeypatch.setattr(CoupledNAR, "nar_loss", diverge_on_the_third_step)
+    with pytest.raises(TrainingDiverged, match="step 2"):
+        train_stage("nar", mini_run.items, _quick_pcfg(4), tmp_path / "nar.ckpt")
+    assert threading.enumerate() == before
+    assert max(during) > len(before)
 
 
 # ---- config round trips and validation --------------------------------------
@@ -548,8 +698,8 @@ def test_training_draws_the_per_item_rows(tmp_path, mini_run, monkeypatch, stage
     step s's indices are `Rng(seed).spawn(("step", s)).integers(0, n, (batch,))`,
     each item paired with its `reference_pairing` reference's grid (the
     AR's rows are text ids and both grids cut to its layers). A plain
-    `gradients` + `Adam` loop over those rows gives the stage's loss
-    curves and checkpoint bit for bit."""
+    `gradients` + `Adam` loop over those rows, on one shard, gives the
+    stage's loss curves, gradient norms and checkpoint bit for bit."""
     shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
     pcfg, items = _quick_pcfg(6), mini_run.items
     sched = pcfg.schedules[stage]
@@ -587,13 +737,14 @@ def test_training_draws_the_per_item_rows(tmp_path, mini_run, monkeypatch, stage
     params = model.named_parameters()
     opt, names, tensors = Adam(params), list(params), list(params.values())
     curves: dict = {}
+    norms = []
     for step in range(sched.total_steps):
         batch = rebuilt_batch(step)
         out = model.ar_loss(*model.teacher_forced_batch(batch)) if stage == "ar" else model.nar_loss(batch)
-        opt.step(dict(zip(names, gradients(out["total"], tensors))), sched.learning_rate(step))
+        norms.append(opt.step(dict(zip(names, gradients(out["total"], tensors))), sched.learning_rate(step)))
         for key, term in out.items():
             curves.setdefault(key, []).append(float(term.data))
-    assert curves == report.losses
+    assert curves == report.losses and norms == report.grad_norms
     saved = load_checkpoint(tmp_path / f"{stage}.ckpt").params
     assert all(np.array_equal(saved[k], v) for k, v in model.state().items()) and set(saved) == set(model.state())
 
@@ -675,6 +826,9 @@ def test_stage_reports_record_losses(mini_run):
         assert len(report.losses["total"]) == report.steps
         assert all(np.isfinite(v) for v in report.losses["total"])
         assert report.wall_time_s > 0
+        norms = report.grad_norms
+        assert len(norms) == report.steps and all(isinstance(v, float) and np.isfinite(v) for v in norms)
+        assert f"grad norm {norms[0]:.4g} -> {norms[-1]:.4g} (max {max(norms):.4g})" in report.summary()
 
 
 # ---- loading and inference -----------------------------------------------------
