@@ -23,7 +23,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .engine import Rng, bce_with_logits, check_fields, cross_entropy, embedding, last_rows, sigmoid
-from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask
+from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock
 
 _TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
 
@@ -169,20 +169,13 @@ class DualStreamAR(Module):
         """
         if tables is None:
             tables = self._tables() if cache is None else [w.data for w in self._tables()]
-        t = ids.shape[0] if lengths is None else int(np.max(lengths))
-        mask = None
-        if t > 1:
-            # Causal rows [n - t, n) over the n positions the queries see;
-            # a single new row sees every filled position, so it needs none.
-            n = t if cache is None else cache[0].n + t
-            mask = causal_mask(n, dtype=tables[0].dtype)[n - t:]
-        if cache is not None and t == 1:
+        if cache is not None and ids.shape[0] == 1:
             h = self._decode_row(tables, ids[0])
         else:
             h = embedding(tables, ids)
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            h = block(h, mask, None if cache is None else cache[i], lengths, tail if i == last else None)
+            h = block(h, True, None if cache is None else cache[i], lengths, tail if i == last else None)
         return self.ln_f(h)
 
     @staticmethod

@@ -14,11 +14,15 @@ module forward serves training (Tensors in) and inference (arrays in),
 with the same bits. `attention_fwd` is the one kernel kept apart: the
 cached attention calls it too, with keys and values apart from queries.
 
-Row-wise ops take whatever rows they are given. The AR and NAR trunks
-pass a packed (N, D) stack of their sequences' real rows, one sequence
-after another; `attention` is the one op that lays them out on a
-(B, T) grid, inside its own tape node. `last_rows` finds sequences and
-their last rows in such a stack.
+Row-wise ops take whatever rows they are given. Every trunk (AR, NAR
+and the speaker condition encoder) passes a packed (N, D) stack of its
+sequences' real rows, one sequence after another, with their
+`lengths`. `attention` is the one op that lays them out on a (B, T)
+grid, inside its own tape node, and its kernel `attention_fwd` is the
+one code that builds an attention mask, from the shapes, the lengths
+and a `causal` flag.
+`conv_windows` and `mean_rows` also work per sequence of the stack, and
+`last_rows` finds sequences and their last rows in it.
 
 Randomness goes through `Rng`, a thin wrapper over numpy's Philox
 counter-based bit generator, so that a fixed seed gives the same
@@ -53,6 +57,7 @@ __all__ = [
     "layer_norm",
     "attention",
     "last_rows",
+    "mean_rows",
     "gelu",
     "sigmoid",
     "attention_fwd",
@@ -390,26 +395,33 @@ def concat(tensors, axis=0):
     return Tensor._make(data, tuple(tensors), grad_fn)
 
 
-def conv_windows(x, kernel: int):
+def conv_windows(x, kernel: int, lengths: np.ndarray | None = None):
     """Same-padded convolution windows of a (..., T, D) input, one tape node:
     row t of the (..., T, kernel * D) output holds input rows t - kernel // 2
-    .. t + kernel // 2, zeros past either end. The backward adds the taps'
-    column blocks into one padded gradient in tap order."""
+    .. t + kernel // 2, zeros past either end. With `lengths`, the T rows
+    are a stack of sequences of those lengths, and each is zero-padded on
+    its own. The backward adds the taps' column blocks into one padded
+    gradient in tap order."""
     tape = isinstance(x, Tensor)
     xd = x.data if tape else x
     t, d = xd.shape[-2:]
+    lengths = np.array([t]) if lengths is None else np.asarray(lengths)
+    if lengths.sum() != t:
+        raise ShapeError(f"conv_windows input of {t} rows does not hold rows of lengths {lengths.tolist()}")
     half = kernel // 2
-    padded = np.zeros(xd.shape[:-2] + (t + 2 * half, d), dtype=xd.dtype)
-    padded[..., half:half + t, :] = xd
-    data = np.concatenate([padded[..., i:i + t, :] for i in range(kernel)], axis=-1)
+    # Each row's place in the padded stack: `half` zero rows before and after every sequence.
+    at = np.arange(t) + np.repeat(np.arange(1, 2 * lengths.size, 2) * half, lengths)
+    padded = np.zeros(xd.shape[:-2] + (t + 2 * half * lengths.size, d), dtype=xd.dtype)
+    padded[..., at, :] = xd
+    data = np.concatenate([padded[..., at + (i - half), :] for i in range(kernel)], axis=-1)
     if not tape:
         return data
 
     def grad_fn(g):
         gp = np.zeros_like(padded)
         for i in range(kernel):
-            gp[..., i:i + t, :] += g[..., i * d:(i + 1) * d]
-        x._accumulate(gp[..., half:half + t, :])
+            gp[..., at + (i - half), :] += g[..., i * d:(i + 1) * d]
+        x._accumulate(gp[..., at, :])
 
     return Tensor._make(data, (x,), grad_fn)
 
@@ -586,15 +598,27 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                  mask: np.ndarray | None = None):
-    """`attention` on arrays, with the (..., T, dim) queries apart from the
+                  causal: bool = False, lengths: np.ndarray | None = None):
+    """`attention` on arrays, with the (..., tq, dim) queries apart from the
     (..., n, dim) keys and values they attend to. Returns the output, then
     the query, key and value heads and the attention weights, which the
     op's backward reuses.
 
+    This is the one place a mask is built. The queries are the last tq
+    of the n key positions, so a `causal` query sees the keys up to its
+    own position. With `lengths`, the leading axis holds B sequences,
+    each left-padded so that its real keys are its last lengths[b], and
+    the padded keys are seen by no query.
+
     The one forward kept apart from its op, because it has a second
     caller: a cached attention passes a key/value cache's filled prefix,
     not the keys and values of its own packed rows."""
+    tq, n = q.shape[-2], k.shape[-2]
+    blocked = np.arange(n) > np.arange(n - tq, n)[:, None] if causal and tq > 1 else None
+    if lengths is not None:
+        pad = (np.arange(n) < n - lengths[:, None])[:, None, None, :]
+        blocked = pad if blocked is None else blocked | pad
+    mask = None if blocked is None else np.where(blocked, NEG_MASK, 0.0).astype(q.dtype)
     q, k, v = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
     # The weights come from the `softmax` op, so a traced run sees softmax inside attention.
     att = softmax(np.matmul(q, k.swapaxes(-1, -2)), -1, 1.0 / math.sqrt(q.shape[-1]), mask)
@@ -608,27 +632,25 @@ def last_rows(ends, counts) -> np.ndarray:
     return np.arange(int(counts.sum())) + np.repeat(np.asarray(ends) - np.cumsum(counts), counts)
 
 
-def attention(qkv, n_heads: int, mask: np.ndarray | None = None,
+def attention(qkv, n_heads: int, causal: bool = False,
               lengths: np.ndarray | None = None, tail: int | None = None):
-    """Multi-head scaled, masked dot-product attention; one tape node.
+    """Multi-head scaled dot-product attention; one tape node.
 
     `qkv` is (..., T, 3 * dim): the packed query, key and value
     projections, each `n_heads` heads of `dim // n_heads` channels. The
-    weights are `softmax(q k^T, scale=1/sqrt(head_dim), mask=mask)` per
-    head, and the heads of `weights @ v` are merged back into a
-    (..., T, dim) output.
+    weights are `softmax(q k^T, scale=1/sqrt(head_dim))` per head, each
+    query `causal` or seeing every key, and the heads of `weights @ v`
+    are merged back into a (..., T, dim) output.
 
     With `lengths`, `qkv` is an (N, 3 * dim) stack of sequences of those
     lengths, one after another. The op scatters them onto a (B, T) grid,
     T = max(lengths), padded on the left so that every sequence ends at
-    grid position T. Padded keys are masked, `mask` is over grid
-    positions, and the output holds the real rows, stacked the same
-    way. One sequence needs no grid.
+    grid position T. Padded keys are masked, and the output holds the
+    real rows, stacked the same way. One sequence needs no grid.
 
     With `tail`, only each sequence's last `tail` positions are queried,
     and the output holds min(tail, length) rows per sequence. Keys and
-    values still come from every row. A `mask` then covers every query
-    position, and its earlier rows are dropped.
+    values still come from every row.
     """
     tape = isinstance(qkv, Tensor)
     qd = qkv.data if tape else qkv
@@ -648,13 +670,8 @@ def attention(qkv, n_heads: int, mask: np.ndarray | None = None,
         grid = grid.reshape(b, t, 3 * dim)
     t = grid.shape[-2]
     lo = t - tail if tail is not None and tail < t else 0
-    if lo and mask is not None:
-        mask = mask[..., lo:, :]
-    if packed:
-        pad = np.where(np.arange(t) < t - lengths[:, None], NEG_MASK, 0.0).astype(qd.dtype)[:, None, None, :]
-        mask = pad if mask is None else mask + pad
     data, q, k, v, att = attention_fwd(grid[..., lo:, :dim], grid[..., dim:2 * dim], grid[..., 2 * dim:],
-                                       n_heads, mask)
+                                       n_heads, causal, lengths if packed else None)
     if packed:
         out_at = last_rows(np.arange(1, b + 1) * (t - lo), np.minimum(lengths, t - lo))
         data = data.reshape(-1, dim)[out_at]
@@ -678,6 +695,27 @@ def attention(qkv, n_heads: int, mask: np.ndarray | None = None,
         qkv._accumulate(d.reshape(-1, 3 * dim)[at] if packed else d)
 
     return Tensor._make(data, (qkv,), grad_fn)
+
+
+def mean_rows(x, lengths: np.ndarray):
+    """(B, D) means of the sequences of a packed (N, D) stack of
+    `lengths`, each at least 1, one tape node; an array x gives the
+    array and records nothing. A sequence's mean is its rows' sum times
+    1 / length, both in x's dtype."""
+    tape = isinstance(x, Tensor)
+    xd = x.data if tape else x
+    lengths = np.asarray(lengths)
+    if xd.ndim != 2 or lengths.sum() != xd.shape[0] or lengths.min() < 1:
+        raise ShapeError(f"mean_rows input {xd.shape} is not a stack of rows of lengths {lengths.tolist()}")
+    inv = (1.0 / lengths).astype(xd.dtype)[:, None]
+    data = np.stack([rows.sum(axis=0) for rows in np.split(xd, np.cumsum(lengths)[:-1])]) * inv
+    if not tape:
+        return data
+
+    def grad_fn(g):
+        x._accumulate(np.repeat(g * inv, lengths, axis=0))
+
+    return Tensor._make(data, (x,), grad_fn)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -136,6 +136,8 @@ class FeatureBundle:
         if len(set(lengths.values())) != 1:
             detail = ", ".join(f"{k}={v}" for k, v in lengths.items())
             raise InvariantError(f"frame counts disagree: {detail}")
+        if not self.n_frames:
+            raise InvariantError("bundle has no frames")
         for name in ("semantic", "acoustic", "speaker_frames", "mel"):
             arr = getattr(self, name)
             if arr.ndim != 2:
@@ -261,8 +263,8 @@ def make_utterance(spec: SyntheticSpec, factors: CorpusFactors, core_symbols: np
 
     frame_symbols = np.repeat(core_symbols, durations)
     t = frame_symbols.shape[0]
-    if t > spec.max_frames:
-        raise ValueError(f"utterance of {t} frames exceeds max_frames={spec.max_frames}")
+    if not 1 <= t <= spec.max_frames:
+        raise ValueError(f"utterance of {t} frames is outside 1..max_frames={spec.max_frames}")
     tmpl_idx = frame_symbols - N_RESERVED
     noise = spec.noise_scale
 

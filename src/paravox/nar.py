@@ -133,7 +133,7 @@ class CoupledStage(Module):
         h = embedding(tables, np.concatenate(rows))
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            h = block(h, None, None, lengths, tail if i == last else None)
+            h = block(h, lengths=lengths, tail=tail if i == last else None)
         # The last block kept each row's last min(tail, length) rows; its targets end them.
         h = h[last_rows(np.cumsum(np.minimum(lengths, tail)), n_target)]
         return self.classifier(self.ln_f(h))

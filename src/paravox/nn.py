@@ -3,9 +3,9 @@
 A `Module` collects parameters from its attributes (Tensors, child
 Modules, lists of Modules) under dotted names, which is what the
 checkpoint format stores. Row-wise layers take any (..., D) rows.
-Attention and transformer blocks take one (T, D) sequence, a padded
-(B, T, D) batch under an additive numpy mask, or a packed (N, D) stack
-of sequences with their `lengths` (see `engine.attention`). A block
+Attention and transformer blocks take one (T, D) sequence or a packed
+(N, D) stack of sequences with their `lengths`, and a `causal` flag;
+`engine.attention` builds the mask from those (see there). A block
 given a `tail` returns only each sequence's last `tail` rows.
 
 Each layer has one forward, built from engine ops that run on whatever
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import NEG_MASK, Rng, Tensor, attention, attention_fwd, conv_windows, gelu, layer_norm, last_rows, linear
+from .engine import Rng, Tensor, attention, attention_fwd, conv_windows, gelu, layer_norm, last_rows, linear
 
 
 class Module:
@@ -115,7 +115,7 @@ class KVCache:
 
 
 class MultiHeadAttention(Module):
-    """Standard scaled dot-product attention with an additive mask.
+    """Standard scaled dot-product attention, causal or bidirectional.
 
     One packed `wqkv` projection feeds `engine.attention`.
     """
@@ -132,16 +132,15 @@ class MultiHeadAttention(Module):
              for tag in ("wq", "wk", "wv")], axis=1))
         self.wo = Linear(dim, dim, rng.spawn("wo"), dtype=dtype)
 
-    def __call__(self, x, mask: np.ndarray | None = None, cache: KVCache | None = None,
+    def __call__(self, x, causal: bool = False, cache: KVCache | None = None,
                  lengths: np.ndarray | None = None, tail: int | None = None):
-        """The rows attend over their own keys and values under `mask`;
+        """The rows attend over their own keys and values; `causal`,
         `lengths` and `tail` are `engine.attention`'s. With a `cache`,
         which needs (T, dim) array rows, their keys and values are
         appended to it and their queries (the last `tail`, if given)
-        attend over every cached position; `mask` then covers (new rows,
-        cached positions)."""
+        attend over the cached positions, the last of which are their own."""
         if cache is None:
-            return self.wo(attention(self.wqkv(x), self.n_heads, mask, lengths, tail))
+            return self.wo(attention(self.wqkv(x), self.n_heads, causal, lengths, tail))
         if isinstance(x, Tensor):
             raise TypeError("a KV cache takes array input; a cached pass records no tape")
         qkv = self.wqkv(x)
@@ -149,8 +148,8 @@ class MultiHeadAttention(Module):
         k, v = cache.extend(qkv[..., dim:2 * dim], qkv[..., 2 * dim:])  # (n, dim), n >= T
         q = qkv[..., :dim]
         if tail is not None:
-            q, mask = q[-tail:], None if mask is None else mask[-tail:]
-        return self.wo(attention_fwd(q, k, v, self.n_heads, mask)[0])
+            q = q[-tail:]
+        return self.wo(attention_fwd(q, k, v, self.n_heads, causal)[0])
 
 
 class TransformerBlock(Module):
@@ -163,13 +162,13 @@ class TransformerBlock(Module):
         self.fc1 = Linear(dim, mlp_ratio * dim, rng.spawn("fc1"), dtype=dtype)
         self.fc2 = Linear(mlp_ratio * dim, dim, rng.spawn("fc2"), dtype=dtype)
 
-    def __call__(self, x, mask: np.ndarray | None = None, cache: KVCache | None = None,
+    def __call__(self, x, causal: bool = False, cache: KVCache | None = None,
                  lengths: np.ndarray | None = None, tail: int | None = None):
         """Attention through `cache` when given (see `MultiHeadAttention`).
         With `tail`, only the rows of each sequence's last `tail` positions
         go on past attention: min(tail, length) per sequence of `lengths`
         (one sequence if None), stacked in order."""
-        h = self.attn(self.ln1(x), mask, cache, lengths, tail)
+        h = self.attn(self.ln1(x), causal, cache, lengths, tail)
         if tail is not None:
             x = x[-tail:] if lengths is None or len(lengths) == 1 else \
                 x[last_rows(np.cumsum(lengths), np.minimum(lengths, tail))]
@@ -178,7 +177,8 @@ class TransformerBlock(Module):
 
 
 class Conv1dSame(Module):
-    """1-D convolution over time with zero padding: `conv_windows`, then a Linear."""
+    """1-D convolution over time with zero padding, each sequence of
+    `lengths` on its own: `conv_windows`, then a Linear."""
 
     def __init__(self, d_in: int, d_out: int, kernel: int, rng: Rng, dtype=None):
         if kernel % 2 == 0:
@@ -186,30 +186,5 @@ class Conv1dSame(Module):
         self.kernel = kernel
         self.proj = Linear(kernel * d_in, d_out, rng, dtype=dtype)
 
-    def __call__(self, x):
-        return self.proj(conv_windows(x, self.kernel))
-
-
-def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
-    """(t, t) additive mask: 0 on/below the diagonal, NEG_MASK above."""
-    m = np.full((t, t), NEG_MASK, dtype=dtype)
-    return np.triu(m, k=1)
-
-
-def padding_mask(lengths: np.ndarray, t: int, dtype=np.float32) -> np.ndarray:
-    """(B, 1, 1, t) additive mask blocking attention to padded columns."""
-    lengths = np.asarray(lengths)
-    cols = np.arange(t)[None, :] >= lengths[:, None]
-    return np.where(cols, NEG_MASK, 0.0).astype(dtype)[:, None, None, :]
-
-
-def pad_rows(frames: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack (T_i, D) frame arrays into one zero-padded (B, T_max, D)
-    batch. Returns the batch, the row lengths, and their
-    (B, 1, 1, T_max) `padding_mask` in `dtype`.
-    """
-    lengths = np.array([f.shape[0] for f in frames])
-    out = np.zeros((len(frames), int(lengths.max())) + frames[0].shape[1:], dtype=frames[0].dtype)
-    for i, f in enumerate(frames):
-        out[i, :f.shape[0]] = f
-    return out, lengths, padding_mask(lengths, out.shape[1], dtype=dtype)
+    def __call__(self, x, lengths: np.ndarray | None = None):
+        return self.proj(conv_windows(x, self.kernel, lengths))

@@ -190,32 +190,24 @@ class PipelineConfig:
         return (("merged", k),)
 
     def build_tokenizer_config(self) -> TokenizerConfig:
-        d, t = self.data, self.tokenizer
+        d = self.data
         return TokenizerConfig(
-            semantic_dim=d.semantic_dim, acoustic_dim=d.acoustic_dim,
+            **asdict(self.tokenizer), semantic_dim=d.semantic_dim, acoustic_dim=d.acoustic_dim,
             speaker_frame_dim=d.speaker_frame_dim, speaker_global_dim=d.speaker_global_dim,
-            cond_dim=t.cond_dim, codebook_size=t.codebook_size,
-            n_quantizer_layers=t.n_quantizer_layers, attn_blocks=t.attn_blocks,
-            n_heads=t.n_heads, conv_kernel=t.conv_kernel, max_frames=d.max_frames,
-            merged=not self.ablation.parallel_streams, seed=t.seed)
+            max_frames=d.max_frames, merged=not self.ablation.parallel_streams)
 
     def build_ar_config(self) -> ARConfig:
-        a = self.ar
         layers = 1 if self.ablation.use_refiner else self.tokenizer.n_quantizer_layers
-        return ARConfig(
-            text_vocab=N_RESERVED + self.data.vocab_size, streams=self.stream_spec(),
-            layers_per_stream=layers, n_layers=a.n_layers, model_dim=a.model_dim,
-            n_heads=a.n_heads, max_text_len=a.max_text_len, max_speech_len=a.max_speech_len,
-            top_k=a.top_k, temperature=a.temperature, seed=a.seed)
+        return ARConfig(**asdict(self.ar), text_vocab=N_RESERVED + self.data.vocab_size,
+                        streams=self.stream_spec(), layers_per_stream=layers)
 
     def build_nar_config(self) -> NARConfig:
-        n = self.nar
-        return NARConfig(
-            streams=self.stream_spec(), n_quant_layers=self.tokenizer.n_quantizer_layers,
-            n_layers=n.n_layers, model_dim=n.model_dim, n_heads=n.n_heads,
-            max_ref_len=self.data.max_frames, max_target_len=self.data.max_frames, seed=n.seed)
+        return NARConfig(**asdict(self.nar), streams=self.stream_spec(),
+                         n_quant_layers=self.tokenizer.n_quantizer_layers,
+                         max_ref_len=self.data.max_frames, max_target_len=self.data.max_frames)
 
     def build_flow_config(self) -> FlowConfig:
+        """Fields listed one by one: `FlowSection.seed` is not a `FlowConfig` field."""
         f = self.flow
         return FlowConfig(
             mel_bins=self.data.mel_bins,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..frontend import (BOS_ID, Corpus, EOS_ID, FeatureBundle, SyntheticSpec,
+from ..frontend import (BOS_ID, Corpus, EOS_ID, FeatureBundle, FeatureFileError, SyntheticSpec,
                         load_features, save_features)
 
 MANIFEST_NAME = "manifest.json"
@@ -103,7 +103,11 @@ def load_corpus_dir(data_dir) -> tuple[SyntheticSpec, list[CorpusItem]]:
             raise CorpusDirError(f"{where}.file must be a string, got {row['file']!r}")
         if not isinstance(row["speaker_id"], int) or isinstance(row["speaker_id"], bool):
             raise CorpusDirError(f"{where}.speaker_id must be an int, got {row['speaker_id']!r}")
-        items.append(CorpusItem(bundle=load_features(root / row["file"]), speaker_id=row["speaker_id"]))
+        try:
+            bundle = load_features(root / row["file"])
+        except FeatureFileError as e:
+            raise CorpusDirError(f"{where} ({row['file']}): {e}") from e
+        items.append(CorpusItem(bundle=bundle, speaker_id=row["speaker_id"]))
     if not items:
         raise CorpusDirError(f"{root}: corpus is empty")
     return spec, items

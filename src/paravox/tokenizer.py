@@ -11,6 +11,8 @@ The speaker pathway projects per-frame speaker features, distills a
 pooled summary toward the global speaker target by cosine distance,
 and feeds a condition encoder (conv + attention + mean pool) that
 produces the time-invariant conditioning vector for the mel decoder.
+It runs on a packed stack of the batch's speaker frames, one utterance
+after another, with their lengths; every layer works per utterance.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, check_fields
+from .engine import Rng, Tensor, check_fields, mean_rows
 from .frontend import FeatureBundle
-from .nn import Conv1dSame, Linear, Module, TransformerBlock, pad_rows
+from .nn import Conv1dSame, Linear, Module, TransformerBlock
 from .rvq import RVQStack
 
 log = logging.getLogger(__name__)
@@ -64,18 +66,12 @@ class ConditionEncoder(Module):
         self.blocks = [TransformerBlock(cfg.cond_dim, cfg.n_heads, rng.spawn(("blk", i)), dtype=dtype)
                        for i in range(cfg.attn_blocks)]
 
-    def __call__(self, frames, lengths: np.ndarray, mask: np.ndarray):
-        """(B, cond_dim) of a zero-padded batch; padding is kept out of attention and pooling."""
-        h = self.conv(frames)
+    def __call__(self, frames, lengths: np.ndarray):
+        """(B, cond_dim) of a packed (N, D) stack of utterances of `lengths`."""
+        h = self.conv(frames, lengths)
         for block in self.blocks:
-            h = block(h, mask=mask)
-        return _mean_rows(h, lengths)
-
-
-def _mean_rows(h, lengths: np.ndarray):
-    """Mean of each (T, D) row of a (B, T, D) batch over its first lengths[i] positions."""
-    keep = np.arange(h.shape[1]) < lengths[:, None]
-    return (h * keep[..., None]).sum(axis=1) * (1.0 / lengths).astype(h.dtype)[:, None]
+            h = block(h, lengths=lengths)
+        return mean_rows(h, lengths)
 
 
 class ParallelTokenizer(Module):
@@ -132,22 +128,19 @@ class ParallelTokenizer(Module):
     # ---- speaker pathway --------------------------------------------------
 
     def _speaker_batch(self, speaker_frames: list[np.ndarray], wrap):
-        """(B, T_max, D) projections of padded speaker frames, the lengths and
-        padding mask. Padded rows are zeroed after the bias, so `Conv1dSame`
-        sees the zeros its same-padding gives each utterance alone. `wrap`
-        makes the padded frames the projector's input: `Tensor` records the
-        tape, `np.asarray` runs the kernels."""
+        """(N, D) projections of the packed speaker frames, and their
+        lengths. `wrap` makes the packed frames the projector's input:
+        `Tensor` records the tape, `np.asarray` runs the kernels."""
         # Deliberately no positional encoding here: the condition vector
         # should describe *who* is speaking, invariant to utterance
         # length, so the pooled pathway stays permutation-equivariant.
-        dtype = self.projector.weight.dtype
-        frames, lengths, mask = pad_rows([np.asarray(f, dtype=dtype) for f in speaker_frames], dtype)
+        lengths = np.array([f.shape[0] for f in speaker_frames])
         if lengths.max() > self.cfg.max_frames:
             raise ValueError(f"{lengths.max()} frames exceeds tokenizer max_frames={self.cfg.max_frames}")
-        keep = np.arange(frames.shape[1]) < lengths[:, None]
-        return self.projector(wrap(frames)) * keep[..., None], lengths, mask
+        frames = np.concatenate(speaker_frames).astype(self.projector.weight.dtype, copy=False)
+        return self.projector(wrap(frames)), lengths
 
-    def projected_speaker_frames(self, speaker_frames: list[np.ndarray]) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    def projected_speaker_frames(self, speaker_frames: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
         """`_speaker_batch` with a Tensor projection, to train the speaker pathway."""
         return self._speaker_batch(speaker_frames, Tensor)
 
@@ -159,7 +152,7 @@ class ParallelTokenizer(Module):
         """1 - cos(pooled projection, target) per row of a
         `projected_speaker_frames` batch; a row with a zero-norm operand is
         distance 1 with zero gradient and logged, never a division blowup."""
-        pred = self.distill_head(_mean_rows(frames, lengths))
+        pred = self.distill_head(mean_rows(frames, lengths))
         target = np.asarray(speaker_global, dtype=pred.dtype)
         t_norm = np.linalg.norm(target, axis=1)
         p_norm_sq = (pred * pred).sum(axis=1)
@@ -211,10 +204,10 @@ class ParallelTokenizer(Module):
             recon[name] = float(np.mean([float(e.mean()) for e in np.split(err, splits)]))
             lo += frames.shape[1]
         features = np.split(features, splits)
-        proj, lengths, mask = self.projected_speaker_frames([b.speaker_frames for b in bundles])
+        proj, lengths = self.projected_speaker_frames([b.speaker_frames for b in bundles])
         l_speaker = self.speaker_distill_loss(proj, lengths, np.stack([b.speaker_global for b in bundles])).mean()
         l_mel = cfm_train_loss(field, [b.mel for b in bundles], features,
-                               self.cond_encoder(proj, lengths, mask), rngs)
+                               self.cond_encoder(proj, lengths), rngs)
         l_sem, l_acous = [0.5 * recon["merged"]] * 2 if self.cfg.merged else [recon["semantic"], recon["acoustic"]]
         terms = {"L_Sem": l_sem, "L_Acous": l_acous,
                  "L_Speaker": float(l_speaker.data), "L_Mel": float(l_mel.data)}

@@ -1,13 +1,15 @@
 """Batched tokenizer and flow losses: equal to the per-utterance loop they
-replace, one tape whatever the batch size, and no leak through padding."""
+replace and to the zero-padded speaker pathway the packed one replaced,
+one tape whatever the batch size, and no leak between utterances."""
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
 from conftest import rvq_residuals
-from paravox.engine import Rng, Tensor, gradients
+from paravox.engine import NEG_MASK, Rng, Tensor, gelu, gradients, softmax
 from paravox.flow import FlowConfig, VelocityField, cfm_train_loss, time_features
 from paravox.frontend import SyntheticSpec, generate_corpus
 from paravox.tokenizer import ParallelTokenizer, TokenizerConfig
@@ -128,7 +130,7 @@ def speaker_tokenizer():
 
 
 def test_speaker_condition_ignores_padding():
-    """Each utterance's condition alone equals its row of a padded batch,
+    """Each utterance's condition alone equals its row of a packed batch,
     down to rows within conv_kernel // 2 of the longest and a lone frame."""
     tok = speaker_tokenizer()
     rng = Rng(41)
@@ -150,7 +152,7 @@ def test_distill_zero_target_row_is_pinned(caplog):
     params = list(tok.named_parameters().values())
 
     def distances(target):
-        proj, lengths, _ = tok.projected_speaker_frames(frames)
+        proj, lengths = tok.projected_speaker_frames(frames)
         return tok.speaker_distill_loss(proj, lengths, target)
 
     base = distances(targets).data
@@ -161,3 +163,85 @@ def test_distill_zero_target_row_is_pinned(caplog):
     assert len(caplog.records) == 1 and "zero-norm" in caplog.records[0].message
     assert all(np.all(g == 0.0) for g in gradients(distances(zeroed)[1], params))
     assert any(np.any(g != 0.0) for g in gradients(distances(zeroed)[0], params))
+
+
+# ---- the zero-padded speaker pathway, as a reference --------------------------
+
+
+def _pad_rows(frames: list[np.ndarray]):
+    """(B, T_max, D) zero-padded batch, the lengths, and the (B, 1, 1, T_max)
+    additive mask of the padded columns."""
+    lengths = np.array([f.shape[0] for f in frames])
+    out = np.zeros((len(frames), int(lengths.max()), frames[0].shape[1]))
+    for i, f in enumerate(frames):
+        out[i, :f.shape[0]] = f
+    mask = np.where(np.arange(out.shape[1]) >= lengths[:, None], NEG_MASK, 0.0)[:, None, None, :]
+    return out, lengths, mask
+
+
+def _padded_mean(h: Tensor, lengths: np.ndarray) -> Tensor:
+    keep = np.arange(h.shape[1]) < lengths[:, None]
+    return (h * keep[..., None]).sum(axis=1) * (1.0 / lengths)[:, None]
+
+
+def _padded_block(block, x: Tensor, mask: np.ndarray) -> Tensor:
+    """A `TransformerBlock` over a padded batch: the attention from its
+    projections under an additive mask, then the residual MLP."""
+    qkv = block.attn.wqkv(block.ln1(x))
+    b, t, dim = x.shape
+    n_heads = block.attn.n_heads
+    q, k, v = (qkv[..., i * dim:(i + 1) * dim].reshape(b, t, n_heads, dim // n_heads).swapaxes(1, 2)
+               for i in range(3))
+    att = softmax(q @ k.swapaxes(-1, -2), scale=1.0 / np.sqrt(dim // n_heads), mask=mask)
+    x = x + block.attn.wo((att @ v).swapaxes(1, 2).reshape(b, t, dim))
+    return x + block.fc2(gelu(block.fc1(block.ln2(x))))
+
+
+def _padded_conditions(tok, frames: list[np.ndarray]):
+    """(projection, lengths, condition vectors) of the padded pathway:
+    padded projector rows zeroed after the bias, the conv over each padded
+    row, masked blocks, and means over the real rows."""
+    batch, lengths, mask = _pad_rows(frames)
+    keep = np.arange(batch.shape[1]) < lengths[:, None]
+    proj = tok.projector(Tensor(batch)) * keep[..., None]
+    h = tok.cond_encoder.conv(proj)
+    for block in tok.cond_encoder.blocks:
+        h = _padded_block(block, h, mask)
+    return proj, lengths, _padded_mean(h, lengths)
+
+
+def _padded_tokenizer_loss(tok, bundles, field, rngs) -> Tensor:
+    proj, lengths, cond = _padded_conditions(tok, [b.speaker_frames for b in bundles])
+    pred = tok.distill_head(_padded_mean(proj, lengths))
+    target = np.stack([b.speaker_global for b in bundles]).astype(np.float64)
+    cos = (pred * target).sum(axis=1) / ((pred * pred).sum(axis=1).sqrt() * np.linalg.norm(target, axis=1))
+    features = np.split(tok.decode_tokens(np.concatenate(tok.encode_grids(bundles))),
+                        np.cumsum([b.n_frames for b in bundles])[:-1])
+    return (1.0 - cos).mean() + cfm_train_loss(field, [b.mel for b in bundles], features, cond, rngs)
+
+
+def test_packed_speaker_pathway_matches_padded_f64():
+    """`tokenizer_loss`, `speaker_conditions` and every parameter gradient
+    equal the zero-padded pathway's to rtol 1e-12 in f64, with utterances
+    of 1 and 2 frames under a kernel of 5."""
+    tok, field, bundles = toy_models()
+    tok = ParallelTokenizer(dataclasses.replace(tok.cfg, conv_kernel=5), Rng(7), dtype=np.float64)
+    cut = lambda b, n: dataclasses.replace(b, semantic=b.semantic[:n], acoustic=b.acoustic[:n],
+                                           speaker_frames=b.speaker_frames[:n], mel=b.mel[:n])
+    bundles = [cut(b, n) for b, n in zip(bundles, (9, 1, 7, 2, 11, 4))]
+    assert [b.n_frames for b in bundles] == [9, 1, 7, 2, 11, 4]
+    params = [*tok.named_parameters().values(), *field.named_parameters().values()]
+    rngs = lambda: [Rng(300 + j) for j in range(len(bundles))]
+
+    frames = [b.speaker_frames for b in bundles]
+    np.testing.assert_allclose(tok.speaker_conditions(frames), _padded_conditions(tok, frames)[2].data,
+                               rtol=1e-12, atol=0)
+    loss, _ = tok.tokenizer_loss(bundles, field, rngs())
+    ref = _padded_tokenizer_loss(tok, bundles, field, rngs())
+    np.testing.assert_allclose(float(loss.data), float(ref.data), rtol=1e-12, atol=0)
+    for name, g, w in zip([*tok.named_parameters(), *field.named_parameters()],
+                          gradients(loss, params), gradients(ref, params)):
+        # The key-bias columns of `wqkv` get rounding noise only: a shift
+        # shared by every key leaves the softmax as it is. So the floor is
+        # 1e-12 of the parameter's largest gradient.
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max(), err_msg=name)

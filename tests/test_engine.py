@@ -7,6 +7,7 @@ import pytest
 
 from paravox.engine import (
     BlankRng,
+    NEG_MASK,
     Rng,
     ShapeError,
     Tensor,
@@ -23,10 +24,10 @@ from paravox.engine import (
     last_rows,
     layer_norm,
     linear,
+    mean_rows,
     sigmoid,
     softmax,
 )
-from paravox.nn import NEG_MASK, causal_mask, padding_mask
 
 
 def f64(rng, shape, scale=1.0):
@@ -239,9 +240,15 @@ def _attention_composed(qkv, n_heads, mask):
     return _merge_composed(att @ v)
 
 
+def _causal_mask(t, dtype):
+    """(t, t) additive mask: 0 on/below the diagonal, NEG_MASK above."""
+    return np.triu(np.full((t, t), NEG_MASK, dtype=dtype), k=1)
+
+
 def _attention_mask(lengths, t, dtype):
-    """Causal plus padding: (B, 1, T, T)."""
-    return causal_mask(t, dtype=dtype)[None, None] + padding_mask(lengths, t, dtype=dtype)
+    """Causal plus padding of the columns past each length: (B, 1, T, T)."""
+    pad = np.where(np.arange(t) >= np.asarray(lengths)[:, None], NEG_MASK, 0.0).astype(dtype)
+    return _causal_mask(t, dtype)[None, None] + pad[:, None, None, :]
 
 
 def _assert_same_forward_and_grads(fused, composed, inputs, rtol=0.0, atol=0.0):
@@ -383,25 +390,28 @@ def test_softmax_rejects_mask_that_grows_the_scores():
         softmax(Tensor(np.zeros((3, 3))), mask=np.full((2, 3, 3), NEG_MASK))
 
 
-def _mask_for(kind, lead, t, dtype):
-    """None, a causal mask, or causal plus padding (lengths t and t - 2)."""
-    if kind == "none":
-        return None
-    if kind == "causal":
-        return causal_mask(t, dtype=dtype)
-    if lead:
-        return _attention_mask(np.array([t, t - 2][:lead[0]]), t, dtype)
-    return causal_mask(t, dtype=dtype) + padding_mask(np.array([t - 2]), t, dtype=dtype)[0, 0]
+def _padded_lengths(lead, t):
+    """The sequences of a causal-padding case: one of length t - 2 for
+    rank 2, lengths t and t - 2 for a rank-3 batch of two."""
+    return np.array([t, t - 2][:lead[0]] if lead else [t - 2])
+
+
+def _real_rows(x, lengths):
+    """The packed stack of a zero-padded (T, D) row or (B, T, D) batch's real rows."""
+    return x[:lengths[0]] if len(x.shape) == 2 else concat([x[i, :n] for i, n in enumerate(lengths)], axis=0)
 
 
 @pytest.mark.parametrize("mask_kind", ["none", "causal", "causal_padding"])
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
 def test_attention_grad_check_f64(lead, mask_kind):
+    """Bidirectional and causal over one sequence or a rank-3 batch, and
+    causal over the packed rows of `_padded_lengths`."""
     rng = Rng(37)
-    qkv = f64(rng, lead + (5, 24))
-    mask = _mask_for(mask_kind, lead, 5, np.float64)
-    w = Tensor(rng.normal(lead + (5, 8), dtype=np.float64))
-    report = grad_check(lambda: (attention(qkv, 2, mask=mask) * w).sum(), {"qkv": qkv},
+    lengths = _padded_lengths(lead, 5) if mask_kind == "causal_padding" else None
+    shape = (int(lengths.sum()),) if lengths is not None else lead + (5,)
+    qkv = f64(rng, shape + (24,))
+    w = Tensor(rng.normal(shape + (8,), dtype=np.float64))
+    report = grad_check(lambda: (attention(qkv, 2, mask_kind != "none", lengths) * w).sum(), {"qkv": qkv},
                         tolerance=1e-8)
     assert report.passed, str(report)
 
@@ -409,15 +419,26 @@ def test_attention_grad_check_f64(lead, mask_kind):
 @pytest.mark.parametrize("mask_kind", ["none", "causal_padding"])
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
 def test_attention_matches_composed_chain(lead, mask_kind):
-    """Forward bit-equal to the chain in f32 and f64; gradients to 1e-12 in f64."""
+    """Unmasked, the forward is bit-equal to the chain in f32 and f64, and
+    the gradients agree to 1e-12 in f64. Causal over packed rows, it
+    matches the chain over the zero-padded rows under a causal plus
+    padding mask, at the real rows: to 1e-12 in f64, f32 rounding in f32."""
     for dtype in (np.float64, np.float32):
         rng = Rng(39)
         x = rng.normal(lead + (6, 48), scale=2.0, dtype=dtype)
-        mask = _mask_for(mask_kind, lead, 6, np.float32)
         a, b = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
-        ya, yb = attention(a, 4, mask=mask), _attention_composed(b, 4, mask)
+        if mask_kind == "none":
+            ya, yb = attention(a, 4), _attention_composed(b, 4, None)
+        else:
+            lengths = _padded_lengths(lead, 6)
+            mask = _attention_mask(lengths, 6, np.float32)
+            ya = attention(_real_rows(a, lengths), 4, True, lengths)
+            yb = _real_rows(_attention_composed(b, 4, mask if lead else mask[0, 0]), lengths)
         assert ya.dtype == yb.dtype == dtype
-        np.testing.assert_array_equal(ya.data, yb.data)
+        if mask_kind == "none":
+            np.testing.assert_array_equal(ya.data, yb.data)
+        else:
+            np.testing.assert_allclose(ya.data, yb.data, rtol=0, atol=1e-12 if dtype == np.float64 else 1e-5)
         if dtype == np.float64:
             cot = Tensor(rng.normal(ya.shape, dtype=dtype))
             (ya * cot).sum().backward()
@@ -433,7 +454,6 @@ def test_array_kernels_are_the_tensor_ops_forward(dtype):
     rng = Rng(40)
     x = rng.normal((5, 24), scale=2.0, dtype=dtype)
     w, b = rng.normal((24, 6), dtype=dtype), rng.normal((6,), dtype=dtype)
-    mask = causal_mask(5, dtype=np.float32)
     tables = [rng.normal((7, 4), dtype=dtype), rng.normal((3, 4), dtype=dtype)]
     ids = np.array([[0, -1], [6, 2], [-1, -1], [3, 0]])
     cases = [  # (Tensor op, [op on arrays, attention's kernel])
@@ -442,12 +462,15 @@ def test_array_kernels_are_the_tensor_ops_forward(dtype):
         (layer_norm(Tensor(x), Tensor(x[0]), Tensor(x[1])), [layer_norm(x, Tensor(x[0]), Tensor(x[1]))]),
         (layer_norm(Tensor(x[:1])), [layer_norm(x[:1])]),
         (softmax(Tensor(x), scale=0.3, mask=x[:1] > 0), [softmax(x, -1, 0.3, x[:1] > 0)]),
-        (attention(Tensor(x), 2, mask=mask),
-         [attention(x, 2, mask=mask), attention_fwd(x[:, :8], x[:, 8:16], x[:, 16:], 2, mask)[0]]),
+        (attention(Tensor(x), 2, causal=True),
+         [attention(x, 2, causal=True), attention_fwd(x[:, :8], x[:, 8:16], x[:, 16:], 2, True)[0]]),
+        (attention(Tensor(x), 2, True, np.array([2, 3])), [attention(x, 2, True, np.array([2, 3]))]),
         (gelu(Tensor(x)), [gelu(x)]),
         (sigmoid(Tensor(x)), [sigmoid(x)]),
         (embedding([Tensor(t) for t in tables], ids), [embedding(tables, ids)]),
         (conv_windows(Tensor(x), 3), [conv_windows(x, 3)]),
+        (conv_windows(Tensor(x), 3, np.array([2, 3])), [conv_windows(x, 3, np.array([2, 3]))]),
+        (mean_rows(Tensor(x), np.array([2, 3])), [mean_rows(x, np.array([2, 3]))]),
         (concat([Tensor(x), Tensor(x[:2])], axis=0), [concat([x, x[:2]], axis=0)]),
     ]
     for op, outs in cases:
@@ -486,9 +509,9 @@ def test_packed_attention_matches_each_sequence_alone(causal, tail):
         x = rng.normal((int(lengths.sum()), 24), scale=2.0, dtype=dtype)
         cot = rng.normal((int(np.minimum(lengths, tail or 6).sum()), 8), dtype=dtype)
         a, b = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
-        y = attention(a, 2, causal_mask(6, dtype=dtype) if causal else None, lengths, tail)
-        want = concat([attention(b[s:s + n], 2, mask=causal_mask(n, dtype=dtype) if causal else None)
-                       [n - min(n, tail or n):] for s, n in zip(starts, lengths)], axis=0)
+        y = attention(a, 2, causal, lengths, tail)
+        want = concat([attention(b[s:s + n], 2, causal)[n - min(n, tail or n):]
+                       for s, n in zip(starts, lengths)], axis=0)
         (y * Tensor(cot)).sum().backward()
         (want * Tensor(cot)).sum().backward()
         assert y.dtype == dtype and y.shape == want.shape
@@ -498,8 +521,7 @@ def test_packed_attention_matches_each_sequence_alone(causal, tail):
         np.testing.assert_allclose(y.data, want.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
         qkv = Tensor(x, requires_grad=True)
-        report = grad_check(lambda: (attention(qkv, 2, causal_mask(6, dtype=dtype) if causal else None,
-                                               lengths, tail) * Tensor(cot)).sum(),
+        report = grad_check(lambda: (attention(qkv, 2, causal, lengths, tail) * Tensor(cot)).sum(),
                             {"qkv": qkv}, tolerance=1e-8)
         assert report.passed, str(report)
 
@@ -561,6 +583,62 @@ def test_conv_windows_zero_pads_each_tap():
     np.testing.assert_array_equal(out, np.hstack([padded[0:3], padded[1:4], padded[2:5]]))
 
 
+_PACKED_LENGTHS = np.array([1, 4, 2, 5])
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
+def test_conv_windows_with_lengths_is_each_sequence_alone(lead, kernel):
+    """Packed sequences, some shorter than the kernel, each get the windows
+    and the input gradient they get alone, bit for bit."""
+    rng = Rng(45)
+    x = rng.normal(lead + (int(_PACKED_LENGTHS.sum()), 3), dtype=np.float64)
+    cot = rng.normal(lead + (x.shape[-2], 3 * kernel), dtype=np.float64)
+    a = Tensor(x.copy(), requires_grad=True)
+    y = conv_windows(a, kernel, _PACKED_LENGTHS)
+    (y * Tensor(cot)).sum().backward()
+    for lo, n in zip(np.cumsum(_PACKED_LENGTHS) - _PACKED_LENGTHS, _PACKED_LENGTHS):
+        b = Tensor(x[..., lo:lo + n, :].copy(), requires_grad=True)
+        want = conv_windows(b, kernel)
+        (want * Tensor(cot[..., lo:lo + n, :])).sum().backward()
+        np.testing.assert_array_equal(y.data[..., lo:lo + n, :], want.data)
+        np.testing.assert_array_equal(a.grad[..., lo:lo + n, :], b.grad)
+    with pytest.raises(ShapeError, match="does not hold rows of lengths"):
+        conv_windows(x, kernel, _PACKED_LENGTHS[1:])
+
+
+def test_conv_windows_with_lengths_grad_check_f64():
+    rng = Rng(46)
+    x = f64(rng, (int(_PACKED_LENGTHS.sum()), 3))
+    w = rng.normal((x.shape[0], 15), dtype=np.float64)
+    report = grad_check(lambda: (conv_windows(x, 5, _PACKED_LENGTHS) * w).sum(), {"x": x}, tolerance=1e-6)
+    assert report.passed, str(report)
+
+
+def test_mean_rows_is_each_sequence_mean():
+    """Bit for bit the sum of each sequence's rows times 1 / length; an
+    empty or mismatched sequence is refused."""
+    rng = Rng(47)
+    for dtype in (np.float32, np.float64):
+        x = rng.normal((int(_PACKED_LENGTHS.sum()), 3), dtype=dtype)
+        got = mean_rows(x, _PACKED_LENGTHS)
+        starts = np.cumsum(_PACKED_LENGTHS) - _PACKED_LENGTHS
+        want = [x[s:s + n].sum(axis=0) * dtype(1.0 / n) for s, n in zip(starts, _PACKED_LENGTHS)]
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, np.stack(want))
+    for bad in (np.array([0, 12]), _PACKED_LENGTHS[1:]):
+        with pytest.raises(ShapeError, match="lengths"):
+            mean_rows(x, bad)
+
+
+def test_mean_rows_grad_check_f64():
+    rng = Rng(48)
+    x = f64(rng, (int(_PACKED_LENGTHS.sum()), 3))
+    w = rng.normal((_PACKED_LENGTHS.size, 3), dtype=np.float64)
+    report = grad_check(lambda: (mean_rows(x, _PACKED_LENGTHS) * w).sum(), {"x": x}, tolerance=1e-8)
+    assert report.passed, str(report)
+
+
 def test_embedding_rejects_bad_ids():
     tables, ids = _embedding_case(Rng(44))
     # Below -1, and the second table's row count.
@@ -583,15 +661,19 @@ def test_fused_primitives_are_one_tape_node():
     scores = f64(rng, (2, 2, 3, 3))
     qkv = f64(rng, (2, 3, 24))
     table = f64(rng, (5, 4))
+    packed, rows = f64(rng, (6, 24)), f64(rng, (6, 8))
     mask = _attention_mask(np.array([3, 2]), 3, np.float64)
     cases = [
         (linear(x, w, b), (x, w, b)),
         (linear(x, w), (x, w)),
         (layer_norm(x, gamma, beta), (x, gamma, beta)),
         (softmax(scores, scale=0.5, mask=mask), (scores,)),
-        (attention(qkv, 2, mask=mask), (qkv,)),
+        (attention(qkv, 2, causal=True), (qkv,)),
+        (attention(packed, 2, True, np.array([4, 2])), (packed,)),
         (embedding([w, table], np.array([[1, -1], [-1, 2]])), (w, table)),
         (conv_windows(x, 3), (x,)),
+        (conv_windows(rows, 3, np.array([4, 2])), (rows,)),
+        (mean_rows(rows, np.array([4, 2])), (rows,)),
     ]
     for out, inputs in cases:
         assert out._parents == inputs

@@ -9,6 +9,7 @@ from paravox.frontend import (
     EOS_ID,
     FORMAT_VERSION,
     MAGIC,
+    REQUIRED_ARRAYS,
     FeatureBundle,
     FeatureFileError,
     InvariantError,
@@ -179,6 +180,8 @@ def test_make_utterance_input_validation():
         make_utterance(spec, corpus.factors, np.array([4]), np.array([2]), 99, Rng(0))
     with pytest.raises(ValueError, match="max_frames"):
         make_utterance(spec, corpus.factors, np.array([4]), np.array([1000]), 0, Rng(0))
+    with pytest.raises(ValueError, match="0 frames"):
+        make_utterance(spec, corpus.factors, np.array([4, 5]), np.array([0, 0]), 0, Rng(0))
 
 
 def test_spec_validation():
@@ -314,6 +317,19 @@ def test_frame_count_mismatch_names_arrays(tmp_path):
     b.mel = b.mel[:-2]
     with pytest.raises(InvariantError, match="mel"):
         b.validate()
+
+
+def test_zero_frame_bundle_refused(tmp_path):
+    """A bundle without frames is refused when validated, saved or loaded."""
+    b = random_bundle(Rng(14), t=0)
+    with pytest.raises(InvariantError, match="no frames"):
+        b.validate()
+    path = tmp_path / "empty.feat"
+    with pytest.raises(InvariantError, match="no frames"):
+        save_features(path, b)
+    save_arrays(path, {name: getattr(b, name) for name in REQUIRED_ARRAYS})
+    with pytest.raises(InvariantError, match="no frames"):
+        load_features(path)
 
 
 def test_nonfinite_rejected():

@@ -1,10 +1,9 @@
-"""The packed AR and NAR trunks against the padded trunk they replaced.
+"""The packed AR and NAR trunks against each row run alone.
 
 The reference builds every row's input the old way: one gather node per
-table, summed by `+` nodes in the same order, rows joined with `concat`
-and zero-padded to the longest row. It then runs every block over every
-position of that (B, T, D) batch under a causal or bidirectional mask
-plus a padding mask, and slices out the rows the loss reads.
+table, summed by `+` nodes in the same order, and joined with `concat`.
+It then runs every block over each row alone, causal or bidirectional,
+and slices out the rows the loss reads.
 
 The packed trunk runs its GEMMs over other row counts, so f32 bits
 differ. Logits, losses and every parameter gradient are compared at
@@ -18,7 +17,6 @@ from paravox.ar import ARConfig, DualStreamAR
 from paravox import nn
 from paravox.engine import Rng, Tensor, concat, cross_entropy, gradients
 from paravox.nar import CoupledNAR, CoupledStage, NARConfig
-from paravox.nn import causal_mask, padding_mask
 
 
 def _gather(table: Tensor, ids) -> Tensor:
@@ -34,22 +32,10 @@ def _gather(table: Tensor, ids) -> Tensor:
     return Tensor._make(data, (table,), grad_fn)
 
 
-def _zero_pad(rows: list[Tensor]) -> tuple[Tensor, np.ndarray]:
-    """(B, T_max, D) batch of (T_i, D) rows, zero-padded with `concat`."""
-    lengths = np.array([r.shape[0] for r in rows])
-    l_max = int(lengths.max())
-    padded = []
-    for r in rows:
-        e = r.reshape(1, r.shape[0], -1)
-        if r.shape[0] < l_max:
-            e = concat([e, Tensor(np.zeros((1, l_max - r.shape[0], e.shape[-1]), dtype=r.dtype))], axis=1)
-        padded.append(e)
-    return concat(padded, axis=0), lengths
-
-
-def _trunk(blocks, ln_f, h: Tensor, mask: np.ndarray) -> Tensor:
+def _trunk(blocks, ln_f, h: Tensor, causal: bool) -> Tensor:
+    """The trunk over one (T, D) row alone."""
     for block in blocks:
-        h = block(h, mask=mask)
+        h = block(h, causal)
     return ln_f(h)
 
 
@@ -73,11 +59,9 @@ def _ar_chain(model: DualStreamAR, batch):
         parts.append(frames(tgt, ref.shape[0]))
         rows.append(concat(parts, axis=0))
         bounds.append((text.size + ref.shape[0] - 1, tgt.shape[0]))
-    emb, lengths = _zero_pad(rows)
-    mask = causal_mask(emb.shape[1], dtype=emb.dtype)[None, None] + padding_mask(lengths, emb.shape[1], emb.dtype)
-    states = _trunk(model.blocks, model.ln_f, emb, mask)
-    pred = concat([states[i, b:b + t] for i, (b, t) in enumerate(bounds)], axis=0)
-    stops = concat([states[i, b:b + t + 1] for i, (b, t) in enumerate(bounds)], axis=0)
+    states = [_trunk(model.blocks, model.ln_f, row, True) for row in rows]
+    pred = concat([s[b:b + t] for s, (b, t) in zip(states, bounds)], axis=0)
+    stops = concat([s[b:b + t + 1] for s, (b, t) in zip(states, bounds)], axis=0)
     stream_logits = [[model._head_logits(pred, s, l) for l in range(n_l)] for s in range(cfg.n_streams)]
     return stream_logits, model.stop_head(stops).reshape(-1)
 
@@ -97,9 +81,7 @@ def _nar_chain(stage: CoupledStage, batch) -> Tensor:
     rows = [concat([segment(ref, stage.ref_embs, stage.n_ref_in, 0, stage.ref_pos),
                     segment(tgt, stage.tgt_embs, stage.n_tgt_in, 1, stage.tgt_pos)], axis=0)
             for ref, tgt in batch]
-    emb, lengths = _zero_pad(rows)
-    states = _trunk(stage.blocks, stage.ln_f, emb, padding_mask(lengths, emb.shape[1], emb.dtype))
-    pieces = [states[i, ref.shape[0]:lengths[i]] for i, (ref, _) in enumerate(batch)]
+    pieces = [_trunk(stage.blocks, stage.ln_f, row, False)[ref.shape[0]:] for row, (ref, _) in zip(rows, batch)]
     return stage.classifier(concat(pieces, axis=0))
 
 
@@ -152,7 +134,7 @@ def _assert_same_gradients(model, got_loss, want_loss):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layers", [1, 2])
 def test_ar_id_grid_matches_lookup_chain(dtype, layers):
-    """`teacher_forced_batch` and `ar_loss` against the padded trunk, for
+    """`teacher_forced_batch` and `ar_loss` against each row alone, for
     the mixed batch and for a batch of one; every parameter gradient in f64."""
     cfg = ARConfig(text_vocab=9, streams=(("semantic", 6), ("acoustic", 7)), layers_per_stream=layers,
                    n_layers=2, model_dim=16, n_heads=2, max_text_len=8, max_speech_len=16)
@@ -176,7 +158,7 @@ def test_ar_id_grid_matches_lookup_chain(dtype, layers):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layer_index", [1, 2])
 def test_nar_id_grid_matches_lookup_chain(dtype, layer_index):
-    """`batch_logits` and `stage_loss` against the padded trunk, for the
+    """`batch_logits` and `stage_loss` against each row alone, for the
     mixed batch and for a batch of one; every parameter gradient in f64."""
     cfg = NARConfig(streams=(("semantic", 5), ("acoustic", 6)), n_quant_layers=3, n_layers=2,
                     model_dim=16, n_heads=2, max_ref_len=8, max_target_len=8)

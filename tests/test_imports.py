@@ -1,4 +1,5 @@
-"""Every import in src/, tests/, demos/ and perfbench/ is used.
+"""Every import in src/, tests/, demos/ and perfbench/ is used, and
+attention masks stay behind one function.
 
 Package `__init__.py` files are exempt: their imports are re-exports.
 A name counts as used when it appears as a name anywhere in the module
@@ -42,3 +43,11 @@ def test_unused_import_is_found():
     source = ("from __future__ import annotations\nimport os.path\nimport json\n"
               "from math import pi, tau as turn\n__all__ = ['pi']\nprint(os.sep)\n")
     assert _unused_imports(source) == [(3, "json"), (4, "turn")]
+
+
+def test_only_engine_names_the_mask_constant():
+    """`engine.attention` builds every attention mask, so no other module
+    under src/ names `NEG_MASK`."""
+    files = sorted((ROOT / "src").rglob("*.py"))
+    naming = [str(p.relative_to(ROOT)) for p in files if "NEG_MASK" in p.read_text()]
+    assert naming == ["src/paravox/engine.py"]

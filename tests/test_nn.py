@@ -1,10 +1,10 @@
-"""Layers: attention against a hand-rolled oracle, masks, conv, modules."""
+"""Layers: attention against a hand-rolled oracle, causal and packed rows, conv, modules."""
 
 import numpy as np
 import pytest
 
 from paravox.ar import ARConfig, DualStreamAR
-from paravox.engine import Rng, Tensor, concat, embedding, grad_check, gradients
+from paravox.engine import Rng, Tensor, concat, grad_check, gradients
 from paravox.flow import FlowConfig, VelocityField, time_features
 from paravox.nn import (
     Conv1dSame,
@@ -15,9 +15,6 @@ from paravox.nn import (
     Module,
     MultiHeadAttention,
     TransformerBlock,
-    causal_mask,
-    pad_rows,
-    padding_mask,
 )
 from paravox.tokenizer import ConditionEncoder, TokenizerConfig
 
@@ -48,11 +45,10 @@ def test_causal_mask_blocks_future():
     rng = Rng(1)
     attn = MultiHeadAttention(8, 2, rng)
     x = rng.normal((5, 8))
-    mask = causal_mask(5)
-    base = attn(Tensor(x), mask=mask).data
+    base = attn(Tensor(x), causal=True).data
     x2 = x.copy()
     x2[4] += 10.0
-    out2 = attn(Tensor(x2), mask=mask).data
+    out2 = attn(Tensor(x2), causal=True).data
     assert np.array_equal(base[:4], out2[:4])
     assert not np.allclose(base[4], out2[4])
 
@@ -63,19 +59,17 @@ def test_attention_cache_matches_full_pass():
     rng = Rng(3)
     attn = MultiHeadAttention(8, 2, rng, dtype=np.float64)
     x = rng.normal((6, 8), dtype=np.float64)
-    full = attn(Tensor(x), mask=causal_mask(6, dtype=np.float64)).data
+    full = attn(Tensor(x), causal=True).data
     cache = KVCache(2, 4, 6, np.float64)
     for lo, hi in ((0, 3), (3, 4), (4, 6)):
-        rows = hi - lo
-        mask = causal_mask(hi, dtype=np.float64)[lo:] if rows > 1 else None
-        out = attn(x[lo:hi], mask, cache)
+        out = attn(x[lo:hi], True, cache)
         assert type(out) is np.ndarray
         np.testing.assert_allclose(out, full[lo:hi], rtol=0, atol=1e-12)
     assert cache.n == 6
     with pytest.raises(ValueError, match="capacity 6"):
-        attn(x[:1], None, cache)
+        attn(x[:1], True, cache)
     with pytest.raises(TypeError, match="array input"):
-        attn(Tensor(x[:1]), None, KVCache(2, 4, 1, np.float64))
+        attn(Tensor(x[:1]), True, KVCache(2, 4, 1, np.float64))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -102,58 +96,25 @@ def test_cached_states_carry_no_tape():
     cache = model.new_cache(prompt.shape[0] + 1)
     states = model.forward_states(prompt, cache=cache)
     assert type(states) is np.ndarray
-    step = model.blocks[0](states[-1:], None, KVCache(2, 4, 1, np.float64))
+    step = model.blocks[0](states[-1:], True, KVCache(2, 4, 1, np.float64))
     assert type(step) is np.ndarray
     uncached = model.forward_states(prompt)
     assert uncached.requires_grad and uncached._grad_fn is not None
 
 
-def test_padding_mask_zeroes_attention_to_pads():
+def test_packed_attention_keeps_sequences_apart():
+    """Over packed rows of `lengths`, no sequence's output depends on
+    another sequence's rows."""
     rng = Rng(2)
     attn = MultiHeadAttention(8, 2, rng)
-    x = rng.normal((2, 6, 8))
+    x = rng.normal((10, 8))
     lengths = np.array([4, 6])
-    mask = padding_mask(lengths, 6)
-    base = attn(Tensor(x), mask=mask).data
+    base = attn(Tensor(x), True, lengths=lengths).data
     x2 = x.copy()
-    x2[0, 4:] = 99.0  # only padded rows of example 0
-    out2 = attn(Tensor(x2), mask=mask).data
-    assert np.array_equal(base[0, :4], out2[0, :4])
-    assert np.array_equal(base[1], out2[1])
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pad_rows_shapes_fill_mask_and_gradient(dtype):
-    rng = Rng(6)
-    lengths = [3, 5, 1]
-    expected = padding_mask(np.array(lengths), 5, dtype=dtype)
-
-    # Frames pad with zeros and keep their dtype, under the padding mask.
-    frames = [rng.normal((n, 4), dtype=dtype) for n in lengths]
-    padded, frame_lengths, frame_mask = pad_rows(frames, dtype)
-    assert padded.shape == (3, 5, 4) and padded.dtype == dtype
-    assert frame_lengths.tolist() == lengths
-    assert frame_mask.dtype == dtype and np.array_equal(frame_mask, expected)
-    for i, (row, n) in enumerate(zip(frames, lengths)):
-        assert np.array_equal(padded[i, :n], row)
-        assert np.all(padded[i, n:] == 0.0)
-
-    # Id rows padded with -1 embed to zero rows and carry no gradient back.
-    batch = np.full((3, 5, 2), -1, dtype=np.int64)
-    for i, n in enumerate(lengths):
-        batch[i, :n] = rng.integers(0, 7, (n, 2))
-    tables = [Tensor(rng.normal((7, 4), dtype=dtype), requires_grad=True) for _ in range(2)]
-    emb = embedding(tables, batch)
-    assert emb.shape == (3, 5, 4) and emb.dtype == dtype
-    upstream = rng.normal((3, 5, 4), dtype=dtype)
-    live = upstream.copy()
-    for i, n in enumerate(lengths):
-        assert np.all(emb.data[i, n:] == 0.0)
-        live[i, n:] = 0.0
-    got = gradients((emb * Tensor(upstream)).sum(), tables)
-    want = gradients((embedding(tables, batch) * Tensor(live)).sum(), tables)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    x2[:4] = 99.0  # only the rows of sequence 0
+    out2 = attn(Tensor(x2), True, lengths=lengths).data
+    assert np.array_equal(base[4:], out2[4:])
+    assert not np.allclose(base[:4], out2[:4])
 
 
 def test_transformer_block_grad_check():
@@ -183,13 +144,12 @@ def test_transformer_block_tape_nodes():
     rng = Rng(10)
     block = TransformerBlock(8, 2, rng)
     x = Tensor(rng.normal((2, 5, 8)), requires_grad=True)
-    mask = causal_mask(5)[None, None] + padding_mask(np.array([5, 3]), 5)
-    assert _tape_nodes(block(x, mask=mask)) == 10
+    assert _tape_nodes(block(x, causal=True)) == 10
     assert _tape_nodes(block(Tensor(rng.normal((5, 8)), requires_grad=True))) == 10
     packed = Tensor(rng.normal((8, 8)), requires_grad=True)
-    assert _tape_nodes(block(packed, causal_mask(5), lengths=np.array([5, 3]))) == 10
+    assert _tape_nodes(block(packed, True, lengths=np.array([5, 3]))) == 10
     # A tail adds one node: the residual rows' gather.
-    assert _tape_nodes(block(packed, causal_mask(5), lengths=np.array([5, 3]), tail=2)) == 11
+    assert _tape_nodes(block(packed, True, lengths=np.array([5, 3]), tail=2)) == 11
 
 
 def test_conv1d_same_matches_explicit_window_sum():
@@ -291,10 +251,9 @@ def test_batched_equals_unbatched_block():
     rng = Rng(9)
     block = TransformerBlock(8, 2, rng, dtype=np.float64)
     x = rng.normal((2, 5, 8), dtype=np.float64)
-    mask = causal_mask(5, dtype=np.float64)
-    batched = block(Tensor(x), mask=mask).data
+    batched = block(Tensor(x), causal=True).data
     for i in range(2):
-        single = block(Tensor(x[i]), mask=mask).data
+        single = block(Tensor(x[i]), causal=True).data
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
@@ -302,9 +261,9 @@ def _forward_pairs(case: str, dtype) -> list:
     """(array forward, Tensor forward) outputs of one module on the same inputs."""
     rng = Rng(21)
     x = rng.normal((7, 16), dtype=dtype)
-    causal = causal_mask(7, dtype=dtype)
-    batch, lengths, pad = pad_rows([rng.normal((n, 16), dtype=dtype) for n in (5, 9, 1, 9)], dtype)
-    packed = np.concatenate([batch[i, :n] for i, n in enumerate(lengths)])
+    lengths = np.array([5, 9, 1, 9])
+    packed = np.concatenate([rng.normal((n, 16), dtype=dtype) for n in lengths])
+    batch = packed.reshape(4, 6, 16)
     if case == "linear":
         layer = Linear(16, 8, rng, dtype=dtype)
         return [(layer(a), layer(Tensor(a)).data) for a in (x, batch)]
@@ -314,23 +273,24 @@ def _forward_pairs(case: str, dtype) -> list:
         return [(ln(a), ln(Tensor(a)).data) for a in (x[:1], x, batch)]
     if case == "attention":
         attn = MultiHeadAttention(16, 4, rng, dtype=dtype)
-        return [(attn(x, mask), attn(Tensor(x), mask).data) for mask in (None, causal)]
+        return [(attn(x, causal), attn(Tensor(x), causal).data) for causal in (False, True)]
     if case == "attention_cached":
         attn = MultiHeadAttention(16, 4, rng, dtype=dtype)
-        return [(attn(x, causal, KVCache(4, 4, 7, dtype)), attn(Tensor(x), causal).data)]
+        return [(attn(x, True, KVCache(4, 4, 7, dtype)), attn(Tensor(x), True).data)]
     if case == "block":
         block = TransformerBlock(16, 4, rng, dtype=dtype)
-        return [(block(a, mask), block(Tensor(a), mask).data)
-                for a, mask in ((x, None), (x, causal), (batch, pad))] + \
-            [(block(packed, mask, lengths=lengths, tail=tail), block(Tensor(packed), mask, lengths=lengths, tail=tail).data)
-             for mask, tail in ((None, None), (causal_mask(9, dtype=dtype), None), (causal_mask(9, dtype=dtype), 3))]
+        return [(block(a, causal), block(Tensor(a), causal).data)
+                for a, causal in ((x, False), (x, True), (batch, True))] + \
+            [(block(packed, causal, lengths=lengths, tail=tail), block(Tensor(packed), causal, lengths=lengths, tail=tail).data)
+             for causal, tail in ((False, None), (True, None), (True, 3))]
     if case == "conv1d":
         conv = Conv1dSame(16, 8, 3, rng, dtype=dtype)
-        return [(conv(a), conv(Tensor(a)).data) for a in (x, batch)]
+        return [(conv(a), conv(Tensor(a)).data) for a in (x, batch)] + \
+            [(conv(packed, lengths), conv(Tensor(packed), lengths).data)]
     if case == "condition_encoder":
         cfg = TokenizerConfig(speaker_frame_dim=16, cond_dim=16, n_heads=4, attn_blocks=2)
         enc = ConditionEncoder(cfg, rng, dtype=dtype)
-        return [(enc(batch, lengths, pad), enc(Tensor(batch), lengths, pad).data)]
+        return [(enc(packed, lengths), enc(Tensor(packed), lengths).data)]
     field = VelocityField(FlowConfig(mel_bins=6, feature_dim=12, speaker_dim=4, hidden_dim=16,
                                      n_hidden=2, time_feat_dim=4), rng, dtype=dtype)
     feats, spk = x[:, :12], x[:, 12:]
@@ -347,7 +307,7 @@ def _forward_pairs(case: str, dtype) -> list:
                                   "condition_encoder", "field_condition", "field"])
 def test_array_forward_is_bitwise_the_tensor_forward(case, dtype):
     """Each module's one forward on arrays returns an array equal bit for bit
-    to its output on Tensors: rank 2 and 3, unmasked, causal and padded,
+    to its output on Tensors: rank 2 and 3, bidirectional and causal,
     packed rows with and without a tail, one pass through an empty
     key/value cache, and the flow field's two halves."""
     for got, want in _forward_pairs(case, dtype):

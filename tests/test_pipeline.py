@@ -18,7 +18,7 @@ from conftest import mini_pipeline_config, run_cli, rvq_residuals
 from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import BlankRng, Rng, Tensor, gradients
 from paravox.flow import FlowConfig, SolverConfig, VelocityField
-from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays, load_features, save_features
+from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays, save_features
 from paravox.nar import CoupledNAR, NARConfig
 from paravox.pipeline import (Checkpoint, ConfigError, PipelineConfig, TrainSchedule,
                               TrainingDiverged, load_checkpoint, save_checkpoint,
@@ -614,6 +614,12 @@ def test_corpus_dir_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus_dir(out)
 
+    # A bundle that fails to load is named by its manifest row and file.
+    raw = (out / "utt_00001.feat").read_bytes()
+    (out / "utt_00001.feat").write_bytes(raw[:-4])
+    with pytest.raises(CorpusDirError, match=r"items\[1\] \(utt_00001.feat\): file ends inside"):
+        load_corpus_dir(out)
+
     doc = json.loads((out / "manifest.json").read_text())
     doc["format"] = "something-else"
     (out / "manifest.json").write_text(json.dumps(doc))
@@ -1036,7 +1042,7 @@ def test_infer_rejects_overlong_reference_before_encoding(mini_run):
     assert encoded == []
 
 
-def test_infer_rejects_bad_arguments_before_encoding(mini_run, tmp_path):
+def test_infer_rejects_bad_arguments_before_encoding(mini_run):
     """Text, sampling settings, flow steps and an empty reference fail the
     generator's, the solver's and the reference checks before any encoding."""
     pipe = load_pipeline(mini_run.ckpt_dir)
@@ -1045,10 +1051,9 @@ def test_infer_rejects_bad_arguments_before_encoding(mini_run, tmp_path):
     pipe.tokenizer.encode_speech = lambda bundle: encoded.append(bundle) or encode(bundle)
     short = mini_run.items[0].bundle
     ids = encode_text(pipe, "ab")
-    # A zero-frame reference survives the feature container round trip.
-    save_features(tmp_path / "empty.npz", dataclasses.replace(short, **{
-        name: getattr(short, name)[:0] for name in ("semantic", "acoustic", "speaker_frames", "mel")}))
-    empty = load_features(tmp_path / "empty.npz")
+    # A feature file cannot hold a zero-frame bundle, but a caller can build one.
+    empty = dataclasses.replace(short, **{
+        name: getattr(short, name)[:0] for name in ("semantic", "acoustic", "speaker_frames", "mel")})
     assert empty.n_frames == 0
     cfg = pipe.ar.cfg
     cases = [

@@ -82,12 +82,12 @@ def test_distill_loss_range_and_perfect_alignment():
     rng = Rng(11)
     frames = rng.normal((10, 16))
     target = rng.normal((8,))
-    proj, lengths, _ = tok.projected_speaker_frames([frames])
+    proj, lengths = tok.projected_speaker_frames([frames])
     loss = tok.speaker_distill_loss(proj, lengths, target.reshape(1, -1))
     assert loss.shape == (1,)
     assert 0.0 <= loss.data[0] <= 2.0
     # aligning the target with the actual pooled prediction gives ~0
-    pooled = tok.projected_speaker_frames([frames])[0].mean(axis=1)
+    pooled = tok.projected_speaker_frames([frames])[0].mean(axis=0, keepdims=True)
     pred = tok.distill_head(pooled).data
     aligned = tok.speaker_distill_loss(proj, lengths, 3.0 * pred)
     assert aligned.data[0] == pytest.approx(0.0, abs=1e-6)
@@ -97,7 +97,7 @@ def test_distill_zero_norm_target_logs_and_returns_one(caplog):
     spec = toy_spec()
     tok = toy_tokenizer(spec)
     frames = Rng(12).normal((6, 16))
-    proj, lengths, _ = tok.projected_speaker_frames([frames])
+    proj, lengths = tok.projected_speaker_frames([frames])
     with caplog.at_level(logging.WARNING):
         loss = tok.speaker_distill_loss(proj, lengths, np.zeros((1, 8), dtype=np.float32))
     assert loss.data[0] == 1.0
