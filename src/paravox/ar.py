@@ -151,15 +151,15 @@ class DualStreamAR(Module):
         return [self.text_emb.weight, self.text_pos.weight, self.speech_pos.weight] + \
             [e.weight for e in self.token_embs]
 
-    def forward_states(self, ids: np.ndarray, lengths: np.ndarray | None = None, tail: int | None = None,
+    def forward_states(self, ids: np.ndarray, lengths: np.ndarray | None = None, reads: np.ndarray | None = None,
                        cache: list[KVCache] | None = None, tables: list | None = None):
         """Embed an (N, n_tables) id grid (see `input_ids`) and run the
         causal trunk over it. `ids` stacks sequences of `lengths` (one
         sequence if None), one after another. The last block runs only
-        for each sequence's last `tail` positions (all if None), and the
-        states of those min(tail, length) rows per sequence come back,
-        stacked in order. Tensor `tables` (by default `_tables()`) record
-        the tape; their arrays run the kernels and give an array.
+        for each sequence's last reads[b] positions (all if None), and
+        the states of those rows come back, stacked in order. Tensor
+        `tables` (by default `_tables()`) record the tape; their arrays
+        run the kernels and give an array.
 
         With `cache` (one `KVCache` per block, see `new_cache`), `ids`
         holds one sequence's positions after those already cached: the
@@ -173,9 +173,9 @@ class DualStreamAR(Module):
             h = self._decode_row(tables, ids[0])
         else:
             h = embedding(tables, ids)
-        last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            h = block(h, True, None if cache is None else cache[i], lengths, tail if i == last else None)
+            h = block(h, True, None if cache is None else cache[i], lengths,
+                      reads if block is self.blocks[-1] else None)
         return self.ln_f(h)
 
     @staticmethod
@@ -228,13 +228,11 @@ class DualStreamAR(Module):
             targets.append(tgt)
         lengths = np.array([r.shape[0] for r in rows])
         n_target = np.array([tgt.shape[0] for tgt in targets])
-        tail = int(n_target.max()) + 1
-        states = self.forward_states(np.concatenate(rows), lengths, tail, tables=tables)
-        ends = np.cumsum(np.minimum(lengths, tail))  # where each row's states end
-        pred = states[last_rows(ends - 1, n_target)]  # the states that predict each target frame
-        stops = states[last_rows(ends, n_target + 1)]
+        stops = self.forward_states(np.concatenate(rows), lengths, n_target + 1, tables=tables)
+        ends = np.cumsum(n_target + 1)  # where each row's states end
+        pred = stops[last_rows(ends - 1, n_target)]  # the states that predict each target frame
         stop_labels = np.zeros(stops.shape[0], dtype=np.float64)
-        stop_labels[np.cumsum(n_target + 1) - 1] = 1.0
+        stop_labels[ends - 1] = 1.0
         stream_logits = [[self._head_logits(pred, s, l) for l in range(cfg.layers_per_stream)]
                          for s in range(cfg.n_streams)]
         stream_targets = [[np.concatenate([tgt[:, s, l] for tgt in targets])
@@ -353,7 +351,7 @@ class DualStreamAR(Module):
         # Head i reads its stream's slice of the state and writes id column _TOKEN_COL + i.
         d = cfg.slice_dim
         heads = [(_TOKEN_COL + i, i // cfg.layers_per_stream * d, head) for i, head in enumerate(self.heads)]
-        states = self.forward_states(prompt, tail=1, cache=cache)
+        states = self.forward_states(prompt, reads=[1], cache=cache)
         n = 0
         terminated = truncated = False
         stop_probs = []

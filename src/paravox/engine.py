@@ -633,7 +633,7 @@ def last_rows(ends, counts) -> np.ndarray:
 
 
 def attention(qkv, n_heads: int, causal: bool = False,
-              lengths: np.ndarray | None = None, tail: int | None = None):
+              lengths: np.ndarray | None = None, reads: np.ndarray | None = None):
     """Multi-head scaled dot-product attention; one tape node.
 
     `qkv` is (..., T, 3 * dim): the packed query, key and value
@@ -648,32 +648,37 @@ def attention(qkv, n_heads: int, causal: bool = False,
     grid position T. Padded keys are masked, and the output holds the
     real rows, stacked the same way. One sequence needs no grid.
 
-    With `tail`, only each sequence's last `tail` positions are queried,
-    and the output holds min(tail, length) rows per sequence. Keys and
-    values still come from every row.
+    With `reads`, one count in 1..length per sequence (one if `lengths`
+    is None), only each sequence's last reads[b] positions are queried,
+    and the output holds those rows. Keys and values come from every row.
     """
     tape = isinstance(qkv, Tensor)
     qd = qkv.data if tape else qkv
     dim = qd.shape[-1] // 3
     if qd.shape[-1] != 3 * dim or dim % n_heads:
         raise ShapeError(f"last axis of {qd.shape} is not 3 x {n_heads} heads")
+    t = qd.shape[-2]
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if qd.shape != (int(lengths.sum()), 3 * dim):
+            raise ShapeError(f"packed qkv {qd.shape} does not hold rows of lengths {lengths.tolist()}")
+    if reads is not None:
+        reads, limit = np.asarray(reads), np.array([t]) if lengths is None else lengths
+        if reads.shape != limit.shape or not ((1 <= reads) & (reads <= limit)).all():
+            raise ShapeError(f"reads {reads.tolist()} are not each in 1..length of lengths {limit.tolist()}")
     grid = qd
     packed = lengths is not None and len(lengths) > 1
     if packed:
-        lengths = np.asarray(lengths)
         b, t = lengths.size, int(lengths.max())
-        if qd.shape != (int(lengths.sum()), 3 * dim):
-            raise ShapeError(f"packed qkv {qd.shape} does not hold rows of lengths {lengths.tolist()}")
         at = last_rows(np.arange(1, b + 1) * t, lengths)  # each packed row's grid row
         grid = np.zeros((b * t, 3 * dim), dtype=qd.dtype)
         grid[at] = qd
         grid = grid.reshape(b, t, 3 * dim)
-    t = grid.shape[-2]
-    lo = t - tail if tail is not None and tail < t else 0
+    lo = 0 if reads is None else t - int(reads.max())
     data, q, k, v, att = attention_fwd(grid[..., lo:, :dim], grid[..., dim:2 * dim], grid[..., 2 * dim:],
                                        n_heads, causal, lengths if packed else None)
     if packed:
-        out_at = last_rows(np.arange(1, b + 1) * (t - lo), np.minimum(lengths, t - lo))
+        out_at = last_rows(np.arange(1, b + 1) * (t - lo), lengths if reads is None else reads)
         data = data.reshape(-1, dim)[out_at]
     if not tape:
         return data

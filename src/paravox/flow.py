@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, check_fields, concat, embedding, gelu, linear
+from .engine import Rng, Tensor, check_fields, concat, embedding, gelu
 from .nn import Linear, Module
 
 
@@ -66,10 +66,12 @@ class VelocityField(Module):
     t; the division then restores the contraction toward the endpoint
     that a raw velocity head would have to learn as an unbounded gain.
 
-    The first layer is one (d_in, hidden) weight over the input columns
-    [x_t, features, speaker, time]. `condition` applies its features and
-    speaker rows and the bias; `__call__` adds the x_t and time rows.
-    Both take Tensors, recording the tape, or arrays, returning arrays.
+    The first layer's (d_in, hidden) weight over the input columns
+    [x_t, features, speaker, time] is kept as three Linears over its
+    rows: `x_in` (x_t), `cond_in` (features and speaker, with the bias)
+    and `t_in` (time). `condition` applies `cond_in`; `__call__` adds
+    the other two. Both take Tensors, recording the tape, or arrays,
+    returning arrays.
     """
 
     # Denominator floor. Euler grids stop at t = 1 - 1/n_steps, so any
@@ -81,36 +83,30 @@ class VelocityField(Module):
     def __init__(self, cfg: FlowConfig, rng: Rng, dtype=None):
         cfg.validate()
         self.cfg = cfg
-        d_in = cfg.mel_bins + cfg.feature_dim + cfg.speaker_dim + cfg.time_feat_dim
-        dims = [d_in] + [cfg.hidden_dim] * cfg.n_hidden + [cfg.mel_bins]
-        self.layers = [Linear(dims[i], dims[i + 1], rng.spawn(("fc", i)), dtype=dtype)
+        m, c = cfg.mel_bins, cfg.mel_bins + cfg.feature_dim + cfg.speaker_dim
+        w = Linear(c + cfg.time_feat_dim, cfg.hidden_dim, rng.spawn(("fc", 0)), dtype=dtype).weight.data
+        self.x_in = Linear.from_weight(w[:m], bias=False)
+        self.cond_in = Linear.from_weight(w[m:c])
+        self.t_in = Linear.from_weight(w[c:], bias=False)
+        dims = [cfg.hidden_dim] * cfg.n_hidden + [cfg.mel_bins]
+        self.layers = [Linear(dims[i], dims[i + 1], rng.spawn(("fc", i + 1)), dtype=dtype)
                        for i in range(len(dims) - 1)]
 
-    def _rows(self, lo: int, hi: int, x):
-        """Rows [lo, hi) of the first layer's weight: a tape slice for a
-        Tensor input `x`, a constant over its data for an array."""
-        w = self.layers[0].weight
-        return w[lo:hi] if isinstance(x, Tensor) else Tensor(w.data[lo:hi])
-
     def condition(self, features, speaker):
-        """The first layer's time-invariant part, one row per frame:
-        [features, speaker] through their rows of the weight, plus the bias.
-        `features` and `speaker` hold one row per frame."""
-        m = self.cfg.mel_bins
-        x = concat([features, speaker], axis=1)
-        return linear(x, self._rows(m, m + self.cfg.feature_dim + self.cfg.speaker_dim, x), self.layers[0].bias)
+        """`cond_in` of [features, speaker], one row per frame: the first
+        layer's time-invariant part. `features` and `speaker` hold one
+        row per frame."""
+        return self.cond_in(concat([features, speaker], axis=1))
 
     def __call__(self, x_t, cond, t: np.ndarray, tf: np.ndarray):
         """Velocity at each of the rows of `x_t`, given their `condition`
         rows, their times `t` and those times' `time_features` rows `tf`;
         `t` and `tf` hold one time or one per row, and broadcast to the rows."""
-        m, d_in = self.cfg.mel_bins, self.layers[0].weight.shape[0]
         tf = tf.astype(x_t.dtype, copy=False)
         if isinstance(x_t, Tensor):
-            tf = Tensor(tf)  # so that the time rows of the weight get their gradient
-        h = gelu(linear(x_t, self._rows(0, m, x_t))
-                 + linear(tf, self._rows(d_in - self.cfg.time_feat_dim, d_in, x_t)) + cond)
-        for layer in self.layers[1:-1]:
+            tf = Tensor(tf)  # so that `t_in` gets its gradient
+        h = gelu(self.x_in(x_t) + self.t_in(tf) + cond)
+        for layer in self.layers[:-1]:
             h = gelu(layer(h))
         diff = self.layers[-1](h) - x_t
         return diff * (1.0 / np.maximum(1.0 - t, self.TIME_EPS)).astype(diff.dtype)[:, None]

@@ -101,6 +101,12 @@ class Vocabulary:
         return "".join(chars)
 
 
+def check_framed(ids: np.ndarray, what: str) -> None:
+    """Refuse `what`, a 1-D id row, unless it is framed as `Vocabulary.encode` frames text."""
+    if ids.size < 2 or ids[0] != BOS_ID or ids[-1] != EOS_ID:
+        raise ValueError(f"{what} must start with the begin mark and end with the end mark")
+
+
 def default_alphabet(vocab_size: int) -> str:
     base = "abcdefghijklmnopqrstuvwxyz .,!?-'0123456789"
     if vocab_size > len(base):

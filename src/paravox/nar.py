@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng, Tensor, check_fields, cross_entropy, embedding, last_rows
+from .engine import Rng, Tensor, check_fields, cross_entropy, embedding
 from .nn import Embedding, LayerNorm, Linear, Module, TransformerBlock
 
 _TOKEN_COL = 3  # input-id column of the first token table, after both positions and the segment
@@ -129,13 +129,9 @@ class CoupledStage(Module):
         rows = [self._input_ids(r, t) for r, t in batch]
         lengths = np.array([r.shape[0] for r in rows])
         n_target = np.array([np.asarray(t).shape[0] for _, t in batch])
-        tail = int(n_target.max())
         h = embedding(tables, np.concatenate(rows))
-        last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks):
-            h = block(h, lengths=lengths, tail=tail if i == last else None)
-        # The last block kept each row's last min(tail, length) rows; its targets end them.
-        h = h[last_rows(np.cumsum(np.minimum(lengths, tail)), n_target)]
+        for block in self.blocks:  # the last block keeps each row's target positions, which end it
+            h = block(h, lengths=lengths, reads=n_target if block is self.blocks[-1] else None)
         return self.classifier(self.ln_f(h))
 
     def batch_logits(self, batch: list[tuple]) -> Tensor:

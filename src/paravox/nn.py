@@ -6,7 +6,7 @@ checkpoint format stores. Row-wise layers take any (..., D) rows.
 Attention and transformer blocks take one (T, D) sequence or a packed
 (N, D) stack of sequences with their `lengths`, and a `causal` flag;
 `engine.attention` builds the mask from those (see there). A block
-given a `tail` returns only each sequence's last `tail` rows.
+given `reads`, one count per sequence, keeps each one's last reads[b] rows.
 
 Each layer has one forward, built from engine ops that run on whatever
 they are given: a Tensor input records the tape for training, and a
@@ -63,11 +63,11 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out, dtype=self.weight.dtype), requires_grad=True) if bias else None
 
     @classmethod
-    def from_weight(cls, weight: np.ndarray) -> "Linear":
-        """A Linear over a given (d_in, d_out) weight array, with a zero bias."""
+    def from_weight(cls, weight: np.ndarray, bias: bool = True) -> "Linear":
+        """A Linear over a given (d_in, d_out) weight array, with a zero bias if `bias`."""
         out = cls.__new__(cls)
         out.weight = Tensor(weight, requires_grad=True)
-        out.bias = Tensor(np.zeros(weight.shape[1], dtype=out.weight.dtype), requires_grad=True)
+        out.bias = Tensor(np.zeros(weight.shape[1], dtype=out.weight.dtype), requires_grad=True) if bias else None
         return out
 
     def __call__(self, x):
@@ -133,22 +133,20 @@ class MultiHeadAttention(Module):
         self.wo = Linear(dim, dim, rng.spawn("wo"), dtype=dtype)
 
     def __call__(self, x, causal: bool = False, cache: KVCache | None = None,
-                 lengths: np.ndarray | None = None, tail: int | None = None):
+                 lengths: np.ndarray | None = None, reads: np.ndarray | None = None):
         """The rows attend over their own keys and values; `causal`,
-        `lengths` and `tail` are `engine.attention`'s. With a `cache`,
+        `lengths` and `reads` are `engine.attention`'s. With a `cache`,
         which needs (T, dim) array rows, their keys and values are
-        appended to it and their queries (the last `tail`, if given)
+        appended to it and their queries (the last reads[0], if given)
         attend over the cached positions, the last of which are their own."""
         if cache is None:
-            return self.wo(attention(self.wqkv(x), self.n_heads, causal, lengths, tail))
+            return self.wo(attention(self.wqkv(x), self.n_heads, causal, lengths, reads))
         if isinstance(x, Tensor):
             raise TypeError("a KV cache takes array input; a cached pass records no tape")
         qkv = self.wqkv(x)
         dim = self.n_heads * self.head_dim
         k, v = cache.extend(qkv[..., dim:2 * dim], qkv[..., 2 * dim:])  # (n, dim), n >= T
-        q = qkv[..., :dim]
-        if tail is not None:
-            q = q[-tail:]
+        q = qkv[..., :dim] if reads is None else qkv[-int(reads[0]):, :dim]
         return self.wo(attention_fwd(q, k, v, self.n_heads, causal)[0])
 
 
@@ -163,15 +161,15 @@ class TransformerBlock(Module):
         self.fc2 = Linear(mlp_ratio * dim, dim, rng.spawn("fc2"), dtype=dtype)
 
     def __call__(self, x, causal: bool = False, cache: KVCache | None = None,
-                 lengths: np.ndarray | None = None, tail: int | None = None):
+                 lengths: np.ndarray | None = None, reads: np.ndarray | None = None):
         """Attention through `cache` when given (see `MultiHeadAttention`).
-        With `tail`, only the rows of each sequence's last `tail` positions
-        go on past attention: min(tail, length) per sequence of `lengths`
-        (one sequence if None), stacked in order."""
-        h = self.attn(self.ln1(x), causal, cache, lengths, tail)
-        if tail is not None:
-            x = x[-tail:] if lengths is None or len(lengths) == 1 else \
-                x[last_rows(np.cumsum(lengths), np.minimum(lengths, tail))]
+        With `reads`, only the rows of each sequence's last reads[b]
+        positions go on past attention, per sequence of `lengths` (one
+        sequence if None), stacked in order."""
+        h = self.attn(self.ln1(x), causal, cache, lengths, reads)
+        if reads is not None:
+            x = x[-int(reads[0]):] if lengths is None or len(lengths) == 1 else \
+                x[last_rows(np.cumsum(lengths), reads)]
         x = x + h
         return x + self.fc2(gelu(self.fc1(self.ln2(x))))
 

@@ -273,10 +273,10 @@ def config_with_overrides(base: PipelineConfig, overrides: dict) -> PipelineConf
         node = doc
         *head, leaf = path.split(".")
         for part in head:
-            if part not in node:
+            if not isinstance(node, dict) or part not in node:
                 raise ConfigError(f"override path {path!r}: no section {part!r}")
             node = node[part]
-        if leaf not in node:
+        if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"override path {path!r}: no field {leaf!r}")
         node[leaf] = value
     return PipelineConfig.from_dict(doc)

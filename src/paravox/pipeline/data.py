@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..frontend import (BOS_ID, Corpus, EOS_ID, FeatureBundle, FeatureFileError, SyntheticSpec,
-                        load_features, save_features)
+from ..frontend import (Corpus, FeatureBundle, FeatureFileError, SyntheticSpec, check_framed, load_features,
+                        save_features)
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -157,6 +157,6 @@ def corpus_view(items: list[CorpusItem], encode_grids) -> CorpusView:
     ids are the bundle symbols, which already carry the begin/end marks
     (the training-side mirror of `Vocabulary.encode`)."""
     text_ids = [np.asarray(it.bundle.symbols, dtype=np.int64).reshape(-1) for it in items]
-    if any(ids.size < 2 or ids[0] != BOS_ID or ids[-1] != EOS_ID for ids in text_ids):
-        raise ValueError("bundle symbols must start with the begin mark and end with the end mark")
+    for ids in text_ids:
+        check_framed(ids, "bundle symbols")
     return CorpusView(items, text_ids, encode_grids([it.bundle for it in items]), reference_pairing(items))

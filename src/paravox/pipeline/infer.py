@@ -20,7 +20,7 @@ import numpy as np
 from ..ar import DualStreamAR
 from ..engine import BlankRng, Rng
 from ..flow import SolverConfig, VelocityField, sample_mel
-from ..frontend import FeatureBundle, Vocabulary, default_alphabet, save_arrays
+from ..frontend import FeatureBundle, Vocabulary, check_framed, default_alphabet, save_arrays
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
 from .checkpoint import Checkpoint, IncompatibleCheckpoints
@@ -114,6 +114,7 @@ def infer(pipe: LoadedPipeline, text_ids: np.ndarray, ref_bundle: FeatureBundle,
     """
     cfg = pipe.config
     pipe.ar.input_ids(text_ids, [])
+    check_framed(np.asarray(text_ids), "text_ids")
     top_k, temperature = pipe.ar._sampling(top_k, temperature, max_frames)
     solver = SolverConfig(n_steps=cfg.flow.default_steps if flow_steps is None else flow_steps, seed=0)
     n_ref, max_speech = ref_bundle.n_frames, pipe.ar.cfg.max_speech_len

@@ -323,7 +323,7 @@ def test_cached_states_match_full_recompute(variant):
     prompt = model.input_ids(text, ref)
     cache = model.new_cache(prompt.shape[0] + tgt.shape[0])
     assert all(c.k.dtype == np.float64 for c in cache)
-    got = outputs(model.forward_states(prompt, tail=1, cache=cache))
+    got = outputs(model.forward_states(prompt, reads=[1], cache=cache))
     want = outputs(model.forward_states(prompt).data[-1:])
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)

@@ -486,6 +486,25 @@ def test_attention_rejects_unpacked_input():
         attention(Tensor(np.zeros((5, 24))), 2, lengths=np.array([2, 4]))
 
 
+def test_attention_checks_one_sequence_against_its_length():
+    """Given `lengths` of one sequence, the rows must number that length."""
+    with pytest.raises(ShapeError, match=r"\(5, 12\) does not hold rows of lengths \[3\]"):
+        attention(np.zeros((5, 12)), 2, lengths=np.array([3]))
+    assert attention(np.zeros((3, 12)), 2, lengths=np.array([3])).shape == (3, 4)
+
+
+@pytest.mark.parametrize("lengths, reads", [
+    (None, [0]), (None, [6]), (None, [2, 2]), ([5], [6]), ([2, 3], [2, 4]), ([2, 3], [0, 1]), ([2, 3], [2])],
+    ids=["zero", "past_the_rows", "two_counts_for_one", "past_its_length", "past_one_length", "zero_of_two",
+         "one_count_for_two"])
+def test_attention_refuses_reads_outside_each_length(lengths, reads):
+    """Each sequence's read count is in 1..its length, one per sequence."""
+    rows = 5 if lengths is None else sum(lengths)
+    for x in (np.zeros((rows, 12)), Tensor(np.zeros((rows, 12)))):
+        with pytest.raises(ShapeError, match=r"not each in 1\.\.length of lengths"):
+            attention(x, 2, True, None if lengths is None else np.array(lengths), np.array(reads))
+
+
 def test_last_rows_matches_slice_concat():
     """Each (end, count) pair's rows, in order, as one index."""
     ends, counts = np.array([5, 6, 14, 14]), np.array([3, 0, 8, 1])
@@ -494,24 +513,26 @@ def test_last_rows_matches_slice_concat():
     assert got.dtype.kind == "i" and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("tail", [None, 1, 3, 9])
+@pytest.mark.parametrize("most", [None, 1, 3, 9])
 @pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
-def test_packed_attention_matches_each_sequence_alone(causal, tail):
+def test_packed_attention_matches_each_sequence_alone(causal, most):
     """Packed sequences of lengths 1, 6 and 4 give each sequence's own
-    attention over its last min(tail, length) rows: forward and gradient
+    attention over its last reads[b] = min(most, length) rows (all rows
+    if None; [1, 3, 3] reads differ per sequence): forward and gradient
     to 1e-12 in f64, and an f64 grad-check. Causal, the length-1 sequence
     leaves padded query rows whose keys are all masked; in f32 they keep
     the output and the gradient finite."""
     lengths = np.array([1, 6, 4])
     starts = np.cumsum(lengths) - lengths
+    reads = None if most is None else np.minimum(lengths, most)
     for dtype in (np.float64, np.float32):
         rng = Rng(41)
         x = rng.normal((int(lengths.sum()), 24), scale=2.0, dtype=dtype)
-        cot = rng.normal((int(np.minimum(lengths, tail or 6).sum()), 8), dtype=dtype)
+        cot = rng.normal((int((lengths if reads is None else reads).sum()), 8), dtype=dtype)
         a, b = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
-        y = attention(a, 2, causal, lengths, tail)
-        want = concat([attention(b[s:s + n], 2, causal)[n - min(n, tail or n):]
-                       for s, n in zip(starts, lengths)], axis=0)
+        y = attention(a, 2, causal, lengths, reads)
+        want = concat([attention(b[s:s + n], 2, causal)[n - r:]
+                       for s, n, r in zip(starts, lengths, lengths if reads is None else reads)], axis=0)
         (y * Tensor(cot)).sum().backward()
         (want * Tensor(cot)).sum().backward()
         assert y.dtype == dtype and y.shape == want.shape
@@ -521,7 +542,7 @@ def test_packed_attention_matches_each_sequence_alone(causal, tail):
         np.testing.assert_allclose(y.data, want.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
         qkv = Tensor(x, requires_grad=True)
-        report = grad_check(lambda: (attention(qkv, 2, causal, lengths, tail) * Tensor(cot)).sum(),
+        report = grad_check(lambda: (attention(qkv, 2, causal, lengths, reads) * Tensor(cot)).sum(),
                             {"qkv": qkv}, tolerance=1e-8)
         assert report.passed, str(report)
 

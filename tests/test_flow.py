@@ -5,6 +5,7 @@ import pytest
 
 from paravox.engine import Rng, Tensor, grad_check
 from paravox.flow import FlowConfig, SolverConfig, VelocityField, cfm_train_loss, sample_mel, time_features
+from paravox.nn import Linear
 
 
 def tiny_cfg(**kw):
@@ -81,22 +82,39 @@ def _one_gemm_sample_mel(field, features, speaker, solver):
     x = rng.normal((t_frames, field.cfg.mel_bins), dtype=np.float32)
     feats = features.astype(np.float32)
     spk = np.repeat(np.asarray(speaker, dtype=np.float32).reshape(1, -1), t_frames, axis=0)
+    first = np.concatenate([field.x_in.weight.data, field.cond_in.weight.data, field.t_in.weight.data])
+    layers = [(first, field.cond_in.bias.data)] + [(layer.weight.data, layer.bias.data) for layer in field.layers]
     dt = 1.0 / solver.n_steps
     for i in range(solver.n_steps):
         t = np.array([i * dt])
         tf = np.broadcast_to(time_features(t, field.cfg.time_feat_dim, x.dtype), (t_frames, field.cfg.time_feat_dim))
         h = np.concatenate([x, feats, spk, tf], axis=1)
-        for layer in field.layers[:-1]:
-            z = h @ layer.weight.data + layer.bias.data
+        for w, bias in layers[:-1]:
+            z = h @ w + bias
             h = 0.5 * z * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (z + 0.044715 * z ** 3)))
-        endpoint = h @ field.layers[-1].weight.data + field.layers[-1].bias.data
+        endpoint = h @ layers[-1][0] + layers[-1][1]
         x = x + dt * (endpoint - x) / max(1.0 - t[0], VelocityField.TIME_EPS)
     return x
 
 
+def test_first_layer_blocks_are_the_one_draw():
+    """`x_in`, `cond_in` and `t_in` are the rows of one (d_in, hidden)
+    draw, bit for bit, in [x_t, features, speaker, time] order; only
+    `cond_in` has a bias."""
+    cfg = tiny_cfg()
+    field = VelocityField(cfg, Rng(4))
+    d_in = cfg.mel_bins + cfg.feature_dim + cfg.speaker_dim + cfg.time_feat_dim
+    whole = Linear(d_in, cfg.hidden_dim, Rng(4).spawn(("fc", 0))).weight.data
+    blocks = [field.x_in.weight.data, field.cond_in.weight.data, field.t_in.weight.data]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    assert [b.shape[0] for b in blocks] == [cfg.mel_bins, cfg.feature_dim + cfg.speaker_dim, cfg.time_feat_dim]
+    assert field.x_in.bias is None and field.t_in.bias is None and not field.cond_in.bias.data.any()
+
+
 def test_split_first_layer_matches_one_gemm_field_f64():
-    """The hoisted condition changes only rounding: on an f64 field the
-    sampled mel equals the one-GEMM field's within 1e-12."""
+    """The hoisted condition and the three first-layer blocks change only
+    rounding: on an f64 field the sampled mel equals the one-GEMM field's
+    within 1e-12."""
     rng = Rng(5)
     field = VelocityField(tiny_cfg(), rng, dtype=np.float64)
     feats = rng.normal((7, 8), dtype=np.float64)
@@ -167,3 +185,16 @@ def test_config_validation():
         tiny_cfg(time_feat_dim=5).validate()
     with pytest.raises(ValueError, match="hidden_dim"):
         tiny_cfg(hidden_dim=0).validate()
+
+
+def test_load_state_refuses_the_one_weight_layout():
+    """A state that holds the first layer as one `layers.0` weight, the
+    layout before its three blocks, is refused by name."""
+    field = VelocityField(tiny_cfg(), Rng(4))
+    first = np.concatenate([field.x_in.weight.data, field.cond_in.weight.data, field.t_in.weight.data])
+    old = {"layers.0.weight": first, "layers.0.bias": field.cond_in.bias.data}
+    for i, layer in enumerate(field.layers):
+        old.update({f"layers.{i + 1}.weight": layer.weight.data, f"layers.{i + 1}.bias": layer.bias.data})
+    with pytest.raises(KeyError, match=r"missing \['cond_in.bias', 'cond_in.weight', 't_in.weight', "
+                                       r"'x_in.weight'\], unexpected \['layers.2.bias', 'layers.2.weight'\]"):
+        field.load_state(old)

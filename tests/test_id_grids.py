@@ -1,9 +1,12 @@
-"""The packed AR and NAR trunks against each row run alone.
+"""The packed AR and NAR trunks against each row run alone, and their
+read rows against the packed trunk over every row.
 
-The reference builds every row's input the old way: one gather node per
-table, summed by `+` nodes in the same order, and joined with `concat`.
-It then runs every block over each row alone, causal or bidirectional,
-and slices out the rows the loss reads.
+The first reference builds every row's input the old way: one gather
+node per table, summed by `+` nodes in the same order, and joined with
+`concat`. It then runs every block over each row alone, causal or
+bidirectional, and slices out the rows the loss reads. The second runs
+the packed trunk's last block over every row too, then gathers the rows
+that its `reads` would have kept.
 
 The packed trunk runs its GEMMs over other row counts, so f32 bits
 differ. Logits, losses and every parameter gradient are compared at
@@ -15,7 +18,7 @@ import pytest
 
 from paravox.ar import ARConfig, DualStreamAR
 from paravox import nn
-from paravox.engine import Rng, Tensor, concat, cross_entropy, gradients
+from paravox.engine import Rng, Tensor, concat, cross_entropy, embedding, gradients, last_rows
 from paravox.nar import CoupledNAR, CoupledStage, NARConfig
 
 
@@ -86,8 +89,9 @@ def _nar_chain(stage: CoupledStage, batch) -> Tensor:
 
 
 def _ar_batch(cfg, rng):
-    """Rows of different lengths, two with an empty reference; the last
-    row (2 positions) is shorter than the tail of 7 (6 targets + 1)."""
+    """Rows of different lengths, two with an empty reference. Each reads
+    its targets plus one, 5, 3, 7, 2 and 2 states; the last row (2
+    positions) reads them all."""
     batch = []
     for n_text, n_ref, n_tgt in ((3, 2, 4), (5, 0, 2), (2, 4, 6), (4, 1, 1), (1, 0, 1)):
         ref = np.stack([rng.integers(0, k, (n_ref, cfg.layers_per_stream)) for _, k in cfg.streams], axis=1)
@@ -97,8 +101,8 @@ def _ar_batch(cfg, rng):
 
 
 def _nar_batch(cfg, rng):
-    """Rows of different lengths; the last (2 positions) is shorter than
-    the tail of 6 targets."""
+    """Rows of different lengths, each reading its 4, 6, 2 or 1 targets;
+    the last (2 positions) reads all but its reference frame."""
     return [(np.stack([rng.integers(0, k, (r, 3)) for _, k in cfg.streams], axis=1),
              np.stack([rng.integers(0, k, (t, 3)) for _, k in cfg.streams], axis=1))
             for r, t in ((3, 4), (1, 6), (5, 2), (1, 1))]
@@ -173,11 +177,75 @@ def test_nar_id_grid_matches_lookup_chain(dtype, layer_index):
             _assert_same_gradients(stage, got_loss, want_loss)
 
 
-def test_trunks_run_real_rows_and_the_last_block_over_the_tail(monkeypatch):
+def _all_rows_then_gather(blocks, ln_f, h, causal: bool, lengths, reads):
+    """The packed trunk over every row, then each row's last reads[b] states."""
+    for block in blocks:
+        h = block(h, causal, lengths=lengths)
+    return ln_f(h)[last_rows(np.cumsum(lengths), reads)]
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_ar_reads_match_the_all_rows_trunk_then_a_gather(layers):
+    """f64: `teacher_forced_batch` and `ar_loss`, whose last block runs
+    for each row's n_target + 1 read states only, against the trunk over
+    every row followed by a gather of those states: logits, losses and
+    every parameter gradient at rtol 1e-12, for the mixed batch, whose
+    reads differ per row, and for a batch of one."""
+    cfg = ARConfig(text_vocab=9, streams=(("semantic", 6), ("acoustic", 7)), layers_per_stream=layers,
+                   n_layers=2, model_dim=16, n_heads=2, max_text_len=8, max_speech_len=16)
+    model = DualStreamAR(cfg, Rng(1), dtype=np.float64)
+    mixed = _ar_batch(cfg, Rng(2))
+    for batch in (mixed, mixed[2:3]):
+        stream_logits, stream_targets, stop_logits, stop_labels = model.teacher_forced_batch(batch)
+        rows = [model.input_ids(*row) for row in batch]
+        lengths = np.array([r.shape[0] for r in rows])
+        n_target = np.array([tgt.shape[0] for _, _, tgt in batch])
+        stops = _all_rows_then_gather(model.blocks, model.ln_f, embedding(model._tables(), np.concatenate(rows)),
+                                      True, lengths, n_target + 1)
+        pred = stops[last_rows(np.cumsum(n_target + 1) - 1, n_target)]
+        want_logits = [[model._head_logits(pred, s, l) for l in range(layers)] for s in range(cfg.n_streams)]
+        want_stop = model.stop_head(stops).reshape(-1)
+        for got_s, want_s in zip(stream_logits, want_logits):
+            for got, want in zip(got_s, want_s):
+                _assert_close(got.data, want.data, np.float64)
+        _assert_close(stop_logits.data, want_stop.data, np.float64)
+        got = model.ar_loss(stream_logits, stream_targets, stop_logits, stop_labels)["total"]
+        want = model.ar_loss(want_logits, stream_targets, want_stop, stop_labels)["total"]
+        _assert_close(got.data, want.data, np.float64)
+        _assert_same_gradients(model, got, want)
+
+
+@pytest.mark.parametrize("layer_index", [1, 2])
+def test_nar_reads_match_the_all_rows_trunk_then_a_gather(layer_index):
+    """f64: `batch_logits` and `stage_loss`, whose last block runs for
+    each row's target positions only, against the trunk over every row
+    followed by a gather of those positions: logits, losses and every
+    parameter gradient at rtol 1e-12, for the mixed batch, whose reads
+    differ per row, and for a batch of one."""
+    cfg = NARConfig(streams=(("semantic", 5), ("acoustic", 6)), n_quant_layers=3, n_layers=2,
+                    model_dim=16, n_heads=2, max_ref_len=8, max_target_len=8)
+    stage = CoupledStage(cfg, layer_index, Rng(3), dtype=np.float64)
+    mixed = _nar_batch(cfg, Rng(4))
+    for batch in (mixed, mixed[:1]):
+        rows = [stage._input_ids(r, t) for r, t in batch]
+        lengths = np.array([r.shape[0] for r in rows])
+        n_target = np.array([t.shape[0] for _, t in batch])
+        h = embedding(stage._tables(), np.concatenate(rows))
+        want = stage.classifier(_all_rows_then_gather(stage.blocks, stage.ln_f, h, False, lengths, n_target))
+        got = stage.batch_logits(batch)
+        _assert_close(got.data, want.data, np.float64)
+        got_loss, want_loss = stage.stage_loss(batch), _stage_loss(stage, want, batch)
+        _assert_close(got_loss.data, want_loss.data, np.float64)
+        _assert_same_gradients(stage, got_loss, want_loss)
+
+
+def test_trunks_run_real_rows_and_the_last_block_over_the_read_rows(monkeypatch):
     """Rows each `linear` gets in one AR and one NAR training step. Blocks
     before the last see only the real rows; the last block projects keys
     and values from them too, but its out-projection and MLP see only
-    each row's last min(tail, length) positions."""
+    the sum(reads) rows that are read: each row's targets, plus its last
+    prompt state in the AR. That is fewer than each row's last
+    min(max(reads), length) positions."""
     seen: list = []
     linear = nn.linear
     monkeypatch.setattr(nn, "linear", lambda x, w, b=None: seen.append((id(w), x.shape[0])) or linear(x, w, b))
@@ -193,10 +261,9 @@ def test_trunks_run_real_rows_and_the_last_block_over_the_tail(monkeypatch):
     model = DualStreamAR(cfg, Rng(1))
     batch = _ar_batch(cfg, Rng(2))
     lengths = np.array([t.size + r.shape[0] + g.shape[0] for t, r, g in batch])
-    tail = max(g.shape[0] for _, _, g in batch) + 1
+    reads = np.array([g.shape[0] + 1 for _, _, g in batch])
     gradients(model.ar_loss(*model.teacher_forced_batch(batch))["total"], list(model.named_parameters().values()))
-    _check_rows(rows_by_weight(model.blocks), int(lengths.sum()), int(np.minimum(lengths, tail).sum()))
-    assert int(np.minimum(lengths, tail).sum()) < int(lengths.sum()) < len(batch) * int(lengths.max())
+    _check_rows(rows_by_weight(model.blocks), lengths, reads)
 
     seen.clear()
     ncfg = NARConfig(streams=(("semantic", 5), ("acoustic", 6)), n_quant_layers=2, n_layers=2,
@@ -204,13 +271,14 @@ def test_trunks_run_real_rows_and_the_last_block_over_the_tail(monkeypatch):
     nar = CoupledNAR(ncfg, Rng(3))
     batch = _nar_batch(ncfg, Rng(4))
     lengths = np.array([r.shape[0] + t.shape[0] for r, t in batch])
-    tail = max(t.shape[0] for _, t in batch)
+    reads = np.array([t.shape[0] for _, t in batch])
     gradients(nar.nar_loss(batch)["total"], list(nar.named_parameters().values()))
-    _check_rows(rows_by_weight(nar.stages[0].blocks), int(lengths.sum()), int(np.minimum(lengths, tail).sum()))
-    assert int(np.minimum(lengths, tail).sum()) < int(lengths.sum()) < len(batch) * int(lengths.max())
+    _check_rows(rows_by_weight(nar.stages[0].blocks), lengths, reads)
 
 
-def _check_rows(blocks: list[dict], n_real: int, n_tail: int) -> None:
+def _check_rows(blocks: list[dict], lengths: np.ndarray, reads: np.ndarray) -> None:
+    n_real, n_read = int(lengths.sum()), int(reads.sum())
+    assert n_read < int(np.minimum(lengths, reads.max()).sum()) < n_real < len(lengths) * int(lengths.max())
     for rows in blocks[:-1]:
         assert rows == {"wqkv": n_real, "wo": n_real, "fc1": n_real, "fc2": n_real}
-    assert blocks[-1] == {"wqkv": n_real, "wo": n_tail, "fc1": n_tail, "fc2": n_tail}
+    assert blocks[-1] == {"wqkv": n_real, "wo": n_read, "fc1": n_read, "fc2": n_read}

@@ -148,8 +148,8 @@ def test_transformer_block_tape_nodes():
     assert _tape_nodes(block(Tensor(rng.normal((5, 8)), requires_grad=True))) == 10
     packed = Tensor(rng.normal((8, 8)), requires_grad=True)
     assert _tape_nodes(block(packed, True, lengths=np.array([5, 3]))) == 10
-    # A tail adds one node: the residual rows' gather.
-    assert _tape_nodes(block(packed, True, lengths=np.array([5, 3]), tail=2)) == 11
+    # Reads add one node: the residual rows' gather.
+    assert _tape_nodes(block(packed, True, lengths=np.array([5, 3]), reads=np.array([2, 1]))) == 11
 
 
 def test_conv1d_same_matches_explicit_window_sum():
@@ -281,8 +281,9 @@ def _forward_pairs(case: str, dtype) -> list:
         block = TransformerBlock(16, 4, rng, dtype=dtype)
         return [(block(a, causal), block(Tensor(a), causal).data)
                 for a, causal in ((x, False), (x, True), (batch, True))] + \
-            [(block(packed, causal, lengths=lengths, tail=tail), block(Tensor(packed), causal, lengths=lengths, tail=tail).data)
-             for causal, tail in ((False, None), (True, None), (True, 3))]
+            [(block(packed, causal, lengths=lengths, reads=reads),
+              block(Tensor(packed), causal, lengths=lengths, reads=reads).data)
+             for causal, reads in ((False, None), (True, None), (True, np.array([3, 2, 1, 3])))]
     if case == "conv1d":
         conv = Conv1dSame(16, 8, 3, rng, dtype=dtype)
         return [(conv(a), conv(Tensor(a)).data) for a in (x, batch)] + \
@@ -308,7 +309,7 @@ def _forward_pairs(case: str, dtype) -> list:
 def test_array_forward_is_bitwise_the_tensor_forward(case, dtype):
     """Each module's one forward on arrays returns an array equal bit for bit
     to its output on Tensors: rank 2 and 3, bidirectional and causal,
-    packed rows with and without a tail, one pass through an empty
+    packed rows with and without reads, one pass through an empty
     key/value cache, and the flow field's two halves."""
     for got, want in _forward_pairs(case, dtype):
         assert type(got) is np.ndarray and got.dtype == want.dtype == dtype

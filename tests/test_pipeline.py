@@ -475,6 +475,14 @@ def test_config_with_overrides():
         config_with_overrides(pcfg, {"ar.nonsense": 1})
 
 
+@pytest.mark.parametrize("path", ["name.t", "ar.seed.x", "schedules.ar.kind.o"])
+def test_config_override_through_a_field_names_the_path(path):
+    """A path that runs on through a string or a number, not a section,
+    is a ConfigError that names the path, not a TypeError."""
+    with pytest.raises(ConfigError, match=rf"^override path {re.escape(repr(path))}: "):
+        config_with_overrides(toy_profile(), {path: 1})
+
+
 # ---- checkpoint container ----------------------------------------------------
 
 
@@ -753,6 +761,30 @@ def test_training_draws_the_per_item_rows(tmp_path, mini_run, monkeypatch, stage
     assert curves == report.losses and norms == report.grad_norms
     saved = load_checkpoint(tmp_path / f"{stage}.ckpt").params
     assert all(np.array_equal(saved[k], v) for k, v in model.state().items()) and set(saved) == set(model.state())
+
+
+@pytest.mark.parametrize("stage", ["tokenizer", "ar", "nar", "flow"])
+def test_no_training_stage_slices_a_parameter(tmp_path, mini_run, monkeypatch, stage):
+    """On the mini config, no `Tensor.__getitem__` node of a stage's
+    first loss tape has a parameter as its parent. Each such slice's
+    backward allocates a zero gradient of the whole parameter; a layer
+    that reads a parameter in parts keeps each part a parameter."""
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    tapes, real = [], train_mod.gradients
+    monkeypatch.setattr(train_mod, "gradients",
+                        lambda loss, tensors: tapes.append((loss, tensors)) or real(loss, tensors))
+    train_stage(stage, mini_run.items, _quick_pcfg(2), tmp_path / f"{stage}.ckpt")
+    loss, params = tapes[0]
+    params = {id(p) for p in params}
+    sliced, seen, stack = [], set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t._grad_fn is not None and t._grad_fn.__qualname__.startswith("Tensor.__getitem__."):
+                sliced += [p.shape for p in t._parents if id(p) in params]
+            stack.extend(t._parents)
+    assert len(seen) > len(params) and sliced == []
 
 
 def test_train_stage_requires_tokenizer_first(tmp_path):
@@ -1043,8 +1075,9 @@ def test_infer_rejects_overlong_reference_before_encoding(mini_run):
 
 
 def test_infer_rejects_bad_arguments_before_encoding(mini_run):
-    """Text, sampling settings, flow steps and an empty reference fail the
-    generator's, the solver's and the reference checks before any encoding."""
+    """Text, unframed text ids, sampling settings, flow steps and an empty
+    reference fail the generator's, the framing, the solver's and the
+    reference checks before any encoding."""
     pipe = load_pipeline(mini_run.ckpt_dir)
     encoded = []
     encode = pipe.tokenizer.encode_speech
@@ -1070,6 +1103,8 @@ def test_infer_rejects_bad_arguments_before_encoding(mini_run):
         (ids, short, {"temperature": math.nan}, "temperature must be a finite number, got nan"),
         (ids, short, {"top_k": 2.5}, "top_k must be an int, got 2.5"),
         (ids, short, {"max_frames": 2.5}, "max_frames must be an int, got 2.5"),
+        (ids[1:], short, {}, "^text_ids must start with the begin mark and end with the end mark$"),
+        (ids[:-1], short, {}, "^text_ids must start with the begin mark and end with the end mark$"),
     ]
     for text_ids, ref, kwargs, match in cases:
         with pytest.raises(ValueError, match=match):
