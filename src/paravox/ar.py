@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .engine import Rng, bce_with_logits, check_fields, cross_entropy, embedding, last_rows, sigmoid
+from .engine import Rng, bce_with_logits, check_fields, check_reads, cross_entropy, embedding, last_rows, sigmoid
 from .nn import Embedding, KVCache, LayerNorm, Linear, Module, TransformerBlock
 
 _TOKEN_COL = 3  # input-id column of the first token table, after text id, text and speech position
@@ -163,10 +163,13 @@ class DualStreamAR(Module):
 
         With `cache` (one `KVCache` per block, see `new_cache`), `ids`
         holds one sequence's positions after those already cached: the
-        prompt at prefill, one frame per decode step. The default tables
+        prompt at prefill, one frame per decode step, and `reads` one count
+        in 1..len(ids), checked before any cache is written. The default tables
         are then their arrays, so states come back as an array, with no
         tape; earlier keys and values are read from the cache.
         """
+        if cache is not None and reads is not None:
+            check_reads(reads, [ids.shape[0]])  # before any block writes its cache
         if tables is None:
             tables = self._tables() if cache is None else [w.data for w in self._tables()]
         if cache is not None and ids.shape[0] == 1:

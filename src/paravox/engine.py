@@ -32,13 +32,26 @@ it draws nothing and fills every `normal` array with NaN.
 
 `check_fields` is the one field rule of every config dataclass, read
 from the field annotations.
+
+A parameter's gradient is on no path to another gradient, so a
+`gradients()` sweep inside `param_grad_pool(pool)` queues the branches
+that only make one for the pool's worker: `linear`'s `x.T @ g` and bias
+column sum, `layer_norm`'s gamma and beta, and `embedding`'s row scatter
+into each table. The sweep goes on with the input gradients meanwhile.
+Only leaves (Tensors with no `_grad_fn`, such as parameters) are
+deferred: an inner node's gradient is read by its own backward later in
+the sweep. Every contribution to a leaf is added in sweep order once
+the sweep ends, so the bits are those of the inline sweep.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import math
+import queue
+import threading
 
 import numpy as np
 
@@ -56,6 +69,7 @@ __all__ = [
     "softmax",
     "layer_norm",
     "attention",
+    "check_reads",
     "last_rows",
     "mean_rows",
     "gelu",
@@ -64,6 +78,7 @@ __all__ = [
     "cross_entropy",
     "bce_with_logits",
     "gradients",
+    "param_grad_pool",
     "zero_grad",
     "grad_check",
     "GradCheckReport",
@@ -460,11 +475,16 @@ def embedding(tables: list, ids: np.ndarray):
         g2 = g.reshape(-1, dim)
         for k, (t, rows) in enumerate(zip(tables, picks)):
             if t.requires_grad and rows is not None:
-                full = np.zeros_like(t.data)
-                np.add.at(full, flat[rows, k], g2[rows])
-                t._accumulate(full)
+                _param_grad(t, _scatter_rows, g2, rows, flat[:, k], t.data)
 
     return Tensor._make(data, tuple(tables), grad_fn)
+
+
+def _scatter_rows(g: np.ndarray, rows, ids: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """A table's gradient: the picked `rows` of g added at their ids."""
+    full = np.zeros_like(table)
+    np.add.at(full, ids[rows], g[rows])
+    return full
 
 
 def linear(x, w: Tensor, b: Tensor | None = None):
@@ -489,14 +509,14 @@ def linear(x, w: Tensor, b: Tensor | None = None):
     def grad_fn(g):
         x2 = xd.reshape(-1, wd.shape[0])
         g2 = g.reshape(-1, wd.shape[1])
+        if w.requires_grad:
+            _param_grad(w, np.matmul, x2.T, g2)
+        if b is not None and b.requires_grad:
+            _param_grad(b, np.add.reduce, g2)  # the column sum, bitwise `g2.sum(axis=0)`
         if x.requires_grad:
             dx = np.empty(xd.shape, dtype=np.result_type(g2, wd))
             np.matmul(g2, wd.T, out=dx.reshape(x2.shape))
             x._accumulate(dx)
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2)
-        if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
 
     return Tensor._make(data, (x, w) if b is None else (x, w, b), grad_fn)
 
@@ -572,10 +592,10 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None, eps: 
 
     def grad_fn(g):
         if beta is not None and beta.requires_grad:
-            beta._accumulate(g)
+            _param_grad(beta, _unbroadcast, g, beta.data.shape)
         if gamma is not None:
             if gamma.requires_grad:
-                gamma._accumulate(g * xhat)
+                _param_grad(gamma, _product_grad, g, xhat, gamma.data.shape)
             g = g * gamma.data
         if x.requires_grad:
             gm = np.add.reduce(g, axis=-1, keepdims=True) / n
@@ -584,6 +604,11 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None, eps: 
 
     parents = (x,) + tuple(p for p in (gamma, beta) if p is not None)
     return Tensor._make(data, parents, grad_fn)
+
+
+def _product_grad(g: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """The gradient of a `shape` factor broadcast against x: g * x, summed down."""
+    return _unbroadcast(g * x, shape)
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -625,6 +650,15 @@ def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     return _merge_heads(np.matmul(att, v)), q, k, v, att
 
 
+def check_reads(reads, lengths) -> np.ndarray:
+    """`reads` as an array, if it holds one count in 1..lengths[b] per
+    sequence b; otherwise a ShapeError names both."""
+    reads, lengths = np.asarray(reads), np.asarray(lengths)
+    if reads.shape != lengths.shape or not ((1 <= reads) & (reads <= lengths)).all():
+        raise ShapeError(f"reads {reads.tolist()} are not each in 1..length of lengths {lengths.tolist()}")
+    return reads
+
+
 def last_rows(ends, counts) -> np.ndarray:
     """Indices of the last `counts[i]` rows before `ends[i]`, for each i in
     order: the rows of packed sequences, or the parts of them that are read."""
@@ -663,9 +697,7 @@ def attention(qkv, n_heads: int, causal: bool = False,
         if qd.shape != (int(lengths.sum()), 3 * dim):
             raise ShapeError(f"packed qkv {qd.shape} does not hold rows of lengths {lengths.tolist()}")
     if reads is not None:
-        reads, limit = np.asarray(reads), np.array([t]) if lengths is None else lengths
-        if reads.shape != limit.shape or not ((1 <= reads) & (reads <= limit)).all():
-            raise ShapeError(f"reads {reads.tolist()} are not each in 1..length of lengths {limit.tolist()}")
+        reads = check_reads(reads, np.array([t]) if lengths is None else lengths)
     grid = qd
     packed = lengths is not None and len(lengths) > 1
     if packed:
@@ -782,14 +814,158 @@ def _param_list(params):
     return list(params)
 
 
+class _SweepLocal(threading.local):
+    pool = None  # the executor `param_grad_pool` gave this thread's sweeps
+    sweep = None  # the `_Sweep` of the `gradients()` call running on this thread
+
+
+_local = _SweepLocal()
+
+@contextlib.contextmanager
+def param_grad_pool(pool):
+    """Within the block, each `gradients()` call on this thread queues its
+    parameter-only branches for one worker of `pool`, a
+    `concurrent.futures` executor; with None every sweep runs inline, as
+    `Tensor.backward()` always does. The previous pool is back on exit."""
+    outer, _local.pool = _local.pool, pool
+    try:
+        yield
+    finally:
+        _local.pool = outer
+
+
+class _Job:
+    """One deferred parameter gradient; `out` is fn(*args) once it has run."""
+
+    __slots__ = ("fn", "args", "out")
+
+    def __init__(self, fn, args):
+        self.fn, self.args, self.out = fn, args, None
+
+    def run(self) -> None:
+        self.out = self.fn(*self.args)
+
+
+class _Pending:
+    """A leaf's `.grad` while a sweep defers some of its contributions:
+    each one, an array or a `_Job`, in the order the sweep made it.
+    `Tensor._accumulate`'s `grad + g` appends g."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list):
+        self.parts = parts
+
+    def __add__(self, g):
+        self.parts.append(g)
+        return self
+
+
+def _drain(jobs: queue.SimpleQueue) -> None:
+    """The worker's half of a sweep: run queued jobs up to the None that ends it."""
+    for job in iter(jobs.get, None):
+        job.run()
+
+
+class _Sweep:
+    """The deferred parameter gradients of one `gradients()` call. The
+    first deferral starts one drain job on the pool; after the sweep the
+    caller runs each job the worker has not taken, waits for it, and
+    adds every leaf's parts in order."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.jobs = queue.SimpleQueue()  # queued, and taken by neither thread yet
+        self.drain = None
+        self.leaves: list[Tensor] = []  # every leaf whose `.grad` is a `_Pending`
+
+    def defer(self, leaf: Tensor, fn, args: tuple) -> None:
+        job = _Job(fn, args)
+        if type(leaf.grad) is _Pending:
+            leaf.grad.parts.append(job)
+        else:
+            leaf.grad = _Pending([job] if leaf.grad is None else [leaf.grad, job])
+            self.leaves.append(leaf)
+        self.jobs.put(job)
+        if self.drain is None:
+            self.drain = self.pool.submit(_drain, self.jobs)
+
+    def _stop(self, run: bool) -> None:
+        """Take every queued job, running it if `run`, then end the drain
+        job and wait for it; its error is raised only if `run` (after
+        another error, that one is what propagates)."""
+        while True:
+            try:
+                job = self.jobs.get_nowait()
+            except queue.Empty:
+                break
+            if run:
+                job.run()
+        drain, self.drain = self.drain, None
+        if drain is not None:
+            self.jobs.put(None)
+            if run:
+                drain.result()
+            else:
+                drain.exception()
+
+    def finish(self) -> None:
+        self._stop(run=True)
+        for leaf in self.leaves:
+            parts, leaf.grad = leaf.grad.parts, None
+            for part in parts:
+                leaf._accumulate(part.out if type(part) is _Job else part)
+        self.leaves = []
+
+    def abandon(self) -> None:
+        """After an error: drop what is queued, stop the worker, clear every pending gradient."""
+        self._stop(run=False)
+        for leaf in self.leaves:
+            leaf.grad = None
+        self.leaves = []
+
+
+def _param_grad(p: Tensor, fn, *args) -> None:
+    """Add fn(*args) to p's gradient: queued for the worker when a sweep
+    under `param_grad_pool` runs and p is a leaf; at once otherwise."""
+    sweep = _local.sweep
+    if sweep is None or p._grad_fn is not None:
+        p._accumulate(fn(*args))
+    else:
+        sweep.defer(p, fn, args)
+
+
 def gradients(loss: Tensor, params) -> list[np.ndarray]:
     """Run backward and return one gradient array per parameter.
 
     Parameters that never entered the graph get an explicit zero array.
+
+    Inside `param_grad_pool(pool)` with a pool, the sweep hands its
+    parameter-only branches to one worker of the pool: `linear`'s weight
+    GEMM and bias sum, `layer_norm`'s gamma and beta, and `embedding`'s
+    scatter into each table, for leaf Tensors only. An inner Tensor, such
+    as a speaker condition fed to `embedding`, keeps its inline gradient,
+    because its own backward reads it later in the sweep. When the sweep
+    ends, the caller runs every queued job the worker has not started and
+    waits for the worker; then each leaf's contributions, deferred or
+    not, are added in the order the sweep made them, so the result is
+    bitwise the inline sweep's. An error, in the sweep or in a job, is
+    raised after the queued jobs are dropped and the worker has stopped.
     """
     plist = _param_list(params)
     zero_grad(plist)
-    loss.backward()
+    if _local.pool is None:
+        loss.backward()
+    else:
+        sweep = _local.sweep = _Sweep(_local.pool)
+        try:
+            loss.backward()
+            sweep.finish()
+        except BaseException:
+            sweep.abandon()
+            raise
+        finally:
+            _local.sweep = None
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in plist]
 
 

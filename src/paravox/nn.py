@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Rng, Tensor, attention, attention_fwd, conv_windows, gelu, layer_norm, last_rows, linear
+from .engine import (Rng, Tensor, attention, attention_fwd, check_reads, conv_windows, gelu, layer_norm,
+                     last_rows, linear)
 
 
 class Module:
@@ -143,6 +144,8 @@ class MultiHeadAttention(Module):
             return self.wo(attention(self.wqkv(x), self.n_heads, causal, lengths, reads))
         if isinstance(x, Tensor):
             raise TypeError("a KV cache takes array input; a cached pass records no tape")
+        if reads is not None:
+            check_reads(reads, [x.shape[0]])
         qkv = self.wqkv(x)
         dim = self.n_heads * self.head_dim
         k, v = cache.extend(qkv[..., dim:2 * dim], qkv[..., 2 * dim:])  # (n, dim), n >= T

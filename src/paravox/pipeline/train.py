@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ar import DualStreamAR
-from ..engine import BlankRng, Rng, Tensor, check_fields, gradients
+from ..engine import BlankRng, Rng, Tensor, check_fields, gradients, param_grad_pool
 from ..flow import VelocityField, cfm_train_loss
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
@@ -120,7 +120,8 @@ class Adam:
     first, which the caller runs. Every element's arithmetic is its own
     and the per-tensor squared sums are added in parameter order as
     before, so each bit of the result is the one-shard result. Outside a
-    `with`, or on one CPU, there is one shard and no pool.
+    `with`, or on one CPU, there is one shard and no pool. `_fit` lends
+    the same pool to each step's backward sweep (`param_grad_pool`).
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.95,
@@ -209,10 +210,15 @@ class Adam:
         return norm
 
 
+STEP_PHASES = ("forward", "backward", "optimiser")
+
+
 @dataclass
 class StageReport:
-    """What one stage's training did: per-step loss terms and pre-clip
-    global gradient norms, and the stage's end-of-training metrics."""
+    """What one stage's training did: per-step loss terms, pre-clip global
+    gradient norms and wall ms of each step's phases (`STEP_PHASES`: the
+    batch and loss, the backward sweep, the optimiser step), and the
+    stage's end-of-training metrics."""
 
     stage: str
     steps: int
@@ -220,6 +226,7 @@ class StageReport:
     losses: dict[str, list] = field(default_factory=dict)
     grad_norms: list[float] = field(default_factory=list)
     final: dict = field(default_factory=dict)
+    step_ms: dict[str, list[float]] = field(default_factory=dict)
 
     def summary(self) -> str:
         bits = [f"{self.stage}: {self.steps} steps in {self.wall_time_s:.1f}s"]
@@ -229,6 +236,9 @@ class StageReport:
         if self.grad_norms:
             bits.append(f"grad norm {self.grad_norms[0]:.4g} -> {self.grad_norms[-1]:.4g} "
                         f"(max {max(self.grad_norms):.4g})")
+        if any(self.step_ms.values()):
+            bits.append("median step ms " + ", ".join(
+                f"{phase} {float(np.median(ms)):.3g}" for phase, ms in self.step_ms.items() if ms))
         return "; ".join(bits)
 
 
@@ -258,7 +268,9 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, q
     `srng.integers(0, n_items, (batch_size,))`. `step_loss(idx, srng)`
     returns (loss to differentiate, float loss terms to record). The
     report's `final` is left for the stage to fill. The optimiser's
-    thread pool lives for the loop and is closed when it ends or raises.
+    thread pool lives for the loop and is closed when it ends or raises;
+    each step's backward sweep hands it the parameter gradients
+    (`engine.param_grad_pool`), which leaves the bits as they are.
     """
     sched = pcfg.schedules[stage]
     sched.validate()
@@ -266,17 +278,24 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, q
     rng = Rng(sched.seed)
     losses: dict[str, list] = {}
     grad_norms: list[float] = []
+    step_ms: dict[str, list[float]] = {phase: [] for phase in STEP_PHASES}
     t0 = time.perf_counter()
-    with Adam(params) as opt:
+    with Adam(params) as opt, param_grad_pool(opt._pool):
         for step in range(sched.total_steps):
+            t_step = time.perf_counter()
             srng = rng.spawn(("step", step))
             loss, terms = step_loss(srng.integers(0, n_items, (sched.batch_size,)), srng)
             _check_finite(stage, step, terms)
+            t_loss = time.perf_counter()
             grads = dict(zip(names, gradients(loss, tensors)))
+            t_grads = time.perf_counter()
             grad_norms.append(opt.step(grads, sched.learning_rate(step)))
+            t_opt = time.perf_counter()
+            for phase, ms in zip(STEP_PHASES, (t_loss - t_step, t_grads - t_loss, t_opt - t_grads)):
+                step_ms[phase].append(1e3 * ms)
             _record(losses, terms)
             _progress(stage, step, sched.total_steps, terms, quiet)
-    return StageReport(stage, sched.total_steps, time.perf_counter() - t0, losses, grad_norms)
+    return StageReport(stage, sched.total_steps, time.perf_counter() - t0, losses, grad_norms, step_ms=step_ms)
 
 
 def _total_and_terms(out: dict):

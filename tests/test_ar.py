@@ -9,7 +9,7 @@ import pytest
 
 from conftest import host_note
 from paravox.ar import ARConfig, DualStreamAR
-from paravox.engine import Rng, Tensor, grad_check, gradients, sigmoid
+from paravox.engine import Rng, ShapeError, Tensor, grad_check, gradients, sigmoid
 from paravox.pipeline.config import toy_profile
 
 
@@ -334,6 +334,28 @@ def test_cached_states_match_full_recompute(variant):
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
     assert all(c.n == prompt.shape[0] + tgt.shape[0] for c in cache)
+
+
+@pytest.mark.parametrize("reads", [[0], [5], [1, 1], [-1]])
+def test_cached_pass_refuses_reads_outside_its_rows(reads):
+    """A cached pass over 3 prompt rows takes one read count in 1..3, the
+    rule of `engine.attention`. Others fail before any cache is written,
+    in the trunk and in a block or attention layer called alone, where
+    they used to return all 3 states. `generate`'s [1] is unchanged."""
+    cfg = tiny_config()
+    model = DualStreamAR(cfg, Rng(40))
+    prompt = model.input_ids(*random_example(Rng(41), cfg, n_ref=0)[:2])[:3]
+    cache = model.new_cache(8)
+    with pytest.raises(ShapeError, match=r"not each in 1\.\.length of lengths \[3\]"):
+        model.forward_states(prompt, reads=reads, cache=cache)
+    block, rows = model.blocks[0], np.zeros((3, cfg.model_dim), dtype=np.float32)
+    for layer in (block, block.attn):
+        with pytest.raises(ShapeError, match=r"not each in 1\.\.length of lengths \[3\]"):
+            layer(rows, True, cache[0], reads=reads)
+    assert all(c.n == 0 for c in cache)
+    states = model.forward_states(prompt, reads=[1], cache=cache)
+    assert states.shape == (1, cfg.model_dim) and all(c.n == 3 for c in cache)
+    np.testing.assert_array_equal(states, model.forward_states(prompt, reads=[1], cache=model.new_cache(8)))
 
 
 def test_sampled_generation_matches_recompute_loop():

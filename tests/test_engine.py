@@ -1,10 +1,13 @@
 """Tensor engine: forward ops, backward, grad_check, rng, determinism."""
 
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from paravox import engine
 from paravox.engine import (
     BlankRng,
     NEG_MASK,
@@ -25,6 +28,7 @@ from paravox.engine import (
     layer_norm,
     linear,
     mean_rows,
+    param_grad_pool,
     sigmoid,
     softmax,
 )
@@ -872,3 +876,115 @@ def test_layer_norm_one_row_gradient_matches_the_batch_row():
     for x in (x1, x2):
         (layer_norm(x, gamma) * Tensor(g)).sum().backward()
     assert x1.grad.tobytes() == x2.grad[:1].tobytes()
+
+
+# ---- parameter gradients on a pool --------------------------------------------
+
+
+def _shared_leaf_loss(p: dict):
+    """An f32 loss in which leaves take several contributions each, from
+    deferred branches and inline ones in turn: `w` through two linears, a
+    product and a slice; `gamma` and `beta` through two layer norms; `tab`
+    through two embeddings and a product. `inner`, an op's output, is an
+    embedding table and a linear weight, whose gradients stay inline."""
+    ids = np.array([[0, 3], [5, -1], [3, 3], [7, 1]])
+    inner = p["tab"] * 0.5
+    h = embedding([p["tab"], inner], ids)
+    h = layer_norm(linear(h, p["w"], p["b"]), p["gamma"], p["beta"])
+    h = gelu(h * p["w"][:4].sum(axis=0) + embedding([p["tab"]], ids[:, :1]) * p["tab"][0])
+    h = layer_norm(linear(h, p["w"]), p["gamma"], p["beta"]) * p["w"][3]
+    return linear(h, inner[:, :8].swapaxes(0, 1) * 1.0).sum() + (p["w"] * p["w"]).sum() * 1e-3
+
+
+def _shared_leaf_params():
+    rng = Rng(11)
+    shapes = {"tab": (8, 8), "w": (8, 8), "b": (8,), "gamma": (8,), "beta": (8,)}
+    return {k: Tensor(rng.normal(s, scale=3.0 if k == "w" else 1.0), requires_grad=True)
+            for k, s in shapes.items()}
+
+
+def test_pooled_sweep_is_bitwise_the_inline_sweep(monkeypatch):
+    """The same loss gives the same gradient bits with and without a pool,
+    each leaf's contributions added in sweep order, and every leaf's
+    parameter branches ran as jobs. A plain `backward()` inside the pool
+    runs inline."""
+    params = _shared_leaf_params()
+    want = [g.copy() for g in gradients(_shared_leaf_loss(params), params)]
+    deferred, defer = [], engine._Sweep.defer
+    monkeypatch.setattr(engine._Sweep, "defer", lambda s, leaf, fn, args: deferred.append(leaf) or
+                        defer(s, leaf, fn, args))
+    with ThreadPoolExecutor(1) as pool, param_grad_pool(pool):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            for _ in range(20):
+                got = gradients(_shared_leaf_loss(params), params)
+                for k, a, b in zip(params, want, got):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), k
+        finally:
+            sys.setswitchinterval(interval)
+        ids = {id(p): k for k, p in params.items()}
+        assert sorted({ids[id(leaf)] for leaf in deferred}) == sorted(params)
+        n_deferred = len(deferred)
+        loss = _shared_leaf_loss(params)
+        engine.zero_grad(params)
+        loss.backward()
+        assert len(deferred) == n_deferred
+        assert all(np.array_equal(p.grad, a) for p, a in zip(params.values(), want))
+    assert engine._local.pool is None
+
+
+@pytest.mark.parametrize("where", ["sweep", "job"])
+def test_pooled_sweep_error_leaves_nothing_behind(monkeypatch, where):
+    """An error partway through a pooled sweep, in an op's backward or in a
+    deferred job, is raised from `gradients()` with no job left queued, no
+    worker still draining, no pending gradient and no sweep set; the next
+    call on the same pool gives the inline bits."""
+    params = _shared_leaf_params()
+    want = [g.copy() for g in gradients(_shared_leaf_loss(params), params)]
+    sweeps, sweep_cls, scatter_rows = [], engine._Sweep, engine._scatter_rows
+
+    class Spy(sweep_cls):
+        def __init__(self, pool):
+            super().__init__(pool)
+            self.n_deferred = 0
+            sweeps.append(self)
+
+        def defer(self, *args):
+            self.n_deferred += 1
+            super().defer(*args)
+
+    monkeypatch.setattr(engine, "_Sweep", Spy)
+    with ThreadPoolExecutor(1) as pool, param_grad_pool(pool):
+        loss = _shared_leaf_loss(params)
+        if where == "sweep":
+            nodes, stack = {}, [loss]
+            while stack:
+                t = stack.pop()
+                if id(t) not in nodes:
+                    nodes[id(t)] = t
+                    stack.extend(t._parents)
+            # The first layer norm, the one over the biased linear: late in the sweep.
+            node, = [t for t in nodes.values() if t._grad_fn is not None and
+                     "layer_norm" in t._grad_fn.__qualname__ and len(t._parents[0]._parents) == 3]
+
+            def boom(g):
+                raise RuntimeError("boom")
+
+            node._grad_fn = boom
+        else:
+            def boom(*args):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(engine, "_scatter_rows", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            gradients(loss, params)
+        sweep = sweeps[-1]
+        assert sweep.n_deferred > 0
+        assert sweep.leaves == [] and sweep.drain is None and sweep.jobs.empty()
+        assert engine._local.sweep is None and all(p.grad is None for p in params.values())
+        assert pool.submit(int, 7).result(timeout=30) == 7
+        monkeypatch.setattr(engine, "_scatter_rows", scatter_rows)
+        got = gradients(_shared_leaf_loss(params), params)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+    assert engine._local.pool is None

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import mini_pipeline_config, run_cli, rvq_residuals
+from paravox import engine
 from paravox.ar import ARConfig, DualStreamAR
 from paravox.engine import BlankRng, Rng, Tensor, gradients
 from paravox.flow import FlowConfig, SolverConfig, VelocityField
@@ -322,6 +323,77 @@ def test_train_stage_leaves_no_thread_behind(monkeypatch, tmp_path, mini_run):
         train_stage("nar", mini_run.items, _quick_pcfg(4), tmp_path / "nar.ckpt")
     assert threading.enumerate() == before
     assert max(during) > len(before)
+
+
+@pytest.mark.parametrize("stage", ["tokenizer", "ar", "nar", "flow"])
+def test_pooled_backward_is_bitwise_the_inline_one(tmp_path, mini_run, monkeypatch, stage):
+    """On one CPU `_fit` has no pool and every sweep runs inline; on two,
+    each sweep queues its parameter gradients for the optimiser's worker.
+    Every step's gradients, the loss curves, the gradient norms and the
+    checkpoint are the same bits. The tokenizer step sends its speaker
+    condition, an inner Tensor, through `embedding`: deferring that
+    gradient would change them."""
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    real_gradients, real_run = train_mod.gradients, engine._Job.run
+    runs = {}
+    for n_cpus in (1, 2):
+        _usable(monkeypatch, n_cpus)
+        grads, runners = [], set()
+
+        def spy(loss, tensors):
+            out = real_gradients(loss, tensors)
+            grads.append([g.copy() for g in out])
+            return out
+
+        def run(job):
+            runners.add(threading.current_thread().name)
+            real_run(job)
+
+        monkeypatch.setattr(train_mod, "gradients", spy)
+        monkeypatch.setattr(engine._Job, "run", run)
+        out = tmp_path / f"{stage}-{n_cpus}.ckpt"
+        report = train_stage(stage, mini_run.items, _quick_pcfg(3), out)
+        runs[n_cpus] = grads, report, out.read_bytes(), runners
+    (grads1, rep1, ckpt1, runners1), (grads2, rep2, ckpt2, runners2) = runs[1], runs[2]
+    assert runners1 == set() and runners2
+    assert len(grads1) == len(grads2) == 3
+    for step1, step2 in zip(grads1, grads2):
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(step1, step2, strict=True))
+    assert rep1.losses == rep2.losses and rep1.grad_norms == rep2.grad_norms and ckpt1 == ckpt2
+
+
+def test_an_error_in_a_pooled_sweep_leaves_no_thread(monkeypatch, tmp_path, mini_run):
+    """A layer norm's backward that raises on the second step, after the
+    sweep has queued jobs, fails the stage with its error. No optimiser
+    worker is left alive, and no pool or sweep is left set on the thread."""
+    _usable(monkeypatch, 2)
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    real, calls = train_mod.gradients, []
+
+    def boom(g):
+        raise RuntimeError("boom")
+
+    def sabotaged(loss, tensors):
+        calls.append(loss)
+        if len(calls) == 2:
+            seen, stack = set(), [loss]
+            while stack:
+                t = stack.pop()
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    if t._grad_fn is not None and "layer_norm" in t._grad_fn.__qualname__:
+                        t._grad_fn = boom
+                        break
+                    stack.extend(t._parents)
+        return real(loss, tensors)
+
+    monkeypatch.setattr(train_mod, "gradients", sabotaged)
+    with pytest.raises(RuntimeError, match="boom"):
+        train_stage("ar", mini_run.items, _quick_pcfg(4), tmp_path / "ar.ckpt")
+    assert len(calls) == 2
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("adam")]
+    assert engine._local.pool is None and engine._local.sweep is None
+    assert not (tmp_path / "ar.ckpt").exists()
 
 
 # ---- config round trips and validation --------------------------------------
@@ -867,6 +939,11 @@ def test_stage_reports_record_losses(mini_run):
         norms = report.grad_norms
         assert len(norms) == report.steps and all(isinstance(v, float) and np.isfinite(v) for v in norms)
         assert f"grad norm {norms[0]:.4g} -> {norms[-1]:.4g} (max {max(norms):.4g})" in report.summary()
+        assert list(report.step_ms) == ["forward", "backward", "optimiser"]
+        for phase, ms in report.step_ms.items():
+            assert len(ms) == report.steps and all(isinstance(v, float) and v > 0 for v in ms), phase
+            assert f"{phase} {float(np.median(ms)):.3g}" in report.summary()
+        assert sum(map(sum, report.step_ms.values())) < 1e3 * report.wall_time_s
 
 
 # ---- loading and inference -----------------------------------------------------
