@@ -374,9 +374,10 @@ class RecordReader:
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def records(self, dtypes: dict[int, np.dtype]) -> dict[str, np.ndarray]:
+    def records(self, dtypes: dict[int, np.dtype], copy: bool = True) -> dict[str, np.ndarray]:
         """The arrays, given the dtype of each code the format allows;
-        they must end the file."""
+        they must end the file. Without `copy` they are views of the
+        buffer, writable if it is."""
         (count,) = self.unpack("<I", "array count")
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -391,7 +392,8 @@ class RecordReader:
                 raise self.unknown_dtype(name, code)
             dims = self.unpack(f"<{rank}Q", f"dims of {name!r}")
             raw = self.take(math.prod(dims) * dtypes[code].itemsize, f"data of {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype=dtypes[code]).reshape(dims).copy()
+            arr = np.frombuffer(raw, dtype=dtypes[code]).reshape(dims)
+            arrays[name] = arr.copy() if copy else arr
         if self.pos != len(self.buf):
             raise self.trailing()
         return arrays

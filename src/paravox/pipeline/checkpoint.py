@@ -18,6 +18,7 @@ check.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -102,8 +103,11 @@ class _Reader(RecordReader):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at `path`. Its parameters are writable views of one
+    buffer the file is read into, not aligned copies; `load_state` copies."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        r = _Reader(memoryview(blob)[:fh.readinto(blob)], path)
     if r.take(len(MAGIC), "magic") != MAGIC:
         raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
     (version,) = r.unpack("<I", "version")
@@ -122,7 +126,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: config is not JSON: {e}") from None
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: config is a JSON {type(config).__name__}, not an object")
-    return Checkpoint(stage=stage, config=config, params=r.records(_DTYPES))
+    return Checkpoint(stage=stage, config=config, params=r.records(_DTYPES, copy=False))
 
 
 def load_stage_checkpoint(path, stage: str) -> Checkpoint:

@@ -106,40 +106,43 @@ def _split(sizes: list[int], n: int) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b > a] or [range(0)]
 
 
+# Adam's chunks close at this many elements: few numpy calls per step,
+# and a chunk stays in cache across the step's passes over it.
+CHUNK_SIZE = 65_536
+
+
 class Adam:
     """Adam with decoupled global-norm gradient clipping.
 
-    Moments are float64. Each step works in two preallocated float64
-    buffers per parameter and writes `p.data` in place, so no array is
-    allocated per step; every array op is the one the textbook formula
-    spells out, in its order, so the result is bitwise that formula's.
+    Moments are float64. Tensors are packed, in key order, into chunks
+    closed at `CHUNK_SIZE` elements; a chunk is one float64 block whose
+    rows are the moments (`m[k]`, `v[k]` are views) and two work buffers.
+    A step runs each textbook op once per chunk, in the formula's order,
+    then updates each parameter, its module's own array, in place from its
+    slice, rounded once: nothing is allocated and the bits are the formula's.
 
     Entered as a context manager, the optimiser splits its parameters
     into contiguous shards of about equal element count, one per usable
-    CPU, and a thread pool it owns until exit runs all shards but the
-    first, which the caller runs. Every element's arithmetic is its own
-    and the per-tensor squared sums are added in parameter order as
-    before, so each bit of the result is the one-shard result. Outside a
-    `with`, or on one CPU, there is one shard and no pool. `_fit` lends
-    the same pool to each step's backward sweep (`param_grad_pool`).
+    CPU, each chunked alike; a thread pool it owns until exit runs all
+    shards but the first, which the caller runs. Every element's
+    arithmetic is its own and the per-tensor squared sums are added in
+    parameter order, so each bit of the result is the one-shard result.
+    Outside a `with`, or on one CPU, there is one shard and no pool.
+    `_fit` lends the same pool to each step's backward sweep.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.95,
                  eps: float = 1e-8, clip_norm: float | None = 2.0):
         self.params = dict(params)
         self.beta1, self.beta2, self.eps, self.clip_norm = beta1, beta2, eps, clip_norm
-        self.m = {k: np.zeros(p.shape, dtype=np.float64) for k, p in self.params.items()}
-        self.v = {k: np.zeros(p.shape, dtype=np.float64) for k, p in self.params.items()}
-        self._work = {k: (np.empty(p.shape, dtype=np.float64), np.empty(p.shape, dtype=np.float64))
-                      for k, p in self.params.items()}
-        self.t = 0
-        self._shards = [list(self.params)]
+        self.m, self.v, self.t = {}, {}, 0
+        self._layout([list(self.params)])
         self._pool: ThreadPoolExecutor | None = None
 
     def __enter__(self) -> Adam:
         keys = list(self.params)
         n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        self._shards = [keys[r.start:r.stop] for r in _split([self.params[k].data.size for k in keys], n_cpus)]
+        self._layout([keys[r.start:r.stop] for r in _split([self.params[k].data.size for k in keys], n_cpus)])
         if len(self._shards) > 1:
             self._pool = ThreadPoolExecutor(len(self._shards) - 1, thread_name_prefix="adam")
         return self
@@ -147,32 +150,60 @@ class Adam:
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
             self._pool.shutdown()
-        self._shards, self._pool = [list(self.params)], None
+        self._pool = None
+        self._layout([list(self.params)])
+
+    def _layout(self, shards: list[list[str]]) -> None:
+        """Chunk each of `shards` (key lists); `m` and `v` keep their values."""
+        m, v, self._chunks = {}, {}, []
+        for keys in shards:
+            chunks, run, n = [], [], 0
+            for k in keys:
+                run.append(k)
+                n += self.params[k].data.size
+                if n >= CHUNK_SIZE or k == keys[-1]:
+                    chunks.append(self._chunk(run, m, v))
+                    run, n = [], 0
+            self._chunks.append(chunks)
+        for k in self.m:
+            m[k][...], v[k][...] = self.m[k], self.v[k]
+        self._shards, self.m, self.v = shards, m, v
+
+    def _chunk(self, keys: list[str], m: dict, v: dict) -> tuple:
+        """A new chunk over `keys`, whose moment views go into `m` and `v`."""
+        tensors = [self.params[k] for k in keys]
+        ends = np.cumsum([p.data.size for p in tensors])
+        block = np.zeros((4, ends[-1]))
+        m_k, v_k, g_k, sq_k = ([row[e - p.data.size:e].reshape(p.shape) for p, e in zip(tensors, ends)]
+                               for row in block)
+        m.update(zip(keys, m_k))
+        v.update(zip(keys, v_k))
+        return keys, tensors, block, g_k, sq_k
 
     def _map(self, fn, *args) -> list:
-        """[fn(shard, *args) for each shard], in shard order: the pool runs
-        all but the first shard while the caller runs that one. An error
-        in any shard is raised once no shard is running."""
-        futures = [self._pool.submit(fn, shard, *args) for shard in self._shards[1:]]
+        """[fn(chunks, *args) for each shard's chunks], in shard order: the
+        pool runs all but the first shard while the caller runs that one.
+        An error in any shard is raised once no shard is running."""
+        futures = [self._pool.submit(fn, chunks, *args) for chunks in self._chunks[1:]]
         try:
-            return [fn(self._shards[0], *args), *(f.result() for f in futures)]
+            return [fn(self._chunks[0], *args), *(f.result() for f in futures)]
         finally:
             for f in futures:
                 f.cancel()
             wait(futures)
 
-    def _load(self, keys: list[str], grads: dict[str, np.ndarray]) -> list[float]:
-        """Copy each gradient into its float64 buffer; its squared sum."""
+    def _load(self, chunks: list[tuple], grads: dict[str, np.ndarray]) -> list[float]:
+        """Copy each gradient into its float64 slice; its squared sum."""
         sums = []
-        for k in keys:
-            g, sq_buf = self._work[k]
-            g[...] = grads[k]
-            sums.append(float(np.square(g, out=sq_buf).sum()))
+        for keys, _, block, g_k, sq_k in chunks:
+            for k, g in zip(keys, g_k):
+                g[...] = grads[k]
+            np.square(block[2], out=block[3])
+            sums += [float(sq.sum()) for sq in sq_k]
         return sums
 
-    def _update(self, keys: list[str], scale: float, lr: float, b1c: float, b2c: float) -> None:
-        for k in keys:
-            p, (g, tmp), m, v = self.params[k], self._work[k], self.m[k], self.v[k]
+    def _update(self, chunks: list[tuple], scale: float, lr: float, b1c: float, b2c: float) -> None:
+        for _, tensors, (m, v, g, tmp), g_k, _ in chunks:
             if scale != 1.0:
                 g *= scale
             # m = beta1 m + (1 - beta1) g
@@ -190,10 +221,9 @@ class Adam:
             np.sqrt(tmp, out=tmp)
             tmp += self.eps
             g /= tmp
-            # p = p - update, rounded once to p's dtype
-            tmp[...] = p.data
-            tmp -= g
-            p.data[...] = tmp
+            # p = p - update, in float64, rounded once to p's dtype
+            for p, update in zip(tensors, g_k):
+                np.subtract(p.data, update, out=p.data, casting="unsafe")
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> float:
         """Apply one update; returns the pre-clip global gradient norm."""

@@ -182,10 +182,12 @@ def _usable(monkeypatch, n_cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
 
 
-def _adam_runs(monkeypatch, init, grads_per_step, lrs, cpu_counts):
+def _adam_runs(monkeypatch, init, grads_per_step, lrs, cpu_counts, steps_after_exit=0):
     """Per CPU count, plus "ref" for `_ReferenceAdam`: the shards the
-    optimiser split into, its per-step norms and its final p, m and v."""
+    optimiser split into, its per-step norms and its final p, m and v.
+    The last `steps_after_exit` steps run after the `with` has closed."""
     out = {}
+    inside = len(grads_per_step) - steps_after_exit
     for n in (*cpu_counts, "ref"):
         params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
         if n == "ref":
@@ -198,7 +200,8 @@ def _adam_runs(monkeypatch, init, grads_per_step, lrs, cpu_counts):
             try:
                 with Adam(params) as opt:
                     shards = [list(s) for s in opt._shards]
-                    norms = [opt.step(g, lr) for g, lr in zip(grads_per_step, lrs)]
+                    norms = [opt.step(g, lr) for g, lr in zip(grads_per_step[:inside], lrs[:inside])]
+                norms += [opt.step(g, lr) for g, lr in zip(grads_per_step[inside:], lrs[inside:])]
             finally:
                 sys.setswitchinterval(interval)
         out[n] = (shards, norms, {k: p.data for k, p in params.items()}, opt.m, opt.v)
@@ -236,21 +239,28 @@ def test_sharded_adam_is_bitwise_one_shard_and_the_reference(monkeypatch):
         assert max(sizes) - min(sizes) <= max(a.size for a in init.values())
 
 
-@pytest.mark.parametrize("sizes, n_cpus, n_shards", [
-    ({"big": 1000, "small": 1}, 3, 2),             # the first cut falls at 0: one CPU gets no shard
-    ({"small": 3, "big": 1000, "tail": 2}, 2, 2),  # a lopsided split: 3 against 1002 elements
-    ({"a": 5, "big": 1000, "b": 5}, 4, 3),         # fewer tensors than CPUs
-    ({"only": 10}, 2, 1),
+@pytest.mark.parametrize("sizes, n_cpus, n_shards, chunks", [
+    ({"big": 1000, "small": 1}, 3, 2, [["big", "small"]]),  # the first cut falls at 0: one CPU gets no shard
+    ({"small": 3, "big": 1000, "tail": 2}, 2, 2, [["small", "big", "tail"]]),  # a lopsided split: 3 against 1002
+    ({"a": 5, "big": 1000, "b": 5}, 4, 3, [["a", "big", "b"]]),  # fewer tensors than CPUs
+    ({"only": 10}, 2, 1, [["only"]]),
+    ({"big": 70_000, "one": 1}, 2, 2, [["big"], ["one"]]),  # a tensor larger than a chunk
+    # a chunk closes mid-shard, and float32 and float64 tensors share a chunk
+    ({"a": 40_000, "b64": 30_000, "c": 1, "d64": 1}, 3, 2, [["a", "b64"], ["c", "d64"]]),
+    ({"s1": 1, "s2_64": 1, "s3": 1}, 3, 3, [["s1", "s2_64", "s3"]]),  # size-1 tensors, one per shard
 ])
-def test_sharded_adam_with_a_dominant_tensor(monkeypatch, sizes, n_cpus, n_shards):
+def test_sharded_adam_with_a_dominant_tensor(monkeypatch, sizes, n_cpus, n_shards, chunks):
     """One tensor holding most elements leaves a shard lopsided, or none
     for a CPU; the shards still cover every tensor once, in order, and
-    the bits are the one-shard bits."""
+    the bits are the one-shard bits at 1, 2, 3 and `n_cpus` CPUs, also
+    for a step taken after the `with` has closed. `chunks` is the
+    one-shard chunking; a key ending in 64 is a float64 tensor."""
     rng = Rng(3)
-    init = {k: rng.normal((n,), dtype=np.float32) for k, n in sizes.items()}
+    init = {k: rng.normal((n,), dtype=np.float64 if k.endswith("64") else np.float32) for k, n in sizes.items()}
     grads = [{k: rng.normal(a.shape, scale=10.0 if s % 2 else 0.01, dtype=a.dtype) for k, a in init.items()}
              for s in range(6)]
-    runs = _adam_runs(monkeypatch, init, grads, [1e-2] * 6, (1, n_cpus))
+    assert [keys for keys, *_ in Adam({k: Tensor(a) for k, a in init.items()})._chunks[0]] == chunks
+    runs = _adam_runs(monkeypatch, init, grads, [1e-2] * 6, sorted({1, 2, 3, n_cpus}), steps_after_exit=1)
     _assert_bitwise_alike(runs)
     shards = runs[n_cpus][0]
     assert len(shards) == n_shards and all(shards) and [k for s in shards for k in s] == list(sizes)
@@ -1198,6 +1208,29 @@ def test_infer_caps_generation_at_refiner_target_limit(mini_run):
     result = infer(pipe, encode_text(pipe, "ab"), mini_run.items[0].bundle, seed=1)
     assert result.metadata["n_frames"] == 3 and result.mel.shape[0] == 3
     assert result.metadata["truncated"] and not result.metadata["terminated"]
+
+
+def test_loaded_pipeline_arrays_are_its_own(mini_run, monkeypatch):
+    """A checkpoint's parameters are writable views of the one buffer its
+    file is read into; every array of a loaded pipeline is a writable,
+    aligned copy that shares no memory with them."""
+    loaded, original = {}, train_mod.load_stage_checkpoint
+
+    def record(path, stage):
+        loaded[stage] = original(path, stage)
+        return loaded[stage]
+
+    monkeypatch.setattr(train_mod, "load_stage_checkpoint", record)
+    pipe = load_pipeline(mini_run.ckpt_dir)
+    states = {"tokenizer": pipe.tokenizer.full_state(), "ar": pipe.ar.state(),
+              "nar": pipe.nar.state(), "flow": pipe.flow.state()}
+    for stage, state in states.items():
+        params = loaded[stage].params
+        assert set(state) == set(params), stage
+        assert all(a.flags.writeable and not a.flags.owndata for a in params.values()), stage
+        for name, arr in state.items():
+            assert arr.flags.writeable and arr.flags.aligned, (stage, name)
+            assert not any(np.shares_memory(arr, a) for a in params.values()), (stage, name)
 
 
 def test_load_pipeline_missing_checkpoint(tmp_path):
