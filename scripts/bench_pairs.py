@@ -10,11 +10,12 @@ alike. Every run's end-to-end metrics come from the last line of its
 standard output, and each side's environment from its `# env` line.
 
 The output file holds both sides (commit, a digest of `src/`, the
-environment), every run, and per workload and metric: each side's median
-and quartiles, the change/parent ratio of the medians, the pairs the
-change won, and whether the medians differ by more than the parent's
-interquartile range. An existing output file for the same two `src/`
-digests is extended: its runs are kept and the summary is recomputed.
+environment), every run, and per workload, seed and run length, per
+metric: each side's median and quartiles, the change/parent ratio of the
+medians, the pairs the change won, and whether the medians differ by more
+than the parent's interquartile range. An existing output file for the
+same two `src/` digests is extended: its runs are kept and the summary is
+recomputed.
 """
 
 from __future__ import annotations
@@ -69,33 +70,36 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": float(q1), "median": float(median), "q3": float(q3), "n": len(values)}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """workload -> metric -> per-side quartiles, the change/parent ratio
-    of the medians, pairs won by the change out of pairs where both sides
-    ran, and whether the medians differ, in the better direction, by more
-    than the parent's interquartile range. `better` maps each metric to
-    "lower" or "higher"; a run with an "error" counts on neither side."""
-    out: dict = {}
-    for workload in dict.fromkeys(r["workload"] for r in runs):
-        ok = [r for r in runs if r["workload"] == workload and "error" not in r]
-        pairs: dict[tuple, dict] = {}
+def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
+    """One entry per (workload, seed, seconds) the runs cover, in first-run
+    order, whose "metrics" map each metric to: per side, the median and
+    quartiles; the change/parent ratio of the medians; the pairs won by
+    the change, of the pairs where both sides ran; and whether the medians
+    differ, in the better direction, by more than the parent's
+    interquartile range. `better` maps each metric to "lower" or
+    "higher"; a run with an "error" counts on neither side."""
+    out = []
+    for workload, seed, seconds in dict.fromkeys((r["workload"], r["seed"], r["seconds"]) for r in runs):
+        ok = [r for r in runs if (r["workload"], r["seed"], r["seconds"]) == (workload, seed, seconds)
+              and "error" not in r]
+        pairs: dict[int, dict] = {}
         for r in ok:
-            pairs.setdefault((r["seed"], r["seconds"], r["pair"]), {})[r["side"]] = r["metrics"]
+            pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
         both = [p for p in pairs.values() if len(p) == 2]
-        out[workload] = {}
+        metrics: dict = {}
         for metric, direction in better.items():
             sign = 1.0 if direction == "lower" else -1.0
-            sides = {side: quartiles([r["metrics"][metric] for r in ok if r["side"] == side])
-                     for side in SIDES if any(r["side"] == side for r in ok)}
-            entry: dict = dict(sides)
-            if len(sides) == 2:
-                parent, change = sides["parent"], sides["change"]
+            entry: dict = {side: quartiles([r["metrics"][metric] for r in ok if r["side"] == side])
+                           for side in SIDES if any(r["side"] == side for r in ok)}
+            if len(entry) == 2:
+                parent, change = entry["parent"], entry["change"]
                 entry["ratio"] = change["median"] / parent["median"] if parent["median"] else None
                 entry["pairs_won"] = sum(sign * (p["change"][metric] - p["parent"][metric]) < 0 for p in both)
                 entry["pairs"] = len(both)
                 entry["beyond_parent_iqr"] = bool(
                     sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"])
-            out[workload][metric] = entry
+            metrics[metric] = entry
+        out.append({"workload": workload, "seed": seed, "seconds": seconds, "metrics": metrics})
     return out
 
 

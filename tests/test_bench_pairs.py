@@ -14,10 +14,10 @@ _spec.loader.exec_module(bench_pairs)
 BETTER = {"op_ms_p50": "lower", "work_per_s": "higher"}
 
 
-def _run(workload, pair, side, op_ms, work, **extra):
-    return {"workload": workload, "seed": 1, "seconds": 15.0, "pair": pair, "side": side,
+def _run(workload, pair, side, op_ms, work, seed=1):
+    return {"workload": workload, "seed": seed, "seconds": 15.0, "pair": pair, "side": side,
             "correct": True, "attempted": 10, "failed": 0,
-            "metrics": {"op_ms_p50": op_ms, "work_per_s": work}, **extra}
+            "metrics": {"op_ms_p50": op_ms, "work_per_s": work}}
 
 
 def test_sides_alternate_which_runs_first():
@@ -30,8 +30,9 @@ def test_summary_medians_quartiles_ratio_and_pairs_won():
     change = [9.0, 11.5, 9.5, 10.0]
     runs = [_run("train", i, side, ms, 1000.0 / ms)
             for i in range(4) for side, ms in (("parent", parent[i]), ("change", change[i]))]
-    s = bench_pairs.summarise(runs, BETTER)["train"]
-    op = s["op_ms_p50"]
+    (s,) = bench_pairs.summarise(runs, BETTER)
+    assert (s["workload"], s["seed"], s["seconds"]) == ("train", 1, 15.0)
+    op = s["metrics"]["op_ms_p50"]
     assert op["parent"] == {"q1": 10.75, "median": 11.5, "q3": 12.25, "n": 4}
     assert op["change"] == {"q1": 9.375, "median": 9.75, "q3": 10.375, "n": 4}
     assert op["ratio"] == pytest.approx(9.75 / 11.5)
@@ -39,7 +40,7 @@ def test_summary_medians_quartiles_ratio_and_pairs_won():
     assert (op["pairs_won"], op["pairs"]) == (3, 4)
     # 11.5 - 9.75 = 1.75 against a parent IQR of 1.5
     assert op["beyond_parent_iqr"] is True
-    work = s["work_per_s"]
+    work = s["metrics"]["work_per_s"]
     assert (work["pairs_won"], work["pairs"], work["beyond_parent_iqr"]) == (3, 4, True)
     assert work["ratio"] > 1.0
 
@@ -48,21 +49,27 @@ def test_summary_within_the_parent_spread_is_not_beyond_it():
     runs = [_run("train", i, side, ms, 1.0)
             for i, (p, c) in enumerate([(10.0, 9.9), (12.0, 11.9), (10.0, 9.9), (12.0, 11.9)])
             for side, ms in (("parent", p), ("change", c))]
-    op = bench_pairs.summarise(runs, BETTER)["train"]["op_ms_p50"]
+    (s,) = bench_pairs.summarise(runs, BETTER)
+    op = s["metrics"]["op_ms_p50"]
     assert op["pairs_won"] == 4 and op["beyond_parent_iqr"] is False
 
 
-def test_summary_skips_failed_runs_and_splits_workloads():
+def test_summary_skips_failed_runs_and_splits_workloads_and_seeds():
     runs = [_run("synth_long", 0, "parent", 20.0, 1.0), _run("synth_long", 0, "change", 19.0, 1.0),
             {"workload": "synth_long", "seed": 1, "seconds": 15.0, "pair": 1, "side": "change",
              "error": "exit 1: boom"},
             _run("synth_long", 1, "parent", 22.0, 1.0),
-            _run("synth_short", 0, "parent", 6.0, 1.0)]
-    s = bench_pairs.summarise(runs, BETTER)
-    op = s["synth_long"]["op_ms_p50"]
+            _run("synth_short", 0, "parent", 6.0, 1.0),
+            _run("synth_long", 0, "parent", 30.0, 1.0, seed=2), _run("synth_long", 0, "change", 31.0, 1.0, seed=2)]
+    long1, short, long2 = bench_pairs.summarise(runs, BETTER)
+    assert [(s["workload"], s["seed"]) for s in (long1, short, long2)] == [
+        ("synth_long", 1), ("synth_short", 1), ("synth_long", 2)]
+    op = long1["metrics"]["op_ms_p50"]
     assert (op["pairs_won"], op["pairs"]) == (1, 1)
     assert op["parent"]["n"] == 2 and op["change"]["n"] == 1
-    assert set(s["synth_short"]["op_ms_p50"]) == {"parent"}
+    assert set(short["metrics"]["op_ms_p50"]) == {"parent"}
+    op = long2["metrics"]["op_ms_p50"]
+    assert (op["pairs_won"], op["pairs"], op["parent"]["median"]) == (0, 1, 30.0)
 
 
 def test_parse_output_reads_the_last_line_and_the_environment():

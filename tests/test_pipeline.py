@@ -239,27 +239,33 @@ def test_sharded_adam_is_bitwise_one_shard_and_the_reference(monkeypatch):
         assert max(sizes) - min(sizes) <= max(a.size for a in init.values())
 
 
-@pytest.mark.parametrize("sizes, n_cpus, n_shards, chunks", [
-    ({"big": 1000, "small": 1}, 3, 2, [["big", "small"]]),  # the first cut falls at 0: one CPU gets no shard
-    ({"small": 3, "big": 1000, "tail": 2}, 2, 2, [["small", "big", "tail"]]),  # a lopsided split: 3 against 1002
-    ({"a": 5, "big": 1000, "b": 5}, 4, 3, [["a", "big", "b"]]),  # fewer tensors than CPUs
-    ({"only": 10}, 2, 1, [["only"]]),
-    ({"big": 70_000, "one": 1}, 2, 2, [["big"], ["one"]]),  # a tensor larger than a chunk
-    # a chunk closes mid-shard, and float32 and float64 tensors share a chunk
-    ({"a": 40_000, "b64": 30_000, "c": 1, "d64": 1}, 3, 2, [["a", "b64"], ["c", "d64"]]),
-    ({"s1": 1, "s2_64": 1, "s3": 1}, 3, 3, [["s1", "s2_64", "s3"]]),  # size-1 tensors, one per shard
+@pytest.mark.parametrize("sizes, n_cpus, n_shards", [
+    ({"big": 1000, "small": 1}, 3, 2),             # the first cut falls at 0: one CPU gets no shard
+    ({"small": 3, "big": 1000, "tail": 2}, 2, 2),  # a lopsided split: 3 against 1002 elements
+    ({"a": 5, "big": 1000, "b": 5}, 4, 3),         # fewer tensors than CPUs
+    ({"only": 10}, 2, 1),
+    ({"big": 70_000, "one": 1}, 2, 2),             # a tensor larger than a chunk, and a size-1 one
+    # a chunk closes mid-shard ("a", "b64"), and float32 and float64 tensors share chunks
+    ({"a": 40_000, "b64": 30_000, "c": 1, "d64": 1}, 3, 2),
+    ({"s1": 1, "s2_64": 1, "s3": 1}, 3, 3),        # size-1 tensors, one per shard
+    ({"a": 65_535, "b": 1, "c": 1}, 2, 2),         # a chunk of exactly CHUNK_SIZE elements closes
 ])
-def test_sharded_adam_with_a_dominant_tensor(monkeypatch, sizes, n_cpus, n_shards, chunks):
+def test_sharded_adam_with_a_dominant_tensor(monkeypatch, sizes, n_cpus, n_shards):
     """One tensor holding most elements leaves a shard lopsided, or none
     for a CPU; the shards still cover every tensor once, in order, and
     the bits are the one-shard bits at 1, 2, 3 and `n_cpus` CPUs, also
-    for a step taken after the `with` has closed. `chunks` is the
-    one-shard chunking; a key ending in 64 is a float64 tensor."""
+    for a step taken after the `with` has closed. The one-shard chunks
+    close at the first tensor that brings them to `CHUNK_SIZE` elements.
+    A key ending in 64 is a float64 tensor."""
     rng = Rng(3)
     init = {k: rng.normal((n,), dtype=np.float64 if k.endswith("64") else np.float32) for k, n in sizes.items()}
     grads = [{k: rng.normal(a.shape, scale=10.0 if s % 2 else 0.01, dtype=a.dtype) for k, a in init.items()}
              for s in range(6)]
-    assert [keys for keys, *_ in Adam({k: Tensor(a) for k, a in init.items()})._chunks[0]] == chunks
+    chunks = [keys for keys, *_ in Adam({k: Tensor(a) for k, a in init.items()})._chunks[0]]
+    assert [k for keys in chunks for k in keys] == list(sizes)
+    for i, keys in enumerate(chunks):
+        n = [sizes[k] for k in keys]
+        assert sum(n[:-1]) < train_mod.CHUNK_SIZE and (sum(n) >= train_mod.CHUNK_SIZE or i == len(chunks) - 1)
     runs = _adam_runs(monkeypatch, init, grads, [1e-2] * 6, sorted({1, 2, 3, n_cpus}), steps_after_exit=1)
     _assert_bitwise_alike(runs)
     shards = runs[n_cpus][0]
