@@ -42,6 +42,14 @@ Only leaves (Tensors with no `_grad_fn`, such as parameters) are
 deferred: an inner node's gradient is read by its own backward later in
 the sweep. Every contribution to a leaf is added in sweep order once
 the sweep ends, so the bits are those of the inline sweep.
+
+An optimiser's in-place parameter writes can run behind the next
+forward pass as a `PendingUpdate`: its parameters are pending from its
+start until their chunk is written. Every op gates its Tensor operands
+before it reads their `.data`: a pending one is written first, by the
+gate itself if no thread has taken its chunk yet. So each op reads the
+updated bits, as if the update had run before the forward. While no
+update is pending, a gate is one test of a module-level set.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ import hashlib
 import math
 import queue
 import threading
+import time
 
 import numpy as np
 
@@ -79,6 +88,7 @@ __all__ = [
     "bce_with_logits",
     "gradients",
     "param_grad_pool",
+    "PendingUpdate",
     "zero_grad",
     "grad_check",
     "GradCheckReport",
@@ -112,10 +122,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """A dense float array with optional gradient tracking."""
+# The `PendingUpdate`s with a chunk not yet written. Every op tests it
+# before it gates its operands, so with none pending a gate costs one test.
+_updating: set = set()
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+
+def _settle(*operands) -> None:
+    """Wait until no Tensor among `operands` is pending (see `PendingUpdate`)."""
+    for t in operands:
+        pending = t._update if isinstance(t, Tensor) else None
+        if pending is not None:
+            pending[0].wait(pending[1])
+
+
+class Tensor:
+    """A dense float array with optional gradient tracking. `_update` is
+    (the `PendingUpdate`, chunk index) that will write it, or None."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_update")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -128,6 +152,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._grad_fn = None
+        self._update = None
 
     # ---- bookkeeping -------------------------------------------------
 
@@ -196,6 +221,7 @@ class Tensor:
             out.requires_grad = False
             out._parents = ()
             out._grad_fn = None
+            out._update = None
         else:
             out = Tensor(data)
         if any(p.requires_grad for p in parents):
@@ -208,6 +234,8 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._lift(other, self.data.dtype)
+        if _updating:
+            _settle(self, other)
         try:
             data = self.data + other.data
         except ValueError:
@@ -225,6 +253,8 @@ class Tensor:
 
     def __sub__(self, other):
         other = Tensor._lift(other, self.data.dtype)
+        if _updating:
+            _settle(self, other)
         try:
             data = self.data - other.data
         except ValueError:
@@ -243,6 +273,8 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._lift(other, self.data.dtype)
+        if _updating:
+            _settle(self, other)
         try:
             data = self.data * other.data
         except ValueError:
@@ -258,6 +290,8 @@ class Tensor:
 
     def __truediv__(self, other):
         other = Tensor._lift(other, self.data.dtype)
+        if _updating:
+            _settle(self, other)
         try:
             data = self.data / other.data
         except ValueError:
@@ -274,6 +308,8 @@ class Tensor:
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
             other = Tensor._lift(other, self.data.dtype)
+        if _updating:
+            _settle(self, other)
         a, b = self.data, other.data
         if a.ndim < 2 or b.ndim < 2:
             raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
@@ -295,6 +331,8 @@ class Tensor:
     # ---- elementwise nonlinearities -----------------------------------
 
     def sqrt(self):
+        if _updating:
+            _settle(self)
         data = np.sqrt(self.data)
 
         def grad_fn(g):
@@ -305,6 +343,8 @@ class Tensor:
     # ---- reductions ----------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
+        if _updating:
+            _settle(self)
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def grad_fn(g):
@@ -326,6 +366,8 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
+        if _updating:
+            _settle(self)
         orig = self.data.shape
         data = self.data.reshape(shape)
 
@@ -335,6 +377,8 @@ class Tensor:
         return Tensor._make(data, (self,), grad_fn)
 
     def swapaxes(self, ax1, ax2):
+        if _updating:
+            _settle(self)
         data = self.data.swapaxes(ax1, ax2)
 
         def grad_fn(g):
@@ -343,6 +387,8 @@ class Tensor:
         return Tensor._make(data, (self,), grad_fn)
 
     def __getitem__(self, idx):
+        if _updating:
+            _settle(self)
         data = self.data[idx]
         twice = _picks_twice(idx, self.data.shape)
 
@@ -378,6 +424,8 @@ def sigmoid(x):
     """1 / (1 + e^-x), one tape node; an array gives the array and records
     nothing. Negative x takes e^x / (1 + e^x), from the same exp of -|x|,
     so no exp overflows, not even on the branch that is discarded."""
+    if _updating:
+        _settle(x)
     tape = isinstance(x, Tensor)
     xd = x.data if tape else x
     e = np.exp(-np.abs(xd))
@@ -394,6 +442,8 @@ def sigmoid(x):
 def concat(tensors, axis=0):
     """Join Tensors along `axis`, one tape node; arrays join as arrays."""
     tensors = list(tensors)
+    if _updating:
+        _settle(*tensors)
     if not isinstance(tensors[0], Tensor):
         return np.concatenate(tensors, axis=axis)
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -417,6 +467,8 @@ def conv_windows(x, kernel: int, lengths: np.ndarray | None = None):
     are a stack of sequences of those lengths, and each is zero-padded on
     its own. The backward adds the taps' column blocks into one padded
     gradient in tap order."""
+    if _updating:
+        _settle(x)
     tape = isinstance(x, Tensor)
     xd = x.data if tape else x
     t, d = xd.shape[-2:]
@@ -449,6 +501,8 @@ def embedding(tables: list, ids: np.ndarray):
     sum of `tables[k][ids[..., k]]` in k order. An id of -1 adds nothing,
     so a row of -1s is a zero (padding) row.
     """
+    if _updating:
+        _settle(*tables)
     tape = isinstance(tables[0], Tensor)
     arrays = [t.data for t in tables] if tape else tables
     ids = np.asarray(ids)
@@ -494,6 +548,8 @@ def linear(x, w: Tensor, b: Tensor | None = None):
     Leading axes are flattened so the forward pass, dx and dW are one
     2-D GEMM each; the bias gradient is one column sum.
     """
+    if _updating:
+        _settle(x, w, b)
     tape = isinstance(x, Tensor)
     xd, wd = x.data if tape else x, w.data
     if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
@@ -528,6 +584,8 @@ def softmax(x, axis: int = -1, scale: float | None = None, mask: np.ndarray | No
     `scale` is applied in x's dtype and `mask` is an additive numpy
     constant cast to it (attention's scaled, masked scores).
     """
+    if _updating:
+        _settle(x)
     tape = isinstance(x, Tensor)
     xd = x.data if tape else x
     z = xd * xd.dtype.type(scale) if scale is not None else xd.copy()
@@ -570,6 +628,8 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None, eps: 
     divide. Otherwise the mean's rounding error is left, scaled by about
     1/sqrt(eps).
     """
+    if _updating:
+        _settle(x, gamma, beta)
     tape = isinstance(x, Tensor)
     xd = x.data if tape else x
     n = xd.shape[-1]
@@ -686,6 +746,8 @@ def attention(qkv, n_heads: int, causal: bool = False,
     is None), only each sequence's last reads[b] positions are queried,
     and the output holds those rows. Keys and values come from every row.
     """
+    if _updating:
+        _settle(qkv)
     tape = isinstance(qkv, Tensor)
     qd = qkv.data if tape else qkv
     dim = qd.shape[-1] // 3
@@ -739,6 +801,8 @@ def mean_rows(x, lengths: np.ndarray):
     `lengths`, each at least 1, one tape node; an array x gives the
     array and records nothing. A sequence's mean is its rows' sum times
     1 / length, both in x's dtype."""
+    if _updating:
+        _settle(x)
     tape = isinstance(x, Tensor)
     xd = x.data if tape else x
     lengths = np.asarray(lengths)
@@ -761,6 +825,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     `logits` has classes on the last axis; leading axes are flattened.
     Uniform logits give exactly ln K.
     """
+    if _updating:
+        _settle(logits)
     k = logits.data.shape[-1]
     flat = logits.data.reshape(-1, k)
     t = np.asarray(targets).reshape(-1)
@@ -784,6 +850,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean binary cross-entropy of sigmoid(logits) against 0/1 labels."""
+    if _updating:
+        _settle(logits)
     x = logits.data
     y = np.asarray(labels, dtype=x.dtype)
     if x.shape != y.shape:
@@ -967,6 +1035,99 @@ def gradients(loss: Tensor, params) -> list[np.ndarray]:
         finally:
             _local.sweep = None
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in plist]
+
+
+class PendingUpdate:
+    """In-place writes to parameter Tensors, run chunk by chunk behind
+    the caller's next forward pass.
+
+    `chunks` is a list of (tensors, work), in the order a forward reads
+    the tensors; `fn(work)` writes that chunk's tensors in place. From
+    construction until its chunk is written, each of those tensors is
+    pending, and every op that reads one waits for it (the module's
+    gate). Chunks are taken in order, from one shared cursor, by the
+    pool worker that `start` sets going and by gates: a gate whose chunk
+    nobody has taken yet takes chunks itself, and one whose chunk a
+    thread holds takes the next untaken chunk meanwhile, waiting only
+    when none is left. `gated_s` sums the time spent in gates.
+
+    `finish` takes every chunk left and waits for the worker. An error
+    in a chunk's `fn` skips the chunks after it, keeps their tensors
+    pending, and is raised once, by the next gate that meets it or by
+    `finish`; then no tensor is left pending.
+    """
+
+    def __init__(self, chunks: list[tuple], fn):
+        self.chunks, self.fn = chunks, fn
+        self.cond = threading.Condition()  # guards `taken`, `done` and `left`
+        self.taken, self.done, self.left = 0, [False] * len(chunks), len(chunks)
+        self.error: BaseException | None = None
+        self.worker = None
+        self.gated_s = 0.0
+        for i, (tensors, _) in enumerate(chunks):
+            for t in tensors:
+                t._update = (self, i)
+        _updating.add(self)
+
+    def start(self, pool) -> None:
+        """Set one worker of `pool` taking chunks until none is left."""
+        self.worker = pool.submit(self._work)
+
+    def _work(self) -> None:
+        while self._take():
+            pass
+
+    def _take(self) -> bool:
+        """Write the next untaken chunk; False if there is none."""
+        with self.cond:
+            i = self.taken
+            if i == len(self.chunks):
+                return False
+            self.taken += 1
+        tensors, work = self.chunks[i]
+        if self.error is None:
+            try:
+                self.fn(work)
+            except BaseException as e:  # raised by a gate or `finish`
+                self.error = e
+        if self.error is None:
+            for t in tensors:
+                t._update = None
+        with self.cond:
+            self.done[i] = True
+            self.left -= 1
+            if self.left == 0 and self.error is None:
+                _updating.discard(self)
+            self.cond.notify_all()
+        return True
+
+    def wait(self, i: int) -> None:
+        """The gate of a tensor of chunk i: return once it is written."""
+        t0 = time.perf_counter()
+        while not self.done[i]:
+            if not self._take():
+                with self.cond:
+                    self.cond.wait_for(lambda: self.done[i])
+        self.gated_s += time.perf_counter() - t0
+        if self.error is not None:
+            self.finish()
+
+    def finish(self, raise_error: bool = True) -> None:
+        """Write every chunk left, wait for the worker, and raise the
+        error of a chunk if there was one (only if `raise_error`)."""
+        while self._take():
+            pass
+        worker, self.worker = self.worker, None
+        if worker is not None:
+            worker.result()
+        error, self.error = self.error, None
+        if error is not None:
+            for tensors, _ in self.chunks:
+                for t in tensors:
+                    t._update = None
+        _updating.discard(self)
+        if error is not None and raise_error:
+            raise error
 
 
 class GradCheckReport:
@@ -1170,6 +1331,8 @@ def gelu(x):
     a = 0.044715; the backward is the analytic derivative
     0.5 (1 + tanh u) + 0.5 x (1 - tanh^2 u) c (1 + 3 a x^2).
     """
+    if _updating:
+        _settle(x)
     tape = isinstance(x, Tensor)
     xd = x.data if tape else x
     x2 = xd * xd

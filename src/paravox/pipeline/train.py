@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ar import DualStreamAR
-from ..engine import BlankRng, Rng, Tensor, check_fields, gradients, param_grad_pool
+from ..engine import BlankRng, PendingUpdate, Rng, Tensor, check_fields, gradients, param_grad_pool
 from ..flow import VelocityField, cfm_train_loss
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
@@ -121,14 +121,27 @@ class Adam:
     then updates each parameter, its module's own array, in place from its
     slice, rounded once: nothing is allocated and the bits are the formula's.
 
+    A step has two phases. The first loads the gradients and sums their
+    squares, and `step` returns the pre-clip norm once it is known. The
+    second, the update, is an `engine.PendingUpdate` over the chunks in
+    key order: each parameter is pending from `step` until its chunk is
+    written, which happens at the latest when an op reads it (its gate),
+    at the next `step`, or at the end of the `with`. So the update runs
+    behind the caller's next forward pass, and each op reads the updated
+    bits.
+
     Entered as a context manager, the optimiser splits its parameters
     into contiguous shards of about equal element count, one per usable
     CPU, each chunked alike; a thread pool it owns until exit runs all
-    shards but the first, which the caller runs. Every element's
-    arithmetic is its own and the per-tensor squared sums are added in
-    parameter order, so each bit of the result is the one-shard result.
-    Outside a `with`, or on one CPU, there is one shard and no pool.
-    `_fit` lends the same pool to each step's backward sweep.
+    shards' loads but the first, which the caller runs, and one of its
+    workers takes update chunks while the caller goes on. Every
+    element's arithmetic is its own and the per-tensor squared sums are
+    added in parameter order, so each bit of the result is the one-shard
+    result. Outside a `with`, or on one CPU, there is one shard and no
+    pool, and `step` writes every chunk before it returns; so it does
+    when there are no more chunks than shards, where the first op would
+    wait for the first chunk anyway. `_fit` lends the same pool to each
+    step's backward sweep.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.95,
@@ -138,6 +151,7 @@ class Adam:
         self.m, self.v, self.t = {}, {}, 0
         self._layout([list(self.params)])
         self._pool: ThreadPoolExecutor | None = None
+        self._run: PendingUpdate | None = None  # the last step's update
 
     def __enter__(self) -> Adam:
         keys = list(self.params)
@@ -147,11 +161,19 @@ class Adam:
             self._pool = ThreadPoolExecutor(len(self._shards) - 1, thread_name_prefix="adam")
         return self
 
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-        self._pool = None
-        self._layout([list(self.params)])
+    def __exit__(self, exc_type, *exc) -> None:
+        try:
+            self._settle(raise_error=exc_type is None)  # after another error, that one propagates
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown()
+            self._pool = None
+            self._layout([list(self.params)])
+
+    def _settle(self, raise_error: bool = True) -> None:
+        """Finish the last step's update; raise its error, if any."""
+        if self._run is not None:
+            self._run.finish(raise_error)
 
     def _layout(self, shards: list[list[str]]) -> None:
         """Chunk each of `shards` (key lists); `m` and `v` keep their values."""
@@ -202,31 +224,34 @@ class Adam:
             sums += [float(sq.sum()) for sq in sq_k]
         return sums
 
-    def _update(self, chunks: list[tuple], scale: float, lr: float, b1c: float, b2c: float) -> None:
-        for _, tensors, (m, v, g, tmp), g_k, _ in chunks:
-            if scale != 1.0:
-                g *= scale
-            # m = beta1 m + (1 - beta1) g
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=tmp)
-            # v = beta2 v + (1 - beta2) g^2
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - self.beta2
-            v *= self.beta2
-            v += tmp
-            # update = lr (m / b1c) / (sqrt(v / b2c) + eps), reusing g
-            np.divide(m, b1c, out=g)
-            g *= lr
-            np.divide(v, b2c, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            g /= tmp
-            # p = p - update, in float64, rounded once to p's dtype
-            for p, update in zip(tensors, g_k):
-                np.subtract(p.data, update, out=p.data, casting="unsafe")
+    def _update(self, chunk: tuple, scale: float, lr: float, b1c: float, b2c: float) -> None:
+        _, tensors, (m, v, g, tmp), g_k, _ = chunk
+        if scale != 1.0:
+            g *= scale
+        # m = beta1 m + (1 - beta1) g
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
+        # v = beta2 v + (1 - beta2) g^2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v *= self.beta2
+        v += tmp
+        # update = lr (m / b1c) / (sqrt(v / b2c) + eps), reusing g
+        np.divide(m, b1c, out=g)
+        g *= lr
+        np.divide(v, b2c, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        g /= tmp
+        # p = p - update, in float64, rounded once to p's dtype
+        for p, update in zip(tensors, g_k):
+            np.subtract(p.data, update, out=p.data, casting="unsafe")
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
+        """Start one update, after finishing the last; returns the pre-clip
+        global gradient norm. The parameters are pending until their chunk
+        is written (see the class)."""
+        self._settle()
         sq = 0.0
         for sums in self._map(self._load, grads):
             for s in sums:
@@ -236,19 +261,26 @@ class Adam:
         if self.clip_norm is not None and norm > self.clip_norm > 0:
             scale = self.clip_norm / norm
         self.t += 1
-        self._map(self._update, scale, lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
+        args = (scale, lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
+        chunks = [(chunk[1], chunk) for shard in self._chunks for chunk in shard]
+        self._run = PendingUpdate(chunks, lambda chunk: self._update(chunk, *args))
+        if self._pool is not None:
+            self._run.start(self._pool)
+        if self._pool is None or len(chunks) <= len(self._chunks):
+            self._run.finish()  # the caller takes chunks beside the worker
         return norm
 
 
-STEP_PHASES = ("forward", "backward", "optimiser")
+STEP_PHASES = ("forward", "gated", "backward", "optimiser")
 
 
 @dataclass
 class StageReport:
     """What one stage's training did: per-step loss terms, pre-clip global
     gradient norms and wall ms of each step's phases (`STEP_PHASES`: the
-    batch and loss, the backward sweep, the optimiser step), and the
-    stage's end-of-training metrics."""
+    batch and loss outside gates, the wait in gates for the last step's
+    update, the backward sweep, the optimiser step), and the stage's
+    end-of-training metrics."""
 
     stage: str
     steps: int
@@ -300,7 +332,11 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, q
     report's `final` is left for the stage to fill. The optimiser's
     thread pool lives for the loop and is closed when it ends or raises;
     each step's backward sweep hands it the parameter gradients
-    (`engine.param_grad_pool`), which leaves the bits as they are.
+    (`engine.param_grad_pool`), and each step's parameter update runs
+    behind the next step's batch and loss, whose ops wait for the
+    parameters they read (`Adam`). Neither changes a bit. The last
+    update is written when the `with` ends, so the parameters are
+    settled when `_fit` returns.
     """
     sched = pcfg.schedules[stage]
     sched.validate()
@@ -317,12 +353,13 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, q
             loss, terms = step_loss(srng.integers(0, n_items, (sched.batch_size,)), srng)
             _check_finite(stage, step, terms)
             t_loss = time.perf_counter()
+            gated = opt._run.gated_s if opt._run is not None else 0.0  # the last step's update
             grads = dict(zip(names, gradients(loss, tensors)))
             t_grads = time.perf_counter()
             grad_norms.append(opt.step(grads, sched.learning_rate(step)))
             t_opt = time.perf_counter()
-            for phase, ms in zip(STEP_PHASES, (t_loss - t_step, t_grads - t_loss, t_opt - t_grads)):
-                step_ms[phase].append(1e3 * ms)
+            for phase, s in zip(STEP_PHASES, (t_loss - t_step - gated, gated, t_grads - t_loss, t_opt - t_grads)):
+                step_ms[phase].append(1e3 * s)
             _record(losses, terms)
             _progress(stage, step, sched.total_steps, terms, quiet)
     return StageReport(stage, sched.total_steps, time.perf_counter() - t0, losses, grad_norms, step_ms=step_ms)

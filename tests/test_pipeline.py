@@ -310,7 +310,7 @@ def test_adam_raises_an_error_from_a_worker_shard(monkeypatch):
 def test_train_stage_leaves_no_thread_behind(monkeypatch, tmp_path, mini_run):
     """The optimiser's pool lives for its stage: on two CPUs a worker runs
     during the steps and is gone when `train_stage` returns, also when
-    the stage fails."""
+    the stage fails, in its loss or in a parameter update."""
     _usable(monkeypatch, 2)
     shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
     before = threading.enumerate()
@@ -339,6 +339,21 @@ def test_train_stage_leaves_no_thread_behind(monkeypatch, tmp_path, mini_run):
         train_stage("nar", mini_run.items, _quick_pcfg(4), tmp_path / "nar.ckpt")
     assert threading.enumerate() == before
     assert max(during) > len(before)
+
+    # An update that fails behind the next forward pass (more chunks than shards).
+    monkeypatch.setattr(train_mod, "CHUNK_SIZE", 4096)
+    update = train_mod.Adam._update
+
+    def fail_on_the_second_step(opt, chunk, *args):
+        if opt.t == 2:
+            raise RuntimeError("update failed")
+        update(opt, chunk, *args)
+
+    monkeypatch.setattr(train_mod.Adam, "_update", fail_on_the_second_step)
+    with pytest.raises(RuntimeError, match="update failed"):
+        train_stage("ar", mini_run.items, _quick_pcfg(4), tmp_path / "ar-failed.ckpt")
+    assert threading.enumerate() == before and not engine._updating
+    assert not (tmp_path / "ar-failed.ckpt").exists()
 
 
 @pytest.mark.parametrize("stage", ["tokenizer", "ar", "nar", "flow"])
@@ -376,6 +391,91 @@ def test_pooled_backward_is_bitwise_the_inline_one(tmp_path, mini_run, monkeypat
     for step1, step2 in zip(grads1, grads2):
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(step1, step2, strict=True))
     assert rep1.losses == rep2.losses and rep1.grad_norms == rep2.grad_norms and ckpt1 == ckpt2
+
+
+@pytest.mark.parametrize("stage", ["tokenizer", "ar", "nar", "flow"])
+def test_overlapped_update_is_bitwise_the_drained_one(tmp_path, mini_run, monkeypatch, stage):
+    """With chunks of 512 elements, each stage has more chunks than shards,
+    so at 2 and 3 CPUs each step's update runs behind the next forward
+    pass; with no pool (1 CPU) `step` writes every chunk before it returns.
+    The loss curves, gradient norms and checkpoint bytes are the same bits,
+    also in a run whose pool never starts the update, where every chunk a
+    forward reads is written inside a gate: a read that skipped its gate
+    would see the old weights there."""
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    monkeypatch.setattr(train_mod, "CHUNK_SIZE", 512)
+    real_start, real_wait = engine.PendingUpdate.start, engine.PendingUpdate.wait
+    runs = {}
+    for n_cpus, worker in ((1, True), (2, True), (3, True), (2, False)):
+        _usable(monkeypatch, n_cpus)
+        started, gates = [], []
+
+        def start(run, pool):
+            started.append(run)
+            if worker:
+                real_start(run, pool)
+
+        def wait(run, i):
+            gates.append(i)
+            real_wait(run, i)
+
+        monkeypatch.setattr(engine.PendingUpdate, "start", start)
+        monkeypatch.setattr(engine.PendingUpdate, "wait", wait)
+        out = tmp_path / f"{stage}-{n_cpus}-{worker}.ckpt"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            report = train_stage(stage, mini_run.items, _quick_pcfg(4), out)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == (0 if n_cpus == 1 else 4), n_cpus  # the last one ends in `__exit__`
+        if not worker:
+            assert gates, "no chunk was written inside a gate"
+        runs[n_cpus, worker] = report.losses, report.grad_norms, out.read_bytes()
+        assert not engine._updating
+    assert all(run == runs[1, True] for run in runs.values())
+
+
+def _pending_adam(monkeypatch, fail_key: str):
+    """An Adam over four 64-element tensors, in four chunks and two shards,
+    whose update raises in the chunk of `fail_key`."""
+    _usable(monkeypatch, 2)
+    monkeypatch.setattr(train_mod, "CHUNK_SIZE", 64)
+    params = {k: Tensor(np.zeros(64, dtype=np.float32), requires_grad=True) for k in "abcd"}
+    update = train_mod.Adam._update
+
+    def failing(opt, chunk, *args):
+        if fail_key in chunk[0]:
+            raise RuntimeError(f"update of {fail_key}")
+        update(opt, chunk, *args)
+
+    monkeypatch.setattr(train_mod.Adam, "_update", failing)
+    return params, {k: np.ones(64, dtype=np.float32) for k in params}
+
+
+@pytest.mark.parametrize("where", ["gate", "step", "exit"])
+def test_an_error_in_an_update_chunk_surfaces_once(monkeypatch, where):
+    """A chunk's update error is raised by the next gate that reads a
+    parameter of that chunk, else by the next `step`, else by the end of
+    the `with`, and only once. After it no parameter is pending, and no
+    worker is left once the `with` has ended."""
+    params, grads = _pending_adam(monkeypatch, "c")
+    raised_in = []
+    with pytest.raises(RuntimeError, match="update of c"):
+        with Adam(params) as opt:
+            assert len(opt._chunks) == 2 and opt._pool is not None
+            opt.step(grads, lr=0.1)
+            try:
+                if where == "gate":
+                    params["c"] * 2.0
+                elif where == "step":
+                    opt.step(grads, lr=0.1)
+            except RuntimeError:
+                raised_in.append(where)
+                raise
+    assert raised_in == ([] if where == "exit" else [where])
+    assert all(p._update is None for p in params.values()) and not engine._updating
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("adam")]
 
 
 def test_an_error_in_a_pooled_sweep_leaves_no_thread(monkeypatch, tmp_path, mini_run):
@@ -955,9 +1055,11 @@ def test_stage_reports_record_losses(mini_run):
         norms = report.grad_norms
         assert len(norms) == report.steps and all(isinstance(v, float) and np.isfinite(v) for v in norms)
         assert f"grad norm {norms[0]:.4g} -> {norms[-1]:.4g} (max {max(norms):.4g})" in report.summary()
-        assert list(report.step_ms) == ["forward", "backward", "optimiser"]
+        assert list(report.step_ms) == ["forward", "gated", "backward", "optimiser"]
         for phase, ms in report.step_ms.items():
-            assert len(ms) == report.steps and all(isinstance(v, float) and v > 0 for v in ms), phase
+            assert len(ms) == report.steps and all(isinstance(v, float) for v in ms), phase
+            # A gate waits only while an update is pending: never on a first step or after a drained one.
+            assert all(v >= 0 if phase == "gated" else v > 0 for v in ms), phase
             assert f"{phase} {float(np.median(ms)):.3g}" in report.summary()
         assert sum(map(sum, report.step_ms.values())) < 1e3 * report.wall_time_s
 
