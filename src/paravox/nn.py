@@ -45,6 +45,8 @@ class Module:
         return {k: v.data for k, v in self.named_parameters().items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy `state` into the parameters' own arrays, so an array that
+        an earlier `state()` returned takes the loaded values too."""
         params = self.named_parameters()
         missing = sorted(set(params) - set(state))
         extra = sorted(set(state) - set(params))
@@ -54,7 +56,7 @@ class Module:
             arr = np.asarray(state[k])
             if arr.shape != p.data.shape:
                 raise ValueError(f"parameter {k!r}: shape {arr.shape} != expected {p.data.shape}")
-            p.data = arr.astype(p.data.dtype, copy=True)
+            p.data[...] = arr
 
 
 class Linear(Module):

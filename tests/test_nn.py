@@ -230,8 +230,10 @@ def test_module_state_roundtrip_and_mismatch():
     net = Linear(3, 4, rng)
     state = {k: v.copy() for k, v in net.state().items()}
     net.weight.data[:] = 0
+    live = net.state()
     net.load_state(state)
     assert np.array_equal(net.weight.data, state["weight"])
+    assert live["weight"] is net.weight.data  # loaded into the module's own arrays
     with pytest.raises(KeyError, match="missing"):
         net.load_state({"weight": state["weight"]})
     with pytest.raises(ValueError, match="shape"):
