@@ -3,19 +3,22 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workloads train --pairs 10 --seed 1 --seconds 15 --out BENCH_26.json
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout, as a
+Each pair runs `perfbench/run.py --trace T` once in each checkout, as a
 subprocess from that checkout's root; even pairs run the parent first,
 odd pairs the change, so a slow phase of the host falls on both sides
-alike. Every run's end-to-end metrics come from the last line of its
-standard output, and each side's environment from its `# env` line.
+alike. Every run's metrics come from the last line of its standard
+output, and each side's environment from its `# env` line. With
+`--trace 0` (the default) they are the end-to-end metrics; with
+`--trace 1`, the per-layer metrics of a traced run.
 
 The output file holds both sides (commit, a digest of `src/`, the
-environment), every run, and per workload, seed and run length, per
-metric: each side's median and quartiles, the change/parent ratio of the
-medians, the pairs the change won, and whether the medians differ by more
-than the parent's interquartile range. An existing output file for the
-same two `src/` digests is extended: its runs are kept and the summary is
-recomputed.
+environment), every run, and per workload, seed, run length and trace
+mode, per metric: each side's median and quartiles, the change/parent
+ratio of the medians, the pairs the change won, and whether the medians
+differ by more than the parent's interquartile range. Which way is
+better comes from BENCHMARK.json's `end_to_end` and `per_layer` lists.
+An existing output file for the same two `src/` digests is extended: its
+runs are kept and the summary is recomputed.
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ def parse_output(stdout: str) -> tuple[dict, dict | None]:
     return json.loads(lines[-1]), env
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
-    """One untraced perfbench run in `root`: (run record, environment)."""
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict | None]:
+    """One perfbench run in `root`, traced if `trace`: (run record, environment)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     try:
         result, env = parse_output(proc.stdout)
@@ -70,24 +73,29 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": float(q1), "median": float(median), "q3": float(q3), "n": len(values)}
 
 
+def _group(run: dict) -> tuple:
+    """(workload, seed, seconds, trace) of a run; a run without "trace" is untraced."""
+    return run["workload"], run["seed"], run["seconds"], run.get("trace", 0)
+
+
 def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
-    """One entry per (workload, seed, seconds) the runs cover, in first-run
-    order, whose "metrics" map each metric to: per side, the median and
-    quartiles; the change/parent ratio of the medians; the pairs won by
-    the change, of the pairs where both sides ran; and whether the medians
-    differ, in the better direction, by more than the parent's
-    interquartile range. `better` maps each metric to "lower" or
-    "higher"; a run with an "error" counts on neither side."""
+    """One entry per (workload, seed, seconds, trace) the runs cover, in
+    first-run order, whose "metrics" map each metric the runs report to:
+    per side, the median and quartiles; the change/parent ratio of the
+    medians; the pairs won by the change, of the pairs where both sides
+    ran; and whether the medians differ, in the better direction, by
+    more than the parent's interquartile range. `better` maps each metric
+    to "lower" or "higher"; a run with an "error" counts on neither side."""
     out = []
-    for workload, seed, seconds in dict.fromkeys((r["workload"], r["seed"], r["seconds"]) for r in runs):
-        ok = [r for r in runs if (r["workload"], r["seed"], r["seconds"]) == (workload, seed, seconds)
-              and "error" not in r]
+    for group in dict.fromkeys(map(_group, runs)):
+        ok = [r for r in runs if _group(r) == group and "error" not in r]
         pairs: dict[int, dict] = {}
         for r in ok:
             pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
         both = [p for p in pairs.values() if len(p) == 2]
         metrics: dict = {}
-        for metric, direction in better.items():
+        reported = {m for r in ok for m in r["metrics"]}
+        for metric, direction in ((m, d) for m, d in better.items() if m in reported):
             sign = 1.0 if direction == "lower" else -1.0
             entry: dict = {side: quartiles([r["metrics"][metric] for r in ok if r["side"] == side])
                            for side in SIDES if any(r["side"] == side for r in ok)}
@@ -99,7 +107,7 @@ def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
                 entry["beyond_parent_iqr"] = bool(
                     sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"])
             metrics[metric] = entry
-        out.append({"workload": workload, "seed": seed, "seconds": seconds, "metrics": metrics})
+        out.append(dict(zip(("workload", "seed", "seconds", "trace"), group)) | {"metrics": metrics})
     return out
 
 
@@ -111,6 +119,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -121,18 +130,20 @@ def main(argv=None) -> int:
         if {side: doc["sides"][side]["src_sha256"] for side in SIDES} != digests:
             sys.exit(f"{args.out} holds runs of other sources; write a new file")
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    shown_metric = "trace.overhead_ratio" if args.trace else "op_ms_p50"
     for workload in args.workloads:
-        done = sum(r["workload"] == workload and r["seed"] == args.seed and r["seconds"] == args.seconds
-                   for r in doc["runs"]) // 2
+        group = (workload, args.seed, args.seconds, args.trace)
+        done = sum(_group(r) == group for r in doc["runs"]) // 2
         for pair in range(done, done + args.pairs):
             for side in order(pair):
-                run, env = run_once(roots[side], workload, args.seed, args.seconds)
+                run, env = run_once(roots[side], workload, args.seed, args.seconds, args.trace)
                 if env is not None:
                     doc["sides"][side].update(commit=env.pop("git_commit"), environment=env)
                 doc["runs"].append({"workload": workload, "seed": args.seed, "seconds": args.seconds,
-                                    "pair": pair, "side": side} | run)
-                shown = run.get("error") or f"op_ms_p50 {run['metrics'].get('op_ms_p50', float('nan')):.4g}"
+                                    "trace": args.trace, "pair": pair, "side": side} | run)
+                shown = run.get("error") or \
+                    f"{shown_metric} {run['metrics'].get(shown_metric, float('nan')):.4g}"
                 print(f"{workload} pair {pair} {side}: {shown}", flush=True)
             doc["summary"] = summarise(doc["runs"], better)
             args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -1046,10 +1046,11 @@ class PendingUpdate:
     construction until its chunk is written, each of those tensors is
     pending, and every op that reads one waits for it (the module's
     gate). Chunks are taken in order, from one shared cursor, by the
-    pool worker that `start` sets going and by gates: a gate whose chunk
-    nobody has taken yet takes chunks itself, and one whose chunk a
-    thread holds takes the next untaken chunk meanwhile, waiting only
-    when none is left. `gated_s` sums the time spent in gates.
+    pool worker that `start` sets going and by the caller's gates: a
+    gate whose chunk nobody has taken yet takes chunks itself, and one
+    whose chunk the worker holds takes the next untaken chunk meanwhile,
+    waiting for the worker only when none is left. `gated_s` sums the
+    time spent in gates.
 
     `finish` takes every chunk left and waits for the worker. An error
     in a chunk's `fn` skips the chunks after it, keeps their tensors
@@ -1059,7 +1060,7 @@ class PendingUpdate:
 
     def __init__(self, chunks: list[tuple], fn):
         self.chunks, self.fn = chunks, fn
-        self.cond = threading.Condition()  # guards `taken`, `done` and `left`
+        self.lock = threading.Lock()  # guards `taken` and `left`
         self.taken, self.done, self.left = 0, [False] * len(chunks), len(chunks)
         self.error: BaseException | None = None
         self.worker = None
@@ -1079,7 +1080,7 @@ class PendingUpdate:
 
     def _take(self) -> bool:
         """Write the next untaken chunk; False if there is none."""
-        with self.cond:
+        with self.lock:
             i = self.taken
             if i == len(self.chunks):
                 return False
@@ -1093,21 +1094,21 @@ class PendingUpdate:
         if self.error is None:
             for t in tensors:
                 t._update = None
-        with self.cond:
-            self.done[i] = True
+        self.done[i] = True
+        with self.lock:
             self.left -= 1
-            if self.left == 0 and self.error is None:
-                _updating.discard(self)
-            self.cond.notify_all()
+            last = self.left == 0
+        if last and self.error is None:
+            _updating.discard(self)
         return True
 
     def wait(self, i: int) -> None:
         """The gate of a tensor of chunk i: return once it is written."""
         t0 = time.perf_counter()
-        while not self.done[i]:
-            if not self._take():
-                with self.cond:
-                    self.cond.wait_for(lambda: self.done[i])
+        while not self.done[i] and self._take():
+            pass
+        if not self.done[i]:
+            self.worker.result()  # the worker holds chunk i, and ends once no chunk is left
         self.gated_s += time.perf_counter() - t0
         if self.error is not None:
             self.finish()

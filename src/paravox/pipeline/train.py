@@ -151,7 +151,7 @@ class Adam:
         self.m, self.v, self.t = {}, {}, 0
         self._layout([list(self.params)])
         self._pool: ThreadPoolExecutor | None = None
-        self._run: PendingUpdate | None = None  # the last step's update
+        self._run: PendingUpdate | None = None  # the last step's update, while it is pending
 
     def __enter__(self) -> Adam:
         keys = list(self.params)
@@ -172,8 +172,9 @@ class Adam:
 
     def _settle(self, raise_error: bool = True) -> None:
         """Finish the last step's update; raise its error, if any."""
-        if self._run is not None:
-            self._run.finish(raise_error)
+        run, self._run = self._run, None
+        if run is not None:
+            run.finish(raise_error)
 
     def _layout(self, shards: list[list[str]]) -> None:
         """Chunk each of `shards` (key lists); `m` and `v` keep their values."""
@@ -190,6 +191,8 @@ class Adam:
         for k in self.m:
             m[k][...], v[k][...] = self.m[k], self.v[k]
         self._shards, self.m, self.v = shards, m, v
+        # (tensors, chunk) of every chunk in key order, as a `PendingUpdate` takes them
+        self._run_chunks = [(chunk[1], chunk) for chunks in self._chunks for chunk in chunks]
 
     def _chunk(self, keys: list[str], m: dict, v: dict) -> tuple:
         """A new chunk over `keys`, whose moment views go into `m` and `v`."""
@@ -262,12 +265,13 @@ class Adam:
             scale = self.clip_norm / norm
         self.t += 1
         args = (scale, lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
-        chunks = [(chunk[1], chunk) for shard in self._chunks for chunk in shard]
-        self._run = PendingUpdate(chunks, lambda chunk: self._update(chunk, *args))
+        run = PendingUpdate(self._run_chunks, lambda chunk: self._update(chunk, *args))
         if self._pool is not None:
-            self._run.start(self._pool)
-        if self._pool is None or len(chunks) <= len(self._chunks):
-            self._run.finish()  # the caller takes chunks beside the worker
+            run.start(self._pool)
+        if self._pool is not None and len(self._run_chunks) > len(self._chunks):
+            self._run = run
+        else:
+            run.finish()  # the caller takes chunks beside the worker, if there is one
         return norm
 
 

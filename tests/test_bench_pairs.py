@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,6 +71,52 @@ def test_summary_skips_failed_runs_and_splits_workloads_and_seeds():
     assert set(short["metrics"]["op_ms_p50"]) == {"parent"}
     op = long2["metrics"]["op_ms_p50"]
     assert (op["pairs_won"], op["pairs"], op["parent"]["median"]) == (0, 1, 30.0)
+
+
+def test_traced_runs_are_summarised_apart_by_the_per_layer_directions():
+    """Traced and untraced runs of one workload and seed are two entries,
+    each over the metrics its runs report; a per-layer metric whose
+    better direction is "higher" counts a rise as a win."""
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    assert better["train.adam.ar.ms"] == "lower" and better["pipeline.infer.coverage"] == "higher"
+
+    def traced(pair, side, adam_ms, forward_ms, cover):
+        return {"workload": "train", "seed": 1, "seconds": 15.0, "trace": 1, "pair": pair, "side": side,
+                "correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"train.adam.ar.ms": adam_ms, "train.ar.forward_ms": forward_ms,
+                            "pipeline.infer.coverage": cover}}
+
+    runs = [_run("train", 0, "parent", 10.0, 100.0), _run("train", 0, "change", 9.0, 111.0)]
+    runs += [traced(0, "parent", 3.1, 5.7, 0.96), traced(0, "change", 0.7, 6.6, 0.97),
+             traced(1, "change", 0.6, 6.7, 0.95), traced(1, "parent", 3.2, 5.8, 0.97)]
+    untraced, traced_entry = bench_pairs.summarise(runs, better)
+    assert (untraced["trace"], traced_entry["trace"]) == (0, 1)
+    assert set(untraced["metrics"]) == {"op_ms_p50", "work_per_s"}
+    assert set(traced_entry["metrics"]) == {"train.adam.ar.ms", "train.ar.forward_ms", "pipeline.infer.coverage"}
+    adam, forward, cover = (traced_entry["metrics"][k] for k in
+                            ("train.adam.ar.ms", "train.ar.forward_ms", "pipeline.infer.coverage"))
+    assert (adam["pairs_won"], adam["pairs"], adam["ratio"]) == (2, 2, pytest.approx(0.65 / 3.15))
+    assert forward["pairs_won"] == 0 and forward["beyond_parent_iqr"] is False
+    assert cover["pairs_won"] == 1  # 0.97 against 0.96 wins, 0.95 against 0.97 loses
+
+
+def test_run_once_passes_the_trace_mode(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        calls.append((cmd, cwd))
+        result = {"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"train.adam.ar.ms": {"value": 0.7, "unit": "ms"}}}
+        return SimpleNamespace(returncode=0, stderr="",
+                               stdout="# env " + json.dumps({"git_commit": "abc"}) + "\n" + json.dumps(result))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run, env = bench_pairs.run_once(tmp_path, "train", 1, 15.0, 1)
+    ((cmd, cwd),) = calls
+    assert cmd[cmd.index("--trace") + 1] == "1" and cwd == tmp_path
+    assert run == {"correct": True, "attempted": 3, "failed": 0, "metrics": {"train.adam.ar.ms": 0.7}}
+    assert env == {"git_commit": "abc"}
 
 
 def test_parse_output_reads_the_last_line_and_the_environment():
