@@ -436,30 +436,25 @@ def test_overlapped_update_is_bitwise_the_drained_one(tmp_path, mini_run, monkey
     assert all(run == runs[1, True] for run in runs.values())
 
 
-def _pending_adam(monkeypatch, fail_key: str):
-    """An Adam over four 64-element tensors, in four chunks and two shards,
-    whose update raises in the chunk of `fail_key`."""
-    _usable(monkeypatch, 2)
-    monkeypatch.setattr(train_mod, "CHUNK_SIZE", 64)
-    params = {k: Tensor(np.zeros(64, dtype=np.float32), requires_grad=True) for k in "abcd"}
-    update = train_mod.Adam._update
-
-    def failing(opt, chunk, *args):
-        if fail_key in chunk[0]:
-            raise RuntimeError(f"update of {fail_key}")
-        update(opt, chunk, *args)
-
-    monkeypatch.setattr(train_mod.Adam, "_update", failing)
-    return params, {k: np.ones(64, dtype=np.float32) for k in params}
-
-
 @pytest.mark.parametrize("where", ["gate", "step", "exit"])
 def test_an_error_in_an_update_chunk_surfaces_once(monkeypatch, where):
     """A chunk's update error is raised by the next gate that reads a
     parameter of that chunk, else by the next `step`, else by the end of
     the `with`, and only once. After it no parameter is pending, and no
-    worker is left once the `with` has ended."""
-    params, grads = _pending_adam(monkeypatch, "c")
+    worker is left once the `with` has ended. Four 64-element tensors
+    make four chunks in two shards, so the update runs behind the caller."""
+    _usable(monkeypatch, 2)
+    monkeypatch.setattr(train_mod, "CHUNK_SIZE", 64)
+    params = {k: Tensor(np.zeros(64, dtype=np.float32), requires_grad=True) for k in "abcd"}
+    grads = {k: np.ones(64, dtype=np.float32) for k in params}
+    update = train_mod.Adam._update
+
+    def failing(opt, chunk, *args):
+        if "c" in chunk[0]:
+            raise RuntimeError("update of c")
+        update(opt, chunk, *args)
+
+    monkeypatch.setattr(train_mod.Adam, "_update", failing)
     raised_in = []
     with pytest.raises(RuntimeError, match="update of c"):
         with Adam(params) as opt:
