@@ -212,10 +212,11 @@ class Adam:
         futures = [self._pool.submit(fn, chunks, *args) for chunks in self._chunks[1:]]
         try:
             return [fn(self._chunks[0], *args), *(f.result() for f in futures)]
-        finally:
+        except BaseException:
             for f in futures:
                 f.cancel()
             wait(futures)
+            raise
 
     def _load(self, chunks: list[tuple], grads: dict[str, np.ndarray]) -> list[float]:
         """Copy each gradient into its float64 slice; its squared sum."""
