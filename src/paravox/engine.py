@@ -41,7 +41,12 @@ into each table. The sweep goes on with the input gradients meanwhile.
 Only leaves (Tensors with no `_grad_fn`, such as parameters) are
 deferred: an inner node's gradient is read by its own backward later in
 the sweep. Every contribution to a leaf is added in sweep order once
-the sweep ends, so the bits are those of the inline sweep.
+the sweep ends, so the bits are those of the inline sweep. A leaf given
+a `GradSlot` (an optimiser's float64 copy of its gradient and its
+square) is loaded there by the job that makes its first contribution,
+so an optimiser fed by one contribution per leaf loads nothing itself.
+`embedding`'s scatter, like the RVQ codebooks' EMA sums, is `add_rows`:
+one `np.add.at` over the flat table.
 
 An optimiser's in-place parameter writes can run behind the next
 forward pass as a `PendingUpdate`: its parameters are pending from its
@@ -74,6 +79,7 @@ __all__ = [
     "concat",
     "conv_windows",
     "embedding",
+    "add_rows",
     "linear",
     "softmax",
     "layer_norm",
@@ -88,6 +94,7 @@ __all__ = [
     "bce_with_logits",
     "gradients",
     "param_grad_pool",
+    "GradSlot",
     "PendingUpdate",
     "zero_grad",
     "grad_check",
@@ -537,8 +544,20 @@ def embedding(tables: list, ids: np.ndarray):
 def _scatter_rows(g: np.ndarray, rows, ids: np.ndarray, table: np.ndarray) -> np.ndarray:
     """A table's gradient: the picked `rows` of g added at their ids."""
     full = np.zeros_like(table)
-    np.add.at(full, ids[rows], g[rows])
+    add_rows(full, ids[rows], g[rows])
     return full
+
+
+def add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """`np.add.at(table, ids, rows)` for a C-contiguous (n, D) table and
+    (m, D) rows, bit for bit, as one `np.add.at` over the flat table with
+    one index per element: each element still takes its rows in the
+    order of `ids`, and the scatter is one numpy call."""
+    if not table.flags.c_contiguous:
+        raise ValueError("add_rows needs a C-contiguous table")
+    d = table.shape[1]
+    at = np.asarray(ids)[:, None] * d + np.arange(d)
+    np.add.at(table.reshape(-1), at.reshape(-1), rows.reshape(-1))
 
 
 def linear(x, w: Tensor, b: Tensor | None = None):
@@ -884,34 +903,64 @@ def _param_list(params):
 
 class _SweepLocal(threading.local):
     pool = None  # the executor `param_grad_pool` gave this thread's sweeps
+    slots = {}  # the leaves' `GradSlot`s `param_grad_pool` gave them
     sweep = None  # the `_Sweep` of the `gradients()` call running on this thread
 
 
 _local = _SweepLocal()
 
 @contextlib.contextmanager
-def param_grad_pool(pool):
+def param_grad_pool(pool, slots: dict | None = None):
     """Within the block, each `gradients()` call on this thread queues its
     parameter-only branches for one worker of `pool`, a
     `concurrent.futures` executor; with None every sweep runs inline, as
-    `Tensor.backward()` always does. The previous pool is back on exit."""
-    outer, _local.pool = _local.pool, pool
+    `Tensor.backward()` always does.
+
+    `slots` maps leaf Tensors to their `GradSlot`s. A queued job that
+    gives such a leaf its first contribution also loads its output into
+    the slot, on whichever thread runs it. Before its first load a sweep
+    waits until none of those leaves is pending (see `PendingUpdate`):
+    an update may use the slots as scratch. The previous pool and slots
+    are back on exit."""
+    outer = _local.pool, _local.slots
+    _local.pool, _local.slots = pool, slots or {}
     try:
         yield
     finally:
-        _local.pool = outer
+        _local.pool, _local.slots = outer
+
+
+class GradSlot:
+    """A leaf's gradient in float64 beside its square: `g` and `sq` are
+    float64 arrays of the leaf's shape, and `load` fills them and sets
+    `sq_sum` to one pairwise `.sum()` of `sq`. `src` is the array a
+    pooled sweep's job loaded, until its owner takes the load."""
+
+    __slots__ = ("g", "sq", "sq_sum", "src")
+
+    def __init__(self, g: np.ndarray, sq: np.ndarray):
+        self.g, self.sq, self.sq_sum, self.src = g, sq, 0.0, None
+
+    def load(self, grad: np.ndarray) -> None:
+        self.g[...] = grad
+        np.square(self.g, out=self.sq)
+        self.sq_sum = float(self.sq.sum())
 
 
 class _Job:
-    """One deferred parameter gradient; `out` is fn(*args) once it has run."""
+    """One deferred parameter gradient; `out` is fn(*args) once it has run,
+    loaded into `slot` if the job has one."""
 
-    __slots__ = ("fn", "args", "out")
+    __slots__ = ("fn", "args", "out", "slot")
 
-    def __init__(self, fn, args):
-        self.fn, self.args, self.out = fn, args, None
+    def __init__(self, fn, args, slot):
+        self.fn, self.args, self.out, self.slot = fn, args, None, slot
 
     def run(self) -> None:
         self.out = self.fn(*self.args)
+        if self.slot is not None:
+            self.slot.load(self.out)
+            self.slot.src = self.out
 
 
 class _Pending:
@@ -939,20 +988,22 @@ class _Sweep:
     """The deferred parameter gradients of one `gradients()` call. The
     first deferral starts one drain job on the pool; after the sweep the
     caller runs each job the worker has not taken, waits for it, and
-    adds every leaf's parts in order."""
+    adds every leaf's parts in order. A leaf's first contribution, if it
+    is a job, loads the leaf's slot, if it has one."""
 
-    def __init__(self, pool):
-        self.pool = pool
+    def __init__(self, pool, slots: dict):
+        self.pool, self.slots = pool, slots
         self.jobs = queue.SimpleQueue()  # queued, and taken by neither thread yet
         self.drain = None
         self.leaves: list[Tensor] = []  # every leaf whose `.grad` is a `_Pending`
 
     def defer(self, leaf: Tensor, fn, args: tuple) -> None:
-        job = _Job(fn, args)
+        first = leaf.grad is None
+        job = _Job(fn, args, self.slots.get(leaf) if first else None)
         if type(leaf.grad) is _Pending:
             leaf.grad.parts.append(job)
         else:
-            leaf.grad = _Pending([job] if leaf.grad is None else [leaf.grad, job])
+            leaf.grad = _Pending([job] if first else [leaf.grad, job])
             self.leaves.append(leaf)
         self.jobs.put(job)
         if self.drain is None:
@@ -972,10 +1023,12 @@ class _Sweep:
         drain, self.drain = self.drain, None
         if drain is not None:
             self.jobs.put(None)
-            if run:
-                drain.result()
-            else:
-                drain.exception()
+            error = drain.exception()
+            if error is not None:
+                while not self.jobs.empty():
+                    self.jobs.get_nowait()  # the None that a failed drain never took
+                if run:
+                    raise error
 
     def finish(self) -> None:
         self._stop(run=True)
@@ -1017,16 +1070,21 @@ def gradients(loss: Tensor, params) -> list[np.ndarray]:
     ends, the caller runs every queued job the worker has not started and
     waits for the worker; then each leaf's contributions, deferred or
     not, are added in the order the sweep made them, so the result is
-    bitwise the inline sweep's. An error, in the sweep or in a job, is
-    raised after the queued jobs are dropped and the worker has stopped.
+    bitwise the inline sweep's. A job that gives a leaf with a slot its
+    first contribution loads it (see `param_grad_pool`); if it is the
+    only one, the slot's `src` is the leaf's gradient that this returns.
+    An error, in the sweep, a job or a load, is raised after the queued
+    jobs are dropped and the worker has stopped.
     """
     plist = _param_list(params)
     zero_grad(plist)
     if _local.pool is None:
         loss.backward()
     else:
-        sweep = _local.sweep = _Sweep(_local.pool)
+        sweep = _local.sweep = _Sweep(_local.pool, _local.slots)
         try:
+            if _updating and sweep.slots:
+                _settle(*sweep.slots)  # a pending update's chunks hold the slots
             loss.backward()
             sweep.finish()
         except BaseException:

@@ -19,14 +19,15 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..ar import DualStreamAR
-from ..engine import BlankRng, PendingUpdate, Rng, Tensor, check_fields, gradients, param_grad_pool
+from ..engine import (BlankRng, GradSlot, PendingUpdate, Rng, Tensor, check_fields, gradients,
+                      param_grad_pool)
 from ..flow import VelocityField, cfm_train_loss
 from ..nar import CoupledNAR
 from ..tokenizer import ParallelTokenizer
@@ -121,8 +122,10 @@ class Adam:
     then updates each parameter, its module's own array, in place from its
     slice, rounded once: nothing is allocated and the bits are the formula's.
 
-    A step has two phases. The first loads the gradients and sums their
-    squares, and `step` returns the pre-clip norm once it is known. The
+    A step has two phases. The first loads each gradient into its float64
+    slice of the first work row and squares it into the second, summing
+    the square per tensor (`slots`, one `engine.GradSlot` per parameter);
+    the norm adds those sums in key order, and `step` returns it. The
     second, the update, is an `engine.PendingUpdate` over the chunks in
     key order: each parameter is pending from `step` until its chunk is
     written, which happens at the latest when an op reads it (its gate),
@@ -130,18 +133,23 @@ class Adam:
     behind the caller's next forward pass, and each op reads the updated
     bits.
 
+    The loads run in the backward sweep when `slots` is lent to it
+    (`engine.param_grad_pool`, as `_fit` does): the job that makes a
+    parameter's gradient loads it. `step` loads inline only a gradient
+    that is not the array a job loaded: a parameter with more than one
+    contribution, a sweep without the slots, or a direct call. The bits
+    are the same either way.
+
     Entered as a context manager, the optimiser splits its parameters
     into contiguous shards of about equal element count, one per usable
-    CPU, each chunked alike; a thread pool it owns until exit runs all
-    shards' loads but the first, which the caller runs, and one of its
-    workers takes update chunks while the caller goes on. Every
-    element's arithmetic is its own and the per-tensor squared sums are
-    added in parameter order, so each bit of the result is the one-shard
-    result. Outside a `with`, or on one CPU, there is one shard and no
-    pool, and `step` writes every chunk before it returns; so it does
-    when there are no more chunks than shards, where the first op would
-    wait for the first chunk anyway. `_fit` lends the same pool to each
-    step's backward sweep.
+    CPU, each chunked alike, and owns a thread pool of one worker per
+    shard but the first until exit. One worker takes update chunks while
+    the caller goes on, and `_fit` lends the pool to each step's backward
+    sweep. Every element's arithmetic is its own, so each bit of the
+    result is the one-shard result. Outside a `with`, or on one CPU,
+    there is one shard and no pool, and `step` writes every chunk before
+    it returns; so it does when there are no more chunks than shards,
+    where the first op would wait for the first chunk anyway.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.95,
@@ -179,6 +187,7 @@ class Adam:
     def _layout(self, shards: list[list[str]]) -> None:
         """Chunk each of `shards` (key lists); `m` and `v` keep their values."""
         m, v, self._chunks = {}, {}, []
+        self._loads: list[tuple[str, GradSlot]] = []  # (key, slot) in key order
         for keys in shards:
             chunks, run, n = [], [], 0
             for k in keys:
@@ -191,11 +200,13 @@ class Adam:
         for k in self.m:
             m[k][...], v[k][...] = self.m[k], self.v[k]
         self._shards, self.m, self.v = shards, m, v
+        self.slots = {self.params[k]: slot for k, slot in self._loads}
         # (tensors, chunk) of every chunk in key order, as a `PendingUpdate` takes them
         self._run_chunks = [(chunk[1], chunk) for chunks in self._chunks for chunk in chunks]
 
     def _chunk(self, keys: list[str], m: dict, v: dict) -> tuple:
-        """A new chunk over `keys`, whose moment views go into `m` and `v`."""
+        """A new chunk over `keys`, whose moment views go into `m` and `v`
+        and whose work rows' views into `_loads`."""
         tensors = [self.params[k] for k in keys]
         ends = np.cumsum([p.data.size for p in tensors])
         block = np.zeros((4, ends[-1]))
@@ -203,40 +214,18 @@ class Adam:
                                for row in block)
         m.update(zip(keys, m_k))
         v.update(zip(keys, v_k))
-        return keys, tensors, block, g_k, sq_k
-
-    def _map(self, fn, *args) -> list:
-        """[fn(chunks, *args) for each shard's chunks], in shard order: the
-        pool runs all but the first shard while the caller runs that one.
-        An error in any shard is raised once no shard is running."""
-        futures = [self._pool.submit(fn, chunks, *args) for chunks in self._chunks[1:]]
-        try:
-            return [fn(self._chunks[0], *args), *(f.result() for f in futures)]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            wait(futures)
-            raise
-
-    def _load(self, chunks: list[tuple], grads: dict[str, np.ndarray]) -> list[float]:
-        """Copy each gradient into its float64 slice; its squared sum."""
-        sums = []
-        for keys, _, block, g_k, sq_k in chunks:
-            for k, g in zip(keys, g_k):
-                g[...] = grads[k]
-            np.square(block[2], out=block[3])
-            sums += [float(sq.sum()) for sq in sq_k]
-        return sums
+        self._loads += [(k, GradSlot(g, sq)) for k, g, sq in zip(keys, g_k, sq_k)]
+        return keys, tensors, block, g_k
 
     def _update(self, chunk: tuple, scale: float, lr: float, b1c: float, b2c: float) -> None:
-        _, tensors, (m, v, g, tmp), g_k, _ = chunk
+        _, tensors, (m, v, g, tmp), g_k = chunk
         if scale != 1.0:
             g *= scale
         # m = beta1 m + (1 - beta1) g
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=tmp)
         # v = beta2 v + (1 - beta2) g^2
-        np.multiply(g, g, out=tmp)
+        np.square(g, out=tmp)
         tmp *= 1.0 - self.beta2
         v *= self.beta2
         v += tmp
@@ -253,13 +242,16 @@ class Adam:
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> float:
         """Start one update, after finishing the last; returns the pre-clip
-        global gradient norm. The parameters are pending until their chunk
-        is written (see the class)."""
+        global gradient norm. A gradient that is not the array a sweep's
+        job loaded into its slot is loaded here. The parameters are
+        pending until their chunk is written (see the class)."""
         self._settle()
         sq = 0.0
-        for sums in self._map(self._load, grads):
-            for s in sums:
-                sq += s
+        for k, slot in self._loads:
+            g, src, slot.src = grads[k], slot.src, None
+            if src is not g:
+                slot.load(g)
+            sq += slot.sq_sum
         norm = math.sqrt(sq)
         scale = 1.0
         if self.clip_norm is not None and norm > self.clip_norm > 0:
@@ -336,12 +328,14 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, q
     returns (loss to differentiate, float loss terms to record). The
     report's `final` is left for the stage to fill. The optimiser's
     thread pool lives for the loop and is closed when it ends or raises;
-    each step's backward sweep hands it the parameter gradients
-    (`engine.param_grad_pool`), and each step's parameter update runs
-    behind the next step's batch and loss, whose ops wait for the
-    parameters they read (`Adam`). Neither changes a bit. The last
-    update is written when the `with` ends, so the parameters are
-    settled when `_fit` returns.
+    each step's backward sweep hands it the parameter gradients, and
+    the job that makes a gradient loads it into the optimiser's float64
+    slots (`engine.param_grad_pool` with `Adam.slots`), so `step` loads
+    inline only a parameter with more than one contribution. Each
+    step's parameter update runs behind the next step's batch and loss,
+    whose ops wait for the parameters they read (`Adam`). None of this
+    changes a bit. The last update is written when the `with` ends, so
+    the parameters are settled when `_fit` returns.
     """
     sched = pcfg.schedules[stage]
     sched.validate()
@@ -351,7 +345,7 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, q
     grad_norms: list[float] = []
     step_ms: dict[str, list[float]] = {phase: [] for phase in STEP_PHASES}
     t0 = time.perf_counter()
-    with Adam(params) as opt, param_grad_pool(opt._pool):
+    with Adam(params) as opt, param_grad_pool(opt._pool, opt.slots):
         for step in range(sched.total_steps):
             t_step = time.perf_counter()
             srng = rng.spawn(("step", step))

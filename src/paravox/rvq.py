@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Rng
+from .engine import Rng, add_rows
 
 _CHUNK = 512  # frames per direct distance block, bounds T*K*D scratch memory
 _F64 = np.finfo(np.float64)
@@ -198,7 +198,7 @@ class RVQStack:
             chosen = cb.entries[idx].copy()
             counts = np.bincount(idx, minlength=cb.size).astype(np.float32)
             sums = np.zeros_like(cb.ema_sums)
-            np.add.at(sums, idx, resid)
+            add_rows(sums, idx, resid)
             cb.ema_counts = decay * cb.ema_counts + (1 - decay) * counts
             cb.ema_sums = decay * cb.ema_sums + (1 - decay) * sums
             # Move only entries with EMA mass; untouched entries keep their

@@ -10,10 +10,12 @@ import pytest
 from paravox import engine
 from paravox.engine import (
     BlankRng,
+    GradSlot,
     NEG_MASK,
     Rng,
     ShapeError,
     Tensor,
+    add_rows,
     attention,
     attention_fwd,
     bce_with_logits,
@@ -591,6 +593,35 @@ def test_embedding_grad_check_f64():
     assert np.all(gradients(loss(), tables)[2] == 0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_add_rows_is_bitwise_np_add_at(dtype):
+    """The flat scatter adds each element's rows in the order of the ids,
+    as the row-wise `np.add.at` does: repeated ids, rows holding -0.0, a
+    table that already holds values, no ids at all, and rows that are a
+    strided view all give the same bits."""
+    rng = np.random.default_rng(5)
+    n, d = 7, 5
+    start = rng.standard_normal((n, d)).astype(dtype)
+    start[2] = -0.0
+    cases = []
+    for m in (0, 1, 12, 60):
+        ids = rng.integers(0, n, m)
+        rows = rng.standard_normal((m, d)).astype(dtype) * 10.0 ** rng.integers(-6, 6, (m, 1))
+        rows[::3, 1] = -0.0
+        cases.append((ids, rows))
+    wide = rng.standard_normal((20, 2 * d)).astype(dtype)
+    cases.append((np.repeat([4, 1], 10), wide[:, ::2]))  # not contiguous
+    cases.append((np.array([3, 3, 3]), np.full((3, d), -0.0, dtype=dtype)))
+    for ids, rows in cases:
+        for table in (np.zeros((n, d), dtype=dtype), start.copy()):
+            want = table.copy()
+            np.add.at(want, ids, rows)
+            add_rows(table, ids, rows)
+            assert table.dtype == want.dtype and table.tobytes() == want.tobytes(), (ids, rows.flags.c_contiguous)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        add_rows(np.zeros((d, n), dtype=dtype).T, [0], np.ones((1, d), dtype=dtype))
+
+
 @pytest.mark.parametrize("kernel", [1, 3, 5])
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "rank3"])
 def test_conv_windows_grad_check_f64(lead, kernel):
@@ -934,19 +965,62 @@ def test_pooled_sweep_is_bitwise_the_inline_sweep(monkeypatch):
     assert engine._local.pool is None
 
 
-@pytest.mark.parametrize("where", ["sweep", "job"])
+def _slots(params):
+    return {p: GradSlot(np.full(p.shape, np.nan), np.full(p.shape, np.nan)) for p in params.values()}
+
+
+def test_pooled_sweep_loads_a_single_contribution_into_its_slot():
+    """A leaf whose only contribution is a deferred job gets its slot loaded
+    by that job: the slot's `src` is the gradient `gradients()` returns,
+    `g` holds it in float64, `sq` its square and `sq_sum` the sum of
+    `sq`. A leaf with two contributions is loaded too, by its first job,
+    but `src` is not its gradient; a leaf without a slot is loaded
+    nowhere, and a sweep outside the pool loads nothing."""
+    params = _shared_leaf_params()
+    params["once"] = Tensor(Rng(3).normal((8, 8)), requires_grad=True)
+    params["free"] = Tensor(Rng(4).normal((8,)), requires_grad=True)
+
+    def loss(p):
+        h = layer_norm(linear(embedding([p["tab"]], np.array([[1], [4], [1]])), p["once"], p["free"]))
+        return (linear(h, p["w"]) * linear(h, p["w"])).sum()
+
+    want = [g.copy() for g in gradients(loss(params), params)]
+    slots = _slots(params)
+    del slots[params["free"]]
+    with ThreadPoolExecutor(1) as pool, param_grad_pool(pool, slots):
+        got = gradients(loss(params), params)
+    assert engine._local.slots == {}
+    for k, a, b in zip(params, want, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b), k
+    for k in ("tab", "once"):
+        slot = slots[params[k]]
+        assert slot.src is got[list(params).index(k)], k
+        assert slot.g.dtype == np.float64 and np.array_equal(slot.g, slot.src), k
+        assert np.array_equal(slot.sq, slot.g * slot.g) and slot.sq_sum == float(slot.sq.sum()), k
+    w = slots[params["w"]]
+    assert w.src is not None and w.src is not got[list(params).index("w")]
+    assert all(np.isnan(slots[params[k]].g).all() for k in ("b", "gamma", "beta"))  # never reached
+    fresh = _slots(params)
+    gradients(loss(params), params)
+    with param_grad_pool(None, fresh):
+        gradients(loss(params), params)
+    assert all(s.src is None and np.isnan(s.g).all() for s in fresh.values())
+
+
+@pytest.mark.parametrize("where", ["sweep", "job", "load"])
 def test_pooled_sweep_error_leaves_nothing_behind(monkeypatch, where):
-    """An error partway through a pooled sweep, in an op's backward or in a
-    deferred job, is raised from `gradients()` with no job left queued, no
-    worker still draining, no pending gradient and no sweep set; the next
-    call on the same pool gives the inline bits."""
+    """An error partway through a pooled sweep, in an op's backward, in a
+    deferred job or in a job's load into a slot, is raised from
+    `gradients()` with no job left queued, no worker still draining, no
+    pending gradient and no sweep set; the next call on the same pool
+    gives the inline bits."""
     params = _shared_leaf_params()
     want = [g.copy() for g in gradients(_shared_leaf_loss(params), params)]
-    sweeps, sweep_cls, scatter_rows = [], engine._Sweep, engine._scatter_rows
+    sweeps, sweep_cls, scatter_rows, load = [], engine._Sweep, engine._scatter_rows, GradSlot.load
 
     class Spy(sweep_cls):
-        def __init__(self, pool):
-            super().__init__(pool)
+        def __init__(self, *args):
+            super().__init__(*args)
             self.n_deferred = 0
             sweeps.append(self)
 
@@ -955,7 +1029,7 @@ def test_pooled_sweep_error_leaves_nothing_behind(monkeypatch, where):
             super().defer(*args)
 
     monkeypatch.setattr(engine, "_Sweep", Spy)
-    with ThreadPoolExecutor(1) as pool, param_grad_pool(pool):
+    with ThreadPoolExecutor(1) as pool, param_grad_pool(pool, _slots(params)):
         loss = _shared_leaf_loss(params)
         if where == "sweep":
             nodes, stack = {}, [loss]
@@ -976,7 +1050,10 @@ def test_pooled_sweep_error_leaves_nothing_behind(monkeypatch, where):
             def boom(*args):
                 raise RuntimeError("boom")
 
-            monkeypatch.setattr(engine, "_scatter_rows", boom)
+            if where == "job":
+                monkeypatch.setattr(engine, "_scatter_rows", boom)
+            else:
+                monkeypatch.setattr(GradSlot, "load", boom)
         with pytest.raises(RuntimeError, match="boom"):
             gradients(loss, params)
         sweep = sweeps[-1]
@@ -985,6 +1062,7 @@ def test_pooled_sweep_error_leaves_nothing_behind(monkeypatch, where):
         assert engine._local.sweep is None and all(p.grad is None for p in params.values())
         assert pool.submit(int, 7).result(timeout=30) == 7
         monkeypatch.setattr(engine, "_scatter_rows", scatter_rows)
+        monkeypatch.setattr(GradSlot, "load", load)
         got = gradients(_shared_leaf_loss(params), params)
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
     assert engine._local.pool is None

@@ -17,7 +17,7 @@ import pytest
 from conftest import mini_pipeline_config, run_cli, rvq_residuals
 from paravox import engine
 from paravox.ar import ARConfig, DualStreamAR
-from paravox.engine import BlankRng, Rng, Tensor, gradients
+from paravox.engine import BlankRng, Rng, Tensor, embedding, gelu, gradients, linear
 from paravox.flow import FlowConfig, SolverConfig, VelocityField
 from paravox.frontend import SyntheticSpec, generate_corpus, load_arrays, save_features
 from paravox.nar import CoupledNAR, NARConfig
@@ -283,30 +283,6 @@ def test_adam_on_one_cpu_creates_no_pool(monkeypatch, tmp_path, mini_run):
     assert len(report.grad_norms) == 3
 
 
-def test_adam_raises_an_error_from_a_worker_shard(monkeypatch):
-    """A gradient of the wrong shape in the pool's shard is raised from
-    `step`. The caller's shard waits for the worker's to start, so the
-    worker, not the caller, is the one that meets it."""
-    _usable(monkeypatch, 2)
-    params = {k: Tensor(np.zeros(64, dtype=np.float32), requires_grad=True) for k in ("a", "b")}
-    started, seen_in = threading.Event(), []
-
-    class Grads(dict):
-        def __getitem__(self, key):
-            if key == "a":
-                assert started.wait(timeout=30)
-            else:
-                seen_in.append(threading.current_thread().name)
-                started.set()
-            return super().__getitem__(key)
-
-    with Adam(params) as opt:
-        assert opt._shards == [["a"], ["b"]]
-        with pytest.raises(ValueError, match="broadcast"):
-            opt.step(Grads(a=np.ones(64, dtype=np.float32), b=np.ones(65, dtype=np.float32)), lr=0.1)
-    assert seen_in and seen_in[0] != threading.main_thread().name
-
-
 def test_train_stage_leaves_no_thread_behind(monkeypatch, tmp_path, mini_run):
     """The optimiser's pool lives for its stage: on two CPUs a worker runs
     during the steps and is gone when `train_stage` returns, also when
@@ -505,6 +481,130 @@ def test_an_error_in_a_pooled_sweep_leaves_no_thread(monkeypatch, tmp_path, mini
     assert not [t.name for t in threading.enumerate() if t.name.startswith("adam")]
     assert engine._local.pool is None and engine._local.sweep is None
     assert not (tmp_path / "ar.ckpt").exists()
+
+
+def _small_params():
+    """Tensors of a small model (see `_small_loss`); `skip` is last and alone in its chunk at
+    `CHUNK_SIZE` 256."""
+    rng = Rng(8)
+    shapes = {"tab": (8, 16), "w_in": (16, 32), "b_in": (32,), "w_mid": (32, 32), "b_mid": (32,),
+              "w_out": (32, 8), "skip": (8, 10)}
+    return {k: Tensor(rng.spawn(k).normal(s, scale=0.3), requires_grad=True) for k, s in shapes.items()}
+
+
+def _small_loss(p: dict, twice: bool, read_skip: bool):
+    """A step loss for `_fit` over `_small_params`: `w_mid` and `b_mid` feed one linear, or
+    two if `twice`; the last linear, over `skip`, runs only if `read_skip`."""
+    ids = np.arange(24).reshape(8, 3, 1) % 8
+
+    def step_loss(idx, srng):
+        h = gelu(linear(embedding([p["tab"]], ids[idx]), p["w_in"], p["b_in"]))
+        h = linear(h, p["w_mid"], p["b_mid"])
+        if twice:
+            h = linear(gelu(h), p["w_mid"], p["b_mid"])
+        out = linear(h, p["w_out"])
+        if read_skip:
+            out = linear(out, p["skip"])
+        loss = (out * out).mean()
+        return loss, {"total": float(loss.data)}
+
+    return step_loss
+
+
+def _small_fit(monkeypatch, tmp_path, n_cpus: int, tag: str, **kw):
+    """(losses, grad norms, checkpoint bytes) of 5 `_fit` steps of the small model on
+    `n_cpus` CPUs; no optimiser worker is left after it."""
+    _usable(monkeypatch, n_cpus)
+    monkeypatch.setattr(train_mod, "CHUNK_SIZE", 256)
+    params, pcfg = _small_params(), _quick_pcfg(5)
+    before = threading.enumerate()
+    report = train_mod._fit("flow", pcfg, params, 8, _small_loss(params, **kw), quiet=True)
+    assert threading.enumerate() == before and not engine._updating
+    path = tmp_path / f"{tag}.ckpt"
+    save_checkpoint(path, Checkpoint(stage="flow", config=pcfg.to_dict(),
+                                     params={k: t.data for k, t in params.items()}))
+    return report.losses, report.grad_norms, path.read_bytes()
+
+
+def test_a_parameter_used_twice_is_loaded_inline(monkeypatch, tmp_path):
+    """A linear applied twice gives its weight and bias two contributions in
+    one sweep, so their gradients are not the arrays their first jobs
+    loaded, and `step` loads them inline; every other gradient was loaded
+    in the sweep. The losses, gradient norms and checkpoint bytes at 2
+    CPUs equal the 1-CPU run's, where every load is inline."""
+    real_step, runs = train_mod.Adam.step, {}
+    for n_cpus in (1, 2):
+        preloaded = {}
+
+        def step(opt, grads, lr):
+            for k, slot in opt._loads:
+                preloaded.setdefault(k, set()).add(slot.src is grads[k])
+            return real_step(opt, grads, lr)
+
+        monkeypatch.setattr(train_mod.Adam, "step", step)
+        runs[n_cpus] = _small_fit(monkeypatch, tmp_path, n_cpus, f"twice-{n_cpus}", twice=True, read_skip=True)
+        inline = {k for k, seen in preloaded.items() if seen == {False}}
+        assert set().union(*preloaded.values()) == ({False} if n_cpus == 1 else {True, False})
+        assert inline == (set(preloaded) if n_cpus == 1 else {"w_mid", "b_mid"}), n_cpus
+    assert runs[2] == runs[1]
+
+
+def test_the_sweep_loads_wait_for_a_chunk_the_forward_skipped(monkeypatch, tmp_path):
+    """A forward that never reads `skip`, alone in the last chunk, leaves that
+    chunk pending when its pool does not start the update: no gate writes
+    it. The next sweep writes it before its first load, since an update
+    uses its chunk's slots as scratch, so no load runs while any chunk is
+    pending. The bits equal the 1-CPU run's and a 2-CPU run with a worker."""
+    real_start, real_load, real_gradients = engine.PendingUpdate.start, engine.GradSlot.load, train_mod.gradients
+    runs = {}
+    for n_cpus, worker in ((1, True), (2, True), (2, False)):
+        pending_at_sweep, pending_at_load = [], []
+
+        def start(run, pool):
+            if worker:
+                real_start(run, pool)
+
+        def load(slot, grad):
+            pending_at_load.append((threading.current_thread().name, bool(engine._updating)))
+            real_load(slot, grad)
+
+        def spy(loss, tensors):
+            pending_at_sweep.append(bool(engine._updating))
+            return real_gradients(loss, tensors)
+
+        monkeypatch.setattr(engine.PendingUpdate, "start", start)
+        monkeypatch.setattr(engine.GradSlot, "load", load)
+        monkeypatch.setattr(train_mod, "gradients", spy)
+        runs[n_cpus, worker] = _small_fit(monkeypatch, tmp_path, n_cpus, f"skip-{n_cpus}-{worker}",
+                                          twice=False, read_skip=False)
+        assert not any(pending for _, pending in pending_at_load), (n_cpus, worker)
+        if not worker:
+            assert pending_at_sweep[1:] and all(pending_at_sweep[1:])
+            assert any(name.startswith("adam") for name, _ in pending_at_load)
+    assert runs[2, True] == runs[1, True] and runs[2, False] == runs[1, True]
+
+
+def test_a_load_error_in_step_leaves_nothing_pending(monkeypatch):
+    """A gradient of the wrong shape fails `step`'s inline load with the
+    error that names the shapes. The last update was written first, the
+    step counter and moments are unchanged, nothing is pending, the next
+    step runs, and no worker is left once the `with` has ended."""
+    _usable(monkeypatch, 2)
+    monkeypatch.setattr(train_mod, "CHUNK_SIZE", 64)
+    params = {k: Tensor(np.zeros(64, dtype=np.float32), requires_grad=True) for k in "abcd"}
+    grads = {k: np.ones(64, dtype=np.float32) for k in params}
+    with Adam(params) as opt:
+        opt.step(grads, lr=0.1)
+        assert opt._run is not None
+        m = {k: a.copy() for k, a in opt.m.items()}
+        with pytest.raises(ValueError, match="broadcast"):
+            opt.step({**grads, "c": np.ones(65, dtype=np.float32)}, lr=0.1)
+        assert opt.t == 1 and all(np.array_equal(opt.m[k], m[k]) for k in m)
+        assert all(p._update is None for p in params.values()) and not engine._updating
+        opt.step(grads, lr=0.1)
+        assert opt.t == 2
+    assert not engine._updating
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("adam")]
 
 
 # ---- config round trips and validation --------------------------------------
