@@ -1071,8 +1071,9 @@ def gradients(loss: Tensor, params) -> list[np.ndarray]:
     waits for the worker; then each leaf's contributions, deferred or
     not, are added in the order the sweep made them, so the result is
     bitwise the inline sweep's. A job that gives a leaf with a slot its
-    first contribution loads it (see `param_grad_pool`); if it is the
-    only one, the slot's `src` is the leaf's gradient that this returns.
+    first contribution loads it (see `param_grad_pool`), and the slot's
+    `src` is the job's output: the array returned here for that leaf if
+    it was the only contribution and owns its data.
     An error, in the sweep, a job or a load, is raised after the queued
     jobs are dropped and the worker has stopped.
     """

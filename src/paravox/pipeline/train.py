@@ -186,27 +186,27 @@ class Adam:
 
     def _layout(self, shards: list[list[str]]) -> None:
         """Chunk each of `shards` (key lists); `m` and `v` keep their values."""
-        m, v, self._chunks = {}, {}, []
-        self._loads: list[tuple[str, GradSlot]] = []  # (key, slot) in key order
+        m, v, loads, self._chunks = {}, {}, [], []
         for keys in shards:
             chunks, run, n = [], [], 0
             for k in keys:
                 run.append(k)
                 n += self.params[k].data.size
                 if n >= CHUNK_SIZE or k == keys[-1]:
-                    chunks.append(self._chunk(run, m, v))
+                    chunks.append(self._chunk(run, m, v, loads))
                     run, n = [], 0
             self._chunks.append(chunks)
         for k in self.m:
             m[k][...], v[k][...] = self.m[k], self.v[k]
         self._shards, self.m, self.v = shards, m, v
-        self.slots = {self.params[k]: slot for k, slot in self._loads}
+        self._loads: list[tuple[str, GradSlot]] = loads  # (key, slot) in key order
+        self.slots = {self.params[k]: slot for k, slot in loads}
         # (tensors, chunk) of every chunk in key order, as a `PendingUpdate` takes them
         self._run_chunks = [(chunk[1], chunk) for chunks in self._chunks for chunk in chunks]
 
-    def _chunk(self, keys: list[str], m: dict, v: dict) -> tuple:
+    def _chunk(self, keys: list[str], m: dict, v: dict, loads: list) -> tuple:
         """A new chunk over `keys`, whose moment views go into `m` and `v`
-        and whose work rows' views into `_loads`."""
+        and whose work rows' views, as (key, slot), onto `loads`."""
         tensors = [self.params[k] for k in keys]
         ends = np.cumsum([p.data.size for p in tensors])
         block = np.zeros((4, ends[-1]))
@@ -214,7 +214,7 @@ class Adam:
                                for row in block)
         m.update(zip(keys, m_k))
         v.update(zip(keys, v_k))
-        self._loads += [(k, GradSlot(g, sq)) for k, g, sq in zip(keys, g_k, sq_k)]
+        loads += [(k, GradSlot(g, sq)) for k, g, sq in zip(keys, g_k, sq_k)]
         return keys, tensors, block, g_k
 
     def _update(self, chunk: tuple, scale: float, lr: float, b1c: float, b2c: float) -> None:
