@@ -412,13 +412,16 @@ def test_overlapped_update_is_bitwise_the_drained_one(tmp_path, mini_run, monkey
     assert all(run == runs[1, True] for run in runs.values())
 
 
-@pytest.mark.parametrize("where", ["gate", "step", "exit"])
+@pytest.mark.parametrize("where", ["gate", "step", "exit", "sweep"])
 def test_an_error_in_an_update_chunk_surfaces_once(monkeypatch, where):
     """A chunk's update error is raised by the next gate that reads a
     parameter of that chunk, else by the next `step`, else by the end of
-    the `with`, and only once. After it no parameter is pending, and no
-    worker is left once the `with` has ended. Four 64-element tensors
-    make four chunks in two shards, so the update runs behind the caller."""
+    the `with`, and only once. A pooled sweep that loads the optimiser's
+    slots meets it before its first load, also when its loss was built
+    before the step, so no gate ran. After it no parameter is pending,
+    and no worker is left once the `with` has ended. Four 64-element
+    tensors make four chunks in two shards, so the update runs behind
+    the caller."""
     _usable(monkeypatch, 2)
     monkeypatch.setattr(train_mod, "CHUNK_SIZE", 64)
     params = {k: Tensor(np.zeros(64, dtype=np.float32), requires_grad=True) for k in "abcd"}
@@ -435,17 +438,22 @@ def test_an_error_in_an_update_chunk_surfaces_once(monkeypatch, where):
     with pytest.raises(RuntimeError, match="update of c"):
         with Adam(params) as opt:
             assert len(opt._chunks) == 2 and opt._pool is not None
+            loss = linear(np.ones((2, 8), dtype=np.float32), params["c"].reshape(8, 8)).sum()
             opt.step(grads, lr=0.1)
             try:
                 if where == "gate":
                     params["c"] * 2.0
                 elif where == "step":
                     opt.step(grads, lr=0.1)
+                elif where == "sweep":
+                    with engine.param_grad_pool(opt._pool, opt.slots):
+                        gradients(loss, list(params.values()))
             except RuntimeError:
                 raised_in.append(where)
                 raise
     assert raised_in == ([] if where == "exit" else [where])
     assert all(p._update is None for p in params.values()) and not engine._updating
+    assert engine._local.sweep is None
     assert not [t.name for t in threading.enumerate() if t.name.startswith("adam")]
 
 
