@@ -3,22 +3,28 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workloads train --pairs 10 --seed 1 --seconds 15 --out BENCH_26.json
 
-Each pair runs `perfbench/run.py --trace T` once in each checkout, as a
-subprocess from that checkout's root; even pairs run the parent first,
-odd pairs the change, so a slow phase of the host falls on both sides
-alike. Every run's metrics come from the last line of its standard
-output, and each side's environment from its `# env` line. With
-`--trace 0` (the default) they are the end-to-end metrics; with
-`--trace 1`, the per-layer metrics of a traced run.
+Each pair runs `perfbench/run.py --trace T` once for each side, as a
+subprocess from the root of a copy of that side's checkout; even pairs
+run the parent first, odd pairs the change, so a slow phase of the host
+falls on both sides alike. Byte-identical code can read differently
+from two directories, so each side runs from two copies of its
+checkout, made in a temporary directory at the start and removed at the
+end: pairs 0 and 1 run from the first copies, pairs 2 and 3 from the
+second, and so on, so that each run order meets each copy. Every run's
+metrics come from the last line of its standard output, and each side's
+environment from its `# env` line. With `--trace 0` (the default) they
+are the end-to-end metrics; with `--trace 1`, the per-layer metrics of
+a traced run.
 
 The output file holds both sides (commit, a digest of `src/`, the
-environment), every run, and per workload, seed, run length and trace
-mode, per metric: each side's median and quartiles, the change/parent
-ratio of the medians, the pairs the change won, and whether the medians
-differ by more than the parent's interquartile range. Which way is
-better comes from BENCHMARK.json's `end_to_end` and `per_layer` lists.
-An existing output file for the same two `src/` digests is extended: its
-runs are kept and the summary is recomputed.
+environment), every run with the copy it ran from, and per workload,
+seed, run length and trace mode, per metric: each side's median and
+quartiles, the change/parent ratio of the medians, the pairs the change
+won, and whether the medians differ by more than the parent's
+interquartile range. Which way is better comes from BENCHMARK.json's
+`end_to_end` and `per_layer` lists. An existing output file for the
+same two `src/` digests is extended: its runs are kept and the summary
+is recomputed.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +54,20 @@ def src_digest(root: Path) -> str:
 def order(pair: int) -> tuple[str, str]:
     """The sides of pair `pair` in the order they run."""
     return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def copy_index(pair: int) -> int:
+    """Which of a side's two checkout copies pair `pair` runs from: the
+    copy changes every two pairs, so each run order meets both copies."""
+    return pair // 2 % 2
+
+
+def make_copies(roots: dict[str, Path], tmp: Path) -> dict[str, list[Path]]:
+    """Two copies of each side's checkout under `tmp`, at paths of equal
+    length for both sides, without `__pycache__` directories."""
+    return {side: [shutil.copytree(root, tmp / f"copy{i}" / side, ignore=shutil.ignore_patterns("__pycache__"))
+                   for i in range(2)]
+            for side, root in roots.items()}
 
 
 def parse_output(stdout: str) -> tuple[dict, dict | None]:
@@ -132,21 +154,25 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     shown_metric = "trace.overhead_ratio" if args.trace else "op_ms_p50"
-    for workload in args.workloads:
-        group = (workload, args.seed, args.seconds, args.trace)
-        done = sum(_group(r) == group for r in doc["runs"]) // 2
-        for pair in range(done, done + args.pairs):
-            for side in order(pair):
-                run, env = run_once(roots[side], workload, args.seed, args.seconds, args.trace)
-                if env is not None:
-                    doc["sides"][side].update(commit=env.pop("git_commit"), environment=env)
-                doc["runs"].append({"workload": workload, "seed": args.seed, "seconds": args.seconds,
-                                    "trace": args.trace, "pair": pair, "side": side} | run)
-                shown = run.get("error") or \
-                    f"{shown_metric} {run['metrics'].get(shown_metric, float('nan')):.4g}"
-                print(f"{workload} pair {pair} {side}: {shown}", flush=True)
-            doc["summary"] = summarise(doc["runs"], better)
-            args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        copies = make_copies(roots, Path(tmp))
+        for workload in args.workloads:
+            group = (workload, args.seed, args.seconds, args.trace)
+            done = sum(_group(r) == group for r in doc["runs"]) // 2
+            for pair in range(done, done + args.pairs):
+                for side in order(pair):
+                    run, env = run_once(copies[side][copy_index(pair)], workload, args.seed, args.seconds,
+                                        args.trace)
+                    if env is not None:
+                        doc["sides"][side].update(commit=env.pop("git_commit"), environment=env)
+                    doc["runs"].append({"workload": workload, "seed": args.seed, "seconds": args.seconds,
+                                        "trace": args.trace, "pair": pair, "side": side,
+                                        "copy": copy_index(pair)} | run)
+                    shown = run.get("error") or \
+                        f"{shown_metric} {run['metrics'].get(shown_metric, float('nan')):.4g}"
+                    print(f"{workload} pair {pair} {side} (copy {copy_index(pair)}): {shown}", flush=True)
+                doc["summary"] = summarise(doc["runs"], better)
+                args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -5,14 +5,16 @@ float64 for gradient checking). Every differentiable op records a
 closure on the output node; `backward()` walks the tape in reverse
 topological order and accumulates gradients into `.grad`.
 
-Each fused op (`linear`, `layer_norm`, `softmax`, `gelu`, `sigmoid`,
-`embedding`, ...) is one function that runs on what it is given: an
-array input runs the arithmetic and returns its array, and a Tensor
-input runs the same lines and records one tape node, whose backward
-reads the forward's locals. Parameters stay Tensors either way. So one
-module forward serves training (Tensors in) and inference (arrays in),
-with the same bits. `attention_fwd` is the one kernel kept apart: the
-cached attention calls it too, with keys and values apart from queries.
+Each fused op (`linear`, `layer_norm`, `gelu`, `embedding`, ...) is one
+function that runs on what it is given: an array input runs the
+arithmetic and returns its array, and a Tensor input runs the same lines
+and records one tape node, whose backward reads the forward's locals.
+Parameters stay Tensors either way. So one module forward serves
+training (Tensors in) and inference (arrays in), with the same bits.
+`attention_fwd` is the one kernel kept apart: the cached attention calls
+it too, with keys and values apart from queries. `softmax` and `sigmoid`
+take arrays only: attention's kernel, the losses and inference call
+them, and no tape records them.
 
 Row-wise ops take whatever rows they are given. Every trunk (AR, NAR
 and the speaker condition encoder) passes a packed (N, D) stack of its
@@ -97,8 +99,6 @@ __all__ = [
     "GradSlot",
     "PendingUpdate",
     "zero_grad",
-    "grad_check",
-    "GradCheckReport",
 ]
 
 
@@ -312,29 +312,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other), grad_fn)
 
-    def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor._lift(other, self.data.dtype)
-        if _updating:
-            _settle(self, other)
-        a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-        try:
-            data = np.matmul(a, b)
-        except ValueError:
-            raise ShapeError(f"matmul batch dimensions incompatible: {a.shape} vs {b.shape}") from None
-
-        def grad_fn(g):
-            if self.requires_grad:
-                self._accumulate(np.matmul(g, b.swapaxes(-1, -2)))
-            if other.requires_grad:
-                other._accumulate(np.matmul(a.swapaxes(-1, -2), g))
-
-        return Tensor._make(data, (self, other), grad_fn)
-
     # ---- elementwise nonlinearities -----------------------------------
 
     def sqrt(self):
@@ -383,16 +360,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), grad_fn)
 
-    def swapaxes(self, ax1, ax2):
-        if _updating:
-            _settle(self)
-        data = self.data.swapaxes(ax1, ax2)
-
-        def grad_fn(g):
-            self._accumulate(g.swapaxes(ax1, ax2))
-
-        return Tensor._make(data, (self,), grad_fn)
-
     def __getitem__(self, idx):
         if _updating:
             _settle(self)
@@ -427,23 +394,12 @@ def _picks_twice(idx, shape) -> bool:
 # ---- free functions -----------------------------------------------------
 
 
-def sigmoid(x):
-    """1 / (1 + e^-x), one tape node; an array gives the array and records
-    nothing. Negative x takes e^x / (1 + e^x), from the same exp of -|x|,
-    so no exp overflows, not even on the branch that is discarded."""
-    if _updating:
-        _settle(x)
-    tape = isinstance(x, Tensor)
-    xd = x.data if tape else x
-    e = np.exp(-np.abs(xd))
-    data = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if not tape:
-        return data
-
-    def grad_fn(g):
-        x._accumulate(g * data * (1.0 - data))
-
-    return Tensor._make(data, (x,), grad_fn)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) of an array. Negative x takes e^x / (1 + e^x), from
+    the same exp of -|x|, so no exp overflows, not even on the branch
+    that is discarded."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def concat(tensors, axis=0):
@@ -519,30 +475,29 @@ def embedding(tables: list, ids: np.ndarray):
     if flat.size and flat.min() < -1:
         raise IndexError(f"embedding ids must be >= -1, got {flat.min()}")
     valid = flat >= 0
-    # The rows each table adds to: all of them, a boolean mask, or none.
-    # Row gathers raise IndexError for an id past the table's end.
-    picks = [slice(None) if c == flat.shape[0] else valid[:, k] if c else None
-             for k, c in enumerate(valid.sum(axis=0).tolist())]
+    # Every table gathers a row for every id, -1 read as 0, and adds it
+    # where the id is valid. The gather raises IndexError for an id past
+    # the table's end.
+    picked = np.maximum(flat, 0)
     dim = arrays[0].shape[1]
     out = np.zeros((flat.shape[0], dim), dtype=arrays[0].dtype)
-    for k, (t, rows) in enumerate(zip(arrays, picks)):
-        if rows is not None:
-            out[rows] += t.take(flat[rows, k], axis=0)
+    for k, t in enumerate(arrays):
+        np.add(out, t.take(picked[:, k], axis=0), out=out, where=valid[:, k:k + 1])
     data = out.reshape(ids.shape[:-1] + (dim,))
     if not tape:
         return data
 
     def grad_fn(g):
         g2 = g.reshape(-1, dim)
-        for k, (t, rows) in enumerate(zip(tables, picks)):
-            if t.requires_grad and rows is not None:
-                _param_grad(t, _scatter_rows, g2, rows, flat[:, k], t.data)
+        for k, (t, used) in enumerate(zip(tables, valid.any(axis=0).tolist())):
+            if t.requires_grad and used:
+                _param_grad(t, _scatter_rows, g2, valid[:, k], flat[:, k], t.data)
 
     return Tensor._make(data, tuple(tables), grad_fn)
 
 
-def _scatter_rows(g: np.ndarray, rows, ids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """A table's gradient: the picked `rows` of g added at their ids."""
+def _scatter_rows(g: np.ndarray, rows: np.ndarray, ids: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """A table's gradient: the rows of g where the mask `rows` holds, added at their ids."""
     full = np.zeros_like(table)
     add_rows(full, ids[rows], g[rows])
     return full
@@ -596,34 +551,25 @@ def linear(x, w: Tensor, b: Tensor | None = None):
     return Tensor._make(data, (x, w) if b is None else (x, w, b), grad_fn)
 
 
-def softmax(x, axis: int = -1, scale: float | None = None, mask: np.ndarray | None = None):
-    """softmax(x * scale + mask) along `axis`, one tape node; an array x
-    gives the array and records nothing.
+def softmax(x: np.ndarray, axis: int = -1, scale: float | None = None,
+            mask: np.ndarray | None = None) -> np.ndarray:
+    """softmax(x * scale + mask) of an array along `axis`.
 
     `scale` is applied in x's dtype and `mask` is an additive numpy
-    constant cast to it (attention's scaled, masked scores).
+    constant cast to it (attention's scaled, masked scores);
+    `_softmax_backward` is its gradient.
     """
-    if _updating:
-        _settle(x)
-    tape = isinstance(x, Tensor)
-    xd = x.data if tape else x
-    z = xd * xd.dtype.type(scale) if scale is not None else xd.copy()
+    z = x * x.dtype.type(scale) if scale is not None else x.copy()
     if mask is not None:
         try:
-            z += np.asarray(mask, dtype=xd.dtype)
+            z += np.asarray(mask, dtype=x.dtype)
         except ValueError:
             raise ShapeError(f"softmax mask shape {np.shape(mask)} does not broadcast to {z.shape}") from None
     # The ufunc reductions are bitwise `.max` and `.sum`, without their wrappers.
     z -= np.maximum.reduce(z, axis=axis, keepdims=True)
     data = np.exp(z, out=z)
     data /= np.add.reduce(data, axis=axis, keepdims=True)
-    if not tape:
-        return data
-
-    def grad_fn(g):
-        x._accumulate(_softmax_backward(g, data, axis, scale))
-
-    return Tensor._make(data, (x,), grad_fn)
+    return data
 
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int, scale: float | None) -> np.ndarray:
@@ -885,7 +831,7 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     return Tensor._make(np.asarray(loss, dtype=x.dtype), (logits,), grad_fn)
 
 
-# ---- gradients / checking ------------------------------------------------
+# ---- gradients -----------------------------------------------------------
 
 
 def zero_grad(params) -> None:
@@ -1188,90 +1134,6 @@ class PendingUpdate:
         _updating.discard(self)
         if error is not None and raise_error:
             raise error
-
-
-class GradCheckReport:
-    """Per-parameter comparison of analytic vs central-difference gradients.
-
-    The error metric is max over coordinates of |a - n| / max(1, |a|, |n|),
-    i.e. absolute for small gradients, relative for large ones. A report
-    never raises; inspect `passed`.
-    """
-
-    def __init__(self, tolerance: float):
-        self.tolerance = tolerance
-        self.entries: list[tuple[str, float, int]] = []
-
-    def add(self, name: str, max_err: float, n_coords: int):
-        self.entries.append((name, max_err, n_coords))
-
-    @property
-    def max_error(self) -> float:
-        return max((e for _, e, _ in self.entries), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error < self.tolerance
-
-    def __str__(self):
-        lines = [f"grad check (tolerance {self.tolerance:g}):"]
-        for name, err, n in self.entries:
-            mark = "ok  " if err < self.tolerance else "FAIL"
-            lines.append(f"  [{mark}] {name}: max err {err:.3e} over {n} coords")
-        lines.append(f"  overall: {'PASS' if self.passed else 'FAIL'} (max {self.max_error:.3e})")
-        return "\n".join(lines)
-
-
-def grad_check(fn, params: dict, tolerance: float = 1e-5, h: float = 1e-5,
-               max_coords: int | None = None, rng: "Rng | None" = None) -> GradCheckReport:
-    """Compare analytic gradients of `fn()` against central differences.
-
-    `fn` is a zero-argument closure over `params` (name -> Tensor) that
-    rebuilds the loss graph on each call. All parameters must be float64;
-    float32 rounding swamps the h=1e-5 difference quotient. When
-    `max_coords` is set, a seeded random subset of coordinates is probed
-    per parameter instead of every one.
-    """
-    for name, p in params.items():
-        if p.data.dtype != np.float64:
-            raise ValueError(f"grad_check requires float64 parameters, {name!r} is {p.data.dtype}")
-    report = GradCheckReport(tolerance)
-    zero_grad(params)
-    loss = fn()
-    loss.backward()
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params.items()}
-
-    def eval_loss() -> float:
-        return float(fn().data)
-
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        n = flat.shape[0]
-        if max_coords is not None and n > max_coords:
-            if rng is None:
-                raise ValueError("max_coords needs an Rng for coordinate subsampling")
-            coords = rng.generator.choice(n, size=max_coords, replace=False)
-        else:
-            coords = range(n)
-        a_flat = analytic[name].reshape(-1)
-        max_err = 0.0
-        count = 0
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = eval_loss()
-            flat[i] = orig - h
-            f_minus = eval_loss()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = a_flat[i]
-            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            if err > max_err:
-                max_err = err
-            count += 1
-        report.add(name, max_err, count)
-    return report
 
 
 # ---- config fields ---------------------------------------------------------

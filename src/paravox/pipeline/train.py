@@ -91,22 +91,6 @@ class TrainSchedule:
         return self.final_lr + 0.5 * (self.peak_lr - self.final_lr) * (1.0 + math.cos(math.pi * progress))
 
 
-def _split(sizes: list[int], n: int) -> list[range]:
-    """Positions 0..len(sizes) in at most `n` contiguous, non-empty runs
-    (one empty run if there are no positions), each cut at the boundary
-    nearest to a multiple of an n-th of the elements."""
-    cum = np.cumsum([0, *sizes])
-    cuts = [0]
-    for k in range(1, n):
-        target = cum[-1] * k / n
-        j = int(np.searchsorted(cum, target))
-        if j > 0 and target - cum[j - 1] <= cum[j] - target:
-            j -= 1
-        cuts.append(max(cuts[-1], j))
-    cuts.append(len(sizes))
-    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b > a] or [range(0)]
-
-
 # Adam's chunks close at this many elements: few numpy calls per step,
 # and a chunk stays in cache across the step's passes over it.
 CHUNK_SIZE = 65_536
@@ -116,22 +100,25 @@ class Adam:
     """Adam with decoupled global-norm gradient clipping.
 
     Moments are float64. Tensors are packed, in key order, into chunks
-    closed at `CHUNK_SIZE` elements; a chunk is one float64 block whose
-    rows are the moments (`m[k]`, `v[k]` are views) and two work buffers.
-    A step runs each textbook op once per chunk, in the formula's order,
-    then updates each parameter, its module's own array, in place from its
-    slice, rounded once: nothing is allocated and the bits are the formula's.
+    closed at the first tensor that brings them to `CHUNK_SIZE` elements,
+    or to half of all the elements if that is fewer, so that a small
+    model's update still splits between the worker and the caller (see
+    below). A chunk is one float64 block whose rows are the moments
+    (`m[k]`, `v[k]` are views) and two work buffers. A step runs each
+    textbook op once per chunk, in the formula's order, then updates each
+    parameter, its module's own array, in place from its slice, rounded
+    once: nothing is allocated and the bits are the formula's.
 
     A step has two phases. The first loads each gradient into its float64
     slice of the first work row and squares it into the second, summing
     the square per tensor (`slots`, one `engine.GradSlot` per parameter);
     the norm adds those sums in key order, and `step` returns it. The
     second, the update, is an `engine.PendingUpdate` over the chunks in
-    key order: each parameter is pending from `step` until its chunk is
-    written, which happens at the latest when an op reads it (its gate),
-    at the next `step`, or at the end of the `with`. So the update runs
-    behind the caller's next forward pass, and each op reads the updated
-    bits.
+    key order. With a worker, each parameter is pending from `step` until
+    its chunk is written, which happens at the latest when an op reads it
+    (its gate), at the next `step`, or at the end of the `with`. So the
+    update runs behind the caller's next forward pass, and each op reads
+    the updated bits.
 
     The loads run in the backward sweep when `slots` is lent to it
     (`engine.param_grad_pool`, as `_fit` does): the job that makes a
@@ -140,16 +127,13 @@ class Adam:
     contribution, a sweep without the slots, or a direct call. The bits
     are the same either way.
 
-    Entered as a context manager, the optimiser splits its parameters
-    into contiguous shards of about equal element count, one per usable
-    CPU, each chunked alike, and owns a thread pool of one worker per
-    shard but the first until exit. One worker takes update chunks while
-    the caller goes on, and `_fit` lends the pool to each step's backward
-    sweep. Every element's arithmetic is its own, so each bit of the
-    result is the one-shard result. Outside a `with`, or on one CPU,
-    there is one shard and no pool, and `step` writes every chunk before
-    it returns; so it does when there are no more chunks than shards,
-    where the first op would wait for the first chunk anyway.
+    Entered as a context manager with more than one usable CPU, the
+    optimiser owns a pool of one worker until exit. The worker takes
+    update chunks while the caller goes on, and `_fit` lends the pool to
+    each step's backward sweep. The chunks are the same at every CPU
+    count, and every element's arithmetic is its own, so the bits are
+    too. Outside a `with`, or on one CPU, there is no worker, and `step`
+    writes every chunk before it returns.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.95,
@@ -157,16 +141,25 @@ class Adam:
         self.params = dict(params)
         self.beta1, self.beta2, self.eps, self.clip_norm = beta1, beta2, eps, clip_norm
         self.m, self.v, self.t = {}, {}, 0
-        self._layout([list(self.params)])
+        self._loads: list[tuple[str, GradSlot]] = []  # (key, slot) in key order
+        self._chunks = []  # (tensors, chunk) in key order, as a `PendingUpdate` takes them
+        keys = list(self.params)
+        close = min(CHUNK_SIZE, sum(p.data.size for p in self.params.values()) / 2)
+        run, n = [], 0
+        for k in keys:
+            run.append(k)
+            n += self.params[k].data.size
+            if n >= close or k == keys[-1]:
+                chunk = self._chunk(run)
+                self._chunks.append((chunk[1], chunk))
+                run, n = [], 0
+        self.slots = {self.params[k]: slot for k, slot in self._loads}
         self._pool: ThreadPoolExecutor | None = None
         self._run: PendingUpdate | None = None  # the last step's update, while it is pending
 
     def __enter__(self) -> Adam:
-        keys = list(self.params)
-        n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        self._layout([keys[r.start:r.stop] for r in _split([self.params[k].data.size for k in keys], n_cpus)])
-        if len(self._shards) > 1:
-            self._pool = ThreadPoolExecutor(len(self._shards) - 1, thread_name_prefix="adam")
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="adam")
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
@@ -176,7 +169,6 @@ class Adam:
             if self._pool is not None:
                 self._pool.shutdown()
             self._pool = None
-            self._layout([list(self.params)])
 
     def _settle(self, raise_error: bool = True) -> None:
         """Finish the last step's update; raise its error, if any."""
@@ -184,37 +176,17 @@ class Adam:
         if run is not None:
             run.finish(raise_error)
 
-    def _layout(self, shards: list[list[str]]) -> None:
-        """Chunk each of `shards` (key lists); `m` and `v` keep their values."""
-        m, v, loads, self._chunks = {}, {}, [], []
-        for keys in shards:
-            chunks, run, n = [], [], 0
-            for k in keys:
-                run.append(k)
-                n += self.params[k].data.size
-                if n >= CHUNK_SIZE or k == keys[-1]:
-                    chunks.append(self._chunk(run, m, v, loads))
-                    run, n = [], 0
-            self._chunks.append(chunks)
-        for k in self.m:
-            m[k][...], v[k][...] = self.m[k], self.v[k]
-        self._shards, self.m, self.v = shards, m, v
-        self._loads: list[tuple[str, GradSlot]] = loads  # (key, slot) in key order
-        self.slots = {self.params[k]: slot for k, slot in loads}
-        # (tensors, chunk) of every chunk in key order, as a `PendingUpdate` takes them
-        self._run_chunks = [(chunk[1], chunk) for chunks in self._chunks for chunk in chunks]
-
-    def _chunk(self, keys: list[str], m: dict, v: dict, loads: list) -> tuple:
+    def _chunk(self, keys: list[str]) -> tuple:
         """A new chunk over `keys`, whose moment views go into `m` and `v`
-        and whose work rows' views, as (key, slot), onto `loads`."""
+        and whose work rows' views, as (key, slot), onto `_loads`."""
         tensors = [self.params[k] for k in keys]
         ends = np.cumsum([p.data.size for p in tensors])
         block = np.zeros((4, ends[-1]))
         m_k, v_k, g_k, sq_k = ([row[e - p.data.size:e].reshape(p.shape) for p, e in zip(tensors, ends)]
                                for row in block)
-        m.update(zip(keys, m_k))
-        v.update(zip(keys, v_k))
-        loads += [(k, GradSlot(g, sq)) for k, g, sq in zip(keys, g_k, sq_k)]
+        self.m.update(zip(keys, m_k))
+        self.v.update(zip(keys, v_k))
+        self._loads += [(k, GradSlot(g, sq)) for k, g, sq in zip(keys, g_k, sq_k)]
         return keys, tensors, block, g_k
 
     def _update(self, chunk: tuple, scale: float, lr: float, b1c: float, b2c: float) -> None:
@@ -258,13 +230,12 @@ class Adam:
             scale = self.clip_norm / norm
         self.t += 1
         args = (scale, lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
-        run = PendingUpdate(self._run_chunks, lambda chunk: self._update(chunk, *args))
-        if self._pool is not None:
-            run.start(self._pool)
-        if self._pool is not None and len(self._run_chunks) > len(self._chunks):
-            self._run = run
+        run = PendingUpdate(self._chunks, lambda chunk: self._update(chunk, *args))
+        if self._pool is None:
+            run.finish()
         else:
-            run.finish()  # the caller takes chunks beside the worker, if there is one
+            run.start(self._pool)
+            self._run = run
         return norm
 
 
@@ -326,16 +297,17 @@ def _fit(stage: str, pcfg, params: dict[str, Tensor], n_items: int, step_loss, q
     from `srng`, the step's own stream keyed by (schedule seed, step):
     `srng.integers(0, n_items, (batch_size,))`. `step_loss(idx, srng)`
     returns (loss to differentiate, float loss terms to record). The
-    report's `final` is left for the stage to fill. The optimiser's
-    thread pool lives for the loop and is closed when it ends or raises;
-    each step's backward sweep hands it the parameter gradients, and
-    the job that makes a gradient loads it into the optimiser's float64
-    slots (`engine.param_grad_pool` with `Adam.slots`), so `step` loads
-    inline only a parameter with more than one contribution. Each
-    step's parameter update runs behind the next step's batch and loss,
-    whose ops wait for the parameters they read (`Adam`). None of this
-    changes a bit. The last update is written when the `with` ends, so
-    the parameters are settled when `_fit` returns.
+    report's `final` is left for the stage to fill. On more than one
+    usable CPU the optimiser has one worker thread, which lives for the
+    loop and stops when it ends or raises. Each step's backward sweep
+    hands that worker the parameter gradients, and the job that makes a
+    gradient loads it into the optimiser's float64 slots
+    (`engine.param_grad_pool` with `Adam.slots`), so `step` loads inline
+    only a parameter with more than one contribution. Each step's
+    parameter update runs behind the next step's batch and loss, whose
+    ops wait for the parameters they read (`Adam`). None of this changes
+    a bit. The last update is written when the `with` ends, so the
+    parameters are settled when `_fit` returns.
     """
     sched = pcfg.schedules[stage]
     sched.validate()

@@ -154,8 +154,8 @@ def mini_run(tmp_path_factory):
 def run_cli(args, **kwargs):
     """Invoke the installed command-line entry point as a subprocess."""
     env = dict(os.environ)
-    # Keep the timing honest: one BLAS thread (the optimiser step still
-    # shards over every usable CPU, as it does in any training run).
+    # Keep the timing honest: one BLAS thread (the optimiser still runs
+    # its worker thread on more than one usable CPU, as in any training run).
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "paravox.pipeline.cli", *args],
                           capture_output=True, text=True, env=env, **kwargs)

@@ -11,8 +11,9 @@ import time
 import numpy as np
 
 from conftest import record_criterion, rvq_residuals
+from gradcheck import grad_check
 from paravox.ar import ARConfig, DualStreamAR
-from paravox.engine import Rng, Tensor, cross_entropy, grad_check, gradients, sigmoid
+from paravox.engine import Rng, Tensor, cross_entropy, gradients, sigmoid
 from paravox.flow import FlowConfig, SolverConfig, VelocityField, cfm_train_loss, sample_mel
 from paravox.frontend import (FeatureBundle, generate_corpus, load_arrays, load_features,
                               make_utterance, save_arrays, save_features)
@@ -235,7 +236,7 @@ def test_criterion_05_dual_stream_alignment():
         for _ in range(11):
             states = model.forward_states(model.input_ids(text, ref, frames if frames.shape[0] else None))
             last = states[-1:]
-            if float(sigmoid(model.stop_head(last)).data.reshape(())) > 0.5:
+            if float(sigmoid(model.stop_head(last).data).reshape(())) > 0.5:
                 terminated = True
                 break
             if frames.shape[0] >= 10:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import host_note
+from gradcheck import grad_check
 from paravox.ar import ARConfig, DualStreamAR
-from paravox.engine import Rng, ShapeError, Tensor, grad_check, gradients, sigmoid
+from paravox.engine import Rng, ShapeError, Tensor, gradients, sigmoid
 from paravox.pipeline.config import toy_profile
 
 
@@ -209,7 +210,7 @@ def test_greedy_matches_stepwise_oracle():
     for _ in range(10 + 1):
         states = model.forward_states(model.input_ids(text, ref, frames if frames.shape[0] else None))
         last = states[-1:]
-        if float(sigmoid(model.stop_head(last)).data.reshape(())) > 0.5:
+        if float(sigmoid(model.stop_head(last).data).reshape(())) > 0.5:
             terminated = True
             break
         if frames.shape[0] >= 10:
@@ -284,7 +285,7 @@ def _recompute_generate(model, text, ref, seed, top_k, max_frames):
     while True:
         ids = model.input_ids(text, ref, frames if frames.shape[0] else None)
         last = model.forward_states(ids)[-1:]
-        if float(sigmoid(model.stop_head(last)).data.reshape(())) > 0.5:
+        if float(sigmoid(model.stop_head(last).data).reshape(())) > 0.5:
             terminated = True
             break
         if frames.shape[0] >= max_frames:
@@ -617,7 +618,7 @@ def test_teacher_forced_scores_match_tensor_path_counts(tape_records, streams, l
         for s, (name, _) in enumerate(cfg.streams):
             for l in range(layers):
                 add(name, stream_logits[s][l].data.argmax(axis=-1) == stream_targets[s][l])
-        fires = sigmoid(stop_logits).data > 0.5
+        fires = sigmoid(stop_logits.data) > 0.5
         add("stop", fires == (stop_labels > 0.5))
         add("stop_final", fires[stop_labels > 0.5])
     frac = {key: hits / total for key, (hits, total) in counts.items()}

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import rvq_residuals
-from paravox.engine import NEG_MASK, Rng, Tensor, gelu, gradients, softmax
+from gradcheck import matmul, swapaxes, tensor_softmax
+from paravox.engine import NEG_MASK, Rng, Tensor, gelu, gradients
 from paravox.flow import FlowConfig, VelocityField, cfm_train_loss, time_features
 from paravox.frontend import SyntheticSpec, generate_corpus
 from paravox.tokenizer import ParallelTokenizer, TokenizerConfig
@@ -190,10 +191,10 @@ def _padded_block(block, x: Tensor, mask: np.ndarray) -> Tensor:
     qkv = block.attn.wqkv(block.ln1(x))
     b, t, dim = x.shape
     n_heads = block.attn.n_heads
-    q, k, v = (qkv[..., i * dim:(i + 1) * dim].reshape(b, t, n_heads, dim // n_heads).swapaxes(1, 2)
+    q, k, v = (swapaxes(qkv[..., i * dim:(i + 1) * dim].reshape(b, t, n_heads, dim // n_heads), 1, 2)
                for i in range(3))
-    att = softmax(q @ k.swapaxes(-1, -2), scale=1.0 / np.sqrt(dim // n_heads), mask=mask)
-    x = x + block.attn.wo((att @ v).swapaxes(1, 2).reshape(b, t, dim))
+    att = tensor_softmax(matmul(q, swapaxes(k, -1, -2)), scale=1.0 / np.sqrt(dim // n_heads), mask=mask)
+    x = x + block.attn.wo(swapaxes(matmul(att, v), 1, 2).reshape(b, t, dim))
     return x + block.fc2(gelu(block.fc1(block.ln2(x))))
 
 

@@ -137,3 +137,53 @@ def test_src_digest_follows_the_sources(tmp_path):
     assert bench_pairs.src_digest(tmp_path) == first
     (tmp_path / "src" / "pkg" / "a.py").write_text("x = 2\n")
     assert bench_pairs.src_digest(tmp_path) != first
+
+
+def test_copies_alternate_every_two_pairs():
+    assert [bench_pairs.copy_index(i) for i in range(6)] == [0, 0, 1, 1, 0, 0]
+    met = {(bench_pairs.order(i), bench_pairs.copy_index(i)) for i in range(4)}
+    assert len(met) == 4  # each run order meets each copy within four pairs
+
+
+def _checkout(root: Path, text: str) -> Path:
+    (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (root / "src" / "pkg" / "a.py").write_text(text)
+    (root / "src" / "pkg" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "op_ms_p50", "better": "lower"}],
+                                                     "per_layer": []}))
+    return root
+
+
+def test_each_side_runs_from_two_copies_of_its_checkout(monkeypatch, tmp_path):
+    """Canned runs over four pairs: each side runs from two copies of its
+    checkout, which hold its files and sit at paths of equal length for
+    both sides, the copy changing every two pairs. Each run records its
+    copy, and the copies are gone once the script returns."""
+    roots = {side: _checkout(tmp_path / side, f"x = {i}\n") for i, side in enumerate(bench_pairs.SIDES)}
+    calls = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        calls.append((Path(cwd), (Path(cwd) / "src" / "pkg" / "a.py").read_text()))
+        assert not (Path(cwd) / "src" / "pkg" / "__pycache__").exists()
+        result = {"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"op_ms_p50": {"value": float(len(calls)), "unit": "ms"}}}
+        return SimpleNamespace(returncode=0, stderr="",
+                               stdout="# env " + json.dumps({"git_commit": None}) + "\n" + json.dumps(result))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                             "--workloads", "train", "--pairs", "4", "--seed", "1", "--seconds", "1",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [(r["pair"], r["side"], r["copy"]) for r in doc["runs"]] == [
+        (0, "parent", 0), (0, "change", 0), (1, "change", 0), (1, "parent", 0),
+        (2, "parent", 1), (2, "change", 1), (3, "change", 1), (3, "parent", 1)]
+    dirs = [cwd for cwd, _ in calls]
+    assert [text for _, text in calls] == [f"x = {bench_pairs.SIDES.index(r['side'])}\n" for r in doc["runs"]]
+    for side in bench_pairs.SIDES:
+        used = {d for d, r in zip(dirs, doc["runs"]) if r["side"] == side}
+        assert len(used) == 2 and not used & set(roots.values())
+    assert len({len(str(d)) for d in dirs}) == 1
+    assert not any(d.exists() for d in dirs)
+    assert doc["summary"][0]["metrics"]["op_ms_p50"]["pairs"] == 4

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from gradcheck import grad_check, matmul, swapaxes, tensor_sigmoid, tensor_softmax
 from paravox import engine
 from paravox.engine import (
     BlankRng,
@@ -24,7 +25,6 @@ from paravox.engine import (
     cross_entropy,
     embedding,
     gelu,
-    grad_check,
     gradients,
     last_rows,
     layer_norm,
@@ -49,7 +49,7 @@ def test_mul_gradient_at_3():
 def test_matmul_identity():
     rng = Rng(1)
     a = rng.normal((3, 5), dtype=np.float64)
-    out = Tensor(np.eye(3)) @ Tensor(a)
+    out = matmul(Tensor(np.eye(3)), Tensor(a))
     assert np.array_equal(out.data, a)
 
 
@@ -69,8 +69,8 @@ def test_two_layer_mlp_grad_check_under_1e5():
     t = Tensor(rng.normal((4, 3), dtype=np.float64))
 
     def loss():
-        h = sigmoid(x @ w1 + b1)
-        d = h @ w2 + b2 - t
+        h = tensor_sigmoid(matmul(x, w1) + b1)
+        d = matmul(h, w2) + b2 - t
         return (d * d).mean()
 
     report = grad_check(loss, {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, tolerance=1e-5)
@@ -116,7 +116,7 @@ def test_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
         a + b
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-        a @ b
+        linear(a, b)
 
 
 def test_broadcast_add_and_unbroadcast_grad():
@@ -129,8 +129,7 @@ def test_broadcast_add_and_unbroadcast_grad():
 def test_softmax_rows_sum_to_one():
     rng = Rng(4)
     for trial in range(20):
-        x = Tensor(rng.normal((5, 9), scale=5.0))
-        s = softmax(x).data
+        s = softmax(rng.normal((5, 9), scale=5.0))
         assert np.all(np.abs(s.sum(axis=-1) - 1.0) < 1e-6)
         assert np.all(s >= 0)
 
@@ -160,8 +159,8 @@ def test_composite_ops_grad_check():
         x = layer_norm(a) * g
         e = embedding([table], ids[:, None])
         merged = concat([x, e], axis=0)
-        s = softmax(merged * 1.5)
-        return (s * s).sum() + sigmoid(merged).mean() + gelu(merged).sum() * 0.1
+        s = tensor_softmax(merged * 1.5)
+        return (s * s).sum() + tensor_sigmoid(merged).mean() + gelu(merged).sum() * 0.1
 
     report = grad_check(loss, {"a": a, "g": g, "table": table}, tolerance=1e-6)
     assert report.passed, str(report)
@@ -216,7 +215,7 @@ def test_gelu_matches_composed_formula():
 
 
 def _linear_composed(x, w, b):
-    y = x @ w
+    y = matmul(x, w)
     return y if b is None else y + b
 
 
@@ -225,16 +224,16 @@ def _layer_norm_composed(x, gamma, beta):
 
 
 def _softmax_composed(x, scale, mask):
-    return softmax(x * scale + Tensor(np.asarray(mask, dtype=x.dtype)))
+    return tensor_softmax(x * scale + Tensor(np.asarray(mask, dtype=x.dtype)))
 
 
 def _split_composed(x, n_heads):
-    return x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-3, -2)
+    return swapaxes(x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)), -3, -2)
 
 
 def _merge_composed(x):
     h, t, hd = x.shape[-3:]
-    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (t, h * hd))
+    return swapaxes(x, -3, -2).reshape(x.shape[:-3] + (t, h * hd))
 
 
 def _attention_composed(qkv, n_heads, mask):
@@ -242,8 +241,8 @@ def _attention_composed(qkv, n_heads, mask):
     scaled and masked softmax, att v, head merge."""
     dim = qkv.shape[-1] // 3
     q, k, v = (_split_composed(qkv[..., i * dim:(i + 1) * dim], n_heads) for i in range(3))
-    att = softmax(q @ k.swapaxes(-1, -2), axis=-1, scale=1.0 / np.sqrt(dim // n_heads), mask=mask)
-    return _merge_composed(att @ v)
+    att = tensor_softmax(matmul(q, swapaxes(k, -1, -2)), axis=-1, scale=1.0 / np.sqrt(dim // n_heads), mask=mask)
+    return _merge_composed(matmul(att, v))
 
 
 def _causal_mask(t, dtype):
@@ -371,10 +370,10 @@ def test_softmax_scale_and_mask_grad_check_f64():
     x = f64(rng, (2, 2, 5, 5), 2.0)
     mask = _attention_mask(np.array([5, 3]), 5, np.float64)
     w = Tensor(rng.normal((2, 2, 5, 5), dtype=np.float64))
-    report = grad_check(lambda: (softmax(x, scale=0.35, mask=mask) * w).sum(), {"x": x},
+    report = grad_check(lambda: (tensor_softmax(x, scale=0.35, mask=mask) * w).sum(), {"x": x},
                         tolerance=1e-8)
     assert report.passed, str(report)
-    out = softmax(x, scale=0.35, mask=mask).data
+    out = softmax(x.data, scale=0.35, mask=mask)
     assert np.all(out[1, :, :, 3:] == 0.0)  # padded columns get no weight
     assert np.all(np.triu(out[0, 0], k=1) == 0.0)  # nor do future ones
 
@@ -385,15 +384,15 @@ def test_softmax_scale_and_mask_matches_composed_form():
         x = rng.normal((2, 3, 6, 6), scale=4.0, dtype=dtype)
         mask = _attention_mask(np.array([6, 4]), 6, np.float32)
         scale = 1.0 / np.sqrt(8)
-        fused = softmax(Tensor(x), scale=scale, mask=mask)
+        fused = softmax(x, scale=scale, mask=mask)
         assert fused.dtype == dtype  # the f64 scale must not promote f32 scores
-        _assert_same_forward_and_grads(lambda t: softmax(t, scale=scale, mask=mask),
+        _assert_same_forward_and_grads(lambda t: tensor_softmax(t, scale=scale, mask=mask),
                                        lambda t: _softmax_composed(t, scale, mask), [x])
 
 
 def test_softmax_rejects_mask_that_grows_the_scores():
     with pytest.raises(ShapeError, match="mask"):
-        softmax(Tensor(np.zeros((3, 3))), mask=np.full((2, 3, 3), NEG_MASK))
+        softmax(np.zeros((3, 3)), mask=np.full((2, 3, 3), NEG_MASK))
 
 
 def _padded_lengths(lead, t):
@@ -467,12 +466,10 @@ def test_array_kernels_are_the_tensor_ops_forward(dtype):
         (linear(Tensor(x[None]), Tensor(w)), [linear(x[None], Tensor(w))]),
         (layer_norm(Tensor(x), Tensor(x[0]), Tensor(x[1])), [layer_norm(x, Tensor(x[0]), Tensor(x[1]))]),
         (layer_norm(Tensor(x[:1])), [layer_norm(x[:1])]),
-        (softmax(Tensor(x), scale=0.3, mask=x[:1] > 0), [softmax(x, -1, 0.3, x[:1] > 0)]),
         (attention(Tensor(x), 2, causal=True),
          [attention(x, 2, causal=True), attention_fwd(x[:, :8], x[:, 8:16], x[:, 16:], 2, True)[0]]),
         (attention(Tensor(x), 2, True, np.array([2, 3])), [attention(x, 2, True, np.array([2, 3]))]),
         (gelu(Tensor(x)), [gelu(x)]),
-        (sigmoid(Tensor(x)), [sigmoid(x)]),
         (embedding([Tensor(t) for t in tables], ids), [embedding(tables, ids)]),
         (conv_windows(Tensor(x), 3), [conv_windows(x, 3)]),
         (conv_windows(Tensor(x), 3, np.array([2, 3])), [conv_windows(x, 3, np.array([2, 3]))]),
@@ -591,6 +588,83 @@ def test_embedding_grad_check_f64():
     assert report.passed, str(report)
     # The all -1 column reads no row, so its table gets an exact zero gradient.
     assert np.all(gradients(loss(), tables)[2] == 0.0)
+
+
+def _embedding_by_picks(tables: list[np.ndarray], ids: np.ndarray, cot: np.ndarray):
+    """(output, table gradients under the cotangent `cot`) by the rule
+    `embedding` had before it gathered every id: each table adds into all
+    rows, the rows of a boolean mask, or none, and its gradient scatters
+    those rows of `cot` with a row-wise `np.add.at`."""
+    flat = ids.reshape(-1, len(tables))
+    valid = flat >= 0
+    picks = [slice(None) if c == flat.shape[0] else valid[:, k] if c else None
+             for k, c in enumerate(valid.sum(axis=0).tolist())]
+    dim = tables[0].shape[1]
+    out, g2, grads = np.zeros((flat.shape[0], dim), dtype=tables[0].dtype), cot.reshape(-1, dim), []
+    for k, (t, rows) in enumerate(zip(tables, picks)):
+        grads.append(np.zeros_like(t))
+        if rows is not None:
+            out[rows] += t.take(flat[rows, k], axis=0)
+            np.add.at(grads[-1], flat[rows, k], g2[rows])
+    return out.reshape(ids.shape[:-1] + (dim,)), grads
+
+
+def _packed_grids(monkeypatch, dtype) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """(tables, ids) of the packed AR and NAR embedding calls of a
+    teacher-forced batch of rows of different lengths."""
+    from paravox import ar, nar
+
+    seen = []
+
+    def spy(tables, ids):
+        seen.append(([t.data.copy() for t in tables], np.array(ids)))
+        return embedding(tables, ids)
+
+    monkeypatch.setattr(ar, "embedding", spy)
+    monkeypatch.setattr(nar, "embedding", spy)
+    rng = Rng(45)
+    cfg = ar.ARConfig(text_vocab=9, streams=(("semantic", 6), ("acoustic", 7)), layers_per_stream=2,
+                      n_layers=1, model_dim=8, n_heads=2, max_text_len=8, max_speech_len=16)
+    model = ar.DualStreamAR(cfg, Rng(1), dtype=dtype)
+    model.teacher_forced_batch([
+        (rng.integers(0, 9, (n_text,)),
+         np.stack([rng.integers(0, k, (n_ref, 2)) for _, k in cfg.streams], axis=1),
+         np.stack([rng.integers(0, k, (n_tgt, 2)) for _, k in cfg.streams], axis=1))
+        for n_text, n_ref, n_tgt in ((3, 2, 4), (5, 0, 2), (1, 0, 1))])
+    ncfg = nar.NARConfig(streams=(("semantic", 6), ("acoustic", 7)), n_quant_layers=3, n_layers=1,
+                         model_dim=8, n_heads=2, max_ref_len=8, max_target_len=8)
+    stage = nar.CoupledStage(ncfg, 2, Rng(2), dtype=dtype)
+    stage.batch_logits([(np.stack([rng.integers(0, k, (r, 3)) for _, k in ncfg.streams], axis=1),
+                         np.stack([rng.integers(0, k, (t, 3)) for _, k in ncfg.streams], axis=1))
+                        for r, t in ((3, 4), (1, 6), (5, 2))])
+    assert len(seen) == 2 and all((ids < 0).any() for _, ids in seen)
+    return seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_is_bitwise_the_three_way_picks(monkeypatch, dtype):
+    """Gathering every id (-1 read as 0) and adding it under the valid
+    mask gives the output and table gradients of the earlier rule, which
+    added a table into all rows, a boolean mask of them, or none: over
+    all-valid, mixed and empty columns, and the packed AR and NAR grids."""
+    rng = Rng(46)
+    tables = [rng.normal((n, 4), dtype=dtype) for n in (7, 3, 5)]
+    ids = np.stack([rng.integers(0, n, (2, 6)) for n in (7, 3, 5)], axis=-1)
+    mixed, empty = ids.copy(), ids.copy()
+    mixed[0, :3, 0] = mixed[1, 4:, 1] = mixed[:, 2, 2] = -1
+    empty[..., 1] = -1
+    empty[1, 5] = -1
+    cases = [(tables, ids), (tables, mixed), (tables, empty), (tables, mixed.reshape(-1, 3)),
+             *_packed_grids(monkeypatch, dtype)]
+    for arrays, case in cases:
+        leaves = [Tensor(t.copy(), requires_grad=True) for t in arrays]
+        out = embedding(leaves, case)
+        cot = rng.normal(out.shape, dtype=dtype)
+        want, want_grads = _embedding_by_picks(arrays, case, cot)
+        assert out.data.dtype == dtype and np.array_equal(out.data, want)
+        assert np.array_equal(embedding(arrays, case), want)
+        for got, g in zip(gradients((out * Tensor(cot)).sum(), leaves), want_grads, strict=True):
+            assert got.dtype == dtype and np.array_equal(got, g)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -714,16 +788,13 @@ def test_fused_primitives_are_one_tape_node():
     x = f64(rng, (2, 3, 8))
     w, b = f64(rng, (8, 4)), f64(rng, (4,))
     gamma, beta = f64(rng, (8,)), f64(rng, (8,))
-    scores = f64(rng, (2, 2, 3, 3))
     qkv = f64(rng, (2, 3, 24))
     table = f64(rng, (5, 4))
     packed, rows = f64(rng, (6, 24)), f64(rng, (6, 8))
-    mask = _attention_mask(np.array([3, 2]), 3, np.float64)
     cases = [
         (linear(x, w, b), (x, w, b)),
         (linear(x, w), (x, w)),
         (layer_norm(x, gamma, beta), (x, gamma, beta)),
-        (softmax(scores, scale=0.5, mask=mask), (scores,)),
         (attention(qkv, 2, causal=True), (qkv,)),
         (attention(packed, 2, True, np.array([4, 2])), (packed,)),
         (embedding([w, table], np.array([[1, -1], [-1, 2]])), (w, table)),
@@ -846,8 +917,8 @@ def test_finite_ops_stay_finite():
     rng = Rng(10)
     for trial in range(10):
         x = Tensor(rng.normal((4, 16), scale=50.0))
-        for out in (softmax(x), layer_norm(x), sigmoid(x), gelu(x)):
-            assert np.all(np.isfinite(out.data))
+        for out in (softmax(x.data), layer_norm(x).data, sigmoid(x.data), gelu(x).data):
+            assert np.all(np.isfinite(out))
         loss = cross_entropy(x, rng.generator.integers(0, 16, size=4))
         assert np.isfinite(float(loss.data))
 
@@ -924,7 +995,7 @@ def _shared_leaf_loss(p: dict):
     h = layer_norm(linear(h, p["w"], p["b"]), p["gamma"], p["beta"])
     h = gelu(h * p["w"][:4].sum(axis=0) + embedding([p["tab"]], ids[:, :1]) * p["tab"][0])
     h = layer_norm(linear(h, p["w"]), p["gamma"], p["beta"]) * p["w"][3]
-    return linear(h, inner[:, :8].swapaxes(0, 1) * 1.0).sum() + (p["w"] * p["w"]).sum() * 1e-3
+    return linear(h, swapaxes(inner[:, :8], 0, 1) * 1.0).sum() + (p["w"] * p["w"]).sum() * 1e-3
 
 
 def _shared_leaf_params():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from paravox.engine import Rng, Tensor, grad_check
+from gradcheck import grad_check
+from paravox.engine import Rng, Tensor
 from paravox.flow import FlowConfig, SolverConfig, VelocityField, cfm_train_loss, sample_mel, time_features
 from paravox.nn import Linear
 

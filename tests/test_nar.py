@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from paravox.engine import Rng, grad_check, gradients
+from gradcheck import grad_check
+from paravox.engine import Rng, gradients
 from paravox.nar import CoupledNAR, CoupledStage, NARConfig
 
 

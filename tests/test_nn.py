@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from paravox.ar import ARConfig, DualStreamAR
-from paravox.engine import Rng, Tensor, concat, grad_check, gradients
+from paravox.engine import Rng, Tensor, concat, gradients
 from paravox.flow import FlowConfig, VelocityField, time_features
 from paravox.nn import (
     Conv1dSame,

@@ -182,16 +182,22 @@ def _usable(monkeypatch, n_cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
 
 
+def _adam_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("adam")]
+
+
 def _adam_runs(monkeypatch, init, grads_per_step, lrs, cpu_counts, steps_after_exit=0):
-    """Per CPU count, plus "ref" for `_ReferenceAdam`: the shards the
-    optimiser split into, its per-step norms and its final p, m and v.
-    The last `steps_after_exit` steps run after the `with` has closed."""
+    """Per CPU count, plus "ref" for `_ReferenceAdam`: the optimiser's
+    chunks (their key lists) and its `adam` threads at the end of the
+    `with`, its per-step norms and its final p, m and v. The last
+    `steps_after_exit` steps run after the `with` has closed, which
+    leaves no `adam` thread."""
     out = {}
     inside = len(grads_per_step) - steps_after_exit
     for n in (*cpu_counts, "ref"):
         params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
         if n == "ref":
-            opt, shards = _ReferenceAdam(params), None
+            opt, layout = _ReferenceAdam(params), None
             norms = [opt.step(g, lr) for g, lr in zip(grads_per_step, lrs)]
         else:
             _usable(monkeypatch, n)
@@ -199,12 +205,13 @@ def _adam_runs(monkeypatch, init, grads_per_step, lrs, cpu_counts, steps_after_e
             sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
             try:
                 with Adam(params) as opt:
-                    shards = [list(s) for s in opt._shards]
                     norms = [opt.step(g, lr) for g, lr in zip(grads_per_step[:inside], lrs[:inside])]
+                    layout = [keys for _, (keys, *_) in opt._chunks], _adam_threads()
                 norms += [opt.step(g, lr) for g, lr in zip(grads_per_step[inside:], lrs[inside:])]
             finally:
                 sys.setswitchinterval(interval)
-        out[n] = (shards, norms, {k: p.data for k, p in params.items()}, opt.m, opt.v)
+            assert not _adam_threads()
+        out[n] = (layout, norms, {k: p.data for k, p in params.items()}, opt.m, opt.v)
     return out
 
 
@@ -217,9 +224,18 @@ def _assert_bitwise_alike(runs):
             assert np.array_equal(n_m[k], m[k]) and np.array_equal(n_v[k], v[k]), (n, k)
 
 
+def _assert_one_layout_and_worker(runs, chunks):
+    """Every CPU count ran the same chunks, with one worker thread on more than one CPU."""
+    for n, (layout, *_) in runs.items():
+        if n != "ref":
+            assert layout[0] == chunks and len(layout[1]) == (n > 1), n
+
+
 def test_sharded_adam_is_bitwise_one_shard_and_the_reference(monkeypatch):
-    """The toy AR's parameters, split over 1, 2 and 3 CPUs, take 20 steps
-    (clipping on every other one) to the bits of the textbook formula."""
+    """The toy AR's parameters, at 1, 2 and 3 usable CPUs, take 20 steps
+    (clipping on every other one) to the bits of the textbook formula.
+    The chunks are the same at every CPU count, and the update is split
+    between the caller and one worker on more than one CPU."""
     model = DualStreamAR(toy_profile().build_ar_config())
     init = {k: p.data.copy() for k, p in model.named_parameters().items()}
     assert (len(init), sum(a.size for a in init.values())) == (61, 832_897)
@@ -232,44 +248,42 @@ def test_sharded_adam_is_bitwise_one_shard_and_the_reference(monkeypatch):
     _assert_bitwise_alike(runs)
     clipped = [norm > 2.0 for norm in runs["ref"][1]]
     assert clipped == [s % 2 == 1 for s in range(20)]
-    for n in (1, 2, 3):
-        shards = runs[n][0]
-        assert len(shards) == n and [k for s in shards for k in s] == list(init)
-        sizes = [sum(init[k].size for k in s) for s in shards]
-        assert max(sizes) - min(sizes) <= max(a.size for a in init.values())
+    chunks = runs[1][0][0]
+    assert len(chunks) == 13 and [k for keys in chunks for k in keys] == list(init)
+    _assert_one_layout_and_worker(runs, chunks)
 
 
-@pytest.mark.parametrize("sizes, n_cpus, n_shards", [
-    ({"big": 1000, "small": 1}, 3, 2),             # the first cut falls at 0: one CPU gets no shard
-    ({"small": 3, "big": 1000, "tail": 2}, 2, 2),  # a lopsided split: 3 against 1002 elements
-    ({"a": 5, "big": 1000, "b": 5}, 4, 3),         # fewer tensors than CPUs
+@pytest.mark.parametrize("sizes, n_cpus, n_chunks", [
+    ({"big": 1000, "small": 1}, 3, 2),             # the big tensor alone passes half the elements
+    ({"small": 3, "big": 1000, "tail": 2}, 2, 2),  # a lopsided split: 1003 against 2 elements
+    ({"a": 5, "big": 1000, "b": 5}, 4, 2),         # fewer tensors than CPUs
     ({"only": 10}, 2, 1),
     ({"big": 70_000, "one": 1}, 2, 2),             # a tensor larger than a chunk, and a size-1 one
-    # a chunk closes mid-shard ("a", "b64"), and float32 and float64 tensors share chunks
+    # a chunk closes mid-model ("a"), and float32 and float64 tensors share a chunk
     ({"a": 40_000, "b64": 30_000, "c": 1, "d64": 1}, 3, 2),
-    ({"s1": 1, "s2_64": 1, "s3": 1}, 3, 3),        # size-1 tensors, one per shard
-    ({"a": 65_535, "b": 1, "c": 1}, 2, 2),         # a chunk of exactly CHUNK_SIZE elements closes
+    ({"s1": 1, "s2_64": 1, "s3": 1}, 3, 2),        # size-1 tensors
+    ({"a": 65_535, "b": 1, "c": 70_000}, 2, 2),    # a chunk of exactly CHUNK_SIZE elements closes
 ])
-def test_sharded_adam_with_a_dominant_tensor(monkeypatch, sizes, n_cpus, n_shards):
-    """One tensor holding most elements leaves a shard lopsided, or none
-    for a CPU; the shards still cover every tensor once, in order, and
-    the bits are the one-shard bits at 1, 2, 3 and `n_cpus` CPUs, also
-    for a step taken after the `with` has closed. The one-shard chunks
-    close at the first tensor that brings them to `CHUNK_SIZE` elements.
-    A key ending in 64 is a float64 tensor."""
+def test_sharded_adam_with_a_dominant_tensor(monkeypatch, sizes, n_cpus, n_chunks):
+    """One tensor holding most elements makes a lopsided chunk. The
+    chunks close at the first tensor that brings them to `CHUNK_SIZE`
+    elements, or to half of all the elements if that is fewer; they
+    cover every tensor once, in order, and are the same at 1, 2, 3 and
+    `n_cpus` CPUs, as are the bits, also for a step taken after the
+    `with` has closed. A key ending in 64 is a float64 tensor."""
     rng = Rng(3)
     init = {k: rng.normal((n,), dtype=np.float64 if k.endswith("64") else np.float32) for k, n in sizes.items()}
     grads = [{k: rng.normal(a.shape, scale=10.0 if s % 2 else 0.01, dtype=a.dtype) for k, a in init.items()}
              for s in range(6)]
-    chunks = [keys for keys, *_ in Adam({k: Tensor(a) for k, a in init.items()})._chunks[0]]
-    assert [k for keys in chunks for k in keys] == list(sizes)
+    chunks = [keys for _, (keys, *_) in Adam({k: Tensor(a) for k, a in init.items()})._chunks]
+    assert len(chunks) == n_chunks and [k for keys in chunks for k in keys] == list(sizes)
+    close = min(train_mod.CHUNK_SIZE, sum(sizes.values()) / 2)
     for i, keys in enumerate(chunks):
         n = [sizes[k] for k in keys]
-        assert sum(n[:-1]) < train_mod.CHUNK_SIZE and (sum(n) >= train_mod.CHUNK_SIZE or i == len(chunks) - 1)
+        assert sum(n[:-1]) < close and (sum(n) >= close or i == len(chunks) - 1)
     runs = _adam_runs(monkeypatch, init, grads, [1e-2] * 6, sorted({1, 2, 3, n_cpus}), steps_after_exit=1)
     _assert_bitwise_alike(runs)
-    shards = runs[n_cpus][0]
-    assert len(shards) == n_shards and all(shards) and [k for s in shards for k in s] == list(sizes)
+    _assert_one_layout_and_worker(runs, chunks)
 
 
 def test_adam_on_one_cpu_creates_no_pool(monkeypatch, tmp_path, mini_run):
@@ -316,7 +330,7 @@ def test_train_stage_leaves_no_thread_behind(monkeypatch, tmp_path, mini_run):
     assert threading.enumerate() == before
     assert max(during) > len(before)
 
-    # An update that fails behind the next forward pass (more chunks than shards).
+    # An update that fails behind the next forward pass.
     monkeypatch.setattr(train_mod, "CHUNK_SIZE", 4096)
     update = train_mod.Adam._update
 
@@ -330,6 +344,24 @@ def test_train_stage_leaves_no_thread_behind(monkeypatch, tmp_path, mini_run):
         train_stage("ar", mini_run.items, _quick_pcfg(4), tmp_path / "ar-failed.ckpt")
     assert threading.enumerate() == before and not engine._updating
     assert not (tmp_path / "ar-failed.ckpt").exists()
+
+
+def test_training_on_three_cpus_runs_one_optimiser_thread(monkeypatch, tmp_path, mini_run):
+    """More usable CPUs than two still give the optimiser one worker: at
+    three, exactly one `adam` thread is alive at every step of `_fit`,
+    and none once the stage has returned."""
+    _usable(monkeypatch, 3)
+    shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
+    seen, original = [], train_mod.Adam.step
+
+    def step(opt, grads, lr):
+        seen.append(_adam_threads())
+        return original(opt, grads, lr)
+
+    monkeypatch.setattr(train_mod.Adam, "step", step)
+    train_stage("ar", mini_run.items, _quick_pcfg(4), tmp_path / "ar.ckpt")
+    assert len(seen) == 4 and all(names == seen[0] and len(names) == 1 for names in seen)
+    assert not _adam_threads()
 
 
 @pytest.mark.parametrize("stage", ["tokenizer", "ar", "nar", "flow"])
@@ -371,9 +403,9 @@ def test_pooled_backward_is_bitwise_the_inline_one(tmp_path, mini_run, monkeypat
 
 @pytest.mark.parametrize("stage", ["tokenizer", "ar", "nar", "flow"])
 def test_overlapped_update_is_bitwise_the_drained_one(tmp_path, mini_run, monkeypatch, stage):
-    """With chunks of 512 elements, each stage has more chunks than shards,
-    so at 2 and 3 CPUs each step's update runs behind the next forward
-    pass; with no pool (1 CPU) `step` writes every chunk before it returns.
+    """With chunks of 512 elements, at 2 and 3 CPUs each step's update runs
+    behind the next forward pass, on one worker and in the gates; with no
+    pool (1 CPU) `step` writes every chunk before it returns.
     The loss curves, gradient norms and checkpoint bytes are the same bits,
     also in a run whose pool never starts the update, where every chunk a
     forward reads is written inside a gate: a read that skipped its gate
@@ -420,8 +452,8 @@ def test_an_error_in_an_update_chunk_surfaces_once(monkeypatch, where):
     slots meets it before its first load, also when its loss was built
     before the step, so no gate ran. After it no parameter is pending,
     and no worker is left once the `with` has ended. Four 64-element
-    tensors make four chunks in two shards, so the update runs behind
-    the caller."""
+    tensors make four chunks, and on two CPUs the update runs behind the
+    caller."""
     _usable(monkeypatch, 2)
     monkeypatch.setattr(train_mod, "CHUNK_SIZE", 64)
     params = {k: Tensor(np.zeros(64, dtype=np.float32), requires_grad=True) for k in "abcd"}
@@ -437,7 +469,7 @@ def test_an_error_in_an_update_chunk_surfaces_once(monkeypatch, where):
     raised_in = []
     with pytest.raises(RuntimeError, match="update of c"):
         with Adam(params) as opt:
-            assert len(opt._chunks) == 2 and opt._pool is not None
+            assert len(opt._chunks) == 4 and opt._pool is not None
             loss = linear(np.ones((2, 8), dtype=np.float32), params["c"].reshape(8, 8)).sum()
             opt.step(grads, lr=0.1)
             try:
@@ -1003,7 +1035,7 @@ def test_training_draws_the_per_item_rows(tmp_path, mini_run, monkeypatch, stage
     step s's indices are `Rng(seed).spawn(("step", s)).integers(0, n, (batch,))`,
     each item paired with its `reference_pairing` reference's grid (the
     AR's rows are text ids and both grids cut to its layers). A plain
-    `gradients` + `Adam` loop over those rows, on one shard, gives the
+    `gradients` + `Adam` loop over those rows, with no worker, gives the
     stage's loss curves, gradient norms and checkpoint bit for bit."""
     shutil.copy(mini_run.ckpt_dir / "tokenizer.ckpt", tmp_path / "tokenizer.ckpt")
     pcfg, items = _quick_pcfg(6), mini_run.items

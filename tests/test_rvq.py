@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import rvq_residuals
+from gradcheck import grad_check
 from paravox import rvq
-from paravox.engine import Rng, Tensor, grad_check
+from paravox.engine import Rng, Tensor
 from paravox.rvq import RVQStack, _nearest, _nearest_direct
 from paravox.tokenizer import TokenizerConfig
 

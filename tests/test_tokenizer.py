@@ -5,7 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from paravox.engine import Rng, grad_check
+from gradcheck import grad_check
+from paravox.engine import Rng
 from paravox.flow import FlowConfig, VelocityField
 from paravox.frontend import SyntheticSpec, generate_corpus, make_utterance
 from paravox.pipeline.infer import ParallelTokens
